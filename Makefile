@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint fuzz check check-parallel smoke-serve smoke-online bench-inference bench-training bench-envs bench-evaluation bench-serving bench-scaling
+.PHONY: build test lint fuzz check check-parallel smoke-serve smoke-online bench-e2e bench-smoke bench-inference bench-training bench-envs bench-evaluation bench-serving bench-scaling
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,23 @@ smoke-serve:
 # learner checkpoint via -load-checkpoint.
 smoke-online:
 	sh scripts/smoke_online.sh
+
+# bench-e2e runs the end-to-end benchmark BENCHMARK.json declares (live
+# daemon over HTTP, online learning, offline training) through the driver's
+# entry point, one workload after the other; results land under
+# benchmark/out/. BENCH_E2E_FLAGS adds harness flags, e.g.
+# BENCH_E2E_FLAGS="--trace 1" for the per-layer budget. This is the basis
+# for performance claims; the bench-* targets below are legacy.
+BENCH_E2E_WORKLOADS ?= serve-ingest replan-sparse replan-dense serve-online train-offline
+bench-e2e:
+	@for w in $(BENCH_E2E_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w $(BENCH_E2E_FLAGS) || exit 1; \
+	done
+
+# bench-smoke runs every workload of the same harness at tiny sizes with
+# every output check on (needs 2 CPUs, like the harness itself).
+bench-smoke:
+	$(GO) run ./benchmark -smoke
 
 # bench-inference regenerates BENCH_inference.json (single-sample vs batched
 # engine at the paper and Quick configs).

@@ -12,11 +12,12 @@
 // visible on /metrics.
 //
 // With -online the daemon closes the serve→train loop (DESIGN.md §17): the
-// observe stream feeds a bounded replay buffer, drift against the training
-// distribution is scored on /metrics, fine-tune epochs run on a cadence or
-// when drift crosses -drift-threshold, and candidates that survive the
-// validation gate are hot-swapped into serving (status on /v1/learner and
-// /healthz).
+// serving store keeps each file's history over the learner's window, drift
+// against the training distribution is counted at ingest and scored on
+// /metrics, fine-tune epochs run on a cadence or when drift crosses
+// -drift-threshold on traces read out of that store, and candidates that
+// survive the validation gate are hot-swapped into serving (status on
+// /v1/learner and /healthz).
 //
 // The daemon enables the process-wide obs registry: /metrics exposes the
 // serving, training, and simulation metric families in Prometheus text
@@ -70,7 +71,7 @@ func main() {
 		shards     = flag.Int("shards", 0, "tracked-state partitions, rounded up to a power of two (0 = default)")
 		maxBody    = flag.Int64("max-observe-bytes", 0, "cap on a /v1/observe request body in bytes (0 = default 8 MiB)")
 
-		onlineOn  = flag.Bool("online", false, "run the continuous-learning loop: buffer observations, fine-tune, hot-swap")
+		onlineOn  = flag.Bool("online", false, "run the continuous-learning loop: score drift, fine-tune on the stored history, hot-swap")
 		ftEvery   = flag.Int("finetune-every", 16, "fine-tune epoch cadence in observe batches (0 disables cadence epochs)")
 		ftSteps   = flag.Int64("finetune-steps", 2048, "environment steps per fine-tune epoch")
 		ftWorkers = flag.Int("finetune-workers", 1, "async workers for fine-tune epochs (1 keeps epochs seed-deterministic)")

@@ -2,9 +2,11 @@ package agentserver
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
+	"minicost/internal/mdp"
 	"minicost/internal/pricing"
 	"minicost/internal/rng"
 )
@@ -29,7 +31,9 @@ func planKey(p *PlanResponse) string {
 // This holds because DecideBatch rows are batch-composition-independent
 // (the PR-1 bitwise contract) and committed tiers feed back into the
 // features only for files the plan actually changed — which the commit
-// re-dirties.
+// re-dirties. A third server keeps a learner's rings (2×histLen cells per
+// file): its incremental plans and its feature rows must equal the others'
+// bit for bit, since only the most recent histLen cells reach a row.
 func TestIncrementalPlanEqualsFull(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -43,11 +47,18 @@ func TestIncrementalPlanEqualsFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			long, err := NewWithConfig(testAgent(), pricing.Hot, Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := long.AttachLearner(2 * long.histLen); err != nil {
+				t.Fatal(err)
+			}
 			r := rng.New(uint64(9000 + shards))
 			pop := 0
 			observe := func(files []FileObservation) {
 				t.Helper()
-				for _, s := range []*Server{inc, ful} {
+				for _, s := range []*Server{inc, ful, long} {
 					if _, err := s.Observe(&ObserveRequest{Files: files}); err != nil {
 						t.Fatal(err)
 					}
@@ -74,6 +85,29 @@ func TestIncrementalPlanEqualsFull(t *testing.T) {
 				}
 				if !pi.Full && pi.Decided > len(pi.Files) {
 					t.Fatalf("%s: incremental decided %d of %d files", step, pi.Decided, len(pi.Files))
+				}
+				pl, err := long.BuildPlan(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kl, ki := planKey(pl), planKey(pi); kl != ki || pl.Decided != pi.Decided {
+					t.Fatalf("%s: plan over 2×histLen rings diverged (decided %d vs %d)\nlong:  %.200s\nshort: %.200s",
+						step, pl.Decided, pi.Decided, kl, ki)
+				}
+				// Same stream, same shard count: slots line up, so the
+				// feature rows compare position by position.
+				fd := mdp.FeatureDim(inc.histLen)
+				rowI, rowL := make([]float64, fd), make([]float64, fd)
+				for si, sh := range inc.shards {
+					for slot := range sh.ids {
+						sh.featureInto(int32(slot), rowI)
+						long.shards[si].featureInto(int32(slot), rowL)
+						for k := range rowI {
+							if math.Float64bits(rowI[k]) != math.Float64bits(rowL[k]) {
+								t.Fatalf("%s: feature row of %q differs at %d: %v vs %v", step, sh.ids[slot], k, rowI[k], rowL[k])
+							}
+						}
+					}
 				}
 			}
 			newBatch := func(lo, hi int) []FileObservation {
@@ -113,8 +147,9 @@ func TestIncrementalPlanEqualsFull(t *testing.T) {
 			observe(batch)
 			comparePlans("after duplicate batch")
 
-			// Several observe days between plans.
-			for d := 0; d < 4; d++ {
+			// Several observe days between plans — enough that the long rings
+			// wrap too.
+			for d := 0; d < 12; d++ {
 				observe(newBatch(pop/2, pop))
 			}
 			comparePlans("after multi-day gap")

@@ -113,22 +113,20 @@ type StatsResponse struct {
 }
 
 // ObserveTap receives every validated /v1/observe batch after the serving
-// store has ingested it — the hook the online learner's replay buffer hangs
+// store has ingested it — the hook the online learner's epoch trigger hangs
 // off (internal/online). The call runs inline on the serve path with the
 // batch day counter and the raw (already validated) entries; implementations
 // must be safe for concurrent calls and must not retain the slice past the
 // call.
 //
-// Two costs of the inline contract. First, under concurrent observe
-// requests day values can reach the tap out of order (the counter is
-// incremented before the unsynchronized tap call), so implementations must
-// not assume monotone days — the online learner sidesteps this by keying
-// its gap statistics on per-file observation ordinals instead. Second, any
-// lock a tap takes inside TapObserve serializes the observe hot path across
-// requests; the learner's single tap mutex does exactly that, which is
-// acceptable because its per-batch work is flat array writes and O(buckets)
-// scoring, but a tap doing heavy work inline would become the ingest
-// bottleneck.
+// Under concurrent observe requests day values can reach the tap out of
+// order (the counter is incremented before the unsynchronized tap call), so
+// implementations must not assume monotone days. The learner does no
+// per-file work here: its drift samples were already counted by the shard
+// ingest (AttachLearner), so its tap drains O(shards) counters, scores
+// O(buckets) and checks the epoch trigger. A tap that does heavy work, or
+// holds a lock across per-file work, serializes the observe hot path across
+// requests and becomes the ingest bottleneck.
 type ObserveTap interface {
 	TapObserve(day int64, files []FileObservation)
 }
@@ -304,6 +302,90 @@ func (s *Server) Shards() int { return len(s.shards) }
 // without synchronization on the observe path.
 func (s *Server) SetTap(tap ObserveTap) { s.tap = tap }
 
+// AttachLearner prepares the store for an online learner: every file's rings
+// keep window cells (at least the decision window; plans still pack only the
+// most recent histLen) and shard ingest starts counting drift samples for
+// DrainDrift. It must run before the server tracks any file — there is no
+// ring re-layout — and before traffic starts.
+func (s *Server) AttachLearner(window int) error {
+	if window < s.histLen {
+		return fmt.Errorf("agentserver: learner window %d shorter than the decision window %d", window, s.histLen)
+	}
+	if n := s.TrackedFiles(); n > 0 {
+		return fmt.Errorf("agentserver: AttachLearner with %d files already tracked", n)
+	}
+	for _, sh := range s.shards {
+		sh.attachLearner(window)
+	}
+	return nil
+}
+
+// DrainDrift adds to dst the drift samples every shard has counted since the
+// previous drain and zeroes them. Requires AttachLearner.
+func (s *Server) DrainDrift(dst *DriftCounts) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		dst.Add(sh.drift)
+		*sh.drift = DriftCounts{}
+		sh.mu.Unlock()
+	}
+}
+
+// History is a copy of per-file history out of the store, one entry per
+// file: Reads[i] and Writes[i] are file i's most recent Days daily
+// measurements, oldest first.
+type History struct {
+	Days          int
+	IDs           []string
+	SizeGB        []float64
+	Reads, Writes [][]float64
+}
+
+// SnapshotHistory copies out, under the shard locks, every file with at
+// least minDays observed days: its ID, last size and latest window. Days is
+// the shortest history among those files, capped at the ring length, so all
+// series align. At most maxFiles files are copied — each shard contributes
+// its earliest-tracked eligible files up to an equal share, so membership
+// below the cap does not move as the population grows. Observations landing
+// between the two passes only lengthen histories; the latest Days cells of
+// every picked file are still in its ring.
+func (s *Server) SnapshotHistory(minDays, maxFiles int) *History {
+	share := max(maxFiles/len(s.shards), 1)
+	picked := make([][]int32, len(s.shards))
+	h := &History{Days: s.shards[0].ringLen}
+	n := 0
+	for si, sh := range s.shards {
+		sh.mu.Lock()
+		for slot := 0; slot < len(sh.ids) && len(picked[si]) < share; slot++ {
+			if f := int(sh.fill[slot]); f >= minDays {
+				h.Days = min(h.Days, f)
+				picked[si] = append(picked[si], int32(slot))
+			}
+		}
+		sh.mu.Unlock()
+		n += len(picked[si])
+	}
+	h.IDs = make([]string, 0, n)
+	h.SizeGB = make([]float64, 0, n)
+	h.Reads = make([][]float64, 0, n)
+	h.Writes = make([][]float64, 0, n)
+	cells := make([]float64, 2*n*h.Days)
+	for si, sh := range s.shards {
+		sh.mu.Lock()
+		for _, slot := range picked[si] {
+			rs, ws := cells[:h.Days:h.Days], cells[h.Days:2*h.Days:2*h.Days]
+			cells = cells[2*h.Days:]
+			sh.latestInto(slot, h.Days, rs, ws)
+			h.IDs = append(h.IDs, sh.ids[slot])
+			h.SizeGB = append(h.SizeGB, sh.size[slot])
+			h.Reads = append(h.Reads, rs)
+			h.Writes = append(h.Writes, ws)
+		}
+		sh.mu.Unlock()
+	}
+	return h
+}
+
 // UpdateAgent swaps in a fresh training snapshot. Pooled replicas of the
 // previous snapshot are invalidated; in-flight plans finish on the weights
 // they started with. Every tracked file is marked dirty — cached plan
@@ -339,7 +421,9 @@ func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
 		if f.ID == "" {
 			return nil, errors.New("agentserver: observation without id")
 		}
-		if !(f.SizeGB > 0) || f.Reads < 0 || f.Writes < 0 {
+		// finiteNonNeg is false for NaN and ±Inf as well as negatives: the
+		// rings feed training traces and the holdout gate, not only plans.
+		if !(f.SizeGB > 0 && finiteNonNeg(f.SizeGB) && finiteNonNeg(f.Reads) && finiteNonNeg(f.Writes)) {
 			return nil, fmt.Errorf("agentserver: invalid observation for %q", f.ID)
 		}
 	}
@@ -365,18 +449,20 @@ func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
 	}
 	day := s.day.Add(1)
 	if s.tap != nil {
-		// The tap runs inline after ingestion so a buffered batch is never
-		// ahead of the serving store; the learner's tap is allocation-free
-		// in steady state, keeping the observe hot path's alloc gate intact.
+		// The tap runs inline after ingestion, so what it drains or reads
+		// from the store already includes this batch.
 		s.tap.TapObserve(day, req.Files)
 	}
 	s.observations.Add(int64(n))
-	tracked := s.tracked()
+	tracked := s.TrackedFiles()
 	s.met.observations.Add(float64(n))
 	s.met.duplicates.Add(float64(dups))
 	s.met.tracked.Set(float64(tracked))
 	return &ObserveResponse{Accepted: n, Tracked: tracked, Duplicates: dups}, nil
 }
+
+// finiteNonNeg reports 0 <= v < +Inf.
+func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // bucketByShard partitions batch positions by owning shard with a stable
 // counting sort, so each shard sees its entries in batch order (the
@@ -406,8 +492,8 @@ func (s *Server) bucketByShard(files []FileObservation) (offsets []int32, order 
 	return counts, order
 }
 
-// tracked sums the shard populations without taking any lock.
-func (s *Server) tracked() int {
+// TrackedFiles sums the shard populations without taking any lock.
+func (s *Server) TrackedFiles() int {
 	n := int64(0)
 	for _, sh := range s.shards {
 		n += sh.files.Load()
@@ -432,7 +518,7 @@ func (s *Server) tracked() int {
 func (s *Server) BuildPlan(full bool) (*PlanResponse, error) {
 	sw := s.met.planGen.Start()
 	start := time.Now()
-	if s.tracked() == 0 {
+	if s.TrackedFiles() == 0 {
 		return nil, errors.New("agentserver: no observations yet")
 	}
 	day := int(s.day.Load())
@@ -467,7 +553,7 @@ func (s *Server) BuildPlan(full bool) (*PlanResponse, error) {
 	s.met.plans.Inc()
 	s.met.decisions.Add(float64(resp.Decided))
 	s.met.transitions.Add(float64(resp.Transition))
-	s.met.tracked.Set(float64(s.tracked()))
+	s.met.tracked.Set(float64(s.TrackedFiles()))
 	sw.Stop()
 	return resp, nil
 }
@@ -475,7 +561,7 @@ func (s *Server) BuildPlan(full bool) (*PlanResponse, error) {
 // Stats snapshots counters and shard occupancy.
 func (s *Server) Stats() *StatsResponse {
 	resp := &StatsResponse{
-		TrackedFiles: s.tracked(),
+		TrackedFiles: s.TrackedFiles(),
 		Observations: s.observations.Load(),
 		PlansServed:  s.plansServed.Load(),
 		LastPlanMS:   float64(s.lastPlanUS.Load()) / 1000,

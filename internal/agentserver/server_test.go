@@ -1,6 +1,7 @@
 package agentserver
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -94,16 +95,41 @@ func TestPlanBeforeObserveFails(t *testing.T) {
 }
 
 func TestObserveValidation(t *testing.T) {
-	_, c := newTestServer(t)
+	s, err := New(testAgent(), pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	nan, inf := math.NaN(), math.Inf(1)
 	for name, req := range map[string]*ObserveRequest{
 		"empty":         {},
 		"no-id":         {Files: []FileObservation{{SizeGB: 0.1}}},
 		"zero-size":     {Files: []FileObservation{{ID: "x"}}},
 		"negative-read": {Files: []FileObservation{{ID: "x", SizeGB: 0.1, Reads: -1}}},
+		"nan-size":      {Files: []FileObservation{{ID: "x", SizeGB: nan}}},
+		"inf-size":      {Files: []FileObservation{{ID: "x", SizeGB: inf}}},
+		"nan-reads":     {Files: []FileObservation{{ID: "x", SizeGB: 0.1, Reads: nan}}},
+		"inf-reads":     {Files: []FileObservation{{ID: "x", SizeGB: 0.1, Reads: inf}}},
+		"nan-writes":    {Files: []FileObservation{{ID: "x", SizeGB: 0.1, Writes: nan}}},
+		"inf-writes":    {Files: []FileObservation{{ID: "x", SizeGB: 0.1, Writes: inf}}},
+		"neg-inf-reads": {Files: []FileObservation{{ID: "x", SizeGB: 0.1, Reads: math.Inf(-1)}}},
+		// The bad entry rides behind a good one: nothing may be ingested.
+		"bad-after-good": {Files: []FileObservation{obsv("ok", 1), {ID: "x", SizeGB: 0.1, Writes: nan}}},
 	} {
-		if _, err := c.Observe(req); err == nil {
-			t.Errorf("%s accepted", name)
+		// The client cannot even encode a non-finite number, so the rule is
+		// also checked where in-process callers (the learner's replay, the
+		// benchmark oracle) enter.
+		if _, err := s.Observe(req); err == nil {
+			t.Errorf("%s accepted by Server.Observe", name)
 		}
+		if _, err := c.Observe(req); err == nil {
+			t.Errorf("%s accepted over HTTP", name)
+		}
+	}
+	if got := s.Stats().TrackedFiles; got != 0 {
+		t.Fatalf("rejected batches left %d tracked files", got)
 	}
 }
 
@@ -175,58 +201,77 @@ func TestConcurrentObserveAndPlan(t *testing.T) {
 
 // TestShardWindowRing pins the ring-buffer window semantics: oldest-first
 // order once full, left-padding with the first observed value while
-// filling, and all-zeros before any observation.
+// filling, and all-zeros before any observation — the same at the serving
+// ring length and at a learner's longer one.
 func TestShardWindowRing(t *testing.T) {
-	sh := newShard(7)
-	slot := sh.addSlot("f")
-	sh.setInitialTier(slot, pricing.Hot)
-	rs := make([]float64, 7)
-	ws := make([]float64, 7)
-
-	sh.windowInto(slot, rs, ws)
-	for i := range rs {
-		if rs[i] != 0 || ws[i] != 0 {
-			t.Fatalf("empty window rs=%v ws=%v", rs, ws)
+	for _, ringLen := range []int{7, 14} {
+		sh := newShard(7)
+		if ringLen != 7 {
+			sh.attachLearner(ringLen)
 		}
-	}
+		slot := sh.addSlot("f")
+		sh.setInitialTier(slot, pricing.Hot)
+		rs := make([]float64, 7)
+		ws := make([]float64, 7)
 
-	// Two observations: window left-pads with the first value.
-	sh.ingestOne(slot, 0.1, 5, 50)
-	sh.ingestOne(slot, 0.1, 6, 60)
-	sh.windowInto(slot, rs, ws)
-	wantR := []float64{5, 5, 5, 5, 5, 5, 6}
-	wantW := []float64{50, 50, 50, 50, 50, 50, 60}
-	for i := range wantR {
-		if rs[i] != wantR[i] || ws[i] != wantW[i] {
-			t.Fatalf("partial window rs=%v ws=%v", rs, ws)
+		sh.windowInto(slot, rs, ws)
+		for i := range rs {
+			if rs[i] != 0 || ws[i] != 0 {
+				t.Fatalf("ringLen=%d empty window rs=%v ws=%v", ringLen, rs, ws)
+			}
 		}
-	}
 
-	// Ten observations through a 7-slot ring: only the trailing 7 survive,
-	// oldest first.
-	for v := 3.0; v <= 10; v++ {
-		sh.ingestOne(slot, 0.1, v, v*10)
-	}
-	sh.windowInto(slot, rs, ws)
-	for i := 0; i < 7; i++ {
-		want := float64(4 + i)
-		if rs[i] != want || ws[i] != want*10 {
-			t.Fatalf("full window rs=%v ws=%v", rs, ws)
+		// Two observations: window left-pads with the first value.
+		sh.ingestOne(slot, 0.1, 5, 50)
+		sh.ingestOne(slot, 0.1, 6, 60)
+		sh.windowInto(slot, rs, ws)
+		wantR := []float64{5, 5, 5, 5, 5, 5, 6}
+		wantW := []float64{50, 50, 50, 50, 50, 50, 60}
+		for i := range wantR {
+			if rs[i] != wantR[i] || ws[i] != wantW[i] {
+				t.Fatalf("ringLen=%d partial window rs=%v ws=%v", ringLen, rs, ws)
+			}
+		}
+
+		// Observations 3..v through the ring: only the trailing 7 reach the
+		// window, oldest first — checked as the ring fills, when it is
+		// exactly full, and after it has wrapped (at either length).
+		for v := 3.0; v <= 40; v++ {
+			sh.ingestOne(slot, 0.1, v, v*10)
+			if v < 10 {
+				continue
+			}
+			sh.windowInto(slot, rs, ws)
+			for i := 0; i < 7; i++ {
+				want := v - 6 + float64(i)
+				if rs[i] != want || ws[i] != want*10 {
+					t.Fatalf("ringLen=%d after %v: window rs=%v ws=%v", ringLen, v, rs, ws)
+				}
+			}
+		}
+		if got := int(sh.fill[slot]); got != ringLen {
+			t.Fatalf("fill = %d, want the ring length %d", got, ringLen)
 		}
 	}
 }
 
-// TestShardHashStable pins that shardOf is a pure function of the ID and
-// respects the mask.
+// TestShardHashStable pins HashID — FNV-1a 64, whose values the learner's
+// train/holdout membership and the shard routing of every existing ID rest
+// on — and that shardOf respects the mask.
 func TestShardHashStable(t *testing.T) {
-	const mask = 15
-	for _, id := range []string{"", "a", "file-123", "…unicode…"} {
-		a, b := shardOf(id, mask), shardOf(id, mask)
-		if a != b {
-			t.Fatalf("shardOf(%q) unstable: %d vs %d", id, a, b)
+	for id, want := range map[string]uint64{
+		"":          0xcbf29ce484222325,
+		"a":         0xaf63dc4c8601ec8c,
+		"file-123":  0xb8c1ceb8c7c65d2e,
+		"…unicode…": 0x671182bff7550bfe,
+		"f00000042": 0xbc86bcd6e52a8777,
+	} {
+		if got := HashID(id); got != want {
+			t.Fatalf("HashID(%q) = %#x, want %#x", id, got, want)
 		}
-		if a > mask {
-			t.Fatalf("shardOf(%q) = %d exceeds mask %d", id, a, mask)
+		const mask = 15
+		if got, want := shardOf(id, mask), uint32(want^(want>>32))&mask; got != want {
+			t.Fatalf("shardOf(%q) = %d, want %d", id, got, want)
 		}
 	}
 	if got := shardOf("anything", 0); got != 0 {

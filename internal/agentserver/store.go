@@ -7,11 +7,17 @@ package agentserver
 //
 // Layout per shard: file ID → slot (map), then one flat array per field
 // indexed by slot — size, ring-buffered read/write histories
-// (slot*histLen .. slot*histLen+histLen), head/fill cursors, current tier,
+// (slot*ringLen .. slot*ringLen+ringLen), head/fill cursors, current tier,
 // cached plan decision, dirty bit. Observation ingest and feature packing
 // walk these arrays without per-file pointer chasing or per-request
 // marshalling; feature rows are encoded straight from the rings into the
 // batch matrix that feeds rl.Agent.DecideBatch.
+//
+// The rings are the only per-file history in the process. A decision row
+// packs the most recent histLen cells; an attached online learner
+// (Server.AttachLearner) lengthens the rings to its training window and
+// reads them through Server.SnapshotHistory, and ingest then also counts
+// drift samples (drift.go) under the shard lock it already holds.
 //
 // Locking: one mutex per shard. /v1/observe fans the batch out with
 // par.ForShards, so concurrent ingestion of a million-file batch never
@@ -47,17 +53,28 @@ const planChunk = 4096
 // with no per-file allocation.
 type shard struct {
 	mu      sync.Mutex
-	histLen int
+	histLen int // cells a decision row packs
+	ringLen int // cells kept per slot, ≥ histLen
 
 	index map[string]int32 // file ID → slot
 	ids   []string         // slot → file ID
 
 	size   []float64 // last observed size, GB
-	reads  []float64 // ring buffers, histLen cells per slot
+	reads  []float64 // ring buffers, ringLen cells per slot
 	writes []float64
 	head   []int32  // next ring write position per slot
-	fill   []int32  // observed days per slot, capped at histLen
+	fill   []int32  // observed days per slot, capped at ringLen
 	seq    []uint64 // observe-batch sequence of the slot's last entry (duplicate detection)
+
+	// Learner state, nil unless attachLearner ran. drift counts the samples
+	// ingested since the last Server.DrainDrift. idle is each slot's observed
+	// days since its last day with any read or write, -1 before the first:
+	// a per-file day count, so inter-access gaps stay in the trace-day unit
+	// the drift baseline is seeded in however many observe batches a workload
+	// day is split into, and cannot go negative when concurrent requests
+	// land out of order.
+	drift *DriftCounts
+	idle  []int32
 
 	tier    []uint8 // committed (current) tier per slot
 	planned []uint8 // last plan decision per slot; == tier after commit
@@ -90,20 +107,38 @@ type shard struct {
 func newShard(histLen int) *shard {
 	return &shard{
 		histLen:  histLen,
+		ringLen:  histLen,
 		index:    make(map[string]int32),
 		readBuf:  make([]float64, histLen),
 		writeBuf: make([]float64, histLen),
 	}
 }
 
-// shardOf hashes a file ID (FNV-1a 64, folded) onto a shard index; mask is
-// shardCount-1 (shard counts are powers of two).
-func shardOf(id string, mask uint32) uint32 {
+// attachLearner lengthens the (still empty) shard's rings to ringLen cells
+// and turns on drift sampling.
+func (sh *shard) attachLearner(ringLen int) {
+	sh.mu.Lock()
+	sh.ringLen = ringLen
+	sh.drift = new(DriftCounts)
+	sh.mu.Unlock()
+}
+
+// HashID is the FNV-1a 64 hash of a file ID. The shard router and the online
+// learner's train/holdout split both key on it, so each is a stable function
+// of file identity alone.
+func HashID(id string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(id); i++ {
 		h ^= uint64(id[i])
 		h *= 1099511628211
 	}
+	return h
+}
+
+// shardOf folds HashID onto a shard index; mask is shardCount-1 (shard
+// counts are powers of two).
+func shardOf(id string, mask uint32) uint32 {
+	h := HashID(id)
 	return uint32(h^(h>>32)) & mask
 }
 
@@ -114,13 +149,16 @@ func (sh *shard) addSlot(id string) int32 {
 	slot := int32(len(sh.ids))
 	sh.ids = append(sh.ids, id)
 	sh.size = append(sh.size, 0)
-	for i := 0; i < sh.histLen; i++ {
+	for i := 0; i < sh.ringLen; i++ {
 		sh.reads = append(sh.reads, 0)
 		sh.writes = append(sh.writes, 0)
 	}
 	sh.head = append(sh.head, 0)
 	sh.fill = append(sh.fill, 0)
 	sh.seq = append(sh.seq, 0)
+	if sh.drift != nil {
+		sh.idle = append(sh.idle, -1)
+	}
 	sh.tier = append(sh.tier, 0)
 	sh.planned = append(sh.planned, 0)
 	sh.dirtyBit = append(sh.dirtyBit, false)
@@ -177,12 +215,38 @@ func (sh *shard) ingestEntry(f *FileObservation, seq uint64, initial pricing.Tie
 		sh.setInitialTier(slot, initial)
 	}
 	if sh.seq[slot] == seq {
+		// The drift counts keep the first entry's sample — one sample per
+		// file per batch either way.
 		sh.overwriteToday(slot, f.SizeGB, f.Reads, f.Writes)
 		return 1
 	}
 	sh.seq[slot] = seq
+	if sh.drift != nil {
+		sh.sampleDrift(slot, f)
+	}
 	sh.ingestOne(slot, f.SizeGB, f.Reads, f.Writes)
 	return 0
+}
+
+// sampleDrift counts one observation's drift samples and advances the
+// slot's idle-day count. Caller holds sh.mu.
+//
+//minicost:hotpath
+func (sh *shard) sampleDrift(slot int32, f *FileObservation) {
+	sh.drift.Observe(DriftReads, f.Reads)
+	sh.drift.Observe(DriftWrites, f.Writes)
+	sh.drift.Observe(DriftSize, f.SizeGB)
+	idle := sh.idle[slot]
+	if idle >= 0 {
+		idle++
+	}
+	if f.Reads > 0 || f.Writes > 0 {
+		if idle > 0 {
+			sh.drift.Observe(DriftGap, float64(idle))
+		}
+		idle = 0
+	}
+	sh.idle[slot] = idle
 }
 
 // ingestOne appends one day's measurement to a slot's ring buffers and
@@ -192,16 +256,16 @@ func (sh *shard) ingestEntry(f *FileObservation, seq uint64, initial pricing.Tie
 //
 //minicost:hotpath
 func (sh *shard) ingestOne(slot int32, sizeGB, reads, writes float64) {
-	base := int(slot) * sh.histLen
+	base := int(slot) * sh.ringLen
 	h := int(sh.head[slot])
 	sh.reads[base+h] = reads
 	sh.writes[base+h] = writes
 	h++
-	if h == sh.histLen {
+	if h == sh.ringLen {
 		h = 0
 	}
 	sh.head[slot] = int32(h)
-	if int(sh.fill[slot]) < sh.histLen {
+	if int(sh.fill[slot]) < sh.ringLen {
 		sh.fill[slot]++
 	}
 	sh.size[slot] = sizeGB
@@ -217,50 +281,52 @@ func (sh *shard) ingestOne(slot int32, sizeGB, reads, writes float64) {
 // last-wins path for duplicate IDs within one observe batch. The slot is
 // already dirty from the first write. Caller holds sh.mu.
 func (sh *shard) overwriteToday(slot int32, sizeGB, reads, writes float64) {
-	base := int(slot) * sh.histLen
+	base := int(slot) * sh.ringLen
 	h := int(sh.head[slot]) - 1
 	if h < 0 {
-		h = sh.histLen - 1
+		h = sh.ringLen - 1
 	}
 	sh.reads[base+h] = reads
 	sh.writes[base+h] = writes
 	sh.size[slot] = sizeGB
 }
 
-// windowInto linearizes a slot's ring buffers into oldest-first windows of
-// length histLen, left-padding a short history by repeating its first
-// value — the same cold-start convention mdp.Env uses.
+// latestInto copies the slot's most recent n ring cells, oldest first, into
+// rs[:n] and ws[:n]. Caller holds sh.mu and guarantees n <= fill[slot].
+//
+//minicost:hotpath
+func (sh *shard) latestInto(slot int32, n int, rs, ws []float64) {
+	base := int(slot) * sh.ringLen
+	// head is the next write position: the newest cell is head-1, the oldest
+	// of the latest n is head-n (mod ringLen).
+	start := int(sh.head[slot]) - n
+	if start < 0 {
+		start += sh.ringLen
+	}
+	first := min(n, sh.ringLen-start) // cells before the ring wraps
+	copy(rs, sh.reads[base+start:base+start+first])
+	copy(rs[first:n], sh.reads[base:])
+	copy(ws, sh.writes[base+start:base+start+first])
+	copy(ws[first:n], sh.writes[base:])
+}
+
+// windowInto linearizes a slot's most recent histLen ring cells into
+// oldest-first windows, left-padding a shorter history by repeating its
+// first value — the same cold-start convention mdp.Env uses. Cells older
+// than histLen never reach a decision row, so serving is bitwise the same
+// at any ringLen.
 //
 //minicost:hotpath
 func (sh *shard) windowInto(slot int32, rs, ws []float64) {
-	base := int(slot) * sh.histLen
-	fill := int(sh.fill[slot])
-	h := sh.histLen
-	if fill == h {
-		start := int(sh.head[slot]) // oldest entry once the ring is full
-		for i := 0; i < h; i++ {
-			j := start + i
-			if j >= h {
-				j -= h
-			}
-			rs[i] = sh.reads[base+j]
-			ws[i] = sh.writes[base+j]
-		}
-		return
-	}
+	n := min(int(sh.fill[slot]), sh.histLen)
+	pad := sh.histLen - n
+	sh.latestInto(slot, n, rs[pad:], ws[pad:])
 	var r0, w0 float64
-	if fill > 0 {
-		r0 = sh.reads[base]
-		w0 = sh.writes[base]
+	if n > 0 {
+		r0, w0 = rs[pad], ws[pad]
 	}
-	pad := h - fill
 	for i := 0; i < pad; i++ {
-		rs[i] = r0
-		ws[i] = w0
-	}
-	for i := 0; i < fill; i++ {
-		rs[pad+i] = sh.reads[base+i]
-		ws[pad+i] = sh.writes[base+i]
+		rs[i], ws[i] = r0, w0
 	}
 }
 

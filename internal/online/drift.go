@@ -1,6 +1,10 @@
 package online
 
-import "math"
+import (
+	"math"
+
+	"minicost/internal/agentserver"
+)
 
 // Drift detection compares the live observation stream against the
 // distribution the serving policy was trained on, per ISSUE 10: a policy
@@ -19,10 +23,12 @@ import "math"
 // over the four dimensions, so a shift in any one statistic can trip the
 // retraining trigger.
 //
-// Bucket edges are fixed (log-scale, spanning the workload ranges the paper
-// and loadgen produce) rather than adaptive, so scoring is O(buckets) with
-// no allocation and the score is a deterministic function of the observed
-// values alone.
+// The histograms are agentserver.DriftCounts: live samples are bucketed by
+// the serving store's shard ingest, under the shard lock it already holds,
+// and the learner's tap only drains the counts. Bucket edges are fixed, so
+// scoring is O(buckets) with no allocation, and counts are integers, so the
+// score is a deterministic function of the observed values alone whatever
+// order the shards ingested in.
 
 // psiEps floors bucket proportions so empty buckets contribute a large but
 // finite penalty instead of ±Inf.
@@ -32,98 +38,35 @@ const psiEps = 1e-4
 // reported as zero — a handful of observations says nothing about drift.
 const minDriftSamples = 64
 
-var (
-	// readEdges/writeEdges bucket daily operation counts per file.
-	readEdges  = [...]float64{0.5, 5, 50, 500, 5e3, 5e4, 5e5}
-	writeEdges = [...]float64{0.5, 5, 50, 500, 5e3, 5e4, 5e5}
-	// sizeEdges bucket file sizes in GB (loadgen emits 0.01–50 GB).
-	sizeEdges = [...]float64{0.02, 0.1, 0.5, 2, 10, 50, 250}
-	// gapEdges bucket inter-access gaps in per-file observed days (live
-	// traffic) / trace days (baseline) — the units match by construction.
-	gapEdges = [...]float64{1.5, 2.5, 4.5, 8.5, 16.5, 32.5, 64.5}
-)
-
-// driftHist is one dimension's streaming histogram: len(edges)+1 buckets,
-// bucket i holding values v with edges[i-1] <= v < edges[i].
-type driftHist struct {
-	edges  []float64
-	counts []float64
-	total  float64
-}
-
-func newDriftHist(edges []float64) driftHist {
-	return driftHist{edges: edges, counts: make([]float64, len(edges)+1)}
-}
-
-// observe adds one sample. Linear scan: the edge arrays are seven entries,
-// shorter than a branchy binary search for values that concentrate in the
-// low buckets.
+// psi scores one dimension's current-window histogram against its baseline.
+// Returns 0 until both sides carry minDriftSamples.
 //
 //minicost:hotpath
-func (h *driftHist) observe(v float64) {
-	i := 0
-	for i < len(h.edges) && v >= h.edges[i] {
-		i++
+func psi(cur, base *[agentserver.DriftBuckets]uint64) float64 {
+	var curN, baseN uint64
+	for i := range cur {
+		curN += cur[i]
+		baseN += base[i]
 	}
-	h.counts[i]++
-	h.total++
-}
-
-func (h *driftHist) reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-}
-
-// addInto folds this histogram's counts into dst (same edge set).
-func (h *driftHist) addInto(dst *driftHist) {
-	for i, c := range h.counts {
-		dst.counts[i] += c
-	}
-	dst.total += h.total
-}
-
-// psiVs scores this histogram (current window) against base. Returns 0
-// until both sides carry minDriftSamples.
-//
-//minicost:hotpath
-func (h *driftHist) psiVs(base *driftHist) float64 {
-	if h.total < minDriftSamples || base.total < minDriftSamples {
+	if curN < minDriftSamples || baseN < minDriftSamples {
 		return 0
 	}
 	score := 0.0
-	for i := range h.counts {
-		cur := h.counts[i] / h.total
-		ref := base.counts[i] / base.total
-		if cur < psiEps {
-			cur = psiEps
-		}
-		if ref < psiEps {
-			ref = psiEps
-		}
-		score += (cur - ref) * math.Log(cur/ref)
+	for i := range cur {
+		c := max(float64(cur[i])/float64(curN), psiEps)
+		r := max(float64(base[i])/float64(baseN), psiEps)
+		score += (c - r) * math.Log(c/r)
 	}
 	return score
 }
 
-// driftDims indexes the tracked dimensions.
-const (
-	dimReads = iota
-	dimWrites
-	dimSize
-	dimGap
-	numDriftDims
-)
-
-var driftDimNames = [numDriftDims]string{"reads", "writes", "size_gb", "gap_days"}
+var driftDimNames = [agentserver.NumDriftDims]string{"reads", "writes", "size_gb", "gap_days"}
 
 // driftStats holds the four-dimensional baseline and current-window
 // histograms. Not internally locked: the learner mutates it only under its
 // tap mutex.
 type driftStats struct {
-	base [numDriftDims]driftHist
-	cur  [numDriftDims]driftHist
+	base, cur agentserver.DriftCounts
 
 	// calibrating self-builds the baseline from the first calibBatches tap
 	// batches when no training trace was supplied.
@@ -136,37 +79,19 @@ type driftStats struct {
 // the baseline from that many initial tap batches; with a training trace
 // available, call setBaselineFromSeries instead and pass 0.
 func newDriftStats(calibBatches int) *driftStats {
-	ds := &driftStats{calibrating: calibBatches > 0, calibBatches: calibBatches}
-	edges := [numDriftDims][]float64{readEdges[:], writeEdges[:], sizeEdges[:], gapEdges[:]}
-	for d := 0; d < numDriftDims; d++ {
-		ds.base[d] = newDriftHist(edges[d])
-		ds.cur[d] = newDriftHist(edges[d])
-	}
-	return ds
+	return &driftStats{calibrating: calibBatches > 0, calibBatches: calibBatches}
 }
 
-// target returns the histogram set samples are flowing into: the baseline
-// while self-calibrating, the current window afterwards.
+// target returns the histogram set samples flow into: the baseline while
+// self-calibrating, the current window afterwards.
 //
 //minicost:hotpath
-func (ds *driftStats) target() *[numDriftDims]driftHist {
+func (ds *driftStats) target() *agentserver.DriftCounts {
 	if ds.calibrating {
 		return &ds.base
 	}
 	return &ds.cur
 }
-
-//minicost:hotpath
-func (ds *driftStats) observeReads(v float64) { ds.target()[dimReads].observe(v) }
-
-//minicost:hotpath
-func (ds *driftStats) observeWrites(v float64) { ds.target()[dimWrites].observe(v) }
-
-//minicost:hotpath
-func (ds *driftStats) observeSize(v float64) { ds.target()[dimSize].observe(v) }
-
-//minicost:hotpath
-func (ds *driftStats) observeGap(v float64) { ds.target()[dimGap].observe(v) }
 
 // endBatch advances the self-calibration window; the learner calls it once
 // per tap batch.
@@ -180,58 +105,54 @@ func (ds *driftStats) endBatch() {
 	}
 }
 
-// score returns the current drift score: max PSI over the dimensions.
+// dimScores reports the per-dimension PSIs; all zero while calibrating.
 //
 //minicost:hotpath
-func (ds *driftStats) score() float64 {
-	if ds.calibrating {
-		return 0
-	}
-	max := 0.0
-	for d := 0; d < numDriftDims; d++ {
-		if s := ds.cur[d].psiVs(&ds.base[d]); s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// dimScores reports the per-dimension PSIs (for /v1/learner).
-func (ds *driftStats) dimScores() [numDriftDims]float64 {
-	var out [numDriftDims]float64
+func (ds *driftStats) dimScores() [agentserver.NumDriftDims]float64 {
+	var out [agentserver.NumDriftDims]float64
 	if ds.calibrating {
 		return out
 	}
-	for d := 0; d < numDriftDims; d++ {
-		out[d] = ds.cur[d].psiVs(&ds.base[d])
+	for d := range out {
+		out[d] = psi(&ds.cur[d], &ds.base[d])
 	}
 	return out
 }
 
-// rebaseline folds the current window into the baseline and clears it —
-// called after an accepted fine-tune epoch, when the just-trained data
-// becomes the new reference distribution.
-func (ds *driftStats) rebaseline() {
-	for d := 0; d < numDriftDims; d++ {
-		ds.cur[d].addInto(&ds.base[d])
-		ds.cur[d].reset()
+// score returns the current drift score: max PSI over the dimensions.
+//
+//minicost:hotpath
+func (ds *driftStats) score() float64 {
+	s := 0.0
+	for _, v := range ds.dimScores() {
+		s = max(s, v)
 	}
+	return s
+}
+
+// rebaseline folds the current window into the baseline and clears it —
+// called after every fine-tune epoch, swapped in or not: the epoch consumed
+// the drift signal, and leaving the window in place would re-trigger on the
+// same shift at the very next batch.
+func (ds *driftStats) rebaseline() {
+	ds.base.Add(&ds.cur)
+	ds.cur = agentserver.DriftCounts{}
 }
 
 // setBaselineFromSeries seeds the baseline from training-trace series: one
-// reads/writes/size sample per file-day (matching the tap's weighting) and
-// a gap sample per pair of consecutive active days. Disables
+// reads/writes/size sample per file-day (matching the ingest's weighting)
+// and a gap sample per pair of consecutive active days. Disables
 // self-calibration.
 func (ds *driftStats) setBaselineFromSeries(sizeGB []float64, reads, writes [][]float64) {
 	for i := range reads {
 		lastActive := -1
 		for d := range reads[i] {
-			ds.base[dimReads].observe(reads[i][d])
-			ds.base[dimWrites].observe(writes[i][d])
-			ds.base[dimSize].observe(sizeGB[i])
+			ds.base.Observe(agentserver.DriftReads, reads[i][d])
+			ds.base.Observe(agentserver.DriftWrites, writes[i][d])
+			ds.base.Observe(agentserver.DriftSize, sizeGB[i])
 			if reads[i][d] > 0 || writes[i][d] > 0 {
 				if lastActive >= 0 {
-					ds.base[dimGap].observe(float64(d - lastActive))
+					ds.base.Observe(agentserver.DriftGap, float64(d-lastActive))
 				}
 				lastActive = d
 			}

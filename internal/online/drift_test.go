@@ -3,8 +3,24 @@ package online
 import (
 	"testing"
 
+	"minicost/internal/agentserver"
 	"minicost/internal/rng"
 )
+
+const (
+	dimReads  = agentserver.DriftReads
+	dimWrites = agentserver.DriftWrites
+	dimSize   = agentserver.DriftSize
+	dimGap    = agentserver.DriftGap
+)
+
+// total sums one dimension's bucket counts.
+func total(h [agentserver.DriftBuckets]uint64) (n uint64) {
+	for _, c := range h {
+		n += c
+	}
+	return n
+}
 
 // fill streams n samples from a synthetic hot-ish distribution into the
 // detector's active target (baseline while calibrating, current after).
@@ -12,16 +28,17 @@ func fillDist(ds *driftStats, n int, seed uint64, cold bool) {
 	r := rng.New(seed)
 	for i := 0; i < n; i++ {
 		base := r.Float64()
+		dst := ds.target()
 		if cold {
-			ds.observeReads(base * 20)
-			ds.observeWrites(base * 2)
-			ds.observeSize(0.1 + base*base*400)
+			dst.Observe(dimReads, base*20)
+			dst.Observe(dimWrites, base*2)
+			dst.Observe(dimSize, 0.1+base*base*400)
 		} else {
-			ds.observeReads(base * 2000)
-			ds.observeWrites(base * 20)
-			ds.observeSize(0.01 + base*base*50)
+			dst.Observe(dimReads, base*2000)
+			dst.Observe(dimWrites, base*20)
+			dst.Observe(dimSize, 0.01+base*base*50)
 		}
-		ds.observeGap(1 + float64(i%4))
+		dst.Observe(dimGap, 1+float64(i%4))
 	}
 }
 
@@ -105,11 +122,11 @@ func TestDriftBaselineFromSeries(t *testing.T) {
 	if ds.calibrating {
 		t.Fatal("trace baseline must disable self-calibration")
 	}
-	if got := ds.base[dimReads].total; got != 12 {
+	if got := total(ds.base[dimReads]); got != 12 {
 		t.Fatalf("baseline read samples = %v, want 12 (one per file-day)", got)
 	}
 	// File 0 active days: 0,3,5 → gaps 3,2. File 1: 0,1,4,5 → gaps 1,3,1.
-	if got := ds.base[dimGap].total; got != 5 {
+	if got := total(ds.base[dimGap]); got != 5 {
 		t.Fatalf("baseline gap samples = %v, want 5", got)
 	}
 }

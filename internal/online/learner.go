@@ -1,3 +1,17 @@
+// Package online closes the paper's serve→train loop (DESIGN.md §17): a
+// continuous-learning subsystem that watches the live /v1/observe stream
+// through the serving store — the store's per-file rings are the only
+// history there is; the learner keeps none of its own — detects distribution
+// drift against the training baseline, periodically fine-tunes the A3C
+// policy on environments reconstructed from the stored windows, and
+// hot-swaps the result into serving through the ReplicaPool snapshot
+// machinery — behind a validation gate that rejects candidates regressing
+// simulated cost on a held-out slice of the tracked files.
+//
+// The package is on minicost-vet's deterministic list: given a seed and an
+// observation sequence, every decision the learner makes (train/holdout
+// split, drift score, gate verdict) is a pure function of its inputs.
+// Wall-clock reads exist only on annotated instrumentation lines.
 package online
 
 import (
@@ -25,8 +39,13 @@ const (
 )
 
 // ErrNotEnoughData reports that a fine-tune epoch was requested before the
-// replay buffer held any file with MinTrainDays of history.
+// serving store held any training file with MinTrainDays of history.
 var ErrNotEnoughData = errors.New("online: not enough buffered data to fine-tune")
+
+// maxTrainFiles caps the files one epoch's snapshot copies out of the store
+// (train and holdout together), which bounds an epoch's memory at any
+// population. Every tracked file is still drift-sampled.
+const maxTrainFiles = 65536
 
 // Config wires a Learner into a running daemon. Trainer, Serving, and Model
 // are required; zero values elsewhere select the documented defaults.
@@ -49,15 +68,6 @@ type Config struct {
 	// Initial is the tier reconstructed episodes start in (hot, per §4.2).
 	Initial pricing.Tier
 
-	// BufferWindow is the replay ring length in observe batches per file.
-	// 0 selects max(2×histLen, 16).
-	BufferWindow int
-	// BufferFiles bounds the replay buffer population. 0 selects 65536.
-	BufferFiles int
-	// BufferShards is the buffer partition count (rounded up to a power of
-	// two). 0 selects 8.
-	BufferShards int
-
 	// FinetuneEvery schedules a cadence epoch every N tap batches. The
 	// cadence is count-based, not wall-clock, so a replayed observation
 	// sequence schedules identically. 0 disables cadence epochs (drift can
@@ -66,12 +76,12 @@ type Config struct {
 	// FinetuneSteps is the environment-step budget per epoch. 0 selects
 	// 2048.
 	FinetuneSteps int64
-	// MinTrainDays is the observed-day minimum for a buffered file to enter
+	// MinTrainDays is the observed-day minimum for a tracked file to enter
 	// a training snapshot. 0 selects histLen (clamped to the window).
 	MinTrainDays int
 	// HoldoutEvery holds out the ~1/k of eligible files whose ID hash
 	// falls in the holdout residue class — an identity-keyed split, stable
-	// as the buffer population grows — for the validation gate. 0 selects
+	// as the tracked population grows — for the validation gate. 0 selects
 	// 5 (a ~20% slice); negative disables the holdout.
 	HoldoutEvery int
 
@@ -102,6 +112,8 @@ type Config struct {
 }
 
 // Status is the learner's externally visible state (/v1/learner, /healthz).
+// BufferFiles is the serving store's tracked-file count and BufferWindow its
+// ring length in observed days per file.
 type Status struct {
 	Batches      int64 `json:"batches"`
 	BufferFiles  int   `json:"buffer_files"`
@@ -131,13 +143,13 @@ type Status struct {
 // Learner is the continuous-learning control loop. The serve path feeds it
 // through TapObserve (agentserver.ObserveTap); a background goroutine
 // (Start) runs fine-tune epochs when the tap schedules them; epochs
-// snapshot the buffer, resume the trainer, validate the candidate against
-// the incumbent on the held-out slice, and either hot-swap serving or roll
-// the trainer back.
+// snapshot the serving store's rings, resume the trainer, validate the
+// candidate against the incumbent on the held-out slice, and either hot-swap
+// serving or roll the trainer back.
 type Learner struct {
 	cfg     Config
 	histLen int
-	buf     *buffer
+	window  int // the serving store's ring length, set through AttachLearner
 
 	kick     chan struct{}
 	stopCh   chan struct{}
@@ -145,18 +157,15 @@ type Learner struct {
 	started  atomic.Bool
 	stopOnce sync.Once
 
-	// tapMu guards everything the observe tap touches: the bucketing
-	// scratch, the drift detector, batch counters, and epoch-trigger
-	// bookkeeping. Buffer shard locks nest inside it.
+	// tapMu guards what the observe tap touches: the drift detector, batch
+	// counters, and epoch-trigger bookkeeping — O(buckets) work per batch,
+	// and no store lock is taken while it is held.
 	tapMu          sync.Mutex
 	drift          *driftStats
-	seq            uint64
 	batches        int64
 	lastEpochBatch int64
 	pendingReason  string
 	lastScore      float64
-	home, order    []int32 // per-entry bucketing scratch, grown on demand
-	offsets, pos   []int32 // per-shard counting-sort scratch, fixed size
 
 	// epochMu serializes fine-tune epochs (the loop goroutine and any
 	// direct RunEpoch callers).
@@ -169,10 +178,12 @@ type Learner struct {
 	st        Status
 }
 
-// New validates cfg, applies defaults, and builds a Learner whose incumbent
-// is the trainer's current snapshot. Call Start to run the background loop,
-// and pass the Learner as agentserver.Config.Tap (or call TapObserve
-// directly) to feed it.
+// New validates cfg, applies defaults, attaches to cfg.Serving — which must
+// not be tracking any file yet: its rings are sized here, to max(2×histLen,
+// 16) observed days per file — and builds a Learner whose incumbent is the
+// trainer's current snapshot. Call Start to run the background loop, and
+// install the Learner as the server's tap (or call TapObserve after each
+// Observe) to drive the epoch trigger.
 func New(cfg Config) (*Learner, error) {
 	if cfg.Trainer == nil {
 		return nil, errors.New("online: nil trainer")
@@ -190,24 +201,7 @@ func New(cfg Config) (*Learner, error) {
 	if got := cfg.Serving.Stats().HistLen; got != histLen {
 		return nil, fmt.Errorf("online: trainer hist window %d, serving tracks %d", histLen, got)
 	}
-	if cfg.BufferWindow == 0 {
-		cfg.BufferWindow = 2 * histLen
-		if cfg.BufferWindow < 16 {
-			cfg.BufferWindow = 16
-		}
-	}
-	if cfg.BufferWindow < 1 {
-		return nil, fmt.Errorf("online: buffer window %d", cfg.BufferWindow)
-	}
-	if cfg.BufferFiles == 0 {
-		cfg.BufferFiles = 65536
-	}
-	if cfg.BufferFiles < 1 {
-		return nil, fmt.Errorf("online: buffer capacity %d", cfg.BufferFiles)
-	}
-	if cfg.BufferShards == 0 {
-		cfg.BufferShards = 8
-	}
+	window := max(2*histLen, 16)
 	if cfg.FinetuneEvery < 0 || cfg.DriftThreshold < 0 {
 		return nil, errors.New("online: negative cadence or drift threshold")
 	}
@@ -220,9 +214,7 @@ func New(cfg Config) (*Learner, error) {
 	if cfg.MinTrainDays == 0 {
 		cfg.MinTrainDays = histLen
 	}
-	if cfg.MinTrainDays > cfg.BufferWindow {
-		cfg.MinTrainDays = cfg.BufferWindow
-	}
+	cfg.MinTrainDays = min(cfg.MinTrainDays, window)
 	if cfg.HoldoutEvery == 0 {
 		cfg.HoldoutEvery = 5
 	}
@@ -243,22 +235,20 @@ func New(cfg Config) (*Learner, error) {
 			return nil, err
 		}
 	}
-	buf := newBuffer(cfg.BufferWindow, cfg.BufferFiles, cfg.BufferShards)
-	p := len(buf.shards)
-	l := &Learner{
+	if err := cfg.Serving.AttachLearner(window); err != nil {
+		return nil, err
+	}
+	return &Learner{
 		cfg:       cfg,
 		histLen:   histLen,
-		buf:       buf,
+		window:    window,
 		kick:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 		drift:     newDriftStats(cfg.BaselineBatches),
-		offsets:   make([]int32, p+1),
-		pos:       make([]int32, p),
 		incumbent: cfg.Trainer.Snapshot(),
 		ckptSeq:   ckptSeq,
-	}
-	return l, nil
+	}, nil
 }
 
 // SetBaselineFromTrace seeds the drift baseline from the training trace the
@@ -284,7 +274,7 @@ func (l *Learner) Start() {
 
 // Stop terminates the background loop, waiting for an in-flight epoch to
 // finish. A no-op when Start never ran, and safe to call repeatedly. The
-// tap keeps buffering after Stop; only epoch execution halts.
+// tap keeps scoring drift after Stop; only epoch execution halts.
 func (l *Learner) Stop() {
 	if !l.started.Load() {
 		return
@@ -307,69 +297,27 @@ func (l *Learner) runLoop() {
 	}
 }
 
-// TapObserve ingests one validated observe batch into the replay buffer and
-// updates the drift detector — the agentserver.ObserveTap hook, called
-// inline on the serve path. Steady state performs no allocation: bucketing
-// scratch is persistent (grown on population increases only), shard ingest
-// writes flat arrays, and drift scoring is O(buckets). Epochs are only
-// scheduled here (non-blocking channel kick); training never runs on the
-// serve path.
+// TapObserve accounts one validated observe batch the serving store has just
+// ingested — the agentserver.ObserveTap hook, called inline on the serve
+// path (or by hand after Server.Observe). The per-file work was done by the
+// shard ingest: the tap drains the shards' drift counts, folds them into the
+// detector, scores it and checks the cadence/drift trigger, allocating
+// nothing. Epochs are only scheduled here (non-blocking channel kick);
+// training never runs on the serve path.
 //
 // The server's day counter is ignored: inter-access gaps are measured in
-// each file's own observed-day ordinal, which keeps the gap dimension in
-// the trace-day units the baseline is seeded in (however many observe
-// batches a workload day is split into) and immune to out-of-order day
-// delivery under concurrent requests. Note that tapMu serializes concurrent
-// observe requests through this method — see the ObserveTap contract.
+// each file's own observed days. Under concurrent observe requests one tap
+// may drain a racing request's samples too; none is lost or counted twice.
 //
 //minicost:hotpath
 func (l *Learner) TapObserve(day int64, files []agentserver.FileObservation) {
-	n := len(files)
-	if n == 0 {
+	if len(files) == 0 {
 		return
 	}
+	var batch agentserver.DriftCounts
+	l.cfg.Serving.DrainDrift(&batch)
 	l.tapMu.Lock()
-	l.seq++
-	seq := l.seq
-	ingested, rejected := 0, 0
-	p := len(l.buf.shards)
-	if p == 1 {
-		ingested, rejected = l.buf.shards[0].ingestBatch(files, nil, seq, l.drift)
-	} else {
-		if cap(l.home) < n {
-			l.home = make([]int32, n)
-			l.order = make([]int32, n)
-		}
-		home := l.home[:n]
-		order := l.order[:n]
-		counts := l.offsets
-		for i := 0; i <= p; i++ {
-			counts[i] = 0
-		}
-		for i := range files {
-			si := int32(shardOf(files[i].ID, l.buf.mask))
-			home[i] = si
-			counts[si+1]++
-		}
-		for i := 1; i <= p; i++ {
-			counts[i] += counts[i-1]
-		}
-		for i := 0; i < p; i++ {
-			l.pos[i] = counts[i]
-		}
-		for i := range home {
-			order[l.pos[home[i]]] = int32(i)
-			l.pos[home[i]]++
-		}
-		// Shards are applied serially in index order: ingest is flat array
-		// writes, and a fixed order keeps the drift accumulation — and so
-		// the drift score — a pure function of the batch sequence.
-		for si := 0; si < p; si++ {
-			ing, rej := l.buf.shards[si].ingestBatch(files, order[counts[si]:counts[si+1]], seq, l.drift)
-			ingested += ing
-			rejected += rej
-		}
-	}
+	l.drift.target().Add(&batch)
 	l.drift.endBatch()
 	l.batches++
 	batches := l.batches
@@ -384,7 +332,6 @@ func (l *Learner) TapObserve(day int64, files []agentserver.FileObservation) {
 		}
 		l.pendingReason = fire
 	}
-	bufFiles := l.buf.files()
 	l.tapMu.Unlock()
 	if fire != "" {
 		if fire == reasonDrift {
@@ -395,18 +342,47 @@ func (l *Learner) TapObserve(day int64, files []agentserver.FileObservation) {
 		default:
 		}
 	}
-	learnMet.observations.Add(float64(ingested))
-	if rejected > 0 {
-		learnMet.bufferRejected.Add(float64(rejected))
-	}
-	learnMet.bufferFiles.Set(float64(bufFiles))
+	learnMet.observations.Add(float64(len(files)))
+	learnMet.bufferFiles.Set(float64(l.cfg.Serving.TrackedFiles()))
 	learnMet.driftScore.Set(score)
 }
 
-// RunEpoch runs one fine-tune epoch synchronously: snapshot the buffer into
+// snapshotTrace reconstructs training material from the serving store's
+// rings: every file with at least minDays observed days (up to maxFiles of
+// them) contributes its most recent Days cells, aligned as trace.Trace
+// requires. Files whose ID hash falls in the holdout residue class
+// (HashID mod holdoutEvery == 0, a ~1/k slice) land in the held-out trace
+// the validation gate scores candidates on; the rest form the training
+// trace. Keying the split on file identity — not on position in the snapshot
+// — keeps membership stable as new files are tracked, so the gate never
+// scores a candidate on files a prior epoch trained on. Either return is nil
+// when no file qualifies for it.
+func snapshotTrace(srv *agentserver.Server, minDays, holdoutEvery, maxFiles int) (train, holdout *trace.Trace) {
+	h := srv.SnapshotHistory(minDays, maxFiles)
+	train = &trace.Trace{Days: h.Days}
+	holdout = &trace.Trace{Days: h.Days}
+	for i, id := range h.IDs {
+		dst := train
+		if holdoutEvery > 0 && agentserver.HashID(id)%uint64(holdoutEvery) == 0 {
+			dst = holdout
+		}
+		dst.Files = append(dst.Files, trace.FileMeta{ID: i, SizeGB: h.SizeGB[i]})
+		dst.Reads = append(dst.Reads, h.Reads[i])
+		dst.Writes = append(dst.Writes, h.Writes[i])
+	}
+	if len(train.Files) == 0 {
+		train = nil
+	}
+	if len(holdout.Files) == 0 {
+		holdout = nil
+	}
+	return train, holdout
+}
+
+// RunEpoch runs one fine-tune epoch synchronously: snapshot the store into
 // train/holdout traces, resume the trainer for FinetuneSteps on the train
 // slice, then offer the resulting candidate to the swap gate. Returns
-// ErrNotEnoughData when the buffer cannot yet produce a training trace.
+// ErrNotEnoughData when the store cannot yet produce a training trace.
 // Safe to call concurrently with taps and with the background loop (epochs
 // serialize on an internal mutex).
 func (l *Learner) RunEpoch() error {
@@ -424,7 +400,7 @@ func (l *Learner) RunEpoch() error {
 		reason = reasonManual
 	}
 
-	train, holdout := l.buf.snapshotTrace(l.cfg.MinTrainDays, l.cfg.HoldoutEvery)
+	train, holdout := snapshotTrace(l.cfg.Serving, l.cfg.MinTrainDays, l.cfg.HoldoutEvery, maxTrainFiles)
 	if train == nil {
 		sw.Stop()
 		l.setError(ErrNotEnoughData.Error())
@@ -585,11 +561,11 @@ func (l *Learner) Status() Status {
 	st.Batches = batches
 	st.DriftScore = score
 	st.Calibrating = calibrating
-	st.BufferFiles = l.buf.files()
-	st.BufferWindow = l.buf.window
-	st.DriftDims = make(map[string]float64, numDriftDims)
-	for d := 0; d < numDriftDims; d++ {
-		st.DriftDims[driftDimNames[d]] = dims[d]
+	st.BufferFiles = l.cfg.Serving.TrackedFiles()
+	st.BufferWindow = l.window
+	st.DriftDims = make(map[string]float64, len(dims))
+	for d, name := range driftDimNames {
+		st.DriftDims[name] = dims[d]
 	}
 	return st
 }

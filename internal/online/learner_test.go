@@ -46,9 +46,6 @@ func newTestStack(t *testing.T, seed uint64, mut func(*Config)) (*agentserver.Se
 		Model:         costmodel.New(pricing.Azure()),
 		Reward:        mdp.DefaultReward(),
 		Initial:       pricing.Hot,
-		BufferWindow:  12,
-		BufferFiles:   512,
-		BufferShards:  2,
 		FinetuneSteps: 96,
 		MinTrainDays:  2,
 		HoldoutEvery:  4,
@@ -64,17 +61,18 @@ func newTestStack(t *testing.T, seed uint64, mut func(*Config)) (*agentserver.Se
 	return srv, l, tr
 }
 
-// TestLearnerCadenceEpochSwapsPolicy drives the tap directly: the Nth batch
-// schedules a cadence epoch, RunEpoch fine-tunes on the buffered window, and
-// (gate off) the candidate swaps into serving with the weights moved.
+// TestLearnerCadenceEpochSwapsPolicy drives the tapped server directly: the
+// Nth batch schedules a cadence epoch, RunEpoch fine-tunes on the stored
+// window, and (gate off) the candidate swaps into serving with the weights
+// moved.
 func TestLearnerCadenceEpochSwapsPolicy(t *testing.T) {
-	_, l, tr := newTestStack(t, 11, func(c *Config) {
+	srv, l, tr := newTestStack(t, 11, func(c *Config) {
 		c.FinetuneEvery = 3
 		c.SwapGate = false
 	})
 	before, _ := tr.ParamVectors()
 	for day := 1; day <= 3; day++ {
-		l.TapObserve(int64(day), synthBatch(24, day, 7, false))
+		observe(t, srv, synthBatch(24, day, 7, false)...)
 	}
 	l.tapMu.Lock()
 	pending := l.pendingReason
@@ -92,8 +90,8 @@ func TestLearnerCadenceEpochSwapsPolicy(t *testing.T) {
 	if st.LastEpochSteps < 96 {
 		t.Fatalf("epoch trained %d steps, want >= 96", st.LastEpochSteps)
 	}
-	if st.BufferFiles != 24 || st.Batches != 3 {
-		t.Fatalf("buffer accounting: %+v", st)
+	if st.BufferFiles != 24 || st.BufferWindow != 16 || st.Batches != 3 {
+		t.Fatalf("store accounting: %+v", st)
 	}
 	after, _ := tr.ParamVectors()
 	moved := false
@@ -108,13 +106,13 @@ func TestLearnerCadenceEpochSwapsPolicy(t *testing.T) {
 	}
 }
 
-// TestLearnerEpochWithoutDataReports: an epoch forced before the buffer has
+// TestLearnerEpochWithoutDataReports: an epoch forced before the store has
 // MinTrainDays of history fails with ErrNotEnoughData and surfaces it in
 // Status without killing anything.
 func TestLearnerEpochWithoutDataReports(t *testing.T) {
 	_, l, _ := newTestStack(t, 13, nil)
 	if err := l.RunEpoch(); err != ErrNotEnoughData {
-		t.Fatalf("epoch on empty buffer: %v, want ErrNotEnoughData", err)
+		t.Fatalf("epoch on empty store: %v, want ErrNotEnoughData", err)
 	}
 	if st := l.Status(); st.LastError == "" || st.Epochs != 0 {
 		t.Fatalf("status %+v", st)
@@ -238,7 +236,7 @@ func TestLearnerEndToEndDriftSwap(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&remote); err != nil {
 		t.Fatal(err)
 	}
-	if remote.Epochs < 1 || remote.Swaps < 1 || len(remote.DriftDims) != numDriftDims {
+	if remote.Epochs < 1 || remote.Swaps < 1 || len(remote.DriftDims) != agentserver.NumDriftDims {
 		t.Fatalf("remote status %+v", remote)
 	}
 
@@ -376,44 +374,68 @@ func TestSwapGateRejectsPoisonedCandidate(t *testing.T) {
 	bitwiseEq(t, "rolled-back critic", gotC, rbCritic)
 }
 
-// TestTapObserveNoAllocs is the issue's hot-path gate: once the population is
-// admitted and the scratch warmed, tapping a batch performs zero allocations.
+// TestTapObserveNoAllocs is the hot-path gate: the tap — drain the shards'
+// drift counts, fold, score, check the trigger — performs zero allocations.
 func TestTapObserveNoAllocs(t *testing.T) {
-	_, l, _ := newTestStack(t, 23, func(c *Config) {
-		c.BufferShards = 4 // exercise the multi-shard bucketing path
+	srv, l, _ := newTestStack(t, 23, func(c *Config) {
+		c.DriftThreshold = 0.25 // exercise the scoring branch of the trigger
 	})
+	srv.SetTap(nil) // tapped by hand below, the way the benchmark replays it
 	files := synthBatch(64, 0, 9, false)
-	l.TapObserve(1, files)
-	day := int64(1)
+	observe(t, srv, files...)
+	day := int64(0)
 	avg := testing.AllocsPerRun(100, func() {
 		day++
 		l.TapObserve(day, files)
 	})
 	if avg != 0 {
-		t.Fatalf("TapObserve allocates %v per batch in steady state, want 0", avg)
+		t.Fatalf("TapObserve allocates %v per batch, want 0", avg)
+	}
+	if st := l.Status(); st.Batches != 101 || st.Calibrating {
+		t.Fatalf("taps not accounted: %+v", st)
+	}
+}
+
+// TestNewSizesTheServingStore: online.New sizes the store's rings — the
+// learner's window, not the decision window — and refuses a server that
+// already tracks files, since there is no ring re-layout.
+func TestNewSizesTheServingStore(t *testing.T) {
+	srv, l, _ := newTestStack(t, 37, nil)
+	for day := 1; day <= 20; day++ {
+		observe(t, srv, synthBatch(4, day, 7, false)...)
+	}
+	if h := srv.SnapshotHistory(1, 8); h.Days != 16 || l.Status().BufferWindow != 16 {
+		t.Fatalf("ring keeps %d days, status reports %d; want max(2×histLen, 16) = 16", h.Days, l.Status().BufferWindow)
+	}
+	_, err := New(Config{
+		Trainer: testTrainer(t, 37), Serving: srv, Model: costmodel.New(pricing.Azure()),
+		Reward: mdp.DefaultReward(), Initial: pricing.Hot,
+	})
+	if err == nil {
+		t.Fatal("New accepted a serving store that already tracks files")
 	}
 }
 
 // TestLearnerDeterministicGivenSeed runs two identical stacks through the
-// same tap sequence and a fine-tune epoch each: trainer parameters and the
+// same observe sequence and a fine-tune epoch each: trainer parameters and the
 // drift score must come out bitwise identical (the determinism invariant the
 // vet suite's analyzer enforces statically, checked dynamically here).
 func TestLearnerDeterministicGivenSeed(t *testing.T) {
 	run := func() ([]float64, []float64, float64) {
-		_, l, tr := newTestStack(t, 42, func(c *Config) {
+		srv, l, tr := newTestStack(t, 42, func(c *Config) {
 			c.FinetuneEvery = 4
 			c.SwapGate = true
 			c.SwapMargin = 5
 		})
 		l.SetBaselineFromTrace(testTrace(t, 16, 8, 3, false))
 		for day := 1; day <= 4; day++ {
-			l.TapObserve(int64(day), synthBatch(24, day, 7, false))
+			observe(t, srv, synthBatch(24, day, 7, false)...)
 		}
 		if err := l.RunEpoch(); err != nil {
 			t.Fatal(err)
 		}
 		for day := 5; day <= 8; day++ {
-			l.TapObserve(int64(day), synthBatch(24, day, 7, true))
+			observe(t, srv, synthBatch(24, day, 7, true)...)
 		}
 		a, c := tr.ParamVectors()
 		return a, c, l.Status().DriftScore

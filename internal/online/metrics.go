@@ -6,15 +6,11 @@ import "minicost/internal/obs"
 // verify the grammar and single ownership at compile time and so dashboards
 // and tests reference the names without string drift (DESIGN.md §17).
 const (
-	// MetricObservations counts per-file observations the tap copied into
-	// the replay buffer.
+	// MetricObservations counts per-file observations that passed the tap.
 	MetricObservations = "minicost_online_observations_total"
-	// MetricBufferFiles gauges the files currently held in the replay
-	// buffer across all shards.
+	// MetricBufferFiles gauges the files the serving store tracks — all of
+	// them visible to the learner.
 	MetricBufferFiles = "minicost_online_buffer_files"
-	// MetricBufferRejected counts observations dropped because the bounded
-	// buffer had no room for another file.
-	MetricBufferRejected = "minicost_online_buffer_rejected_total"
 	// MetricDriftScore gauges the most recent PSI drift score (max over the
 	// tracked dimensions) of live traffic vs. the training baseline.
 	MetricDriftScore = "minicost_online_drift_score"
@@ -23,15 +19,15 @@ const (
 	MetricDriftTriggers = "minicost_online_drift_triggers_total"
 	// MetricEpochs counts completed fine-tune epochs (accepted or not).
 	MetricEpochs = "minicost_online_finetune_epochs_total"
-	// MetricEpochLatency times one fine-tune epoch: buffer snapshot,
+	// MetricEpochLatency times one fine-tune epoch: store snapshot,
 	// incremental training, validation, and the swap or rollback.
 	MetricEpochLatency = "minicost_online_epoch_seconds"
 	// MetricSwaps counts candidate policies hot-swapped into serving.
 	MetricSwaps = "minicost_online_swaps_total"
 	// MetricSwapsRejected counts candidates the validation gate refused
-	// (regressed simulated cost on the held-out buffer slice).
+	// (regressed simulated cost on the held-out slice).
 	MetricSwapsRejected = "minicost_online_swaps_rejected_total"
-	// MetricDisagreement gauges the fraction of held-out buffered files
+	// MetricDisagreement gauges the fraction of held-out files
 	// where the last candidate and the incumbent decided different tiers.
 	MetricDisagreement = "minicost_online_policy_disagreement"
 	// MetricCheckpoints counts learner checkpoints written to disk.
@@ -42,28 +38,25 @@ const (
 // other subsystem they live in the default registry, which is off outside
 // daemons, so recording costs one atomic load until a binary opts in.
 type learnerMetrics struct {
-	observations   *obs.Counter
-	bufferFiles    *obs.Gauge
-	bufferRejected *obs.Counter
-	driftScore     *obs.Gauge
-	driftTriggers  *obs.Counter
-	epochs         *obs.Counter
-	epochLat       *obs.Timer
-	swaps          *obs.Counter
-	swapsRejected  *obs.Counter
-	disagreement   *obs.Gauge
-	checkpoints    *obs.Counter
+	observations  *obs.Counter
+	bufferFiles   *obs.Gauge
+	driftScore    *obs.Gauge
+	driftTriggers *obs.Counter
+	epochs        *obs.Counter
+	epochLat      *obs.Timer
+	swaps         *obs.Counter
+	swapsRejected *obs.Counter
+	disagreement  *obs.Gauge
+	checkpoints   *obs.Counter
 }
 
 var learnMet = func() learnerMetrics {
 	reg := obs.Default()
 	return learnerMetrics{
 		observations: reg.Counter(MetricObservations,
-			"Per-file observations ingested into the online replay buffer."),
+			"Per-file observations that passed the online learner's tap."),
 		bufferFiles: reg.Gauge(MetricBufferFiles,
-			"Files currently held in the online replay buffer."),
-		bufferRejected: reg.Counter(MetricBufferRejected,
-			"Observations dropped because the bounded replay buffer was full."),
+			"Files the serving store tracks, all visible to the online learner."),
 		driftScore: reg.Gauge(MetricDriftScore,
 			"PSI drift score of live traffic vs. the training baseline (max over dimensions)."),
 		driftTriggers: reg.Counter(MetricDriftTriggers,
@@ -77,7 +70,7 @@ var learnMet = func() learnerMetrics {
 		swapsRejected: reg.Counter(MetricSwapsRejected,
 			"Candidate policies rejected by the validation gate (cost regression on held-out slice)."),
 		disagreement: reg.Gauge(MetricDisagreement,
-			"Fraction of held-out buffered files where candidate and incumbent decide different tiers."),
+			"Fraction of held-out files where candidate and incumbent decide different tiers."),
 		checkpoints: reg.Counter(MetricCheckpoints,
 			"Learner checkpoints written to disk."),
 	}
