@@ -14,13 +14,16 @@ test:
 lint:
 	$(GO) run ./cmd/minicost-vet ./...
 
-# fuzz runs short native-fuzzing lanes over the two untrusted parsers: the
-# trace CSV loader and the /v1/observe JSON body. One package per
-# invocation (go test allows a single -fuzz pattern at a time).
+# fuzz runs short native-fuzzing lanes over the two untrusted parsers — the
+# trace CSV loader and the /v1/observe JSON body — and the plan encoder. The
+# two agentserver lanes are differential: the wire codec against
+# encoding/json on every input. One pattern per invocation (go test allows a
+# single -fuzz target at a time).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzObserveBody -fuzztime $(FUZZTIME) ./internal/agentserver
+	$(GO) test -run '^$$' -fuzz FuzzAppendPlan -fuzztime $(FUZZTIME) ./internal/agentserver
 
 # check is the CI gate: formatting, vet, minicost-vet, and the race
 # detector across the short test suite (which includes the pooled-replica

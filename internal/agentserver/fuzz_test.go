@@ -13,19 +13,13 @@ import (
 // FuzzObserveBody drives POST /v1/observe — the service's untrusted JSON
 // boundary — with arbitrary bodies. Invariants: the handler never panics,
 // always answers with a deliberate status (200, 4xx, or 413), and every
-// 200 carries a decodable ObserveResponse with sane counts.
+// 200 carries a decodable ObserveResponse with sane counts. Every body also
+// goes through DecodeObserve and json.Unmarshal side by side
+// (checkDecodeAgainstJSON): same verdict, same entries bit for bit.
 func FuzzObserveBody(f *testing.F) {
-	f.Add(`{"files":[{"id":"a","size_gb":0.1,"reads":2,"writes":0.1}]}`)
-	f.Add(`{"files":[]}`)
-	f.Add(`{"files":[{"id":"","size_gb":1}]}`)
-	f.Add(`{"files":[{"id":"a","size_gb":-1}]}`)
-	f.Add(`{"files":[{"id":"a","size_gb":1e308,"reads":1e308}]}`)
-	f.Add(`{"files":[{"id":"a","size_gb":null}]}`)
-	f.Add(`{"files":{"id":"a"}}`)
-	f.Add(`{nope`)
-	f.Add(`[]`)
-	f.Add(`null`)
-	f.Add(``)
+	for _, body := range observeBodySeeds {
+		f.Add(body)
+	}
 
 	s, err := New(testAgent(), pricing.Hot)
 	if err != nil {
@@ -34,11 +28,16 @@ func FuzzObserveBody(f *testing.F) {
 	h := s.Handler()
 
 	f.Fuzz(func(t *testing.T, body string) {
+		accepted := checkDecodeAgainstJSON(t, []byte(body))
+
 		req := httptest.NewRequest(http.MethodPost, "/v1/observe", strings.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 
+		if !accepted && rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %q is not a request, yet the handler answered %d", body, rec.Code)
+		}
 		switch rec.Code {
 		case http.StatusOK:
 			var resp ObserveResponse

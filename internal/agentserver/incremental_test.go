@@ -90,6 +90,11 @@ func TestIncrementalPlanEqualsFull(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Every plan these interleavings produce goes on the wire byte
+				// for byte as encoding/json would write it.
+				for _, p := range []*PlanResponse{pi, pf, pl} {
+					checkPlanEncoding(t, p)
+				}
 				if kl, ki := planKey(pl), planKey(pi); kl != ki || pl.Decided != pi.Decided {
 					t.Fatalf("%s: plan over 2×histLen rings diverged (decided %d vs %d)\nlong:  %.200s\nshort: %.200s",
 						step, pl.Decided, pi.Decided, kl, ki)

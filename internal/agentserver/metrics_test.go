@@ -83,6 +83,55 @@ func TestRequestMetricsAdvance(t *testing.T) {
 	}
 }
 
+// TestRejectedBatchesCounted asserts every way an observe batch is refused
+// advances its own minicost_serve_rejected_batches_total series, and only
+// that one.
+func TestRejectedBatchesCounted(t *testing.T) {
+	reg := withMetrics(t)
+	s, err := NewWithConfig(testAgent(), pricing.Hot, Config{MaxObserveBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	reasons := []string{"json", "too_large", "invalid"}
+	for i, body := range []string{
+		`{"files":[{"id":"x","size_gb":0.1}]} trailing`,
+		`{"files":[{"id":"x","size_gb":0.1}]}` + strings.Repeat(" ", 256),
+		`{"files":[{"id":"x","size_gb":-1}]}`,
+	} {
+		before := reg.Snapshot()
+		resp, err := http.Post(ts.URL+"/v1/observe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 {
+			t.Fatalf("body %d accepted with %d", i, resp.StatusCode)
+		}
+		after := reg.Snapshot()
+		for j, reason := range reasons {
+			id := `minicost_serve_rejected_batches_total{reason="` + reason + `"}`
+			want := 0.0
+			if i == j {
+				want = 1
+			}
+			if got := after.Counter(id) - before.Counter(id); got != want {
+				t.Errorf("body %d: %s advanced by %v, want %v", i, id, got, want)
+			}
+		}
+	}
+	// In-process callers are counted where they enter.
+	before := reg.Snapshot()
+	if _, err := s.Observe(&ObserveRequest{}); err == nil {
+		t.Fatal("empty batch accepted")
+	}
+	id := `minicost_serve_rejected_batches_total{reason="invalid"}`
+	if got := reg.Snapshot().Counter(id) - before.Counter(id); got != 1 {
+		t.Errorf("Server.Observe rejection advanced %s by %v, want 1", id, got)
+	}
+}
+
 func TestObserveRejectsNonJSONContentType(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/v1/observe", "text/plain", strings.NewReader(`{"files":[]}`))

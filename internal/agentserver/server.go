@@ -12,7 +12,10 @@
 // incremental by default: only files whose observed features changed since
 // the last plan are re-decided; the rest serve their cached assignment
 // (GET /v1/plan?full=1 forces a full re-decision — bitwise-identical, just
-// slower). Everything is stdlib net/http + encoding/json.
+// slower). Everything is stdlib net/http. The two per-file payloads — the
+// observe body in, the plan out — go through the schema-specific codec in
+// codec.go; encoding/json writes the small fixed-size answers and serves the
+// codec as its oracle and cold-token fallback.
 package agentserver
 
 import (
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -37,6 +41,11 @@ import (
 // Config.MaxObserveBytes (minicostd -max-observe-bytes) for million-file
 // batches.
 const MaxObserveBytes = 8 << 20
+
+// maxIDBytes is the longest file ID an observation may carry. IDs are map
+// keys, plan payload and sort keys for the life of the process; one body
+// must not be able to plant megabyte-long ones.
+const maxIDBytes = 1024
 
 // ingestFanoutThreshold is the observe batch size below which ingestion
 // runs the shards serially: fanning goroutines out for a handful of files
@@ -191,9 +200,15 @@ type serveMetrics struct {
 	tracked      *obs.Gauge
 	shards       *obs.Gauge
 	planGen      *obs.Timer
+	// Rejected observe batches by cause: the body was not valid JSON for the
+	// schema, it exceeded the body cap, or Observe's validation refused it.
+	rejectedJSON     *obs.Counter
+	rejectedTooLarge *obs.Counter
+	rejectedInvalid  *obs.Counter
 }
 
 func newServeMetrics() serveMetrics {
+	const rejectedHelp = "Observe batches rejected without ingesting anything, by cause."
 	reg := obs.Default()
 	return serveMetrics{
 		observations: reg.Counter("minicost_serve_observations_total",
@@ -212,6 +227,12 @@ func newServeMetrics() serveMetrics {
 			"Tracked-state partitions in the serving store."),
 		planGen: reg.Timer("minicost_serve_plan_seconds",
 			"Plan generation time: dirty snapshot, batched forward passes, merge."),
+		rejectedJSON: reg.Counter("minicost_serve_rejected_batches_total",
+			rejectedHelp, obs.L("reason", "json")),
+		rejectedTooLarge: reg.Counter("minicost_serve_rejected_batches_total",
+			rejectedHelp, obs.L("reason", "too_large")),
+		rejectedInvalid: reg.Counter("minicost_serve_rejected_batches_total",
+			rejectedHelp, obs.L("reason", "invalid")),
 	}
 }
 
@@ -413,19 +434,9 @@ func (s *Server) UpdateAgent(agent *rl.Agent) error {
 // within the batch are last-wins and counted in the response.
 func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
 	n := len(req.Files)
-	if n == 0 {
-		return nil, errors.New("agentserver: empty observation batch")
-	}
-	for i := range req.Files {
-		f := &req.Files[i]
-		if f.ID == "" {
-			return nil, errors.New("agentserver: observation without id")
-		}
-		// finiteNonNeg is false for NaN and ±Inf as well as negatives: the
-		// rings feed training traces and the holdout gate, not only plans.
-		if !(f.SizeGB > 0 && finiteNonNeg(f.SizeGB) && finiteNonNeg(f.Reads) && finiteNonNeg(f.Writes)) {
-			return nil, fmt.Errorf("agentserver: invalid observation for %q", f.ID)
-		}
+	if err := validateBatch(req.Files); err != nil {
+		s.met.rejectedInvalid.Inc()
+		return nil, err
 	}
 	seq := s.batchSeq.Add(1)
 	dups := 0
@@ -459,6 +470,29 @@ func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
 	s.met.duplicates.Add(float64(dups))
 	s.met.tracked.Set(float64(tracked))
 	return &ObserveResponse{Accepted: n, Tracked: tracked, Duplicates: dups}, nil
+}
+
+// validateBatch is Observe's validate-before-mutate pass: the first bad
+// entry rejects the whole batch.
+func validateBatch(files []FileObservation) error {
+	if len(files) == 0 {
+		return errors.New("agentserver: empty observation batch")
+	}
+	for i := range files {
+		f := &files[i]
+		if f.ID == "" {
+			return errors.New("agentserver: observation without id")
+		}
+		if len(f.ID) > maxIDBytes {
+			return fmt.Errorf("agentserver: observation id of %d bytes, limit %d", len(f.ID), maxIDBytes)
+		}
+		// finiteNonNeg is false for NaN and ±Inf as well as negatives: the
+		// rings feed training traces and the holdout gate, not only plans.
+		if !(f.SizeGB > 0 && finiteNonNeg(f.SizeGB) && finiteNonNeg(f.Reads) && finiteNonNeg(f.Writes)) {
+			return fmt.Errorf("agentserver: invalid observation for %q", f.ID)
+		}
+	}
+	return nil
 }
 
 // finiteNonNeg reports 0 <= v < +Inf.
@@ -616,19 +650,27 @@ func (s *Server) Handler() http.Handler {
 			httpError(w, http.StatusUnsupportedMediaType, "Content-Type must be application/json")
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxObserveBytes)
-		var req ObserveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// The scratch, and so the decoded batch, is this request's until the
+		// handler returns; Observe and the tap are done with it by then.
+		sc := wirePool.Get().(*wireScratch)
+		defer sc.release()
+		body, err := sc.readBody(http.MaxBytesReader(w, r.Body, s.maxObserveBytes))
+		if err == nil {
+			err = sc.decode(body, &sc.req)
+		}
+		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
+				s.met.rejectedTooLarge.Inc()
 				httpError(w, http.StatusRequestEntityTooLarge,
 					fmt.Sprintf("observation batch exceeds %d bytes", s.maxObserveBytes))
 				return
 			}
+			s.met.rejectedJSON.Inc()
 			httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
 			return
 		}
-		resp, err := s.Observe(&req)
+		resp, err := s.Observe(&sc.req)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
@@ -654,7 +696,14 @@ func (s *Server) Handler() http.Handler {
 			httpError(w, http.StatusConflict, err.Error())
 			return
 		}
-		writeJSON(w, resp)
+		// The whole plan is encoded before the first byte goes out, so it
+		// travels with a Content-Length instead of chunked.
+		sc := wirePool.Get().(*wireScratch)
+		defer sc.release()
+		sc.buf = AppendPlan(sc.buf[:0], resp)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
+		_, _ = w.Write(sc.buf) // a client that hung up is not the server's error
 	}))
 	mux.HandleFunc("/v1/stats", instrument("stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Stats())

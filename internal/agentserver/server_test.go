@@ -1,6 +1,7 @@
 package agentserver
 
 import (
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -117,6 +118,7 @@ func TestObserveValidation(t *testing.T) {
 		"neg-inf-reads": {Files: []FileObservation{{ID: "x", SizeGB: 0.1, Reads: math.Inf(-1)}}},
 		// The bad entry rides behind a good one: nothing may be ingested.
 		"bad-after-good": {Files: []FileObservation{obsv("ok", 1), {ID: "x", SizeGB: 0.1, Writes: nan}}},
+		"oversized-id":   {Files: []FileObservation{obsv("ok", 1), obsv(strings.Repeat("x", maxIDBytes+1), 1)}},
 	} {
 		// The client cannot even encode a non-finite number, so the rule is
 		// also checked where in-process callers (the learner's replay, the
@@ -128,8 +130,33 @@ func TestObserveValidation(t *testing.T) {
 			t.Errorf("%s accepted over HTTP", name)
 		}
 	}
+	// Anything but whitespace after the request object makes the body bad
+	// JSON. (The json.Decoder the handler called before DecodeObserve stopped
+	// reading at the object's end and ingested such bodies.)
+	const one = `{"files":[{"id":"x","size_gb":0.1,"reads":1,"writes":0}]}`
+	for _, body := range []string{one + " garbage", one + one, one + "]"} {
+		resp, err := http.Post(ts.URL+"/v1/observe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bad json") {
+			t.Errorf("body with trailing data answered %d %s, want 400 bad json", resp.StatusCode, msg)
+		}
+	}
 	if got := s.Stats().TrackedFiles; got != 0 {
 		t.Fatalf("rejected batches left %d tracked files", got)
+	}
+	// The ID limit is inclusive, and trailing whitespace is not data.
+	atLimit := `{"files":[{"id":"` + strings.Repeat("x", maxIDBytes) + `","size_gb":0.1}]}` + " \n"
+	resp, err := http.Post(ts.URL+"/v1/observe", "application/json", strings.NewReader(atLimit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("observation with a %d-byte id answered %d, want 200", maxIDBytes, resp.StatusCode)
 	}
 }
 

@@ -26,6 +26,7 @@ package agentserver
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -144,8 +145,11 @@ func shardOf(id string, mask uint32) uint32 {
 
 // addSlot grows every slot-indexed array by one. Caller holds sh.mu. The
 // dirty list's capacity is kept ≥ len(ids) here so the hot-path dirty mark
-// in ingestOne is a reslice, never an append.
+// in ingestOne is a reslice, never an append. The shard keeps its own copy of
+// the ID: the caller's may be a substring of a whole batch's ID arena
+// (codec.go), which one kept ID would otherwise pin.
 func (sh *shard) addSlot(id string) int32 {
+	id = strings.Clone(id)
 	slot := int32(len(sh.ids))
 	sh.ids = append(sh.ids, id)
 	sh.size = append(sh.size, 0)

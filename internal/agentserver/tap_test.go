@@ -2,6 +2,8 @@ package agentserver
 
 import (
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"minicost/internal/pricing"
@@ -56,5 +58,62 @@ func TestObserveFeedsTap(t *testing.T) {
 		if len(rec.batches[i]) != 2 || rec.batches[i][0].ID != "a" || rec.batches[i][1].ID != "b" {
 			t.Fatalf("tap batch %d = %+v", i, rec.batches[i])
 		}
+	}
+}
+
+// batchChecker is a tap that checks each batch is one client's: every ID
+// carries the prefix of the first, and reads repeat the number in it.
+type batchChecker struct{ t *testing.T }
+
+func (c batchChecker) TapObserve(_ int64, files []FileObservation) {
+	prefix, _, _ := strings.Cut(files[0].ID, "-")
+	for i := range files {
+		f := &files[i]
+		if !strings.HasPrefix(f.ID, prefix+"-") || f.Reads != float64(len(prefix)) || f.ID[len(f.ID)-1] != byte('0'+i%10) {
+			c.t.Errorf("entry %d of a batch from %q is %+v", i, prefix, *f)
+			return
+		}
+	}
+}
+
+// TestConcurrentObserveScratchIsolation posts different bodies from several
+// clients at once: the handlers share one pool of decode scratch, and no
+// request may see another's entries or IDs. Run under -race by `make check`.
+func TestConcurrentObserveScratchIsolation(t *testing.T) {
+	s, err := New(testAgent(), pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetTap(batchChecker{t})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	const clients, rounds = 6, 25
+	var wg sync.WaitGroup
+	for w := 1; w <= clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			prefix := strings.Repeat("c", w) // the client's number is the prefix's length
+			files := make([]FileObservation, 40*w)
+			for i := range files {
+				files[i] = FileObservation{ID: prefix + "-" + itoa(i), SizeGB: 0.5, Reads: float64(w)}
+			}
+			for r := 0; r < rounds; r++ {
+				resp, err := c.Observe(&ObserveRequest{Files: files})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.Accepted != len(files) {
+					t.Errorf("client %d: accepted %d of %d", w, resp.Accepted, len(files))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := s.TrackedFiles(), 40*clients*(clients+1)/2; got != want {
+		t.Fatalf("tracked %d files, want %d", got, want)
 	}
 }

@@ -27,6 +27,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("days,2\nfile,0,1.5,0,dc1,1,2,3,4\n")
 	f.Add("days,2\nfile,0,1.5,0,dc1,1,2,3,4\ngroup,0,0.5,0.25\n")
 	f.Add("days,0\n")
+	f.Add("days,9999999999\n") // no records: nothing may be sized by the day count alone
 	f.Add("days,notanumber\n")
 	f.Add("file,0\n")
 	f.Add("days,1\nfile,0,nan,0,dc1,inf,-inf\n")

@@ -23,7 +23,9 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 	if err := cw.Write([]string{"days", strconv.Itoa(tr.Days)}); err != nil {
 		return err
 	}
-	rec := make([]string, 0, 5+2*tr.Days)
+	// Grown by the first record and reused; sizing it from tr.Days up front
+	// let an empty trace declaring billions of days exhaust memory.
+	var rec []string
 	for i, f := range tr.Files {
 		rec = rec[:0]
 		rec = append(rec, "file",
