@@ -3,7 +3,10 @@ package agentserver
 // codec.go is the wire codec of the two per-file endpoints (DESIGN.md §15,
 // "Wire codec"): DecodeObserve scans a POST /v1/observe body for exactly the
 // ObserveRequest schema in one pass, AppendPlan writes a GET /v1/plan answer
-// with appends. Neither reflects, and neither calls encoding/json per file.
+// with appends — and appendPlanBlocks the same answer from runs of entries
+// the same per-entry encoder wrote earlier, which is how the server's plan
+// view (store.go) serves it. Neither reflects, and neither calls
+// encoding/json per file.
 //
 // encoding/json stays the definition of what is accepted and what is
 // written. The scanner handles the plain grammar itself — ASCII keys,
@@ -542,28 +545,69 @@ func AppendPlan(dst []byte, p *PlanResponse) []byte {
 	// Room for the fixed members and entries with IDs of some twenty bytes;
 	// append grows it for longer ones.
 	dst = slices.Grow(dst, 160+64*len(p.Files))
-	dst = append(dst, `{"day":`...)
-	dst = strconv.AppendInt(dst, int64(p.Day), 10)
-	dst = append(dst, `,"files":`...)
+	dst = appendPlanHead(dst, p)
 	if p.Files == nil {
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
-		for i := range p.Files {
-			e := &p.Files[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"id":`...)
-			dst = appendString(dst, e.ID)
-			dst = append(dst, `,"tier":`...)
-			dst = appendString(dst, e.Tier)
-			dst = append(dst, `,"changed":`...)
-			dst = strconv.AppendBool(dst, e.Changed)
-			dst = append(dst, '}')
-		}
+		dst = appendPlanEntries(dst, p.Files)
 		dst = append(dst, ']')
 	}
+	return appendPlanTail(dst, p)
+}
+
+// appendPlanBlocks is AppendPlan for a plan whose files array is already
+// encoded: blocks are consecutive runs of it, each as appendPlanEntries
+// wrote it (the server's plan view caches them, store.go), and p carries the
+// scalar members; p.Files is not read. Joined by commas the blocks are the
+// array, so the body is the one AppendPlan writes for the same entries.
+func appendPlanBlocks(dst []byte, p *PlanResponse, blocks [][]byte) []byte {
+	n := 160 + len(blocks)
+	for _, b := range blocks {
+		n += len(b)
+	}
+	dst = slices.Grow(dst, n)
+	dst = appendPlanHead(dst, p)
+	dst = append(dst, '[')
+	for i, b := range blocks {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, b...)
+	}
+	dst = append(dst, ']')
+	return appendPlanTail(dst, p)
+}
+
+// appendPlanHead appends a plan up to the value of "files".
+func appendPlanHead(dst []byte, p *PlanResponse) []byte {
+	dst = append(dst, `{"day":`...)
+	dst = strconv.AppendInt(dst, int64(p.Day), 10)
+	return append(dst, `,"files":`...)
+}
+
+// appendPlanEntries appends the entries as the elements of a JSON array,
+// comma-separated, without the brackets — the one per-entry encoder behind
+// both a whole plan and a cached block of one.
+func appendPlanEntries(dst []byte, files []PlanEntry) []byte {
+	for i := range files {
+		e := &files[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"id":`...)
+		dst = appendString(dst, e.ID)
+		dst = append(dst, `,"tier":`...)
+		dst = appendString(dst, e.Tier)
+		dst = append(dst, `,"changed":`...)
+		dst = strconv.AppendBool(dst, e.Changed)
+		dst = append(dst, '}')
+	}
+	return dst
+}
+
+// appendPlanTail appends the members after "files" and closes the plan.
+func appendPlanTail(dst []byte, p *PlanResponse) []byte {
 	dst = append(dst, `,"elapsed_ms":`...)
 	// One float per plan: encoding/json's own formatting, not a copy of it.
 	if ms, err := json.Marshal(p.ElapsedMS); err == nil {

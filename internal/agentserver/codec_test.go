@@ -280,20 +280,38 @@ func TestAppendPlanMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// checkPlanBlocks holds the block path to AppendPlan on one plan: its
+// entries encoded in runs of blockLen, the way the server's plan view caches
+// them, and joined by appendPlanBlocks must be the body AppendPlan writes.
+func checkPlanBlocks(t *testing.T, p *PlanResponse, blockLen int) {
+	t.Helper()
+	var blocks [][]byte
+	for lo := 0; lo < len(p.Files); lo += blockLen {
+		blocks = append(blocks, appendPlanEntries(nil, p.Files[lo:min(lo+blockLen, len(p.Files))]))
+	}
+	meta := *p
+	meta.Files = nil // the block path must not read it
+	if got, want := appendPlanBlocks(nil, &meta, blocks), AppendPlan(nil, p); !bytes.Equal(got, want) {
+		t.Fatalf("blocks of %d joined to\n%q\nAppendPlan wrote\n%q", blockLen, got, want)
+	}
+}
+
 // FuzzAppendPlan fuzzes the plan encoder against encoding/json: IDs and
-// tiers with anything in them, every flag, any finite elapsed time.
+// tiers with anything in them, every flag, any finite elapsed time — and the
+// same entries cut into blocks of a fuzzer-chosen length against AppendPlan.
 func FuzzAppendPlan(f *testing.F) {
-	f.Add("f00000001", "hot", "f00000002", "cold", true, false, 7, 0.25, 3)
-	f.Add(`a"b\c`, "<&>", "\u2028\u2029", "\xff", false, true, -1, 1e21, 0)
-	f.Add("café", "\x00\x1f", "\ud7ff\ue000", "\xed\xa0\x80", true, true, 0, 1e-7, 9)
-	f.Add("", "", "", "", false, false, 0, 0.0, 1)
-	f.Fuzz(func(t *testing.T, id1, tier1, id2, tier2 string, changed, full bool, day int, elapsed float64, n int) {
+	f.Add("f00000001", "hot", "f00000002", "cold", true, false, 7, 0.25, 3, 1)
+	f.Add(`a"b\c`, "<&>", "\u2028\u2029", "\xff", false, true, -1, 1e21, 0, 2)
+	f.Add("café", "\x00\x1f", "\ud7ff\ue000", "\xed\xa0\x80", true, true, 0, 1e-7, 9, 3)
+	f.Add("", "", "", "", false, false, 0, 0.0, 1, 0)
+	f.Add("f1", "archive", `q"`, "cool", true, false, 3, 1.5, 7, -2)
+	f.Fuzz(func(t *testing.T, id1, tier1, id2, tier2 string, changed, full bool, day int, elapsed float64, n, blockLen int) {
 		if math.IsNaN(elapsed) || math.IsInf(elapsed, 0) {
 			t.Skip("encoding/json refuses a non-finite elapsed_ms")
 		}
 		p := &PlanResponse{Day: day, ElapsedMS: elapsed, Transition: n, Decided: day ^ n, Full: full}
-		// n%4 entries; 0 leaves Files nil, which goes out as null.
-		for k := 0; k < (n%4+4)%4; k++ {
+		// n%8 entries; 0 leaves Files nil, which goes out as null.
+		for k := 0; k < (n%8+8)%8; k++ {
 			e := PlanEntry{ID: id1 + strconv.Itoa(k), Tier: tier1, Changed: changed}
 			if k%2 == 1 {
 				e = PlanEntry{ID: id2, Tier: tier2, Changed: !changed}
@@ -301,6 +319,9 @@ func FuzzAppendPlan(f *testing.F) {
 			p.Files = append(p.Files, e)
 		}
 		checkPlanEncoding(t, p)
+		if p.Files != nil { // a view is never built over no files
+			checkPlanBlocks(t, p, 1+(blockLen%4+4)%4)
+		}
 	})
 }
 

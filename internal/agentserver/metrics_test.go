@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -286,6 +287,94 @@ func TestShardStatsAndDirtyMetrics(t *testing.T) {
 	}
 	if got := s.Stats().DirtyFiles; got != plan.Transition+1 {
 		t.Fatalf("dirty after single observe = %d, want %d", got, plan.Transition+1)
+	}
+}
+
+// TestPlanViewMetrics pins the two instruments of the plan view: a plan over
+// an unchanged file set patches the view (no rebuild) and re-encodes only the
+// blocks holding an entry it changed, and one new file costs exactly one
+// rebuild — the signal that plans are O(tracked files) again.
+func TestPlanViewMetrics(t *testing.T) {
+	reg := withMetrics(t)
+	s, err := NewWithConfig(settlingAgent(), pricing.Hot, Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const files = 8 * planBlockLen
+	feedWeek(t, s, files)
+	const rebuilds, encoded = "minicost_serve_plan_rebuilds_total", "minicost_serve_plan_blocks_encoded_total"
+	// round observes the given files, plans, and returns what the plan added
+	// to the two counters.
+	round := func(batch ...FileObservation) (plan *PlanResponse, dRebuilds, dEncoded float64) {
+		t.Helper()
+		before := reg.Snapshot()
+		if len(batch) > 0 {
+			if _, err := s.Observe(&ObserveRequest{Files: batch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := s.BuildPlan(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := reg.Snapshot()
+		return plan, after.Counter(rebuilds) - before.Counter(rebuilds), after.Counter(encoded) - before.Counter(encoded)
+	}
+	if _, r, e := round(); r != 1 || e != 8 {
+		t.Fatalf("first plan: %v rebuilds, %v blocks encoded, want 1 and all 8", r, e)
+	}
+	// Moved files are re-decided on their new tier until they stay put.
+	for settling := 0; s.Stats().DirtyFiles > 0; settling++ {
+		if settling == 8 {
+			t.Fatalf("%d files still pending after %d plans with nothing observed", s.Stats().DirtyFiles, settling)
+		}
+		round()
+	}
+	// Sparse rounds: 16 files with neighbouring IDs go idle or busy. A block
+	// is re-encoded exactly when one of its entries differs from the previous
+	// plan's — a file moved tier, or its flag from the previous plan cleared.
+	prev, _, _ := round()
+	moved := 0
+	for i := 0; i < 6; i++ {
+		batch := make([]FileObservation, 16)
+		for j := range batch {
+			batch[j] = obsv("f"+itoa(3000+j), float64(5000*(i%2)))
+		}
+		plan, r, e := round(batch...)
+		if plan.Decided < 16 || plan.Decided > 32 {
+			t.Fatalf("sparse round %d decided %d files", i, plan.Decided)
+		}
+		if r != 0 {
+			t.Errorf("sparse round %d rebuilt the view %v times", i, r)
+		}
+		differing := 0
+		for lo := 0; lo < files; lo += planBlockLen {
+			if !slices.Equal(plan.Files[lo:lo+planBlockLen], prev.Files[lo:lo+planBlockLen]) {
+				differing++
+			}
+		}
+		if e != float64(differing) || e > 2 {
+			t.Errorf("sparse round %d re-encoded %v blocks; %d hold an entry that changed, and 16 neighbours span at most 2", i, e, differing)
+		}
+		moved += plan.Transition
+		prev = plan
+	}
+	if moved == 0 {
+		t.Fatal("no sparse round moved a file: the block counts above pin nothing")
+	}
+	// Nothing observed and nothing pending: nothing to encode.
+	for s.Stats().DirtyFiles > 0 {
+		round()
+	}
+	if plan, r, e := round(); plan.Decided != 0 || r != 0 || e != 0 {
+		t.Errorf("idle plan decided %d, rebuilt %v, encoded %v blocks, want all zero", plan.Decided, r, e)
+	}
+	// One new file: its plan rebuilds, the next patches again.
+	if _, r, e := round(obsv("f4000-new", 5)); r != 1 || e != 9 {
+		t.Errorf("plan after one new file: %v rebuilds, %v blocks encoded, want 1 and all 9", r, e)
+	}
+	if _, r, _ := round(obsv("f4000-new", 6)); r != 0 {
+		t.Errorf("plan after the rebuild rebuilt again (%v)", r)
 	}
 }
 

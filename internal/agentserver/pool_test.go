@@ -36,9 +36,10 @@ func replicaBound(s *Server) int64 {
 
 // TestPlanReplicasBoundedByConcurrency is the agentserver half of the
 // no-clone-per-request fix: repeated plan requests must not grow the pool.
-// A plan borrows at most one replica per shard worker while deciding, and
-// an incremental plan with nothing dirty borrows none — so replica count
-// is pinned by peak concurrency × fan-out width, never by request volume.
+// A plan borrows at most one replica per shard worker while deciding, an
+// incremental plan with nothing dirty borrows none, and plans run one at a
+// time (Server.planMu) — so replica count is pinned by the fan-out width,
+// never by request volume or by how many clients ask at once.
 func TestPlanReplicasBoundedByConcurrency(t *testing.T) {
 	s, err := New(testAgent(), pricing.Hot)
 	if err != nil {
@@ -77,7 +78,7 @@ func TestPlanReplicasBoundedByConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, bound := s.Stats().Replicas, int64(concurrent)*replicaBound(s); got > bound {
+	if got, bound := s.Stats().Replicas, replicaBound(s); got > bound {
 		t.Fatalf("%d concurrent full planners built %d replicas, bound %d", concurrent, got, bound)
 	}
 }

@@ -12,8 +12,11 @@
 // incremental by default: only files whose observed features changed since
 // the last plan are re-decided; the rest serve their cached assignment
 // (GET /v1/plan?full=1 forces a full re-decision — bitwise-identical, just
-// slower). Everything is stdlib net/http. The two per-file payloads — the
-// observe body in, the plan out — go through the schema-specific codec in
+// slower). The plan itself is a materialized view the server maintains — the
+// ID-ordered entries and their wire bytes in blocks — and each plan patches
+// only what it decided, so a steady-state plan costs the store O(decided),
+// not O(tracked). Everything is stdlib net/http. The two per-file payloads —
+// the observe body in, the plan out — go through the schema-specific codec in
 // codec.go; encoding/json writes the small fixed-size answers and serves the
 // codec as its oracle and cold-token fallback.
 package agentserver
@@ -24,8 +27,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -106,8 +111,8 @@ type StatsResponse struct {
 	LastPlanMS   float64 `json:"last_plan_ms"`
 	HistLen      int     `json:"hist_len"`
 	// Replicas is how many network replicas the serving pool has built for
-	// the current agent snapshot — bounded by peak request concurrency, not
-	// by request volume.
+	// the current agent snapshot — bounded by the plan's shard fan-out width,
+	// not by request volume or concurrency.
 	Replicas int64 `json:"replicas"`
 	// Shard occupancy: partition count, the most and least populated
 	// shard, and the pending-decision (dirty) total across shards.
@@ -159,11 +164,11 @@ type Config struct {
 // Server wraps an agent with sharded observation state. Create with New or
 // NewWithConfig, mount via Handler.
 //
-// Serving uses a replica pool instead of one network per request: BuildPlan
+// Serving uses a replica pool instead of one network per request: a plan
 // borrows a pooled replica per shard worker, computes decisions with
 // batched forward passes outside the shard locks, and returns the replicas
-// — so concurrent plan requests cost at most one network copy per worker at
-// peak, and repeated requests cost none. UpdateAgent refreshes the pool
+// — plans run one at a time, so the pool holds at most one network copy per
+// worker and repeated requests cost none. UpdateAgent refreshes the pool
 // when a new training snapshot lands and marks every file dirty so the
 // next plan re-decides the world under the new weights.
 type Server struct {
@@ -185,6 +190,15 @@ type Server struct {
 	lastPlanUS   atomic.Int64 // microseconds; 0 until the first plan
 	lastPlanAt   atomic.Int64 // unix nanos; 0 until the first plan
 
+	// planMu serializes plans: one snapshot→decide→commit fan-out and one
+	// update of the view at a time, and a read-out of the view sees the plan
+	// that produced it. Lock order is planMu, then a shard's mu. Observe and
+	// UpdateAgent never take it, so ingest cannot wait on a plan for longer
+	// than one shard critical section.
+	planMu    sync.Mutex
+	planEpoch uint64 // plans run so far; stamps the slots a plan changed
+	view      planView
+
 	met serveMetrics
 }
 
@@ -200,6 +214,11 @@ type serveMetrics struct {
 	tracked      *obs.Gauge
 	shards       *obs.Gauge
 	planGen      *obs.Timer
+	// The plan view: how often it was constructed from scratch (a file was
+	// added since the last plan — that plan cost O(tracked files) again) and
+	// how many blocks of wire bytes plans re-encoded.
+	planRebuilds      *obs.Counter
+	planBlocksEncoded *obs.Counter
 	// Rejected observe batches by cause: the body was not valid JSON for the
 	// schema, it exceeded the body cap, or Observe's validation refused it.
 	rejectedJSON     *obs.Counter
@@ -226,7 +245,11 @@ func newServeMetrics() serveMetrics {
 		shards: reg.Gauge("minicost_serve_shards",
 			"Tracked-state partitions in the serving store."),
 		planGen: reg.Timer("minicost_serve_plan_seconds",
-			"Plan generation time: dirty snapshot, batched forward passes, merge."),
+			"Plan generation time: dirty snapshot, batched forward passes, commit, plan view update."),
+		planRebuilds: reg.Counter("minicost_serve_plan_rebuilds_total",
+			"Plans that rebuilt the plan view from scratch because files were added since the previous plan."),
+		planBlocksEncoded: reg.Counter("minicost_serve_plan_blocks_encoded_total",
+			"Blocks of the plan's wire bytes re-encoded by generated plans."),
 		rejectedJSON: reg.Counter("minicost_serve_rejected_batches_total",
 			rejectedHelp, obs.L("reason", "json")),
 		rejectedTooLarge: reg.Counter("minicost_serve_rejected_batches_total",
@@ -545,50 +568,95 @@ func (s *Server) TrackedFiles() int {
 // row-independent, the incremental plan equals the full re-plan bit for bit
 // (TestIncrementalPlanEqualsFull pins this at shard counts 1, 4, and 16).
 //
-// Each shard plans on its own goroutine: dirty snapshot and feature
-// packing under the shard lock, batched forward passes with it released,
-// commit and ID-ordered entry building under the lock again, then a P-way
-// merge produces the globally ID-sorted response.
+// Files is a private copy of the server's plan view (see plan); the
+// /v1/plan handler reads the same view out as wire bytes instead
+// (appendPlan).
 func (s *Server) BuildPlan(full bool) (*PlanResponse, error) {
-	sw := s.met.planGen.Start()
-	start := time.Now()
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	resp, err := s.plan(full)
+	if err != nil {
+		return nil, err
+	}
+	resp.Files = slices.Clone(s.view.entries)
+	return resp, nil
+}
+
+// appendPlan runs a plan and appends its wire form to dst: the body
+// AppendPlan writes for BuildPlan's answer, joined from the view's cached
+// blocks.
+func (s *Server) appendPlan(dst []byte, full bool) ([]byte, error) {
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	resp, err := s.plan(full)
+	if err != nil {
+		return dst, err
+	}
+	return appendPlanBlocks(dst, resp, s.view.blocks), nil
+}
+
+// plan runs one plan and brings the view up to date with it; the answer's
+// Files are left for the caller to read out of the view. Caller holds
+// planMu.
+//
+// Each shard plans on its own goroutine: dirty snapshot and feature packing
+// under the shard lock, batched forward passes with it released, commit
+// under the lock again. A serial pass then patches the entries of the
+// decided slots into the view — or, when a slot was added since the view was
+// built, rebuilds it the way every plan used to be built — and re-encodes
+// the blocks of wire bytes that no longer match their entries. A ?full=1
+// plan and the plan after UpdateAgent take the same path with more slots
+// decided.
+func (s *Server) plan(full bool) (*PlanResponse, error) {
 	if s.TrackedFiles() == 0 {
 		return nil, errors.New("agentserver: no observations yet")
 	}
-	day := int(s.day.Load())
+	start := time.Now()
+	resp := &PlanResponse{Day: int(s.day.Load()), Full: full}
+	s.planEpoch++
+	epoch := s.planEpoch
 	p := len(s.shards)
-	parts := make([][]PlanEntry, p)
 	decided := make([]int, p)
 	transitions := make([]int, p)
 	par.ForShards(p, s.workers, func(si int) {
 		sh := s.shards[si]
-		sh.planMu.Lock()
 		m := sh.snapshotDecisions(full)
 		if m > 0 {
 			rep := s.pool.Get()
 			sh.decide(rep.Agent, m)
 			s.pool.Put(rep)
 		}
-		epoch, trans := sh.commit(m)
-		parts[si] = sh.buildEntries(epoch)
-		sh.planMu.Unlock()
 		decided[si] = m
-		transitions[si] = trans
+		transitions[si] = sh.commit(m, epoch)
 	})
-	resp := &PlanResponse{Day: day, Files: mergeEntries(parts), Full: full}
+	v := &s.view
+	if v.current(s.shards) {
+		v.unflag()
+		for si, sh := range s.shards {
+			v.patch(si, sh, decided[si], epoch)
+		}
+	} else {
+		v.rebuild(s.shards, s.workers, epoch)
+		s.met.planRebuilds.Inc()
+	}
+	s.met.planBlocksEncoded.Add(float64(v.encode()))
 	for si := 0; si < p; si++ {
 		resp.Decided += decided[si]
 		resp.Transition += transitions[si]
 	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	// One clock for the answer, /v1/stats and the metrics; it covers the view
+	// update, which is part of producing the plan on either read-out.
+	now := time.Now()
+	elapsed := now.Sub(start)
+	resp.ElapsedMS = float64(elapsed.Microseconds()) / 1000
 	s.plansServed.Add(1)
-	s.lastPlanUS.Store(time.Since(start).Microseconds())
-	s.lastPlanAt.Store(time.Now().UnixNano())
+	s.lastPlanUS.Store(elapsed.Microseconds())
+	s.lastPlanAt.Store(now.UnixNano())
+	s.met.planGen.Observe(elapsed)
 	s.met.plans.Inc()
 	s.met.decisions.Add(float64(resp.Decided))
 	s.met.transitions.Add(float64(resp.Transition))
 	s.met.tracked.Set(float64(s.TrackedFiles()))
-	sw.Stop()
 	return resp, nil
 }
 
@@ -691,16 +759,16 @@ func (s *Server) Handler() http.Handler {
 			httpError(w, http.StatusBadRequest, "full must be 0 or 1")
 			return
 		}
-		resp, err := s.BuildPlan(full)
-		if err != nil {
+		// The whole plan is copied out of the view before the first byte goes
+		// out, so it travels with a Content-Length instead of chunked and a
+		// slow client holds no lock.
+		sc := wirePool.Get().(*wireScratch)
+		defer sc.release()
+		var err error
+		if sc.buf, err = s.appendPlan(sc.buf[:0], full); err != nil {
 			httpError(w, http.StatusConflict, err.Error())
 			return
 		}
-		// The whole plan is encoded before the first byte goes out, so it
-		// travels with a Content-Length instead of chunked.
-		sc := wirePool.Get().(*wireScratch)
-		defer sc.release()
-		sc.buf = AppendPlan(sc.buf[:0], resp)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(len(sc.buf)))
 		_, _ = w.Write(sc.buf) // a client that hung up is not the server's error

@@ -1,6 +1,7 @@
 package agentserver
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -17,6 +18,16 @@ import (
 func testAgent() *rl.Agent {
 	cfg := rl.NetConfig{HistLen: 7, Filters: 8, Kernel: 4, Stride: 1, Hidden: 16}
 	return rl.NewAgent(cfg, cfg.BuildActor(rng.New(4)))
+}
+
+// settlingAgent has weights under which decisions settle: a file that moves
+// tier stays there when re-decided on its new tier, so a population left
+// alone reaches a steady state where plans decide only what was observed.
+// (testAgent's flip some 70 % of feedWeek's files back and forth on every
+// plan, which suits the equivalence tests and no test of sparseness.)
+func settlingAgent() *rl.Agent {
+	cfg := testAgent().Net
+	return rl.NewAgent(cfg, cfg.BuildActor(rng.New(11)))
 }
 
 func newTestServer(t *testing.T) (*httptest.Server, *Client) {
@@ -92,6 +103,52 @@ func TestPlanBeforeObserveFails(t *testing.T) {
 	_, c := newTestServer(t)
 	if _, err := c.Plan(); err == nil {
 		t.Fatal("plan without observations accepted")
+	}
+}
+
+// TestPlanClock pins that a plan is timed once: /v1/stats reports the
+// elapsed time the plan itself carried, over the wire and in process, and a
+// refused plan leaves every plan clock and counter alone.
+func TestPlanClock(t *testing.T) {
+	reg := withMetrics(t)
+	s, err := New(testAgent(), pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+
+	before := reg.Snapshot()
+	if _, err := s.BuildPlan(false); err == nil {
+		t.Fatal("plan without observations accepted")
+	}
+	after := reg.Snapshot()
+	const timer = "minicost_serve_plan_seconds"
+	if got, was := after.Histogram(timer).Count, before.Histogram(timer).Count; got != was {
+		t.Errorf("refused plan advanced %s from %d to %d", timer, was, got)
+	}
+	if st := s.Stats(); st.LastPlanMS != 0 || st.PlansServed != 0 || s.lastPlanAt.Load() != 0 {
+		t.Errorf("refused plan left last_plan_ms=%v plans_served=%d last-plan time %d", st.LastPlanMS, st.PlansServed, s.lastPlanAt.Load())
+	}
+
+	feedWeek(t, s, 2000)
+	wire, err := c.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); wire.ElapsedMS <= 0 || st.LastPlanMS != wire.ElapsedMS {
+		t.Errorf("wire plan says elapsed_ms=%v, /v1/stats last_plan_ms=%v", wire.ElapsedMS, st.LastPlanMS)
+	}
+	direct, err := s.BuildPlan(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); direct.ElapsedMS <= 0 || st.LastPlanMS != direct.ElapsedMS {
+		t.Errorf("BuildPlan says elapsed_ms=%v, /v1/stats last_plan_ms=%v", direct.ElapsedMS, st.LastPlanMS)
+	}
+	if got, was := reg.Snapshot().Histogram(timer).Count, after.Histogram(timer).Count; got != was+2 {
+		t.Errorf("two plans advanced %s by %d", timer, got-was)
 	}
 }
 
@@ -392,6 +449,79 @@ func BenchmarkPlan1kFiles(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPlanSparse is the plan view's layer attribution, in the shape of
+// the end-to-end replan-sparse workload: 65 536 tracked files, 64 rotating
+// files observed before every plan. wire is the /v1/plan handler's read-out
+// into a reused buffer, struct is BuildPlan (a private copy of the entries),
+// and rebuild adds one file per iteration, so every plan constructs the view
+// from scratch — about what every plan cost before the view.
+func BenchmarkPlanSparse(b *testing.B) {
+	const files, touch = 65536, 64
+	s, err := New(settlingAgent(), pricing.Hot)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]FileObservation, files)
+	for i := range batch {
+		batch[i] = obsv(fmt.Sprintf("f%08d", i), float64(i*13%997))
+	}
+	for d := 0; d < 7; d++ {
+		if _, err := s.Observe(&ObserveRequest{Files: batch}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for settle := 0; settle < 4; settle++ {
+		if _, err := s.BuildPlan(false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	round := 0
+	// dirty observes the next touch files, and extra ones when given.
+	dirty := func(b *testing.B, extra ...FileObservation) {
+		lo := (round * touch) % files
+		round++
+		if _, err := s.Observe(&ObserveRequest{Files: append(extra, batch[lo:lo+touch]...)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("wire", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dirty(b)
+			b.StartTimer()
+			if buf, err = s.appendPlan(buf[:0], false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("struct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dirty(b)
+			b.StartTimer()
+			if _, err := s.BuildPlan(false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dirty(b, obsv(fmt.Sprintf("f%08d-new%d", (i*7919)%files, s.TrackedFiles()), 1))
+			b.StartTimer()
+			if buf, err = s.appendPlan(buf[:0], false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func itoa(v int) string {

@@ -22,9 +22,14 @@ package agentserver
 // Locking: one mutex per shard. /v1/observe fans the batch out with
 // par.ForShards, so concurrent ingestion of a million-file batch never
 // serializes on a global lock; /v1/plan decides each shard's dirty slots on
-// its own goroutine and merges per-shard ID-sorted entry lists at the end.
+// its own goroutine and then patches the decided slots into the server's
+// materialized plan (planView, at the end of this file), which is merged
+// from per-shard ID-sorted entry lists only when the key set grew. Plans run
+// one at a time under Server.planMu, taken before any shard's mu and never
+// by ingest.
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,6 +37,7 @@ import (
 
 	"minicost/internal/mat"
 	"minicost/internal/mdp"
+	"minicost/internal/par"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 )
@@ -43,10 +49,25 @@ import (
 const DefaultShards = 16
 
 // planChunk is how many decision rows a shard packs and decides at a time
-// during a plan: large enough that the GEMM dominates, small enough that
-// one chunk's activations stay a few MB and the shard lock (held only while
-// packing features) is released between chunks.
-const planChunk = 4096
+// during a plan. The network's activation workspace is sized by the largest
+// chunk a pooled replica ever saw and stays pinned in the pool for the life
+// of the daemon, so the chunk length is the daemon's resident inference
+// memory: at 4096 rows it was 130 of 160 MB in use after one all-dirty plan
+// of 65 536 files, for a steady state that decides ~67 rows. 512 rows still
+// amortize the GEMM, and fit the cache better: a full plan of 65 536 files at
+// 14/16/32 takes 135 ms with HeapSys 75 MB against 165 ms / 331 MB at 4096;
+// 32 768 files at the paper's 14/128/128, 1.33 s / 159 MB against 1.52 s /
+// 1091 MB. The shard lock, held only while a chunk's features are packed, is
+// released eight times as often. Decisions are bitwise row-independent, so
+// the chunk length moves no output.
+const planChunk = 512
+
+// planBlockLen is how many consecutive plan entries share one cached run of
+// wire bytes (planView.blocks). A plan re-encodes only the blocks holding an
+// entry it changed: shorter blocks re-encode less per changed entry, longer
+// ones leave fewer pieces to join into a body. At 1024 a block is ~52 kB,
+// ~25 µs to encode, and a 65 536-file body is 64 copies.
+const planBlockLen = 1024
 
 // shard is one goroutine-owned partition of the tracked-file state. All
 // slot-indexed fields are struct-of-arrays: growing appends to every array
@@ -83,8 +104,7 @@ type shard struct {
 	dirtyBit []bool  // slot needs re-deciding on the next plan
 	dirty    []int32 // slots with dirtyBit set; cap ≥ len(ids) so hot-path marks never grow it
 
-	changedEpoch []uint64 // plan epoch that last changed the slot's tier
-	epoch        uint64   // bumped once per plan over this shard
+	changedEpoch []uint64 // plan epoch (Server.planEpoch) that last changed the slot's tier
 
 	order   []int32 // slots in ascending-ID order; valid when orderOK
 	orderOK bool
@@ -92,12 +112,9 @@ type shard struct {
 	day   int64        // observe batches that touched this shard
 	files atomic.Int64 // len(ids), readable without the lock
 
-	// planMu serializes the snapshot→decide→commit→build sequence per
-	// shard: concurrent /v1/plan requests interleave across shards but
-	// never share one shard's plan scratch. Always acquired before mu.
-	planMu sync.Mutex
-
-	// Plan scratch, owned by the goroutine holding planMu.
+	// Plan scratch, owned by the plan in flight (Server.planMu): decSlots
+	// and tiers hold the decided slots and their decisions from
+	// snapshotDecisions until the plan view has been patched from them.
 	feats    *mat.Matrix
 	tiers    []pricing.Tier
 	decSlots []int32
@@ -420,18 +437,15 @@ func (sh *shard) decide(agent *rl.Agent, m int) {
 }
 
 // commit writes the decided tiers back as the slots' current tiers and
-// caches them as the slots' plan entries. It bumps the shard's plan epoch
-// (even when nothing was decided) and stamps changed slots with it, so
-// entry building can report Changed without an O(slots) clear. A slot whose
-// tier changed is re-queued on the dirty set: the tier one-hot is part of
-// the feature row, so its cached decision no longer reflects its features —
-// exactly what a full re-plan would re-decide. That re-queue is what keeps
-// incremental plans bitwise equal to full ones. Returns the epoch and the
-// number of tier transitions.
-func (sh *shard) commit(m int) (epoch uint64, transitions int) {
+// caches them as the slots' plan decisions. Changed slots are stamped with
+// the plan's epoch, so an entry can report Changed without an O(slots)
+// clear. A slot whose tier changed is re-queued on the dirty set: the tier
+// one-hot is part of the feature row, so its cached decision no longer
+// reflects its features — exactly what a full re-plan would re-decide. That
+// re-queue is what keeps incremental plans bitwise equal to full ones.
+// Returns the number of tier transitions.
+func (sh *shard) commit(m int, epoch uint64) (transitions int) {
 	sh.mu.Lock()
-	sh.epoch++
-	epoch = sh.epoch
 	for i := 0; i < m; i++ {
 		slot := sh.decSlots[i]
 		nt := uint8(sh.tiers[i])
@@ -447,26 +461,34 @@ func (sh *shard) commit(m int) (epoch uint64, transitions int) {
 		sh.planned[slot] = nt
 	}
 	sh.mu.Unlock()
-	return epoch, transitions
+	return transitions
 }
 
-// buildEntries appends the shard's plan entries in ascending-ID order.
-// Slots not re-decided this plan serve their cached assignment; Changed is
-// true exactly for slots whose tier changed in the plan that produced
-// epoch.
-func (sh *shard) buildEntries(epoch uint64) []PlanEntry {
+// entryOf is slot's plan entry as of the plan with the given epoch: its
+// cached decision, Changed exactly when that plan changed its tier. Caller
+// holds sh.mu.
+func (sh *shard) entryOf(slot int32, epoch uint64) PlanEntry {
+	return PlanEntry{
+		ID:      sh.ids[slot],
+		Tier:    pricing.Tier(sh.planned[slot]).String(),
+		Changed: sh.changedEpoch[slot] == epoch,
+	}
+}
+
+// buildEntries returns the shard's plan entries in ascending-ID order and,
+// beside them, the slot each belongs to. It walks every slot: the plan
+// view's constructor (and the tests' oracle for the view), not the per-plan
+// path.
+func (sh *shard) buildEntries(epoch uint64) ([]PlanEntry, []int32) {
 	sh.mu.Lock()
 	sh.ensureOrder()
 	out := make([]PlanEntry, 0, len(sh.ids))
 	for _, slot := range sh.order {
-		out = append(out, PlanEntry{
-			ID:      sh.ids[slot],
-			Tier:    pricing.Tier(sh.planned[slot]).String(),
-			Changed: sh.changedEpoch[slot] == epoch,
-		})
+		out = append(out, sh.entryOf(slot, epoch))
 	}
+	slots := slices.Clone(sh.order) // ingest appends to order and re-sorts it in place
 	sh.mu.Unlock()
-	return out
+	return out, slots
 }
 
 // ensureOrder re-sorts the slot order after insertions. Observations to
@@ -504,24 +526,18 @@ func (sh *shard) dirtyCount() int {
 }
 
 // mergeEntries merges per-shard ascending-ID entry lists into one global
-// ascending-ID list with a P-way cursor scan (P is small).
-func mergeEntries(parts [][]PlanEntry) []PlanEntry {
+// ascending-ID list with a P-way cursor scan — P string compares per entry,
+// which is why it builds the plan view and no longer runs per plan.
+// slots[p][k] is the slot of parts[p][k]; the index returned maps it back:
+// pos[p][slot] is where shard p's slot landed in the merged list.
+func mergeEntries(parts [][]PlanEntry, slots [][]int32) (out []PlanEntry, pos [][]int32) {
 	total := 0
-	nonEmpty := 0
-	for _, p := range parts {
-		total += len(p)
-		if len(p) > 0 {
-			nonEmpty++
-		}
+	pos = make([][]int32, len(parts))
+	for p := range parts {
+		total += len(parts[p])
+		pos[p] = make([]int32, len(parts[p]))
 	}
-	if nonEmpty == 1 {
-		for _, p := range parts {
-			if len(p) > 0 {
-				return p
-			}
-		}
-	}
-	out := make([]PlanEntry, 0, total)
+	out = make([]PlanEntry, 0, total)
 	cursors := make([]int, len(parts))
 	for len(out) < total {
 		best := -1
@@ -533,8 +549,119 @@ func mergeEntries(parts [][]PlanEntry) []PlanEntry {
 				best = p
 			}
 		}
+		pos[best][slots[best][cursors[best]]] = int32(len(out))
 		out = append(out, parts[best][cursors[best]])
 		cursors[best]++
 	}
-	return out
+	return out, pos
+}
+
+// planView is the plan as a materialized view: every tracked file's entry
+// in ascending-ID order, where each shard's slots sit in it, and the wire
+// bytes of the entries in blocks of planBlockLen. A plan costs the store
+// O(decided): patch rewrites the entries of the slots the plan decided and
+// encode re-encodes the blocks whose bytes that changed; everything else is
+// served as the previous plan left it. Only a plan that finds a slot added
+// since the view was built pays O(N), in rebuild. Owned by the holder of
+// Server.planMu.
+type planView struct {
+	entries []PlanEntry
+	pos     [][]int32 // pos[shard][slot] → index into entries
+	flagged []int32   // indexes of the entries whose Changed is set
+	blocks  [][]byte  // blocks[b] = appendPlanEntries(entries[b*planBlockLen:][:planBlockLen])
+	stale   []bool    // blocks[b] no longer matches its entries
+}
+
+// current reports whether the view still covers every slot of every shard.
+// Slots are never removed, so a count is enough.
+func (v *planView) current(shards []*shard) bool {
+	if len(v.pos) != len(shards) {
+		return false
+	}
+	for si, sh := range shards {
+		if int(sh.files.Load()) != len(v.pos[si]) {
+			return false
+		}
+	}
+	return true
+}
+
+// rebuild constructs the view from scratch out of the shards' state as of
+// the plan with the given epoch. Every block is left stale.
+func (v *planView) rebuild(shards []*shard, workers int, epoch uint64) {
+	parts := make([][]PlanEntry, len(shards))
+	slots := make([][]int32, len(shards))
+	par.ForShards(len(shards), workers, func(si int) {
+		parts[si], slots[si] = shards[si].buildEntries(epoch)
+	})
+	v.entries, v.pos = mergeEntries(parts, slots)
+	v.flagged = v.flagged[:0]
+	for i := range v.entries {
+		if v.entries[i].Changed {
+			v.flagged = append(v.flagged, int32(i))
+		}
+	}
+	// Entries are never removed, so the blocks only grow in number; the
+	// buffers of those the view already had are reused.
+	for len(v.blocks)*planBlockLen < len(v.entries) {
+		v.blocks = append(v.blocks, nil)
+		v.stale = append(v.stale, false)
+	}
+	for b := range v.stale {
+		v.stale[b] = true
+	}
+}
+
+// set writes entry i's tier and Changed flag — an entry's ID never changes —
+// and marks its block stale if that changed what the entry encodes to.
+func (v *planView) set(i int32, tier string, changed bool) {
+	e := &v.entries[i]
+	if e.Tier != tier || e.Changed != changed {
+		e.Tier, e.Changed = tier, changed
+		v.stale[i/planBlockLen] = true
+	}
+	if changed {
+		v.flagged = append(v.flagged, i)
+	}
+}
+
+// unflag clears Changed on the entries the previous plan set it on: the flag
+// means "changed by this plan". (commit re-queues every slot it flags, so the
+// next plan re-decides and patches those entries anyway; the view does not
+// lean on that.)
+func (v *planView) unflag() {
+	flagged := v.flagged
+	v.flagged = v.flagged[:0]
+	for _, i := range flagged {
+		v.set(i, v.entries[i].Tier, false)
+	}
+}
+
+// patch rewrites the entries of the m slots shard si decided in the plan
+// with the given epoch. The view must be current.
+func (v *planView) patch(si int, sh *shard, m int, epoch uint64) {
+	pos := v.pos[si]
+	sh.mu.Lock()
+	for _, slot := range sh.decSlots[:m] {
+		e := sh.entryOf(slot, epoch)
+		v.set(pos[slot], e.Tier, e.Changed)
+	}
+	sh.mu.Unlock()
+}
+
+// encode re-encodes the stale blocks into their own buffers and returns how
+// many there were.
+func (v *planView) encode() int {
+	n := 0
+	for b, stale := range v.stale {
+		if !stale {
+			continue
+		}
+		lo := b * planBlockLen
+		hi := min(lo+planBlockLen, len(v.entries))
+		v.blocks[b] = appendPlanEntries(v.blocks[b][:0], v.entries[lo:hi])
+		v.stale[b] = false
+		n++
+	}
+	return n
 }
