@@ -378,6 +378,49 @@ func TestPlanViewMetrics(t *testing.T) {
 	}
 }
 
+// TestWeightPacksMetric watches the serving weights being packed once per
+// policy version: all-dirty plans, which decide every file in batches well
+// past the packed-GEMM threshold on replicas taken from the pool again and
+// again, add nothing; an UpdateAgent followed by a plan adds exactly one.
+func TestWeightPacksMetric(t *testing.T) {
+	reg := withMetrics(t)
+	s, err := NewWithConfig(testAgent(), pricing.Hot, Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const files, packs = 400, "minicost_serve_weight_packs_total"
+	round := func() float64 {
+		t.Helper()
+		before := reg.Snapshot()
+		feedWeek(t, s, files) // every file observed again: an all-dirty plan
+		plan, err := s.BuildPlan(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Decided != files {
+			t.Fatalf("all-dirty plan decided %d of %d files", plan.Decided, files)
+		}
+		return reg.Snapshot().Counter(packs) - before.Counter(packs)
+	}
+	if d := round(); d != 1 {
+		t.Fatalf("first plan saw %v weight packs, want the constructor's 1", d)
+	}
+	for i := 0; i < 5; i++ {
+		if d := round(); d != 0 {
+			t.Fatalf("all-dirty plan %d packed the weights %v times, want 0", i, d)
+		}
+	}
+	if err := s.UpdateAgent(settlingAgent()); err != nil {
+		t.Fatal(err)
+	}
+	if d := round(); d != 1 {
+		t.Fatalf("plan after UpdateAgent saw %v weight packs, want exactly 1", d)
+	}
+	if d := round(); d != 0 {
+		t.Fatalf("second plan after UpdateAgent packed again (%v)", d)
+	}
+}
+
 // BenchmarkObsOverhead is the tentpole's benchmark guard: the same
 // observe/plan server paths with the default registry disabled (the state
 // every non-daemon binary runs in) versus enabled. The disabled rows are

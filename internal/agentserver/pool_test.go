@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"minicost/internal/mdp"
 	"minicost/internal/par"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
@@ -84,7 +85,9 @@ func TestPlanReplicasBoundedByConcurrency(t *testing.T) {
 }
 
 // TestUpdateAgentRefreshesDecisions verifies a snapshot swap takes effect on
-// the next plan and that incompatible windows are rejected.
+// the next plan — every file decided by the new weights, none by a replica
+// or a weight pack left over from the old ones — and that incompatible
+// windows are rejected.
 func TestUpdateAgentRefreshesDecisions(t *testing.T) {
 	cfg := rl.NetConfig{HistLen: 7, Filters: 8, Kernel: 4, Stride: 1, Hidden: 16}
 	a1 := rl.NewAgent(cfg, cfg.BuildActor(rng.New(100)))
@@ -92,7 +95,9 @@ func TestUpdateAgentRefreshesDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedWeek(t, s, 200)
+	// Enough files that every shard decides on the packed-GEMM path.
+	const files = 600
+	feedWeek(t, s, files)
 	p1, err := s.BuildPlan(false)
 	if err != nil {
 		t.Fatal(err)
@@ -114,25 +119,44 @@ func TestUpdateAgentRefreshesDecisions(t *testing.T) {
 	if err := s.UpdateAgent(a2); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().DirtyFiles; got != 200 {
-		t.Fatalf("post-swap dirty files = %d, want 200", got)
+	if got := s.Stats().DirtyFiles; got != files {
+		t.Fatalf("post-swap dirty files = %d, want %d", got, files)
 	}
 	p2, err := s.BuildPlan(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Decided != 200 {
-		t.Fatalf("post-swap incremental plan decided %d files, want all 200", p2.Decided)
+	if p2.Decided != files {
+		t.Fatalf("post-swap incremental plan decided %d files, want all %d", p2.Decided, files)
 	}
-	differs := false
-	for i := range p1.Files {
-		if p1.Files[i].Tier != p2.Files[i].Tier {
-			differs = true
-			break
+	// The oracle is the caller's own a2, one file at a time: feedWeek's
+	// history, on the tier the first plan left the file on.
+	differs := 0
+	for i := range p2.Files {
+		reads := make([]float64, cfg.HistLen)
+		writes := make([]float64, cfg.HistLen)
+		var n int
+		for _, c := range p2.Files[i].ID[1:] {
+			n = n*10 + int(c-'0')
+		}
+		for d := range reads {
+			reads[d] = float64(n * 13 % 997)
+			writes[d] = reads[d] * 0.01
+		}
+		prev, err := pricing.ParseTier(p1.Files[i].Tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := mdp.State{ReadHistory: reads, WriteHistory: writes, SizeGB: 0.1, Tier: prev}
+		if want := a2.Decide(&st).String(); p2.Files[i].Tier != want {
+			t.Fatalf("file %s: post-swap plan says %s, the new agent decides %s", p2.Files[i].ID, p2.Files[i].Tier, want)
+		}
+		if a1.Decide(&st).String() != p2.Files[i].Tier {
+			differs++
 		}
 	}
-	if !differs && p2.Transition == 0 {
-		t.Log("note: swapped agent produced identical decisions (possible but unlikely)")
+	if differs == 0 {
+		t.Fatal("old and new agent agree on every file: the comparison above pins nothing")
 	}
 	if got, bound := s.Stats().Replicas, replicaBound(s); got < 1 || got > bound {
 		t.Fatalf("post-swap plan built %d replicas, want 1..%d (pool refreshed)", got, bound)

@@ -167,10 +167,12 @@ type Config struct {
 // Serving uses a replica pool instead of one network per request: a plan
 // borrows a pooled replica per shard worker, computes decisions with
 // batched forward passes outside the shard locks, and returns the replicas
-// — plans run one at a time, so the pool holds at most one network copy per
-// worker and repeated requests cost none. UpdateAgent refreshes the pool
-// when a new training snapshot lands and marks every file dirty so the
-// next plan re-decides the world under the new weights.
+// — plans run one at a time, so the pool holds at most one replica per
+// worker and repeated requests cost none. A replica is scratch over weights
+// it shares with the pool's one private copy of the agent, packed for the
+// GEMM kernel once per policy version. UpdateAgent refreshes the pool when a
+// new training snapshot lands and marks every file dirty so the next plan
+// re-decides the world under the new weights.
 type Server struct {
 	pool    *rl.ReplicaPool
 	histLen int
@@ -198,6 +200,7 @@ type Server struct {
 	planMu    sync.Mutex
 	planEpoch uint64 // plans run so far; stamps the slots a plan changed
 	view      planView
+	packsSeen int64 // pool.Packs() as of the last plan, for the weight-packs counter
 
 	met serveMetrics
 }
@@ -219,6 +222,10 @@ type serveMetrics struct {
 	// how many blocks of wire bytes plans re-encoded.
 	planRebuilds      *obs.Counter
 	planBlocksEncoded *obs.Counter
+	// How often the replica pool packed a policy's weights into kernel
+	// layout, as the plans have seen it: it moves with policy versions, not
+	// with plans, replicas or batches.
+	weightPacks *obs.Counter
 	// Rejected observe batches by cause: the body was not valid JSON for the
 	// schema, it exceeded the body cap, or Observe's validation refused it.
 	rejectedJSON     *obs.Counter
@@ -250,6 +257,8 @@ func newServeMetrics() serveMetrics {
 			"Plans that rebuilt the plan view from scratch because files were added since the previous plan."),
 		planBlocksEncoded: reg.Counter("minicost_serve_plan_blocks_encoded_total",
 			"Blocks of the plan's wire bytes re-encoded by generated plans."),
+		weightPacks: reg.Counter("minicost_serve_weight_packs_total",
+			"Policy versions whose weights were packed into GEMM kernel layout for serving, counted at the next plan: one pack of each Dense weight block (two per actor) at start and per UpdateAgent, none per plan, replica or batch."),
 		rejectedJSON: reg.Counter("minicost_serve_rejected_batches_total",
 			rejectedHelp, obs.L("reason", "json")),
 		rejectedTooLarge: reg.Counter("minicost_serve_rejected_batches_total",
@@ -629,6 +638,10 @@ func (s *Server) plan(full bool) (*PlanResponse, error) {
 		decided[si] = m
 		transitions[si] = sh.commit(m, epoch)
 	})
+	if packs := s.pool.Packs(); packs != s.packsSeen {
+		s.met.weightPacks.Add(float64(packs - s.packsSeen))
+		s.packsSeen = packs
+	}
 	v := &s.view
 	if v.current(s.shards) {
 		v.unflag()

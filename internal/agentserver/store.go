@@ -53,13 +53,17 @@ const DefaultShards = 16
 // chunk a pooled replica ever saw and stays pinned in the pool for the life
 // of the daemon, so the chunk length is the daemon's resident inference
 // memory: at 4096 rows it was 130 of 160 MB in use after one all-dirty plan
-// of 65 536 files, for a steady state that decides ~67 rows. 512 rows still
-// amortize the GEMM, and fit the cache better: a full plan of 65 536 files at
-// 14/16/32 takes 135 ms with HeapSys 75 MB against 165 ms / 331 MB at 4096;
-// 32 768 files at the paper's 14/128/128, 1.33 s / 159 MB against 1.52 s /
-// 1091 MB. The shard lock, held only while a chunk's features are packed, is
-// released eight times as often. Decisions are bitwise row-independent, so
-// the chunk length moves no output.
+// of 65 536 files, for a steady state that decides ~67 rows. That memory is
+// what the chunk bounds from above; from below it bounds how often the shard
+// lock is taken — it is held only while a chunk's features are packed — and
+// the per-call overhead of a forward pass. It buys no GEMM efficiency: the
+// packed product walks its rows in 64-row panels whatever the batch length
+// and a replica's weights are packed once per policy version, not per call,
+// so a decided row costs the same from 64 rows up. A full plan of 32 768
+// files at the paper's 14/128/128 on two cores takes 1.0–1.1 s at chunks of
+// 64, 512 and 4096 rows alike (1.6–1.7 s at 512 before the panels, the fused
+// front-end and the shared pack), with HeapSys 50, 75 and 323 MB. Decisions
+// are bitwise row-independent, so the chunk length moves no output.
 const planChunk = 512
 
 // planBlockLen is how many consecutive plan entries share one cached run of

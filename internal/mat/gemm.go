@@ -15,9 +15,9 @@ import (
 // Numerical contract: for every output element the inner (k) accumulation
 // runs sequentially over the full shared dimension, in index order, seeded
 // with the bias when one is given. That is exactly the operation order of
-// the single-sample loops in nn.Dense.Forward / nn.Conv1D.Forward, so the
-// batched path is *bitwise* identical to the single-sample path — the
-// equivalence tests rely on this. Blocking therefore tiles only the output
+// the single-sample loop in nn.Dense.Forward, so the batched path is
+// *bitwise* identical to the single-sample path — the equivalence tests
+// rely on this. Blocking therefore tiles only the output
 // rows and columns (which reorders independent elements, never an
 // accumulation) and unrolled/FMA-style k-splitting is deliberately avoided.
 
@@ -62,8 +62,8 @@ func MulTransBTo(dst, a, b *Matrix, workers int) *Matrix {
 }
 
 // MulTransBBiasTo computes dst[r][c] = bias[c] + Σ_k a[r][k]·b[c][k] (a nil
-// bias means zero), the fused GEMM+bias the Dense and Conv1D batched paths
-// use. See the package comment above for the exactness contract.
+// bias means zero), the fused GEMM+bias the Dense batched path uses. See the
+// package comment above for the exactness contract.
 func MulTransBBiasTo(dst, a, b *Matrix, bias []float64, workers int) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTransB shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))

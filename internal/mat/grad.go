@@ -227,7 +227,7 @@ func MulPackAccTo(dst, a *Matrix, pb *PackedTransB, workers int) {
 
 // mulPackAccBlock accumulates into dst rows [lo, hi) from the packed
 // operand. Column tiles are the outer loop with the shared dimension
-// blocked inside them (packKBlock, as in mulPackBlock) so the revisited
+// blocked inside them (packKBlock, mulPackBlock's block length) so the revisited
 // segment stays cache-hot; dotPack16 accumulates into the live destination
 // slice, so no seeding pass is needed — the existing values are the seed.
 // The ragged last tile uses per-lane scalar dots, each still k-sequential

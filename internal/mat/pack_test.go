@@ -35,12 +35,15 @@ func TestPackTransBLayout(t *testing.T) {
 
 // TestMulPackMatchesScalarBitwise pins the packed (SIMD on amd64) kernel to
 // the scalar reference: identical bits at every shape, including ragged
-// tiles, tiny k, and no-bias calls.
+// tiles, tiny k, and no-bias calls. The 200×35 cases put row counts on both
+// sides of every packRowPanel seam, with a ragged last panel, over two
+// k-blocks, two full column tiles and a ragged one.
 func TestMulPackMatchesScalarBitwise(t *testing.T) {
 	r := rng.New(42)
 	cases := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 4, 3}, {7, 34, 16}, {13, 9, 17},
 		{64, 128, 32}, {57, 3206, 128}, {2, 4, 128}, {5, 7, 15},
+		{1, 200, 35}, {63, 200, 35}, {64, 200, 35}, {65, 200, 35}, {129, 200, 35}, {1000, 200, 35},
 	}
 	for _, c := range cases {
 		a := randomMatrix(r, c.m, c.k)

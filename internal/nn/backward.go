@@ -18,8 +18,8 @@ import (
 // row order, each added to the element's running value one at a time. The
 // batched kernels keep exactly that order — Dense's weight gradient runs
 // dW += dYᵀ·X through mat.MulTransAAccTo or mat.MulPackAccTo (both
-// row-sequential, seeded from the existing gradient), Conv1D replays the
-// im2col windows with the reference's
+// row-sequential, seeded from the existing gradient), Conv1D rereads the
+// input windows from the retained batch with the reference's
 // zero-gradient skip, and the input-gradient products seed at zero and walk
 // the output dimension in index order, matching the per-sample loops term
 // for term. Batched training is therefore bitwise identical to the
@@ -103,14 +103,21 @@ func (d *Dense) biasGradRows(lo, hi int) {
 	}
 }
 
-// BackwardBatch implements the batched gradient pass for Conv1D, reusing the
-// im2col buffer ForwardBatch retained: row r·ol+t of c.col is exactly the
-// input window sample r's output position t read, so the gradient pass never
-// re-gathers windows from the input.
+// BackwardBatch implements the batched gradient pass for Conv1D — and for
+// the front-end Split runs through it — as the mirror of forwardBatch: the
+// leading columns of dy's rows are the gradient of the responses, the
+// leading InLen columns of the result's rows the gradient of the windows,
+// and the columns beyond the responses in dy are copied behind them (the
+// tail forwardBatch passed through). The windows are read from the retained
+// input batch — row r's position t starts at column t·Stride — and, when the
+// forward pass rectified, the ReLU's gradient is applied on the way in from
+// its retained output: a response's gradient counts only where the
+// rectified response is positive (y > 0 ⇔ the response was).
 //
 // Two passes, both preserving the reference's `g == 0` skip (rewards are
 // often zero early in a trace, so whole timesteps of critic gradient vanish
-// and the skip is both a real win and part of the bitwise contract):
+// — as does every rectified-away response's — and the skip is both a real
+// win and part of the bitwise contract):
 //
 //   - parameter gradients: filter-major, then (row, position) ascending —
 //     for a fixed filter the reference's per-sample f-loop contributes terms
@@ -119,48 +126,64 @@ func (d *Dense) biasGradRows(lo, hi int) {
 //   - input gradients: row-major with the reference's f-outer/t-inner walk,
 //     each output row scattered back through its filter taps.
 func (c *Conv1D) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	ol := c.outLen()
-	if dy.Cols != c.Filters*ol || dy.Rows != c.brows {
-		panic(fmt.Sprintf("nn: Conv1D BackwardBatch %dx%d, want %dx%d", dy.Rows, dy.Cols, c.brows, c.Filters*ol))
+	if c.bx == nil {
+		panic("nn: Conv1D BackwardBatch before ForwardBatch")
 	}
+	if dy.Rows != c.bx.Rows || dy.Cols != c.by.Cols {
+		panic(fmt.Sprintf("nn: Conv1D BackwardBatch %dx%d, want %dx%d", dy.Rows, dy.Cols, c.bx.Rows, c.by.Cols))
+	}
+	ol := c.outLen()
 	// Distinct filters own disjoint gradient elements, so the filter loop is
 	// the parallel axis; within one filter the (row, position) walk keeps the
 	// reference accumulation order.
 	if parRows(c.Filters, dy.Rows*ol, workers) {
-		par.ForChunked(c.Filters, workers, func(flo, fhi int) { c.filterGradSpan(dy, ol, flo, fhi) })
+		par.ForChunked(c.Filters, workers, func(flo, fhi int) { c.filterGradSpan(dy, flo, fhi) })
 	} else {
-		c.filterGradSpan(dy, ol, 0, c.Filters)
+		c.filterGradSpan(dy, 0, c.Filters)
 	}
-	c.bdx = mat.EnsureShape(c.bdx, dy.Rows, c.InLen)
+	c.bdx = mat.EnsureShape(c.bdx, dy.Rows, c.bx.Cols)
 	// Sample rows own disjoint input-gradient rows; each shard zeroes and
 	// then accumulates its own rows with the reference's f-outer/t-inner
 	// walk.
 	if parRows(dy.Rows, c.Filters*ol*c.Kernel, workers) {
-		par.ForChunked(dy.Rows, workers, func(rlo, rhi int) { c.inputGradRows(dy, ol, rlo, rhi) })
+		par.ForChunked(dy.Rows, workers, func(rlo, rhi int) { c.inputGradRows(dy, rlo, rhi) })
 	} else {
-		c.inputGradRows(dy, ol, 0, dy.Rows)
+		c.inputGradRows(dy, 0, dy.Rows)
 	}
 	return c.bdx
+}
+
+// rectMask returns the batch whose leading columns gate dy's — the rectified
+// responses the forward pass left in c.by — and gate's pass bits; after a
+// pass that did not rectify, dy gates itself with the gate open, i.e. not at
+// all.
+func (c *Conv1D) rectMask(dy *mat.Matrix) (*mat.Matrix, uint64) {
+	if c.rectified {
+		return c.by, 0
+	}
+	return dy, ^uint64(0)
 }
 
 // filterGradSpan accumulates weight and bias gradients for filters
 // [flo, fhi); distinct filters touch disjoint gradient elements.
 //
 //minicost:hotpath
-func (c *Conv1D) filterGradSpan(dy *mat.Matrix, ol, flo, fhi int) {
+func (c *Conv1D) filterGradSpan(dy *mat.Matrix, flo, fhi int) {
+	ol := c.outLen()
+	rect, pass := c.rectMask(dy)
 	for f := flo; f < fhi; f++ {
 		gw := c.w.Grad[f*c.Kernel : (f+1)*c.Kernel]
 		bg := c.b.Grad[f]
 		for r := 0; r < dy.Rows; r++ {
-			drow := dy.Row(r)
-			for t := 0; t < ol; t++ {
-				g := drow[f*ol+t]
+			drow, yrow, xrow := dy.Row(r)[f*ol:(f+1)*ol], rect.Row(r)[f*ol:(f+1)*ol], c.bx.Row(r)
+			for t, g := range drow {
+				g = gate(g, yrow[t], pass)
 				if g == 0 {
 					continue
 				}
 				bg += g
-				win := c.col.Row(r*ol + t)
-				for k := 0; k < c.Kernel; k++ {
+				win := xrow[t*c.Stride : t*c.Stride+c.Kernel]
+				for k := range gw {
 					gw[k] += g * win[k]
 				}
 			}
@@ -169,30 +192,33 @@ func (c *Conv1D) filterGradSpan(dy *mat.Matrix, ol, flo, fhi int) {
 	}
 }
 
-// inputGradRows zeroes and accumulates the input-gradient rows [rlo, rhi)
-// with the reference's f-outer/t-inner walk; rows are disjoint.
+// inputGradRows zeroes and accumulates the window gradients of rows
+// [rlo, rhi) with the reference's f-outer/t-inner walk, then copies the
+// tail's gradient behind them; rows are disjoint.
 //
 //minicost:hotpath
-func (c *Conv1D) inputGradRows(dy *mat.Matrix, ol, rlo, rhi int) {
-	for i := rlo * c.InLen; i < rhi*c.InLen; i++ {
-		c.bdx.Data[i] = 0
-	}
+func (c *Conv1D) inputGradRows(dy *mat.Matrix, rlo, rhi int) {
+	ol := c.outLen()
+	rect, pass := c.rectMask(dy)
 	for r := rlo; r < rhi; r++ {
-		drow := dy.Row(r)
-		dxrow := c.bdx.Row(r)
+		drow, yrow, dxrow := dy.Row(r), rect.Row(r), c.bdx.Row(r)
+		for i := range dxrow[:c.InLen] {
+			dxrow[i] = 0
+		}
 		for f := 0; f < c.Filters; f++ {
 			w := c.w.Value[f*c.Kernel : (f+1)*c.Kernel]
 			for t := 0; t < ol; t++ {
-				g := drow[f*ol+t]
+				g := gate(drow[f*ol+t], yrow[f*ol+t], pass)
 				if g == 0 {
 					continue
 				}
-				base := t * c.Stride
-				for k := 0; k < c.Kernel; k++ {
-					dxrow[base+k] += g * w[k]
+				win := dxrow[t*c.Stride : t*c.Stride+c.Kernel]
+				for k, wk := range w {
+					win[k] += g * wk
 				}
 			}
 		}
+		copy(dxrow[c.InLen:], drow[c.Filters*ol:])
 	}
 }
 
@@ -215,41 +241,21 @@ func (r *ReLU) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
 }
 
 // backwardSpan masks the output gradient through the retained input for
-// elements [lo, hi).
+// elements [lo, hi), branch-free (see gate).
 //
 //minicost:hotpath
 func (r *ReLU) backwardSpan(dy *mat.Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if r.bx.Data[i] > 0 {
-			r.bdx.Data[i] = dy.Data[i]
-		} else {
-			r.bdx.Data[i] = 0
-		}
+	x, g, dst := r.bx.Data[lo:hi], dy.Data[lo:hi], r.bdx.Data[lo:hi]
+	for i, v := range x {
+		dst[i] = gate(g[i], v, 0)
 	}
 }
 
-// BackwardBatch implements the batched gradient pass for Split: the leading
-// inner-output columns of dy are packed contiguously and sent through the
-// inner network, the tail columns pass through unchanged, mirroring
-// ForwardBatch's concatenation.
+// BackwardBatch implements the batched gradient pass for Split: the
+// front-end's, which reads the response gradients where they lie in dy and
+// writes window and tail gradients side by side.
 func (s *Split) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	innerOut := s.Inner.OutDim(s.Head)
-	if dy.Cols < innerOut {
-		panic("nn: Split BackwardBatch gradient shorter than inner output")
-	}
-	tail := dy.Cols - innerOut
-	s.bdyHead = mat.EnsureShape(s.bdyHead, dy.Rows, innerOut)
-	for r := 0; r < dy.Rows; r++ {
-		copy(s.bdyHead.Row(r), dy.Row(r)[:innerOut])
-	}
-	dHead := s.Inner.BackwardBatch(s.bdyHead, workers)
-	s.bdx = mat.EnsureShape(s.bdx, dy.Rows, s.Head+tail)
-	for r := 0; r < dy.Rows; r++ {
-		xrow := s.bdx.Row(r)
-		copy(xrow, dHead.Row(r))
-		copy(xrow[s.Head:], dy.Row(r)[innerOut:])
-	}
-	return s.bdx
+	return s.conv.BackwardBatch(dy, workers)
 }
 
 // BackwardBatch back-propagates a batch of output gradients through the

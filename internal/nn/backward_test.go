@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"minicost/internal/mat"
@@ -42,17 +43,13 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 	gotDx := batched.BackwardBatch(dy, workers)
 	gotGrad := batched.GradVector()
 
-	for i := range wantGrad {
-		if gotGrad[i] != wantGrad[i] {
-			t.Fatalf("%s: grad elem %d = %v, single-sample = %v (not bitwise equal)",
-				name, i, gotGrad[i], wantGrad[i])
-		}
+	if i, ok := sameBits(gotGrad, wantGrad); !ok {
+		t.Fatalf("%s: grad elem %d = %v, single-sample = %v (not bitwise equal)",
+			name, i, gotGrad[i], wantGrad[i])
 	}
-	for i := range wantDx.Data {
-		if gotDx.Data[i] != wantDx.Data[i] {
-			t.Fatalf("%s: input-grad elem %d = %v, single-sample = %v (not bitwise equal)",
-				name, i, gotDx.Data[i], wantDx.Data[i])
-		}
+	if i, ok := sameBits(gotDx.Data, wantDx.Data); !ok {
+		t.Fatalf("%s: input-grad elem %d = %v, single-sample = %v (not bitwise equal)",
+			name, i, gotDx.Data[i], wantDx.Data[i])
 	}
 }
 
@@ -101,44 +98,70 @@ func TestConv1DBackwardBatchBitwise(t *testing.T) {
 
 func TestReLUAndSplitBackwardBatchBitwise(t *testing.T) {
 	r := rng.New(23)
-	assertBackwardBatchMatchesSingle(t, "ReLU", func() (*Network, *Network) {
-		return NewNetwork(NewReLU()), NewNetwork(NewReLU())
-	}, randomBatch(r, 9, 21), randomBatch(r, 9, 21), 1)
-
-	build := func() (*Network, *Network) {
-		mk := func() *Network {
-			seed := rng.New(33)
-			return NewNetwork(NewSplit(14, NewNetwork(NewConv1D(seed, 14, 8, 4, 1), NewReLU())))
-		}
-		return mk(), mk()
+	for _, batch := range seamBatches {
+		assertBackwardBatchMatchesSingle(t, "ReLU", func() (*Network, *Network) {
+			return NewNetwork(NewReLU()), NewNetwork(NewReLU())
+		}, randomBatch(r, batch, 21), randomBatch(r, batch, 21), 1)
 	}
-	x := randomBatch(r, 11, 20)
-	outDim := func() int { n, _ := build(); return n.OutDim(20) }()
-	assertBackwardBatchMatchesSingle(t, "Split", build, x, sparseGrad(r, 11, outDim), 1)
+	const head, static = 14, 6
+	for _, width := range paperWidths {
+		for _, sh := range frontShapes {
+			build := func() (*Network, *Network) {
+				return NewNetwork(newFront(rng.New(33), head, width, sh.kernel, sh.stride)),
+					NewNetwork(newFront(rng.New(33), head, width, sh.kernel, sh.stride))
+			}
+			n, _ := build()
+			outDim := n.OutDim(head + static)
+			for _, batch := range seamBatches {
+				name := fmt.Sprintf("Split width=%d kernel=%d stride=%d batch=%d", width, sh.kernel, sh.stride, batch)
+				assertBackwardBatchMatchesSingle(t, name, build, randomBatch(r, batch, head+static), sparseGrad(r, batch, outDim), 1)
+			}
+		}
+	}
 }
+
+// leanMatrix reports whether the expensive bitwise matrices should run their
+// reduced form: under -short and under the race detector (`make check` is
+// both, `make check-parallel` the latter).
+func leanMatrix() bool { return testing.Short() || raceEnabled }
 
 // TestNetworkBackwardBatchBitwise runs the full MiniCost-shaped stack
 // (Split(Conv1D→ReLU) → Dense → ReLU → Dense) through the batched gradient
 // pass and pins bitwise equality to the per-sample reference.
 func TestNetworkBackwardBatchBitwise(t *testing.T) {
 	r := rng.New(24)
-	head := 28
-	mk := func() *Network {
-		seed := rng.New(34)
-		front := NewNetwork(NewConv1D(seed, head, 32, 4, 1), NewReLU())
-		concat := front.OutDim(head) + 6
-		return NewNetwork(
-			NewSplit(head, front),
-			NewDense(seed, concat, 64),
-			NewReLU(),
-			NewDense(seed, 64, 3),
-		)
-	}
-	outDim := mk().OutDim(head + 6)
-	for _, workers := range []int{1, 0} {
-		x := randomBatch(r, 57, head+6)
-		dy := sparseGrad(r, 57, outDim)
-		assertBackwardBatchMatchesSingle(t, "Network", func() (*Network, *Network) { return mk(), mk() }, x, dy, workers)
+	const head, static = 28, 6
+	for _, width := range paperWidths {
+		for _, sh := range frontShapes {
+			mk := func() *Network {
+				seed := rng.New(34)
+				front := newFront(seed, head, width, sh.kernel, sh.stride)
+				return NewNetwork(front, NewDense(seed, front.OutDim(head+static), width), NewReLU(), NewDense(seed, width, 3))
+			}
+			// One pair serves every batch length: the assertion reseeds all
+			// gradients, and scratch that has seen other shapes is part of
+			// what is tested.
+			batched, single := mk(), mk()
+			pair := func() (*Network, *Network) { return batched, single }
+			for _, batch := range seamBatches {
+				// The per-row reference makes the wide stacks slow: widths past
+				// 32 run the multi-panel batch at the paper's front-end only,
+				// and the lean matrix keeps the panel seams to widths 4 and 16
+				// and the other front-ends to widths up to 32.
+				if width > 32 && sh.kernel != 4 && (batch > 65 || leanMatrix()) {
+					continue
+				}
+				if leanMatrix() && width > 16 && batch > 17 {
+					continue
+				}
+				name := fmt.Sprintf("Network width=%d kernel=%d stride=%d batch=%d", width, sh.kernel, sh.stride, batch)
+				x := randomBatch(r, batch, head+static)
+				dy := sparseGrad(r, batch, 3)
+				for _, workers := range []int{1, 0} {
+					assertBackwardBatchMatchesSingle(t, name, pair, x, dy, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -1,11 +1,49 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"minicost/internal/mat"
 	"minicost/internal/rng"
 )
+
+// paperWidths is Fig. 11's sweep (experiments.PaperWidths, which this
+// package cannot import): filters = hidden = width.
+var paperWidths = []int{4, 16, 32, 64, 128}
+
+// seamBatches are batch lengths on both sides of packMinRows and of the
+// packed GEMM's 64-row panel, plus one with several panels and a ragged
+// last one.
+var seamBatches = []int{1, 15, 16, 17, 63, 64, 65, 513}
+
+// frontShapes are the (kernel, stride) pairs the front-end tests run: the
+// paper's, a strided one, the degenerate single tap, and one window as wide
+// as the input (kernel 0 stands for the input length).
+var frontShapes = []struct{ kernel, stride int }{{4, 1}, {3, 2}, {1, 1}, {0, 1}}
+
+// newFront builds the Split∘Conv1D∘ReLU front-end over head inputs.
+func newFront(r *rng.RNG, head, filters, kernel, stride int) *Split {
+	if kernel == 0 {
+		kernel = head
+	}
+	return NewSplit(head, NewNetwork(NewConv1D(r, head, filters, kernel, stride), NewReLU()))
+}
+
+// sameBits reports whether two float64 slices are bit-for-bit identical
+// (±0 and NaN payloads told apart), returning the first differing index.
+func sameBits(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
 
 func randomBatch(r *rng.RNG, rows, cols int) *mat.Matrix {
 	x := mat.New(rows, cols)
@@ -28,11 +66,9 @@ func assertBatchMatchesSingle(t *testing.T, name string, l Layer, x *mat.Matrix,
 		if len(got) != len(want) {
 			t.Fatalf("%s: batch row %d len %d, single %d", name, r, len(got), len(want))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: batch row %d elem %d = %v, single-sample = %v (not bitwise equal)",
-					name, r, i, got[i], want[i])
-			}
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("%s: batch row %d elem %d = %v, single-sample = %v (not bitwise equal)",
+				name, r, i, got[i], want[i])
 		}
 	}
 }
@@ -59,11 +95,19 @@ func TestConv1DForwardBatchBitwise(t *testing.T) {
 
 func TestReLUAndSplitForwardBatchBitwise(t *testing.T) {
 	r := rng.New(3)
-	assertBatchMatchesSingle(t, "ReLU", NewReLU(), randomBatch(r, 9, 21), 1)
-
-	inner := NewNetwork(NewConv1D(r, 14, 8, 4, 1), NewReLU())
-	s := NewSplit(14, inner)
-	assertBatchMatchesSingle(t, "Split", s, randomBatch(r, 11, 20), 1)
+	for _, batch := range seamBatches {
+		assertBatchMatchesSingle(t, "ReLU", NewReLU(), randomBatch(r, batch, 21), 1)
+	}
+	const head, static = 14, 6
+	for _, width := range paperWidths {
+		for _, sh := range frontShapes {
+			s := newFront(r, head, width, sh.kernel, sh.stride)
+			for _, batch := range seamBatches {
+				name := fmt.Sprintf("Split width=%d kernel=%d stride=%d batch=%d", width, sh.kernel, sh.stride, batch)
+				assertBatchMatchesSingle(t, name, s, randomBatch(r, batch, head+static), 1)
+			}
+		}
+	}
 }
 
 func TestNetworkForwardBatchBitwise(t *testing.T) {
@@ -81,10 +125,8 @@ func TestNetworkForwardBatchBitwise(t *testing.T) {
 	y := n.ForwardBatch(x, 1)
 	for row := 0; row < x.Rows; row++ {
 		want := append([]float64(nil), n.Forward(x.Row(row))...)
-		for i := range want {
-			if y.Row(row)[i] != want[i] {
-				t.Fatalf("Network: row %d elem %d batch %v != single %v", row, i, y.Row(row)[i], want[i])
-			}
+		if i, ok := sameBits(y.Row(row), want); !ok {
+			t.Fatalf("Network: row %d elem %d batch %v != single %v", row, i, y.Row(row)[i], want[i])
 		}
 	}
 	// Ragged re-use: a smaller batch after a larger one must still match.
@@ -92,10 +134,8 @@ func TestNetworkForwardBatchBitwise(t *testing.T) {
 	y2 := n.ForwardBatch(x2, 1)
 	for row := 0; row < x2.Rows; row++ {
 		want := append([]float64(nil), n.Forward(x2.Row(row))...)
-		for i := range want {
-			if y2.Row(row)[i] != want[i] {
-				t.Fatalf("Network (shrunk batch): row %d elem %d mismatch", row, i)
-			}
+		if i, ok := sameBits(y2.Row(row), want); !ok {
+			t.Fatalf("Network (shrunk batch): row %d elem %d mismatch", row, i)
 		}
 	}
 }
@@ -115,5 +155,80 @@ func TestNetworkForwardBatchSteadyStateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() { n.ForwardBatch(x, 1) })
 	if allocs != 0 {
 		t.Fatalf("steady-state ForwardBatch allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestRectifierSpecialValues pins the rectifier's semantics — `v > 0 ? v : 0`
+// — on the values where a branch-free formulation can go wrong, and checks
+// that its three implementations agree bit for bit: the single-sample
+// ReLU.Forward/Backward (the reference, a plain comparison), the batched
+// spans, and the fused front-end. A mask taken from the sign bit alone would
+// pass a positive NaN through; one that forgot the zero would pass the
+// gradient at +0.
+func TestRectifierSpecialValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	const dy = 2.5
+	cases := []struct {
+		name   string
+		x      float64
+		y, dxv float64 // expected output and input gradient for an output gradient of dy
+	}{
+		{"+0", 0, 0, 0},
+		{"-0", negZero, 0, 0},
+		{"smallest positive subnormal", math.Float64frombits(1), math.Float64frombits(1), dy},
+		{"smallest negative subnormal", math.Float64frombits(1 | 1<<63), 0, 0},
+		{"+1", 1, 1, dy},
+		{"-1", -1, 0, 0},
+		{"largest finite", math.MaxFloat64, math.MaxFloat64, dy},
+		{"+Inf", math.Inf(1), math.Inf(1), dy},
+		{"-Inf", math.Inf(-1), 0, 0},
+		{"positive quiet NaN", math.Float64frombits(0x7FF8000000000001), 0, 0},
+		{"negative quiet NaN", math.Float64frombits(0xFFF8000000000001), 0, 0},
+		{"positive signalling NaN", math.Float64frombits(0x7FF0000000000001), 0, 0},
+		{"all ones", math.Float64frombits(^uint64(0)), 0, 0},
+	}
+	// Enough rows to run the batched loops well past their first element.
+	const rows = 3
+	n := len(cases)
+	x, g := mat.New(rows, n), mat.New(rows, n)
+	for r := 0; r < rows; r++ {
+		for i, c := range cases {
+			x.Row(r)[i] = c.x
+			g.Row(r)[i] = dy
+		}
+	}
+	check := func(impl string, y, dx []float64) {
+		t.Helper()
+		for i, c := range cases {
+			if math.Float64bits(y[i]) != math.Float64bits(c.y) {
+				t.Errorf("%s forward(%s) = %#x, want %#x", impl, c.name, math.Float64bits(y[i]), math.Float64bits(c.y))
+			}
+			if math.Float64bits(dx[i]) != math.Float64bits(c.dxv) {
+				t.Errorf("%s backward(%s) = %#x, want %#x", impl, c.name, math.Float64bits(dx[i]), math.Float64bits(c.dxv))
+			}
+		}
+	}
+
+	relu := NewReLU()
+	y := append([]float64(nil), relu.Forward(x.Row(0))...)
+	check("ReLU single-sample", y, relu.Backward(g.Row(0)))
+	by := relu.ForwardBatch(x, 1)
+	bdx := relu.BackwardBatch(g, 1)
+	for r := 0; r < rows; r++ {
+		check("ReLU batched", by.Row(r), bdx.Row(r))
+	}
+
+	// The front-end with one filter of one tap: weight 1 and bias -0 make the
+	// response -0 + 1·x, which is x to the bit (a +0 bias would turn -0 into
+	// +0 before the rectifier saw it), and the window gradient 0 + g·1.
+	conv := NewConv1D(rng.New(1), n, 1, 1, 1)
+	conv.w.Value[0], conv.b.Value[0] = 1, negZero
+	front := NewSplit(n, NewNetwork(conv, NewReLU()))
+	y = append([]float64(nil), front.Forward(x.Row(0))...)
+	check("front-end single-sample", y, front.Backward(g.Row(0)))
+	by = front.ForwardBatch(x, 1)
+	bdx = front.BackwardBatch(g, 1)
+	for r := 0; r < rows; r++ {
+		check("front-end batched", by.Row(r), bdx.Row(r))
 	}
 }

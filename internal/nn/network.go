@@ -13,6 +13,8 @@ type Network struct {
 	// flatGrads, when non-nil, is the single contiguous vector backing every
 	// layer's gradient accumulator (see FlattenGrads).
 	flatGrads []float64
+	// frozen marks a read-only inference view (see Freeze).
+	frozen bool
 }
 
 // NewNetwork stacks the given layers.
@@ -88,6 +90,7 @@ func (n *Network) ParamVector() []float64 {
 // SetParamVector loads parameters from a flat vector (layout must match
 // ParamVector's).
 func (n *Network) SetParamVector(v []float64) {
+	n.mustOwnParams("SetParamVector")
 	if len(v) != n.NumParams() {
 		panic(fmt.Sprintf("nn: SetParamVector len %d, want %d", len(v), n.NumParams()))
 	}
@@ -106,6 +109,7 @@ func (n *Network) SetParamVector(v []float64) {
 // safe. rl's batched workers bind straight to the pinned published snapshot,
 // replacing a full-vector copy per update.
 func (n *Network) BindParamVector(v []float64) {
+	n.mustOwnParams("BindParamVector")
 	if len(v) != n.NumParams() {
 		panic(fmt.Sprintf("nn: BindParamVector len %d, want %d", len(v), n.NumParams()))
 	}
@@ -124,6 +128,7 @@ func (n *Network) BindParamVector(v []float64) {
 // first call; the vector is owned by the network and stays valid across
 // backward passes and ZeroGrad.
 func (n *Network) FlattenGrads() []float64 {
+	n.mustOwnParams("FlattenGrads")
 	if n.flatGrads == nil {
 		flat := make([]float64, n.NumParams())
 		off := 0
@@ -161,13 +166,46 @@ func (n *Network) GradVectorInto(dst []float64) []float64 {
 }
 
 // Clone deep-copies the network (parameters and gradients; activation caches
-// are not carried over).
+// are not carried over). The clone of a frozen network is another view of
+// the same freeze (see Freeze): there is nothing in it a copy could protect.
 func (n *Network) Clone() *Network {
+	if n.frozen {
+		return n.Freeze()
+	}
 	out := &Network{layers: make([]Layer, len(n.layers))}
 	for i, l := range n.layers {
 		out.layers[i] = l.clone()
 	}
 	return out
+}
+
+// Freeze returns a read-only inference view of n: a network that shares n's
+// parameter values instead of copying them, carries one kernel-layout pack of
+// every Dense weight block — built here, once, so that ForwardBatch on the
+// view never packs — and owns nothing but its activation scratch. It has no
+// gradients: the forward passes work, the gradient passes and the calls that
+// rewrite parameters (SetParamVector, BindParamVector, FlattenGrads) panic.
+// Freezing or cloning a view yields another view over the same values and
+// the same packs, which is how a pool equips many goroutines from one
+// Freeze.
+//
+// Freeze only reads n. The caller must leave n's parameter values unmodified
+// for as long as any view is in use: a view would compute from the new
+// values in its unpacked kernels and from the old ones in its packs.
+func (n *Network) Freeze() *Network {
+	out := &Network{layers: make([]Layer, len(n.layers)), frozen: true}
+	for i, l := range n.layers {
+		out.layers[i] = l.freeze()
+	}
+	return out
+}
+
+// mustOwnParams panics when op, which rewrites parameters or gradients, is
+// called on a frozen view, whose parameters belong to someone else.
+func (n *Network) mustOwnParams(op string) {
+	if n.frozen {
+		panic("nn: " + op + " on a frozen network")
+	}
 }
 
 // Softmax returns the softmax of logits, computed stably.

@@ -12,6 +12,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"minicost/internal/mat"
 	"minicost/internal/rng"
@@ -36,10 +37,20 @@ type Param struct {
 //
 // ForwardBatch (batch.go) must produce outputs bitwise identical to
 // row-by-row Forward calls. It retains the input batch (a pointer, not a
-// copy) so BackwardBatch (backward.go) can differentiate it; BackwardBatch
-// must follow the ForwardBatch whose activations it consumes and must
-// accumulate parameter gradients bitwise identically to calling Forward and
-// Backward once per row, in row order.
+// copy — the caller's own matrix, for a network's first layer, which must
+// not change in between) so BackwardBatch (backward.go) can differentiate
+// it; BackwardBatch must follow the ForwardBatch whose activations it
+// consumes and must accumulate parameter gradients bitwise identically to
+// calling Forward and Backward once per row, in row order.
+//
+// What a layer owns depends on how it came to be. A constructed or cloned
+// layer owns its parameters, gradients and scratch, and may see its
+// parameter values change between any two calls (SetParamVector,
+// BindParamVector, an optimizer step), so nothing derived from them — a
+// kernel-layout pack of a weight block — outlives the call that built it. A
+// frozen layer (Network.Freeze) owns only scratch: its parameter values and
+// packs are shared, read-only, with every other view of the same freeze, and
+// it has no gradients.
 type Layer interface {
 	Forward(x []float64) []float64
 	ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix
@@ -48,6 +59,7 @@ type Layer interface {
 	Params() []*Param
 	OutDim(inDim int) int
 	clone() Layer
+	freeze() Layer
 }
 
 // Dense is a fully connected layer y = W·x + b.
@@ -57,10 +69,11 @@ type Dense struct {
 	x       []float64 // cached input
 	y, dx   []float64 // reused output/input-gradient buffers
 
-	by    *mat.Matrix       // reused batched output
-	bxt   *mat.Matrix       // reused lane-transposed scratch for short batches
-	wView *mat.Matrix       // lazily built view of w.Value as an Out×In matrix
-	wpack *mat.PackedTransB // reused kernel-layout copy of the weights
+	by     *mat.Matrix       // reused batched output
+	bxt    *mat.Matrix       // reused lane-transposed scratch for short batches
+	wView  *mat.Matrix       // lazily built view of w.Value as an Out×In matrix
+	wpack  *mat.PackedTransB // kernel-layout copy of the weights: rebuilt by every ForwardBatch, or built once by freeze
+	frozen bool              // w, b and wpack are shared and read-only (see freeze)
 
 	bx       *mat.Matrix       // input batch retained by ForwardBatch for BackwardBatch
 	dyT, bdx *mat.Matrix       // reused gradient-pass scratch/output buffers
@@ -143,6 +156,20 @@ func (d *Dense) clone() Layer {
 	return c
 }
 
+// freeze returns a view of d that shares its parameter values and carries
+// the kernel-layout pack of its weights: built here, once, from a layer
+// whose weights may change, handed on as it is from one that is frozen.
+func (d *Dense) freeze() Layer {
+	c := &Dense{In: d.In, Out: d.Out, frozen: true}
+	c.w.Value, c.b.Value = d.w.Value, d.b.Value
+	if d.frozen {
+		c.wpack = d.wpack
+	} else {
+		c.wpack = mat.PackTransBTo(nil, &mat.Matrix{Rows: d.Out, Cols: d.In, Data: d.w.Value})
+	}
+	return c
+}
+
 // Conv1D is a one-dimensional convolution over a single input channel with
 // Filters output channels, kernel size Kernel and stride Stride. The output
 // is flattened channel-major: out[f*outLen+t].
@@ -152,12 +179,12 @@ type Conv1D struct {
 	x                              []float64
 	y, dx                          []float64 // reused buffers
 
-	col, gemm, by *mat.Matrix       // reused im2col / GEMM / batched-output buffers
-	wView         *mat.Matrix       // lazily built view of w.Value as Filters×Kernel
-	wpack         *mat.PackedTransB // reused kernel-layout copy of the filter bank
-
-	brows int         // batch rows seen by the last ForwardBatch (for BackwardBatch)
-	bdx   *mat.Matrix // reused batched input-gradient buffer
+	by, bdx *mat.Matrix // reused batched output / input-gradient buffers
+	// Retained by the last batched forward pass for the gradient pass: the
+	// input batch, whose rows start with the windows, and whether the pass
+	// rectified, in which case by is the ReLU mask as well.
+	bx        *mat.Matrix
+	rectified bool
 }
 
 // NewConv1D constructs the layer; the paper's setting is Filters=128,
@@ -250,6 +277,28 @@ func (c *Conv1D) clone() Layer {
 	return cc
 }
 
+func (c *Conv1D) freeze() Layer {
+	cc := &Conv1D{InLen: c.InLen, Filters: c.Filters, Kernel: c.Kernel, Stride: c.Stride}
+	cc.w.Value, cc.b.Value = c.w.Value, c.b.Value
+	return cc
+}
+
+// gate returns v where by > 0 and +0 elsewhere, without a branch: the
+// rectifier is gate(v, v, 0) and its gradient gate(dy, x, 0). The batched
+// loops use it because on activations of random sign the branch of
+// `v > 0 ? v : 0` mispredicts every other element (≈5 ns against <1). The
+// floats greater than zero are exactly the bit patterns from 1 (the smallest
+// subnormal) to +Inf's; ±0, every negative and every NaN — of either sign,
+// which a test of the sign bit alone would let through — fall outside, as
+// they fail `by > 0`. pass is ORed into the mask: all ones opens the gate
+// whatever by is, for the conv loops, which run with and without a
+// rectifier behind them.
+func gate(v, by float64, pass uint64) float64 {
+	const posInf = 0x7FF0000000000000
+	_, borrow := bits.Sub64(math.Float64bits(by)-1, posInf, 0)
+	return math.Float64frombits(math.Float64bits(v) & (-borrow | pass))
+}
+
 // ReLU is max(0, x).
 type ReLU struct {
 	mask  []bool
@@ -305,26 +354,37 @@ func (r *ReLU) OutDim(in int) int { return in }
 
 func (r *ReLU) clone() Layer { return &ReLU{} }
 
-// Split applies Inner to the first Head inputs and passes the remaining
-// inputs through unchanged, concatenating the results. MiniCost uses it to
-// run the conv front-end over the request-frequency history while static
-// features (size, tier one-hot, write stats) bypass it — the paper's
-// "results from these layers are then aggregated with other inputs".
-type Split struct {
-	Head      int
-	Inner     *Network
-	y, dx     []float64   // reused buffers
-	bhead, by *mat.Matrix // reused batched head/output buffers
+func (r *ReLU) freeze() Layer { return &ReLU{} }
 
-	bdyHead, bdx *mat.Matrix // reused batched gradient buffers
+// Split applies Inner — a Conv1D followed by a ReLU — to the first Head
+// inputs and passes the remaining inputs through unchanged, concatenating
+// the results. MiniCost uses it to run the conv front-end over the
+// request-frequency history while static features (size, tier one-hot,
+// write stats) bypass it — the paper's "results from these layers are then
+// aggregated with other inputs". The single-sample passes run Inner layer by
+// layer; the batched passes run the whole front-end as one loop over the
+// rows (Conv1D.forwardBatch).
+type Split struct {
+	Head  int
+	Inner *Network
+	conv  *Conv1D   // Inner's first layer; it owns the batched passes' buffers
+	y, dx []float64 // reused buffers
 }
 
-// NewSplit wraps inner over the first head inputs.
+// NewSplit wraps inner, which must be a Conv1D over head inputs followed by
+// a ReLU, over the first head inputs.
 func NewSplit(head int, inner *Network) *Split {
-	if head <= 0 {
-		panic("nn: Split head must be positive")
+	if len(inner.layers) != 2 {
+		panic("nn: Split inner network must be Conv1D, ReLU")
 	}
-	return &Split{Head: head, Inner: inner}
+	conv, isConv := inner.layers[0].(*Conv1D)
+	if _, isReLU := inner.layers[1].(*ReLU); !isConv || !isReLU {
+		panic("nn: Split inner network must be Conv1D, ReLU")
+	}
+	if head != conv.InLen {
+		panic(fmt.Sprintf("nn: Split head %d, inner Conv1D reads %d", head, conv.InLen))
+	}
+	return &Split{Head: head, Inner: inner, conv: conv}
 }
 
 // Forward implements Layer.
@@ -359,7 +419,9 @@ func (s *Split) Params() []*Param { return s.Inner.Params() }
 // OutDim implements Layer.
 func (s *Split) OutDim(in int) int { return s.Inner.OutDim(s.Head) + in - s.Head }
 
-func (s *Split) clone() Layer { return &Split{Head: s.Head, Inner: s.Inner.Clone()} }
+func (s *Split) clone() Layer { return NewSplit(s.Head, s.Inner.Clone()) }
+
+func (s *Split) freeze() Layer { return NewSplit(s.Head, s.Inner.Freeze()) }
 
 func cloneParam(p Param) Param {
 	return Param{

@@ -22,8 +22,10 @@ import (
 // contiguous chunks (so each chunk's environments stay thread-local to one
 // goroutine), each chunk steps day-major through rl.Agent.DecideTrace —
 // one GEMM per network layer per day instead of one forward pass per file —
-// and pooled replicas bound network copies by the worker count instead of
-// the file count. Decisions are bitwise identical to the single-sample
+// on pooled replicas: scratch over the agent's weights, which are shared and
+// packed for the GEMM kernel once per pool, so their number is bounded by the
+// worker count instead of the file count and none copies the network. The
+// agent is only read. Decisions are bitwise identical to the single-sample
 // reference path (see nn/batch.go), which SingleSample exposes for
 // equivalence tests and benchmarks.
 type RL struct {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"sync"
 	"testing"
 
 	"minicost/internal/costmodel"
@@ -95,5 +96,39 @@ func TestRLAssignReplicaCountBoundedByWorkers(t *testing.T) {
 	}
 	if c := pool.Created(); c > workers {
 		t.Fatalf("two Assign runs built %d replicas total, want <= %d", c, workers)
+	}
+}
+
+// TestRLAssignConcurrentOverOneAgent runs two Assign calls at once over one
+// *rl.Agent (under -race in `make check`). Each builds its own replica pool
+// over the caller's agent; the pools may only read it — weights shared, not
+// copied, and nothing, not even a weight pack, written back into it — so the
+// calls neither race nor disturb each other's assignment.
+func TestRLAssignConcurrentOverOneAgent(t *testing.T) {
+	agent, tr, m := rlTestFixture(t, 120, 9, 7)
+	want, err := RL{Agent: agent.Clone(), Workers: 1}.Assign(tr, m, pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 2
+	got := make([]costmodel.Assignment, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// BatchRows past the packed-GEMM threshold, two workers each.
+			got[c], errs[c] = RL{Agent: agent, Workers: 2, BatchRows: 40}.Assign(tr, m, pricing.Hot)
+		}(c)
+	}
+	wg.Wait()
+	for c := range got {
+		if errs[c] != nil {
+			t.Fatal(errs[c])
+		}
+		if f, d, ok := assignmentsEqual(want, got[c]); !ok {
+			t.Fatalf("concurrent caller %d differs from the lone run at file %d day %d", c, f, d)
+		}
 	}
 }

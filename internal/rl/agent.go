@@ -142,7 +142,9 @@ func (a *Agent) Sample(s *mdp.State, epsilon float64, r *rng.RNG) pricing.Tier {
 	return pricing.Tier(len(p) - 1)
 }
 
-// Clone returns an independent copy safe for use in another goroutine.
+// Clone returns an independent copy safe for use in another goroutine. The
+// clone of a pooled replica is another replica: it shares the pool's weights
+// (see nn.Network.Clone).
 func (a *Agent) Clone() *Agent {
 	return &Agent{Net: a.Net, actor: a.actor.Clone()}
 }

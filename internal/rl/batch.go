@@ -106,19 +106,31 @@ func (a *Agent) DecideTrace(model *costmodel.Model, tr *trace.Trace, lo, hi int,
 	return nil
 }
 
-// Replica is a pooled per-goroutine copy of an agent. It embeds *Agent, so
-// it is used exactly like one; return it with ReplicaPool.Put when done.
+// Replica is a pooled per-goroutine view of an agent: the source's weights
+// and their kernel-layout packs shared read-only, activation and serving
+// scratch of its own. It embeds *Agent, so it is used exactly like one —
+// except that its parameters cannot be rewritten — and is returned with
+// ReplicaPool.Put when done.
 type Replica struct {
 	*Agent
 	version uint64
 }
 
-// ReplicaPool hands out independent replicas of a source agent so that
-// concurrent servers stop rebuilding a network per request (or per file):
-// the replica count is bounded by the peak number of concurrent holders,
-// not by request volume. Swap refreshes the source on snapshot updates;
-// replicas from before the swap are discarded on Put instead of being
-// reused with stale weights.
+// ReplicaPool hands out replicas of a source agent so that concurrent
+// servers stop rebuilding a network per request (or per file): the replica
+// count is bounded by the peak number of concurrent holders, not by request
+// volume. What a policy version costs is paid once, in NewReplicaPool or
+// Swap: one pack of each Dense weight block into the GEMM kernel's layout
+// (nn.Network.Freeze). A replica is then a view over the source's parameter
+// slices and those packs that owns nothing but scratch, so Get copies no
+// weights and DecideBatch packs none. Swap refreshes the source on snapshot
+// updates; replicas from before the swap are discarded on Put instead of
+// being reused with stale weights.
+//
+// The pool only ever reads the source agent, and nothing is written into it,
+// so several pools may stand over one agent at once. In exchange the source's
+// parameters must stay unmodified for as long as the pool or any replica of
+// it is in use — publish new weights through Swap.
 //
 // The free list is an explicit mutex-guarded slice rather than a sync.Pool:
 // a sync.Pool may drop items at any GC (unbounding replica construction,
@@ -126,20 +138,19 @@ type Replica struct {
 // on Swap — the version check here needs to see every Get/Put anyway.
 type ReplicaPool struct {
 	mu      sync.Mutex
-	src     *Agent
+	shared  *Agent // the source over a frozen view of its actor; replicas are clones, i.e. further views
 	version uint64
 	free    []*Replica
 	created int64
+	packs   int64
 }
 
-// NewReplicaPool builds a pool around src. The pool reads src's weights
-// only inside Get (under the pool lock); callers must not mutate src
-// concurrently with Get — publish new weights through Swap instead.
+// NewReplicaPool builds a pool around src, packing its weights once.
 func NewReplicaPool(src *Agent) *ReplicaPool {
 	if src == nil {
 		panic("rl: NewReplicaPool with nil agent")
 	}
-	return &ReplicaPool{src: src}
+	return &ReplicaPool{shared: NewAgent(src.Net, src.actor.Freeze()), packs: 1}
 }
 
 // Get returns a replica of the current source, reusing a pooled one when
@@ -153,7 +164,7 @@ func (p *ReplicaPool) Get() *Replica {
 		return r
 	}
 	p.created++
-	return &Replica{Agent: p.src.Clone(), version: p.version}
+	return &Replica{Agent: p.shared.Clone(), version: p.version}
 }
 
 // Put returns a replica to the pool. Replicas taken before the last Swap
@@ -169,18 +180,20 @@ func (p *ReplicaPool) Put(r *Replica) {
 	}
 }
 
-// Swap replaces the source agent (a new training snapshot) and invalidates
-// every replica built from the previous one.
+// Swap replaces the source agent (a new training snapshot), packing its
+// weights once, and invalidates every replica built from the previous one.
 func (p *ReplicaPool) Swap(src *Agent) {
 	if src == nil {
 		panic("rl: ReplicaPool.Swap with nil agent")
 	}
+	shared := NewAgent(src.Net, src.actor.Freeze()) // outside the lock: Get must not wait on a pack
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.src = src
+	p.shared = shared
 	p.version++
 	p.free = p.free[:0]
 	p.created = 0
+	p.packs++
 }
 
 // Created returns how many replicas have been built for the current source
@@ -189,4 +202,13 @@ func (p *ReplicaPool) Created() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.created
+}
+
+// Packs returns how many times the pool has packed a source's weights into
+// kernel layout over its life: once when it was built and once per Swap,
+// however many replicas were handed out and batches decided in between.
+func (p *ReplicaPool) Packs() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.packs
 }

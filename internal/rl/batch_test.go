@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -108,6 +110,24 @@ func TestDecideTraceMatchesPerFileLoop(t *testing.T) {
 	}
 }
 
+// decideRows returns a's DecideBatch over x — enough rows to run the packed
+// GEMM — as a fresh slice.
+func decideRows(a *Agent, x *mat.Matrix) []pricing.Tier {
+	out := make([]pricing.Tier, x.Rows)
+	a.DecideBatch(x, out, 1)
+	return out
+}
+
+// stateBatch returns a feature matrix of random states.
+func stateBatch(r *rng.RNG, cfg NetConfig, rows int) *mat.Matrix {
+	x := mat.New(rows, mdp.FeatureDim(cfg.HistLen))
+	for i := 0; i < rows; i++ {
+		s := randomState(r, cfg.HistLen)
+		s.FeaturesInto(x.Row(i))
+	}
+	return x
+}
+
 func TestReplicaPoolReuseAndSwap(t *testing.T) {
 	cfg := testNetConfig()
 	agent := NewAgent(cfg, cfg.BuildActor(rng.New(14)))
@@ -122,6 +142,13 @@ func TestReplicaPoolReuseAndSwap(t *testing.T) {
 	if pool.Created() != 1 {
 		t.Fatalf("Created = %d, want 1", pool.Created())
 	}
+	x := stateBatch(rng.New(16), cfg, 97)
+	if got, want := decideRows(r2.Agent, x), decideRows(agent, x); !slices.Equal(got, want) {
+		t.Fatal("replica and source decide a batch differently")
+	}
+	if pool.Packs() != 1 {
+		t.Fatalf("Packs = %d after one source, a replica and a batch, want 1", pool.Packs())
+	}
 
 	// A swap must invalidate outstanding and pooled replicas.
 	next := NewAgent(cfg, cfg.BuildActor(rng.New(15)))
@@ -135,10 +162,127 @@ func TestReplicaPoolReuseAndSwap(t *testing.T) {
 		t.Fatalf("Created after swap = %d, want 1", pool.Created())
 	}
 
-	// Replica decisions must match the new source, not the old one.
+	// Every replica handed out after the swap decides with the new source's
+	// weights, not the old one's — one sample at a time (the unpacked
+	// kernels) and by the batch (the pack built by Swap).
+	want := decideRows(next, x)
+	if slices.Equal(want, decideRows(agent, x)) {
+		t.Fatal("old and new source agree on the whole batch: the comparisons below pin nothing")
+	}
+	r4 := pool.Get()
 	s := randomState(rng.New(16), cfg.HistLen)
-	if got, want := r3.Decide(&s), next.Decide(&s); got != want {
-		t.Fatalf("replica decided %v, fresh source %v", got, want)
+	for i, rep := range []*Replica{r3, r4} {
+		if got, want := rep.Decide(&s), next.Decide(&s); got != want {
+			t.Fatalf("replica %d decided %v, fresh source %v", i, got, want)
+		}
+		if got := decideRows(rep.Agent, x); !slices.Equal(got, want) {
+			t.Fatalf("replica %d decides the batch with stale weights after Swap", i)
+		}
+	}
+	if pool.Packs() != 2 {
+		t.Fatalf("Packs = %d after one Swap, want 2", pool.Packs())
+	}
+}
+
+// TestReplicaSharesWeights pins what a replica costs and what it may not do.
+// At the paper's network the hidden weight block is 3.3 MB; a deep copy
+// brought as much again in gradients nobody reads, and a pack per replica a
+// third time. A second Get must stay far under one block — it allocates
+// layer structs, no weights, gradients or packs (activation scratch comes
+// with the first batch and is sized by it, not by the weights) — and writing
+// a replica's parameters, which are the source's, must panic.
+func TestReplicaSharesWeights(t *testing.T) {
+	cfg := DefaultNetConfig()
+	agent := NewAgent(cfg, cfg.BuildActor(rng.New(18)))
+	pool := NewReplicaPool(agent)
+	first := pool.Get()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	second := pool.Get()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("second Get allocated %d bytes, want under 64 KiB (a weight block is %d)", got, 8*len(agent.ParamVector()))
+	}
+	if first == second || pool.Created() != 2 || pool.Packs() != 1 {
+		t.Fatalf("two outstanding replicas: created %d, packs %d, want 2 and 1", pool.Created(), pool.Packs())
+	}
+
+	v := agent.ParamVector()
+	for name, op := range map[string]func(){
+		"SetParamVector":  func() { second.actor.SetParamVector(v) },
+		"BindParamVector": func() { second.actor.BindParamVector(v) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on a pooled replica did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
+}
+
+// TestReplicaPoolSwapUnderLoad runs deciders against a swapper (under -race
+// in `make check`): replicas share the source's weights and packs, so any
+// write to either after construction would show here, and every batch must
+// be decided wholly by one source — the one current when its replica was
+// taken or a later one, never a mixture.
+func TestReplicaPoolSwapUnderLoad(t *testing.T) {
+	cfg := testNetConfig()
+	sources := []*Agent{
+		NewAgent(cfg, cfg.BuildActor(rng.New(20))),
+		NewAgent(cfg, cfg.BuildActor(rng.New(21))),
+		NewAgent(cfg, cfg.BuildActor(rng.New(22))),
+	}
+	x := stateBatch(rng.New(23), cfg, 48)
+	want := make([][]pricing.Tier, len(sources))
+	for i, a := range sources {
+		want[i] = decideRows(a.Clone(), x)
+	}
+	pool := NewReplicaPool(sources[0])
+	const deciders, rounds = 3, 60
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for d := 0; d < deciders; d++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]pricing.Tier, x.Rows)
+			for i := 0; i < rounds; i++ {
+				rep := pool.Get()
+				rep.DecideBatch(x, out, 1)
+				pool.Put(rep)
+				if !slices.ContainsFunc(want, func(w []pricing.Tier) bool { return slices.Equal(w, out) }) {
+					t.Error("a batch was decided by no single source's weights")
+					return
+				}
+			}
+		}()
+	}
+	swaps := 0
+	go func() {
+		wg.Wait()
+		close(stop)
+	}()
+	for running := true; running; {
+		select {
+		case <-stop:
+			running = false
+		default:
+			swaps++
+			pool.Swap(sources[swaps%len(sources)])
+			runtime.Gosched()
+		}
+	}
+	if got := pool.Packs(); got != int64(1+swaps) {
+		t.Fatalf("Packs = %d after %d swaps, want %d", got, swaps, 1+swaps)
+	}
+	rep := pool.Get()
+	if got := decideRows(rep.Agent, x); !slices.Equal(got, want[swaps%len(sources)]) {
+		t.Fatal("after the last Swap a fresh replica does not decide with its weights")
 	}
 }
 

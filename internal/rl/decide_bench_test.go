@@ -1,0 +1,84 @@
+package rl
+
+import (
+	"testing"
+
+	"minicost/internal/mat"
+	"minicost/internal/mdp"
+	"minicost/internal/nn"
+	"minicost/internal/pricing"
+	"minicost/internal/rng"
+)
+
+// benchMatrix returns a rows×cols matrix of fixed values in [-1, 1): random
+// signs are what a rectifier with a data-dependent branch mispredicts on.
+func benchMatrix(rows, cols int, seed uint64) *mat.Matrix {
+	m := mat.New(rows, cols)
+	r := rng.New(seed)
+	for i := range m.Data {
+		m.Data[i] = r.Float64()*2 - 1
+	}
+	return m
+}
+
+// BenchmarkDecideBatch attributes one batched decision at the paper's
+// 14/128/128 network to its layers, one thread, in µs per decided row:
+//
+//	front/m64      the fused Split∘Conv1D∘ReLU∘concat pass alone
+//	hidden/m64     the hidden layer's packed GEMM alone, weights pre-packed
+//	replica/m64    DecideBatch on a pooled replica at the batch each of 16
+//	               shards hands it on a 1024-file all-dirty plan
+//	replica/m1024  the same at 1024 rows: flat in the batch length
+//	bare/m64       an agent outside any pool, which packs its weights on
+//	               every call (the shape the end-to-end harness's
+//	               rl.decide_us_per_row_m* probe times)
+//
+// replica/m64 should read close to front/m64 + hidden/m64: what is left is
+// the output layer and the argmax.
+func BenchmarkDecideBatch(b *testing.B) {
+	cfg := DefaultNetConfig()
+	fd := mdp.FeatureDim(cfg.HistLen)
+	head := mdp.HistoryFeatureDim(cfg.HistLen)
+	perRow := func(b *testing.B, rows int, fn func()) {
+		fn() // warm the scratch buffers
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fn()
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(rows), "us/row")
+	}
+
+	b.Run("front/m64", func(b *testing.B) {
+		conv := nn.NewConv1D(rng.New(1), head, cfg.Filters, cfg.Kernel, cfg.Stride)
+		front := nn.NewNetwork(nn.NewSplit(head, nn.NewNetwork(conv, nn.NewReLU())))
+		x := benchMatrix(64, fd, 2)
+		perRow(b, 64, func() { front.ForwardBatch(x, 1) })
+	})
+	b.Run("hidden/m64", func(b *testing.B) {
+		k := cfg.Filters*((head-cfg.Kernel)/cfg.Stride+1) + fd - head
+		pack := mat.PackTransBTo(nil, benchMatrix(cfg.Hidden, k, 3))
+		a := benchMatrix(64, k, 4)
+		bias := make([]float64, cfg.Hidden)
+		var dst *mat.Matrix
+		perRow(b, 64, func() { dst = mat.MulPackTransBBiasTo(dst, a, pack, bias, 1) })
+	})
+	agent := NewAgent(cfg, cfg.BuildActor(rng.New(5)))
+	for _, bc := range []struct {
+		name string
+		rows int
+	}{{"replica/m64", 64}, {"replica/m1024", 1024}} {
+		b.Run(bc.name, func(b *testing.B) {
+			pool := NewReplicaPool(agent)
+			rep := pool.Get()
+			defer pool.Put(rep)
+			x := benchMatrix(bc.rows, fd, 6)
+			out := make([]pricing.Tier, bc.rows)
+			perRow(b, bc.rows, func() { rep.DecideBatch(x, out, 1) })
+		})
+	}
+	b.Run("bare/m64", func(b *testing.B) {
+		x := benchMatrix(64, fd, 6)
+		out := make([]pricing.Tier, 64)
+		perRow(b, 64, func() { agent.DecideBatch(x, out, 1) })
+	})
+}
