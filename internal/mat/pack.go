@@ -167,20 +167,35 @@ func packTransposeTile(dst *PackedTransB, m *Matrix, t int) {
 // loops (each element's accumulation is still bias-seeded and k-sequential;
 // see gemm.go).
 func MulPackTransBBiasTo(dst, a *Matrix, pb *PackedTransB, bias []float64, workers int) *Matrix {
+	return MulPackTransBBiasRowsTo(dst, a, pb, bias, 0, a.Rows, workers)
+}
+
+// MulPackTransBBiasRowsTo is MulPackTransBBiasTo for the row window [lo, hi)
+// of a: dst is sized for all of a's rows (reusing its storage when it is
+// large enough, which leaves the rows outside the window as they were) and
+// only rows [lo, hi) are written. Rows are independent output elements, so
+// windows that cover [0, a.Rows), in any order, leave what one whole-range
+// call leaves, bit for bit — the vectorized trainer's rollouts fill the
+// update's activations one lockstep block at a time this way.
+func MulPackTransBBiasRowsTo(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi, workers int) *Matrix {
 	if a.Cols != pb.K {
 		panic(fmt.Sprintf("mat: MulPackTransB shape mismatch %dx%d · packed(%dx%d)ᵀ", a.Rows, a.Cols, pb.Cols, pb.K))
 	}
 	if bias != nil && len(bias) != pb.Cols {
 		panic(fmt.Sprintf("mat: MulPackTransB bias len %d, want %d", len(bias), pb.Cols))
 	}
+	if lo < 0 || hi < lo || hi > a.Rows {
+		panic(fmt.Sprintf("mat: MulPackTransB rows [%d,%d) of %d", lo, hi, a.Rows))
+	}
 	dst = EnsureShape(dst, a.Rows, pb.Cols)
-	if workers == 1 || a.Rows*a.Cols*pb.Cols < gemmParallelFlops {
-		mulPackBlock(dst, a, pb, bias, 0, a.Rows)
+	n := hi - lo
+	if workers == 1 || n*a.Cols*pb.Cols < gemmParallelFlops {
+		mulPackBlock(dst, a, pb, bias, lo, hi)
 		return dst
 	}
 	w := resolveWorkers(workers)
-	par.ForBatched(a.Rows, parPanel(a.Rows, w, gemmMinPanel), w, func(lo, hi int) {
-		mulPackBlock(dst, a, pb, bias, lo, hi)
+	par.ForBatched(n, parPanel(n, w, gemmMinPanel), w, func(plo, phi int) {
+		mulPackBlock(dst, a, pb, bias, lo+plo, lo+phi)
 	})
 	return dst
 }

@@ -2,10 +2,9 @@ package mat
 
 import "minicost/internal/par"
 
-// This file holds the multi-core layer of the GEMM engine: worker-aware
-// row-panel sizing shared by every parallel product, and GemmParallel, the
-// fused pack-and-multiply entry point the batched layers use when one call
-// should saturate the machine.
+// This file holds the multi-core layer of the GEMM engine: the worker-aware
+// row-panel sizing and thresholds shared by every parallel product and
+// packer.
 //
 // Parallel decomposition never touches the numerical contract (gemm.go):
 // panels shard *independent output elements* (rows of the destination, tiles
@@ -18,11 +17,6 @@ import "minicost/internal/par"
 // the per-chunk dispatch (one atomic increment plus cache handoff of the
 // panel) stops amortizing against the panel's flops.
 const gemmMinPanel = 16
-
-// gemmPackMinRows mirrors nn's packMinRows: batches with fewer rows than
-// this do not amortize repacking the B operand and run on the unpacked
-// kernels.
-const gemmPackMinRows = 16
 
 // packParMin is the packed-operand size (floats) below which parallel
 // packing is not worth the fan-out.
@@ -54,21 +48,4 @@ func parPanel(rows, workers, min int) int {
 		p = gemmRowTile
 	}
 	return p
-}
-
-// GemmParallel computes dst = a·bᵀ + bias (the canonical batched-layer
-// product, b row-per-output like nn weight matrices) with both phases
-// parallel: b is packed tile-parallel into pack (each worker filling
-// disjoint tiles of one buffer), then the packed GEMM shards row panels of a
-// over the same workers. dst and pack are reusable scratch (nil allocates);
-// the returned values must be used in their place. Batches under
-// gemmPackMinRows rows skip packing and run the unpacked tiled kernel.
-// Results are bitwise identical to MulTransBBiasTo and the single-sample
-// reference at every worker count.
-func GemmParallel(dst, a, b *Matrix, bias []float64, pack *PackedTransB, workers int) (*Matrix, *PackedTransB) {
-	if a.Rows < gemmPackMinRows {
-		return MulTransBBiasTo(dst, a, b, bias, workers), pack
-	}
-	pack = PackTransBParTo(pack, b, workers)
-	return MulPackTransBBiasTo(dst, a, pack, bias, workers), pack
 }

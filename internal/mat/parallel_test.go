@@ -68,19 +68,33 @@ func TestMulTransBBiasToParallelBitwise(t *testing.T) {
 	}
 }
 
-// TestGemmParallelBitwise pins the fused pack+multiply entry point against
-// the unpacked serial kernel, including scratch reuse across calls.
-func TestGemmParallelBitwise(t *testing.T) {
+// TestMulPackRowsBitwise pins the packed product's row-window entry against
+// the unpacked serial kernel: one pack, then the batch multiplied a window at
+// a time — ragged windows, last rows first, into a destination reused across
+// worker counts and poisoned in between — leaves the whole-batch product.
+func TestMulPackRowsBitwise(t *testing.T) {
 	for _, s := range parallelShapes {
 		a := detMatrix(s.rows, s.k, 0.75)
 		b := detMatrix(s.cols, s.k, -1.125)
 		bias := detVec(s.cols, 2.0)
 		want := MulTransBBiasTo(nil, a, b, bias, 1)
+		pack := PackTransBTo(nil, b)
 		var dst *Matrix
-		var pack *PackedTransB
-		for _, w := range testWorkerCounts {
-			dst, pack = GemmParallel(dst, a, b, bias, pack, w)
-			equalBits(t, "GemmParallel", dst.Data, want.Data)
+		for wi, w := range append([]int{1}, testWorkerCounts...) {
+			if dst != nil {
+				for i := range dst.Data {
+					dst.Data[i] = -1
+				}
+			}
+			for hi := s.rows; hi > 0; {
+				lo := hi - (5 + 7*wi) // windows of 5, 12, 19, … rows
+				if lo < 0 {
+					lo = 0
+				}
+				dst = MulPackTransBBiasRowsTo(dst, a, pack, bias, lo, hi, w)
+				hi = lo
+			}
+			equalBits(t, "MulPackTransBBiasRowsTo", dst.Data, want.Data)
 		}
 	}
 }
@@ -143,18 +157,21 @@ func TestGradKernelsParallelBitwise(t *testing.T) {
 	}
 }
 
-// TestGemmParallelSerialAllocFree gates the workers=1 steady state: with
-// warm scratch, the fused pack+multiply performs no allocations.
-func TestGemmParallelSerialAllocFree(t *testing.T) {
+// TestMulPackRowsSerialAllocFree gates the workers=1 steady state: with warm
+// scratch, a repack and a window-by-window multiply perform no allocations.
+func TestMulPackRowsSerialAllocFree(t *testing.T) {
 	a := detMatrix(64, 31, 1.0)
 	b := detMatrix(33, 31, -1.0)
 	bias := detVec(33, 0.25)
-	dst, pack := GemmParallel(nil, a, b, bias, nil, 1)
+	pack := PackTransBTo(nil, b)
+	dst := MulPackTransBBiasTo(nil, a, pack, bias, 1)
 	allocs := testing.AllocsPerRun(10, func() {
-		dst, pack = GemmParallel(dst, a, b, bias, pack, 1)
+		pack = PackTransBTo(pack, b)
+		dst = MulPackTransBBiasRowsTo(dst, a, pack, bias, 0, 16, 1)
+		dst = MulPackTransBBiasRowsTo(dst, a, pack, bias, 16, 64, 1)
 	})
 	if allocs != 0 {
-		t.Fatalf("GemmParallel workers=1 steady state allocates %.0f/op, want 0", allocs)
+		t.Fatalf("pack + windowed multiply at workers=1 allocates %.0f/op in the steady state, want 0", allocs)
 	}
 }
 

@@ -20,23 +20,32 @@ func refGrads(net *Network, x, dy *mat.Matrix) ([]float64, *mat.Matrix) {
 	return net.GradVector(), dx
 }
 
+// setGrads overwrites n's gradient accumulators with flat (GradVector's
+// layout).
+func setGrads(n *Network, flat []float64) {
+	off := 0
+	for _, p := range n.Params() {
+		off += copy(p.Grad, flat[off:off+len(p.Grad)])
+	}
+}
+
 // assertBackwardBatchMatchesSingle checks that ForwardBatch + BackwardBatch
 // accumulates bitwise-identical parameter gradients and input gradients to
-// the per-sample reference, including on top of pre-existing gradients.
+// the per-sample reference, including on top of pre-existing gradients, and
+// that BackwardParams — the same pass without the first layer's input
+// gradient — accumulates the same parameter gradients.
 func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*Network, *Network), x, dy *mat.Matrix, workers int) {
 	t.Helper()
 	batched, single := build()
 	// Seed both gradient accumulators with a shared nonzero state so the
 	// accumulate-in-place contract is exercised, not just the zero case.
 	seed := rng.New(99)
-	for pi, p := range single.Params() {
-		bp := batched.Params()[pi]
-		for i := range p.Grad {
-			g := seed.NormalMS(0, 0.1)
-			p.Grad[i] = g
-			bp.Grad[i] = g
-		}
+	start := make([]float64, single.NumParams())
+	for i := range start {
+		start[i] = seed.NormalMS(0, 0.1)
 	}
+	setGrads(single, start)
+	setGrads(batched, start)
 	wantGrad, wantDx := refGrads(single, x, dy)
 
 	batched.ForwardBatch(x, workers)
@@ -50,6 +59,14 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 	if i, ok := sameBits(gotDx.Data, wantDx.Data); !ok {
 		t.Fatalf("%s: input-grad elem %d = %v, single-sample = %v (not bitwise equal)",
 			name, i, gotDx.Data[i], wantDx.Data[i])
+	}
+
+	// The forward pass's retained state outlives a backward pass, so the
+	// second one needs no second forward.
+	setGrads(batched, start)
+	batched.BackwardParams(dy, workers)
+	if i, ok := sameBits(batched.GradVector(), wantGrad); !ok {
+		t.Fatalf("%s: BackwardParams grad elem %d differs from the single-sample reference", name, i)
 	}
 }
 
@@ -83,16 +100,20 @@ func TestDenseBackwardBatchBitwise(t *testing.T) {
 func TestConv1DBackwardBatchBitwise(t *testing.T) {
 	r := rng.New(22)
 	for _, sh := range []struct{ inLen, filters, kernel, stride, batch int }{
-		{8, 3, 4, 1, 1}, {28, 128, 4, 1, 33}, {14, 16, 4, 2, 7},
+		{8, 3, 4, 1, 1}, {28, 128, 4, 1, 33}, {14, 16, 4, 2, 7}, {28, 64, 3, 2, 40},
 	} {
 		c := NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride)
 		outDim := c.OutDim(sh.inLen)
 		x := randomBatch(r, sh.batch, sh.inLen)
 		dy := sparseGrad(r, sh.batch, outDim)
-		assertBackwardBatchMatchesSingle(t, "Conv1D", func() (*Network, *Network) {
-			return NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride)),
-				NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride))
-		}, x, dy, 1)
+		// workers 4 shards the two wide shapes' filters; within a shard the
+		// walk is rows outermost either way.
+		for _, workers := range []int{1, 4} {
+			assertBackwardBatchMatchesSingle(t, "Conv1D", func() (*Network, *Network) {
+				return NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride)),
+					NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride))
+			}, x, dy, workers)
+		}
 	}
 }
 
@@ -114,7 +135,14 @@ func TestReLUAndSplitBackwardBatchBitwise(t *testing.T) {
 			outDim := n.OutDim(head + static)
 			for _, batch := range seamBatches {
 				name := fmt.Sprintf("Split width=%d kernel=%d stride=%d batch=%d", width, sh.kernel, sh.stride, batch)
-				assertBackwardBatchMatchesSingle(t, name, build, randomBatch(r, batch, head+static), sparseGrad(r, batch, outDim), 1)
+				x, dy := randomBatch(r, batch, head+static), sparseGrad(r, batch, outDim)
+				// The rectifier zeroes about half the responses' gradients on
+				// top of sparseGrad's exact zeros. workers 4 runs where it
+				// shards the filters, the wide, long batches.
+				assertBackwardBatchMatchesSingle(t, name, build, x, dy, 1)
+				if parRows(width, batch*n.layers[0].(*Split).conv.outLen(), 4) {
+					assertBackwardBatchMatchesSingle(t, name+" workers=4", build, x, dy, 4)
+				}
 			}
 		}
 	}

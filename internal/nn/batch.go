@@ -32,6 +32,13 @@ import (
 // the first layer's is the caller's own batch, which must stay as it was
 // until BackwardBatch has read it.
 //
+// Every batched forward is written for a window of rows (forwardRows);
+// ForwardBatch is the window [0, Rows). Rows are independent — no kernel
+// accumulates across them — so a batch may be run one window at a time
+// (Network.ForwardRows): the vectorized trainer's rollouts forward each
+// lockstep block where it lies in the update's arena, and when the last block
+// is done the update's forward pass has already happened.
+//
 // Exactness: every kernel accumulates each output element in the same
 // floating-point order as the single-sample Forward (bias seed, then the
 // shared dimension in index order — see mat's GEMM contract), so batched
@@ -48,15 +55,25 @@ import (
 // policy.RL — and <= 0 for the default when a single large batch should use
 // every core, e.g. the agent server planning all tracked files at once.
 
-// packMinRows is the batch size below which Dense runs on the unpacked
-// kernels. A network that owns its weights must repack them on every call —
-// they change between training updates, and nothing tells the layer when —
-// which copies the full O(Out·In) block and only amortizes once enough batch
-// rows reuse the packed tiles; short training rollouts (NSteps rows) stream
-// the weights once through the unpacked kernels instead, which are bitwise
-// identical by the same accumulation-order contract. A frozen view
-// (Network.Freeze) was packed once when it was frozen and keeps the same
-// threshold: under it the lane-transposed kernel is the faster one anyway.
+// packMinRows is the window length below which Dense runs on the unpacked
+// kernels. Packing copies the full O(Out·In) block and only amortizes once
+// enough rows reuse the packed tiles; a short window (a rollout step of
+// E < 16 environments, a classic NSteps-row update) streams the weights once
+// through the lane-transposed kernel instead, which is bitwise identical by
+// the same accumulation-order contract. The choice is made by the window's
+// row count alone, not by whether a pack happens to be there: against a pack
+// that already exists the packed kernel wins some short windows and loses
+// others (µs/row, lane against packed — the paper's 128×3206 hidden block:
+// 40 / 46 at 8 rows, 76 / 58 at 4; the 64×806 one: 6.9 / 5.3 and 14 / 5.7),
+// and the engine that produces short windows never has one to offer — a
+// vectorized worker's actor at E < 16 sees nothing but E-row windows and so
+// never packs, and its critic's one short forward, the bootstrap, precedes
+// the arena forward that does. From packMinRows rows up a Dense needs a pack
+// of its current weights, and how often it has to build one is the ownership
+// case (see Layer): a layer that owns its weights packs on every call — they
+// change between training updates, and nothing tells it when; a bound one
+// packs once per BindParamVector/SetParamVector call; a frozen one was packed
+// when it was frozen and never packs.
 const packMinRows = 16
 
 // parMinFloats is the per-call element traffic below which the batched
@@ -78,12 +95,18 @@ func parRows(n, floatsPerItem, workers int) bool {
 }
 
 // ForwardBatch implements the batched pass for Dense: Y = X·Wᵀ + b, one
-// fused GEMM over the whole batch. For batches of at least packMinRows the
-// product runs on the SIMD kernel's tile layout: a layer that owns its
-// weights repacks them first, on every call, so weight mutations between
-// calls are always picked up; a frozen one multiplies against the pack it
-// was frozen with. Smaller batches use the unpacked kernel directly.
+// fused GEMM over the whole batch.
 func (d *Dense) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
+	return d.forwardRows(x, 0, x.Rows, workers)
+}
+
+// forwardRows computes rows [lo, hi) of Y = X·Wᵀ + b. A window of at least
+// packMinRows rows runs on the SIMD kernel's tile layout, against the pack
+// the layer holds if that still stands for its weights (packed) and against
+// one built here, first, if not — which is every time for a layer that owns
+// its weights, once per bind for a bound one and never for a frozen one (see
+// packMinRows). Shorter windows use the unpacked kernel on views of the rows.
+func (d *Dense) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense batch input %d, want %d", x.Cols, d.In))
 	}
@@ -92,37 +115,49 @@ func (d *Dense) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
 		d.wView = &mat.Matrix{Rows: d.Out, Cols: d.In}
 	}
 	d.wView.Data = d.w.Value
-	switch {
-	case x.Rows < packMinRows:
-		d.by, d.bxt = mat.MulTransBBiasXTTo(d.by, d.bxt, x, d.wView, d.b.Value, workers)
-	case d.frozen:
-		d.by = mat.MulPackTransBBiasTo(d.by, x, d.wpack, d.b.Value, workers)
-	default:
-		d.by, d.wpack = mat.GemmParallel(d.by, x, d.wView, d.b.Value, d.wpack, workers)
+	if hi-lo < packMinRows {
+		d.by = mat.EnsureShape(d.by, x.Rows, d.Out)
+		x.SliceRows(&d.xWin, lo, hi)
+		d.by.SliceRows(&d.yWin, lo, hi)
+		_, d.bxt = mat.MulTransBBiasXTTo(&d.yWin, d.bxt, &d.xWin, d.wView, d.b.Value, workers)
+		return d.by
 	}
+	if !d.packed {
+		d.wpack = mat.PackTransBParTo(d.wpack, d.wView, workers)
+		d.packed = d.bound
+		d.packs++
+	}
+	d.by = mat.MulPackTransBBiasRowsTo(d.by, x, d.wpack, d.b.Value, lo, hi, workers)
 	return d.by
 }
 
 // ForwardBatch implements the batched pass for a Conv1D on its own: the
 // responses of every (sample, filter, position), channel-major, unrectified.
 func (c *Conv1D) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
+	return c.forwardRows(x, 0, x.Rows, workers)
+}
+
+func (c *Conv1D) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 	if x.Cols != c.InLen {
 		panic(fmt.Sprintf("nn: Conv1D batch input %d, want %d", x.Cols, c.InLen))
 	}
-	return c.forwardBatch(x, false, workers)
+	return c.forward(x, false, lo, hi, workers)
 }
 
-// forwardBatch runs the batched convolution over the leading InLen columns
-// of x's rows — rectified or not — with whatever columns follow them passed
+// forward runs the batched convolution over the leading InLen columns of x's
+// rows [lo, hi) — rectified or not — with whatever columns follow them passed
 // through behind the responses (see convRows), and retains x for
 // BackwardBatch.
-func (c *Conv1D) forwardBatch(x *mat.Matrix, rectify bool, workers int) *mat.Matrix {
+func (c *Conv1D) forward(x *mat.Matrix, rectify bool, lo, hi, workers int) *mat.Matrix {
+	if lo < 0 || hi < lo || hi > x.Rows {
+		panic(fmt.Sprintf("nn: Conv1D rows [%d,%d) of %d", lo, hi, x.Rows))
+	}
 	c.bx, c.rectified = x, rectify
 	c.by = mat.EnsureShape(c.by, x.Rows, c.Filters*c.outLen()+x.Cols-c.InLen)
-	if parRows(x.Rows, c.by.Cols, workers) {
-		par.ForChunked(x.Rows, workers, func(lo, hi int) { c.convRows(x, rectify, lo, hi) })
+	if parRows(hi-lo, c.by.Cols, workers) {
+		par.ForChunked(hi-lo, workers, func(clo, chi int) { c.convRows(x, rectify, lo+clo, lo+chi) })
 	} else {
-		c.convRows(x, rectify, 0, x.Rows)
+		c.convRows(x, rectify, lo, hi)
 	}
 	return c.by
 }
@@ -191,12 +226,17 @@ func convFilterRow(out, xrow, w []float64, bias float64, stride int, pass uint64
 // ForwardBatch implements the batched pass for ReLU (elementwise; the
 // retained input batch doubles as the mask for BackwardBatch).
 func (r *ReLU) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
+	return r.forwardRows(x, 0, x.Rows, workers)
+}
+
+func (r *ReLU) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 	r.bx = x
 	r.by = mat.EnsureShape(r.by, x.Rows, x.Cols)
-	if parRows(len(x.Data), 1, workers) {
-		par.ForChunked(len(x.Data), workers, func(lo, hi int) { r.forwardSpan(x, lo, hi) })
+	lo, hi = lo*x.Cols, hi*x.Cols
+	if parRows(hi-lo, 1, workers) {
+		par.ForChunked(hi-lo, workers, func(clo, chi int) { r.forwardSpan(x, lo+clo, lo+chi) })
 	} else {
-		r.forwardSpan(x, 0, len(x.Data))
+		r.forwardSpan(x, lo, hi)
 	}
 	return r.by
 }
@@ -217,18 +257,37 @@ func (r *ReLU) forwardSpan(x *mat.Matrix, lo, hi int) {
 // writing rectified responses and tail columns where the next layer reads
 // them.
 func (s *Split) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
+	return s.forwardRows(x, 0, x.Rows, workers)
+}
+
+func (s *Split) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 	if x.Cols < s.Head {
 		panic("nn: Split batch input shorter than head")
 	}
-	return s.conv.forwardBatch(x, true, workers)
+	return s.conv.forward(x, true, lo, hi, workers)
 }
 
 // ForwardBatch runs the stack on a batch of samples (one per row). The
 // result is owned by the network's last layer and overwritten by the next
 // call; see the file comment for the workers convention.
 func (n *Network) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
+	return n.ForwardRows(x, 0, x.Rows, workers)
+}
+
+// ForwardRows runs the stack on the row window [lo, hi) of x and returns the
+// network's output batch, which has a row for every row of x; the window's
+// rows of it — and of every layer's activations — are written, the others
+// left as they are. Rows do not interact, so once windows that cover
+// [0, x.Rows) have each run once, in any order, with no other forward pass on
+// the network and no SetParamVector or BindParamVector in between, the
+// outputs and everything the layers retain are bit for bit what
+// ForwardBatch(x) leaves, and BackwardBatch or BackwardParams may follow. x
+// itself is retained, whole, as by ForwardBatch. rl's vectorized worker
+// selects lockstep step t's actions from window [t·E, (t+1)·E) of its rollout
+// arena, so that the last step's forward completes the update's.
+func (n *Network) ForwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 	for _, l := range n.layers {
-		x = l.ForwardBatch(x, workers)
+		x = l.forwardRows(x, lo, hi, workers)
 	}
 	return x
 }

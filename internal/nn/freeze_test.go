@@ -30,11 +30,13 @@ func assertNetMatchesSingle(t *testing.T, name string, batched, ref *Network, ro
 	}
 }
 
-// TestForwardBatchSeesRebinds pins the mutable path's contract: a network
-// that owns its weights packs them on every ForwardBatch, so no pack built
-// under one parameter vector can serve a batch under the next — whether the
-// new weights arrive by BindParamVector (rl's workers, per update) or by
-// SetParamVector.
+// TestForwardBatchSeesRebinds pins when a pack of the weights may outlive the
+// ForwardBatch that built it. A network that owns its weights packs on every
+// call. One bound to a caller's vector packs once per BindParamVector or
+// SetParamVector call — the caller keeps the vector immutable in between —
+// so new values show exactly when they arrive through one of the two, the
+// same slice bound again included, and no pack built under one call serves a
+// batch after the next.
 func TestForwardBatchSeesRebinds(t *testing.T) {
 	r := rng.New(40)
 	n := agentNet(r, 14, 16, 32, 3, 6)
@@ -42,6 +44,10 @@ func TestForwardBatchSeesRebinds(t *testing.T) {
 	ref := n.Clone()
 	const rows = 2 * packMinRows // the packed path
 	assertNetMatchesSingle(t, "initial weights", n, ref, rows, 1)
+	assertNetMatchesSingle(t, "initial weights, again", n, ref, rows, 5)
+	if got := n.WeightPacks(); got != 2 {
+		t.Fatalf("a network that owns its weights packed %d times in 2 batches, want 2", got)
+	}
 
 	bound := n.ParamVector()
 	for i := range bound {
@@ -50,14 +56,21 @@ func TestForwardBatchSeesRebinds(t *testing.T) {
 	n.BindParamVector(bound)
 	ref.SetParamVector(bound)
 	assertNetMatchesSingle(t, "after BindParamVector", n, ref, rows, 2)
+	assertNetMatchesSingle(t, "after BindParamVector, again", n, ref, rows, 6)
+	assertNetMatchesSingle(t, "after BindParamVector, a short batch", n, ref, packMinRows-1, 7)
+	if got := n.WeightPacks(); got != 3 {
+		t.Fatalf("%d packs after one bind and three batches, want 3 (2 before the bind, 1 for it)", got)
+	}
 
-	// The bound vector is the caller's: rewriting it in place, as a parameter
-	// server publishing into a reused buffer would, must show as well.
+	// The bound vector is the caller's, and a parameter server does publish
+	// into a reused buffer: rewrite it, then bind again — the same slice, at
+	// the same address — and the new values show.
 	for i := range bound {
 		bound[i] = -bound[i]
 	}
+	n.BindParamVector(bound)
 	ref.SetParamVector(bound)
-	assertNetMatchesSingle(t, "after rewriting the bound vector", n, ref, rows, 3)
+	assertNetMatchesSingle(t, "after rewriting and re-binding the same vector", n, ref, rows, 3)
 
 	set := make([]float64, len(bound))
 	for i := range set {
@@ -66,6 +79,9 @@ func TestForwardBatchSeesRebinds(t *testing.T) {
 	n.SetParamVector(set)
 	ref.SetParamVector(set)
 	assertNetMatchesSingle(t, "after SetParamVector", n, ref, rows, 4)
+	if got := n.WeightPacks(); got != 5 {
+		t.Fatalf("%d packs, want 5: one more per BindParamVector and SetParamVector call", got)
+	}
 }
 
 // TestFreezeSharesWeightsAndPacks pins what a frozen view is: the source's

@@ -99,6 +99,7 @@ func (n *Network) SetParamVector(v []float64) {
 		copy(p.Value, v[off:off+len(p.Value)])
 		off += len(p.Value)
 	}
+	n.weightsChanged(false)
 }
 
 // BindParamVector points every parameter block at a subslice of v (layout
@@ -108,6 +109,12 @@ func (n *Network) SetParamVector(v []float64) {
 // parameter values (only gradients), so sharing one vector across readers is
 // safe. rl's batched workers bind straight to the pinned published snapshot,
 // replacing a full-vector copy per update.
+//
+// The network holds the caller to that: a Dense packs its weights into kernel
+// layout at the first forward window of packMinRows rows or more after this
+// call and multiplies against the pack until the next BindParamVector or
+// SetParamVector call. New values have to arrive through one of the two —
+// binding the same slice again counts, rewriting it in place does not.
 func (n *Network) BindParamVector(v []float64) {
 	n.mustOwnParams("BindParamVector")
 	if len(v) != n.NumParams() {
@@ -119,6 +126,34 @@ func (n *Network) BindParamVector(v []float64) {
 		p.Value = v[off : off+size : off+size]
 		off += size
 	}
+	n.weightsChanged(true)
+}
+
+// weightsChanged tells every Dense that the pack it may hold is not of its
+// current weights, and, after a bind, that the next one may be kept. Dense
+// layers sit at the top level only: a Split's inner network is Conv1D, ReLU.
+func (n *Network) weightsChanged(bound bool) {
+	for _, l := range n.layers {
+		if d, ok := l.(*Dense); ok {
+			d.bound = d.bound || bound
+			d.packed = false
+		}
+	}
+}
+
+// WeightPacks returns how many forward passes have had to pack the network's
+// Dense weights into kernel layout first (a pass packs every block it needs,
+// so this counts passes, not blocks): one per ForwardBatch of packMinRows
+// rows or more on a network that owns its weights, one per bind on a bound
+// one, none on a frozen view.
+func (n *Network) WeightPacks() int {
+	packs := 0
+	for _, l := range n.layers {
+		if d, ok := l.(*Dense); ok && d.packs > packs {
+			packs = d.packs
+		}
+	}
+	return packs
 }
 
 // FlattenGrads rebacks every gradient accumulator with one contiguous vector
@@ -172,9 +207,45 @@ func (n *Network) Clone() *Network {
 	if n.frozen {
 		return n.Freeze()
 	}
+	out := n.shell()
+	dst := out.Params()
+	for i, p := range n.Params() {
+		*dst[i] = cloneParam(*p)
+	}
+	return out
+}
+
+// BoundClone returns a training replica of n: a network of the same
+// architecture bound to n's parameter values — shared, not copied, exactly as
+// by BindParamVector, so n must keep them unchanged until the replica is
+// bound elsewhere — with zeroed gradients of its own, backed by one flat
+// vector from the start (FlattenGrads returns it). Nothing is copied, which
+// is what a worker wants that binds to a published snapshot before its first
+// forward pass and would drop a Clone's values and gradients unread. Give the
+// replica new parameters with BindParamVector: SetParamVector copies into the
+// bound storage, which here is n's.
+func (n *Network) BoundClone() *Network {
+	n.mustOwnParams("BoundClone")
+	out := n.shell()
+	out.flatGrads = make([]float64, n.NumParams())
+	dst := out.Params()
+	off := 0
+	for i, p := range n.Params() {
+		size := len(p.Value)
+		dst[i].Value = p.Value[:size:size]
+		dst[i].Grad = out.flatGrads[off : off+size : off+size]
+		off += size
+	}
+	out.weightsChanged(true)
+	return out
+}
+
+// shell returns a network of n's architecture whose layers have no parameter
+// storage yet.
+func (n *Network) shell() *Network {
 	out := &Network{layers: make([]Layer, len(n.layers))}
 	for i, l := range n.layers {
-		out.layers[i] = l.clone()
+		out.layers[i] = l.shell()
 	}
 	return out
 }

@@ -43,14 +43,23 @@ type Param struct {
 // consumes and must accumulate parameter gradients bitwise identically to
 // calling Forward and Backward once per row, in row order.
 //
-// What a layer owns depends on how it came to be. A constructed or cloned
-// layer owns its parameters, gradients and scratch, and may see its
-// parameter values change between any two calls (SetParamVector,
-// BindParamVector, an optimizer step), so nothing derived from them — a
-// kernel-layout pack of a weight block — outlives the call that built it. A
-// frozen layer (Network.Freeze) owns only scratch: its parameter values and
-// packs are shared, read-only, with every other view of the same freeze, and
-// it has no gradients.
+// What a layer owns, and how long a kernel-layout pack of a Dense weight
+// block may live, depends on how its parameters came to be — three cases:
+//
+//   - It owns them (a constructed or cloned layer): values, gradients and
+//     scratch are its own, and the values may change between any two calls
+//     without the layer being told (an optimizer step through Params), so a
+//     pack serves the one ForwardBatch that built it — pack per call.
+//   - They are bound (Network.BindParamVector, Network.BoundClone): the
+//     values belong to the caller, who keeps them immutable until the next
+//     BindParamVector or SetParamVector call; gradients and scratch are the
+//     layer's. The first forward window of at least packMinRows rows after
+//     such a call packs, and every later one multiplies against that pack —
+//     pack per bind. It is the call that invalidates, never the address: a
+//     parameter server recycles its buffers.
+//   - It is frozen (Network.Freeze): it owns only scratch; values and packs
+//     are shared, read-only, with every other view of the same freeze, and it
+//     has no gradients — pack per freeze.
 type Layer interface {
 	Forward(x []float64) []float64
 	ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix
@@ -58,7 +67,17 @@ type Layer interface {
 	BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix
 	Params() []*Param
 	OutDim(inDim int) int
-	clone() Layer
+	// forwardRows is ForwardBatch for the row window [lo, hi) of x: it writes
+	// those rows of the layer's output batch — sized for all of x, the other
+	// rows left as they are — and retains x (see Network.ForwardRows).
+	forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix
+	// backwardBatch is BackwardBatch, except that with inputGrad unset it
+	// accumulates the parameter gradients only and returns nil (see
+	// Network.BackwardParams).
+	backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.Matrix
+	// shell returns a layer of the same architecture with no parameter
+	// storage at all; Network.Clone and Network.BoundClone fill it in.
+	shell() Layer
 	freeze() Layer
 }
 
@@ -69,11 +88,15 @@ type Dense struct {
 	x       []float64 // cached input
 	y, dx   []float64 // reused output/input-gradient buffers
 
-	by     *mat.Matrix       // reused batched output
-	bxt    *mat.Matrix       // reused lane-transposed scratch for short batches
-	wView  *mat.Matrix       // lazily built view of w.Value as an Out×In matrix
-	wpack  *mat.PackedTransB // kernel-layout copy of the weights: rebuilt by every ForwardBatch, or built once by freeze
-	frozen bool              // w, b and wpack are shared and read-only (see freeze)
+	by         *mat.Matrix       // reused batched output
+	bxt        *mat.Matrix       // reused lane-transposed scratch for short windows
+	xWin, yWin mat.Matrix        // reused views of a short window's input and output rows
+	wView      *mat.Matrix       // lazily built view of w.Value as an Out×In matrix
+	wpack      *mat.PackedTransB // kernel-layout copy of the weights (see Layer for how long it lives)
+	frozen     bool              // w, b and wpack are shared and read-only (see freeze)
+	bound      bool              // w and b are the caller's, immutable until the network is told otherwise
+	packed     bool              // wpack holds the current weights and may serve the next forward window
+	packs      int               // forward windows that had to pack first (Network.WeightPacks)
 
 	bx       *mat.Matrix       // input batch retained by ForwardBatch for BackwardBatch
 	dyT, bdx *mat.Matrix       // reused gradient-pass scratch/output buffers
@@ -149,18 +172,13 @@ func (d *Dense) Params() []*Param { return []*Param{&d.w, &d.b} }
 // OutDim implements Layer.
 func (d *Dense) OutDim(int) int { return d.Out }
 
-func (d *Dense) clone() Layer {
-	c := &Dense{In: d.In, Out: d.Out}
-	c.w = cloneParam(d.w)
-	c.b = cloneParam(d.b)
-	return c
-}
+func (d *Dense) shell() Layer { return &Dense{In: d.In, Out: d.Out} }
 
 // freeze returns a view of d that shares its parameter values and carries
 // the kernel-layout pack of its weights: built here, once, from a layer
 // whose weights may change, handed on as it is from one that is frozen.
 func (d *Dense) freeze() Layer {
-	c := &Dense{In: d.In, Out: d.Out, frozen: true}
+	c := &Dense{In: d.In, Out: d.Out, frozen: true, packed: true}
 	c.w.Value, c.b.Value = d.w.Value, d.b.Value
 	if d.frozen {
 		c.wpack = d.wpack
@@ -270,15 +288,12 @@ func (c *Conv1D) Params() []*Param { return []*Param{&c.w, &c.b} }
 // OutDim implements Layer.
 func (c *Conv1D) OutDim(int) int { return c.Filters * c.outLen() }
 
-func (c *Conv1D) clone() Layer {
-	cc := &Conv1D{InLen: c.InLen, Filters: c.Filters, Kernel: c.Kernel, Stride: c.Stride}
-	cc.w = cloneParam(c.w)
-	cc.b = cloneParam(c.b)
-	return cc
+func (c *Conv1D) shell() Layer {
+	return &Conv1D{InLen: c.InLen, Filters: c.Filters, Kernel: c.Kernel, Stride: c.Stride}
 }
 
 func (c *Conv1D) freeze() Layer {
-	cc := &Conv1D{InLen: c.InLen, Filters: c.Filters, Kernel: c.Kernel, Stride: c.Stride}
+	cc := c.shell().(*Conv1D)
 	cc.w.Value, cc.b.Value = c.w.Value, c.b.Value
 	return cc
 }
@@ -352,7 +367,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // OutDim implements Layer.
 func (r *ReLU) OutDim(in int) int { return in }
 
-func (r *ReLU) clone() Layer { return &ReLU{} }
+func (r *ReLU) shell() Layer { return &ReLU{} }
 
 func (r *ReLU) freeze() Layer { return &ReLU{} }
 
@@ -363,7 +378,7 @@ func (r *ReLU) freeze() Layer { return &ReLU{} }
 // write stats) bypass it — the paper's "results from these layers are then
 // aggregated with other inputs". The single-sample passes run Inner layer by
 // layer; the batched passes run the whole front-end as one loop over the
-// rows (Conv1D.forwardBatch).
+// rows (Conv1D.forward).
 type Split struct {
 	Head  int
 	Inner *Network
@@ -419,7 +434,7 @@ func (s *Split) Params() []*Param { return s.Inner.Params() }
 // OutDim implements Layer.
 func (s *Split) OutDim(in int) int { return s.Inner.OutDim(s.Head) + in - s.Head }
 
-func (s *Split) clone() Layer { return NewSplit(s.Head, s.Inner.Clone()) }
+func (s *Split) shell() Layer { return NewSplit(s.Head, s.Inner.shell()) }
 
 func (s *Split) freeze() Layer { return NewSplit(s.Head, s.Inner.Freeze()) }
 

@@ -23,9 +23,13 @@ type trainMetrics struct {
 	// Vectorized-engine instruments (DESIGN.md §16): envs counts the
 	// environments currently driven in lockstep across all workers;
 	// vecForward times the batched action-selection forward (one E-row
-	// GEMM per lockstep step).
-	envs       *obs.Gauge
-	vecForward *obs.Timer
+	// GEMM per lockstep step); weightPacks counts the times a vectorized
+	// worker's replica packed its weights into GEMM kernel layout — once
+	// per network per bound snapshot when the arena reaches the packed
+	// kernels, never when it does not.
+	envs        *obs.Gauge
+	vecForward  *obs.Timer
+	weightPacks *obs.Counter
 }
 
 var trainMet = func() trainMetrics {
@@ -50,6 +54,8 @@ var trainMet = func() trainMetrics {
 			"Environments currently driven in lockstep by the vectorized workers."),
 		vecForward: reg.Timer("minicost_train_vec_forward_seconds",
 			"Batched action-selection forward latency on the vectorized rollout path."),
+		weightPacks: reg.Counter("minicost_train_weight_packs_total",
+			"Forward weight packs made by the vectorized workers' replicas: one per network per bound snapshot."),
 	}
 	reg.GaugeFunc("minicost_train_steps_per_second",
 		"Throughput of the current (or last finished) Train call; NaN before the first.",

@@ -106,3 +106,42 @@ func TestVecTrainingMetricsAdvance(t *testing.T) {
 		t.Error("vectorized forward timer did not advance")
 	}
 }
+
+// TestWeightPacksMetric counts the weight packs a vectorized worker's
+// replicas make, exactly: both stay bound to one snapshot per update, so each
+// packs at most once per update however many forwards it runs — the actor at
+// its first E-row rollout window if that reaches the packed kernels (E ≥ 16),
+// never otherwise (it runs nothing but E-row windows), the critic at its
+// arena forward (or its bootstrap batch, at E ≥ 16) if the arena does. Before
+// the pack outlived the forward that built it, the first case read ten per
+// update.
+func TestWeightPacksMetric(t *testing.T) {
+	reg := obs.Default()
+	was := reg.Enabled()
+	reg.SetEnabled(true)
+	t.Cleanup(func() { reg.SetEnabled(was) })
+
+	const packs = "minicost_train_weight_packs_total"
+	for _, c := range []struct {
+		envs      int
+		perUpdate float64
+	}{
+		{16, 2}, // 16-row windows, 112-row arena: one per network per snapshot
+		{4, 1},  // 4-row windows stay unpacked; the 28-row arena packs the critic
+		{2, 0},  // a 14-row arena never reaches the packed kernels
+	} {
+		a3c, src := harnessTrainer(t, smallA3CConfig().Net, c.envs)
+		before := reg.Snapshot().Counter(packs)
+		const updates = 3
+		stats, err := a3c.TrainFrom(src, int64(updates*c.envs*a3c.Config().NSteps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Updates != updates {
+			t.Fatalf("E=%d: %d updates, want %d", c.envs, stats.Updates, updates)
+		}
+		if got, want := reg.Snapshot().Counter(packs)-before, c.perUpdate*updates; got != want {
+			t.Errorf("E=%d: %s moved by %v over %d updates, want %v", c.envs, packs, got, updates, want)
+		}
+	}
+}

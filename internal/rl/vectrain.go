@@ -15,12 +15,16 @@ import (
 // steps one environment and pays a batch-of-1 forward per action, the
 // vectorized worker drives E environments in lockstep through an
 // mdp.EnvBank: each lockstep step fills one E-row block of a flat E×NSteps
-// feature arena, selects all E actions with a single actor ForwardBatch
-// (an E-row GEMM that actually reaches the packed kernels in mat), and
-// advances all E environments with one StepAll. The n-step update then runs
-// once over the whole arena — one critic and one actor ForwardBatch, a
-// scalar return/advantage loop, one BackwardBatch each — so the per-update
-// network work is amortized over E×NSteps transitions.
+// feature arena, selects all E actions with a single actor forward over that
+// block (an E-row GEMM that actually reaches the packed kernels in mat), and
+// advances all E environments with one StepAll. The block is forwarded where
+// it lies in the arena (nn.Network.ForwardRows), so when the last step has
+// chosen its actions the actor's forward pass over the whole arena — logits
+// and every activation the gradient pass needs — already exists, and the
+// n-step update adds one critic forward, a scalar return/advantage loop and
+// one params-only backward pass per network. Both replicas stay bound to one
+// pinned snapshot from bindSnapshot to pushUpdate, so each packs its weights
+// once per update, at its first forward, however many forwards follow.
 //
 // Determinism contract: every environment owns an RNG substream split from
 // the worker stream by member index, all lockstep loops run in fixed member
@@ -72,8 +76,10 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 		envRNG[e] = wr.Split(uint64(e) + 0x5EED)
 	}
 
-	actor := a.protoActor.Clone()
-	critic := a.protoCritic.Clone()
+	// Replicas bound to the prototypes' values until the first bindSnapshot
+	// below, with flat gradients from the start: nothing is copied.
+	actor := a.protoActor.BoundClone()
+	critic := a.protoCritic.BoundClone()
 
 	bank := mdp.NewEnvBank(nEnvs)
 	for e := 0; e < nEnvs; e++ {
@@ -86,7 +92,6 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 	// of the arena and the flat transition arrays.
 	rows := nEnvs * nSteps
 	feats := mat.New(rows, featDim)
-	stepView := &mat.Matrix{}
 	rewards := make([]float64, rows)
 	actions := make([]int, rows)
 	dones := make([]bool, rows)
@@ -104,6 +109,8 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 	var st TrainStats
 	var held *paramSnap
 	defer func() { releaseSnapshot(held) }()
+	packs := 0
+	var logits *mat.Matrix
 
 	for a.steps.Load() < totalSteps {
 		held = a.bindSnapshot(actor, critic, held)
@@ -112,11 +119,12 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 
 		for t := 0; t < nSteps; t++ {
 			// Encode all members into this step's arena block and select all
-			// actions with one batched forward.
-			feats.SliceRows(stepView, t*nEnvs, (t+1)*nEnvs)
-			bank.FillFeatures(stepView.Data, featDim)
+			// actions with one batched forward over it, in place: logits has
+			// a row per arena row, and step t's are rows [base, base+E).
+			base := t * nEnvs
+			bank.FillFeatures(feats.Data[base*featDim:(base+nEnvs)*featDim], featDim)
 			sw := trainMet.vecForward.Start()
-			logits := actor.ForwardBatch(stepView, w)
+			logits = actor.ForwardRows(feats, base, base+nEnvs, w)
 			sw.Stop()
 			for e := 0; e < nEnvs; e++ {
 				r := envRNG[e]
@@ -132,7 +140,7 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 						stickyLeft[e] = a.cfg.ExploreHold - 1
 					}
 				default:
-					lrow := logits.Row(e)
+					lrow := logits.Row(base + e)
 					p := probs[:len(lrow)]
 					nn.SoftmaxInto(p, lrow)
 					action = sampleDist(p, r.Float64())
@@ -141,7 +149,6 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 			}
 			bank.StepAll(stepActions)
 
-			base := t * nEnvs
 			for e := 0; e < nEnvs; e++ {
 				reward := bank.Rewards[e]
 				if a.cfg.NormalizeRewards {
@@ -188,29 +195,34 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 			}
 		}
 
-		a.accumulateVec(actor, critic, feats, rewards, actions, dones, boot, &vb)
+		a.accumulateVec(actor, critic, feats, logits, rewards, actions, dones, boot, &vb)
 		a.pushUpdate(aGrad, cGrad, totalSteps)
 		st.Updates++
+		p := actor.WeightPacks() + critic.WeightPacks()
+		trainMet.weightPacks.Add(float64(p - packs))
+		packs = p
 	}
 	return st
 }
 
-// accumulateVec runs the n-step update over a full E×NSteps lockstep arena:
-// one critic and one actor ForwardBatch over all rows, a scalar loop
-// computing per-env returns, advantages and output gradients (walking each
-// env's column backward in time, resetting the return at episode
-// boundaries), then one BackwardBatch each. The per-row arithmetic is the
-// reference gradient term for term — advantage clip, entropy bonus, logit
-// decay — identical to accumulateSingle/accumulateBatched.
+// accumulateVec runs the n-step update over a full E×NSteps lockstep arena.
+// The actor's forward pass is the rollout's: logits is what its row-window
+// forwards over feats left behind, and its layers retain the activations. The
+// update adds one critic ForwardBatch over all rows, a scalar loop computing
+// per-env returns, advantages and output gradients (walking each env's column
+// backward in time, resetting the return at episode boundaries), then one
+// BackwardParams each — nobody reads the gradient with respect to the
+// features. The per-row arithmetic is the reference gradient term for term —
+// advantage clip, entropy bonus, logit decay — identical to
+// accumulateSingle/accumulateBatched.
 //
 //minicost:hotpath
-func (a *A3C) accumulateVec(actor, critic *nn.Network, feats *mat.Matrix, rewards []float64, actions []int, dones []bool, boot []float64, vb *vecBuf) {
+func (a *A3C) accumulateVec(actor, critic *nn.Network, feats, logits *mat.Matrix, rewards []float64, actions []int, dones []bool, boot []float64, vb *vecBuf) {
 	w := a.cfg.parallelism()
 	rows := feats.Rows
 	nEnvs := len(boot)
 	nSteps := rows / nEnvs
 	values := critic.ForwardBatch(feats, w)
-	logits := actor.ForwardBatch(feats, w)
 	vb.dV = mat.EnsureShape(vb.dV, rows, 1)
 	vb.dL = mat.EnsureShape(vb.dL, rows, mdp.NumActions)
 	if cap(vb.probs) < mdp.NumActions {
@@ -256,6 +268,6 @@ func (a *A3C) accumulateVec(actor, critic *nn.Network, feats *mat.Matrix, reward
 			}
 		}
 	}
-	critic.BackwardBatch(vb.dV, w)
-	actor.BackwardBatch(vb.dL, w)
+	critic.BackwardParams(vb.dV, w)
+	actor.BackwardParams(vb.dL, w)
 }

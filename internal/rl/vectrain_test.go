@@ -2,13 +2,20 @@ package rl
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 
 	"minicost/internal/costmodel"
 	"minicost/internal/mat"
 	"minicost/internal/mdp"
+	"minicost/internal/nn"
 	"minicost/internal/pricing"
 	"minicost/internal/rng"
+	"minicost/internal/trace"
 )
 
 // vecTrainParams runs a fresh trainer with cfg through TrainFrom over a
@@ -160,10 +167,11 @@ func TestVecCheckpointRoundTripResumesTraining(t *testing.T) {
 	assertVectorsBitwise(t, "critic", resumedCur.critic, origCur.critic)
 }
 
-// TestAccumulateVecSteadyStateAllocFree gates the vectorized update kernel:
-// once its reused matrices are warm, a full E×NSteps accumulate pass (two
-// ForwardBatch, the scalar gradient loop, two BackwardBatch) allocates
-// nothing.
+// TestAccumulateVecSteadyStateAllocFree gates the vectorized update in the
+// shape the worker runs it: once the reused matrices are warm, NSteps
+// row-window actor forwards over the arena followed by a full E×NSteps
+// accumulate pass (the critic's ForwardBatch, the scalar gradient loop, two
+// BackwardParams) allocate nothing.
 func TestAccumulateVecSteadyStateAllocFree(t *testing.T) {
 	cfg := smallA3CConfig()
 	cfg.EnvsPerWorker = 4
@@ -171,12 +179,10 @@ func TestAccumulateVecSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actor := a3c.protoActor.Clone()
-	critic := a3c.protoCritic.Clone()
-	// Flat-backed accumulators as in the worker; without them ZeroGrad walks
-	// (and allocates) the per-layer param list every call.
-	actor.FlattenGrads()
-	critic.FlattenGrads()
+	// Replicas as the worker builds them: flat-backed accumulators, without
+	// which ZeroGrad walks (and allocates) the per-layer param list every call.
+	actor := a3c.protoActor.BoundClone()
+	critic := a3c.protoCritic.BoundClone()
 	const nEnvs = 4
 	rows := nEnvs * cfg.NSteps
 	dim := cfg.Net.featureDim()
@@ -198,11 +204,198 @@ func TestAccumulateVecSteadyStateAllocFree(t *testing.T) {
 	run := func() {
 		actor.ZeroGrad()
 		critic.ZeroGrad()
-		a3c.accumulateVec(actor, critic, feats, rewards, actions, dones, boot, &vb)
+		var logits *mat.Matrix
+		for s := 0; s < cfg.NSteps; s++ {
+			logits = actor.ForwardRows(feats, s*nEnvs, (s+1)*nEnvs, 1)
+		}
+		a3c.accumulateVec(actor, critic, feats, logits, rewards, actions, dones, boot, &vb)
 	}
 	run() // warm the reused matrices and kernel scratch
 	run()
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 		t.Fatalf("steady-state accumulateVec allocates %.0f/op, want 0", allocs)
+	}
+}
+
+// TestBindSnapshotRepacksRecycledBuffers is the rl side of the pack-per-bind
+// rule (nn's TestForwardBatchSeesRebinds): the parameter server recycles its
+// buffers, so with one reader the snapshot published by update u+2 lives at
+// the address a replica was bound to at update u, under different values. A
+// replica that told binds apart by address would multiply against the old
+// pack; it must go by the call. After every bindSnapshot a batch long enough
+// for the packed kernels has to equal row-by-row Forward on a fresh network
+// set to the published vector.
+func TestBindSnapshotRepacksRecycledBuffers(t *testing.T) {
+	cfg := smallA3CConfig()
+	cfg.EnvsPerWorker = 4
+	a3c, err := NewA3C(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actor, critic := a3c.protoActor.BoundClone(), a3c.protoCritic.BoundClone()
+	aGrad, cGrad := actor.FlattenGrads(), critic.FlattenGrads()
+	r := rng.New(12)
+	x := mat.New(32, cfg.Net.featureDim()) // twice nn's packMinRows
+	for i := range x.Data {
+		x.Data[i] = r.Float64()
+	}
+	assertMatchesFresh := func(update int, name string, replica, proto *nn.Network, published []float64) {
+		t.Helper()
+		fresh := proto.Clone()
+		fresh.SetParamVector(published)
+		y := replica.ForwardBatch(x, 1)
+		for row := 0; row < x.Rows; row++ {
+			assertVectorsBitwise(t, fmt.Sprintf("update %d: %s row %d", update, name, row), y.Row(row), fresh.Forward(x.Row(row)))
+		}
+	}
+
+	boundAt := map[*float64]int{} // a snapshot's address → the last update bound to it
+	recycled := false
+	var held *paramSnap
+	defer func() { releaseSnapshot(held) }()
+	for u := 0; u < 6; u++ {
+		held = a3c.bindSnapshot(actor, critic, held)
+		if prev, ok := boundAt[&held.actor[0]]; ok && u-prev == 2 {
+			recycled = true
+		}
+		boundAt[&held.actor[0]] = u
+		assertMatchesFresh(u, "actor", actor, a3c.protoActor, held.actor)
+		assertMatchesFresh(u, "critic", critic, a3c.protoCritic, held.critic)
+		for _, g := range [][]float64{aGrad, cGrad} {
+			for i := range g {
+				g[i] = r.NormalMS(0, 1)
+			}
+		}
+		a3c.mu.Lock()
+		a3c.applyLocked(aGrad, cGrad)
+		a3c.mu.Unlock()
+	}
+	if !recycled {
+		t.Fatal("no snapshot was published at an address bound two updates earlier: the test no longer exercises recycling")
+	}
+}
+
+// The three network sizes the end-to-end harness trains at, with the lockstep
+// width it (or minicostd -online, for boot64) pairs each with.
+var (
+	netPaper128 = NetConfig{HistLen: 14, Filters: 128, Kernel: 4, Stride: 1, Hidden: 128}
+	netBoot64   = NetConfig{HistLen: 14, Filters: 32, Kernel: 4, Stride: 1, Hidden: 64}
+	netQuick16  = NetConfig{HistLen: 7, Filters: 16, Kernel: 4, Stride: 1, Hidden: 32}
+)
+
+// harnessTrainer returns a fresh trainer in the end-to-end harness's
+// configuration (benchmark/train_offline.go's a3cConfig: the paper's
+// defaults, one worker, serial updates) and a TraceSource over a small
+// generated trace whose episodes turn over every few rollouts.
+func harnessTrainer(tb testing.TB, net NetConfig, envs int) (*A3C, *TraceSource) {
+	tb.Helper()
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles, gen.Days, gen.Seed, gen.Workers = 48, 42, 20, 1
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultA3CConfig()
+	cfg.Net = net
+	cfg.Workers = 1
+	cfg.EnvsPerWorker = envs
+	cfg.Seed = 20
+	a3c, err := NewA3C(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, err := NewTraceSource(costmodel.New(pricing.Azure()), tr, net.HistLen, mdp.DefaultReward(), pricing.Hot)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a3c, src
+}
+
+// paramHash is the harness's: FNV-1a over the published actor and critic
+// parameter bits.
+func paramHash(a *A3C) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	actor, critic := a.ParamVectors()
+	for _, v := range [][]float64{actor, critic} {
+		for _, x := range v {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestVecTrainGoldenHashes is the vectorized engine's bitwise oracle. Nothing
+// else computes what it computes — the single-sample reference stops at E=1 —
+// so the parameters it reaches are pinned as constants, recorded at the
+// commit before the update stopped packing per forward, re-running the
+// actor's forward and computing the feature gradient (PR 20), on both sides
+// of packMinRows: 4-row windows and a 28-row arena, 8-row windows and a
+// 56-row arena, 16-row windows and a 112-row arena at the paper's network.
+// Each budget is split over two TrainFrom calls, so replicas are rebuilt and
+// every RNG stream re-derived in between. A change to the engine that moves a
+// hash changed its arithmetic. The constants are amd64's: the Go compiler
+// fuses a multiply and an add on some other architectures, which rounds
+// differently.
+func TestVecTrainGoldenHashes(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden hashes were recorded on amd64; fused multiply-adds round differently")
+	}
+	for _, c := range []struct {
+		net   NetConfig
+		envs  int
+		steps int64 // per TrainFrom call: a whole number of E×NSteps updates
+		want  uint64
+	}{
+		{NetConfig{HistLen: 14, Filters: 8, Kernel: 4, Stride: 1, Hidden: 8}, 4, 280, 0x6803fb0b3fbea9ea},
+		{netBoot64, 8, 224, 0xe4687a8554421d7e},
+		{netPaper128, 16, 224, 0xc805ceeac39e0dd7},
+	} {
+		a3c, src := harnessTrainer(t, c.net, c.envs)
+		for call := int64(1); call <= 2; call++ {
+			if _, err := a3c.TrainFrom(src, call*c.steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := paramHash(a3c); got != c.want {
+			t.Errorf("%d/%d/%d E=%d: parameter hash %#x after 2×%d steps, want %#x",
+				c.net.HistLen, c.net.Filters, c.net.Hidden, c.envs, got, c.steps, c.want)
+		}
+	}
+}
+
+// BenchmarkVecTrainUpdate times the vectorized engine the way the end-to-end
+// harness's train-offline workload does — one worker, TrainFrom in 512-step
+// slices, replicas rebuilt per slice — and reports training steps per second
+// at the three sizes the harness trains at:
+//
+//	paper128/E=16  its timed train phase (file_days_per_s)
+//	boot64/E=8     minicostd -online's fine-tune epochs (rl.finetune_steps_per_s)
+//	quick16/E=4    the experiments' Quick profile; a 28-row arena packs, its
+//	               4-row rollout windows do not
+func BenchmarkVecTrainUpdate(b *testing.B) {
+	const slice = 512
+	for _, bc := range []struct {
+		name string
+		net  NetConfig
+		envs int
+	}{{"paper128/E=16", netPaper128, 16}, {"boot64/E=8", netBoot64, 8}, {"quick16/E=4", netQuick16, 4}} {
+		b.Run(bc.name, func(b *testing.B) {
+			a3c, src := harnessTrainer(b, bc.net, bc.envs)
+			if _, err := a3c.FineTune(src, slice); err != nil { // warm the trace's lazily built state
+				b.Fatal(err)
+			}
+			steps := int64(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stats, err := a3c.FineTune(src, slice)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += stats.Steps
+			}
+			b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+		})
 	}
 }
