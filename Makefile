@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint fuzz check check-parallel smoke-serve smoke-online bench-e2e bench-smoke bench-inference bench-training bench-envs bench-evaluation bench-serving bench-scaling
+.PHONY: build test lint fuzz check check-parallel check-purego smoke-serve smoke-online bench-e2e bench-smoke bench-inference bench-training bench-envs bench-evaluation bench-serving bench-scaling
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,13 @@ check:
 # degrade to the serial paths).
 check-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/par ./internal/mat ./internal/nn ./internal/rl
+
+# check-purego builds the kernel-level packages without the amd64 assembly
+# (gemm_noasm.go / vec_noasm.go, otherwise compiled on no machine CI has) and
+# runs their suites — golden hashes and bitwise-equivalence tests included —
+# on the portable loops the assembly is held to.
+check-purego:
+	$(GO) test -tags purego -count=1 ./internal/mat ./internal/nn ./internal/rl
 
 # smoke-serve boots minicostd with a tiny bootstrap agent, exercises
 # observe -> plan, and asserts /healthz answers and /metrics exposes the

@@ -48,6 +48,7 @@ import (
 	"minicost/internal/agentserver"
 	"minicost/internal/core"
 	"minicost/internal/costmodel"
+	"minicost/internal/mat"
 	"minicost/internal/mdp"
 	"minicost/internal/obs"
 	"minicost/internal/online"
@@ -87,6 +88,14 @@ func main() {
 	// Turn the default-off registry on before bootstrapping so the training
 	// and simulation instruments record from the first step.
 	obs.Default().SetEnabled(*metrics)
+
+	// Which GEMM kernel tier CPUID selected: a plan latency is only
+	// comparable with another taken on the same tier.
+	isa := mat.KernelISA()
+	fmt.Fprintf(os.Stderr, "minicostd: gemm kernel %s\n", isa)
+	obs.Default().Gauge("minicost_gemm_kernel_info",
+		"Kernel tier the packed GEMM runs on this CPU (avx512, avx or generic), chosen once at start-up; always 1.",
+		obs.L("isa", isa)).Set(1)
 
 	boot, err := loadOrBootstrap(bootOpts{
 		checkpoint:     *checkpoint,

@@ -8,11 +8,11 @@ import (
 
 // This file holds the kernels behind the batched *gradient* pass
 // (nn.BackwardBatch): a buffer-reusing transpose, accumulating products for
-// weight gradients (one tiled for large batches, one transpose-free for
-// short training rollouts), a shared-dimension-outer product for short-batch
-// input gradients, and a packer that reads a matrix transposed so the
-// large-batch input-gradient GEMM can run on the packed SIMD kernel without
-// materializing Wᵀ first.
+// weight gradients (one on the packed kernel for large batches, one
+// transpose-free for short training rollouts), a shared-dimension-outer
+// product for short-batch input gradients, and a packer that reads a matrix
+// transposed so the large-batch input-gradient GEMM can run on the packed
+// SIMD kernel without materializing Wᵀ first.
 //
 // The numerical contract matches gemm.go: every output element's shared-
 // dimension accumulation runs sequentially in index order, seeded — for the
@@ -58,29 +58,6 @@ func transposeRows(dst, src *Matrix, lo, hi int) {
 			dst.Data[c*dst.Cols+r] = v
 		}
 	}
-}
-
-// MulTransBAccTo accumulates dst += a·bᵀ in place; dst must already have
-// shape a.Rows×b.Rows (there is no implicit zeroing — weight-gradient
-// accumulators arrive pre-seeded). Each element's k-chain is sequential and
-// seeded with the element's current value, so adding one rank-per-sample
-// term at a time through this kernel reproduces the per-sample accumulation
-// bitwise. workers bounds the parallel fan-out as in MulTransBTo.
-func MulTransBAccTo(dst, a, b *Matrix, workers int) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulTransBAcc shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulTransBAcc dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	if workers == 1 || a.Rows*a.Cols*b.Rows < gemmParallelFlops {
-		mulTransBAccBlock(dst, a, b, 0, a.Rows)
-		return
-	}
-	w := resolveWorkers(workers)
-	par.ForBatched(a.Rows, parPanel(a.Rows, w, gemmMinPanel), w, func(lo, hi int) {
-		mulTransBAccBlock(dst, a, b, lo, hi)
-	})
 }
 
 // MulTransAAccTo accumulates dst += aᵀ·b in place (a is K×M, b is K×N, dst
@@ -228,8 +205,8 @@ func MulPackAccTo(dst, a *Matrix, pb *PackedTransB, workers int) {
 // mulPackAccBlock accumulates into dst rows [lo, hi) from the packed
 // operand. Column tiles are the outer loop with the shared dimension
 // blocked inside them (packKBlock, mulPackBlock's block length) so the revisited
-// segment stays cache-hot; dotPack16 accumulates into the live destination
-// slice, so no seeding pass is needed — the existing values are the seed.
+// segment stays cache-hot; dotPackRows accumulates into the live destination
+// rows, so no seeding pass is needed — the existing values are the seed.
 // The ragged last tile uses per-lane scalar dots, each still k-sequential
 // from the element's current value.
 //
@@ -245,9 +222,7 @@ func mulPackAccBlock(dst, a *Matrix, pb *PackedTransB, lo, hi int) {
 				k1 = k
 			}
 			seg := tile[k0*packLanes : k1*packLanes]
-			for r := lo; r < hi; r++ {
-				dotPack16(a.Data[r*k+k0:r*k+k1], seg, dst.Data[r*n+j:r*n+j+packLanes])
-			}
+			dotPackRows(dst.Data, n, j, a.Data, k, k0, k1, seg, lo, hi)
 		}
 	}
 	if full < n {
@@ -261,49 +236,6 @@ func mulPackAccBlock(dst, a *Matrix, pb *PackedTransB, lo, hi int) {
 					s += v * seg[i*packLanes+lane]
 				}
 				drow[full+lane] = s
-			}
-		}
-	}
-}
-
-// mulTransBAccBlock fills output rows [lo, hi) like mulTransBBlock, except
-// each accumulator is seeded from dst instead of a bias vector. Four
-// independent output columns run together to hide FP-add latency; every
-// element's own k-accumulation stays sequential.
-//
-//minicost:hotpath
-func mulTransBAccBlock(dst, a, b *Matrix, lo, hi int) {
-	n, k := b.Rows, a.Cols
-	for j0 := 0; j0 < n; j0 += gemmColTile {
-		j1 := j0 + gemmColTile
-		if j1 > n {
-			j1 = n
-		}
-		for r := lo; r < hi; r++ {
-			arow := a.Data[r*k : (r+1)*k]
-			drow := dst.Data[r*n : (r+1)*n]
-			j := j0
-			for ; j+4 <= j1; j += 4 {
-				b0 := b.Data[j*k : j*k+k]
-				b1 := b.Data[(j+1)*k : (j+1)*k+k]
-				b2 := b.Data[(j+2)*k : (j+2)*k+k]
-				b3 := b.Data[(j+3)*k : (j+3)*k+k]
-				s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-				for i, v := range arow {
-					s0 += v * b0[i]
-					s1 += v * b1[i]
-					s2 += v * b2[i]
-					s3 += v * b3[i]
-				}
-				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < j1; j++ {
-				brow := b.Data[j*k : j*k+k]
-				s := drow[j]
-				for i, v := range arow {
-					s += v * brow[i]
-				}
-				drow[j] = s
 			}
 		}
 	}

@@ -1,0 +1,286 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// The kernel-tier tests: every tier the CPU has (generic, AVX, AVX-512),
+// forced one at a time, against a textbook loop written here — bias- or
+// destination-seeded, k ascending, multiply then add — bit for bit, signed
+// zeros included.
+
+// sameBits compares by bit pattern, so -0 does not match +0, except that any
+// NaN matches any NaN: which operand's payload and sign a NaN result carries
+// depends on the operand order the compiler happened to emit (the textbook
+// loop above changes its own under -race), not on the arithmetic.
+func sameBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", name, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// specials are the values arithmetic treats specially; subnormal products
+// and sums round on their own path.
+var specials = []float64{
+	math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, -0x1p-1030,
+}
+
+// saltedMatrix is detMatrix with a special value at every 11th element —
+// every 211th of a large matrix: each subnormal operand costs a microcode
+// assist, a hundred times the multiply — the non-finite ones confined to the
+// listed rows so that most outputs stay finite and reordered sums would
+// still show.
+func saltedMatrix(rows, cols int, seed float64, nonFinite ...int) *Matrix {
+	m := detMatrix(rows, cols, seed)
+	step := 11
+	if len(m.Data) >= 1<<12 {
+		step = 211
+	}
+	for i := 0; i < len(m.Data); i += step {
+		v := specials[(i/step)%len(specials)]
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			ok := false
+			for _, r := range nonFinite {
+				ok = ok || i/cols == r
+			}
+			if !ok {
+				continue
+			}
+		}
+		m.Data[i] = v
+	}
+	return m
+}
+
+var (
+	tierRows = []int{1, 7, 8, 9, 15, 16, 61, 64, 67, 112}
+	tierKs   = []int{1, 191, 192, 193, 3206}
+	tierCols = []int{3, 16, 48, 128}
+)
+
+// tierShapes is the cross product of the three lists; -short keeps the
+// paper's shared dimension for two row counts only.
+func tierShapes() (shapes []struct{ rows, k, cols int }) {
+	for _, rows := range tierRows {
+		for _, k := range tierKs {
+			if testing.Short() && k == 3206 && rows != 9 && rows != 64 {
+				continue
+			}
+			for _, cols := range tierCols {
+				shapes = append(shapes, struct{ rows, k, cols int }{rows, k, cols})
+			}
+		}
+	}
+	return shapes
+}
+
+func TestPackedKernelTiersForward(t *testing.T) {
+	for _, s := range tierShapes() {
+		a := saltedMatrix(s.rows, s.k, 0.75, 2, s.rows-1)
+		b := saltedMatrix(s.cols, s.k, -1.125, 1, s.cols-2)
+		bias := detVec(s.cols, 2.0)
+		bias[s.cols/2] = math.Copysign(0, -1)
+		want := [2]*Matrix{New(s.rows, s.cols), New(s.rows, s.cols)} // nil bias, bias
+		for r := 0; r < s.rows; r++ {
+			for c := 0; c < s.cols; c++ {
+				s0, s1 := 0.0, bias[c]
+				for i := 0; i < s.k; i++ {
+					p := a.Data[r*s.k+i] * b.Data[c*s.k+i]
+					s0 += p
+					s1 += p
+				}
+				want[0].Data[r*s.cols+c], want[1].Data[r*s.cols+c] = s0, s1
+			}
+		}
+		pack := PackTransBTo(nil, b)
+		// A window that starts off every 8-row boundary; the rows around it
+		// must keep what they held.
+		lo, hi := 3, s.rows-2
+		if hi <= lo {
+			lo, hi = 0, s.rows
+		}
+		for _, tier := range kernelTiers() {
+			t.Run(fmt.Sprintf("%s/%dx%dx%d", tier, s.rows, s.k, s.cols), func(t *testing.T) {
+				forceTier(t, tier)
+				var got *Matrix
+				for _, workers := range []int{1, 4} {
+					for wi, bs := range [][]float64{nil, bias} {
+						got = MulPackTransBBiasRowsTo(got, a, pack, bs, 0, s.rows, workers)
+						sameBits(t, "whole batch", got.Data, want[wi].Data)
+					}
+				}
+				for i := range got.Data {
+					got.Data[i] = -7
+				}
+				got = MulPackTransBBiasRowsTo(got, a, pack, bias, lo, hi, 4)
+				sameBits(t, "window", got.Data[lo*s.cols:hi*s.cols], want[1].Data[lo*s.cols:hi*s.cols])
+				for i, v := range got.Data {
+					if (i < lo*s.cols || i >= hi*s.cols) && v != -7 {
+						t.Fatalf("window [%d,%d) wrote element %d", lo, hi, i)
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestPackedKernelTiersAcc(t *testing.T) {
+	for _, s := range tierShapes() {
+		a := saltedMatrix(s.rows, s.k, 0.75, 2, s.rows-1)
+		x := saltedMatrix(s.k, s.cols, -1.125, 1, s.k-2)
+		seed := saltedMatrix(s.rows, s.cols, 4.5)
+		want := seed.Clone()
+		for r := 0; r < s.rows; r++ {
+			for c := 0; c < s.cols; c++ {
+				sum := want.Data[r*s.cols+c]
+				for i := 0; i < s.k; i++ {
+					sum += a.Data[r*s.k+i] * x.Data[i*s.cols+c]
+				}
+				want.Data[r*s.cols+c] = sum
+			}
+		}
+		pack := PackTransposeTo(nil, x)
+		for _, tier := range kernelTiers() {
+			t.Run(fmt.Sprintf("%s/%dx%dx%d", tier, s.rows, s.k, s.cols), func(t *testing.T) {
+				forceTier(t, tier)
+				for _, workers := range []int{1, 4} {
+					got := seed.Clone()
+					MulPackAccTo(got, a, pack, workers)
+					sameBits(t, "MulPackAccTo", got.Data, want.Data)
+				}
+			})
+		}
+	}
+}
+
+// TestConv4Tiers pins the front-end kernel's vector body to a textbook loop
+// at every output length around the four-wide groups — 1-3 (no full group),
+// 4-9 and 25 (full groups with every ragged tail) — rectified and bare, with
+// inputs arranged so that sums land on -0, +0, NaN, ±Inf and the smallest
+// subnormals: the values on which a compare-and-mask rectifier and `v > 0`
+// could disagree. Three filters share the window, so a tail that ran past
+// its own filter's outputs would show in the next one's, and the responses
+// sit inside a larger buffer whose other elements must survive.
+func TestConv4Tiers(t *testing.T) {
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	mixed := func(i int) float64 { return float64((i*7)%11)*0.375 - 1.75 }
+	spike := func(v float64) func(i, n int) float64 {
+		return func(i, n int) float64 {
+			if i == n/2 {
+				return v
+			}
+			return mixed(i)
+		}
+	}
+	all := func(v float64) func(i, n int) float64 { return func(i, n int) float64 { return v } }
+	for _, sc := range []struct {
+		name string
+		bias float64 // the first filter's; its taps are positive
+		x    func(i, n int) float64
+		land float64 // a value the first filter's bare responses must contain, unless it is -7
+	}{
+		{"mixed signs", 0.25, func(i, n int) float64 { return mixed(i) }, -7},
+		{"-0", negZero, all(negZero), negZero},
+		{"+0", 0, all(0), 0},
+		{"-0 bias on +0", negZero, all(0), 0},
+		{"smallest subnormal", tiny, all(negZero), tiny},
+		{"-smallest subnormal", -tiny, all(0), -tiny},
+		{"NaN", 0.25, spike(math.NaN()), math.NaN()},
+		{"+Inf", 0.25, spike(math.Inf(1)), math.Inf(1)},
+		{"-Inf", 0.25, spike(math.Inf(-1)), math.Inf(-1)},
+	} {
+		w := []float64{0.5, 1.5, 2, 3, -1.25, 0.75, -0.5, 2.5, 1, -1, 1, -1}
+		b := []float64{sc.bias, -0.375, 1.5}
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 25} {
+			x := make([]float64, n+3)
+			for i := range x {
+				x[i] = sc.x(i, n)
+			}
+			for _, pass := range []uint64{0, ^uint64(0)} {
+				want := make([]float64, len(b)*n)
+				landed := sc.land == -7
+				for i := range want {
+					f, o := i/n, i%n
+					s := b[f]
+					for k, wk := range w[4*f : 4*f+4] {
+						s += wk * x[o+k]
+					}
+					landed = landed || f == 0 && (math.Float64bits(s) == math.Float64bits(sc.land) || math.IsNaN(s) && math.IsNaN(sc.land))
+					if pass == 0 && !(s > 0) {
+						s = 0
+					}
+					want[i] = s
+				}
+				if !landed {
+					t.Fatalf("%s n=%d: no response lands on %v", sc.name, n, sc.land)
+				}
+				for _, tier := range kernelTiers() {
+					t.Run(fmt.Sprintf("%s/%s/n%d/pass%d", tier, sc.name, n, pass&1), func(t *testing.T) {
+						forceTier(t, tier)
+						buf := make([]float64, len(want)+8)
+						for i := range buf {
+							buf[i] = -7
+						}
+						Conv4To(buf[4:4+len(want)], x, w, b, pass)
+						sameBits(t, "Conv4To", buf[4:4+len(want)], want)
+						for i, v := range buf {
+							if (i < 4 || i >= 4+len(want)) && v != -7 {
+								t.Fatalf("wrote element %d outside y[0:%d]", i-4, len(want))
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPackedKernel times the packed product at the paper network's
+// shapes on every kernel tier the CPU has, one thread: the hidden layer's
+// forward GEMM over a 64-row shard batch and a 1024-row plan, and the
+// hidden weight gradient of a 112-row update (paper128 at E=16: dW is
+// 128×3206, the shared dimension the batch).
+func BenchmarkPackedKernel(b *testing.B) {
+	const in, hidden = 3206, 128
+	gflops := func(b *testing.B, m, k, n int) {
+		b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+	}
+	for _, tier := range kernelTiers() {
+		for _, rows := range []int{64, 1024} {
+			b.Run(fmt.Sprintf("fwd/m%d/%s", rows, tier), func(b *testing.B) {
+				forceTier(b, tier)
+				a := detMatrix(rows, in, 0.75)
+				pack := PackTransBTo(nil, detMatrix(hidden, in, -1.125))
+				bias := detVec(hidden, 2.0)
+				dst := MulPackTransBBiasTo(nil, a, pack, bias, 1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst = MulPackTransBBiasTo(dst, a, pack, bias, 1)
+				}
+				gflops(b, rows, in, hidden)
+			})
+		}
+		b.Run("grad/"+tier, func(b *testing.B) {
+			forceTier(b, tier)
+			const batch = 112
+			dyT := detMatrix(hidden, batch, 0.75)
+			pack := PackTransposeTo(nil, detMatrix(batch, in, -1.125))
+			dw := New(hidden, in)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulPackAccTo(dw, dyT, pack, 1)
+			}
+			gflops(b, hidden, batch, in)
+		})
+	}
+}

@@ -6,9 +6,10 @@ import (
 	"minicost/internal/par"
 )
 
-// packLanes is the column-tile width of the packed GEMM kernel: one output
-// column per SIMD lane across four 4-wide vector accumulators (see
-// gemm_amd64.s). The generic fallback uses the same layout.
+// packLanes is the column-tile width of the packed GEMM kernels: one output
+// column per SIMD lane across four 4-wide (AVX) or two 8-wide (AVX-512)
+// vector accumulators per row (see gemm_amd64.s). The generic fallback uses
+// the same layout.
 const packLanes = 16
 
 // PackedTransB is a transposed-B operand (weights: row j holds output
@@ -223,15 +224,15 @@ const packKBlock = 192
 const packRowPanel = 64
 
 // mulPackBlock fills output rows [lo, hi) from the packed operand, one
-// packRowPanel of rows at a time. Inside a panel the shared dimension is
-// blocked outermost (see packKBlock), then the column tiles, then the rows:
-// the tile segment the rows revisit stays L1-hot and the panel's k-block
-// stays L2-hot across the tiles. The first block seeds each destination
-// slice with the bias (or zero) and later blocks accumulate on top, with
-// the running sums parked in dst between blocks. The ragged last tile uses
-// per-lane scalar dots written straight into dst (a scratch array would
-// escape through the asm call and break the allocation-free steady state).
-// Every element stays k-sequential.
+// packRowPanel of rows at a time. A panel's destination is first seeded with
+// the bias (or zero) over the full tiles; then the shared dimension is
+// blocked outermost (see packKBlock), then the column tiles, then the rows
+// (dotPackRows, eight to a kernel call where the CPU has the registers): the
+// tile segment the rows revisit stays L1-hot and the panel's k-block stays
+// L2-hot across the tiles, with the running sums parked in dst between
+// blocks. The ragged last tile uses per-lane scalar dots written straight
+// into dst (a scratch array would escape through the asm call and break the
+// allocation-free steady state). Every element stays k-sequential.
 //
 //minicost:hotpath
 func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) {
@@ -242,6 +243,16 @@ func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) 
 		if p1 > hi {
 			p1 = hi
 		}
+		for r := p0; r < p1; r++ {
+			acc := dst.Data[r*n : r*n+full]
+			if bias != nil {
+				copy(acc, bias)
+			} else {
+				for i := range acc {
+					acc[i] = 0
+				}
+			}
+		}
 		for k0 := 0; k0 < k; k0 += packKBlock {
 			k1 := k0 + packKBlock
 			if k1 > k {
@@ -249,19 +260,7 @@ func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) 
 			}
 			for j := 0; j < full; j += packLanes {
 				seg := pb.Data[j*k+k0*packLanes : j*k+k1*packLanes]
-				for r := p0; r < p1; r++ {
-					acc := dst.Data[r*n+j : r*n+j+packLanes]
-					if k0 == 0 {
-						if bias != nil {
-							copy(acc, bias[j:j+packLanes])
-						} else {
-							for i := range acc {
-								acc[i] = 0
-							}
-						}
-					}
-					dotPack16(a.Data[r*k+k0:r*k+k1], seg, acc)
-				}
+				dotPackRows(dst.Data, n, j, a.Data, k, k0, k1, seg, p0, p1)
 			}
 		}
 	}
@@ -285,8 +284,8 @@ func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) 
 }
 
 // dotPack16Generic is the portable kernel: acc[lane] += Σ_i a[i]·bp[i*16+lane],
-// each lane sequential in i. It backs dotPack16 on non-amd64 builds and on
-// amd64 CPUs without AVX.
+// each lane sequential in i. It backs dotPackRows on builds without assembly
+// and on amd64 CPUs without AVX.
 func dotPack16Generic(a, bp, acc []float64) {
 	var s [packLanes]float64
 	copy(s[:], acc)

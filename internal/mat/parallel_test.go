@@ -124,17 +124,6 @@ func TestPackParallelMatchesSerial(t *testing.T) {
 // k-outer input-gradient kernel at every worker count.
 func TestGradKernelsParallelBitwise(t *testing.T) {
 	for _, s := range parallelShapes {
-		// dst += a·bᵀ with a pre-seeded destination.
-		a := detMatrix(s.rows, s.k, 0.25)
-		b := detMatrix(s.cols, s.k, -1.75)
-		want := detMatrix(s.rows, s.cols, 4.5)
-		MulTransBAccTo(want, a, b, 1)
-		for _, w := range testWorkerCounts {
-			got := detMatrix(s.rows, s.cols, 4.5)
-			MulTransBAccTo(got, a, b, w)
-			equalBits(t, "MulTransBAccTo", got.Data, want.Data)
-		}
-
 		// dst += aᵀ·b, the transpose-free short-batch weight gradient.
 		at := detMatrix(s.k, s.rows, 1.25)
 		bt := detMatrix(s.k, s.cols, -0.5)

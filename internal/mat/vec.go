@@ -1,6 +1,10 @@
 package mat
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // This file holds flat-vector kernels shared by the training hot path: an
 // accumulating axpy used by the short-batch gradient products in grad.go and
@@ -83,6 +87,58 @@ func ScaleVec(dst []float64, s float64) { scal(dst, s) }
 func scalGeneric(dst []float64, s float64) {
 	for i := range dst {
 		dst[i] *= s
+	}
+}
+
+// Gate returns v where by > 0 and +0 elsewhere, without a branch: the
+// rectifier is Gate(v, v, 0) and its gradient Gate(dy, x, 0). The batched
+// loops use it because on activations of random sign the branch of
+// `v > 0 ? v : 0` mispredicts every other element (≈5 ns against <1). The
+// floats greater than zero are exactly the bit patterns from 1 (the smallest
+// subnormal) to +Inf's; ±0, every negative and every NaN — of either sign,
+// which a test of the sign bit alone would let through — fall outside, as
+// they fail `by > 0`. pass is ORed into the mask: all ones opens the gate
+// whatever by is, for the conv loops, which run with and without a
+// rectifier behind them.
+func Gate(v, by float64, pass uint64) float64 {
+	const posInf = 0x7FF0000000000000
+	_, borrow := bits.Sub64(math.Float64bits(by)-1, posInf, 0)
+	return math.Float64frombits(math.Float64bits(v) & (-borrow | pass))
+}
+
+// Conv4To is the conv front-end's inner loops at the paper's shape, one
+// sample's responses to every kernel-4, stride-1 filter: with ol = len(x)-3
+// outputs per filter, channel-major, y[f·ol+t] = b[f] + w[4f]·x[t] +
+// w[4f+1]·x[t+1] + w[4f+2]·x[t+2] + w[4f+3]·x[t+3], added in that order (the
+// single-sample Conv1D.Forward's), then gated on its own sign — pass 0
+// rectifies, all ones lets every response through (see Gate). Outputs are
+// independent elements, so the AVX body (vec_amd64.s), four of them to a
+// vector, leaves the bits of conv4Generic.
+func Conv4To(y, x, w, b []float64, pass uint64) {
+	ol := len(x) - 3
+	if ol < 1 || len(w) != 4*len(b) || len(y) != ol*len(b) {
+		panic(fmt.Sprintf("mat: Conv4To %d outputs of %d filters over %d inputs and %d taps", len(y), len(b), len(x), len(w)))
+	}
+	conv4(y, x, w, b, ol, pass)
+}
+
+// conv4Generic is Conv4To's portable body. A filter's taps are held in
+// registers and the loop over them is written out, which halves its cost
+// against a loop over the taps (5.5 against 11.4 µs per row at 128 filters)
+// for the same additions in the same order.
+func conv4Generic(y, x, w, b []float64, ol int, pass uint64) {
+	for f, bias := range b {
+		w0, w1, w2, w3 := w[4*f], w[4*f+1], w[4*f+2], w[4*f+3]
+		out := y[f*ol : (f+1)*ol]
+		for t := range out {
+			win := x[t : t+4 : t+4]
+			s := bias
+			s += w0 * win[0]
+			s += w1 * win[1]
+			s += w2 * win[2]
+			s += w3 * win[3]
+			out[t] = Gate(s, s, pass)
+		}
 	}
 }
 

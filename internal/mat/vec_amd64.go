@@ -1,3 +1,5 @@
+//go:build !purego
+
 package mat
 
 // Assembly kernels (vec_amd64.s) with the same runtime AVX detection as the
@@ -21,6 +23,9 @@ func sumsq8AVX(g []float64, p *[8]float64)
 
 //go:noescape
 func scalAVX(dst []float64, s float64)
+
+//go:noescape
+func conv4AVX(y, x, w, b []float64, ol int, pass uint64)
 
 // laneKernels reports whether the 8-lane short-batch forward kernel is
 // worth taking: without SIMD its transposed gather only adds overhead.
@@ -64,6 +69,14 @@ func scal(dst []float64, s float64) {
 		return
 	}
 	scalGeneric(dst, s)
+}
+
+func conv4(y, x, w, b []float64, ol int, pass uint64) {
+	if haveAVX && ol >= 4 {
+		conv4AVX(y, x, w, b, ol, pass)
+		return
+	}
+	conv4Generic(y, x, w, b, ol, pass)
 }
 
 func rmspropVec(dst, params, grads, msq []float64, lr, decay, rem, eps float64) {

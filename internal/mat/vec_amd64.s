@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // func axpyAVX(dst, x []float64, alpha float64)
@@ -287,5 +289,74 @@ sctail:
 	JMP  sctail
 
 scdone:
+	VZEROUPPER
+	RET
+
+// func conv4AVX(y, x, w, b []float64, ol int, pass uint64)
+//
+// One sample's responses to every kernel-4, stride-1 filter, four outputs
+// per lane group: y[f*ol+t] = b[f] + w[4f]·x[t] + w[4f+1]·x[t+1] +
+// w[4f+2]·x[t+2] + w[4f+3]·x[t+3], a filter's taps broadcast and its four
+// products added in that order — per output the scalar loop's roundings
+// (never FMA). The rectifier is a mask: VCMPPD $0x1E (greater-than, ordered,
+// quiet) is all ones where the sum is > 0 and zero for ±0, negatives and NaN
+// — exactly where Gate's mask is — OR-ed with pass and AND-ed into the sum. A
+// filter's ragged tail re-runs its last full group: the stores are
+// idempotent and stay inside the filter's own ol outputs. ol must be >= 4,
+// len(x) ol+3, len(w) 4·len(b) and len(y) ol·len(b); Conv4To guarantees all
+// four.
+TEXT ·conv4AVX(SB), NOSPLIT, $0-112
+	MOVQ y_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ w_base+48(FP), DX
+	MOVQ b_base+72(FP), R8
+	MOVQ b_len+80(FP), R9    // filters left
+	MOVQ ol+96(FP), CX
+	VBROADCASTSD pass+104(FP), Y5
+	VXORPD Y6, Y6, Y6
+	LEAQ -4(CX), BX          // the last full group's t
+	LEAQ (CX*8), R10         // one filter's outputs, in bytes
+
+cvfilter:
+	TESTQ R9, R9
+	JZ   cvdone
+	VBROADCASTSD (DX), Y0
+	VBROADCASTSD 8(DX), Y1
+	VBROADCASTSD 16(DX), Y2
+	VBROADCASTSD 24(DX), Y3
+	VBROADCASTSD (R8), Y4
+	XORQ AX, AX              // t
+
+cvloop:
+	CMPQ AX, BX
+	JLE  cvgroup
+	CMPQ AX, CX
+	JGE  cvnext
+	MOVQ BX, AX              // 1-3 outputs left: back up over the last four
+
+cvgroup:
+	VMULPD (SI)(AX*8), Y0, Y7
+	VADDPD Y7, Y4, Y8
+	VMULPD 8(SI)(AX*8), Y1, Y7
+	VADDPD Y7, Y8, Y8
+	VMULPD 16(SI)(AX*8), Y2, Y7
+	VADDPD Y7, Y8, Y8
+	VMULPD 24(SI)(AX*8), Y3, Y7
+	VADDPD Y7, Y8, Y8
+	VCMPPD $0x1E, Y6, Y8, Y9
+	VORPD  Y5, Y9, Y9
+	VANDPD Y9, Y8, Y8
+	VMOVUPD Y8, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  cvloop
+
+cvnext:
+	ADDQ $32, DX
+	ADDQ $8, R8
+	ADDQ R10, DI
+	DECQ R9
+	JMP  cvfilter
+
+cvdone:
 	VZEROUPPER
 	RET

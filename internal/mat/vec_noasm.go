@@ -1,4 +1,4 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package mat
 
@@ -15,6 +15,8 @@ func dotXT8x4(w []float64, in int, xt, acc []float64) { dotXT8x4Generic(w, in, x
 func sumsq8(g []float64, p *[8]float64) { sumsq8Generic(g, p) }
 
 func scal(dst []float64, s float64) { scalGeneric(dst, s) }
+
+func conv4(y, x, w, b []float64, ol int, pass uint64) { conv4Generic(y, x, w, b, ol, pass) }
 
 func rmspropVec(dst, params, grads, msq []float64, lr, decay, rem, eps float64) {
 	rmspropGeneric(dst, params, grads, msq, lr, decay, rem, eps)

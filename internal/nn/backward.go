@@ -179,7 +179,7 @@ func (c *Conv1D) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat
 }
 
 // rectMask returns the batch whose leading columns gate dy's — the rectified
-// responses the forward pass left in c.by — and gate's pass bits; after a
+// responses the forward pass left in c.by — and mat.Gate's pass bits; after a
 // pass that did not rectify, dy gates itself with the gate open, i.e. not at
 // all.
 func (c *Conv1D) rectMask(dy *mat.Matrix) (*mat.Matrix, uint64) {
@@ -223,7 +223,7 @@ func filterGradRow(gw []float64, bg float64, drow, yrow, xrow []float64, stride 
 	if len(gw) == 4 {
 		g0, g1, g2, g3 := gw[0], gw[1], gw[2], gw[3]
 		for t, g := range drow {
-			g = gate(g, yrow[t], pass)
+			g = mat.Gate(g, yrow[t], pass)
 			if g != 0 {
 				win := xrow[off : off+4 : off+4]
 				bg += g
@@ -238,7 +238,7 @@ func filterGradRow(gw []float64, bg float64, drow, yrow, xrow []float64, stride 
 		return bg
 	}
 	for t, g := range drow {
-		g = gate(g, yrow[t], pass)
+		g = mat.Gate(g, yrow[t], pass)
 		if g != 0 {
 			win := xrow[off:][:len(gw)]
 			bg += g
@@ -267,7 +267,7 @@ func (c *Conv1D) inputGradRows(dy *mat.Matrix, rlo, rhi int) {
 		for f := 0; f < c.Filters; f++ {
 			w := c.w.Value[f*c.Kernel : (f+1)*c.Kernel]
 			for t := 0; t < ol; t++ {
-				g := gate(drow[f*ol+t], yrow[f*ol+t], pass)
+				g := mat.Gate(drow[f*ol+t], yrow[f*ol+t], pass)
 				if g == 0 {
 					continue
 				}
@@ -307,13 +307,13 @@ func (r *ReLU) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.M
 }
 
 // backwardSpan masks the output gradient through the retained input for
-// elements [lo, hi), branch-free (see gate).
+// elements [lo, hi), branch-free (see mat.Gate).
 //
 //minicost:hotpath
 func (r *ReLU) backwardSpan(dy *mat.Matrix, lo, hi int) {
 	x, g, dst := r.bx.Data[lo:hi], dy.Data[lo:hi], r.bdx.Data[lo:hi]
 	for i, v := range x {
-		dst[i] = gate(g[i], v, 0)
+		dst[i] = mat.Gate(g[i], v, 0)
 	}
 }
 

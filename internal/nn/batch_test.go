@@ -83,10 +83,17 @@ func TestDenseForwardBatchBitwise(t *testing.T) {
 	}
 }
 
+// TestConv1DForwardBatchBitwise runs the paper's shape (kernel 4, stride 1:
+// mat.Conv4To's vector kernel, at output lengths with and without a ragged
+// tail) and its neighbours, which must stay on convFilterRow's loop — four
+// taps at stride two, three and five at stride one: the kernel would read
+// the wrong window or the wrong number of taps, and the single-sample
+// reference would show it.
 func TestConv1DForwardBatchBitwise(t *testing.T) {
 	r := rng.New(2)
 	for _, sh := range []struct{ inLen, filters, kernel, stride, batch int }{
-		{8, 3, 4, 1, 1}, {28, 128, 4, 1, 33}, {14, 16, 4, 2, 7},
+		{8, 3, 4, 1, 1}, {28, 128, 4, 1, 33}, {14, 16, 4, 1, 7}, {5, 2, 4, 1, 3},
+		{14, 16, 4, 2, 7}, {14, 16, 3, 1, 7}, {14, 16, 5, 1, 7},
 	} {
 		c := NewConv1D(r, sh.inLen, sh.filters, sh.kernel, sh.stride)
 		assertBatchMatchesSingle(t, "Conv1D", c, randomBatch(r, sh.batch, sh.inLen), 1)

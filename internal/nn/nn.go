@@ -12,7 +12,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"minicost/internal/mat"
 	"minicost/internal/rng"
@@ -296,22 +295,6 @@ func (c *Conv1D) freeze() Layer {
 	cc := c.shell().(*Conv1D)
 	cc.w.Value, cc.b.Value = c.w.Value, c.b.Value
 	return cc
-}
-
-// gate returns v where by > 0 and +0 elsewhere, without a branch: the
-// rectifier is gate(v, v, 0) and its gradient gate(dy, x, 0). The batched
-// loops use it because on activations of random sign the branch of
-// `v > 0 ? v : 0` mispredicts every other element (≈5 ns against <1). The
-// floats greater than zero are exactly the bit patterns from 1 (the smallest
-// subnormal) to +Inf's; ±0, every negative and every NaN — of either sign,
-// which a test of the sign bit alone would let through — fall outside, as
-// they fail `by > 0`. pass is ORed into the mask: all ones opens the gate
-// whatever by is, for the conv loops, which run with and without a
-// rectifier behind them.
-func gate(v, by float64, pass uint64) float64 {
-	const posInf = 0x7FF0000000000000
-	_, borrow := bits.Sub64(math.Float64bits(by)-1, posInf, 0)
-	return math.Float64frombits(math.Float64bits(v) & (-borrow | pass))
 }
 
 // ReLU is max(0, x).

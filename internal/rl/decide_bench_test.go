@@ -28,6 +28,9 @@ func benchMatrix(rows, cols int, seed uint64) *mat.Matrix {
 //	hidden/m64     the hidden layer's packed GEMM alone, weights pre-packed
 //	replica/m64    DecideBatch on a pooled replica at the batch each of 16
 //	               shards hands it on a 1024-file all-dirty plan
+//	replica/m61    the same at a hash-spread shard's batch, which is rarely
+//	               a multiple of the AVX-512 kernel's eight rows: seven
+//	               groups of eight and five rows on the one-row kernel
 //	replica/m1024  the same at 1024 rows: flat in the batch length
 //	bare/m64       an agent outside any pool, which packs its weights on
 //	               every call (the shape the end-to-end harness's
@@ -66,7 +69,7 @@ func BenchmarkDecideBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		rows int
-	}{{"replica/m64", 64}, {"replica/m1024", 1024}} {
+	}{{"replica/m61", 61}, {"replica/m64", 64}, {"replica/m1024", 1024}} {
 		b.Run(bc.name, func(b *testing.B) {
 			pool := NewReplicaPool(agent)
 			rep := pool.Get()

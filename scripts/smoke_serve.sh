@@ -58,6 +58,7 @@ for family in \
     'minicost_http_requests_total{endpoint="plan",status="ok"} 1' \
     'minicost_serve_plans_total 1' \
     'minicost_serve_tracked_files 2' \
+    'minicost_gemm_kernel_info{isa="[a-z0-9]*"} 1' \
     'minicost_train_steps_total' \
     'minicost_sim_accrued_cost_dollars' \
     'minicost_sim_tier_changes_total'; do
