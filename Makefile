@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint fuzz check check-parallel check-purego smoke-serve smoke-online bench-e2e bench-smoke bench-inference bench-training bench-envs bench-evaluation bench-serving bench-scaling
+.PHONY: build test lint fuzz check check-parallel check-purego smoke-serve smoke-online bench-e2e bench-smoke
 
 build:
 	$(GO) build ./...
@@ -14,16 +14,18 @@ test:
 lint:
 	$(GO) run ./cmd/minicost-vet ./...
 
-# fuzz runs short native-fuzzing lanes over the two untrusted parsers — the
-# trace CSV loader and the /v1/observe JSON body — and the plan encoder. The
-# two agentserver lanes are differential: the wire codec against
-# encoding/json on every input. One pattern per invocation (go test allows a
-# single -fuzz target at a time).
+# fuzz runs short native-fuzzing lanes over the untrusted parsers — the
+# trace CSV loader, the /v1/observe JSON body and the trainer checkpoint
+# decoder (minicostd -load-checkpoint) — and the plan encoder. The two
+# agentserver lanes are differential: the wire codec against encoding/json
+# on every input. One pattern per invocation (go test allows a single -fuzz
+# target at a time).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzObserveBody -fuzztime $(FUZZTIME) ./internal/agentserver
 	$(GO) test -run '^$$' -fuzz FuzzAppendPlan -fuzztime $(FUZZTIME) ./internal/agentserver
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME) ./internal/rl
 
 # check is the CI gate: formatting, vet, minicost-vet, and the race
 # detector across the short test suite (which includes the pooled-replica
@@ -71,7 +73,7 @@ smoke-online:
 # entry point, one workload after the other; results land under
 # benchmark/out/. BENCH_E2E_FLAGS adds harness flags, e.g.
 # BENCH_E2E_FLAGS="--trace 1" for the per-layer budget. This is the basis
-# for performance claims; the bench-* targets below are legacy.
+# for performance claims.
 BENCH_E2E_WORKLOADS ?= serve-ingest replan-sparse replan-dense serve-online train-offline
 bench-e2e:
 	@for w in $(BENCH_E2E_WORKLOADS); do \
@@ -82,37 +84,3 @@ bench-e2e:
 # every output check on (needs 2 CPUs, like the harness itself).
 bench-smoke:
 	$(GO) run ./benchmark -smoke
-
-# bench-inference regenerates BENCH_inference.json (single-sample vs batched
-# engine at the paper and Quick configs).
-bench-inference:
-	$(GO) run ./cmd/bench
-
-# bench-training regenerates BENCH_training.json (single-sample vs batched
-# A3C training engine at the paper and Quick configs, one worker, plus the
-# envs-per-worker ladder of the vectorized lockstep engine).
-bench-training:
-	$(GO) run ./cmd/bench -mode training -o BENCH_training.json
-
-# bench-envs reruns the training bench with the envs-per-worker ladder only
-# (flag last-wins, so BENCH_ENVS_FLAGS can override the ladder, e.g.
-# BENCH_ENVS_FLAGS="-envs 1,8 -train-steps 2000 -rounds 1" for a CI smoke).
-bench-envs:
-	$(GO) run ./cmd/bench -mode training -o BENCH_training.json -scale-workers "" $(BENCH_ENVS_FLAGS)
-
-# bench-evaluation regenerates BENCH_evaluation.json (per-window vs swept
-# Fig. 7 horizon evaluation on one core at the Quick and Full configs).
-bench-evaluation:
-	$(GO) run ./cmd/bench -mode evaluation -o BENCH_evaluation.json
-
-# bench-serving regenerates BENCH_serving.json (sharded serving tier:
-# observe ingestion throughput plus full vs incremental plan latency at
-# 100k and 1M tracked files, with a shard sweep at the small population).
-bench-serving:
-	$(GO) run ./cmd/bench -mode serving -o BENCH_serving.json
-
-# bench-scaling regenerates all three BENCH_*.json files including the
-# worker-scaling ladder (workers 1/2/4/8 with GOMAXPROCS pinned per row and
-# a scaling_efficiency field on every ladder row).
-bench-scaling:
-	$(GO) run ./cmd/bench -mode all

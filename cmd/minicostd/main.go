@@ -11,7 +11,7 @@
 // bootstrapped policy against the cloudsim store so the simulated bill is
 // visible on /metrics.
 //
-// With -online the daemon closes the serve→train loop (DESIGN.md §17): the
+// With -online the daemon closes the serve→train loop (DESIGN.md §16): the
 // serving store keeps each file's history over the learner's window, drift
 // against the training distribution is counted at ingest and scored on
 // /metrics, fine-tune epochs run on a cadence or when drift crosses
@@ -76,7 +76,7 @@ func main() {
 		ftEvery   = flag.Int("finetune-every", 16, "fine-tune epoch cadence in observe batches (0 disables cadence epochs)")
 		ftSteps   = flag.Int64("finetune-steps", 2048, "environment steps per fine-tune epoch")
 		ftWorkers = flag.Int("finetune-workers", 1, "async workers for fine-tune epochs (1 keeps epochs seed-deterministic)")
-		ftEnvs    = flag.Int("finetune-envs", 8, "environments per fine-tune worker (≥2 selects the vectorized rollout engine)")
+		ftEnvs    = flag.Int("finetune-envs", 8, "environments each fine-tune worker drives in lockstep (0 or 1 = one)")
 		ftPar     = flag.Int("finetune-parallelism", 0, "intra-update GEMM fan-out during fine-tuning (0 = serial)")
 		driftThr  = flag.Float64("drift-threshold", 0.25, "PSI drift score that triggers a fine-tune epoch (0 disables drift triggering)")
 		swapGate  = flag.Bool("swap-gate", true, "require candidates to not regress held-out cost before hot-swapping")
@@ -223,8 +223,8 @@ func main() {
 
 // finetuneA3C is the paper's training configuration with the daemon's
 // fine-tune knobs applied: Workers=1 keeps epochs seed-deterministic,
-// EnvsPerWorker ≥ 2 selects the vectorized rollout engine, Parallelism
-// bounds intra-update GEMM fan-out.
+// EnvsPerWorker sets the lockstep width, Parallelism bounds intra-update
+// GEMM fan-out.
 func finetuneA3C(workers, envs, parallelism int) rl.A3CConfig {
 	cfg := core.DefaultConfig().A3C
 	if workers > 0 {

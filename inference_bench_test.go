@@ -1,14 +1,12 @@
-// Inference-engine benchmarks: the single-sample reference path versus the
-// batched GEMM engine behind policy.RL, at the paper's network configuration
-// (128 filters / 128 hidden, 14-day history — §6.1) and at the Quick test
-// configuration. Both paths replay the same generated trace, so
+// Inference-engine benchmarks: the batched GEMM engine behind policy.RL, at
+// the paper's network configuration (128 filters / 128 hidden, 14-day
+// history — §6.1) and at the Quick test configuration, replaying a generated
+// trace:
 //
 //	go test -bench=Inference -benchtime=2x
 //
-// measures the speedup of the day-major batched stepper directly. The
-// per-decision cost is reported as a custom ns/decision metric (decisions =
-// files × days). cmd/bench wraps the same measurement and emits
-// BENCH_inference.json.
+// The per-decision cost is reported as a custom ns/decision metric
+// (decisions = files × days).
 package minicost_test
 
 import (
@@ -75,16 +73,6 @@ func benchmarkInference(b *testing.B, p policy.RL, cfg inferenceConfig) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/decisions, "ns/decision")
-}
-
-// BenchmarkInferenceSingle measures the legacy path: one cloned network per
-// goroutine task and one single-sample forward pass per (file, day).
-func BenchmarkInferenceSingle(b *testing.B) {
-	for _, cfg := range inferenceConfigs() {
-		b.Run(cfg.name, func(b *testing.B) {
-			benchmarkInference(b, policy.RL{SingleSample: true}, cfg)
-		})
-	}
 }
 
 // BenchmarkInferenceBatched measures the batched engine: day-major stepping,

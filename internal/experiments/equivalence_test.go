@@ -3,14 +3,11 @@ package experiments
 import (
 	"testing"
 
-	"minicost/internal/costmodel"
 	"minicost/internal/mat"
 	"minicost/internal/mdp"
-	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 	"minicost/internal/rng"
-	"minicost/internal/trace"
 )
 
 // TestBatchedInferenceEquivalentAcrossPaperWidths pins the batched engine to
@@ -65,105 +62,6 @@ func TestBatchedInferenceEquivalentAcrossPaperWidths(t *testing.T) {
 		for i := range states {
 			if want := agent.Decide(&states[i]); tiers[i] != want {
 				t.Fatalf("width %d state %d: DecideBatch %v, Decide %v", width, i, tiers[i], want)
-			}
-		}
-	}
-}
-
-// TestBatchedTrainingEquivalentAcrossPaperWidths is the training-engine
-// acceptance gate: at Workers=1 with a fixed seed, the batched A3C update
-// path (batch forward/backward + snapshot pulls) must leave bitwise-
-// identical actor and critic parameters to the per-sample reference after
-// more than 50 updates, at every network width the paper sweeps (Fig. 11).
-func TestBatchedTrainingEquivalentAcrossPaperWidths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full width sweep is slow; covered at one width by internal/rl")
-	}
-	gen := trace.DefaultGenConfig()
-	gen.NumFiles = 20
-	gen.Days = 12
-	gen.Seed = 43
-	tr, err := trace.Generate(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := costmodel.New(pricing.Azure())
-	const steps = 400 // 57 updates at NSteps 7
-	for wi, width := range PaperWidths {
-		train := func(singleSample bool) ([]float64, []float64) {
-			cfg := rl.DefaultA3CConfig()
-			cfg.Net = rl.NetConfig{HistLen: 7, Filters: width, Kernel: 4, Stride: 1, Hidden: width}
-			cfg.Workers = 1
-			cfg.Seed = uint64(3000 + wi)
-			cfg.SingleSample = singleSample
-			a3c, err := rl.NewA3C(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			factory, err := rl.TraceFactory(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := a3c.Train(factory, steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Updates < 50 {
-				t.Fatalf("width %d: only %d updates; the gate needs a sustained run", width, stats.Updates)
-			}
-			return a3c.Snapshot().ParamVector(), a3c.CriticSnapshot().ParamVector()
-		}
-		wantA, wantC := train(true)
-		gotA, gotC := train(false)
-		for i := range wantA {
-			if gotA[i] != wantA[i] {
-				t.Fatalf("width %d actor param %d: batched %v, single-sample %v (not bitwise equal)",
-					width, i, gotA[i], wantA[i])
-			}
-		}
-		for i := range wantC {
-			if gotC[i] != wantC[i] {
-				t.Fatalf("width %d critic param %d: batched %v, single-sample %v (not bitwise equal)",
-					width, i, gotC[i], wantC[i])
-			}
-		}
-	}
-}
-
-// TestRLAssignEquivalentAcrossPaperWidths replays a generated trace through
-// policy.RL at every paper width and asserts the batched rewrite's
-// assignment is identical to the preserved single-sample path for a fixed
-// seed — the before/after property of the engine swap.
-func TestRLAssignEquivalentAcrossPaperWidths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full width sweep is slow; covered at one width by internal/policy")
-	}
-	gen := trace.DefaultGenConfig()
-	gen.NumFiles = 40
-	gen.Days = 10
-	gen.Seed = 42
-	tr, err := trace.Generate(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := costmodel.New(pricing.Azure())
-	for wi, width := range PaperWidths {
-		cfg := rl.NetConfig{HistLen: 7, Filters: width, Kernel: 4, Stride: 1, Hidden: width}
-		agent := rl.NewAgent(cfg, cfg.BuildActor(rng.New(uint64(2000+wi))))
-		want, err := policy.RL{Agent: agent, SingleSample: true}.Assign(tr, m, pricing.Hot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := policy.RL{Agent: agent, Workers: 3, BatchRows: 11}.Assign(tr, m, pricing.Hot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			for d := range want[i] {
-				if want[i][d] != got[i][d] {
-					t.Fatalf("width %d file %d day %d: batched %v, single-sample %v",
-						width, i, d, got[i][d], want[i][d])
-				}
 			}
 		}
 	}

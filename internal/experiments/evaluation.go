@@ -65,7 +65,7 @@ func (l *Lab) Fig7() (*Fig7Result, error) {
 // Fig7Reference recomputes Fig. 7 with the per-window engine: every method
 // re-assigned and re-priced from scratch at each horizon. Kept as the
 // equivalence oracle the sweep engine is tested against and as the baseline
-// of cmd/bench -mode evaluation.
+// of BenchmarkFig7Horizons.
 func (l *Lab) Fig7Reference() (*Fig7Result, error) {
 	assigners, err := l.assigners(true)
 	if err != nil {

@@ -238,7 +238,7 @@ func canonicalNames(assigners []policy.Assigner) ([]string, error) {
 }
 
 // ResetEvalCache drops the memoized single-pass evaluations so the next
-// figure rebuilds them (used by cmd/bench to time repeated builds).
+// figure rebuilds them (BenchmarkFig7Horizons times repeated builds).
 func (l *Lab) ResetEvalCache() {
 	l.evalNames, l.evals, l.evalsDays = nil, nil, 0
 }

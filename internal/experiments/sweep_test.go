@@ -172,3 +172,34 @@ func TestFig7FullConfigMatchesReference(t *testing.T) {
 	}
 	requireSameSeries(t, "fig7-full", swept.Days, swept.Costs, ref.Costs)
 }
+
+// BenchmarkFig7Horizons times the Fig. 7 horizon sweep at the Quick profile
+// on one core: perwindow re-assigns and re-prices every method at every
+// horizon (Fig7Reference), swept builds each method's cumulative costs once
+// and reads every horizon off them (Fig7, its cache dropped per iteration).
+// A random agent stands in for the trained one; neither the runtime nor the
+// equivalence depends on its weights.
+func BenchmarkFig7Horizons(b *testing.B) {
+	cfg := Quick()
+	cfg.Workers = 1
+	l, err := NewLab(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.SetAgent(rl.NewAgent(cfg.Net, cfg.Net.BuildActor(rng.New(7))))
+	for _, bc := range []struct {
+		name string
+		run  func() (*Fig7Result, error)
+	}{
+		{"perwindow", l.Fig7Reference},
+		{"swept", func() (*Fig7Result, error) { l.ResetEvalCache(); return l.Fig7() }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -53,7 +53,7 @@ func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // SliceRows points view at rows [lo, hi) of m, sharing m's backing array —
-// the vectorized rollout engine uses it to run a batched pass over one
+// the training engine uses it to run a batched pass over one
 // lockstep block of a larger feature arena without copying rows out. view
 // must be a caller-owned scratch matrix; its previous contents are dropped.
 // The view's capacity is clipped to the window, so kernels cannot write past

@@ -6,8 +6,8 @@ import (
 	"minicost/internal/pricing"
 )
 
-// EnvBank drives a fixed set of environments in lockstep for the vectorized
-// rollout engine (DESIGN.md §16): one bank per A3C worker, E member
+// EnvBank drives a fixed set of environments in lockstep for the training
+// engine (DESIGN.md §10): one bank per A3C worker, E member
 // environments stepped together so action selection and value bootstrapping
 // amortize one batched network pass over all E members instead of E
 // batch-of-1 passes. Per-step results live in struct-of-arrays form
@@ -75,7 +75,7 @@ func (b *EnvBank) ResetEnv(i int) {
 // FillFeatures encodes every member's current observation into dst, a flat
 // row-major Len()×dim block (member i at dst[i*dim:(i+1)*dim]). dim must be
 // FeatureDim of the members' history length. It allocates nothing — the
-// vectorized engine points dst straight into its rollout feature arena.
+// training engine points dst straight into its rollout feature arena.
 //
 //minicost:hotpath
 func (b *EnvBank) FillFeatures(dst []float64, dim int) {

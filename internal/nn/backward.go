@@ -23,7 +23,7 @@ import (
 // zero-gradient skip, and the input-gradient products seed at zero and walk
 // the output dimension in index order, matching the per-sample loops term
 // for term. Batched training is therefore bitwise identical to the
-// per-sample loop, which the rl equivalence tests pin down.
+// per-sample loop, which rl's per-row oracle test pins down.
 //
 // Buffer ownership matches ForwardBatch: returned matrices are owned by the
 // layer and overwritten by its next BackwardBatch call; scratch grows to the

@@ -58,7 +58,7 @@ import (
 // packMinRows is the window length below which Dense runs on the unpacked
 // kernels. Packing copies the full O(Out·In) block and only amortizes once
 // enough rows reuse the packed tiles; a short window (a rollout step of
-// E < 16 environments, a classic NSteps-row update) streams the weights once
+// E < 16 environments, the NSteps-row arena at E=1) streams the weights once
 // through the lane-transposed kernel instead, which is bitwise identical by
 // the same accumulation-order contract. The choice is made by the window's
 // row count alone, not by whether a pack happens to be there: against a pack

@@ -107,7 +107,7 @@ func (n *Network) SetParamVector(v []float64) {
 // caller keeps ownership of v and must keep it immutable and alive while the
 // network can still read parameters; the network itself never writes
 // parameter values (only gradients), so sharing one vector across readers is
-// safe. rl's batched workers bind straight to the pinned published snapshot,
+// safe. rl's training workers bind straight to the pinned published snapshot,
 // replacing a full-vector copy per update.
 //
 // The network holds the caller to that: a Dense packs its weights into kernel

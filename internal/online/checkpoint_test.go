@@ -1,6 +1,7 @@
 package online
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,6 +69,34 @@ func TestCheckpointRoundTripMidFineTune(t *testing.T) {
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Fatalf("temp file %q left behind", e.Name())
+		}
+	}
+}
+
+// TestLoadTrainerRejectsNonFinite: minicostd -load-checkpoint must not boot
+// a learner from a checkpoint whose critic (or actor) carries a NaN or Inf —
+// the critic never serves, so nothing downstream would notice until every
+// advantage it feeds is NaN.
+func TestLoadTrainerRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(actor, critic []float64)
+	}{
+		{"NaN critic", func(_, critic []float64) { critic[1] = math.NaN() }},
+		{"+Inf actor", func(actor, _ []float64) { actor[len(actor)-1] = math.Inf(1) }},
+	} {
+		tr := testTrainer(t, 9)
+		actor, critic := tr.ParamVectors()
+		c.edit(actor, critic)
+		if err := tr.SetParamVectors(actor, critic); err != nil {
+			t.Fatal(err)
+		}
+		path, err := writeCheckpoint(t.TempDir(), 1, 0, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTrainer(testA3CConfig(9), path); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s: LoadTrainer error %v, want the non-finite refusal", c.name, err)
 		}
 	}
 }

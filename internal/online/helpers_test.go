@@ -18,8 +18,8 @@ func testNet() rl.NetConfig {
 }
 
 // testA3CConfig is the paper configuration shrunk onto testNet, pinned to
-// Workers=1 so runs are seed-deterministic, with the vectorized engine
-// engaged (EnvsPerWorker=2) the way minicostd drives fine-tuning.
+// Workers=1 so runs are seed-deterministic, with two environments in
+// lockstep (EnvsPerWorker=2) the way minicostd drives fine-tuning.
 func testA3CConfig(seed uint64) rl.A3CConfig {
 	cfg := rl.DefaultA3CConfig()
 	cfg.Net = testNet()

@@ -1,4 +1,4 @@
-// Package online closes the paper's serve→train loop (DESIGN.md §17): a
+// Package online closes the paper's serve→train loop (DESIGN.md §16): a
 // continuous-learning subsystem that watches the live /v1/observe stream
 // through the serving store — the store's per-file rings are the only
 // history there is; the learner keeps none of its own — detects distribution

@@ -4,7 +4,7 @@ import "minicost/internal/obs"
 
 // Metric family names, exported as constants so the obsnames analyzer can
 // verify the grammar and single ownership at compile time and so dashboards
-// and tests reference the names without string drift (DESIGN.md §17).
+// and tests reference the names without string drift (DESIGN.md §16).
 const (
 	// MetricObservations counts per-file observations that passed the tap.
 	MetricObservations = "minicost_online_observations_total"

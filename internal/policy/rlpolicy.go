@@ -25,9 +25,9 @@ import (
 // on pooled replicas: scratch over the agent's weights, which are shared and
 // packed for the GEMM kernel once per pool, so their number is bounded by the
 // worker count instead of the file count and none copies the network. The
-// agent is only read. Decisions are bitwise identical to the single-sample
-// reference path (see nn/batch.go), which SingleSample exposes for
-// equivalence tests and benchmarks.
+// agent is only read. Decisions are bitwise identical to a per-file loop of
+// single-sample Decide calls (see nn/batch.go), which the tests keep as the
+// oracle.
 type RL struct {
 	Agent   *rl.Agent
 	HistLen int
@@ -40,9 +40,6 @@ type RL struct {
 	// matrix (bounding per-worker activation memory); <= 0 selects
 	// rl.DefaultBatchRows.
 	BatchRows int
-	// SingleSample forces the legacy per-file single-sample loop — the
-	// reference implementation batched inference is verified against.
-	SingleSample bool
 }
 
 // Name implements Assigner.
@@ -56,9 +53,6 @@ func (p RL) Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (c
 	histLen := p.HistLen
 	if histLen <= 0 {
 		histLen = p.Agent.Net.HistLen
-	}
-	if p.SingleSample {
-		return p.assignSingleSample(tr, m, initial, histLen)
 	}
 	n := tr.NumFiles()
 	batch := p.BatchRows
@@ -93,43 +87,6 @@ func (p RL) Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (c
 		}
 	})
 	for _, err := range chunkErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return asg, nil
-}
-
-// assignSingleSample is the pre-batching serving loop: one cloned network
-// per goroutine task and one single-sample forward pass per (file, day).
-// It is kept as the reference the equivalence property test and the
-// inference benchmarks compare the batched engine against.
-func (p RL) assignSingleSample(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier, histLen int) (costmodel.Assignment, error) {
-	asg := costmodel.NewAssignment(tr.NumFiles(), tr.Days)
-	reward := mdp.DefaultReward()
-	errs := make([]error, tr.NumFiles())
-	par.For(tr.NumFiles(), p.Workers, func(i int) {
-		// Each goroutine needs its own network (activation caches).
-		agent := p.Agent.Clone()
-		env, err := mdp.NewEnv(m, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i], initial, histLen, reward)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		plan := asg[i]
-		state := env.Reset()
-		for d := 0; d < tr.Days; d++ {
-			tier := agent.Decide(&state)
-			next, _, _, _, err := env.Step(tier)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			plan[d] = tier
-			state = next
-		}
-	})
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"minicost/internal/costmodel"
+	"minicost/internal/mdp"
+	"minicost/internal/par"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 	"minicost/internal/rng"
@@ -44,6 +46,46 @@ func assignmentsEqual(a, b costmodel.Assignment) (int, int, bool) {
 	return 0, 0, true
 }
 
+// assignSingleSample is Assign's oracle, the pre-batching serving loop: one
+// cloned network per goroutine task and one single-sample Decide per (file,
+// day).
+func (p RL) assignSingleSample(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error) {
+	histLen := p.HistLen
+	if histLen <= 0 {
+		histLen = p.Agent.Net.HistLen
+	}
+	asg := costmodel.NewAssignment(tr.NumFiles(), tr.Days)
+	reward := mdp.DefaultReward()
+	errs := make([]error, tr.NumFiles())
+	par.For(tr.NumFiles(), p.Workers, func(i int) {
+		// Each goroutine needs its own network (activation caches).
+		agent := p.Agent.Clone()
+		env, err := mdp.NewEnv(m, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i], initial, histLen, reward)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		plan := asg[i]
+		state := env.Reset()
+		for d := 0; d < tr.Days; d++ {
+			tier := agent.Decide(&state)
+			next, _, _, _, err := env.Step(tier)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			plan[d] = tier
+			state = next
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return asg, nil
+}
+
 // TestRLBatchedMatchesSingleSample is the rewrite's safety net: for a fixed
 // seed, the batched day-major engine must produce the exact assignment the
 // legacy single-sample loop produced, across worker counts, batch sizes and
@@ -52,7 +94,7 @@ func TestRLBatchedMatchesSingleSample(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 99} {
 		agent, tr, m := rlTestFixture(t, 57, 13, seed)
 		for _, initial := range []pricing.Tier{pricing.Hot, pricing.Archive} {
-			want, err := RL{Agent: agent, SingleSample: true, Workers: 1}.Assign(tr, m, initial)
+			want, err := RL{Agent: agent, Workers: 1}.assignSingleSample(tr, m, initial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,6 +113,39 @@ func TestRLBatchedMatchesSingleSample(t *testing.T) {
 						seed, cfg.Workers, cfg.BatchRows, initial, f, d)
 				}
 			}
+		}
+	}
+}
+
+// TestRLAssignEquivalentAcrossPaperWidths replays a generated trace through
+// Assign at every network width Fig. 11 sweeps and asserts the assignment is
+// identical to the single-sample oracle's.
+func TestRLAssignEquivalentAcrossPaperWidths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full width sweep is slow; TestRLBatchedMatchesSingleSample covers one width")
+	}
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles = 40
+	gen.Days = 10
+	gen.Seed = 42
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := costmodel.New(pricing.Azure())
+	for wi, width := range []int{4, 16, 32, 64, 128} { // experiments.PaperWidths
+		cfg := rl.NetConfig{HistLen: 7, Filters: width, Kernel: 4, Stride: 1, Hidden: width}
+		agent := rl.NewAgent(cfg, cfg.BuildActor(rng.New(uint64(2000+wi))))
+		want, err := RL{Agent: agent}.assignSingleSample(tr, m, pricing.Hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RL{Agent: agent, Workers: 3, BatchRows: 11}.Assign(tr, m, pricing.Hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, d, ok := assignmentsEqual(want, got); !ok {
+			t.Fatalf("width %d: batched differs from single-sample at file %d day %d", width, f, d)
 		}
 	}
 }

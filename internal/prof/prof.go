@@ -1,6 +1,6 @@
 // Package prof wires the standard -cpuprofile/-memprofile hooks into the
-// training entry points (cmd/experiments, cmd/bench) so perf work starts
-// from a profile instead of a guess.
+// training entry point (cmd/experiments) so perf work starts from a profile
+// instead of a guess.
 package prof
 
 import (

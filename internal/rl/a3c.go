@@ -11,7 +11,6 @@ import (
 	"minicost/internal/mdp"
 	"minicost/internal/nn"
 	"minicost/internal/obs"
-	"minicost/internal/pricing"
 	"minicost/internal/rng"
 )
 
@@ -47,21 +46,18 @@ type A3CConfig struct {
 	// Workers is the number of asynchronous actor-learners.
 	Workers int
 	// EnvsPerWorker is the number of environments each worker drives in
-	// lockstep. 0 or 1 selects the classic per-env collection loop, whose
-	// results are pinned bitwise against the single-sample reference; E ≥ 2
-	// switches the worker to the vectorized rollout engine (vectrain.go):
-	// one E-row ForwardBatch selects actions for every environment at once,
-	// one batched pass bootstraps all critic values, and the n-step update
-	// accumulates over E×NSteps transitions in a single BackwardBatch pair.
-	// Episodes that end mid-rollout are reset in place and the return
-	// recursion restarts at the boundary, so rollouts always carry the full
-	// E×NSteps transitions. Each environment samples episodes and actions
-	// from its own RNG substream split from the worker seed, so E > 1 runs
-	// remain seed-deterministic at Workers=1.
+	// lockstep (vectrain.go); 0 means 1. One E-row forward selects actions
+	// for every environment at once, one batched pass bootstraps all critic
+	// values, and the n-step update accumulates over E×NSteps transitions in
+	// one backward pass per network. Episodes that end mid-rollout are reset
+	// in place and the return recursion restarts at the boundary, so
+	// rollouts always carry the full E×NSteps transitions. Each environment
+	// samples episodes and actions from its own RNG substream split from the
+	// worker seed, so runs are seed-deterministic at Workers=1.
 	EnvsPerWorker int
-	// Parallelism bounds the intra-update GEMM fan-out on the batched path:
-	// it is the workers argument handed to every ForwardBatch/BackwardBatch
-	// inside one update. The default 0 (like 1) runs updates serially —
+	// Parallelism bounds the intra-update GEMM fan-out: it is the workers
+	// argument handed to every batched forward and backward pass inside one
+	// update. The default 0 (like 1) runs updates serially —
 	// A3C's parallelism conventionally comes from Workers — but a
 	// single-worker trainer on a big machine can parallelize inside each
 	// update instead. Any value leaves training bitwise unchanged: the
@@ -89,15 +85,7 @@ type A3CConfig struct {
 	// annealing settles the policy oscillation that a constant step size
 	// sustains.
 	FinalLRFraction float64
-	// SingleSample selects the preserved per-sample reference update path
-	// (one critic and one actor Forward/Backward per transition, mutex-held
-	// parameter pulls) instead of the batched training engine. The batched
-	// path is bitwise identical at Workers=1 — the equivalence tests pin it
-	// — so this exists as the executable specification and for A/B
-	// benchmarks, mirroring policy.RL's SingleSample switch on the
-	// inference side.
-	SingleSample bool
-	Seed         uint64
+	Seed            uint64
 }
 
 // DefaultA3CConfig returns the paper's training configuration.
@@ -141,10 +129,6 @@ func (c A3CConfig) Validate() error {
 		return fmt.Errorf("rl: Workers %d", c.Workers)
 	case c.EnvsPerWorker < 0:
 		return fmt.Errorf("rl: EnvsPerWorker %d", c.EnvsPerWorker)
-	case c.SingleSample && c.EnvsPerWorker > 1:
-		// The vectorized engine is built on the batched kernels; there is no
-		// single-sample variant of a lockstep rollout.
-		return fmt.Errorf("rl: SingleSample is incompatible with EnvsPerWorker %d", c.EnvsPerWorker)
 	case c.Parallelism < 0:
 		return fmt.Errorf("rl: Parallelism %d", c.Parallelism)
 	case c.EntropyBeta < 0:
@@ -168,7 +152,7 @@ func (c A3CConfig) Validate() error {
 	return nil
 }
 
-// envsPerWorker resolves the lockstep width (0 means the classic 1).
+// envsPerWorker resolves the lockstep width (0 means 1).
 func (c A3CConfig) envsPerWorker() int {
 	if c.EnvsPerWorker <= 0 {
 		return 1
@@ -200,14 +184,13 @@ func (c A3CConfig) newOptimizer() nn.Optimizer {
 // state) that asynchronous workers pull parameters from and push
 // accumulated gradients to.
 //
-// The global vectors live in a double-buffered store (batchtrain.go): the
+// The global vectors live in a double-buffered store (params.go): the
 // current buffer is published through an atomic pointer, every optimizer
 // apply writes the updated vectors into the next buffer and swaps it in, and
 // superseded buffers are recycled once their readers drain. Synchronization
 // is therefore two-tier: a.mu serializes the apply (a short critical section
-// per update), while pulls on the batched path read the published buffer
-// lock-free and never convoy on the writers' lock. The SingleSample
-// reference path keeps the original mutex-held in-place apply and pulls.
+// per update), while worker pulls bind the published buffer lock-free and
+// never convoy on the writers' lock.
 type A3C struct {
 	cfg A3CConfig
 
@@ -314,7 +297,7 @@ func (a *A3C) Train(factory EnvFactory, totalSteps int64) (TrainStats, error) {
 
 // TrainFrom is Train generalized over an EnvSource; sources that implement
 // in-place episode re-targeting (TraceSource) keep worker episode turnover
-// allocation-free, which the vectorized engine's alloc gates require.
+// allocation-free, which the engine's alloc gates require.
 func (a *A3C) TrainFrom(src EnvSource, totalSteps int64) (TrainStats, error) {
 	if src == nil {
 		return TrainStats{}, errors.New("rl: nil env source")
@@ -330,11 +313,7 @@ func (a *A3C) TrainFrom(src EnvSource, totalSteps int64) (TrainStats, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if a.cfg.envsPerWorker() > 1 {
-				stats[w] = a.vecWorker(w, src, totalSteps)
-			} else {
-				stats[w] = a.worker(w, src, totalSteps)
-			}
+			stats[w] = a.vecWorker(w, src, totalSteps)
 		}(w)
 	}
 	wg.Wait()
@@ -368,40 +347,6 @@ func (s TrainStats) MeanReward() float64 {
 	return s.RewardSum / float64(s.Steps)
 }
 
-// rollout is one worker-local n-step trajectory segment. Feature rows point
-// into one flat arena sized NSteps×featureDim up front, so collecting a
-// transition allocates nothing.
-type rollout struct {
-	features [][]float64
-	actions  []int
-	rewards  []float64
-	arena    []float64
-}
-
-// newRollout pre-sizes the segment for nsteps transitions of dim features.
-func newRollout(nsteps, dim int) *rollout {
-	return &rollout{
-		features: make([][]float64, 0, nsteps),
-		actions:  make([]int, 0, nsteps),
-		rewards:  make([]float64, 0, nsteps),
-		arena:    make([]float64, nsteps*dim),
-	}
-}
-
-// reset empties the segment, keeping the arena.
-func (b *rollout) reset() {
-	b.features = b.features[:0]
-	b.actions = b.actions[:0]
-	b.rewards = b.rewards[:0]
-}
-
-// nextFeatureRow returns the arena row for the next transition; the caller
-// fills it and commits the transition by appending it to features.
-func (b *rollout) nextFeatureRow(dim int) []float64 {
-	n := len(b.features)
-	return b.arena[n*dim : (n+1)*dim : (n+1)*dim]
-}
-
 // rewardNorm standardizes rewards with running mean/variance estimates so
 // returns stay centered and O(1) regardless of the reward function's scale.
 // Centering matters as much as scaling: with raw Eq. 4 rewards every action
@@ -425,133 +370,9 @@ func (n *rewardNorm) normalize(r float64) float64 {
 	return (r - n.mean) / math.Sqrt(n.vr+1e-12)
 }
 
-// worker is one asynchronous actor-learner (Fig. 6's per-thread loop).
-func (a *A3C) worker(id int, src EnvSource, totalSteps int64) TrainStats {
-	r := rng.New(a.cfg.Seed).Split(uint64(id) + 0xAC7)
-	actor := a.protoActor.Clone()
-	critic := a.protoCritic.Clone()
-	agent := NewAgent(a.cfg.Net, actor)
-
-	featDim := a.cfg.Net.featureDim()
-	env := src.NewEnv(r)
-	env.EnableStateReuse()
-	state := env.Reset()
-	var st TrainStats
-	buf := newRollout(a.cfg.NSteps, featDim)
-	bootFeats := make([]float64, featDim)
-	var norm rewardNorm
-	stickyLeft := 0
-	var stickyAction pricing.Tier
-	// Flat-backed gradient accumulators: after a backward pass these slices
-	// already hold the flat gradient vectors, so no per-update copy exists
-	// between accumulation and clip/apply.
-	aGrad := actor.FlattenGrads()
-	cGrad := critic.FlattenGrads()
-	dLogits := make([]float64, mdp.NumActions)
-	var bb batchBuf
-	var held *paramSnap
-	defer func() { releaseSnapshot(held) }()
-
-	for a.steps.Load() < totalSteps {
-		// Pull the latest global parameters (Algorithm 1 line 1's "memory"
-		// synchronisation): a lock-free zero-copy bind of the published
-		// snapshot on the batched path, the original mutex-held copy on the
-		// reference path.
-		if a.cfg.SingleSample {
-			a.mu.Lock()
-			cur := a.snap.Load()
-			actor.SetParamVector(cur.actor)
-			critic.SetParamVector(cur.critic)
-			a.mu.Unlock()
-		} else {
-			held = a.bindSnapshot(actor, critic, held)
-		}
-		actor.ZeroGrad()
-		critic.ZeroGrad()
-
-		// Collect up to NSteps transitions (lines 3–5).
-		buf.reset()
-		done := false
-		for len(buf.rewards) < a.cfg.NSteps {
-			feats := buf.nextFeatureRow(featDim)
-			state.FeaturesInto(feats)
-			var action pricing.Tier
-			switch {
-			case stickyLeft > 0:
-				action = stickyAction
-				stickyLeft--
-			case a.cfg.Epsilon > 0 && r.Float64() < a.cfg.Epsilon:
-				action = pricing.Tier(r.Intn(mdp.NumActions))
-				stickyAction = action
-				if a.cfg.ExploreHold > 1 {
-					stickyLeft = a.cfg.ExploreHold - 1
-				}
-			default:
-				action = agent.Sample(&state, 0, r)
-			}
-			next, reward, cost, fin, err := env.Step(action)
-			if err != nil {
-				// A finished env slipped through; start a fresh episode.
-				src.ReinitEnv(r, env)
-				state = env.Reset()
-				stickyLeft = 0
-				break
-			}
-			buf.features = append(buf.features, feats)
-			buf.actions = append(buf.actions, int(action))
-			if a.cfg.NormalizeRewards {
-				buf.rewards = append(buf.rewards, norm.normalize(reward))
-			} else {
-				buf.rewards = append(buf.rewards, reward)
-			}
-			st.Steps++
-			st.RewardSum += reward
-			st.CostSum += cost
-			a.steps.Add(1)
-			state = next
-			if fin {
-				done = true
-				st.Episodes++
-				src.ReinitEnv(r, env)
-				state = env.Reset()
-				stickyLeft = 0
-				break
-			}
-		}
-		if len(buf.rewards) == 0 {
-			continue
-		}
-		trainMet.steps.Add(float64(len(buf.rewards)))
-		trainMet.batchFill.Observe(float64(len(buf.rewards)) / float64(a.cfg.NSteps))
-		if done {
-			trainMet.episodes.Inc()
-		}
-
-		// n-step return bootstrap (lines 6–8): R = 0 at episode end,
-		// V(s_{t+n}) otherwise.
-		boot := 0.0
-		if !done {
-			state.FeaturesInto(bootFeats)
-			boot = critic.Forward(bootFeats)[0]
-		}
-		if a.cfg.SingleSample {
-			a.accumulateSingle(actor, critic, buf, boot, dLogits)
-		} else {
-			a.accumulateBatched(actor, critic, buf, boot, &bb)
-		}
-
-		// Push accumulated gradients to the global parameters (Eq. 12); the
-		// flat-backed accumulators are the gradient vectors.
-		a.pushUpdate(aGrad, cGrad, totalSteps)
-		st.Updates++
-	}
-	return st
-}
-
 // pushUpdate clips the worker's accumulated flat gradients and applies them
 // to the global parameters (Eq. 12) under the apply lock, annealing the
-// learning rate by global progress first. Both the scalar and the vectorized
-// workers end every update here.
+// learning rate by global progress first. Every worker update ends here.
 func (a *A3C) pushUpdate(aGrad, cGrad []float64, totalSteps int64) {
 	nn.ClipGrads(aGrad, a.cfg.GradClip)
 	nn.ClipGrads(cGrad, a.cfg.GradClip)
@@ -572,55 +393,8 @@ func (a *A3C) pushUpdate(aGrad, cGrad []float64, totalSteps int64) {
 		a.actorOpt.SetLearningRate(a.cfg.LearningRate * scale)
 		a.criticOpt.SetLearningRate(a.cfg.LearningRate * a.cfg.CriticLRMult * scale)
 	}
-	if a.cfg.SingleSample {
-		// Reference path: apply in place on the current buffer. No
-		// lock-free readers exist in this mode (pulls hold a.mu), so
-		// mutating the published buffer is safe.
-		cur := a.snap.Load()
-		a.actorOpt.Step(cur.actor, aGrad)
-		a.criticOpt.Step(cur.critic, cGrad)
-	} else {
-		a.applyLocked(aGrad, cGrad)
-	}
+	a.applyLocked(aGrad, cGrad)
 	a.mu.Unlock()
 	sw.Stop()
 	trainMet.updates.Inc()
-}
-
-// accumulateSingle replays the rollout through the per-sample reference
-// path — one critic and one actor Forward/Backward per transition, newest
-// first. It is the executable specification accumulateBatched must match
-// bitwise; ret arrives as the bootstrap value (0 at episode end).
-func (a *A3C) accumulateSingle(actor, critic *nn.Network, buf *rollout, ret float64, dLogits []float64) {
-	for i := len(buf.rewards) - 1; i >= 0; i-- {
-		ret = buf.rewards[i] + a.cfg.Gamma*ret
-
-		// Critic: minimize 0.5 (V - R)^2.
-		v := critic.Forward(buf.features[i])[0]
-		critic.Backward([]float64{v - ret})
-
-		// Actor: ascend A·∇log π(a|s) + β ∇H(π). Advantage Eq. 10 uses
-		// the critic's value as the baseline V^π(s).
-		adv := ret - v
-		if a.cfg.AdvClip > 0 {
-			adv = math.Max(-a.cfg.AdvClip, math.Min(a.cfg.AdvClip, adv))
-		}
-		logits := actor.Forward(buf.features[i])
-		p := nn.Softmax(logits)
-		h := nn.Entropy(p)
-		for k := range dLogits {
-			grad := adv * p[k] // d(-log π(a))·A / dz_k , part 1
-			if k == buf.actions[i] {
-				grad -= adv
-			}
-			if p[k] > 0 {
-				// Entropy bonus: d(-βH)/dz_k = β π_k (log π_k + H).
-				grad += a.cfg.EntropyBeta * p[k] * (math.Log(p[k]) + h)
-			}
-			// Logit L2 decay (see A3CConfig.LogitDecay).
-			grad += a.cfg.LogitDecay * logits[k]
-			dLogits[k] = grad
-		}
-		actor.Backward(dLogits)
-	}
 }

@@ -79,11 +79,10 @@ type Agent struct {
 	envs    []*mdp.Env     // reused per-file environments (DecideTrace)
 	states  []mdp.State    // reused per-file states (DecideTrace)
 	featBuf []float64      // reused single-sample feature encoding
-	probBuf []float64      // reused policy distribution (Sample)
 }
 
 // features encodes s into the agent's reused scratch buffer; the returned
-// slice is valid until the next Decide/Sample/Probabilities call.
+// slice is valid until the next Decide/Probabilities call.
 func (a *Agent) features(s *mdp.State) []float64 {
 	n := mdp.FeatureDim(len(s.ReadHistory))
 	if cap(a.featBuf) < n {
@@ -112,34 +111,9 @@ func (a *Agent) Decide(s *mdp.State) pricing.Tier {
 }
 
 // Probabilities returns the policy distribution π(·|s). The returned slice
-// is freshly allocated (callers retain it); the sampling hot path uses the
-// scratch-backed probabilities inside Sample instead.
+// is freshly allocated (callers retain it).
 func (a *Agent) Probabilities(s *mdp.State) []float64 {
 	return nn.Softmax(a.actor.Forward(a.features(s)))
-}
-
-// Sample draws a tier from π(·|s) with ε-greedy exploration mixed in. It is
-// allocation-free in steady state — the A3C workers call it every
-// environment step.
-func (a *Agent) Sample(s *mdp.State, epsilon float64, r *rng.RNG) pricing.Tier {
-	if epsilon > 0 && r.Float64() < epsilon {
-		return pricing.Tier(r.Intn(mdp.NumActions))
-	}
-	logits := a.actor.Forward(a.features(s))
-	if cap(a.probBuf) < len(logits) {
-		a.probBuf = make([]float64, len(logits))
-	}
-	p := a.probBuf[:len(logits)]
-	nn.SoftmaxInto(p, logits)
-	u := r.Float64()
-	acc := 0.0
-	for i, v := range p {
-		acc += v
-		if u < acc {
-			return pricing.Tier(i)
-		}
-	}
-	return pricing.Tier(len(p) - 1)
 }
 
 // Clone returns an independent copy safe for use in another goroutine. The

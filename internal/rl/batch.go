@@ -16,7 +16,7 @@ import (
 // trace-scale populations, so serving restructures decision-making
 // day-major — pack every file's feature vector for day d into one batch
 // matrix, run one GEMM per layer per day, and take the per-row argmax. The
-// single-sample Decide stays as the training path and as the reference
+// single-sample Decide stays for one-off decisions and as the reference
 // implementation the equivalence tests check DecideBatch against (results
 // are bitwise identical; see nn/batch.go).
 

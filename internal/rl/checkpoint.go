@@ -55,13 +55,24 @@ func LoadAgent(r io.Reader) (*Agent, error) {
 		return nil, fmt.Errorf("rl: checkpoint has %d actor params, architecture needs %d",
 			len(cp.Actor), actor.NumParams())
 	}
-	for _, v := range cp.Actor {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("rl: checkpoint contains non-finite weights")
-		}
+	if err := checkFinite(cp.Actor); err != nil {
+		return nil, err
 	}
 	actor.SetParamVector(cp.Actor)
 	return NewAgent(cp.Net, actor), nil
+}
+
+// checkFinite refuses weights a checkpoint must never carry: one NaN or Inf
+// poisons every decision (actor) or every advantage (critic) it touches.
+func checkFinite(vecs ...[]float64) error {
+	for _, vec := range vecs {
+		for _, v := range vec {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("rl: checkpoint contains non-finite weights")
+			}
+		}
+	}
+	return nil
 }
 
 // SaveCheckpoint serializes the trainer's full state (actor and critic
@@ -97,14 +108,17 @@ func (a *A3C) LoadCheckpoint(r io.Reader) error {
 	if cp.Net != a.cfg.Net {
 		return fmt.Errorf("rl: checkpoint architecture %+v != trainer %+v", cp.Net, a.cfg.Net)
 	}
+	if err := checkFinite(cp.Actor, cp.Critic); err != nil {
+		return err
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cur := a.snap.Load()
 	if len(cp.Actor) != len(cur.actor) || len(cp.Critic) != len(cur.critic) {
 		return fmt.Errorf("rl: checkpoint parameter counts do not match trainer")
 	}
-	// Install into a fresh buffer and swap, so batched-path workers pull the
-	// restored weights instead of whatever buffer was published before.
+	// Install into a fresh buffer and swap, so workers pull the restored
+	// weights instead of whatever buffer was published before.
 	a.installLocked(cp.Actor, cp.Critic)
 	return nil
 }

@@ -18,15 +18,13 @@ type trainMetrics struct {
 	episodes  *obs.Counter
 	swaps     *obs.Counter
 	updateLat *obs.Timer
-	batchFill *obs.Histogram
 	gradNorm  *obs.Gauge
-	// Vectorized-engine instruments (DESIGN.md §16): envs counts the
-	// environments currently driven in lockstep across all workers;
-	// vecForward times the batched action-selection forward (one E-row
-	// GEMM per lockstep step); weightPacks counts the times a vectorized
-	// worker's replica packed its weights into GEMM kernel layout — once
-	// per network per bound snapshot when the arena reaches the packed
-	// kernels, never when it does not.
+	// Lockstep instruments (DESIGN.md §10): envs counts the environments
+	// currently driven in lockstep across all workers; vecForward times the
+	// batched action-selection forward (one E-row GEMM per lockstep step);
+	// weightPacks counts the times a worker's replica packed its weights
+	// into GEMM kernel layout — once per network per bound snapshot when the
+	// arena reaches the packed kernels, never when it does not.
 	envs        *obs.Gauge
 	vecForward  *obs.Timer
 	weightPacks *obs.Counter
@@ -45,17 +43,14 @@ var trainMet = func() trainMetrics {
 			"Published parameter-buffer swaps (optimizer applies and checkpoint restores)."),
 		updateLat: reg.Timer("minicost_train_update_seconds",
 			"Per-worker update latency: lock wait plus optimizer apply."),
-		batchFill: reg.Histogram("minicost_train_batch_fill",
-			"Rollout fill fraction per update (collected transitions / NSteps).",
-			obs.LinearBuckets(0.1, 0.1, 10)),
 		gradNorm: reg.Gauge("minicost_train_grad_norm",
 			"Post-clip L2 norm of the actor gradient, most recent update."),
 		envs: reg.Gauge("minicost_train_envs",
-			"Environments currently driven in lockstep by the vectorized workers."),
+			"Environments currently driven in lockstep by the training workers."),
 		vecForward: reg.Timer("minicost_train_vec_forward_seconds",
-			"Batched action-selection forward latency on the vectorized rollout path."),
+			"Batched action-selection forward latency of the lockstep rollout."),
 		weightPacks: reg.Counter("minicost_train_weight_packs_total",
-			"Forward weight packs made by the vectorized workers' replicas: one per network per bound snapshot."),
+			"Forward weight packs made by the training workers' replicas: one per network per bound snapshot."),
 	}
 	reg.GaugeFunc("minicost_train_steps_per_second",
 		"Throughput of the current (or last finished) Train call; NaN before the first.",

@@ -13,8 +13,8 @@ import (
 
 // TestTrainingMetricsAdvance runs a short Train with the default registry
 // enabled and asserts the training instruments move: steps, updates,
-// snapshot swaps, update latency, batch fill, and the derived steps/sec
-// gauge. Deltas, not absolutes — the registry is process-global.
+// snapshot swaps, update latency, and the derived steps/sec gauge. Deltas,
+// not absolutes — the registry is process-global.
 func TestTrainingMetricsAdvance(t *testing.T) {
 	reg := obs.Default()
 	was := reg.Enabled()
@@ -54,10 +54,6 @@ func TestTrainingMetricsAdvance(t *testing.T) {
 	if lat.Count <= before.Histogram("minicost_train_update_seconds").Count {
 		t.Error("update latency histogram did not advance")
 	}
-	fill := after.Histogram("minicost_train_batch_fill")
-	if fill.Count <= before.Histogram("minicost_train_batch_fill").Count {
-		t.Error("batch fill histogram did not advance")
-	}
 	if rate := after.Gauge("minicost_train_steps_per_second"); math.IsNaN(rate) || rate <= 0 {
 		t.Errorf("steps/sec gauge = %v, want finite positive", rate)
 	}
@@ -67,8 +63,8 @@ func TestTrainingMetricsAdvance(t *testing.T) {
 	}
 }
 
-// TestVecTrainingMetricsAdvance is the vectorized-engine counterpart: the
-// lockstep envs gauge returns to its pre-run level once all workers exit
+// TestVecTrainingMetricsAdvance covers the lockstep instruments at E=4: the
+// envs gauge returns to its pre-run level once all workers exit
 // (Add/defer-Add pairing), and the batched-forward timer advanced.
 func TestVecTrainingMetricsAdvance(t *testing.T) {
 	reg := obs.Default()
@@ -107,8 +103,7 @@ func TestVecTrainingMetricsAdvance(t *testing.T) {
 	}
 }
 
-// TestWeightPacksMetric counts the weight packs a vectorized worker's
-// replicas make, exactly: both stay bound to one snapshot per update, so each
+// TestWeightPacksMetric counts the weight packs a worker's replicas make, exactly: both stay bound to one snapshot per update, so each
 // packs at most once per update however many forwards it runs — the actor at
 // its first E-row rollout window if that reaches the packed kernels (E ≥ 16),
 // never otherwise (it runs nothing but E-row windows), the critic at its

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"testing"
 
 	"minicost/internal/costmodel"
@@ -9,90 +10,33 @@ import (
 	"minicost/internal/rng"
 )
 
-// TestBatchedTrainerParallelismBitwise extends the batched/single-sample
-// equivalence gate to the intra-update fan-out: a Workers=1 trainer running
-// every update's GEMMs across 3 goroutines must still land bitwise on the
-// per-sample reference — the parallel kernels shard only independent output
-// elements, so Parallelism never perturbs training.
+// TestBatchedTrainerParallelismBitwise pins the intra-update fan-out: a
+// Workers=1 trainer running every update's GEMMs across 3 goroutines must
+// land bitwise where the serial one does — the parallel kernels shard only
+// independent output elements, so Parallelism never perturbs training. E=16
+// makes the arena (112 rows) big enough for the fan-outs to split; E=1 is the
+// default width.
 func TestBatchedTrainerParallelismBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	cfg := smallA3CConfig()
-	cfg.Workers = 1
-	cfg.Parallelism = 3
-	const steps = 400
+	for _, envs := range []int{1, 16} {
+		cfg := smallA3CConfig()
+		cfg.Workers = 1
+		cfg.EnvsPerWorker = envs
+		cfg.Parallelism = 3
+		const steps = 448 // 4 updates at E=16, 64 at E=1
 
-	ref := cfg
-	ref.Parallelism = 0
-	ref.SingleSample = true
-	wantA, wantC, wantStats := trainParams(t, ref, 8, 14, steps)
-	gotA, gotC, gotStats := trainParams(t, cfg, 8, 14, steps)
+		serial := cfg
+		serial.Parallelism = 0
+		wantA, wantC, wantStats := vecTrainParams(t, serial, 8, 14, steps)
+		gotA, gotC, gotStats := vecTrainParams(t, cfg, 8, 14, steps)
 
-	if gotStats != wantStats {
-		t.Fatalf("stats diverged: parallel %+v, single-sample %+v", gotStats, wantStats)
-	}
-	assertVectorsBitwise(t, "actor", gotA, wantA)
-	assertVectorsBitwise(t, "critic", gotC, wantC)
-}
-
-// TestAccumulateBatchedSteadyStateAllocFree gates the per-update training
-// hot path: with warm scratch, one full batched accumulation (feature pack,
-// two forwards, scalar gradient loop, two backwards) allocates nothing.
-func TestAccumulateBatchedSteadyStateAllocFree(t *testing.T) {
-	cfg := smallA3CConfig()
-	a3c, err := NewA3C(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actor := a3c.protoActor.Clone()
-	critic := a3c.protoCritic.Clone()
-	actor.FlattenGrads()
-	critic.FlattenGrads()
-
-	dim := cfg.Net.featureDim()
-	buf := newRollout(cfg.NSteps, dim)
-	r := rng.New(3)
-	for i := 0; i < cfg.NSteps; i++ {
-		row := buf.nextFeatureRow(dim)
-		for j := range row {
-			row[j] = r.Float64()
+		if gotStats != wantStats {
+			t.Fatalf("E=%d: stats diverged: parallel %+v, serial %+v", envs, gotStats, wantStats)
 		}
-		buf.features = append(buf.features, row)
-		buf.actions = append(buf.actions, i%mdp.NumActions)
-		buf.rewards = append(buf.rewards, r.Float64()-0.5)
-	}
-	var bb batchBuf
-	a3c.accumulateBatched(actor, critic, buf, 0.25, &bb)
-	allocs := testing.AllocsPerRun(10, func() {
-		a3c.accumulateBatched(actor, critic, buf, 0.25, &bb)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state batched accumulation allocates %.0f/op, want 0", allocs)
-	}
-}
-
-// TestAgentSampleSteadyStateAllocFree gates the worker-side per-step hot
-// path: sampling an action from a live state allocates nothing once the
-// agent's scratch is warm.
-func TestAgentSampleSteadyStateAllocFree(t *testing.T) {
-	cfg := smallA3CConfig()
-	r := rng.New(5)
-	agent := NewAgent(cfg.Net, cfg.Net.BuildActor(r))
-	tr := polarTrace(t, 1, 30)
-	model := costmodel.New(pricing.Azure())
-	env, err := mdp.NewEnv(model, tr.Files[0].SizeGB, tr.Reads[0], tr.Writes[0], pricing.Hot, cfg.Net.HistLen, mdp.DefaultReward())
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.EnableStateReuse()
-	state := env.Reset()
-	agent.Sample(&state, 0, r)
-	allocs := testing.AllocsPerRun(10, func() {
-		agent.Sample(&state, 0, r)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Sample allocates %.0f/op, want 0", allocs)
+		assertVectorsBitwise(t, fmt.Sprintf("E=%d actor", envs), gotA, wantA)
+		assertVectorsBitwise(t, fmt.Sprintf("E=%d critic", envs), gotC, wantC)
 	}
 }
 

@@ -59,20 +59,18 @@ func TestAgentDecideAndSample(t *testing.T) {
 	if int(tier) != best {
 		t.Fatal("Decide disagrees with Probabilities argmax")
 	}
-	// ε=1 forces uniform exploration; all actions eventually appear.
-	seen := map[pricing.Tier]bool{}
-	for i := 0; i < 200; i++ {
-		seen[agent.Sample(&s, 1, r)] = true
-	}
-	if len(seen) != mdp.NumActions {
-		t.Fatalf("exploration saw %d actions", len(seen))
-	}
-	// ε=0 samples from π only; with an untrained net all actions still have
-	// positive mass, but every sample must be valid.
-	for i := 0; i < 50; i++ {
-		if !agent.Sample(&s, 0, r).Valid() {
-			t.Fatal("invalid sampled action")
+	// The engine's action draw inverts π's CDF (sampleDist): u at the middle
+	// of tier k's mass draws k, and u past the total, which rounding can
+	// leave short of 1, draws the last tier.
+	acc := 0.0
+	for k, pk := range p {
+		if got := sampleDist(p, acc+pk/2); got != pricing.Tier(k) {
+			t.Fatalf("u inside tier %d's mass drew %v", k, got)
 		}
+		acc += pk
+	}
+	if got := sampleDist(p, 1); got != pricing.Tier(len(p)-1) {
+		t.Fatalf("u = 1 drew %v, want the last tier", got)
 	}
 }
 
@@ -104,7 +102,6 @@ func TestA3CConfigValidate(t *testing.T) {
 		mut(func(c *A3CConfig) { c.NSteps = 0 }),
 		mut(func(c *A3CConfig) { c.Workers = 0 }),
 		mut(func(c *A3CConfig) { c.EnvsPerWorker = -1 }),
-		mut(func(c *A3CConfig) { c.SingleSample = true; c.EnvsPerWorker = 4 }),
 		mut(func(c *A3CConfig) { c.EntropyBeta = -1 }),
 		mut(func(c *A3CConfig) { c.ExploreHold = -1 }),
 		mut(func(c *A3CConfig) { c.GradClip = -1 }),

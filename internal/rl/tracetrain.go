@@ -17,7 +17,7 @@ import (
 // the real-time data or historical data as input", per-file decisions). It
 // implements EnvSource with an allocation-free ReinitEnv (mdp.Env.Reinit
 // re-targets the worker's environment in place), which is what keeps episode
-// turnover off the vectorized engine's hot path.
+// turnover off the training engine's hot path.
 type TraceSource struct {
 	model   *costmodel.Model
 	tr      *trace.Trace

@@ -10,13 +10,11 @@ import (
 	"minicost/internal/rng"
 )
 
-// This file is the vectorized rollout engine (DESIGN.md §16): the worker
-// variant selected by A3CConfig.EnvsPerWorker ≥ 2. Where the classic worker
-// steps one environment and pays a batch-of-1 forward per action, the
-// vectorized worker drives E environments in lockstep through an
-// mdp.EnvBank: each lockstep step fills one E-row block of a flat E×NSteps
-// feature arena, selects all E actions with a single actor forward over that
-// block (an E-row GEMM that actually reaches the packed kernels in mat), and
+// This file is the training engine (DESIGN.md §10): the one A3C worker loop.
+// Each worker drives A3CConfig.EnvsPerWorker = E environments in lockstep
+// through an mdp.EnvBank (E=1 is the degenerate case, not a separate path):
+// each lockstep step fills one E-row block of a flat E×NSteps feature arena,
+// selects all E actions with a single actor forward over that block, and
 // advances all E environments with one StepAll. The block is forwarded where
 // it lies in the arena (nn.Network.ForwardRows), so when the last step has
 // chosen its actions the actor's forward pass over the whole arena — logits
@@ -31,11 +29,11 @@ import (
 // order (0…E-1), and episodes that end mid-rollout are re-targeted in place
 // (EnvSource.ReinitEnv) and reset immediately, with the return recursion
 // restarted at the boundary. A run is therefore a pure function of (config,
-// seed) at Workers=1 — the seed-determinism test pins it — while E=1 keeps
-// the classic worker and its bitwise contract with the single-sample
-// reference (worker dispatch in TrainFrom).
+// seed) at Workers=1 — the seed-determinism test and the golden parameter
+// hashes pin it — and accumulateVec equals a per-row Forward/Backward oracle
+// bit for bit (oracle_test.go).
 
-// vecBuf holds one vectorized worker's reused update matrices, grown once
+// vecBuf holds one worker's reused update matrices, grown once
 // and reused for every rollout thereafter.
 type vecBuf struct {
 	dV    *mat.Matrix // critic output gradients (V - R per row)
@@ -44,8 +42,7 @@ type vecBuf struct {
 }
 
 // sampleDist draws an index from the distribution p by inverting its CDF at
-// u, mirroring Agent.Sample's arithmetic exactly (same accumulation order,
-// same final-index fallback against rounding).
+// u, falling back to the last index when rounding leaves the CDF short of u.
 //
 //minicost:hotpath
 func sampleDist(p []float64, u float64) pricing.Tier {
@@ -67,9 +64,9 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 	w := a.cfg.parallelism()
 	featDim := a.cfg.Net.featureDim()
 
-	// Worker stream as in the classic loop; each bank member then splits its
-	// own substream by index, so a member's episode draws and action samples
-	// are independent of every other member's and of E itself.
+	// One stream per worker; each bank member then splits its own substream
+	// by index, so a member's episode draws and action samples are
+	// independent of every other member's and of E itself.
 	wr := rng.New(a.cfg.Seed).Split(uint64(id) + 0xAC7)
 	envRNG := make([]*rng.RNG, nEnvs)
 	for e := range envRNG {
@@ -177,7 +174,6 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 			a.steps.Add(int64(nEnvs))
 		}
 		trainMet.steps.Add(float64(rows))
-		trainMet.batchFill.Observe(1) // lockstep rollouts are always full
 
 		// Bootstrap all members with one batched critic pass. The returned
 		// matrix is owned by the network and overwritten by the next
@@ -212,9 +208,8 @@ func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
 // per-env returns, advantages and output gradients (walking each env's column
 // backward in time, resetting the return at episode boundaries), then one
 // BackwardParams each — nobody reads the gradient with respect to the
-// features. The per-row arithmetic is the reference gradient term for term —
-// advantage clip, entropy bonus, logit decay — identical to
-// accumulateSingle/accumulateBatched.
+// features. Its per-row oracle (oracle_test.go) runs Forward and Backward
+// one row at a time and must match it bit for bit.
 //
 //minicost:hotpath
 func (a *A3C) accumulateVec(actor, critic *nn.Network, feats, logits *mat.Matrix, rewards []float64, actions []int, dones []bool, boot []float64, vb *vecBuf) {
@@ -244,8 +239,8 @@ func (a *A3C) accumulateVec(actor, critic *nn.Network, feats, logits *mat.Matrix
 			v := values.Row(i)[0]
 			vb.dV.Row(i)[0] = v - ret
 
-			// Actor: ascend A·∇log π(a|s) + β ∇H(π); see accumulateSingle
-			// for the gradient derivation comments.
+			// Actor: ascend A·∇log π(a|s) + β ∇H(π). Advantage Eq. 10 uses
+			// the critic's value as the baseline V^π(s).
 			adv := ret - v
 			if a.cfg.AdvClip > 0 {
 				adv = math.Max(-a.cfg.AdvClip, math.Min(a.cfg.AdvClip, adv))
@@ -256,13 +251,15 @@ func (a *A3C) accumulateVec(actor, critic *nn.Network, feats, logits *mat.Matrix
 			h := nn.Entropy(p)
 			drow := vb.dL.Row(i)
 			for k := range drow {
-				grad := adv * p[k]
+				grad := adv * p[k] // d(-log π(a))·A / dz_k, part 1
 				if k == actions[i] {
 					grad -= adv
 				}
 				if p[k] > 0 {
+					// Entropy bonus: d(-βH)/dz_k = β π_k (log π_k + H).
 					grad += a.cfg.EntropyBeta * p[k] * (math.Log(p[k]) + h)
 				}
+				// Logit L2 decay (see A3CConfig.LogitDecay).
 				grad += a.cfg.LogitDecay * lrow[k]
 				drow[k] = grad
 			}

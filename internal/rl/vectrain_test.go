@@ -18,10 +18,61 @@ import (
 	"minicost/internal/trace"
 )
 
-// vecTrainParams runs a fresh trainer with cfg through TrainFrom over a
-// polar-trace TraceSource (the allocation-free episode path the vectorized
-// engine is built for) and returns copies of the final parameter vectors
-// plus stats.
+// trainParams runs a fresh trainer with cfg over a polar-trace factory and
+// returns copies of the final actor/critic parameter vectors plus stats.
+func trainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]float64, []float64, TrainStats) {
+	t.Helper()
+	tr := polarTrace(t, files, days)
+	model := costmodel.New(pricing.Azure())
+	a3c, err := NewA3C(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := a3c.Train(factory, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := a3c.snap.Load()
+	return append([]float64(nil), cur.actor...),
+		append([]float64(nil), cur.critic...), stats
+}
+
+func assertVectorsBitwise(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: elem %d = %v, want %v (not bitwise equal)", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestTrainDeterministicAtOneWorker pins the seed contract: two fresh
+// trainers with the same configuration reach bitwise-identical parameters.
+func TestTrainDeterministicAtOneWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	cfg := smallA3CConfig()
+	cfg.Workers = 1
+	a1, c1, s1 := trainParams(t, cfg, 6, 12, 300)
+	a2, c2, s2 := trainParams(t, cfg, 6, 12, 300)
+	if s1 != s2 {
+		t.Fatalf("stats diverged across identical runs: %+v vs %+v", s1, s2)
+	}
+	assertVectorsBitwise(t, "actor", a2, a1)
+	assertVectorsBitwise(t, "critic", c2, c1)
+}
+
+// vecTrainParams is trainParams through TrainFrom over a polar-trace
+// TraceSource, the allocation-free episode path (trainParams goes through
+// Train's factory adapter instead).
 func vecTrainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]float64, []float64, TrainStats) {
 	t.Helper()
 	tr := polarTrace(t, files, days)
@@ -43,53 +94,28 @@ func vecTrainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) (
 		append([]float64(nil), cur.critic...), stats
 }
 
-// TestVecTrainerSeedDeterministic pins the vectorized engine's determinism
-// contract: at Workers=1 with EnvsPerWorker=4, two fresh runs with the same
-// seed must reach bitwise-identical parameters and identical stats. Kept
-// fast and never skipped so the CI race job runs it (see ci.yml).
+// TestVecTrainerSeedDeterministic pins the engine's determinism contract: at
+// Workers=1, two fresh runs with the same seed must reach bitwise-identical
+// parameters and identical stats, at E=1 (the width every caller without an
+// explicit one trains at) and at E=4. Kept fast and never skipped so the CI
+// race job runs it (see ci.yml).
 func TestVecTrainerSeedDeterministic(t *testing.T) {
-	cfg := smallA3CConfig()
-	cfg.Workers = 1
-	cfg.EnvsPerWorker = 4
-	const steps = 336 // 12 full 4×7 lockstep rollouts
-	a1, c1, s1 := vecTrainParams(t, cfg, 6, 12, steps)
-	a2, c2, s2 := vecTrainParams(t, cfg, 6, 12, steps)
-	if s1 != s2 {
-		t.Fatalf("stats diverged across identical runs: %+v vs %+v", s1, s2)
+	for _, envs := range []int{1, 4} {
+		cfg := smallA3CConfig()
+		cfg.Workers = 1
+		cfg.EnvsPerWorker = envs
+		const steps = 336 // 12 full 4×7 lockstep rollouts, 48 at E=1
+		a1, c1, s1 := vecTrainParams(t, cfg, 6, 12, steps)
+		a2, c2, s2 := vecTrainParams(t, cfg, 6, 12, steps)
+		if s1 != s2 {
+			t.Fatalf("E=%d: stats diverged across identical runs: %+v vs %+v", envs, s1, s2)
+		}
+		assertVectorsBitwise(t, fmt.Sprintf("E=%d actor", envs), a2, a1)
+		assertVectorsBitwise(t, fmt.Sprintf("E=%d critic", envs), c2, c1)
 	}
-	assertVectorsBitwise(t, "actor", a2, a1)
-	assertVectorsBitwise(t, "critic", c2, c1)
 }
 
-// TestTrainFromAtE1MatchesSingleSampleBitwise extends the engine-equivalence
-// chain to the new entry points: EnvsPerWorker=1 dispatches to the classic
-// worker, and a TraceSource's in-place ReinitEnv must be observationally
-// identical to building a fresh env per episode, so a TrainFrom run at E=1
-// must stay bitwise-identical to the preserved single-sample reference
-// driven through the factory path.
-func TestTrainFromAtE1MatchesSingleSampleBitwise(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	cfg := smallA3CConfig()
-	cfg.Workers = 1
-	cfg.EnvsPerWorker = 1
-	const steps = 400
-
-	ref := cfg
-	ref.EnvsPerWorker = 0
-	ref.SingleSample = true
-	wantA, wantC, wantStats := trainParams(t, ref, 8, 14, steps)
-	gotA, gotC, gotStats := vecTrainParams(t, cfg, 8, 14, steps)
-
-	if gotStats != wantStats {
-		t.Fatalf("stats diverged: E=1 %+v, single-sample %+v", gotStats, wantStats)
-	}
-	assertVectorsBitwise(t, "actor", gotA, wantA)
-	assertVectorsBitwise(t, "critic", gotC, wantC)
-}
-
-// TestVecTrainStatsAccounting pins the vectorized engine's bookkeeping on a
+// TestVecTrainStatsAccounting pins the engine's bookkeeping on a
 // fully deterministic run: Workers=1, E=4, NSteps=7 over 12-day episodes.
 // Every lockstep step advances all four members, so 280 total steps is
 // exactly 10 rollouts; every member completes an episode every 12 steps, so
@@ -110,9 +136,10 @@ func TestVecTrainStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestVecCheckpointRoundTripResumesTraining is the vectorized counterpart of
-// the batched checkpoint test: a run saved between updates and resumed in a
-// fresh trainer must land exactly where the uninterrupted run does. The
+// TestVecCheckpointRoundTripResumesTraining is the E=4 counterpart of
+// TestCheckpointRoundTripResumesBatchedTraining: a run saved between updates
+// and resumed in a fresh trainer must land exactly where the uninterrupted
+// run does. The
 // engine re-derives every per-env RNG stream from (Seed, worker, member) at
 // each TrainFrom call, so no RNG cursor needs to live in the checkpoint —
 // this test is what pins that property. Phase budgets are multiples of
@@ -167,8 +194,8 @@ func TestVecCheckpointRoundTripResumesTraining(t *testing.T) {
 	assertVectorsBitwise(t, "critic", resumedCur.critic, origCur.critic)
 }
 
-// TestAccumulateVecSteadyStateAllocFree gates the vectorized update in the
-// shape the worker runs it: once the reused matrices are warm, NSteps
+// TestAccumulateVecSteadyStateAllocFree gates the update in the shape the
+// worker runs it: once the reused matrices are warm, NSteps
 // row-window actor forwards over the arena followed by a full E×NSteps
 // accumulate pass (the critic's ForwardBatch, the scalar gradient loop, two
 // BackwardParams) allocate nothing.
@@ -276,7 +303,8 @@ func TestBindSnapshotRepacksRecycledBuffers(t *testing.T) {
 }
 
 // The three network sizes the end-to-end harness trains at, with the lockstep
-// width it (or minicostd -online, for boot64) pairs each with.
+// width it (or minicostd -online, for boot64) pairs each with; boot64 at E=1
+// is also minicostd's bootstrap shape.
 var (
 	netPaper128 = NetConfig{HistLen: 14, Filters: 128, Kernel: 4, Stride: 1, Hidden: 128}
 	netBoot64   = NetConfig{HistLen: 14, Filters: 32, Kernel: 4, Stride: 1, Hidden: 64}
@@ -326,13 +354,15 @@ func paramHash(a *A3C) uint64 {
 	return h.Sum64()
 }
 
-// TestVecTrainGoldenHashes is the vectorized engine's bitwise oracle. Nothing
-// else computes what it computes — the single-sample reference stops at E=1 —
-// so the parameters it reaches are pinned as constants, recorded at the
-// commit before the update stopped packing per forward, re-running the
-// actor's forward and computing the feature gradient (PR 20), on both sides
-// of packMinRows: 4-row windows and a 28-row arena, 8-row windows and a
-// 56-row arena, 16-row windows and a 112-row arena at the paper's network.
+// TestVecTrainGoldenHashes is the engine's end-to-end bitwise oracle: the
+// per-row oracle pins one update, this pins whole runs — rollout, action
+// sampling, episode turnover, parameter server — as parameter hashes. The
+// E ≥ 4 constants were recorded at the commit before the update stopped
+// packing per forward, re-running the actor's forward and computing the
+// feature gradient (PR 20), on both sides of packMinRows: 4-row windows and a
+// 28-row arena, 8-row windows and a 56-row arena, 16-row windows and a
+// 112-row arena at the paper's network. The E=1 rows (7-row arenas, never
+// packed) were recorded when E=1 became every default caller's shape (PR 25).
 // Each budget is split over two TrainFrom calls, so replicas are rebuilt and
 // every RNG stream re-derived in between. A change to the engine that moves a
 // hash changed its arithmetic. The constants are amd64's: the Go compiler
@@ -349,7 +379,9 @@ func TestVecTrainGoldenHashes(t *testing.T) {
 		want  uint64
 	}{
 		{NetConfig{HistLen: 14, Filters: 8, Kernel: 4, Stride: 1, Hidden: 8}, 4, 280, 0x6803fb0b3fbea9ea},
+		{NetConfig{HistLen: 14, Filters: 8, Kernel: 4, Stride: 1, Hidden: 8}, 1, 280, 0x9327e93118498436},
 		{netBoot64, 8, 224, 0xe4687a8554421d7e},
+		{netBoot64, 1, 224, 0x703e04e9d42232b4},
 		{netPaper128, 16, 224, 0xc805ceeac39e0dd7},
 	} {
 		a3c, src := harnessTrainer(t, c.net, c.envs)
@@ -365,13 +397,15 @@ func TestVecTrainGoldenHashes(t *testing.T) {
 	}
 }
 
-// BenchmarkVecTrainUpdate times the vectorized engine the way the end-to-end
+// BenchmarkVecTrainUpdate times the engine the way the end-to-end
 // harness's train-offline workload does — one worker, TrainFrom in 512-step
 // slices, replicas rebuilt per slice — and reports training steps per second
 // at the three sizes the harness trains at:
 //
 //	paper128/E=16  its timed train phase (file_days_per_s)
 //	boot64/E=8     minicostd -online's fine-tune epochs (rl.finetune_steps_per_s)
+//	boot64/E=1     minicostd's bootstrap (core.System.Train), every 7-row
+//	               window and arena below the packed kernels
 //	quick16/E=4    the experiments' Quick profile; a 28-row arena packs, its
 //	               4-row rollout windows do not
 func BenchmarkVecTrainUpdate(b *testing.B) {
@@ -380,7 +414,12 @@ func BenchmarkVecTrainUpdate(b *testing.B) {
 		name string
 		net  NetConfig
 		envs int
-	}{{"paper128/E=16", netPaper128, 16}, {"boot64/E=8", netBoot64, 8}, {"quick16/E=4", netQuick16, 4}} {
+	}{
+		{"paper128/E=16", netPaper128, 16},
+		{"boot64/E=8", netBoot64, 8},
+		{"boot64/E=1", netBoot64, 1},
+		{"quick16/E=4", netQuick16, 4},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			a3c, src := harnessTrainer(b, bc.net, bc.envs)
 			if _, err := a3c.FineTune(src, slice); err != nil { // warm the trace's lazily built state
