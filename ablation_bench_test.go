@@ -52,11 +52,11 @@ func trainAndScore(b *testing.B, trainCfg rl.A3CConfig, reward mdp.RewardConfig,
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory, err := rl.TraceFactory(m, tr, trainCfg.Net.HistLen, reward, pricing.Hot)
+	src, err := rl.NewTraceSource(m, tr, trainCfg.Net.HistLen, reward, pricing.Hot)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := a3c.Train(factory, steps); err != nil {
+	if _, err := a3c.TrainFrom(src, steps); err != nil {
 		b.Fatal(err)
 	}
 	bd, _, err := rl.EvaluateAgent(a3c.Snapshot(), m, tr, trainCfg.Net.HistLen, pricing.Hot)
@@ -158,11 +158,11 @@ func BenchmarkAblationDQN(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		factory, err := rl.TraceFactory(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+		src, err := rl.NewTraceSource(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Train(factory, ablationSteps); err != nil {
+		if _, err := d.Train(src, ablationSteps); err != nil {
 			b.Fatal(err)
 		}
 		bd, _, err := rl.EvaluateAgent(d.Agent(), m, tr, cfg.Net.HistLen, pricing.Hot)
@@ -186,12 +186,12 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			factory, err := rl.TraceFactory(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
+			src, err := rl.NewTraceSource(m, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			if _, err := a3c.Train(factory, int64(b.N)); err != nil {
+			if _, err := a3c.TrainFrom(src, int64(b.N)); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -101,8 +101,8 @@ func main() {
 	row("minicost", report.Total)
 	w.Flush()
 	fmt.Printf("tier changes: %d, decision time: %s total (%.3f ms/file/day)\n",
-		report.TierChanges, report.TotalDecisionTime().Round(time.Millisecond),
-		report.TotalDecisionTime().Seconds()*1000/float64(serve.NumFiles()*serve.Days))
+		report.TierChanges, report.DecisionTime.Round(time.Millisecond),
+		report.DecisionTime.Seconds()*1000/float64(serve.NumFiles()*serve.Days))
 	if *aggregateE {
 		fmt.Printf("aggregated groups active at end: %d\n", report.AggregatedGroups)
 	}

@@ -68,7 +68,7 @@ func main() {
 		fmt.Printf("%-10s %10.4f\n", b.name, bd.Total())
 	}
 	fmt.Printf("%-10s %10.4f   (%d tier changes, %s compute)\n",
-		"minicost", report.Total.Total(), report.TierChanges, report.TotalDecisionTime().Round(1000000))
+		"minicost", report.Total.Total(), report.TierChanges, report.DecisionTime.Round(1000000))
 
 	hot, _ := minicost.EvaluateAssigner(minicost.HotBaseline(), live, minicost.AzurePricing())
 	saved := hot.Total() - report.Total.Total()

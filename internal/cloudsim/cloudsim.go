@@ -248,32 +248,3 @@ func (s *Store) Ledger() []costmodel.Breakdown {
 func (s *Store) TotalBill() costmodel.Breakdown {
 	return costmodel.SumBreakdowns(s.ledger)
 }
-
-// Latency models per-tier access latency for the examples; the paper notes
-// aggregated-file response times match non-aggregated ones and that
-// MiniCost's per-file decision time (<1 ms) is far below data-transmission
-// latency (10 ms – hundreds of ms).
-type Latency struct {
-	// FirstByteMS is the time to first byte per tier; archive involves
-	// rehydration and is modeled in minutes.
-	FirstByteMS [pricing.NumTiers]float64
-	// PerGBMS is the transfer time per GB.
-	PerGBMS float64
-}
-
-// DefaultLatency returns plausible object-store latencies.
-func DefaultLatency() Latency {
-	return Latency{
-		FirstByteMS: [pricing.NumTiers]float64{
-			pricing.Hot:     10,
-			pricing.Cool:    30,
-			pricing.Archive: 4 * 60 * 60 * 1000, // hours: archive rehydration
-		},
-		PerGBMS: 80,
-	}
-}
-
-// ReadMS returns the modeled read latency of sizeGB from tier.
-func (l Latency) ReadMS(tier pricing.Tier, sizeGB float64) float64 {
-	return l.FirstByteMS[tier] + l.PerGBMS*sizeGB
-}

@@ -220,19 +220,6 @@ func assertPanics(t *testing.T, f func()) {
 	f()
 }
 
-func TestLatencyModel(t *testing.T) {
-	l := DefaultLatency()
-	if !(l.ReadMS(pricing.Hot, 0.1) < l.ReadMS(pricing.Cool, 0.1)) {
-		t.Fatal("hot should be faster than cool")
-	}
-	if !(l.ReadMS(pricing.Cool, 0.1) < l.ReadMS(pricing.Archive, 0.1)) {
-		t.Fatal("cool should be faster than archive")
-	}
-	if got := l.ReadMS(pricing.Hot, 1) - l.ReadMS(pricing.Hot, 0); math.Abs(got-l.PerGBMS) > 1e-12 {
-		t.Fatal("per-GB latency wrong")
-	}
-}
-
 func BenchmarkServeDay1kObjects(b *testing.B) {
 	s := newStore()
 	n := 1000

@@ -15,7 +15,6 @@ import (
 	"minicost/internal/cloudsim"
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
-	"minicost/internal/par"
 	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
@@ -136,8 +135,8 @@ type RunReport struct {
 	Total costmodel.Breakdown
 	Daily []costmodel.Breakdown
 	// DecisionTime is the wall-clock time the assignment algorithm spent
-	// per served day (Fig. 12's computing overhead).
-	DecisionTime []time.Duration
+	// deciding every file-day of the run (Fig. 12's computing overhead).
+	DecisionTime time.Duration
 	// TierChanges counts executed tier transitions.
 	TierChanges int
 	// AggregatedGroups is the number of groups with an active replica at
@@ -145,45 +144,33 @@ type RunReport struct {
 	AggregatedGroups int
 }
 
-// TotalDecisionTime sums the per-day decision times.
-func (r *RunReport) TotalDecisionTime() time.Duration {
-	var total time.Duration
-	for _, d := range r.DecisionTime {
-		total += d
-	}
-	return total
-}
-
 // ErrUntrained is returned by Run before the agent exists.
 var ErrUntrained = errors.New("core: system has no trained agent; call Train first")
 
-// Run serves a test trace day by day against a simulated store:
-// every day the trained agent assigns each file's tier from the trailing
-// frequency history (Algorithm 1's serving loop); when aggregation is
-// enabled, Algorithm 2 re-evaluates groups on its period, creating and
-// evicting replica objects. The returned report carries the ground-truth
-// bill from the store's meter.
+// Run serves a test trace day by day against a simulated store. The trained
+// agent decides every file's tier for every day from the trailing frequency
+// history (Algorithm 1's serving loop) in one batched pass through the
+// system's Assigner: a file's state depends only on the trace and the tiers
+// already chosen for it, so the plan does not wait on the store. Each day the
+// store then executes that day's tiers and bills the day's requests; when
+// aggregation is enabled, Algorithm 2 re-evaluates groups on its period,
+// creating and evicting replica objects. The returned report carries the
+// ground-truth bill from the store's meter.
 func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
-	if s.agent == nil {
-		return nil, ErrUntrained
+	assigner, err := s.Assigner()
+	if err != nil {
+		return nil, err
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	store, ids := cloudsim.FromTrace(s.model, tr, s.cfg.InitialTier)
-
-	histLen := s.cfg.A3C.Net.HistLen
-	reward := s.cfg.Reward
-	envs := make([]*mdp.Env, tr.NumFiles())
-	states := make([]mdp.State, tr.NumFiles())
-	for i := range envs {
-		env, err := mdp.NewEnv(s.model, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i], s.cfg.InitialTier, histLen, reward)
-		if err != nil {
-			return nil, err
-		}
-		envs[i] = env
-		states[i] = env.Reset()
+	start := time.Now()
+	plan, err := assigner.Assign(tr, s.model, s.cfg.InitialTier)
+	if err != nil {
+		return nil, err
 	}
+	report := &RunReport{DecisionTime: time.Since(start)}
+	store, ids := cloudsim.FromTrace(s.model, tr, s.cfg.InitialTier)
 
 	var agg *aggregate.Aggregator
 	aggPeriod := s.cfg.AggregationPeriod
@@ -191,66 +178,32 @@ func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 		aggPeriod = 7
 	}
 	if s.cfg.Aggregation != nil {
-		var err error
-		agg, err = aggregate.New(s.model, *s.cfg.Aggregation)
-		if err != nil {
+		if agg, err = aggregate.New(s.model, *s.cfg.Aggregation); err != nil {
 			return nil, err
 		}
 	}
 	// replicaOf maps group index -> replica object id.
 	replicaOf := make(map[int]cloudsim.ObjectID)
 
-	report := &RunReport{}
 	reads := make([]float64, tr.NumFiles())
 	writes := make([]float64, tr.NumFiles())
-	// One agent replica per evaluation worker: Decide caches activations,
-	// so replicas cannot be shared across goroutines.
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	agentPool := make(chan *rl.Agent, workers)
-	for w := 0; w < workers; w++ {
-		agentPool <- s.agent.Clone()
-	}
-
 	for day := 0; day < tr.Days; day++ {
-		// 1. Decide today's tiers (timed: this is Fig. 12's overhead).
-		// Decisions are independent across files, so they shard across
-		// workers — the serving-side counterpart of the paper's cluster
-		// parallelism.
-		start := time.Now()
-		decisions := make([]pricing.Tier, tr.NumFiles())
-		par.ForChunked(tr.NumFiles(), workers, func(lo, hi int) {
-			agent := <-agentPool
-			for i := lo; i < hi; i++ {
-				decisions[i] = agent.Decide(&states[i])
-			}
-			agentPool <- agent
-		})
-		report.DecisionTime = append(report.DecisionTime, time.Since(start))
-
-		// 2. Execute the plan on the store.
-		for i, tier := range decisions {
-			prev, err := store.Tier(ids[i])
+		// 1. Execute today's column of the plan on the store.
+		for i, id := range ids {
+			tier := plan[i][day]
+			prev, err := store.Tier(id)
 			if err != nil {
 				return nil, err
 			}
 			if prev != tier {
 				report.TierChanges++
 			}
-			if err := store.SetTier(ids[i], tier); err != nil {
+			if err := store.SetTier(id, tier); err != nil {
 				return nil, err
 			}
-			// Keep the MDP views in sync so tomorrow's states are right.
-			next, _, _, _, err := envs[i].Step(tier)
-			if err != nil {
-				return nil, err
-			}
-			states[i] = next
 		}
 
-		// 3. Aggregation maintenance on its weekly cadence (needs at least
+		// 2. Aggregation maintenance on its weekly cadence (needs at least
 		// one observed day).
 		if agg != nil && day > 0 && day%aggPeriod == 0 {
 			create, del, err := agg.Update(tr, day)
@@ -278,7 +231,7 @@ func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 			}
 		}
 
-		// 4. Serve today's requests: concurrent reads of aggregated groups
+		// 3. Serve today's requests: concurrent reads of aggregated groups
 		// hit the replica instead of every member.
 		reads = reads[:tr.NumFiles()]
 		writes = writes[:tr.NumFiles()]

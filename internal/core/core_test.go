@@ -102,7 +102,7 @@ func TestTrainAndRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Daily) != test.Days || len(report.DecisionTime) != test.Days {
+	if len(report.Daily) != test.Days {
 		t.Fatal("report day count wrong")
 	}
 	if report.Total.Total() <= 0 {
@@ -144,16 +144,7 @@ func TestRunWithAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc := trace.DefaultGenConfig()
-	gc.NumFiles = 80
-	gc.Days = 28
-	gc.HeadFraction = 0.15
-	gc.GroupFraction = 0.5
-	gc.Seed = 3
-	tr, err := trace.Generate(gc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := aggTrace(t, 80, 28, 3)
 	if _, err := s.Train(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +189,7 @@ func TestSetAgentSkipsTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.TotalDecisionTime() <= 0 {
+	if report.DecisionTime <= 0 {
 		t.Fatal("decision time not measured")
 	}
 }
@@ -218,5 +209,92 @@ func TestRunReportLedgerConsistent(t *testing.T) {
 	sum := costmodel.SumBreakdowns(report.Daily)
 	if math.Abs(sum.Total()-report.Total.Total()) > 1e-9 {
 		t.Fatal("daily ledger does not sum to total")
+	}
+}
+
+// aggTrace is a workload with concurrent-request groups for the aggregation
+// enhancement to act on.
+func aggTrace(t testing.TB, files, days int, seed uint64) *trace.Trace {
+	t.Helper()
+	gc := trace.DefaultGenConfig()
+	gc.NumFiles = files
+	gc.Days = days
+	gc.HeadFraction = 0.15
+	gc.GroupFraction = 0.5
+	gc.Seed = seed
+	tr, err := trace.Generate(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestRunExecutesTheRLPlan pins Run to its Assigner. With a deterministic
+// agent (TrainSteps = 0 installs the seeded initial snapshot, no training
+// runs) the store must execute exactly the plan Assign returns: TierChanges
+// is the plan's transition count and the metered Total is the plan's
+// TraceCost. Aggregation changes what the store bills, never the plan, so
+// with it on TierChanges stays the same.
+func TestRunExecutesTheRLPlan(t *testing.T) {
+	cfg := testConfig()
+	cfg.TrainSteps = 0
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := aggTrace(t, 80, 28, 3)
+	if _, err := sys.Train(tr); err != nil {
+		t.Fatal(err)
+	}
+	assigner, err := sys.Assigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := assigner.Assign(tr, sys.Model(), cfg.InitialTier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := 0
+	init := make([]pricing.Tier, tr.NumFiles())
+	for i, p := range plan {
+		changes += p.Changes(cfg.InitialTier)
+		init[i] = cfg.InitialTier
+	}
+	if changes == 0 {
+		t.Fatal("the plan never changes a tier; the test needs a workload that moves files")
+	}
+	bds, err := sys.Model().TraceCost(tr, plan, init, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := costmodel.SumBreakdowns(bds).Total()
+
+	report, err := sys.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.TierChanges != changes {
+		t.Fatalf("Run executed %d tier changes, the plan has %d", report.TierChanges, changes)
+	}
+	if got := report.Total.Total(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("Run billed %v, the plan prices at %v", got, want)
+	}
+
+	aggCfg := aggregate.DefaultConfig()
+	cfg.Aggregation = &aggCfg
+	withAgg, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withAgg.SetAgent(sys.Agent())
+	aggReport, err := withAgg.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aggReport.AggregatedGroups == 0 {
+		t.Fatal("no group was aggregated; the test needs a workload the enhancement acts on")
+	}
+	if aggReport.TierChanges != changes {
+		t.Fatalf("with aggregation Run executed %d tier changes, the plan has %d", aggReport.TierChanges, changes)
 	}
 }

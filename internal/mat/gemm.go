@@ -49,21 +49,14 @@ func EnsureShape(m *Matrix, rows, cols int) *Matrix {
 	return New(rows, cols)
 }
 
-// MulTransB returns a·bᵀ (b given row-major, i.e. b.Rows is the output
-// column count and the shared dimension is a.Cols == b.Cols).
-func MulTransB(a, b *Matrix) *Matrix { return MulTransBTo(nil, a, b, 0) }
-
-// MulTransBTo computes dst = a·bᵀ into a reusable buffer: dst's backing
-// array is reused when large enough, and the returned matrix must be used
-// in place of dst. workers bounds the parallel fan-out (1 forces serial,
-// <= 0 selects the default); small products always run serially.
-func MulTransBTo(dst, a, b *Matrix, workers int) *Matrix {
-	return MulTransBBiasTo(dst, a, b, nil, workers)
-}
-
 // MulTransBBiasTo computes dst[r][c] = bias[c] + Σ_k a[r][k]·b[c][k] (a nil
-// bias means zero), the fused GEMM+bias the Dense batched path uses. See the
-// package comment above for the exactness contract.
+// bias means zero), the fused GEMM+bias the Dense batched path uses, into a
+// reusable buffer: dst's backing array is reused when large enough, and the
+// returned matrix must be used in place of dst. workers bounds the parallel
+// fan-out (1 forces serial, <= 0 selects the default); small products always
+// run serially. It is MulTransBBiasXTTo's fallback without lane kernels and
+// the oracle the packed and lane kernels are held to. See the package
+// comment above for the exactness contract.
 func MulTransBBiasTo(dst, a, b *Matrix, bias []float64, workers int) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTransB shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -136,8 +129,8 @@ func mulTransBBlock(dst, a, b *Matrix, bias []float64, lo, hi int) {
 	}
 }
 
-// MulTo computes dst = a·b into a reusable buffer (see MulTransBTo for the
-// reuse contract). It keeps Mul's k-outer streaming order, tiled over row
+// MulTo computes dst = a·b into a reusable buffer (see MulTransBBiasTo for
+// the reuse contract). It keeps Mul's k-outer streaming order, tiled over row
 // blocks for the parallel fan-out.
 func MulTo(dst, a, b *Matrix, workers int) *Matrix {
 	if a.Cols != b.Rows {

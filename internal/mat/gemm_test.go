@@ -38,7 +38,7 @@ func TestMulTransBMatchesNaiveBitwise(t *testing.T) {
 		}
 		want := naiveMulTransB(a, b, nil)
 		for _, workers := range []int{1, 0, 4} {
-			got := MulTransBTo(nil, a, b, workers)
+			got := MulTransBBiasTo(nil, a, b, nil, workers)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("MulTransB %dx%d·(%dx%d)ᵀ workers=%d: element %d = %v, want %v",
@@ -83,11 +83,11 @@ func TestMulTransBToReusesBuffer(t *testing.T) {
 	r := rng.New(4)
 	a := randomMatrix(r, 16, 12)
 	b := randomMatrix(r, 8, 12)
-	dst := MulTransBTo(nil, a, b, 1)
+	dst := MulTransBBiasTo(nil, a, b, nil, 1)
 	backing := &dst.Data[0]
-	dst2 := MulTransBTo(dst, a, b, 1)
+	dst2 := MulTransBBiasTo(dst, a, b, nil, 1)
 	if &dst2.Data[0] != backing {
-		t.Fatal("MulTransBTo did not reuse the output buffer")
+		t.Fatal("MulTransBBiasTo did not reuse the output buffer")
 	}
 }
 
@@ -112,7 +112,7 @@ func TestMulMatchesMulTransBOfTranspose(t *testing.T) {
 	r := rng.New(9)
 	a := randomMatrix(r, 33, 21)
 	b := randomMatrix(r, 21, 18)
-	viaT := MulTransB(a, b.T())
+	viaT := MulTransBBiasTo(nil, a, b.T(), nil, 0)
 	direct := Mul(a, b)
 	for i := range direct.Data {
 		d := direct.Data[i] - viaT.Data[i]

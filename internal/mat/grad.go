@@ -21,17 +21,12 @@ import (
 // term per sample, so batched gradients are bitwise identical to the
 // per-sample reference.
 
-// TransposeTo writes srcᵀ into dst, reusing dst's backing storage when large
-// enough (pass nil to allocate); the returned matrix must be used in place
-// of dst. It is the scratch-friendly sibling of Matrix.T.
-func TransposeTo(dst, src *Matrix) *Matrix {
-	return TransposeParTo(dst, src, 1)
-}
-
-// TransposeParTo is TransposeTo with source rows sharded over workers; each
-// source row writes one strided destination column, so shards touch disjoint
-// elements and the result is identical at any worker count. Small matrices
-// transpose serially regardless of workers.
+// TransposeParTo writes srcᵀ into dst, reusing dst's backing storage when
+// large enough (pass nil to allocate); the returned matrix must be used in
+// place of dst. Source rows are sharded over workers; each source row writes
+// one strided destination column, so shards touch disjoint elements and the
+// result is identical at any worker count. Small matrices transpose serially
+// regardless of workers.
 func TransposeParTo(dst, src *Matrix, workers int) *Matrix {
 	dst = EnsureShape(dst, src.Cols, src.Rows)
 	// The closure is built only on the parallel branch: a func literal handed

@@ -19,7 +19,7 @@ func TestTransposeToMatchesT(t *testing.T) {
 	for _, sh := range []struct{ rows, cols int }{{1, 1}, {3, 7}, {16, 16}, {33, 5}} {
 		m := randMat(r, sh.rows, sh.cols)
 		want := m.T()
-		got := TransposeTo(nil, m)
+		got := TransposeParTo(nil, m, 1)
 		if got.Rows != want.Rows || got.Cols != want.Cols {
 			t.Fatalf("%dx%d: shape %dx%d", sh.rows, sh.cols, got.Rows, got.Cols)
 		}
@@ -30,7 +30,7 @@ func TestTransposeToMatchesT(t *testing.T) {
 		}
 		// Reuse with a different shape must still be exact.
 		m2 := randMat(r, sh.cols, sh.rows)
-		got = TransposeTo(got, m2)
+		got = TransposeParTo(got, m2, 1)
 		want = m2.T()
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
@@ -113,7 +113,7 @@ func TestMulTransBAccBitwise(t *testing.T) {
 // TestMulTransAAccBitwise pins the transpose-free weight-gradient kernel to
 // the per-sample reference order: seed dst, then add Σ_k a[k][i]·b[k][j]
 // one sample at a time, ascending. It must also agree exactly with the
-// transposing route (TransposeTo + the unpacked product, mulTransBAccRef),
+// transposing route (TransposeParTo + the unpacked product, mulTransBAccRef),
 // the large-batch path's shape before it moved to the packed kernel.
 func TestMulTransAAccBitwise(t *testing.T) {
 	r := rng.New(15)
@@ -139,7 +139,7 @@ func TestMulTransAAccBitwise(t *testing.T) {
 					sh.k, sh.m, sh.k, sh.n, i, dst.Data[i], want.Data[i])
 			}
 		}
-		mulTransBAccRef(other, TransposeTo(nil, a), TransposeTo(nil, b))
+		mulTransBAccRef(other, TransposeParTo(nil, a, 1), TransposeParTo(nil, b, 1))
 		for i := range want.Data {
 			if other.Data[i] != want.Data[i] {
 				t.Fatalf("(%dx%d)ᵀ·%dx%d: transposing route elem %d diverges from reference",
@@ -269,7 +269,7 @@ func TestMulPackAccBitwise(t *testing.T) {
 					sh.m, sh.k, sh.k, sh.n, i, dst.Data[i], want.Data[i])
 			}
 		}
-		MulTransAAccTo(other, TransposeTo(nil, a), x, 1)
+		MulTransAAccTo(other, TransposeParTo(nil, a, 1), x, 1)
 		for i := range want.Data {
 			if other.Data[i] != dst.Data[i] {
 				t.Fatalf("%dx%d · %dx%d: packed route elem %d diverges from MulTransAAccTo", sh.m, sh.k, sh.k, sh.n, i)

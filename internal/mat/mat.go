@@ -28,21 +28,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must all share a length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for r, row := range rows {
-		if len(row) != m.Cols {
-			panic(fmt.Sprintf("mat: ragged row %d: len %d want %d", r, len(row), m.Cols))
-		}
-		copy(m.Data[r*m.Cols:(r+1)*m.Cols], row)
-	}
-	return m
-}
-
 // At returns the element at (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
@@ -102,27 +87,6 @@ func MulVec(a *Matrix, x []float64) []float64 {
 			s += v * x[c]
 		}
 		out[r] = s
-	}
-	return out
-}
-
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: Add shape mismatch")
-	}
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s*a.
-func Scale(a *Matrix, s float64) *Matrix {
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = s * v
 	}
 	return out
 }
@@ -230,31 +194,4 @@ func LeastSquares(x *Matrix, y []float64) ([]float64, error) {
 		}
 	}
 	return nil, ErrNotPositiveDefinite
-}
-
-// Dot returns the inner product of equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mat: AXPY length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
 }

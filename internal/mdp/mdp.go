@@ -5,8 +5,7 @@
 // R(s,a) = α / C(s,a) + Δ (Eq. 4).
 //
 // Env steps one file through its trace day by day, billing with the cost
-// model. Finite is a generic small tabular MDP with exact value iteration,
-// used to validate the RL learners against ground truth.
+// model; EnvBank steps many of them in lockstep.
 package mdp
 
 import (

@@ -223,54 +223,6 @@ func TestFeaturesZeroHistory(t *testing.T) {
 	}
 }
 
-func TestFiniteValueIteration(t *testing.T) {
-	// Two-state chain: from s0, action 0 loops (reward 0), action 1 moves to
-	// terminal s1 with reward 1. Optimal: take action 1, V(s0)=1.
-	f := &Finite{
-		NumStates:  2,
-		NumActions: 2,
-		Next:       [][]int{{0, 1}, {1, 1}},
-		Reward:     [][]float64{{0, 1}, {0, 0}},
-		Terminal:   []bool{false, true},
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	v, pol := f.ValueIteration(0.9, 1e-9)
-	if math.Abs(v[0]-1) > 1e-6 || pol[0] != 1 {
-		t.Fatalf("v=%v pol=%v", v, pol)
-	}
-	q := f.QValues(v, 0.9)
-	if q[0][1] <= q[0][0] {
-		t.Fatal("Q table inconsistent with policy")
-	}
-}
-
-func TestFiniteValueIterationDiscounting(t *testing.T) {
-	// Loop with reward 1 per step: V = 1/(1-gamma).
-	f := &Finite{
-		NumStates:  1,
-		NumActions: 1,
-		Next:       [][]int{{0}},
-		Reward:     [][]float64{{1}},
-		Terminal:   []bool{false},
-	}
-	v, _ := f.ValueIteration(0.5, 1e-10)
-	if math.Abs(v[0]-2) > 1e-6 {
-		t.Fatalf("V = %v, want 2", v[0])
-	}
-}
-
-func TestFiniteValidate(t *testing.T) {
-	bad := &Finite{NumStates: 1, NumActions: 1, Next: [][]int{{3}}, Reward: [][]float64{{0}}, Terminal: []bool{false}}
-	if bad.Validate() == nil {
-		t.Fatal("out-of-range successor accepted")
-	}
-	if (&Finite{}).Validate() == nil {
-		t.Fatal("empty MDP accepted")
-	}
-}
-
 func BenchmarkEnvStep(b *testing.B) {
 	reads := make([]float64, 1<<20)
 	writes := make([]float64, 1<<20)

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"minicost/internal/mat"
 )
@@ -10,6 +9,8 @@ import (
 // Optimizer applies a gradient step to a flat parameter vector. MiniCost's
 // parameter server stores the global network as one flat vector (see
 // internal/rl), so optimizers work at that level rather than per layer.
+// RMSProp is the one implementation training uses; tests substitute others
+// through the interface.
 type Optimizer interface {
 	// Step updates params in place from grads (both flat, same length).
 	Step(params, grads []float64)
@@ -24,44 +25,6 @@ type Optimizer interface {
 	// SetLearningRate changes the base learning rate (Fig. 9 sweeps it).
 	SetLearningRate(lr float64)
 }
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity []float64
-}
-
-// NewSGD returns plain SGD (momentum 0).
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []float64) { s.StepTo(params, params, grads) }
-
-// StepTo implements Optimizer.
-func (s *SGD) StepTo(dst, params, grads []float64) {
-	checkLens(params, grads)
-	checkLens(params, dst)
-	if s.Momentum == 0 {
-		for i, g := range grads {
-			dst[i] = params[i] - s.LR*g
-		}
-		return
-	}
-	if s.velocity == nil {
-		s.velocity = make([]float64, len(params))
-	}
-	for i, g := range grads {
-		s.velocity[i] = s.Momentum*s.velocity[i] - s.LR*g
-		dst[i] = params[i] + s.velocity[i]
-	}
-}
-
-// LearningRate implements Optimizer.
-func (s *SGD) LearningRate() float64 { return s.LR }
-
-// SetLearningRate implements Optimizer.
-func (s *SGD) SetLearningRate(lr float64) { s.LR = lr }
 
 // RMSProp is the optimizer the A3C paper trains with.
 type RMSProp struct {
@@ -98,46 +61,6 @@ func (r *RMSProp) LearningRate() float64 { return r.LR }
 
 // SetLearningRate implements Optimizer.
 func (r *RMSProp) SetLearningRate(lr float64) { r.LR = lr }
-
-// Adam is Kingma & Ba's optimizer; the most forgiving default for the
-// small-sample policy-gradient updates MiniCost performs.
-type Adam struct {
-	LR, Beta1, Beta2, Epsilon float64
-	m, v                      []float64
-	t                         int
-}
-
-// NewAdam returns Adam with standard hyperparameters.
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
-}
-
-// Step implements Optimizer.
-func (a *Adam) Step(params, grads []float64) { a.StepTo(params, params, grads) }
-
-// StepTo implements Optimizer.
-func (a *Adam) StepTo(dst, params, grads []float64) {
-	checkLens(params, grads)
-	checkLens(params, dst)
-	if a.m == nil {
-		a.m = make([]float64, len(params))
-		a.v = make([]float64, len(params))
-	}
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, g := range grads {
-		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
-		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
-		dst[i] = params[i] - a.LR*(a.m[i]/c1)/(math.Sqrt(a.v[i]/c2)+a.Epsilon)
-	}
-}
-
-// LearningRate implements Optimizer.
-func (a *Adam) LearningRate() float64 { return a.LR }
-
-// SetLearningRate implements Optimizer.
-func (a *Adam) SetLearningRate(lr float64) { a.LR = lr }
 
 func checkLens(params, grads []float64) {
 	if len(params) != len(grads) {

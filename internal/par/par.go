@@ -1,7 +1,7 @@
 // Package par provides small, dependency-free parallelism helpers used
-// throughout the MiniCost codebase: a bounded parallel-for, a chunked
-// variant for cache-friendly sharding, parallel map/reduce, and a reusable
-// worker pool.
+// throughout the MiniCost codebase: a bounded parallel-for, chunked and
+// batched variants for cache-friendly sharding, a shard fan-out, and a
+// reusable worker pool.
 //
 // All helpers are deterministic in their results (order of side effects is
 // not specified, but every index is visited exactly once) and degrade to a
@@ -230,66 +230,6 @@ func ForBatched(n, batch, workers int, fn func(lo, hi int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// MapReduce computes a reduction over [0, n): each index i produces
-// mapFn(i), chunk-local partials are combined with combine, and the final
-// value folds every chunk partial into init (in unspecified chunk order, so
-// combine must be associative and commutative for a deterministic result).
-func MapReduce[T any](n, workers int, init T, mapFn func(i int) T, combine func(a, b T) T) T {
-	if n <= 0 {
-		return init
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 || n < serialThreshold {
-		acc := init
-		for i := 0; i < n; i++ {
-			acc = combine(acc, mapFn(i))
-		}
-		return acc
-	}
-	partials := make([]T, workers)
-	ForChunked(n, workers, func(lo, hi int) {
-		// Identify which worker slot this chunk belongs to by its lower
-		// bound; chunk layout matches ForChunked's deterministic split.
-		w := chunkIndex(n, workers, lo)
-		acc := mapFn(lo)
-		for i := lo + 1; i < hi; i++ {
-			acc = combine(acc, mapFn(i))
-		}
-		partials[w] = acc
-	})
-	acc := init
-	for _, p := range partials {
-		acc = combine(acc, p)
-	}
-	return acc
-}
-
-// chunkIndex inverts ForChunked's partitioning: it returns the worker index
-// whose chunk starts at lo.
-func chunkIndex(n, workers, lo int) int {
-	chunk := n / workers
-	rem := n % workers
-	// Workers [0, rem) own chunk+1 items, the rest own chunk items.
-	if chunk == 0 {
-		return lo
-	}
-	big := rem * (chunk + 1)
-	if lo < big {
-		return lo / (chunk + 1)
-	}
-	return rem + (lo-big)/chunk
-}
-
-// SumFloat64 is a convenience parallel sum of fn(i) over [0, n).
-func SumFloat64(n, workers int, fn func(i int) float64) float64 {
-	return MapReduce(n, workers, 0, fn, func(a, b float64) float64 { return a + b })
 }
 
 // Pool is a fixed-size worker pool for submitting independent tasks.

@@ -1,11 +1,9 @@
 package par
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForVisitsEveryIndexOnce(t *testing.T) {
@@ -85,55 +83,6 @@ func TestForChunkedPartitions(t *testing.T) {
 	}
 }
 
-func TestChunkIndexInvertsPartition(t *testing.T) {
-	for _, n := range []int{64, 100, 1023, 4096} {
-		for _, workers := range []int{2, 3, 7, 64} {
-			if workers > n {
-				continue
-			}
-			chunk := n / workers
-			rem := n % workers
-			lo := 0
-			for w := 0; w < workers; w++ {
-				hi := lo + chunk
-				if w < rem {
-					hi++
-				}
-				if got := chunkIndex(n, workers, lo); got != w {
-					t.Fatalf("n=%d workers=%d lo=%d: chunkIndex=%d want %d", n, workers, lo, got, w)
-				}
-				lo = hi
-			}
-		}
-	}
-}
-
-func TestMapReduceMatchesSerialSum(t *testing.T) {
-	f := func(seed int64, nRaw uint16, wRaw uint8) bool {
-		n := int(nRaw % 2000)
-		w := int(wRaw%8) + 1
-		rng := rand.New(rand.NewSource(seed))
-		vals := make([]float64, n)
-		want := 0.0
-		for i := range vals {
-			vals[i] = rng.Float64()
-			want += vals[i]
-		}
-		got := SumFloat64(n, w, func(i int) float64 { return vals[i] })
-		return abs(got-want) < 1e-9*float64(n+1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(0, 4, 42, func(i int) int { return 1 }, func(a, b int) int { return a + b })
-	if got != 42 {
-		t.Fatalf("empty reduce = %d, want init 42", got)
-	}
-}
-
 func TestPool(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -158,13 +107,6 @@ func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers must be >= 1")
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func max(a, b int) int {

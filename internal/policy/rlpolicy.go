@@ -5,8 +5,6 @@ import (
 	"runtime"
 
 	"minicost/internal/costmodel"
-	"minicost/internal/mdp"
-	"minicost/internal/par"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 	"minicost/internal/trace"
@@ -18,7 +16,7 @@ import (
 // Algorithm 1 ("everyday, the trained agent runs one time for all data
 // files").
 //
-// The default path is the batched inference engine: files are split into
+// Assign is rl.PlanTrace, the batched inference engine: files are split into
 // contiguous chunks (so each chunk's environments stay thread-local to one
 // goroutine), each chunk steps day-major through rl.Agent.DecideTrace —
 // one GEMM per network layer per day instead of one forward pass per file —
@@ -76,20 +74,5 @@ func (p RL) Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (c
 	if pool == nil {
 		pool = rl.NewReplicaPool(p.Agent)
 	}
-	asg := costmodel.NewAssignment(n, tr.Days)
-	reward := mdp.DefaultReward()
-	chunkErrs := make([]error, (n+batch-1)/batch)
-	par.ForBatched(n, batch, p.Workers, func(lo, hi int) {
-		rep := pool.Get()
-		defer pool.Put(rep)
-		if err := rep.DecideTrace(m, tr, lo, hi, initial, histLen, reward, asg, 1); err != nil {
-			chunkErrs[lo/batch] = err
-		}
-	})
-	for _, err := range chunkErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return asg, nil
+	return rl.PlanTrace(pool, m, tr, histLen, initial, batch, p.Workers)
 }

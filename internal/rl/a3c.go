@@ -78,12 +78,10 @@ type A3CConfig struct {
 	// actor's. The critic must track value targets faster than the policy
 	// drifts or early advantages stay one-sided; > 1 is standard.
 	CriticLRMult float64
-	// Optimizer selects "rmsprop" (A3C's default), "adam" or "sgd".
-	Optimizer string
 	// FinalLRFraction linearly anneals the learning rate to this fraction
-	// of LearningRate over a Train call (1 disables annealing). Late-stage
-	// annealing settles the policy oscillation that a constant step size
-	// sustains.
+	// of LearningRate over a TrainFrom call, in (0, 1]; 1 disables
+	// annealing. Late-stage annealing settles the policy oscillation that a
+	// constant step size sustains.
 	FinalLRFraction float64
 	Seed            uint64
 }
@@ -104,7 +102,6 @@ func DefaultA3CConfig() A3CConfig {
 		NormalizeRewards: true,
 		AdvClip:          3,
 		CriticLRMult:     5,
-		Optimizer:        "rmsprop",
 		FinalLRFraction:  0.1,
 	}
 }
@@ -141,13 +138,8 @@ func (c A3CConfig) Validate() error {
 		return fmt.Errorf("rl: AdvClip %v", c.AdvClip)
 	case c.CriticLRMult <= 0:
 		return fmt.Errorf("rl: CriticLRMult %v", c.CriticLRMult)
-	case c.FinalLRFraction < 0 || c.FinalLRFraction > 1:
-		return fmt.Errorf("rl: FinalLRFraction %v", c.FinalLRFraction)
-	}
-	switch c.Optimizer {
-	case "rmsprop", "adam", "sgd":
-	default:
-		return fmt.Errorf("rl: unknown optimizer %q", c.Optimizer)
+	case c.FinalLRFraction <= 0 || c.FinalLRFraction > 1:
+		return fmt.Errorf("rl: FinalLRFraction %v outside (0,1]", c.FinalLRFraction)
 	}
 	return nil
 }
@@ -166,17 +158,6 @@ func (c A3CConfig) parallelism() int {
 		return 1
 	}
 	return c.Parallelism
-}
-
-func (c A3CConfig) newOptimizer() nn.Optimizer {
-	switch c.Optimizer {
-	case "adam":
-		return nn.NewAdam(c.LearningRate)
-	case "sgd":
-		return nn.NewSGD(c.LearningRate)
-	default:
-		return nn.NewRMSProp(c.LearningRate)
-	}
 }
 
 // A3C is the asynchronous advantage actor–critic trainer of Fig. 6: a
@@ -217,12 +198,10 @@ func NewA3C(cfg A3CConfig) (*A3C, error) {
 	r := rng.New(cfg.Seed)
 	actor := cfg.Net.BuildActor(r.Split(1))
 	critic := cfg.Net.BuildCritic(r.Split(2))
-	criticOpt := cfg.newOptimizer()
-	criticOpt.SetLearningRate(cfg.LearningRate * cfg.CriticLRMult)
 	a := &A3C{
 		cfg:         cfg,
-		actorOpt:    cfg.newOptimizer(),
-		criticOpt:   criticOpt,
+		actorOpt:    nn.NewRMSProp(cfg.LearningRate),
+		criticOpt:   nn.NewRMSProp(cfg.LearningRate * cfg.CriticLRMult),
 		protoActor:  actor,
 		protoCritic: critic,
 	}
@@ -245,21 +224,6 @@ func (a *A3C) Snapshot() *Agent {
 	return NewAgent(a.cfg.Net, actor)
 }
 
-// CriticSnapshot returns a copy of the global critic network (diagnostics
-// and the ablation benches use it to inspect learned values).
-func (a *A3C) CriticSnapshot() *nn.Network {
-	critic := a.protoCritic.Clone()
-	a.mu.Lock()
-	critic.SetParamVector(a.snap.Load().critic)
-	a.mu.Unlock()
-	return critic
-}
-
-// EnvFactory supplies training episodes; each call must return a fresh (or
-// reset) environment owned exclusively by the calling worker. Factories are
-// called concurrently and must be safe for that.
-type EnvFactory func(r *rng.RNG) *mdp.Env
-
 // EnvSource supplies training episodes to workers. NewEnv returns a fresh
 // environment owned exclusively by the caller; ReinitEnv re-targets an
 // environment the caller already owns onto a new episode in place, which
@@ -272,32 +236,11 @@ type EnvSource interface {
 	ReinitEnv(r *rng.RNG, env *mdp.Env)
 }
 
-// factorySource adapts an EnvFactory to EnvSource; ReinitEnv falls back to
-// building a fresh environment and copying it over the old one.
-type factorySource struct{ f EnvFactory }
-
-func (s factorySource) NewEnv(r *rng.RNG) *mdp.Env { return s.f(r) }
-
-func (s factorySource) ReinitEnv(r *rng.RNG, env *mdp.Env) {
-	fresh := s.f(r)
-	// The old env may be running on recycled observation buffers; the copy
-	// must carry that mode (and fresh buffers) over, not silently drop it.
-	fresh.EnableStateReuse()
-	*env = *fresh
-}
-
-// Train runs the asynchronous workers until the global step counter reaches
-// totalSteps (Algorithm 1's outer loop). It returns aggregate statistics.
-func (a *A3C) Train(factory EnvFactory, totalSteps int64) (TrainStats, error) {
-	if factory == nil {
-		return TrainStats{}, errors.New("rl: nil env factory")
-	}
-	return a.TrainFrom(factorySource{f: factory}, totalSteps)
-}
-
-// TrainFrom is Train generalized over an EnvSource; sources that implement
-// in-place episode re-targeting (TraceSource) keep worker episode turnover
-// allocation-free, which the engine's alloc gates require.
+// TrainFrom runs the asynchronous workers until the global step counter
+// reaches totalSteps (Algorithm 1's outer loop) and returns aggregate
+// statistics. Sources that implement in-place episode re-targeting
+// (TraceSource) keep worker episode turnover allocation-free, which the
+// engine's alloc gates require.
 func (a *A3C) TrainFrom(src EnvSource, totalSteps int64) (TrainStats, error) {
 	if src == nil {
 		return TrainStats{}, errors.New("rl: nil env source")
@@ -383,8 +326,8 @@ func (a *A3C) pushUpdate(aGrad, cGrad []float64, totalSteps int64) {
 	}
 	sw := trainMet.updateLat.Start()
 	a.mu.Lock()
-	if f := a.cfg.FinalLRFraction; f > 0 && f < 1 {
-		// Linear LR annealing over this Train call's step budget.
+	if f := a.cfg.FinalLRFraction; f < 1 {
+		// Linear LR annealing over this TrainFrom call's step budget.
 		progress := float64(a.steps.Load()) / float64(totalSteps)
 		if progress > 1 {
 			progress = 1

@@ -1,8 +1,7 @@
 // Package rl implements MiniCost's reinforcement-learning machinery: the
 // actor–critic networks (§6.1's architecture), the A3C training loop of
-// Fig. 6 / Algorithm 1 with asynchronous workers, ε-greedy exploration, and
-// a tabular Q-learning reference learner used to validate the plumbing
-// against exact value iteration.
+// Fig. 6 / Algorithm 1 with asynchronous workers and ε-greedy exploration,
+// and the batched decider that serves a trained agent.
 package rl
 
 import (
@@ -82,7 +81,7 @@ type Agent struct {
 }
 
 // features encodes s into the agent's reused scratch buffer; the returned
-// slice is valid until the next Decide/Probabilities call.
+// slice is valid until the next Decide call.
 func (a *Agent) features(s *mdp.State) []float64 {
 	n := mdp.FeatureDim(len(s.ReadHistory))
 	if cap(a.featBuf) < n {
@@ -100,20 +99,18 @@ func NewAgent(cfg NetConfig, actor *nn.Network) *Agent {
 
 // Decide returns the greedy (argmax-probability) tier for the state.
 func (a *Agent) Decide(s *mdp.State) pricing.Tier {
-	logits := a.actor.Forward(a.features(s))
+	return pricing.Tier(argmax(a.actor.Forward(a.features(s))))
+}
+
+// argmax returns the index of the first largest element of xs.
+func argmax(xs []float64) int {
 	best := 0
-	for i := 1; i < len(logits); i++ {
-		if logits[i] > logits[best] {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] > xs[best] {
 			best = i
 		}
 	}
-	return pricing.Tier(best)
-}
-
-// Probabilities returns the policy distribution π(·|s). The returned slice
-// is freshly allocated (callers retain it).
-func (a *Agent) Probabilities(s *mdp.State) []float64 {
-	return nn.Softmax(a.actor.Forward(a.features(s)))
+	return best
 }
 
 // Clone returns an independent copy safe for use in another goroutine. The

@@ -7,6 +7,7 @@ import (
 	"minicost/internal/costmodel"
 	"minicost/internal/mat"
 	"minicost/internal/mdp"
+	"minicost/internal/par"
 	"minicost/internal/pricing"
 	"minicost/internal/trace"
 )
@@ -104,6 +105,33 @@ func (a *Agent) DecideTrace(model *costmodel.Model, tr *trace.Trace, lo, hi int,
 		}
 	}
 	return nil
+}
+
+// PlanTrace decides every file of tr with the batched engine — Algorithm 1's
+// daily serving loop over the whole trace. The files are cut into contiguous
+// chunks of at most batch rows, and each chunk steps day-major through
+// DecideTrace on a replica from pool, with at most workers chunks in flight
+// (workers <= 0 selects GOMAXPROCS). Chunks stay whole so their environments
+// remain thread-local to one goroutine. It returns the per-file, per-day plan
+// or the first failing chunk's error.
+func PlanTrace(pool *ReplicaPool, model *costmodel.Model, tr *trace.Trace, histLen int, initial pricing.Tier, batch, workers int) (costmodel.Assignment, error) {
+	n := tr.NumFiles()
+	asg := costmodel.NewAssignment(n, tr.Days)
+	reward := mdp.DefaultReward()
+	chunkErrs := make([]error, (n+batch-1)/batch)
+	par.ForBatched(n, batch, workers, func(lo, hi int) {
+		rep := pool.Get()
+		defer pool.Put(rep)
+		if err := rep.DecideTrace(model, tr, lo, hi, initial, histLen, reward, asg, 1); err != nil {
+			chunkErrs[lo/batch] = err
+		}
+	})
+	for _, err := range chunkErrs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return asg, nil
 }
 
 // Replica is a pooled per-goroutine view of an agent: the source's weights

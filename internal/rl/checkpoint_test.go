@@ -6,16 +6,40 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"minicost/internal/costmodel"
-	"minicost/internal/mdp"
-	"minicost/internal/pricing"
 )
 
+// sgd is plain gradient descent, dst = params − lr·g. The exact-resume tests
+// train with it because it keeps no state a checkpoint would have to carry.
+type sgd struct{ lr float64 }
+
+func (o *sgd) Step(params, grads []float64) { o.StepTo(params, params, grads) }
+
+func (o *sgd) StepTo(dst, params, grads []float64) {
+	for i, g := range grads {
+		dst[i] = params[i] - o.lr*g
+	}
+}
+
+func (o *sgd) LearningRate() float64 { return o.lr }
+
+func (o *sgd) SetLearningRate(lr float64) { o.lr = lr }
+
+// newSGDTrainer is NewA3C with both optimizers replaced by sgd at the rates
+// NewA3C gives RMSProp.
+func newSGDTrainer(t *testing.T, cfg A3CConfig) *A3C {
+	t.Helper()
+	a3c, err := NewA3C(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a3c.actorOpt = &sgd{lr: cfg.LearningRate}
+	a3c.criticOpt = &sgd{lr: cfg.LearningRate * cfg.CriticLRMult}
+	return a3c
+}
+
 // TestCheckpointRoundTripResumesBatchedTraining checks SaveCheckpoint /
-// LoadCheckpoint through Train's factory path at the default width (E=1): a
-// run saved mid-training and resumed in a fresh process must land exactly
-// where the original run does.
+// LoadCheckpoint at the default width (E=1): a run saved mid-training and
+// resumed in a fresh process must land exactly where the original run does.
 // SGD with annealing disabled makes the comparison exact (the checkpoint
 // deliberately omits optimizer moments and the global step counter, the two
 // pieces of state RMSProp/annealing would additionally need).
@@ -25,41 +49,28 @@ func TestCheckpointRoundTripResumesBatchedTraining(t *testing.T) {
 	}
 	cfg := smallA3CConfig()
 	cfg.Workers = 1
-	cfg.Optimizer = "sgd"
 	cfg.FinalLRFraction = 1
+	src := traceSource(t, polarTrace(t, 8, 14), cfg.Net.HistLen)
 
-	tr := polarTrace(t, 8, 14)
-	model := costmodel.New(pricing.Azure())
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	orig, err := NewA3C(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orig.Train(factory, 300); err != nil {
+	orig := newSGDTrainer(t, cfg)
+	if _, err := orig.TrainFrom(src, 300); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := orig.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Continue the original for another 300 steps (Train resumes from the
-	// global step counter).
-	if _, err := orig.Train(factory, 600); err != nil {
+	// Continue the original for another 300 steps (TrainFrom resumes from
+	// the global step counter).
+	if _, err := orig.TrainFrom(src, 600); err != nil {
 		t.Fatal(err)
 	}
 
-	resumed, err := NewA3C(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := newSGDTrainer(t, cfg)
 	if err := resumed.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resumed.Train(factory, 300); err != nil {
+	if _, err := resumed.TrainFrom(src, 300); err != nil {
 		t.Fatal(err)
 	}
 

@@ -145,15 +145,16 @@ func (d *DQN) epsilon(progress float64) float64 {
 	return d.cfg.EpsilonStart + (d.cfg.EpsilonFinal-d.cfg.EpsilonStart)*progress
 }
 
-// Train runs single-threaded DQN training for totalSteps environment steps.
-func (d *DQN) Train(factory EnvFactory, totalSteps int64) (TrainStats, error) {
-	if factory == nil {
-		return TrainStats{}, fmt.Errorf("rl: nil env factory")
+// Train runs single-threaded DQN training for totalSteps environment steps,
+// drawing a fresh environment from src for every episode.
+func (d *DQN) Train(src EnvSource, totalSteps int64) (TrainStats, error) {
+	if src == nil {
+		return TrainStats{}, fmt.Errorf("rl: nil env source")
 	}
 	if totalSteps <= 0 {
 		return TrainStats{}, fmt.Errorf("rl: totalSteps %d", totalSteps)
 	}
-	env := factory(d.rng)
+	env := src.NewEnv(d.rng)
 	state := env.Reset()
 	feats := state.Features()
 	var st TrainStats
@@ -183,7 +184,7 @@ func (d *DQN) Train(factory EnvFactory, totalSteps int64) (TrainStats, error) {
 
 		next, reward, cost, done, err := env.Step(action)
 		if err != nil {
-			env = factory(d.rng)
+			env = src.NewEnv(d.rng)
 			state = env.Reset()
 			feats = state.Features()
 			stickyLeft = 0
@@ -201,7 +202,7 @@ func (d *DQN) Train(factory EnvFactory, totalSteps int64) (TrainStats, error) {
 
 		if done {
 			st.Episodes++
-			env = factory(d.rng)
+			env = src.NewEnv(d.rng)
 			state = env.Reset()
 			feats = state.Features()
 			stickyLeft = 0
@@ -233,7 +234,7 @@ func (d *DQN) update() {
 		targetQ := t.reward
 		if !t.done {
 			q := d.target.Forward(t.next)
-			targetQ += d.cfg.Gamma * maxOf(q)
+			targetQ += d.cfg.Gamma * q[argmax(q)]
 		}
 		q := d.online.Forward(t.state)
 		for k := range grad {

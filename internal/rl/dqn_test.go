@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"minicost/internal/costmodel"
-	"minicost/internal/mdp"
 	"minicost/internal/pricing"
 	"minicost/internal/rng"
 )
@@ -54,14 +53,9 @@ func TestDQNTrainRejectsBadArgs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := d.Train(nil, 100); err == nil {
-		t.Error("nil factory accepted")
+		t.Error("nil source accepted")
 	}
-	factory := func(r *rng.RNG) *mdp.Env {
-		e, _ := mdp.NewEnv(costmodel.New(pricing.Azure()), 0.1,
-			make([]float64, 10), make([]float64, 10), pricing.Hot, 7, mdp.DefaultReward())
-		return e
-	}
-	if _, err := d.Train(factory, 0); err == nil {
+	if _, err := d.Train(traceSource(t, polarTrace(t, 2, 10), 7), 0); err == nil {
 		t.Error("zero steps accepted")
 	}
 }
@@ -124,11 +118,7 @@ func TestDQNLearnsPolarWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := d.Train(factory, 40000)
+	stats, err := d.Train(traceSource(t, tr, cfg.Net.HistLen), 40000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,19 +159,10 @@ func TestAgentCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same decisions on a probe state.
-	s := mdp.State{
-		ReadHistory:  []float64{1, 5, 2, 8, 3, 9, 4},
-		WriteHistory: make([]float64, 7),
-		SizeGB:       0.1,
-		Tier:         pricing.Cool,
+	if back.Net != cfg {
+		t.Fatalf("round trip changed the architecture: %+v", back.Net)
 	}
-	p1, p2 := agent.Probabilities(&s), back.Probabilities(&s)
-	for i := range p1 {
-		if math.Abs(p1[i]-p2[i]) > 1e-12 {
-			t.Fatal("checkpoint round trip changed the policy")
-		}
-	}
+	assertVectorsBitwise(t, "actor after round trip", back.ParamVector(), agent.ParamVector())
 }
 
 func TestLoadAgentRejectsGarbage(t *testing.T) {
@@ -207,15 +188,10 @@ func TestA3CCheckpointRoundTrip(t *testing.T) {
 	if err := a2.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s := mdp.State{ReadHistory: make([]float64, 7), WriteHistory: make([]float64, 7), SizeGB: 0.1}
-	s.ReadHistory[2] = 7
-	p1 := a1.Snapshot().Probabilities(&s)
-	p2 := a2.Snapshot().Probabilities(&s)
-	for i := range p1 {
-		if math.Abs(p1[i]-p2[i]) > 1e-12 {
-			t.Fatal("trainer checkpoint round trip changed weights")
-		}
-	}
+	wantA, wantC := a1.ParamVectors()
+	gotA, gotC := a2.ParamVectors()
+	assertVectorsBitwise(t, "actor after round trip", gotA, wantA)
+	assertVectorsBitwise(t, "critic after round trip", gotC, wantC)
 	// Architecture mismatch rejected.
 	other := cfg
 	other.Net.Hidden = 8
@@ -234,18 +210,14 @@ func TestA3CCheckpointRoundTrip(t *testing.T) {
 
 func BenchmarkDQNTrainStep(b *testing.B) {
 	tr := polarTrace(b, 8, 14)
-	model := costmodel.New(pricing.Azure())
 	cfg := smallDQNConfig()
 	d, err := NewDQN(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		b.Fatal(err)
-	}
+	src := traceSource(b, tr, cfg.Net.HistLen)
 	b.ResetTimer()
-	if _, err := d.Train(factory, int64(b.N)); err != nil {
+	if _, err := d.Train(src, int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"minicost/internal/rng"
 )
 
-// TestA3CSurvivesExhaustedEnvs injects a misbehaving factory: every third
+// TestA3CSurvivesExhaustedEnvs injects a misbehaving source: every third
 // env arrives already finished, so the first Step errors. The worker must
 // recover by requesting a fresh env and still complete the step budget.
 func TestA3CSurvivesExhaustedEnvs(t *testing.T) {
@@ -42,7 +42,7 @@ func TestA3CSurvivesExhaustedEnvs(t *testing.T) {
 		}
 		return env
 	}
-	stats, err := a3c.Train(factory, 2000)
+	stats, err := a3c.TrainFrom(factorySource{f: factory}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDQNSurvivesExhaustedEnvs(t *testing.T) {
 		}
 		return env
 	}
-	stats, err := d.Train(factory, 1500)
+	stats, err := d.Train(factorySource{f: factory}, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}

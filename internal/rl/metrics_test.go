@@ -11,7 +11,7 @@ import (
 	"minicost/internal/rng"
 )
 
-// TestTrainingMetricsAdvance runs a short Train with the default registry
+// TestTrainingMetricsAdvance runs a short TrainFrom with the default registry
 // enabled and asserts the training instruments move: steps, updates,
 // snapshot swaps, update latency, and the derived steps/sec gauge. Deltas,
 // not absolutes — the registry is process-global.
@@ -32,7 +32,7 @@ func TestTrainingMetricsAdvance(t *testing.T) {
 		return e
 	}
 	const steps = 200
-	if _, err := a3c.Train(factory, steps); err != nil {
+	if _, err := a3c.TrainFrom(factorySource{f: factory}, steps); err != nil {
 		t.Fatal(err)
 	}
 	after := reg.Snapshot()
@@ -86,7 +86,7 @@ func TestVecTrainingMetricsAdvance(t *testing.T) {
 		return e
 	}
 	const steps = 112 // 4 full 4×7 rollouts
-	if _, err := a3c.Train(factory, steps); err != nil {
+	if _, err := a3c.TrainFrom(factorySource{f: factory}, steps); err != nil {
 		t.Fatal(err)
 	}
 	after := reg.Snapshot()

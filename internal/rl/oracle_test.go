@@ -76,6 +76,22 @@ func (a *A3C) accumulateSingle(actor, critic *nn.Network, feats *mat.Matrix, rew
 	}
 }
 
+// factorySource is the fresh-env-per-episode oracle for EnvSource: NewEnv
+// calls f, and ReinitEnv builds a fresh environment with f and copies it
+// over the old one instead of re-targeting it in place. Tests also use it to
+// inject hand-built environments.
+type factorySource struct{ f func(r *rng.RNG) *mdp.Env }
+
+func (s factorySource) NewEnv(r *rng.RNG) *mdp.Env { return s.f(r) }
+
+func (s factorySource) ReinitEnv(r *rng.RNG, env *mdp.Env) {
+	fresh := s.f(r)
+	// The old env may be running on recycled observation buffers; the copy
+	// must carry that mode (and fresh buffers) over, not silently drop it.
+	fresh.EnableStateReuse()
+	*env = *fresh
+}
+
 // trainSingleSample is the training engine's single-sample reference: the
 // trainer vecWorker implements, written one sample at a time for Workers=1.
 // It keeps vecWorker's stream layout (member substreams split from the
@@ -218,8 +234,8 @@ func engineVsSingleSample(t *testing.T, cfg A3CConfig, engineSrc, refSrc EnvSour
 // one batched backward per network, replicas bound to the published
 // snapshot — must leave bitwise-identical actor and critic parameters and
 // identical stats to the single-sample reference trainer after a sustained
-// run, both driven through the same factory. The paper-width sweep is
-// TestBatchedTrainingEquivalentAcrossPaperWidths.
+// run, both driven through the same fresh-env-per-episode source. The
+// paper-width sweep is TestBatchedTrainingEquivalentAcrossPaperWidths.
 func TestBatchedTrainerMatchesSingleSampleBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -229,11 +245,7 @@ func TestBatchedTrainerMatchesSingleSampleBitwise(t *testing.T) {
 	cfg.EnvsPerWorker = 4
 	const steps = 1600 // 57 updates at E=4, NSteps 7
 
-	factory, err := TraceFactory(costmodel.New(pricing.Azure()), polarTrace(t, 8, 14), cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := factorySource{f: factory}
+	src := factorySource{f: traceSource(t, polarTrace(t, 8, 14), cfg.Net.HistLen).NewEnv}
 	engineVsSingleSample(t, cfg, src, src, steps)
 }
 
@@ -242,7 +254,7 @@ func TestBatchedTrainerMatchesSingleSampleBitwise(t *testing.T) {
 // and to TraceSource: its in-place ReinitEnv must be observationally
 // identical to building a fresh env per episode, so a TrainFrom run at E=1
 // over a TraceSource must stay bitwise-identical to the single-sample
-// reference driven through the factory path.
+// reference driven through factorySource.
 func TestTrainFromAtE1MatchesSingleSampleBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -252,17 +264,8 @@ func TestTrainFromAtE1MatchesSingleSampleBitwise(t *testing.T) {
 	cfg.EnvsPerWorker = 1
 	const steps = 400 // 57 updates at NSteps 7
 
-	model := costmodel.New(pricing.Azure())
-	tr := polarTrace(t, 8, 14)
-	src, err := NewTraceSource(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engineVsSingleSample(t, cfg, src, factorySource{f: factory}, steps)
+	src := traceSource(t, polarTrace(t, 8, 14), cfg.Net.HistLen)
+	engineVsSingleSample(t, cfg, src, factorySource{f: src.NewEnv}, steps)
 }
 
 // TestBatchedTrainingEquivalentAcrossPaperWidths runs the engine-equivalence

@@ -29,8 +29,8 @@ func TestBatchedTrainerParallelismBitwise(t *testing.T) {
 
 		serial := cfg
 		serial.Parallelism = 0
-		wantA, wantC, wantStats := vecTrainParams(t, serial, 8, 14, steps)
-		gotA, gotC, gotStats := vecTrainParams(t, cfg, 8, 14, steps)
+		wantA, wantC, wantStats := trainParams(t, serial, 8, 14, steps)
+		gotA, gotC, gotStats := trainParams(t, cfg, 8, 14, steps)
 
 		if gotStats != wantStats {
 			t.Fatalf("E=%d: stats diverged: parallel %+v, serial %+v", envs, gotStats, wantStats)

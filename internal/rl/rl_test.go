@@ -6,6 +6,7 @@ import (
 
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
+	"minicost/internal/nn"
 	"minicost/internal/pricing"
 	"minicost/internal/rng"
 	"minicost/internal/trace"
@@ -41,7 +42,7 @@ func TestAgentDecideAndSample(t *testing.T) {
 	if !tier.Valid() {
 		t.Fatalf("invalid decision %v", tier)
 	}
-	p := agent.Probabilities(&s)
+	p := nn.Softmax(agent.actor.Forward(s.Features()))
 	sum := 0.0
 	for _, v := range p {
 		sum += v
@@ -49,7 +50,7 @@ func TestAgentDecideAndSample(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("probabilities sum %v", sum)
 	}
-	// Decide must be argmax of Probabilities.
+	// Decide must be argmax of π.
 	best := 0
 	for i := range p {
 		if p[i] > p[best] {
@@ -57,7 +58,7 @@ func TestAgentDecideAndSample(t *testing.T) {
 		}
 	}
 	if int(tier) != best {
-		t.Fatal("Decide disagrees with Probabilities argmax")
+		t.Fatal("Decide disagrees with π's argmax")
 	}
 	// The engine's action draw inverts π's CDF (sampleDist): u at the middle
 	// of tier k's mass draws k, and u past the total, which rounding can
@@ -107,7 +108,8 @@ func TestA3CConfigValidate(t *testing.T) {
 		mut(func(c *A3CConfig) { c.GradClip = -1 }),
 		mut(func(c *A3CConfig) { c.AdvClip = -0.5 }),
 		mut(func(c *A3CConfig) { c.CriticLRMult = 0 }),
-		mut(func(c *A3CConfig) { c.Optimizer = "lion" }),
+		mut(func(c *A3CConfig) { c.FinalLRFraction = 0 }),
+		mut(func(c *A3CConfig) { c.FinalLRFraction = 1.5 }),
 	} {
 		if c.Validate() == nil {
 			t.Errorf("case %d: invalid config accepted", i)
@@ -115,58 +117,6 @@ func TestA3CConfigValidate(t *testing.T) {
 		if _, err := NewA3C(c); err == nil {
 			t.Errorf("case %d: NewA3C accepted invalid config", i)
 		}
-	}
-}
-
-func TestQLearningMatchesValueIteration(t *testing.T) {
-	// 5-state corridor: move right (action 1) reaches the terminal reward;
-	// action 0 moves left (stays at 0). Small negative step rewards make
-	// the shortest path optimal.
-	n := 5
-	f := &mdp.Finite{
-		NumStates:  n,
-		NumActions: 2,
-		Next:       make([][]int, n),
-		Reward:     make([][]float64, n),
-		Terminal:   make([]bool, n),
-	}
-	for s := 0; s < n; s++ {
-		left := s - 1
-		if left < 0 {
-			left = 0
-		}
-		right := s + 1
-		if right >= n {
-			right = n - 1
-		}
-		f.Next[s] = []int{left, right}
-		f.Reward[s] = []float64{-0.1, -0.1}
-	}
-	f.Reward[n-2][1] = 10 // reaching the end pays
-	f.Terminal[n-1] = true
-
-	_, optimal := f.ValueIteration(0.9, 1e-9)
-
-	q, err := NewQLearner(f, 0.2, 0.9, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Train(rng.New(3), 2000, 50, 0)
-	got := q.Policy()
-	for s := 0; s < n-1; s++ {
-		if got[s] != optimal[s] {
-			t.Fatalf("state %d: q-policy %d, optimal %d", s, got[s], optimal[s])
-		}
-	}
-}
-
-func TestQLearnerValidation(t *testing.T) {
-	f := &mdp.Finite{NumStates: 1, NumActions: 1, Next: [][]int{{0}}, Reward: [][]float64{{0}}, Terminal: []bool{true}}
-	if _, err := NewQLearner(f, 0, 0.9, 0.1); err == nil {
-		t.Error("alpha 0 accepted")
-	}
-	if _, err := NewQLearner(f, 0.1, 1.0, 0.1); err == nil {
-		t.Error("gamma 1 accepted")
 	}
 }
 
@@ -196,6 +146,17 @@ func polarTrace(t testing.TB, files, days int) *trace.Trace {
 	return tr
 }
 
+// traceSource is a TraceSource over tr at the default reward, files starting
+// hot.
+func traceSource(tb testing.TB, tr *trace.Trace, histLen int) *TraceSource {
+	tb.Helper()
+	src, err := NewTraceSource(costmodel.New(pricing.Azure()), tr, histLen, mdp.DefaultReward(), pricing.Hot)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return src
+}
+
 func smallA3CConfig() A3CConfig {
 	cfg := DefaultA3CConfig()
 	cfg.Net = NetConfig{HistLen: 7, Filters: 8, Kernel: 4, Stride: 1, Hidden: 16}
@@ -215,11 +176,7 @@ func TestA3CLearnsPolarWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := a3c.Train(factory, 30000)
+	stats, err := a3c.TrainFrom(traceSource(t, tr, cfg.Net.HistLen), 30000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,17 +220,12 @@ func TestA3CSnapshotThreadSafeDuringTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	tr := polarTrace(t, 4, 10)
-	model := costmodel.New(pricing.Azure())
 	cfg := smallA3CConfig()
 	a3c, err := NewA3C(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := traceSource(t, polarTrace(t, 4, 10), cfg.Net.HistLen)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -286,7 +238,7 @@ func TestA3CSnapshotThreadSafeDuringTraining(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := a3c.Train(factory, 3000); err != nil {
+	if _, err := a3c.TrainFrom(src, 3000); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -297,33 +249,24 @@ func TestTrainRejectsBadArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a3c.Train(nil, 10); err == nil {
-		t.Error("nil factory accepted")
+	if _, err := a3c.TrainFrom(nil, 10); err == nil {
+		t.Error("nil source accepted")
 	}
-	factory := func(r *rng.RNG) *mdp.Env {
-		e, _ := mdp.NewEnv(costmodel.New(pricing.Azure()), 0.1,
-			[]float64{1, 2, 3, 4, 5, 6, 7, 8}, make([]float64, 8), pricing.Hot, 7, mdp.DefaultReward())
-		return e
-	}
-	if _, err := a3c.Train(factory, 0); err == nil {
+	if _, err := a3c.TrainFrom(traceSource(t, polarTrace(t, 2, 8), 7), 0); err == nil {
 		t.Error("zero steps accepted")
 	}
 }
 
-func TestTraceFactoryValidation(t *testing.T) {
+func TestTraceSourceValidation(t *testing.T) {
 	model := costmodel.New(pricing.Azure())
-	if _, err := TraceFactory(model, &trace.Trace{Days: 5}, 7, mdp.DefaultReward(), pricing.Hot); err == nil {
+	if _, err := NewTraceSource(model, &trace.Trace{Days: 5}, 7, mdp.DefaultReward(), pricing.Hot); err == nil {
 		t.Error("empty trace accepted")
 	}
 	tr := polarTrace(t, 2, 10)
-	if _, err := TraceFactory(model, tr, 0, mdp.DefaultReward(), pricing.Hot); err == nil {
+	if _, err := NewTraceSource(model, tr, 0, mdp.DefaultReward(), pricing.Hot); err == nil {
 		t.Error("zero histLen accepted")
 	}
-	factory, err := TraceFactory(model, tr, 7, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := factory(rng.New(1))
+	env := traceSource(t, tr, 7).NewEnv(rng.New(1))
 	if env.Days() != 10 {
 		t.Fatalf("episode days %d", env.Days())
 	}
@@ -341,19 +284,15 @@ func TestNegCostRewardMode(t *testing.T) {
 
 func BenchmarkA3CTrainStep(b *testing.B) {
 	tr := polarTrace(b, 8, 14)
-	model := costmodel.New(pricing.Azure())
 	cfg := smallA3CConfig()
 	cfg.Workers = 1
 	a3c, err := NewA3C(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		b.Fatal(err)
-	}
+	src := traceSource(b, tr, cfg.Net.HistLen)
 	b.ResetTimer()
-	if _, err := a3c.Train(factory, int64(b.N)); err != nil {
+	if _, err := a3c.TrainFrom(src, int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
-	"minicost/internal/par"
 	"minicost/internal/pricing"
 	"minicost/internal/rng"
 	"minicost/internal/trace"
@@ -59,39 +58,15 @@ func (s *TraceSource) ReinitEnv(r *rng.RNG, env *mdp.Env) {
 	}
 }
 
-// TraceFactory returns an EnvFactory over a TraceSource's episode
-// distribution; new code should pass NewTraceSource to TrainFrom instead,
-// which also unlocks allocation-free episode turnover.
-func TraceFactory(model *costmodel.Model, tr *trace.Trace, histLen int, reward mdp.RewardConfig, initial pricing.Tier) (EnvFactory, error) {
-	src, err := NewTraceSource(model, tr, histLen, reward, initial)
-	if err != nil {
-		return nil, err
-	}
-	return src.NewEnv, nil
-}
-
 // EvaluateAgent runs the greedy policy over every file in the trace and
 // returns the total bill — the serving-side counterpart of training, used by
-// experiments and tests to score a snapshot. It steps files day-major in
-// batched chunks (Agent.DecideTrace) with a pooled replica per worker, which
-// is what keeps per-checkpoint validation affordable during training.
+// experiments and tests to score a snapshot. It plans through PlanTrace in
+// DefaultBatchRows chunks on a pool of its own, which is what keeps
+// per-checkpoint validation affordable during training.
 func EvaluateAgent(agent *Agent, model *costmodel.Model, tr *trace.Trace, histLen int, initial pricing.Tier) (costmodel.Breakdown, costmodel.Assignment, error) {
-	n := tr.NumFiles()
-	asg := make(costmodel.Assignment, n)
-	reward := mdp.DefaultReward()
-	pool := NewReplicaPool(agent)
-	chunkErrs := make([]error, (n+DefaultBatchRows-1)/DefaultBatchRows)
-	par.ForBatched(n, DefaultBatchRows, 0, func(lo, hi int) {
-		rep := pool.Get()
-		defer pool.Put(rep)
-		if err := rep.DecideTrace(model, tr, lo, hi, initial, histLen, reward, asg, 1); err != nil {
-			chunkErrs[lo/DefaultBatchRows] = err
-		}
-	})
-	for _, err := range chunkErrs {
-		if err != nil {
-			return costmodel.Breakdown{}, nil, err
-		}
+	asg, err := PlanTrace(NewReplicaPool(agent), model, tr, histLen, initial, DefaultBatchRows, 0)
+	if err != nil {
+		return costmodel.Breakdown{}, nil, err
 	}
 	init := make([]pricing.Tier, tr.NumFiles())
 	for i := range init {

@@ -18,21 +18,16 @@ import (
 	"minicost/internal/trace"
 )
 
-// trainParams runs a fresh trainer with cfg over a polar-trace factory and
-// returns copies of the final actor/critic parameter vectors plus stats.
+// trainParams runs a fresh trainer with cfg through TrainFrom over a
+// polar-trace TraceSource and returns copies of the final actor/critic
+// parameter vectors plus stats.
 func trainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]float64, []float64, TrainStats) {
 	t.Helper()
-	tr := polarTrace(t, files, days)
-	model := costmodel.New(pricing.Azure())
 	a3c, err := NewA3C(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := TraceFactory(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := a3c.Train(factory, steps)
+	stats, err := a3c.TrainFrom(traceSource(t, polarTrace(t, files, days), cfg.Net.HistLen), steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,30 +65,6 @@ func TestTrainDeterministicAtOneWorker(t *testing.T) {
 	assertVectorsBitwise(t, "critic", c2, c1)
 }
 
-// vecTrainParams is trainParams through TrainFrom over a polar-trace
-// TraceSource, the allocation-free episode path (trainParams goes through
-// Train's factory adapter instead).
-func vecTrainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]float64, []float64, TrainStats) {
-	t.Helper()
-	tr := polarTrace(t, files, days)
-	model := costmodel.New(pricing.Azure())
-	a3c, err := NewA3C(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewTraceSource(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := a3c.TrainFrom(src, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := a3c.snap.Load()
-	return append([]float64(nil), cur.actor...),
-		append([]float64(nil), cur.critic...), stats
-}
-
 // TestVecTrainerSeedDeterministic pins the engine's determinism contract: at
 // Workers=1, two fresh runs with the same seed must reach bitwise-identical
 // parameters and identical stats, at E=1 (the width every caller without an
@@ -105,8 +76,8 @@ func TestVecTrainerSeedDeterministic(t *testing.T) {
 		cfg.Workers = 1
 		cfg.EnvsPerWorker = envs
 		const steps = 336 // 12 full 4×7 lockstep rollouts, 48 at E=1
-		a1, c1, s1 := vecTrainParams(t, cfg, 6, 12, steps)
-		a2, c2, s2 := vecTrainParams(t, cfg, 6, 12, steps)
+		a1, c1, s1 := trainParams(t, cfg, 6, 12, steps)
+		a2, c2, s2 := trainParams(t, cfg, 6, 12, steps)
 		if s1 != s2 {
 			t.Fatalf("E=%d: stats diverged across identical runs: %+v vs %+v", envs, s1, s2)
 		}
@@ -124,7 +95,7 @@ func TestVecTrainStatsAccounting(t *testing.T) {
 	cfg := smallA3CConfig()
 	cfg.Workers = 1
 	cfg.EnvsPerWorker = 4
-	_, _, stats := vecTrainParams(t, cfg, 6, 12, 280)
+	_, _, stats := trainParams(t, cfg, 6, 12, 280)
 	if stats.Steps != 280 {
 		t.Fatalf("Steps = %d, want 280", stats.Steps)
 	}
@@ -143,7 +114,7 @@ func TestVecTrainStatsAccounting(t *testing.T) {
 // engine re-derives every per-env RNG stream from (Seed, worker, member) at
 // each TrainFrom call, so no RNG cursor needs to live in the checkpoint —
 // this test is what pins that property. Phase budgets are multiples of
-// E×NSteps = 28 so every Train call cuts exactly at an update boundary; SGD
+// E×NSteps = 28 so every TrainFrom call cuts exactly at an update boundary; SGD
 // with annealing disabled makes the comparison exact (the checkpoint omits
 // optimizer moments and the global step counter).
 func TestVecCheckpointRoundTripResumesTraining(t *testing.T) {
@@ -153,20 +124,10 @@ func TestVecCheckpointRoundTripResumesTraining(t *testing.T) {
 	cfg := smallA3CConfig()
 	cfg.Workers = 1
 	cfg.EnvsPerWorker = 4
-	cfg.Optimizer = "sgd"
 	cfg.FinalLRFraction = 1
+	src := traceSource(t, polarTrace(t, 8, 14), cfg.Net.HistLen)
 
-	tr := polarTrace(t, 8, 14)
-	model := costmodel.New(pricing.Azure())
-	src, err := NewTraceSource(model, tr, cfg.Net.HistLen, mdp.DefaultReward(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	orig, err := NewA3C(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := newSGDTrainer(t, cfg)
 	if _, err := orig.TrainFrom(src, 280); err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +139,7 @@ func TestVecCheckpointRoundTripResumesTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := NewA3C(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := newSGDTrainer(t, cfg)
 	if err := resumed.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}

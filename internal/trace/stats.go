@@ -87,9 +87,6 @@ func (tr *Trace) SigmaHistogram() [NumBuckets]int {
 	return hist
 }
 
-// FileCV returns file i's realized read-frequency coefficient of variation.
-func (tr *Trace) FileCV(i int) float64 { return SigmaCV(tr.Reads[i]) }
-
 // BucketShares converts a histogram to population shares.
 func BucketShares(hist [NumBuckets]int) [NumBuckets]float64 {
 	total := 0
