@@ -36,17 +36,20 @@ func main() {
 	)
 	flag.Parse()
 
+	cfg, lcfg := experiments.Quick(), experiments.QuickLearningConfig()
+	switch *profile {
+	case "quick":
+	case "full":
+		cfg, lcfg = experiments.Full(), experiments.DefaultLearningConfig()
+	default:
+		fatal(fmt.Errorf("unknown profile %q (want quick or full)", *profile))
+	}
+
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
 	}
 
-	cfg := experiments.Quick()
-	lcfg := experiments.QuickLearningConfig()
-	if *profile == "full" {
-		cfg = experiments.Full()
-		lcfg = experiments.DefaultLearningConfig()
-	}
 	cfg.Seed = *seed
 	lcfg.Seed = *seed
 	if *files > 0 {

@@ -128,52 +128,6 @@ func TestPlanCostMatchesComponentLoop(t *testing.T) {
 	}
 }
 
-// TestPlanCumCostsPrefixExact: cum[d-1] is bitwise the PlanCost of the
-// plan's first d days — the invariant the horizon-sweep engine rests on —
-// with and without retention billing.
-func TestPlanCumCostsPrefixExact(t *testing.T) {
-	for _, retention := range []bool{false, true} {
-		m := model()
-		m.ChargeRetention = retention
-		for seed := uint64(1); seed <= 15; seed++ {
-			days := 1 + int(seed)%30
-			plan, reads, writes := randomPlanSeries(seed, days)
-			size := 0.001 + rng.New(seed^0x77).Float64()*10
-			initial := pricing.Tier(seed % pricing.NumTiers)
-			cum := make([]Breakdown, days)
-			total, err := m.PlanCumCosts(initial, plan, size, reads, writes, cum)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cum[days-1] != total {
-				t.Fatalf("retention=%v seed %d: last cum %+v != total %+v", retention, seed, cum[days-1], total)
-			}
-			for d := 1; d <= days; d++ {
-				want, err := m.PlanCost(initial, plan[:d], size, reads[:d], writes[:d])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cum[d-1] != want {
-					t.Fatalf("retention=%v seed %d day %d: cum %+v != window PlanCost %+v",
-						retention, seed, d, cum[d-1], want)
-				}
-			}
-		}
-	}
-}
-
-func TestPlanCumCostsLengthMismatch(t *testing.T) {
-	m := model()
-	plan := Uniform(pricing.Hot, 3)
-	series := []float64{1, 2, 3}
-	if _, err := m.PlanCumCosts(pricing.Hot, plan, 0.1, series, series, make([]Breakdown, 2)); err == nil {
-		t.Fatal("short cum buffer accepted")
-	}
-	if _, err := m.PlanCumCosts(pricing.Hot, plan, 0.1, series[:2], series, make([]Breakdown, 3)); err == nil {
-		t.Fatal("short reads accepted")
-	}
-}
-
 // TestNewAssignmentArena: plans share one backing array but stay isolated —
 // full-capacity slicing keeps an append from bleeding into a neighbour.
 func TestNewAssignmentArena(t *testing.T) {

@@ -154,28 +154,14 @@ func (m *Model) PlanCost(initial pricing.Tier, plan Plan, sizeGB float64, reads,
 		return Breakdown{}, ErrPlanLength
 	}
 	c := m.FileCoeffs(sizeGB)
-	return m.planCost(&c, initial, plan, reads, writes, nil), nil
+	return m.planCost(&c, initial, plan, reads, writes), nil
 }
 
-// PlanCumCosts prices a plan like PlanCost and additionally records, in
-// cum[d], the cumulative Breakdown of days 0..d. Because the kernel
-// accumulates components in day order, cum[d-1] is bitwise identical to
-// PlanCost over the plan's first d days — the prefix sums the horizon-sweep
-// evaluation engine reads instead of re-pricing every window.
-func (m *Model) PlanCumCosts(initial pricing.Tier, plan Plan, sizeGB float64, reads, writes []float64, cum []Breakdown) (Breakdown, error) {
-	if len(plan) != len(reads) || len(plan) != len(writes) || len(cum) != len(plan) {
-		return Breakdown{}, ErrPlanLength
-	}
-	c := m.FileCoeffs(sizeGB)
-	return m.planCost(&c, initial, plan, reads, writes, cum), nil
-}
-
-// planCost is the fused pricing kernel behind PlanCost and PlanCumCosts: one
-// flat loop over the plan accumulating the four components as scalars, with
-// per-day costs read off the file's affine coefficients. Lengths are the
-// caller's responsibility. When cum is non-nil it receives the running sums
-// after every day.
-func (m *Model) planCost(c *FileCoeffs, initial pricing.Tier, plan Plan, reads, writes []float64, cum []Breakdown) Breakdown {
+// planCost is the fused pricing kernel behind PlanCost: one flat loop over
+// the plan accumulating the four components as scalars, with per-day costs
+// read off the file's affine coefficients. Lengths are the caller's
+// responsibility.
+func (m *Model) planCost(c *FileCoeffs, initial pricing.Tier, plan Plan, reads, writes []float64) Breakdown {
 	var storage, read, write, transition float64
 	prev := initial
 	daysInTier := 0
@@ -197,9 +183,6 @@ func (m *Model) planCost(c *FileCoeffs, initial pricing.Tier, plan Plan, reads, 
 			daysInTier++
 		}
 		prev = tier
-		if cum != nil {
-			cum[d] = Breakdown{Storage: storage, Read: read, Write: write, Transition: transition}
-		}
 	}
 	return Breakdown{Storage: storage, Read: read, Write: write, Transition: transition}
 }

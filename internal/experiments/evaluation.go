@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"minicost/internal/aggregate"
+	"minicost/internal/costmodel"
 	"minicost/internal/par"
 	"minicost/internal/policy"
 	"minicost/internal/pricing"
-	"minicost/internal/rl"
 	"minicost/internal/trace"
 )
 
@@ -24,69 +24,45 @@ type Fig7Result struct {
 	Costs map[string][]float64 // method -> cost at each horizon
 }
 
-// fig7Horizons returns the paper's growing horizons (7, 14, … ≤ 35 days)
-// that fit in a trace.
-func fig7Horizons(traceDays int) []int {
+// horizons returns the paper's growing horizons (7, 14, … ≤ 35 days) that
+// fit in a trace of traceDays days, or an error when none does. Figs. 7 and
+// 13 share them.
+func horizons(traceDays int) ([]int, error) {
 	var out []int
 	for days := 7; days <= traceDays && days <= 35; days += 7 {
 		out = append(out, days)
 	}
-	return out
+	if len(out) == 0 {
+		return nil, fmt.Errorf("experiments: test trace too short (%d days)", traceDays)
+	}
+	return out, nil
 }
 
 // Fig7 evaluates the five methods on the test split over growing horizons
-// (7, 14, …, up to the trace length). It runs on the single-pass sweep
-// engine: each method is assigned and priced once over the longest horizon
-// and every prefix total is read off the memoized cumulative cost matrix
-// (Optimal backtracks each window's plan from its retained DP tables) —
-// bitwise identical to the per-window Fig7Reference.
+// (7, 14, …, up to the trace length): at each horizon every method is
+// assigned on the window Window(0, days) and priced from scratch.
 func (l *Lab) Fig7() (*Fig7Result, error) {
-	res := &Fig7Result{Costs: make(map[string][]float64)}
-	res.Days = fig7Horizons(l.Test.Days)
-	if len(res.Days) == 0 {
-		return nil, fmt.Errorf("experiments: test trace too short (%d days)", l.Test.Days)
-	}
-	names, evals, err := l.methodEvals(res.Days[len(res.Days)-1])
+	days, err := horizons(l.Test.Days)
 	if err != nil {
 		return nil, err
 	}
-	for _, days := range res.Days {
-		for _, name := range names {
-			bd, err := evals[name].prefixBreakdown(days)
-			if err != nil {
-				return nil, err
-			}
-			res.Costs[name] = append(res.Costs[name], bd.Total())
-		}
-	}
-	return res, nil
-}
-
-// Fig7Reference recomputes Fig. 7 with the per-window engine: every method
-// re-assigned and re-priced from scratch at each horizon. Kept as the
-// equivalence oracle the sweep engine is tested against and as the baseline
-// of BenchmarkFig7Horizons.
-func (l *Lab) Fig7Reference() (*Fig7Result, error) {
 	assigners, err := l.assigners(true)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig7Result{Costs: make(map[string][]float64)}
-	res.Days = fig7Horizons(l.Test.Days)
-	if len(res.Days) == 0 {
-		return nil, fmt.Errorf("experiments: test trace too short (%d days)", l.Test.Days)
-	}
-	for _, days := range res.Days {
-		window, err := l.Test.Window(0, days)
+	res := &Fig7Result{Days: days, Costs: make(map[string][]float64)}
+	for _, d := range days {
+		window, err := l.Test.Window(0, d)
 		if err != nil {
 			return nil, err
 		}
 		for _, a := range assigners {
-			bd, err := l.evalCost(a, window)
+			bds, err := l.evalCost(a, window)
 			if err != nil {
 				return nil, err
 			}
-			res.Costs[canonicalName(a)] = append(res.Costs[canonicalName(a)], bd.Total())
+			name := canonicalName(a)
+			res.Costs[name] = append(res.Costs[name], costmodel.SumBreakdowns(bds).Total())
 		}
 	}
 	return res, nil
@@ -135,12 +111,10 @@ type Fig8Result struct {
 }
 
 // Fig8 evaluates each method and buckets per-file costs by realized CV,
-// normalised per day. It reuses the lab's memoized full-horizon sweep
-// evaluations: per-file bills are the last column of each method's
-// cumulative cost matrix, so no assigner or pricing pass re-runs here.
+// normalised per day.
 func (l *Lab) Fig8() (*Fig8Result, error) {
 	tr := l.Test
-	names, evals, err := l.methodEvals(tr.Days)
+	assigners, err := l.assigners(true)
 	if err != nil {
 		return nil, err
 	}
@@ -150,13 +124,16 @@ func (l *Lab) Fig8() (*Fig8Result, error) {
 		buckets[i] = trace.BucketOf(trace.SigmaCV(tr.Reads[i]))
 		res.Files[buckets[i]]++
 	}
-	for _, name := range names {
-		e := evals[name]
+	for _, a := range assigners {
+		bds, err := l.evalCost(a, tr)
+		if err != nil {
+			return nil, err
+		}
 		var byBucket [trace.NumBuckets]float64
 		for i := range buckets {
-			byBucket[buckets[i]] += e.fileBreakdown(i).Total() / float64(tr.Days)
+			byBucket[buckets[i]] += bds[i].Total() / float64(tr.Days)
 		}
-		res.Costs[name] = byBucket
+		res.Costs[canonicalName(a)] = byBucket
 	}
 	return res, nil
 }
@@ -281,8 +258,7 @@ type Fig13Result struct {
 }
 
 // fig13Setup aggregates the top-Ψ groups and returns the workload, the
-// rewritten workload, and the aggregated-group count shared by Fig13 and
-// Fig13Reference.
+// rewritten workload, and the aggregated-group count.
 func (l *Lab) fig13Setup(psi int) (tr, aggTr *trace.Trace, groups int, err error) {
 	// Aggregation is evaluated on the full workload: the 80/20 file split
 	// tears concurrency groups apart (a group survives a Subset only when
@@ -315,15 +291,28 @@ func (l *Lab) fig13Setup(psi int) (tr, aggTr *trace.Trace, groups int, err error
 	return tr, aggTr, len(ids), nil
 }
 
-// fig13Methods returns Fig. 13's four series in plot order, each bound to
-// the workload it is priced on.
-func (l *Lab) fig13Methods(agent *rl.Agent, tr, aggTr *trace.Trace) []struct {
-	name string
-	a    policy.Assigner
-	tr   *trace.Trace
-} {
+// Fig13 evaluates the enhancement: groups with positive Ω (top-Ψ, measured
+// over the first week) are aggregated and all methods re-priced on the
+// rewritten request stream. Like Fig7, each (method, workload) pair is
+// assigned on Window(0, days) and priced from scratch at every horizon.
+func (l *Lab) Fig13(psi int) (*Fig13Result, error) {
+	days, err := horizons(l.Trace.Days)
+	if err != nil {
+		return nil, err
+	}
+	agent, err := l.TrainAgent()
+	if err != nil {
+		return nil, err
+	}
+	tr, aggTr, groups, err := l.fig13Setup(psi)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig13Result{Days: days, Costs: make(map[string][]float64), AggregatedGroups: groups}
+	// Fig. 13's four series in plot order, each bound to the workload it is
+	// priced on.
 	mini := policy.RL{Agent: agent, HistLen: l.Cfg.Net.HistLen, Workers: l.Cfg.Workers}
-	return []struct {
+	methods := []struct {
 		name string
 		a    policy.Assigner
 		tr   *trace.Trace
@@ -333,83 +322,17 @@ func (l *Lab) fig13Methods(agent *rl.Agent, tr, aggTr *trace.Trace) []struct {
 		{"minicost-w/E", mini, aggTr},
 		{"optimal", policy.Optimal{Workers: l.Cfg.Workers}, tr},
 	}
-}
-
-// Fig13 evaluates the enhancement: groups with positive Ω (top-Ψ, measured
-// over the first week) are aggregated and all methods re-priced on the
-// rewritten request stream. Like Fig7 it runs on the single-pass sweep
-// engine — each (method, workload) pair is assigned and priced once over
-// the longest horizon, concurrently across pairs, and prefix totals are
-// read off the cumulative cost matrices — bitwise identical to the
-// per-window Fig13Reference.
-func (l *Lab) Fig13(psi int) (*Fig13Result, error) {
-	agent, err := l.TrainAgent()
-	if err != nil {
-		return nil, err
-	}
-	tr, aggTr, groups, err := l.fig13Setup(psi)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig13Result{Costs: make(map[string][]float64), AggregatedGroups: groups}
-	res.Days = fig7Horizons(tr.Days)
-	if len(res.Days) == 0 {
-		return res, nil
-	}
-	maxDays := res.Days[len(res.Days)-1]
-	methods := l.fig13Methods(agent, tr, aggTr)
-	entries := make([]evalEntry, len(methods))
-	for i, m := range methods {
-		w := m.tr
-		if maxDays < w.Days {
-			if w, err = m.tr.Window(0, maxDays); err != nil {
-				return nil, err
-			}
-		}
-		entries[i] = evalEntry{a: m.a, tr: w}
-	}
-	evals, err := buildEvals(entries, l.Model, pricing.Hot, l.Cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	for _, days := range res.Days {
-		for i, m := range methods {
-			bd, err := evals[i].prefixBreakdown(days)
+	for _, d := range days {
+		for _, m := range methods {
+			window, err := m.tr.Window(0, d)
 			if err != nil {
 				return nil, err
 			}
-			res.Costs[m.name] = append(res.Costs[m.name], bd.Total())
-		}
-	}
-	return res, nil
-}
-
-// Fig13Reference recomputes Fig. 13 with the per-window engine: every
-// (method, workload) pair re-assigned and re-priced from scratch at each
-// horizon. Kept as the equivalence oracle the sweep engine is tested
-// against.
-func (l *Lab) Fig13Reference(psi int) (*Fig13Result, error) {
-	agent, err := l.TrainAgent()
-	if err != nil {
-		return nil, err
-	}
-	tr, aggTr, groups, err := l.fig13Setup(psi)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig13Result{Costs: make(map[string][]float64), AggregatedGroups: groups}
-	res.Days = fig7Horizons(tr.Days)
-	for _, days := range res.Days {
-		for _, m := range l.fig13Methods(agent, tr, aggTr) {
-			window, err := m.tr.Window(0, days)
+			bds, err := l.evalCost(m.a, window)
 			if err != nil {
 				return nil, err
 			}
-			bd, err := l.evalCost(m.a, window)
-			if err != nil {
-				return nil, err
-			}
-			res.Costs[m.name] = append(res.Costs[m.name], bd.Total())
+			res.Costs[m.name] = append(res.Costs[m.name], costmodel.SumBreakdowns(bds).Total())
 		}
 	}
 	return res, nil
@@ -432,18 +355,21 @@ func (r *Fig13Result) Render(w io.Writer) {
 
 // CostBreakdownTable renders a per-method component breakdown on the test
 // split — an extension table useful for understanding where each method
-// spends. It reads the totals off the lab's memoized full-horizon sweep
-// evaluations, so after Fig8 it costs no pricing pass at all.
+// spends.
 func (l *Lab) CostBreakdownTable(w io.Writer) error {
-	names, evals, err := l.methodEvals(l.Test.Days)
+	assigners, err := l.assigners(true)
 	if err != nil {
 		return err
 	}
 	rows := [][]string{{"method", "total", "storage", "read", "write", "transition"}}
-	for _, name := range names {
-		bd := evals[name].totalBreakdown()
+	for _, a := range assigners {
+		bds, err := l.evalCost(a, l.Test)
+		if err != nil {
+			return err
+		}
+		bd := costmodel.SumBreakdowns(bds)
 		rows = append(rows, []string{
-			name, f4(bd.Total()), f4(bd.Storage), f4(bd.Read), f4(bd.Write), f4(bd.Transition),
+			canonicalName(a), f4(bd.Total()), f4(bd.Storage), f4(bd.Read), f4(bd.Write), f4(bd.Transition),
 		})
 	}
 	renderTable(w, rows)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"minicost/internal/rl"
+	"minicost/internal/rng"
 	"minicost/internal/trace"
 )
 
@@ -292,4 +294,27 @@ func TestFig11WidthSweep(t *testing.T) {
 	var buf bytes.Buffer
 	r.Render(&buf)
 	t.Logf("\n%s", buf.String())
+}
+
+// TestFig13RejectsShortTrace: a trace shorter than the first horizon is an
+// error for Fig. 13 exactly as for Fig. 7, never an empty figure.
+func TestFig13RejectsShortTrace(t *testing.T) {
+	cfg := Quick()
+	cfg.Days = 6
+	l, err := NewLab(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetAgent(rl.NewAgent(cfg.Net, cfg.Net.BuildActor(rng.New(7))))
+	_, err7 := l.Fig7()
+	if err7 == nil {
+		t.Fatal("Fig7 accepted a 6-day trace")
+	}
+	r, err := l.Fig13(0)
+	if err == nil {
+		t.Fatalf("Fig13 accepted a 6-day trace: %+v", r)
+	}
+	if err.Error() != err7.Error() {
+		t.Fatalf("Fig13 error %q, Fig7 error %q", err, err7)
+	}
 }

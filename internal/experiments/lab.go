@@ -82,13 +82,6 @@ type Lab struct {
 	Test  *trace.Trace
 
 	agent *rl.Agent
-
-	// Memoized single-pass horizon-sweep evaluations of the paper methods on
-	// the test split (see sweep.go): built once, reused by Fig7, Fig8 and
-	// CostBreakdownTable. evalsDays is the horizon the cache covers.
-	evalNames []string
-	evals     map[string]*horizonEval
-	evalsDays int
 }
 
 // NewLab generates the workload and splits it.
@@ -171,12 +164,12 @@ func Hot() policy.Assigner { return policy.Static{Tier: pricing.Hot} }
 // Cold returns the paper's Cold baseline (Azure's cool tier).
 func Cold() policy.Assigner { return policy.Static{Tier: pricing.Cool} }
 
-// evalCost prices an assigner on a trace window from scratch — the
-// per-window reference path the sweep engine is verified against.
-func (l *Lab) evalCost(a policy.Assigner, tr *trace.Trace) (costmodel.Breakdown, error) {
+// evalCost assigns a trace window with a and returns each file's bill, every
+// file starting in Hot.
+func (l *Lab) evalCost(a policy.Assigner, tr *trace.Trace) ([]costmodel.Breakdown, error) {
 	asg, err := a.Assign(tr, l.Model, pricing.Hot)
 	if err != nil {
-		return costmodel.Breakdown{}, fmt.Errorf("policy %s: %w", a.Name(), err)
+		return nil, fmt.Errorf("policy %s: %w", a.Name(), err)
 	}
 	init := make([]pricing.Tier, tr.NumFiles())
 	for i := range init {
@@ -184,9 +177,9 @@ func (l *Lab) evalCost(a policy.Assigner, tr *trace.Trace) (costmodel.Breakdown,
 	}
 	bds, err := l.Model.TraceCost(tr, asg, init, l.Cfg.Workers)
 	if err != nil {
-		return costmodel.Breakdown{}, fmt.Errorf("policy %s: %w", a.Name(), err)
+		return nil, fmt.Errorf("policy %s: %w", a.Name(), err)
 	}
-	return costmodel.SumBreakdowns(bds), nil
+	return bds, nil
 }
 
 // renderTable writes an aligned table: header row then data rows.

@@ -1,7 +1,6 @@
 // Package par provides small, dependency-free parallelism helpers used
 // throughout the MiniCost codebase: a bounded parallel-for, chunked and
-// batched variants for cache-friendly sharding, a shard fan-out, and a
-// reusable worker pool.
+// batched variants for cache-friendly sharding, and a shard fan-out.
 //
 // All helpers are deterministic in their results (order of side effects is
 // not specified, but every index is visited exactly once) and degrade to a
@@ -230,50 +229,4 @@ func ForBatched(n, batch, workers int, fn func(lo, hi int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Pool is a fixed-size worker pool for submitting independent tasks.
-// Unlike For, it supports heterogeneous tasks submitted over time.
-// The zero value is not usable; create with NewPool, release with Close.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	done  sync.WaitGroup
-}
-
-// NewPool starts workers goroutines consuming submitted tasks.
-// workers <= 0 selects DefaultWorkers().
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	p := &Pool{tasks: make(chan func(), workers*2)}
-	p.done.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer p.done.Done()
-			for task := range p.tasks {
-				task()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a task. It may block if the pool's queue is full.
-// Submitting after Close panics.
-func (p *Pool) Submit(task func()) {
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until every task submitted so far has completed.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close waits for outstanding tasks and stops the workers.
-func (p *Pool) Close() {
-	p.wg.Wait()
-	close(p.tasks)
-	p.done.Wait()
 }

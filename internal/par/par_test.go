@@ -83,26 +83,6 @@ func TestForChunkedPartitions(t *testing.T) {
 	}
 }
 
-func TestPool(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var total atomic.Int64
-	for i := 0; i < 500; i++ {
-		i := i
-		p.Submit(func() { total.Add(int64(i)) })
-	}
-	p.Wait()
-	if got := total.Load(); got != 500*499/2 {
-		t.Fatalf("pool sum = %d, want %d", got, 500*499/2)
-	}
-	// Pool must be reusable after Wait.
-	p.Submit(func() { total.Add(1) })
-	p.Wait()
-	if got := total.Load(); got != 500*499/2+1 {
-		t.Fatalf("pool reuse sum = %d", got)
-	}
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers must be >= 1")

@@ -1,9 +1,10 @@
 // Package policy implements the data-storage-type assignment strategies the
 // paper evaluates (§6.1): the Hot and Cold single-tier baselines, the
 // per-day Greedy algorithm, the offline Optimal ("brutal-force") solution —
-// computed exactly by a per-file dynamic program, with a literal brute-force
-// enumerator kept for validation — plus an ARIMA-predictive greedy extension
-// and the adapter that turns a trained RL agent into an assigner.
+// computed exactly by a per-file dynamic program, held to a literal
+// brute-force enumerator in this package's tests — plus an ARIMA-predictive
+// greedy extension and the adapter that turns a trained RL agent into an
+// assigner.
 package policy
 
 import (
@@ -129,7 +130,7 @@ func greedyPlan(dst costmodel.Plan, c *costmodel.FileCoeffs, reads, writes []flo
 // are separable (Eqs. 6–9 sum over files), so the paper's exhaustive search
 // over all assignment plans decomposes per file, where a dynamic program
 // over (day × tier) finds the same optimum in O(D·Γ²) instead of O(Γ^D) —
-// see TestBruteForceMatchesDP for the equivalence proof on small horizons.
+// this package's tests hold it to exhaustive search on small horizons.
 type Optimal struct {
 	Workers int
 }
@@ -141,55 +142,36 @@ func (Optimal) Name() string { return "optimal" }
 func (o Optimal) Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error) {
 	asg := costmodel.NewAssignment(tr.NumFiles(), tr.Days)
 	par.For(tr.NumFiles(), o.Workers, func(i int) {
-		NewOptimalDP(m, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i], initial).PlanPrefixInto(asg[i])
+		c := m.FileCoeffs(tr.Files[i].SizeGB)
+		optimalPlan(asg[i], &c, tr.Reads[i], tr.Writes[i], initial)
 	})
 	return asg, nil
 }
 
 // OptimalPlan returns one file's exact minimum-cost plan and its cost.
 func OptimalPlan(m *costmodel.Model, sizeGB float64, reads, writes []float64, initial pricing.Tier) (costmodel.Plan, float64) {
-	days := len(reads)
-	if days == 0 {
-		return costmodel.Plan{}, 0
-	}
-	o := NewOptimalDP(m, sizeGB, reads, writes, initial)
-	plan := make(costmodel.Plan, days)
-	o.PlanPrefixInto(plan)
-	return plan, o.PrefixCost(days)
-}
-
-// OptimalDP is one file's forward dynamic program retained over the full
-// horizon: dp[d][t] is the minimum cost of days 0..d with the file in tier t
-// during day d, from[d][t] the predecessor tier. The recurrence only looks
-// backward, so the first d rows are bitwise the tables a run over just
-// Window(0, d) would build — one full-horizon pass therefore answers every
-// prefix: PrefixCost(d) is the window's exact optimum and PlanPrefixInto
-// backtracks the window's plan, which is what the horizon-sweep evaluation
-// engine exploits instead of re-running the DP per window.
-type OptimalDP struct {
-	days int
-	dp   [][pricing.NumTiers]float64
-	from [][pricing.NumTiers]int8
-}
-
-// NewOptimalDP runs the forward pass over the whole series, a fused loop
-// over the file's affine day-cost coefficients.
-func NewOptimalDP(m *costmodel.Model, sizeGB float64, reads, writes []float64, initial pricing.Tier) *OptimalDP {
-	days := len(reads)
-	const nt = pricing.NumTiers
-	o := &OptimalDP{
-		days: days,
-		dp:   make([][nt]float64, days),
-		from: make([][nt]int8, days),
-	}
-	if days == 0 {
-		return o
-	}
+	plan := make(costmodel.Plan, len(reads))
 	c := m.FileCoeffs(sizeGB)
+	return plan, optimalPlan(plan, &c, reads, writes, initial)
+}
+
+// optimalPlan fills dst with the file's minimum-cost plan over len(dst) days
+// and returns its cost: a forward dynamic program over (day × tier) on the
+// file's affine day-cost coefficients. cost[t] is the minimum cost of the
+// days so far ending in tier t — two rows, rolled day by day — and from[d][t]
+// the predecessor tier the backtrack follows. Ties break toward the lowest
+// tier index.
+func optimalPlan(dst costmodel.Plan, c *costmodel.FileCoeffs, reads, writes []float64, initial pricing.Tier) float64 {
+	days := len(dst)
+	if days == 0 {
+		return 0
+	}
+	const nt = pricing.NumTiers
+	from := make([][nt]int8, days)
+	var cost, next [nt]float64
 	for t := 0; t < nt; t++ {
 		tier := pricing.Tier(t)
-		o.dp[0][t] = c.Transition(initial, tier) + c.DayTotal(tier, tier, reads[0], writes[0])
-		o.from[0][t] = int8(initial)
+		cost[t] = c.Transition(initial, tier) + c.DayTotal(tier, tier, reads[0], writes[0])
 	}
 	for d := 1; d < days; d++ {
 		r, w := reads[d], writes[d]
@@ -199,111 +181,29 @@ func NewOptimalDP(m *costmodel.Model, sizeGB float64, reads, writes []float64, i
 			best := -1
 			bestCost := 0.0
 			for p := 0; p < nt; p++ {
-				cost := o.dp[d-1][p] + c.Transition(pricing.Tier(p), tier)
-				if best < 0 || cost < bestCost {
-					best, bestCost = p, cost
+				cand := cost[p] + c.Transition(pricing.Tier(p), tier)
+				if best < 0 || cand < bestCost {
+					best, bestCost = p, cand
 				}
 			}
-			o.dp[d][t] = bestCost + serve
-			o.from[d][t] = int8(best)
+			next[t] = bestCost + serve
+			from[d][t] = int8(best)
 		}
+		cost = next
 	}
-	return o
-}
-
-// Days returns the horizon the DP covers.
-func (o *OptimalDP) Days() int { return o.days }
-
-// PrefixCost returns min_t dp[days-1][t]: the exact minimum cost of the
-// first days days, bitwise the value a per-window OptimalPlan returns.
-// days must be in [1, Days()].
-func (o *OptimalDP) PrefixCost(days int) float64 {
-	return o.dp[days-1][o.bestLast(days)]
-}
-
-// PlanPrefixInto backtracks the optimal plan of the first len(dst) days into
-// dst — bitwise the plan a per-window OptimalPlan over those days returns
-// (ties break toward the lowest tier index, matching the reference).
-func (o *OptimalDP) PlanPrefixInto(dst costmodel.Plan) {
-	days := len(dst)
-	if days == 0 {
-		return
-	}
-	cur := o.bestLast(days)
-	for d := days - 1; d >= 0; d-- {
-		dst[d] = pricing.Tier(cur)
-		cur = int(o.from[d][cur])
-	}
-}
-
-// bestLast returns the cheapest final tier of the first days days.
-func (o *OptimalDP) bestLast(days int) int {
 	last := 0
-	for t := 1; t < pricing.NumTiers; t++ {
-		if o.dp[days-1][t] < o.dp[days-1][last] {
+	for t := 1; t < nt; t++ {
+		if cost[t] < cost[last] {
 			last = t
 		}
 	}
-	return last
-}
-
-// BruteForce enumerates every Γ^D plan per file — the paper's literal
-// "offline-brutal-force" method. Exponential; only usable for tiny horizons
-// (it refuses beyond MaxDays) and kept as the oracle the DP is tested
-// against.
-type BruteForce struct{}
-
-// MaxDays bounds BruteForce's horizon (3^10 ≈ 59k plans per file).
-const MaxDays = 10
-
-// Name implements Assigner.
-func (BruteForce) Name() string { return "brute-force" }
-
-// Assign implements Assigner.
-func (b BruteForce) Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error) {
-	if tr.Days > MaxDays {
-		return nil, fmt.Errorf("policy: brute force limited to %d days, got %d", MaxDays, tr.Days)
+	total := cost[last]
+	for d := days - 1; d > 0; d-- {
+		dst[d] = pricing.Tier(last)
+		last = int(from[d][last])
 	}
-	asg := make(costmodel.Assignment, tr.NumFiles())
-	for i := 0; i < tr.NumFiles(); i++ {
-		plan, _, err := BruteForcePlan(m, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i], initial)
-		if err != nil {
-			return nil, err
-		}
-		asg[i] = plan
-	}
-	return asg, nil
-}
-
-// BruteForcePlan exhaustively searches one file's plan space.
-func BruteForcePlan(m *costmodel.Model, sizeGB float64, reads, writes []float64, initial pricing.Tier) (costmodel.Plan, float64, error) {
-	days := len(reads)
-	if days > MaxDays {
-		return nil, 0, fmt.Errorf("policy: brute force limited to %d days, got %d", MaxDays, days)
-	}
-	total := 1
-	for d := 0; d < days; d++ {
-		total *= pricing.NumTiers
-	}
-	var bestPlan costmodel.Plan
-	bestCost := 0.0
-	plan := make(costmodel.Plan, days)
-	for code := 0; code < total; code++ {
-		c := code
-		for d := 0; d < days; d++ {
-			plan[d] = pricing.Tier(c % pricing.NumTiers)
-			c /= pricing.NumTiers
-		}
-		bd, err := m.PlanCost(initial, plan, sizeGB, reads, writes)
-		if err != nil {
-			return nil, 0, err
-		}
-		if bestPlan == nil || bd.Total() < bestCost {
-			bestPlan = append(costmodel.Plan(nil), plan...)
-			bestCost = bd.Total()
-		}
-	}
-	return bestPlan, bestCost, nil
+	dst[0] = pricing.Tier(last)
+	return total
 }
 
 // MatchRate returns the fraction of (file, day) decisions on which two
