@@ -29,11 +29,11 @@ func ablationWorkload(b *testing.B) (*trace.Trace, *costmodel.Model, float64) {
 		b.Fatal(err)
 	}
 	m := costmodel.New(pricing.Azure())
-	hot, _, err := policy.Evaluate(policy.Static{Tier: pricing.Hot}, tr, m, pricing.Hot)
+	board, err := policy.Score(m, tr, pricing.Hot, 0, policy.Static{Tier: pricing.Hot})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tr, m, hot.Total()
+	return tr, m, board[0].Total.Total()
 }
 
 func ablationTrainCfg() rl.A3CConfig {
@@ -59,11 +59,11 @@ func trainAndScore(b *testing.B, trainCfg rl.A3CConfig, reward mdp.RewardConfig,
 	if _, err := a3c.TrainFrom(src, steps); err != nil {
 		b.Fatal(err)
 	}
-	bd, _, err := rl.EvaluateAgent(a3c.Snapshot(), m, tr, trainCfg.Net.HistLen, pricing.Hot)
+	board, err := policy.Score(m, tr, pricing.Hot, 0, policy.RL{Agent: a3c.Snapshot(), HistLen: trainCfg.Net.HistLen})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return bd.Total() / hot
+	return board[0].Total.Total() / hot
 }
 
 const ablationSteps = 120000
@@ -165,11 +165,11 @@ func BenchmarkAblationDQN(b *testing.B) {
 		if _, err := d.Train(src, ablationSteps); err != nil {
 			b.Fatal(err)
 		}
-		bd, _, err := rl.EvaluateAgent(d.Agent(), m, tr, cfg.Net.HistLen, pricing.Hot)
+		board, err := policy.Score(m, tr, pricing.Hot, 0, policy.RL{Agent: d.Agent(), HistLen: cfg.Net.HistLen})
 		if err != nil {
 			b.Fatal(err)
 		}
-		score = bd.Total() / hot
+		score = board[0].Total.Total() / hot
 	}
 	b.ReportMetric(score, "cost/hot")
 }

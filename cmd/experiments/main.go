@@ -1,9 +1,11 @@
-// Command experiments reproduces the paper's evaluation figures
-// (§6, Figs. 7–13) end to end: it generates the workload, trains the
-// MiniCost A3C agent, and prints the data series behind each figure.
+// Command experiments reproduces the paper's figures end to end: the trace
+// analysis of §3.1 (Figs. 2–4, on the generated workload alone) and the
+// evaluation of §6 (Figs. 7–13, which train the MiniCost A3C agent first).
+// It prints the data series behind each figure.
 //
 // Usage:
 //
+//	experiments -fig 2,3,4 -profile full # trace analysis, 2000 files x 63 days
 //	experiments -fig 7                  # one figure (trains the agent)
 //	experiments -fig all -profile quick # everything, scaled down
 //	experiments -fig 9 -profile full    # learning-rate sweep, full profile
@@ -23,7 +25,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure: 7, 8, 9, 10, 11, 12, 13, breakdown or all")
+		fig        = flag.String("fig", "all", "figures, comma-separated: 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, breakdown, or all")
 		profile    = flag.String("profile", "quick", "workload profile: quick or full")
 		files      = flag.Int("files", 0, "override file count")
 		days       = flag.Int("days", 0, "override trace days")
@@ -62,6 +64,8 @@ func main() {
 		cfg.TrainSteps = *steps
 	}
 
+	// The workload is generated on first use; the agent is trained only for
+	// a figure that evaluates it.
 	var lab *experiments.Lab
 	getLab := func() *experiments.Lab {
 		if lab == nil {
@@ -70,28 +74,53 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
+		}
+		return lab
+	}
+	trained := false
+	trainedLab := func() *experiments.Lab {
+		l := getLab()
+		if !trained {
 			fmt.Fprintf(os.Stderr, "[experiments] training agent (%d steps, %d files)...\n", cfg.TrainSteps, cfg.Files)
 			start := time.Now()
-			if _, err := lab.TrainAgent(); err != nil {
+			if _, err := l.TrainAgent(); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "[experiments] trained in %s\n", time.Since(start).Round(time.Second))
+			trained = true
 		}
-		return lab
+		return l
 	}
 
 	run := func(name string) {
 		switch name {
+		case "2":
+			fmt.Println("== Fig 2: files per daily-request-frequency sigma bucket ==")
+			getLab().Fig2().Render(os.Stdout)
+		case "3":
+			fmt.Println("== Fig 3: potential saved money per sigma bucket ==")
+			r, err := getLab().Fig3()
+			if err != nil {
+				fatal(err)
+			}
+			r.Render(os.Stdout)
+		case "4":
+			fmt.Println("== Fig 4: ARIMA 7-day prediction error per sigma bucket ==")
+			r, err := getLab().Fig4()
+			if err != nil {
+				fatal(err)
+			}
+			r.Render(os.Stdout)
 		case "7":
 			fmt.Println("== Fig 7: total cost vs days (Hot/Cold/Greedy/MiniCost/Optimal) ==")
-			r, err := getLab().Fig7()
+			r, err := trainedLab().Fig7()
 			if err != nil {
 				fatal(err)
 			}
 			r.Render(os.Stdout)
 		case "8":
 			fmt.Println("== Fig 8: daily cost per sigma bucket ==")
-			r, err := getLab().Fig8()
+			r, err := trainedLab().Fig8()
 			if err != nil {
 				fatal(err)
 			}
@@ -120,21 +149,21 @@ func main() {
 			r.Render(os.Stdout)
 		case "12":
 			fmt.Println("== Fig 12: per-day computing overhead ==")
-			r, err := getLab().Fig12()
+			r, err := trainedLab().Fig12()
 			if err != nil {
 				fatal(err)
 			}
 			r.Render(os.Stdout)
 		case "13":
 			fmt.Println("== Fig 13: aggregation enhancement ==")
-			r, err := getLab().Fig13(*psi)
+			r, err := trainedLab().Fig13(*psi)
 			if err != nil {
 				fatal(err)
 			}
 			r.Render(os.Stdout)
 		case "breakdown":
 			fmt.Println("== Extension: per-method cost breakdown ==")
-			if err := getLab().CostBreakdownTable(os.Stdout); err != nil {
+			if err := trainedLab().CostBreakdownTable(os.Stdout); err != nil {
 				fatal(err)
 			}
 		default:
@@ -144,7 +173,7 @@ func main() {
 	}
 
 	if *fig == "all" {
-		for _, f := range []string{"7", "8", "12", "13", "breakdown", "9", "10", "11"} {
+		for _, f := range []string{"2", "3", "4", "7", "8", "12", "13", "breakdown", "9", "10", "11"} {
 			run(f)
 		}
 	} else {

@@ -83,20 +83,12 @@ func main() {
 	row := func(name string, bd minicost.Breakdown) {
 		fmt.Fprintf(w, "%s\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\n", name, bd.Total(), bd.Storage, bd.Read, bd.Write, bd.Transition)
 	}
-	for _, b := range []struct {
-		name string
-		a    minicost.Assigner
-	}{
-		{"hot", minicost.HotBaseline()},
-		{"cold", minicost.ColdBaseline()},
-		{"greedy", minicost.GreedyBaseline()},
-		{"optimal", minicost.OptimalBaseline()},
-	} {
-		bd, err := minicost.EvaluateAssigner(b.a, serve, minicost.AzurePricing())
-		if err != nil {
-			fatal(err)
-		}
-		row(b.name, bd)
+	board, err := minicost.Score(serve, minicost.AzurePricing(), minicost.Baselines()...)
+	if err != nil {
+		fatal(err)
+	}
+	for _, r := range board {
+		row(r.Name, r.Total)
 	}
 	row("minicost", report.Total)
 	w.Flush()

@@ -54,20 +54,15 @@ func main() {
 
 	fmt.Printf("%-28s %12s %12s %12s %10s\n", "provider", "all-hot $", "greedy $", "optimal $", "saving")
 	for _, p := range providers {
-		hot, err := minicost.EvaluateAssigner(minicost.HotBaseline(), workload, p)
+		board, err := minicost.Score(workload, p, minicost.Baselines()...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		greedy, err := minicost.EvaluateAssigner(minicost.GreedyBaseline(), workload, p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opt, err := minicost.EvaluateAssigner(minicost.OptimalBaseline(), workload, p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-28s %12.4f %12.4f %12.4f %9.1f%%\n",
-			p.Name, hot.Total(), greedy.Total(), opt.Total(), 100*(hot.Total()-opt.Total())/hot.Total())
+		hot, _ := board.Find("hot")
+		greedy, _ := board.Find("greedy")
+		opt, _ := board.Find("optimal")
+		h, o := hot.Total.Total(), opt.Total.Total()
+		fmt.Printf("%-28s %12.4f %12.4f %12.4f %9.1f%%\n", p.Name, h, greedy.Total.Total(), o, 100*(h-o)/h)
 	}
 
 	// A workload genuinely spread across datacenters: partition-aware
@@ -118,8 +113,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hot, _ := minicost.EvaluateAssigner(minicost.HotBaseline(), workload, target)
-	opt, _ := minicost.EvaluateAssigner(minicost.OptimalBaseline(), workload, target)
+	board, err := minicost.Score(workload, target, minicost.HotBaseline(), minicost.OptimalBaseline())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-28s minicost $%.4f (all-hot $%.4f, optimal $%.4f, %d tier changes)\n",
-		target.Name, report.Total.Total(), hot.Total(), opt.Total(), report.TierChanges)
+		target.Name, report.Total.Total(), board[0].Total.Total(), board[1].Total.Total(), report.TierChanges)
 }

@@ -51,26 +51,18 @@ func main() {
 		log.Fatal(err)
 	}
 
+	board, err := minicost.Score(live, minicost.AzurePricing(), minicost.Baselines()...)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n%-10s %10s\n", "method", "bill ($)")
-	for _, b := range []struct {
-		name string
-		a    minicost.Assigner
-	}{
-		{"hot", minicost.HotBaseline()},
-		{"cold", minicost.ColdBaseline()},
-		{"greedy", minicost.GreedyBaseline()},
-		{"optimal", minicost.OptimalBaseline()},
-	} {
-		bd, err := minicost.EvaluateAssigner(b.a, live, minicost.AzurePricing())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-10s %10.4f\n", b.name, bd.Total())
+	for _, r := range board {
+		fmt.Printf("%-10s %10.4f\n", r.Name, r.Total.Total())
 	}
 	fmt.Printf("%-10s %10.4f   (%d tier changes, %s compute)\n",
 		"minicost", report.Total.Total(), report.TierChanges, report.DecisionTime.Round(1000000))
 
-	hot, _ := minicost.EvaluateAssigner(minicost.HotBaseline(), live, minicost.AzurePricing())
-	saved := hot.Total() - report.Total.Total()
-	fmt.Printf("\nsaved vs. keeping everything hot: $%.4f (%.1f%%)\n", saved, 100*saved/hot.Total())
+	hot, _ := board.Find("hot")
+	saved := hot.Total.Total() - report.Total.Total()
+	fmt.Printf("\nsaved vs. keeping everything hot: $%.4f (%.1f%%)\n", saved, 100*saved/hot.Total.Total())
 }

@@ -106,11 +106,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	hot, _ := minicost.EvaluateAssigner(minicost.HotBaseline(), tr, minicost.AzurePricing())
-	greedy, _ := minicost.EvaluateAssigner(minicost.GreedyBaseline(), tr, minicost.AzurePricing())
-	opt, _ := minicost.EvaluateAssigner(minicost.OptimalBaseline(), tr, minicost.AzurePricing())
+	board, err := minicost.Score(tr, minicost.AzurePricing(), minicost.Baselines()...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	hot, _ := board.Find("hot")
+	greedy, _ := board.Find("greedy")
+	opt, _ := board.Find("optimal")
 	fmt.Printf("\nbill: minicost $%.4f | all-hot $%.4f | greedy $%.4f | offline optimal $%.4f\n",
-		report.Total.Total(), hot.Total(), greedy.Total(), opt.Total())
+		report.Total.Total(), hot.Total.Total(), greedy.Total.Total(), opt.Total.Total())
 	fmt.Printf("tier changes: %d over %d file-days\n\n", report.TierChanges, tr.NumFiles()*days)
 
 	// Where did each class end up? Re-derive the final-day tier per class

@@ -290,14 +290,15 @@ func TestAggregationReducesCostWhenOmegaPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _, err := policy.Evaluate(policy.Optimal{}, tr, m, pricing.Hot)
+	baseBoard, err := policy.Score(m, tr, pricing.Hot, 0, policy.Optimal{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, _, err := policy.Evaluate(policy.Optimal{}, derived, m, pricing.Hot)
+	aggBoard, err := policy.Score(m, derived, pricing.Hot, 0, policy.Optimal{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, agg := baseBoard[0].Total, aggBoard[0].Total
 	if agg.Total() > base.Total() {
 		t.Fatalf("aggregation raised optimal cost: %v -> %v", base.Total(), agg.Total())
 	}

@@ -114,18 +114,15 @@ func TestTrainAndRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, _, err := policy.Evaluate(assigner, test, s.Model(), pricing.Hot)
+	board, err := policy.Score(s.Model(), test, pricing.Hot, 0, assigner, policy.Static{Tier: pricing.Hot})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cost, hot := board[0].Total, board[1].Total
 	if math.Abs(cost.Total()-report.Total.Total()) > 1e-6 {
 		t.Fatalf("store bill %v != assigner bill %v", report.Total.Total(), cost.Total())
 	}
 	// The trained system must beat the all-hot baseline on the test set.
-	hot, _, err := policy.Evaluate(policy.Static{Tier: pricing.Hot}, test, s.Model(), pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if report.Total.Total() >= hot.Total() {
 		t.Fatalf("MiniCost %v not better than all-hot %v", report.Total.Total(), hot.Total())
 	}

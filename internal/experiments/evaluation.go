@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"minicost/internal/aggregate"
-	"minicost/internal/costmodel"
 	"minicost/internal/par"
 	"minicost/internal/policy"
 	"minicost/internal/pricing"
@@ -46,43 +45,21 @@ func (l *Lab) Fig7() (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	assigners, err := l.assigners(true)
-	if err != nil {
-		return nil, err
-	}
 	res := &Fig7Result{Days: days, Costs: make(map[string][]float64)}
 	for _, d := range days {
 		window, err := l.Test.Window(0, d)
 		if err != nil {
 			return nil, err
 		}
-		for _, a := range assigners {
-			bds, err := l.evalCost(a, window)
-			if err != nil {
-				return nil, err
-			}
-			name := canonicalName(a)
-			res.Costs[name] = append(res.Costs[name], costmodel.SumBreakdowns(bds).Total())
+		board, err := l.score(window)
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range board {
+			res.Costs[row.Name] = append(res.Costs[row.Name], row.Total.Total())
 		}
 	}
 	return res, nil
-}
-
-// canonicalName maps assigner names onto the paper's method labels.
-func canonicalName(a policy.Assigner) string {
-	switch a.Name() {
-	case "hot":
-		return "hot"
-	case "cool", "cold":
-		return "cold"
-	case "greedy", "greedy-oracle":
-		return "greedy"
-	case "minicost":
-		return "minicost"
-	case "optimal":
-		return "optimal"
-	}
-	return a.Name()
 }
 
 // Render writes the Fig. 7 series.
@@ -114,7 +91,7 @@ type Fig8Result struct {
 // normalised per day.
 func (l *Lab) Fig8() (*Fig8Result, error) {
 	tr := l.Test
-	assigners, err := l.assigners(true)
+	board, err := l.score(tr)
 	if err != nil {
 		return nil, err
 	}
@@ -124,16 +101,12 @@ func (l *Lab) Fig8() (*Fig8Result, error) {
 		buckets[i] = trace.BucketOf(trace.SigmaCV(tr.Reads[i]))
 		res.Files[buckets[i]]++
 	}
-	for _, a := range assigners {
-		bds, err := l.evalCost(a, tr)
-		if err != nil {
-			return nil, err
-		}
+	for _, row := range board {
 		var byBucket [trace.NumBuckets]float64
 		for i := range buckets {
-			byBucket[buckets[i]] += bds[i].Total() / float64(tr.Days)
+			byBucket[buckets[i]] += row.Files[i].Total() / float64(tr.Days)
 		}
-		res.Costs[canonicalName(a)] = byBucket
+		res.Costs[row.Name] = byBucket
 	}
 	return res, nil
 }
@@ -156,7 +129,7 @@ func (r *Fig8Result) Render(w io.Writer) {
 	renderTable(w, rows)
 }
 
-// Fig12Result reproduces Fig. 12: per-day computing overhead of the online
+// Fig12Result reproduces Fig. 12: per-day computing overhead of the
 // methods, measured on this machine and linearly extrapolated to the
 // paper's 4 M files. Both a single-core row (the paper's setting) and a row
 // at the lab's configured worker count are reported, so the 4 M-file
@@ -176,13 +149,10 @@ type Fig12Result struct {
 	Files             int
 }
 
-// Fig12 times each online method's daily decision loop, once single-core
-// and once at Config.Workers workers (0 = every core).
+// Fig12 times each method's decision pass over the test split, once
+// single-core and once at Config.Workers workers (0 = every core); Optimal's
+// row is the offline DP's time for the whole horizon, per day.
 func (l *Lab) Fig12() (*Fig12Result, error) {
-	agent, err := l.TrainAgent()
-	if err != nil {
-		return nil, err
-	}
 	tr := l.Test
 	parWorkers := l.Cfg.Workers
 	if parWorkers <= 0 {
@@ -197,14 +167,6 @@ func (l *Lab) Fig12() (*Fig12Result, error) {
 		ScaledMinutesPar:  make(map[string]float64),
 		ParWorkers:        parWorkers,
 	}
-	methods := func(workers int) []policy.Assigner {
-		return []policy.Assigner{
-			Hot(),
-			Cold(),
-			policy.Greedy{Workers: workers},
-			policy.RL{Agent: agent, HistLen: l.Cfg.Net.HistLen, Workers: workers},
-		}
-	}
 	scale := float64(PaperScaleFiles) / float64(tr.NumFiles()) / 60
 	for _, row := range []struct {
 		workers int
@@ -214,15 +176,18 @@ func (l *Lab) Fig12() (*Fig12Result, error) {
 		{1, res.MeasuredPerDay, res.ScaledMinutes},
 		{parWorkers, res.MeasuredPerDayPar, res.ScaledMinutesPar},
 	} {
-		for _, a := range methods(row.workers) {
+		methods, err := l.methods(row.workers)
+		if err != nil {
+			return nil, err
+		}
+		for _, a := range methods {
 			start := time.Now() //minicost:allow-wallclock Fig. 12 measures decision overhead; the timing is the result
 			if _, err := a.Assign(tr, l.Model, pricing.Hot); err != nil {
 				return nil, err
 			}
 			perDay := time.Since(start).Seconds() / float64(tr.Days) //minicost:allow-wallclock Fig. 12 overhead measurement
-			name := canonicalName(a)
-			row.perDay[name] = perDay
-			row.scaled[name] = perDay * scale
+			row.perDay[a.Name()] = perDay
+			row.scaled[a.Name()] = perDay * scale
 		}
 	}
 	return res, nil
@@ -252,7 +217,10 @@ func (r *Fig12Result) Render(w io.Writer) {
 // Fig13Result reproduces Fig. 13: total cost versus days for Greedy,
 // MiniCost, MiniCost with the aggregation enhancement, and Optimal.
 type Fig13Result struct {
-	Days             []int
+	Days []int
+	// Costs holds the five methods' series on the workload and
+	// "minicost-w/E", MiniCost's on the aggregated one; Render plots the
+	// paper's four.
 	Costs            map[string][]float64
 	AggregatedGroups int
 }
@@ -292,7 +260,7 @@ func (l *Lab) fig13Setup(psi int) (tr, aggTr *trace.Trace, groups int, err error
 }
 
 // Fig13 evaluates the enhancement: groups with positive Ω (top-Ψ, measured
-// over the first week) are aggregated and all methods re-priced on the
+// over the first week) are aggregated and MiniCost re-priced on the
 // rewritten request stream. Like Fig7, each (method, workload) pair is
 // assigned on Window(0, days) and priced from scratch at every horizon.
 func (l *Lab) Fig13(psi int) (*Fig13Result, error) {
@@ -300,40 +268,37 @@ func (l *Lab) Fig13(psi int) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	agent, err := l.TrainAgent()
+	methods, err := l.methods(l.Cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
+	mini := methods[len(methods)-1]
 	tr, aggTr, groups, err := l.fig13Setup(psi)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig13Result{Days: days, Costs: make(map[string][]float64), AggregatedGroups: groups}
-	// Fig. 13's four series in plot order, each bound to the workload it is
-	// priced on.
-	mini := policy.RL{Agent: agent, HistLen: l.Cfg.Net.HistLen, Workers: l.Cfg.Workers}
-	methods := []struct {
-		name string
-		a    policy.Assigner
-		tr   *trace.Trace
-	}{
-		{"greedy", policy.Greedy{Workers: l.Cfg.Workers}, tr},
-		{"minicost", mini, tr},
-		{"minicost-w/E", mini, aggTr},
-		{"optimal", policy.Optimal{Workers: l.Cfg.Workers}, tr},
-	}
 	for _, d := range days {
-		for _, m := range methods {
-			window, err := m.tr.Window(0, d)
-			if err != nil {
-				return nil, err
-			}
-			bds, err := l.evalCost(m.a, window)
-			if err != nil {
-				return nil, err
-			}
-			res.Costs[m.name] = append(res.Costs[m.name], costmodel.SumBreakdowns(bds).Total())
+		window, err := tr.Window(0, d)
+		if err != nil {
+			return nil, err
 		}
+		aggWindow, err := aggTr.Window(0, d)
+		if err != nil {
+			return nil, err
+		}
+		board, err := policy.Score(l.Model, window, pricing.Hot, l.Cfg.Workers, methods...)
+		if err != nil {
+			return nil, err
+		}
+		agg, err := policy.Score(l.Model, aggWindow, pricing.Hot, l.Cfg.Workers, mini)
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range board {
+			res.Costs[row.Name] = append(res.Costs[row.Name], row.Total.Total())
+		}
+		res.Costs["minicost-w/E"] = append(res.Costs["minicost-w/E"], agg[0].Total.Total())
 	}
 	return res, nil
 }
@@ -357,19 +322,16 @@ func (r *Fig13Result) Render(w io.Writer) {
 // split — an extension table useful for understanding where each method
 // spends.
 func (l *Lab) CostBreakdownTable(w io.Writer) error {
-	assigners, err := l.assigners(true)
+	board, err := l.score(l.Test)
 	if err != nil {
 		return err
 	}
 	rows := [][]string{{"method", "total", "storage", "read", "write", "transition"}}
-	for _, a := range assigners {
-		bds, err := l.evalCost(a, l.Test)
-		if err != nil {
-			return err
-		}
-		bd := costmodel.SumBreakdowns(bds)
+	for _, name := range MethodNames {
+		row, _ := board.Find(name)
+		bd := row.Total
 		rows = append(rows, []string{
-			canonicalName(a), f4(bd.Total()), f4(bd.Storage), f4(bd.Read), f4(bd.Write), f4(bd.Transition),
+			name, f4(bd.Total()), f4(bd.Storage), f4(bd.Read), f4(bd.Write), f4(bd.Transition),
 		})
 	}
 	renderTable(w, rows)

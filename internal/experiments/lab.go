@@ -1,8 +1,8 @@
 // Package experiments reproduces every figure of the paper's evaluation
 // (Figs. 2–4 trace analysis, Figs. 7–13 system evaluation) on the synthetic
 // Wikipedia-like workload. Each FigN function returns a structured result
-// with a text rendering, so cmd/experiments, cmd/traceanalysis and the
-// repository's bench harness share one implementation.
+// with a text rendering, so cmd/experiments and the repository's Go
+// benchmarks share one implementation.
 package experiments
 
 import (
@@ -139,47 +139,24 @@ func (l *Lab) TrainAgent() (*rl.Agent, error) {
 // SetAgent injects a pre-trained agent (tests).
 func (l *Lab) SetAgent(a *rl.Agent) { l.agent = a }
 
-// assigners returns the paper's five methods, MiniCost included when the
-// agent is available.
-func (l *Lab) assigners(withRL bool) ([]policy.Assigner, error) {
-	out := []policy.Assigner{
-		Hot(),
-		Cold(),
-		policy.Greedy{Workers: l.Cfg.Workers},
+// methods returns the paper's five methods, deciding across workers files at
+// a time: the baselines, then the MiniCost agent, trained on first use.
+func (l *Lab) methods(workers int) ([]policy.Assigner, error) {
+	agent, err := l.TrainAgent()
+	if err != nil {
+		return nil, err
 	}
-	if withRL {
-		agent, err := l.TrainAgent()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, policy.RL{Agent: agent, HistLen: l.Cfg.Net.HistLen, Workers: l.Cfg.Workers})
-	}
-	out = append(out, policy.Optimal{Workers: l.Cfg.Workers})
-	return out, nil
+	mini := policy.RL{Agent: agent, HistLen: l.Cfg.Net.HistLen, Workers: workers}
+	return append(policy.Baselines(workers), mini), nil
 }
 
-// Hot returns the paper's Hot baseline.
-func Hot() policy.Assigner { return policy.Static{Tier: pricing.Hot} }
-
-// Cold returns the paper's Cold baseline (Azure's cool tier).
-func Cold() policy.Assigner { return policy.Static{Tier: pricing.Cool} }
-
-// evalCost assigns a trace window with a and returns each file's bill, every
-// file starting in Hot.
-func (l *Lab) evalCost(a policy.Assigner, tr *trace.Trace) ([]costmodel.Breakdown, error) {
-	asg, err := a.Assign(tr, l.Model, pricing.Hot)
+// score prices the paper's five methods on tr, every file starting in Hot.
+func (l *Lab) score(tr *trace.Trace) (policy.Scoreboard, error) {
+	methods, err := l.methods(l.Cfg.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("policy %s: %w", a.Name(), err)
+		return nil, err
 	}
-	init := make([]pricing.Tier, tr.NumFiles())
-	for i := range init {
-		init[i] = pricing.Hot
-	}
-	bds, err := l.Model.TraceCost(tr, asg, init, l.Cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("policy %s: %w", a.Name(), err)
-	}
-	return bds, nil
+	return policy.Score(l.Model, tr, pricing.Hot, l.Cfg.Workers, methods...)
 }
 
 // renderTable writes an aligned table: header row then data rows.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"minicost/internal/costmodel"
 	"minicost/internal/forecast"
@@ -75,20 +74,14 @@ func (l *Lab) Fig3() (*Fig3Result, error) {
 	// depending on which one yields a lower cost" — one global tier choice
 	// for the whole fleet, not per file. Compute the fleet-wide cheapest
 	// single tier first.
+	board, err := policy.Score(l.Model, tr, pricing.Hot, l.Cfg.Workers,
+		policy.Static{Tier: pricing.Hot}, policy.Static{Tier: pricing.Cool})
+	if err != nil {
+		return nil, err
+	}
 	baseTier := pricing.Hot
-	baseCost := math.Inf(1)
-	for _, tier := range pricing.AllTiers() {
-		if tier == pricing.Archive {
-			continue // the paper's baseline considers hot or cold only
-		}
-		asg := costmodel.UniformAssignment(tier, tr.NumFiles(), tr.Days)
-		bds, err := l.Model.TraceCost(tr, asg, nil, l.Cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		if c := costmodel.SumBreakdowns(bds).Total(); c < baseCost {
-			baseTier, baseCost = tier, c
-		}
+	if board[1].Total.Total() < board[0].Total.Total() {
+		baseTier = pricing.Cool
 	}
 
 	type fileSaving struct {

@@ -114,10 +114,11 @@ func (d *Deployment) Evaluate(a policy.Assigner, tr *trace.Trace, initial pricin
 	var total costmodel.Breakdown
 	for _, dc := range dcs {
 		part := parts[dc]
-		bd, _, err := policy.Evaluate(a, part, d.models[dc], initial)
+		board, err := policy.Score(d.models[dc], part, initial, 0, a)
 		if err != nil {
 			return nil, costmodel.Breakdown{}, fmt.Errorf("multidc: %s: %w", dc, err)
 		}
+		bd := board[0].Total
 		bills = append(bills, Bill{Datacenter: dc, Files: part.NumFiles(), Cost: bd})
 		total = total.Add(bd)
 	}
@@ -130,6 +131,9 @@ func (d *Deployment) Evaluate(a policy.Assigner, tr *trace.Trace, initial pricin
 // Moving data between providers is out of scope — the result quantifies the
 // placement headroom, it does not execute moves.
 func (d *Deployment) CheapestPlacement(tr *trace.Trace, initial pricing.Tier) ([]string, float64, error) {
+	if !initial.Valid() {
+		return nil, 0, fmt.Errorf("multidc: invalid initial tier %d", int(initial))
+	}
 	placement := make([]string, tr.NumFiles())
 	total := 0.0
 	dcs := d.Datacenters()

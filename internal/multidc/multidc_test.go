@@ -123,10 +123,11 @@ func TestEvaluateSumsPartitions(t *testing.T) {
 	// gives the same bill.
 	parts, _ := d.Partition(multi)
 	eu, _ := twoDCCatalog(t).Get("eu-frugal")
-	direct, _, err := policy.Evaluate(policy.Greedy{}, parts["eu-frugal"], costmodel.New(eu), pricing.Hot)
+	board, err := policy.Score(costmodel.New(eu), parts["eu-frugal"], pricing.Hot, 0, policy.Greedy{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct := board[0].Total
 	for _, b := range bills {
 		if b.Datacenter == "eu-frugal" && math.Abs(b.Cost.Total()-direct.Total()) > 1e-12 {
 			t.Fatalf("eu bill %v != direct %v", b.Cost.Total(), direct.Total())
@@ -184,10 +185,11 @@ func TestCheapestPlacement(t *testing.T) {
 	// The advisor's total must lower-bound single-DC optimal for both DCs.
 	for _, dc := range d.Datacenters() {
 		p, _ := twoDCCatalog(t).Get(dc)
-		opt, _, err := policy.Evaluate(policy.Optimal{}, tr, costmodel.New(p), pricing.Hot)
+		board, err := policy.Score(costmodel.New(p), tr, pricing.Hot, 0, policy.Optimal{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		opt := board[0].Total
 		if total > opt.Total()+1e-9 {
 			t.Fatalf("placement total %v exceeds single-DC optimal %v in %s", total, opt.Total(), dc)
 		}
@@ -219,5 +221,21 @@ func BenchmarkEvaluateTwoDCs(b *testing.B) {
 		if _, _, err := d.Evaluate(policy.Optimal{}, multi, pricing.Hot); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestInvalidInitialTierRefused: both entry points take the initial tier
+// from outside the program and refuse one the price schedules lack.
+func TestInvalidInitialTierRefused(t *testing.T) {
+	d, err := New(twoDCCatalog(t), "us-west")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := genTrace(t, 6, 7)
+	if _, _, err := d.CheapestPlacement(tr, pricing.Tier(9)); err == nil {
+		t.Fatal("CheapestPlacement accepted initial tier 9")
+	}
+	if _, _, err := d.Evaluate(policy.Greedy{}, tr, pricing.Tier(9)); err == nil {
+		t.Fatal("Evaluate accepted initial tier 9")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"minicost/internal/agentserver"
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
+	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 	"minicost/internal/trace"
@@ -457,26 +458,23 @@ func (l *Learner) offer(cand *rl.Agent, holdout *trace.Trace, rbActor, rbCritic 
 		l.stMu.Lock()
 		inc := l.incumbent
 		l.stMu.Unlock()
-		candBd, candAsg, err := rl.EvaluateAgent(cand, l.cfg.Model, holdout, l.histLen, l.cfg.Initial)
+		board, err := policy.Score(l.cfg.Model, holdout, l.cfg.Initial, 0,
+			policy.RL{Agent: cand, HistLen: l.histLen},
+			policy.RL{Agent: inc, HistLen: l.histLen})
 		if err != nil {
 			l.rollback(rbActor, rbCritic)
-			l.setError("gate eval (candidate): " + err.Error())
+			l.setError("gate eval: " + err.Error())
 			return false, err
 		}
-		incBd, incAsg, err := rl.EvaluateAgent(inc, l.cfg.Model, holdout, l.histLen, l.cfg.Initial)
-		if err != nil {
-			l.rollback(rbActor, rbCritic)
-			l.setError("gate eval (incumbent): " + err.Error())
-			return false, err
-		}
-		dis := disagreement(candAsg, incAsg)
+		candRow, incRow := board[0], board[1]
+		dis := disagreement(candRow.Plan, incRow.Plan)
 		learnMet.disagreement.Set(dis)
 		l.stMu.Lock()
-		l.st.LastCandidateCost = candBd.Total()
-		l.st.LastIncumbentCost = incBd.Total()
+		l.st.LastCandidateCost = candRow.Total.Total()
+		l.st.LastIncumbentCost = incRow.Total.Total()
 		l.st.LastDisagreement = dis
 		l.stMu.Unlock()
-		if candBd.Total() > incBd.Total()*(1+l.cfg.SwapMargin) {
+		if candRow.Total.Total() > incRow.Total.Total()*(1+l.cfg.SwapMargin) {
 			// Candidate regresses the held-out cost: reject, keep the
 			// incumbent serving, and roll the trainer back so the failed
 			// update does not compound into the next epoch.

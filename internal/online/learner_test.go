@@ -14,6 +14,7 @@ import (
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
 	"minicost/internal/obs"
+	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 	"minicost/internal/rng"
@@ -276,16 +277,15 @@ func TestSwapGateRejectsPoisonedCandidate(t *testing.T) {
 
 	hot := craftAgent(t, pricing.Hot, 0)
 	poisoned := craftAgent(t, pricing.Archive, 5)
-	hotBd, _, err := rl.EvaluateAgent(hot, model, holdout, testNet().HistLen, pricing.Hot)
+	board, err := policy.Score(model, holdout, pricing.Hot, 0,
+		policy.RL{Agent: hot, HistLen: testNet().HistLen},
+		policy.RL{Agent: poisoned, HistLen: testNet().HistLen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	poisonBd, _, err := rl.EvaluateAgent(poisoned, model, holdout, testNet().HistLen, pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if poisonBd.Total() <= hotBd.Total()*1.01 {
-		t.Fatalf("precondition: poisoned cost %v not above incumbent %v", poisonBd.Total(), hotBd.Total())
+	hotCost, poisonCost := board[0].Total.Total(), board[1].Total.Total()
+	if poisonCost <= hotCost*1.01 {
+		t.Fatalf("precondition: poisoned cost %v not above incumbent %v", poisonCost, hotCost)
 	}
 
 	// Align the trainer's actor with the incumbent so New snapshots it.

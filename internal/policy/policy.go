@@ -26,30 +26,118 @@ type Assigner interface {
 	Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error)
 }
 
-// Evaluate runs an assigner and prices its assignment, returning per-file
-// breakdowns and the assignment itself.
-func Evaluate(a Assigner, tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Breakdown, costmodel.Assignment, error) {
-	asg, err := a.Assign(tr, m, initial)
-	if err != nil {
-		return costmodel.Breakdown{}, nil, fmt.Errorf("policy %s: %w", a.Name(), err)
+// Baselines returns the paper's comparison methods in its plot order (§6.1):
+// Hot, Cold, Greedy and Optimal, the last two across workers files at a
+// time.
+func Baselines(workers int) []Assigner {
+	return []Assigner{
+		Static{Tier: pricing.Hot},
+		Static{Tier: pricing.Cool},
+		Greedy{Workers: workers},
+		Optimal{Workers: workers},
+	}
+}
+
+// Row is one method's line on a Scoreboard.
+type Row struct {
+	Name string
+	Plan costmodel.Assignment
+	// Files holds each file's TraceCost bill in file order; Total is their
+	// SumBreakdowns.
+	Files []costmodel.Breakdown
+	Total costmodel.Breakdown
+	// Ratio is Total's bill over the board's "optimal" row (exactly 1 for
+	// an equal bill); 0 when the board has no such row.
+	Ratio float64
+}
+
+// Scoreboard is the paper's yardstick: each scored method's plan and bill
+// on one trace, in the order the methods were given.
+type Scoreboard []Row
+
+// Find returns the row named name.
+func (b Scoreboard) Find(name string) (Row, bool) {
+	for _, r := range b {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return Row{}, false
+}
+
+// Score assigns tr with each method, every file starting in initial, and
+// prices each plan with m.TraceCost across workers files at a time. It is
+// the one place a method's bill is compared with another's: every figure,
+// the online gate, the CLI and the facade read it. Score runs only the
+// methods it is given, so a ratio to Optimal costs a DP only when the
+// caller asks for one. An invalid initial tier is refused before any
+// method runs, and a plan holding an invalid tier is refused naming its
+// method.
+func Score(m *costmodel.Model, tr *trace.Trace, initial pricing.Tier, workers int, methods ...Assigner) (Scoreboard, error) {
+	if !initial.Valid() {
+		return nil, fmt.Errorf("policy: invalid initial tier %d", int(initial))
 	}
 	init := make([]pricing.Tier, tr.NumFiles())
 	for i := range init {
 		init[i] = initial
 	}
-	bds, err := m.TraceCost(tr, asg, init, 0)
-	if err != nil {
-		return costmodel.Breakdown{}, nil, fmt.Errorf("policy %s: %w", a.Name(), err)
+	board := make(Scoreboard, len(methods))
+	optimal := -1
+	for k, a := range methods {
+		asg, err := a.Assign(tr, m, initial)
+		if err == nil {
+			err = checkTiers(asg)
+		}
+		var bds []costmodel.Breakdown
+		if err == nil {
+			bds, err = m.TraceCost(tr, asg, init, workers)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("policy %s: %w", a.Name(), err)
+		}
+		board[k] = Row{Name: a.Name(), Plan: asg, Files: bds, Total: costmodel.SumBreakdowns(bds)}
+		if board[k].Name == "optimal" {
+			optimal = k
+		}
 	}
-	return costmodel.SumBreakdowns(bds), asg, nil
+	if optimal >= 0 {
+		opt := board[optimal].Total.Total()
+		for k := range board {
+			if t := board[k].Total.Total(); t == opt { //minicost:allow-floatcmp an equal bill is exactly ratio 1, also when both are 0
+				board[k].Ratio = 1
+			} else {
+				board[k].Ratio = t / opt
+			}
+		}
+	}
+	return board, nil
+}
+
+// checkTiers refuses an assignment holding a tier outside the price
+// schedule, which the cost kernels would index out of range.
+func checkTiers(asg costmodel.Assignment) error {
+	for i, plan := range asg {
+		for d, t := range plan {
+			if !t.Valid() {
+				return fmt.Errorf("file %d day %d: invalid tier %d", i, d, int(t))
+			}
+		}
+	}
+	return nil
 }
 
 // Static keeps every file in one tier for the whole horizon (the paper's
 // Hot and Cold baselines).
 type Static struct{ Tier pricing.Tier }
 
-// Name implements Assigner.
-func (s Static) Name() string { return s.Tier.String() }
+// Name implements Assigner: the tier's name, except that Cool is the
+// paper's "cold".
+func (s Static) Name() string {
+	if s.Tier == pricing.Cool {
+		return "cold"
+	}
+	return s.Tier.String()
+}
 
 // Assign implements Assigner.
 func (s Static) Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error) {

@@ -88,7 +88,7 @@ func TestOptimalLowerBoundsEveryPolicy(t *testing.T) {
 	// any trace — the paper's "lower bound for all online methods".
 	tr := genTrace(t, 60, 21)
 	m := model()
-	optCost, _, err := Evaluate(Optimal{}, tr, m, pricing.Hot)
+	optCost, err := bill(Optimal{}, tr, m, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestOptimalLowerBoundsEveryPolicy(t *testing.T) {
 		Greedy{},
 		DefaultPredictive(),
 	} {
-		c, _, err := Evaluate(a, tr, m, pricing.Hot)
+		c, err := bill(a, tr, m, pricing.Hot)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
@@ -112,12 +112,12 @@ func TestOptimalLowerBoundsEveryPolicy(t *testing.T) {
 func TestGreedyBeatsWorstStatic(t *testing.T) {
 	tr := genTrace(t, 80, 21)
 	m := model()
-	greedy, _, err := Evaluate(Greedy{}, tr, m, pricing.Hot)
+	greedy, err := bill(Greedy{}, tr, m, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, _, _ := Evaluate(Static{Tier: pricing.Hot}, tr, m, pricing.Hot)
-	cold, _, _ := Evaluate(Static{Tier: pricing.Cool}, tr, m, pricing.Hot)
+	hot, _ := bill(Static{Tier: pricing.Hot}, tr, m, pricing.Hot)
+	cold, _ := bill(Static{Tier: pricing.Cool}, tr, m, pricing.Hot)
 	worst := math.Max(hot.Total(), cold.Total())
 	if greedy.Total() >= worst {
 		t.Fatalf("greedy %v not better than worst static %v", greedy.Total(), worst)
@@ -161,11 +161,11 @@ func TestGreedyOracleBeatsOnlineGreedy(t *testing.T) {
 	// Same-day knowledge can only help a per-day policy.
 	tr := genTrace(t, 80, 21)
 	m := model()
-	online, _, err := Evaluate(Greedy{}, tr, m, pricing.Hot)
+	online, err := bill(Greedy{}, tr, m, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _, err := Evaluate(Greedy{Oracle: true}, tr, m, pricing.Hot)
+	oracle, err := bill(Greedy{Oracle: true}, tr, m, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestBruteForceRefusesLongHorizons(t *testing.T) {
 func TestBruteForceAssignerMatchesOptimalAssigner(t *testing.T) {
 	tr := genTrace(t, 10, 5)
 	m := model()
-	bf, _, err := Evaluate(BruteForce{}, tr, m, pricing.Hot)
+	bf, err := bill(BruteForce{}, tr, m, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := Evaluate(Optimal{}, tr, m, pricing.Hot)
+	opt, err := bill(Optimal{}, tr, m, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,12 @@ func TestPredictiveBeatsStaticOnSeasonalWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := model()
-	pred, _, err := Evaluate(DefaultPredictive(), tr, m, pricing.Hot)
+	pred, err := bill(DefaultPredictive(), tr, m, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, _, _ := Evaluate(Static{Tier: pricing.Hot}, tr, m, pricing.Hot)
-	cold, _, _ := Evaluate(Static{Tier: pricing.Cool}, tr, m, pricing.Hot)
+	hot, _ := bill(Static{Tier: pricing.Hot}, tr, m, pricing.Hot)
+	cold, _ := bill(Static{Tier: pricing.Cool}, tr, m, pricing.Hot)
 	worst := math.Max(hot.Total(), cold.Total())
 	if pred.Total() > worst {
 		t.Fatalf("predictive %v worse than worst static %v", pred.Total(), worst)
@@ -319,7 +319,7 @@ func TestCostOrderingOnDefaultWorkload(t *testing.T) {
 	tr := genTrace(t, 150, 35)
 	m := model()
 	cost := func(a Assigner) float64 {
-		c, _, err := Evaluate(a, tr, m, pricing.Hot)
+		c, err := bill(a, tr, m, pricing.Hot)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}

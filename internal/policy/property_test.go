@@ -58,12 +58,12 @@ func TestOptimalLowerBoundProperty(t *testing.T) {
 			return false
 		}
 		initial := pricing.Tier(initRaw % pricing.NumTiers)
-		opt, _, err := Evaluate(Optimal{}, tr, m, initial)
+		opt, err := bill(Optimal{}, tr, m, initial)
 		if err != nil {
 			return false
 		}
 		for _, c := range contenders {
-			got, _, err := Evaluate(c, tr, m, initial)
+			got, err := bill(c, tr, m, initial)
 			if err != nil {
 				return false
 			}
@@ -89,11 +89,11 @@ func TestOptimalMatchesBruteForceOnRandomTraces(t *testing.T) {
 			return true
 		}
 		initial := pricing.Tier(initRaw % pricing.NumTiers)
-		opt, _, err := Evaluate(Optimal{}, tr, m, initial)
+		opt, err := bill(Optimal{}, tr, m, initial)
 		if err != nil {
 			return false
 		}
-		bf, _, err := Evaluate(BruteForce{}, tr, m, initial)
+		bf, err := bill(BruteForce{}, tr, m, initial)
 		if err != nil {
 			return false
 		}

@@ -6,8 +6,7 @@
 // Training steps mdp.Env episodes, which bill and reward every file-day.
 // Deciding does not bill: DecideTrace/PlanTrace build each day's state
 // straight from the trace and the tiers already chosen, and callers that
-// want the plan's price (EvaluateAgent) take it once from
-// costmodel.Model.TraceCost.
+// want the plan's price take it once from costmodel (policy.Score).
 package rl
 
 import (

@@ -126,7 +126,7 @@ func TestDQNLearnsPolarWorkload(t *testing.T) {
 		t.Fatalf("stats %+v", stats)
 	}
 	agent := d.Agent()
-	got, _, err := EvaluateAgent(agent, model, tr, cfg.Net.HistLen, pricing.Hot)
+	got, err := planBill(agent, model, tr, cfg.Net.HistLen, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +142,10 @@ func TestDQNLearnsPolarWorkload(t *testing.T) {
 		return costmodel.SumBreakdowns(bds).Total()
 	}
 	hot := evalUniform(pricing.Hot)
-	if got.Total() > hot {
-		t.Fatalf("DQN %v worse than all-hot %v", got.Total(), hot)
+	if got > hot {
+		t.Fatalf("DQN %v worse than all-hot %v", got, hot)
 	}
-	t.Logf("dqn=%.4f hot=%.4f", got.Total(), hot)
+	t.Logf("dqn=%.4f hot=%.4f", got, hot)
 }
 
 func TestAgentCheckpointRoundTrip(t *testing.T) {

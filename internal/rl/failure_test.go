@@ -83,18 +83,6 @@ func TestDQNSurvivesExhaustedEnvs(t *testing.T) {
 	}
 }
 
-// TestEvaluateAgentPropagatesEnvErrors verifies the serving path surfaces
-// trace corruption instead of mispricing silently.
-func TestEvaluateAgentPropagatesEnvErrors(t *testing.T) {
-	tr := polarTrace(t, 4, 10)
-	tr.Files[2].SizeGB = 0 // invalid size -> mdp.NewEnv must fail
-	netCfg := NetConfig{HistLen: 7, Filters: 4, Kernel: 3, Stride: 1, Hidden: 8}
-	agent := NewAgent(netCfg, netCfg.BuildActor(rng.New(1)))
-	if _, _, err := EvaluateAgent(agent, costmodel.New(pricing.Azure()), tr, 7, pricing.Hot); err == nil {
-		t.Fatal("corrupted trace accepted")
-	}
-}
-
 // TestDecideTraceRejectsBadFiles: every input an mdp.Env episode refuses —
 // a non-positive history length, an invalid initial tier, a non-positive
 // size — and series that do not cover the trace's days or disagree in

@@ -72,14 +72,34 @@ func TrainWithSelection(a *A3C, model *costmodel.Model, tr *trace.Trace, reward 
 		total.CostSum += stats.CostSum
 
 		snap := a.Snapshot()
-		bd, _, err := EvaluateAgent(snap, model, val, a.cfg.Net.HistLen, initial)
+		cost, err := planBill(snap, model, val, a.cfg.Net.HistLen, initial)
 		if err != nil {
 			return nil, TrainStats{}, err
 		}
-		if best == nil || bd.Total() < bestCost {
+		if best == nil || cost < bestCost {
 			best = snap
-			bestCost = bd.Total()
+			bestCost = cost
 		}
 	}
 	return best, total, nil
+}
+
+// planBill plans tr with the agent and returns the plan's total bill, every
+// file starting in initial, summed in file order: policy.Score's number for
+// one RL row, which rl cannot import. It plans through PlanTrace in
+// DefaultBatchRows chunks on a pool of its own.
+func planBill(agent *Agent, model *costmodel.Model, tr *trace.Trace, histLen int, initial pricing.Tier) (float64, error) {
+	asg, err := PlanTrace(NewReplicaPool(agent), tr, histLen, initial, DefaultBatchRows, 0)
+	if err != nil {
+		return 0, err
+	}
+	var total costmodel.Breakdown
+	for i, plan := range asg {
+		bd, err := model.PlanCost(initial, plan, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i])
+		if err != nil {
+			return 0, err
+		}
+		total = total.Add(bd)
+	}
+	return total.Total(), nil
 }

@@ -43,7 +43,7 @@ func TestTrainWithSelectionReturnsScoredAgent(t *testing.T) {
 	}
 	// The selected snapshot must not be worse than untrained all-hot-ish
 	// behaviour on the same workload: compare against the all-hot bill.
-	got, _, err := EvaluateAgent(agent, m, tr, cfg.Net.HistLen, pricing.Hot)
+	got, err := planBill(agent, m, tr, cfg.Net.HistLen, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestTrainWithSelectionReturnsScoredAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot := costmodel.SumBreakdowns(bds).Total()
-	if got.Total() > hot {
-		t.Fatalf("selected agent %v worse than all-hot %v", got.Total(), hot)
+	if got > hot {
+		t.Fatalf("selected agent %v worse than all-hot %v", got, hot)
 	}
 	// Chunked selection must leave the trainer resumable.
 	if a3c.Steps() < 30000 {

@@ -57,24 +57,3 @@ func (s *TraceSource) ReinitEnv(r *rng.RNG, env *mdp.Env) {
 		panic(fmt.Sprintf("rl: trace env: %v", err))
 	}
 }
-
-// EvaluateAgent runs the greedy policy over every file in the trace and
-// returns the total bill — the serving-side counterpart of training, used by
-// experiments and tests to score a snapshot. It plans through PlanTrace in
-// DefaultBatchRows chunks on a pool of its own, which is what keeps
-// per-checkpoint validation affordable during training.
-func EvaluateAgent(agent *Agent, model *costmodel.Model, tr *trace.Trace, histLen int, initial pricing.Tier) (costmodel.Breakdown, costmodel.Assignment, error) {
-	asg, err := PlanTrace(NewReplicaPool(agent), tr, histLen, initial, DefaultBatchRows, 0)
-	if err != nil {
-		return costmodel.Breakdown{}, nil, err
-	}
-	init := make([]pricing.Tier, tr.NumFiles())
-	for i := range init {
-		init[i] = initial
-	}
-	bds, err := model.TraceCost(tr, asg, init, 0)
-	if err != nil {
-		return costmodel.Breakdown{}, nil, err
-	}
-	return costmodel.SumBreakdowns(bds), asg, nil
-}

@@ -145,11 +145,20 @@ func OptimalBaseline() Assigner { return policy.Optimal{} }
 // paper's §3 motivates).
 func PredictiveBaseline() Assigner { return policy.DefaultPredictive() }
 
-// EvaluateAssigner prices an assigner's plan on a trace under a pricing
-// policy (files start hot). It returns the total bill.
-func EvaluateAssigner(a Assigner, tr *Trace, p *PricingPolicy) (Breakdown, error) {
-	bd, _, err := policy.Evaluate(a, tr, costmodel.New(p), pricing.Hot)
-	return bd, err
+// Baselines returns the paper's comparison methods in its plot order: Hot,
+// Cold, Greedy and Optimal.
+func Baselines() []Assigner { return policy.Baselines(0) }
+
+// Scoreboard holds each scored method's row on one trace, in the order the
+// methods were given: its name, plan, per-file bills, total bill and ratio
+// to the board's "optimal" row.
+type Scoreboard = policy.Scoreboard
+
+// Score prices each method's plan on a trace under a pricing policy, every
+// file starting hot: the paper's yardstick (§6.1), e.g.
+// Score(tr, p, Baselines()...).
+func Score(tr *Trace, p *PricingPolicy, methods ...Assigner) (Scoreboard, error) {
+	return policy.Score(costmodel.New(p), tr, pricing.Hot, 0, methods...)
 }
 
 // Multi-datacenter deployments (§4.1: the file set spans datacenters, each

@@ -53,27 +53,18 @@ func TestPublicSurfaceEndToEnd(t *testing.T) {
 func TestBaselinesThroughFacade(t *testing.T) {
 	tr := smallTrace(t)
 	p := minicost.AzurePricing()
-	costs := map[string]float64{}
-	for name, a := range map[string]minicost.Assigner{
-		"hot":        minicost.HotBaseline(),
-		"cold":       minicost.ColdBaseline(),
-		"archive":    minicost.ArchiveBaseline(),
-		"greedy":     minicost.GreedyBaseline(),
-		"optimal":    minicost.OptimalBaseline(),
-		"predictive": minicost.PredictiveBaseline(),
-	} {
-		bd, err := minicost.EvaluateAssigner(a, tr, p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		costs[name] = bd.Total()
+	methods := append(minicost.Baselines(), minicost.ArchiveBaseline(), minicost.PredictiveBaseline())
+	board, err := minicost.Score(tr, p, methods...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, c := range costs {
-		if name == "optimal" {
-			continue
-		}
-		if costs["optimal"] > c+1e-9 {
-			t.Fatalf("optimal %v beaten by %s %v", costs["optimal"], name, c)
+	opt, ok := board.Find("optimal")
+	if !ok {
+		t.Fatal("no optimal row")
+	}
+	for _, row := range board {
+		if opt.Total.Total() > row.Total.Total()+1e-9 {
+			t.Fatalf("optimal %v beaten by %s %v", opt.Total.Total(), row.Name, row.Total.Total())
 		}
 	}
 }
