@@ -55,8 +55,8 @@ check-purego:
 	$(GO) test -tags purego -count=1 ./internal/mat ./internal/nn ./internal/rl
 
 # smoke-serve boots minicostd with a tiny bootstrap agent, exercises
-# observe -> plan, and asserts /healthz answers and /metrics exposes the
-# serving, training, and simulation metric families.
+# observe -> plan, and asserts /healthz answers, /metrics exposes the
+# serving and training metric families, and the bootstrap bill was logged.
 smoke-serve:
 	sh scripts/smoke_serve.sh
 

@@ -7,9 +7,8 @@
 // code calling rl.Agent.Save), from a learner checkpoint written by the
 // online subsystem (-load-checkpoint restores the full trainer state);
 // without either, minicostd bootstraps by training on a synthetic workload
-// so the service is demonstrable out of the box, then replays the
-// bootstrapped policy against the cloudsim store so the simulated bill is
-// visible on /metrics.
+// so the service is demonstrable out of the box, then bills the
+// bootstrapped policy on that workload and logs the bill.
 //
 // With -online the daemon closes the serve→train loop (DESIGN.md §16): the
 // serving store keeps each file's history over the learner's window, drift
@@ -20,7 +19,7 @@
 // /v1/learner and /healthz).
 //
 // The daemon enables the process-wide obs registry: /metrics exposes the
-// serving, training, and simulation metric families in Prometheus text
+// serving and training metric families in Prometheus text
 // format, /healthz answers liveness, and -pprof mounts the standard
 // /debug/pprof handlers. SIGINT/SIGTERM drain in-flight requests through
 // server.Shutdown before exit.
@@ -86,7 +85,7 @@ func main() {
 	flag.Parse()
 
 	// Turn the default-off registry on before bootstrapping so the training
-	// and simulation instruments record from the first step.
+	// instruments record from the first step.
 	obs.Default().SetEnabled(*metrics)
 
 	// Which GEMM kernel tier CPUID selected: a plan latency is only
@@ -259,8 +258,8 @@ type bootState struct {
 
 // loadOrBootstrap resolves the serving policy: a learner checkpoint (full
 // trainer state), an actor checkpoint (fresh critic), or a synthetic
-// bootstrap run; after bootstrapping it replays the policy against the
-// cloudsim store so the run's simulated bill lands on /metrics. With
+// bootstrap run; after bootstrapping it bills the policy on the bootstrap
+// workload and logs the bill. With
 // opts.online the returned trainer's published actor is bitwise the serving
 // agent's, so the learner's first rollback point and incumbent agree.
 func loadOrBootstrap(opts bootOpts) (*bootState, error) {
@@ -332,7 +331,7 @@ func loadOrBootstrap(opts bootOpts) (*bootState, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "minicostd: bootstrap eval: simulated bill $%.4f over %d days (%d tier changes)\n",
+	fmt.Fprintf(os.Stderr, "minicostd: bootstrap eval: bill $%.4f over %d days (%d tier changes)\n",
 		report.Total.Total(), tr.Days, report.TierChanges)
 	st := &bootState{agent: sys.Agent(), model: sys.Model(), baseline: tr}
 	if opts.online {

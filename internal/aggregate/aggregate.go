@@ -113,10 +113,7 @@ func ScoreGroups(tr *trace.Trace, m *costmodel.Model, cfg Config, day int) ([]Gr
 			sum += g.Concurrent[d]
 		}
 		rdc := sum / float64(day-lo)
-		size := 0.0
-		for _, mber := range g.Members {
-			size += tr.Files[mber].SizeGB
-		}
+		size := GroupSizeGB(tr, gi)
 		out = append(out, GroupScore{
 			Group:     gi,
 			Omega:     Omega(len(g.Members), rdc, size, up, urf),
@@ -225,49 +222,75 @@ func (a *Aggregator) Update(tr *trace.Trace, day int) (create, del []int, err er
 // ErrNoGroups reports a trace without concurrency information.
 var ErrNoGroups = errors.New("aggregate: trace has no concurrency groups")
 
-// ApplyToTrace rewrites a trace as if the given groups were aggregated for
-// the whole horizon: each member's reads drop by the group's concurrent
-// rate (those requests now hit the replica), and one new pseudo-file per
-// group is appended carrying the replica's size and the concurrent reads.
-// The result prices aggregation with any Assigner; it shares no storage
-// with the input.
-func ApplyToTrace(tr *trace.Trace, groups []int) (*trace.Trace, error) {
+// Lifetime is one replica's life: group Group's replica is live from day
+// From through day To−1.
+type Lifetime struct{ Group, From, To int }
+
+// GroupSizeGB is the size of group gi's replica: a copy of every member
+// (§5.2).
+func GroupSizeGB(tr *trace.Trace, gi int) float64 {
+	size := 0.0
+	for _, m := range tr.Groups[gi].Members {
+		size += tr.Files[m].SizeGB
+	}
+	return size
+}
+
+// Reroute returns a copy of the trace's read series with each lifetime's
+// concurrent reads moved off its group's members: on every day a replica is
+// live, each member's reads drop by the group's r_dc, clamped at 0, because
+// those requests now hit the replica. Lifetimes apply in ascending group
+// order whatever order they are listed in, so the result is the same for
+// every caller. The result shares no storage with tr.
+func Reroute(tr *trace.Trace, lives []Lifetime) ([][]float64, error) {
 	if len(tr.Groups) == 0 {
 		return nil, ErrNoGroups
 	}
-	out := &trace.Trace{Days: tr.Days}
-	out.Files = append([]trace.FileMeta(nil), tr.Files...)
-	out.Reads = make([][]float64, len(tr.Reads), len(tr.Reads)+len(groups))
-	out.Writes = make([][]float64, len(tr.Writes), len(tr.Writes)+len(groups))
+	sorted := append([]Lifetime(nil), lives...)
+	for _, l := range sorted {
+		if l.Group < 0 || l.Group >= len(tr.Groups) {
+			return nil, fmt.Errorf("aggregate: group %d out of range", l.Group)
+		}
+	}
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Group < sorted[j].Group })
+	reads := make([][]float64, len(tr.Reads))
 	for i := range tr.Reads {
-		out.Reads[i] = append([]float64(nil), tr.Reads[i]...)
+		reads[i] = append([]float64(nil), tr.Reads[i]...)
+	}
+	for _, l := range sorted {
+		g := tr.Groups[l.Group]
+		for d := l.From; d < l.To; d++ {
+			for _, m := range g.Members {
+				reads[m][d] = max(reads[m][d]-g.Concurrent[d], 0)
+			}
+		}
+	}
+	return reads, nil
+}
+
+// ApplyToTrace rewrites a trace as if the given groups were aggregated for
+// the whole horizon: Reroute moves the groups' concurrent reads onto the
+// replicas, and one new pseudo-file per group, in the order given, is
+// appended carrying the replica's size and the concurrent reads. The result
+// prices aggregation with any Assigner; it shares no storage with the input.
+func ApplyToTrace(tr *trace.Trace, groups []int) (*trace.Trace, error) {
+	lives := make([]Lifetime, len(groups))
+	for i, gi := range groups {
+		lives[i] = Lifetime{Group: gi, From: 0, To: tr.Days}
+	}
+	reads, err := Reroute(tr, lives)
+	if err != nil {
+		return nil, err
+	}
+	out := &trace.Trace{Days: tr.Days, Reads: reads}
+	out.Files = append([]trace.FileMeta(nil), tr.Files...)
+	out.Writes = make([][]float64, len(tr.Writes))
+	for i := range tr.Writes {
 		out.Writes[i] = append([]float64(nil), tr.Writes[i]...)
 	}
 	for _, gi := range groups {
-		if gi < 0 || gi >= len(tr.Groups) {
-			return nil, fmt.Errorf("aggregate: group %d out of range", gi)
-		}
-		g := tr.Groups[gi]
-		size := 0.0
-		for _, m := range g.Members {
-			size += tr.Files[m].SizeGB
-		}
-		reads := make([]float64, tr.Days)
-		for d := 0; d < tr.Days; d++ {
-			rdc := g.Concurrent[d]
-			reads[d] = rdc
-			for _, m := range g.Members {
-				out.Reads[m][d] -= rdc
-				if out.Reads[m][d] < 0 {
-					out.Reads[m][d] = 0
-				}
-			}
-		}
-		out.Files = append(out.Files, trace.FileMeta{
-			ID:     len(out.Files),
-			SizeGB: size,
-		})
-		out.Reads = append(out.Reads, reads)
+		out.Files = append(out.Files, trace.FileMeta{ID: len(out.Files), SizeGB: GroupSizeGB(tr, gi)})
+		out.Reads = append(out.Reads, append([]float64(nil), tr.Groups[gi].Concurrent...))
 		out.Writes = append(out.Writes, make([]float64, tr.Days))
 	}
 	// Groups are intentionally dropped: the derived trace represents the

@@ -1,8 +1,8 @@
 // Package core assembles MiniCost, the paper's system (Fig. 5): an RL agent
 // deployed on the web application's side that monitors per-file request
 // frequencies, trains an A3C policy on historical data, and every day
-// generates a data-storage-type assignment plan executed against the cloud
-// store; the concurrent-request aggregation enhancement (§5.2) runs on its
+// generates a data-storage-type assignment plan, billed through the cost
+// model; the concurrent-request aggregation enhancement (§5.2) runs on its
 // weekly cadence alongside.
 package core
 
@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"minicost/internal/aggregate"
-	"minicost/internal/cloudsim"
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
 	"minicost/internal/policy"
@@ -78,6 +77,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.TrainSteps < 0 {
 		return nil, fmt.Errorf("core: TrainSteps %d", cfg.TrainSteps)
 	}
+	if cfg.AggregationPeriod < 0 {
+		return nil, fmt.Errorf("core: AggregationPeriod %d", cfg.AggregationPeriod)
+	}
 	if cfg.Aggregation != nil {
 		if err := cfg.Aggregation.Validate(); err != nil {
 			return nil, err
@@ -131,13 +133,12 @@ func (s *System) Trainer() *rl.A3C { return s.a3c }
 
 // RunReport is the outcome of serving a trace.
 type RunReport struct {
-	// Total is the bill for the whole run; Daily the per-day ledger.
+	// Total is the bill for the whole run.
 	Total costmodel.Breakdown
-	Daily []costmodel.Breakdown
 	// DecisionTime is the wall-clock time the assignment algorithm spent
 	// deciding every file-day of the run (Fig. 12's computing overhead).
 	DecisionTime time.Duration
-	// TierChanges counts executed tier transitions.
+	// TierChanges counts the plan's tier transitions.
 	TierChanges int
 	// AggregatedGroups is the number of groups with an active replica at
 	// the end of the run.
@@ -147,15 +148,16 @@ type RunReport struct {
 // ErrUntrained is returned by Run before the agent exists.
 var ErrUntrained = errors.New("core: system has no trained agent; call Train first")
 
-// Run serves a test trace day by day against a simulated store. The trained
-// agent decides every file's tier for every day from the trailing frequency
-// history (Algorithm 1's serving loop) in one batched pass through the
-// system's Assigner: a file's state depends only on the trace and the tiers
-// already chosen for it, so the plan does not wait on the store. Each day the
-// store then executes that day's tiers and bills the day's requests; when
-// aggregation is enabled, Algorithm 2 re-evaluates groups on its period,
-// creating and evicting replica objects. The returned report carries the
-// ground-truth bill from the store's meter.
+// Run serves a test trace. The trained agent decides every file's tier for
+// every day from the trailing frequency history (Algorithm 1's serving loop)
+// in one batched pass through the system's Assigner: a file's state depends
+// only on the trace and the tiers already chosen for it, so the plan is
+// decided on the raw trace and aggregation never changes it. The plan is
+// billed through the cost model exactly as policy.Score bills a method, so
+// without aggregation Total is that method's Score row bit for bit. With
+// aggregation, Algorithm 2 runs on its period; each replica's concurrent
+// reads move off its members for the days it is live, and the replica is
+// billed in its tier from its creation day until its eviction.
 func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 	assigner, err := s.Assigner()
 	if err != nil {
@@ -164,108 +166,83 @@ func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	start := time.Now() //minicost:allow-wallclock DecisionTime is a measurement, never a decision input
 	plan, err := assigner.Assign(tr, s.model, s.cfg.InitialTier)
 	if err != nil {
 		return nil, err
 	}
-	report := &RunReport{DecisionTime: time.Since(start)}
-	store, ids := cloudsim.FromTrace(s.model, tr, s.cfg.InitialTier)
-
-	var agg *aggregate.Aggregator
-	aggPeriod := s.cfg.AggregationPeriod
-	if aggPeriod <= 0 {
-		aggPeriod = 7
+	report := &RunReport{DecisionTime: time.Since(start)} //minicost:allow-wallclock DecisionTime is a measurement
+	lives, err := s.replicaLifetimes(tr)
+	if err != nil {
+		return nil, err
 	}
-	if s.cfg.Aggregation != nil {
-		if agg, err = aggregate.New(s.model, *s.cfg.Aggregation); err != nil {
-			return nil, err
-		}
-	}
-	// replicaOf maps group index -> replica object id.
-	replicaOf := make(map[int]cloudsim.ObjectID)
-
-	reads := make([]float64, tr.NumFiles())
-	writes := make([]float64, tr.NumFiles())
-	for day := 0; day < tr.Days; day++ {
-		// 1. Execute today's column of the plan on the store.
-		for i, id := range ids {
-			tier := plan[i][day]
-			prev, err := store.Tier(id)
-			if err != nil {
-				return nil, err
-			}
-			if prev != tier {
-				report.TierChanges++
-			}
-			if err := store.SetTier(id, tier); err != nil {
-				return nil, err
-			}
-		}
-
-		// 2. Aggregation maintenance on its weekly cadence (needs at least
-		// one observed day).
-		if agg != nil && day > 0 && day%aggPeriod == 0 {
-			create, del, err := agg.Update(tr, day)
-			if err != nil {
-				return nil, err
-			}
-			for _, gi := range del {
-				if id, ok := replicaOf[gi]; ok {
-					if err := store.RemoveObject(id); err != nil {
-						return nil, err
-					}
-					delete(replicaOf, gi)
-				}
-			}
-			for _, gi := range create {
-				members := make([]cloudsim.ObjectID, len(tr.Groups[gi].Members))
-				for j, m := range tr.Groups[gi].Members {
-					members[j] = ids[m]
-				}
-				id, err := store.AddReplica(members, s.cfg.Aggregation.ReplicaTier)
-				if err != nil {
-					return nil, err
-				}
-				replicaOf[gi] = id
-			}
-		}
-
-		// 3. Serve today's requests: concurrent reads of aggregated groups
-		// hit the replica instead of every member.
-		reads = reads[:tr.NumFiles()]
-		writes = writes[:tr.NumFiles()]
-		for i := range reads {
-			reads[i] = tr.Reads[i][day]
-			writes[i] = tr.Writes[i][day]
-		}
-		allReads := reads
-		allWrites := writes
-		if store.NumObjects() > tr.NumFiles() {
-			allReads = make([]float64, store.NumObjects())
-			allWrites = make([]float64, store.NumObjects())
-			copy(allReads, reads)
-			copy(allWrites, writes)
-		}
-		for gi, id := range replicaOf {
-			rdc := tr.Groups[gi].Concurrent[day]
-			allReads[id] += rdc
-			for _, m := range tr.Groups[gi].Members {
-				allReads[m] -= rdc
-				if allReads[m] < 0 {
-					allReads[m] = 0
-				}
-			}
-		}
-		bd, err := store.ServeDay(allReads, allWrites)
+	billed := tr
+	if len(lives) > 0 {
+		reads, err := aggregate.Reroute(tr, lives)
 		if err != nil {
 			return nil, err
 		}
-		report.Daily = append(report.Daily, bd)
+		billed = &trace.Trace{Days: tr.Days, Files: tr.Files, Reads: reads, Writes: tr.Writes}
 	}
-	report.Total = store.TotalBill()
-	report.AggregatedGroups = len(replicaOf)
+	initial := make([]pricing.Tier, tr.NumFiles())
+	for i := range initial {
+		initial[i] = s.cfg.InitialTier
+		report.TierChanges += plan[i].Changes(s.cfg.InitialTier)
+	}
+	bds, err := s.model.TraceCost(billed, plan, initial, s.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	for _, l := range lives {
+		tier, days := s.cfg.Aggregation.ReplicaTier, l.To-l.From
+		bd, err := s.model.PlanCost(tier, costmodel.Uniform(tier, days), aggregate.GroupSizeGB(tr, l.Group),
+			tr.Groups[l.Group].Concurrent[l.From:l.To], make([]float64, days))
+		if err != nil {
+			return nil, err
+		}
+		bds = append(bds, bd)
+		if l.To == tr.Days {
+			report.AggregatedGroups++
+		}
+	}
+	report.Total = costmodel.SumBreakdowns(bds)
 	return report, nil
+}
+
+// replicaLifetimes runs Algorithm 2 over the trace on the system's period,
+// from the first period day on (it needs an observed day), and returns the
+// replica lifetimes it produces in creation order. A replica still live at
+// the end of the trace closes at tr.Days. Without aggregation it returns
+// none.
+func (s *System) replicaLifetimes(tr *trace.Trace) ([]aggregate.Lifetime, error) {
+	if s.cfg.Aggregation == nil {
+		return nil, nil
+	}
+	agg, err := aggregate.New(s.model, *s.cfg.Aggregation)
+	if err != nil {
+		return nil, err
+	}
+	period := s.cfg.AggregationPeriod
+	if period == 0 {
+		period = 7
+	}
+	var lives []aggregate.Lifetime
+	open := make(map[int]int) // group -> index of its live replica in lives
+	for day := period; day < tr.Days; day += period {
+		create, del, err := agg.Update(tr, day)
+		if err != nil {
+			return nil, err
+		}
+		for _, gi := range del {
+			lives[open[gi]].To = day
+			delete(open, gi)
+		}
+		for _, gi := range create {
+			open[gi] = len(lives)
+			lives = append(lives, aggregate.Lifetime{Group: gi, From: day, To: tr.Days})
+		}
+	}
+	return lives, nil
 }
 
 // Assigner returns this system's trained agent wrapped as a policy.Assigner

@@ -102,14 +102,10 @@ func TestTrainAndRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Daily) != test.Days {
-		t.Fatal("report day count wrong")
-	}
 	if report.Total.Total() <= 0 {
 		t.Fatal("zero bill")
 	}
-	// Run's store-metered bill must equal pricing the same assignment via
-	// the cost model (two independent accounting paths).
+	// Run's bill must equal the assigner's Score row.
 	assigner, err := s.Assigner()
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +116,7 @@ func TestTrainAndRunEndToEnd(t *testing.T) {
 	}
 	cost, hot := board[0].Total, board[1].Total
 	if math.Abs(cost.Total()-report.Total.Total()) > 1e-6 {
-		t.Fatalf("store bill %v != assigner bill %v", report.Total.Total(), cost.Total())
+		t.Fatalf("Run bill %v != assigner bill %v", report.Total.Total(), cost.Total())
 	}
 	// The trained system must beat the all-hot baseline on the test set.
 	if report.Total.Total() >= hot.Total() {
@@ -191,24 +187,6 @@ func TestSetAgentSkipsTraining(t *testing.T) {
 	}
 }
 
-func TestRunReportLedgerConsistent(t *testing.T) {
-	cfg := testConfig()
-	cfg.TrainSteps = 0
-	s, _ := New(cfg)
-	tr := genTrace(t, 10, 14, 6)
-	if _, err := s.Train(tr); err != nil {
-		t.Fatal(err)
-	}
-	report, err := s.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := costmodel.SumBreakdowns(report.Daily)
-	if math.Abs(sum.Total()-report.Total.Total()) > 1e-9 {
-		t.Fatal("daily ledger does not sum to total")
-	}
-}
-
 // aggTrace is a workload with concurrent-request groups for the aggregation
 // enhancement to act on.
 func aggTrace(t testing.TB, files, days int, seed uint64) *trace.Trace {
@@ -228,10 +206,10 @@ func aggTrace(t testing.TB, files, days int, seed uint64) *trace.Trace {
 
 // TestRunExecutesTheRLPlan pins Run to its Assigner. With a deterministic
 // agent (TrainSteps = 0 installs the seeded initial snapshot, no training
-// runs) the store must execute exactly the plan Assign returns: TierChanges
-// is the plan's transition count and the metered Total is the plan's
-// TraceCost. Aggregation changes what the store bills, never the plan, so
-// with it on TierChanges stays the same.
+// runs) Run must bill exactly the plan Assign returns: TierChanges is the
+// plan's transition count and Total is the plan's TraceCost. Aggregation
+// changes the bill, never the plan, so with it on TierChanges stays the
+// same.
 func TestRunExecutesTheRLPlan(t *testing.T) {
 	cfg := testConfig()
 	cfg.TrainSteps = 0
@@ -293,5 +271,240 @@ func TestRunExecutesTheRLPlan(t *testing.T) {
 	}
 	if aggReport.TierChanges != changes {
 		t.Fatalf("with aggregation Run executed %d tier changes, the plan has %d", aggReport.TierChanges, changes)
+	}
+}
+
+// TestRunBillIsTheScoreRow holds Run to the scoreboard: without
+// aggregation its Total is the assigner's policy.Score row bit for bit,
+// also when the model charges early deletion.
+func TestRunBillIsTheScoreRow(t *testing.T) {
+	cfg := testConfig()
+	cfg.TrainSteps = 0
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := aggTrace(t, 80, 28, 3)
+	if _, err := sys.Train(tr); err != nil {
+		t.Fatal(err)
+	}
+	assigner, err := sys.Assigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bills []float64
+	for _, retention := range []bool{false, true} {
+		sys.Model().ChargeRetention = retention
+		report, err := sys.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		board, err := policy.Score(sys.Model(), tr, cfg.InitialTier, 0, assigner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Total != board[0].Total {
+			t.Fatalf("ChargeRetention=%v: Run billed %.17g (%v), Score row %.17g (%v)", retention,
+				report.Total.Total(), report.Total, board[0].Total.Total(), board[0].Total)
+		}
+		bills = append(bills, report.Total.Total())
+	}
+	if bills[0] == bills[1] { //minicost:allow-floatcmp the charge must move the bill at all
+		t.Fatal("the retention charge did not move the bill; the test needs early tier changes")
+	}
+}
+
+// meterRun is a day-by-day reference for Run's bill with aggregation on.
+// Each day it executes the plan's column, charging Trans on every tier
+// change, runs Algorithm 2 on the period, and bills Stor + r·Read + w·Write
+// for every live object: files in their planned tier, replicas in the
+// replica tier, with each live replica's concurrent reads moved off its
+// members. It also counts evictions and re-creations of evicted groups.
+func meterRun(t *testing.T, sys *System, tr *trace.Trace, plan costmodel.Assignment) (total float64, evictions, recreations int) {
+	t.Helper()
+	m, cfg := sys.Model(), sys.cfg
+	agg, err := aggregate.New(m, *cfg.Aggregation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	period := cfg.AggregationPeriod
+	if period == 0 {
+		period = 7
+	}
+	files := make([]costmodel.FileCoeffs, tr.NumFiles())
+	tiers := make([]pricing.Tier, tr.NumFiles())
+	for i, f := range tr.Files {
+		files[i] = m.FileCoeffs(f.SizeGB)
+		tiers[i] = cfg.InitialTier
+	}
+	replicas := make([]costmodel.FileCoeffs, len(tr.Groups))
+	for gi := range tr.Groups {
+		replicas[gi] = m.FileCoeffs(aggregate.GroupSizeGB(tr, gi))
+	}
+	live := make([]bool, len(tr.Groups))
+	evicted := make([]bool, len(tr.Groups))
+	rt := cfg.Aggregation.ReplicaTier
+	for day := 0; day < tr.Days; day++ {
+		for i := range tiers {
+			total += files[i].Transition(tiers[i], plan[i][day])
+			tiers[i] = plan[i][day]
+		}
+		if day > 0 && day%period == 0 {
+			create, del, err := agg.Update(tr, day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, gi := range del {
+				live[gi], evicted[gi] = false, true
+				evictions++
+			}
+			for _, gi := range create {
+				if evicted[gi] {
+					recreations++
+				}
+				live[gi] = true
+			}
+		}
+		reads := make([]float64, tr.NumFiles())
+		for i := range reads {
+			reads[i] = tr.Reads[i][day]
+		}
+		for gi, g := range tr.Groups {
+			if !live[gi] {
+				continue
+			}
+			rdc := g.Concurrent[day]
+			total += replicas[gi].Stor[rt] + rdc*replicas[gi].Read[rt]
+			for _, mb := range g.Members {
+				reads[mb] = max(reads[mb]-rdc, 0)
+			}
+		}
+		for i, c := range files {
+			total += c.Stor[tiers[i]] + reads[i]*c.Read[tiers[i]] + tr.Writes[i][day]*c.Write[tiers[i]]
+		}
+	}
+	return total, evictions, recreations
+}
+
+// evictionTrace is a hand-built workload on which Algorithm 2 (weekly,
+// EvictAfter 2) creates group 0's replica on day 7, evicts it on day 21
+// after two idle weeks and re-creates it on day 28; group 1 stays
+// aggregated from day 7 to the end and group 2 never pays.
+func evictionTrace() *trace.Trace {
+	const days = 35
+	tr := &trace.Trace{Days: days}
+	conc := [3]func(d int) float64{
+		func(d int) float64 {
+			if d >= 7 && d < 21 {
+				return 0
+			}
+			return 900 + float64(d%3)
+		},
+		func(d int) float64 { return 600 + float64(d%5) },
+		func(int) float64 { return 0 },
+	}
+	members := [][]int{{0, 1}, {2, 3, 4}, {5, 6}}
+	for i := 0; i < 9; i++ {
+		reads, writes := make([]float64, days), make([]float64, days)
+		for d := range reads {
+			reads[d] = float64((i*7 + d*3) % 11)
+			writes[d] = float64((i + d) % 3)
+		}
+		tr.Files = append(tr.Files, trace.FileMeta{ID: i, SizeGB: 0.01 * float64(i+1)})
+		tr.Reads = append(tr.Reads, reads)
+		tr.Writes = append(tr.Writes, writes)
+	}
+	for gi, mbs := range members {
+		c := make([]float64, days)
+		for d := range c {
+			c[d] = conc[gi](d)
+			for _, mb := range mbs {
+				tr.Reads[mb][d] += c[d] + float64(mb)
+			}
+		}
+		tr.Groups = append(tr.Groups, trace.Group{Members: mbs, Concurrent: c})
+	}
+	return tr
+}
+
+// TestRunAggregationMatchesDayByDayMeter holds Run's lifetime billing to
+// the day-by-day reference meter on a trace whose replica is evicted and
+// re-created.
+func TestRunAggregationMatchesDayByDayMeter(t *testing.T) {
+	cfg := testConfig()
+	cfg.TrainSteps = 0
+	aggCfg := aggregate.DefaultConfig()
+	cfg.Aggregation = &aggCfg
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := evictionTrace()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Train(tr); err != nil {
+		t.Fatal(err)
+	}
+	assigner, err := sys.Assigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := assigner.Assign(tr, sys.Model(), cfg.InitialTier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, evictions, recreations := meterRun(t, sys, tr, plan)
+	if evictions == 0 || recreations == 0 {
+		t.Fatalf("%d evictions, %d re-creations; the trace must see both", evictions, recreations)
+	}
+	report, err := sys.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.Total.Total(); math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("Run billed %.17g, the day-by-day meter %.17g", got, want)
+	}
+	if report.AggregatedGroups != 2 {
+		t.Fatalf("%d groups aggregated at the end, want 2", report.AggregatedGroups)
+	}
+}
+
+// TestNewAggregationPeriod refuses a negative period; 0 keeps its meaning
+// of weekly, so it bills like 7.
+func TestNewAggregationPeriod(t *testing.T) {
+	tr := aggTrace(t, 80, 28, 3)
+	var weekly float64
+	for _, tc := range []struct {
+		period  int
+		wantErr bool
+	}{{-7, true}, {-1, true}, {7, false}, {0, false}, {3, false}} {
+		cfg := testConfig()
+		cfg.TrainSteps = 0
+		aggCfg := aggregate.DefaultConfig()
+		cfg.Aggregation = &aggCfg
+		cfg.AggregationPeriod = tc.period
+		sys, err := New(cfg)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("period %d: err = %v, want error %v", tc.period, err, tc.wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if _, err := sys.Train(tr); err != nil {
+			t.Fatal(err)
+		}
+		report, err := sys.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch tc.period {
+		case 7:
+			weekly = report.Total.Total()
+		case 0:
+			if got := report.Total.Total(); got != weekly { //minicost:allow-floatcmp 0 and 7 run the same schedule
+				t.Fatalf("period 0 billed %v, period 7 %v", got, weekly)
+			}
+		}
 	}
 }

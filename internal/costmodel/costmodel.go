@@ -71,8 +71,8 @@ func New(p *pricing.Policy) *Model { return &Model{Policy: p} }
 //	Stor[t] + reads·Read[t] + writes·Write[t]
 //
 // plus Trans when the day starts with a tier change. They are the only way
-// the system prices a file-day: the MDP reward, the simulated store's
-// meter, the baselines and the plan kernels all bill through them. Deriving
+// the system prices a file-day: the MDP reward, the baselines and the plan
+// kernel behind every bill (core.System.Run's included) go through them. Deriving
 // them once per file turns every per-day pricing into three multiply-adds.
 type FileCoeffs struct {
 	Stor  [pricing.NumTiers]float64 // storage $/day (Eq. 6 prorated)

@@ -65,6 +65,7 @@ var DeterministicPackages = map[string]bool{
 	"minicost/internal/forecast":    true,
 	"minicost/internal/pricing":     true,
 	"minicost/internal/online":      true,
+	"minicost/internal/core":        true,
 }
 
 // Diagnostic is one finding, positioned in the shared FileSet.

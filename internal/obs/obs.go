@@ -6,13 +6,13 @@
 //
 // The package-global Default registry starts DISABLED: every metric op on a
 // disabled registry is a single atomic bool load and an early return, so
-// instrumented hot paths (serving, training, simulation) pay nothing until
+// instrumented hot paths (serving, training) pay nothing until
 // a daemon opts in with Default().SetEnabled(true). cmd/minicostd does; the
 // experiment and bench binaries do not. BenchmarkDisabled* in obs and
 // BenchmarkObsOverhead in agentserver guard that contract.
 //
 // Naming scheme (DESIGN.md §12): minicost_<subsystem>_<what>[_<unit>] with
-// subsystems http, serve, train, eval, sim. Counters end in _total,
+// subsystems such as http, serve, train and online. Counters end in _total,
 // durations are _seconds, money is _dollars; constant labels pick out a
 // family member (e.g. minicost_http_requests_total{endpoint="plan"}).
 package obs

@@ -13,7 +13,7 @@
 //	tr, _ := minicost.GenerateTrace(minicost.DefaultTraceConfig())
 //	sys, _ := minicost.New(minicost.DefaultConfig())
 //	sys.Train(tr)                 // fit the agent on historical data
-//	report, _ := sys.Run(tr)      // serve and meter a workload
+//	report, _ := sys.Run(tr)      // serve a workload and bill its plan
 //	fmt.Println(report.Total)
 //
 // The heavy lifting lives in internal packages; this package re-exports the
@@ -106,8 +106,8 @@ type System = core.System
 // New builds a system from a configuration.
 func New(cfg Config) (*System, error) { return core.New(cfg) }
 
-// RunReport is the outcome of System.Run: the metered bill, per-day ledger,
-// decision-time accounting and tier-change counts.
+// RunReport is the outcome of System.Run: the bill, priced exactly as
+// Score prices a method, decision-time accounting and tier-change counts.
 type RunReport = core.RunReport
 
 // TrainStats summarizes a training run.

@@ -3,8 +3,9 @@
 #
 # Builds minicostd, boots it with a tiny bootstrap agent, waits for
 # /healthz, pushes one observation batch, fetches a plan, and asserts
-# /metrics exposes the serving, training, and simulation metric families
-# in Prometheus text format. Exits non-zero on any failure.
+# /metrics exposes the serving and training metric families in Prometheus
+# text format and that the daemon logged the bootstrap bill. Exits non-zero
+# on any failure.
 set -eu
 
 ADDR="127.0.0.1:${SMOKE_PORT:-18471}"
@@ -59,15 +60,18 @@ for family in \
     'minicost_serve_plans_total 1' \
     'minicost_serve_tracked_files 2' \
     'minicost_gemm_kernel_info{isa="[a-z0-9]*"} 1' \
-    'minicost_train_steps_total' \
-    'minicost_sim_accrued_cost_dollars' \
-    'minicost_sim_tier_changes_total'; do
+    'minicost_train_steps_total'; do
     if ! printf '%s\n' "$METRICS" | grep -q "^$family"; then
         echo "smoke-serve: /metrics missing '$family'" >&2
         printf '%s\n' "$METRICS" | head -40 >&2
         exit 1
     fi
 done
+
+if ! grep -q 'minicostd: bootstrap eval: bill \$' "$LOG"; then
+    echo "smoke-serve: daemon log lacks the bootstrap eval bill line" >&2
+    exit 1
+fi
 
 # Load generator against the live daemon: ingests a small population over
 # a few simulated days with interleaved plans, and fails (non-zero exit)
