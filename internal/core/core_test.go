@@ -84,7 +84,11 @@ func TestTrainAndRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
+	// One A3C worker, as experiments.Quick trains: at two the workers'
+	// interleaving is the scheduler's, and so is the trained policy, which
+	// made the all-hot comparison below fail now and then.
 	cfg := testConfig()
+	cfg.A3C.Workers = 1
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

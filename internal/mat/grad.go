@@ -202,8 +202,8 @@ func MulPackAccTo(dst, a *Matrix, pb *PackedTransB, workers int) {
 // blocked inside them (packKBlock, mulPackBlock's block length) so the revisited
 // segment stays cache-hot; dotPackRows accumulates into the live destination
 // rows, so no seeding pass is needed — the existing values are the seed.
-// The ragged last tile uses per-lane scalar dots, each still k-sequential
-// from the element's current value.
+// The ragged last tile goes through the same kernel a packRowPanel of rows
+// at a time (packTail), likewise from each element's current value.
 //
 //minicost:hotpath
 func mulPackAccBlock(dst, a *Matrix, pb *PackedTransB, lo, hi int) {
@@ -221,17 +221,8 @@ func mulPackAccBlock(dst, a *Matrix, pb *PackedTransB, lo, hi int) {
 		}
 	}
 	if full < n {
-		seg := pb.Data[full*k:]
-		for r := lo; r < hi; r++ {
-			arow := a.Data[r*k : (r+1)*k]
-			drow := dst.Data[r*n : (r+1)*n]
-			for lane := 0; full+lane < n; lane++ {
-				s := drow[full+lane]
-				for i, v := range arow {
-					s += v * seg[i*packLanes+lane]
-				}
-				drow[full+lane] = s
-			}
+		for p0 := lo; p0 < hi; p0 += packRowPanel {
+			packTail(dst, a, pb, p0, min(p0+packRowPanel, hi))
 		}
 	}
 }

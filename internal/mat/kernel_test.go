@@ -65,7 +65,7 @@ func saltedMatrix(rows, cols int, seed float64, nonFinite ...int) *Matrix {
 var (
 	tierRows = []int{1, 7, 8, 9, 15, 16, 61, 64, 67, 112}
 	tierKs   = []int{1, 191, 192, 193, 3206}
-	tierCols = []int{3, 16, 48, 128}
+	tierCols = []int{1, 3, 16, 22, 48, 128}
 )
 
 // tierShapes is the cross product of the three lists; -short keeps the

@@ -225,14 +225,14 @@ const packRowPanel = 64
 
 // mulPackBlock fills output rows [lo, hi) from the packed operand, one
 // packRowPanel of rows at a time. A panel's destination is first seeded with
-// the bias (or zero) over the full tiles; then the shared dimension is
-// blocked outermost (see packKBlock), then the column tiles, then the rows
-// (dotPackRows, eight to a kernel call where the CPU has the registers): the
-// tile segment the rows revisit stays L1-hot and the panel's k-block stays
-// L2-hot across the tiles, with the running sums parked in dst between
-// blocks. The ragged last tile uses per-lane scalar dots written straight
-// into dst (a scratch array would escape through the asm call and break the
-// allocation-free steady state). Every element stays k-sequential.
+// the bias (or zero); then the shared dimension is blocked outermost (see
+// packKBlock), then the column tiles, then the rows (dotPackRows, eight to a
+// kernel call where the CPU has the registers): the tile segment the rows
+// revisit stays L1-hot and the panel's k-block stays L2-hot across the
+// tiles, with the running sums parked in dst between blocks. The ragged last
+// tile then runs through the same kernel from its seeded lanes (packTail),
+// so a 3-wide output layer costs one tile per row, not three scalar dots.
+// Every element stays k-sequential.
 //
 //minicost:hotpath
 func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) {
@@ -244,7 +244,7 @@ func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) 
 			p1 = hi
 		}
 		for r := p0; r < p1; r++ {
-			acc := dst.Data[r*n : r*n+full]
+			acc := dst.Data[r*n : (r+1)*n]
 			if bias != nil {
 				copy(acc, bias)
 			} else {
@@ -263,23 +263,40 @@ func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) 
 				dotPackRows(dst.Data, n, j, a.Data, k, k0, k1, seg, p0, p1)
 			}
 		}
-	}
-	if full < n {
-		seg := pb.Data[full*k:]
-		for r := lo; r < hi; r++ {
-			arow := a.Data[r*k : (r+1)*k]
-			drow := dst.Data[r*n : (r+1)*n]
-			for lane := 0; full+lane < n; lane++ {
-				s := 0.0
-				if bias != nil {
-					s = bias[full+lane]
-				}
-				for i, v := range arow {
-					s += v * seg[i*packLanes+lane]
-				}
-				drow[full+lane] = s
-			}
+		if full < n {
+			packTail(dst, a, pb, p0, p1)
 		}
+	}
+}
+
+// packTail accumulates the ragged last column tile of pb — columns
+// [full, n), full the last multiple of 16 — into rows [r0, r1) of dst, at
+// most packRowPanel of them: dst[r][c] += Σ_k a[r][k]·B[c][k], k ascending
+// from the element's current value. Its accumulators are a 16-lane stack
+// panel with row stride 16, so dotPackRows takes the tile exactly as it
+// takes a full one, k-blocked the same way; the real lanes are loaded from
+// dst and copied back, and the lanes past n multiply the pack's zero
+// padding and are dropped. The kernels are go:noescape, so the panel stays
+// on the stack and the packed products stay allocation-free.
+//
+//minicost:hotpath
+func packTail(dst, a *Matrix, pb *PackedTransB, r0, r1 int) {
+	var acc [packRowPanel * packLanes]float64
+	n, k := pb.Cols, pb.K
+	full := n / packLanes * packLanes
+	for r := r0; r < r1; r++ {
+		copy(acc[(r-r0)*packLanes:], dst.Data[r*n+full:(r+1)*n])
+	}
+	tile := pb.Data[full*k:]
+	for k0 := 0; k0 < k; k0 += packKBlock {
+		k1 := k0 + packKBlock
+		if k1 > k {
+			k1 = k
+		}
+		dotPackRows(acc[:], packLanes, 0, a.Data[r0*k:], k, k0, k1, tile[k0*packLanes:k1*packLanes], 0, r1-r0)
+	}
+	for r := r0; r < r1; r++ {
+		copy(dst.Data[r*n+full:(r+1)*n], acc[(r-r0)*packLanes:])
 	}
 }
 

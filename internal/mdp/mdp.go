@@ -23,8 +23,12 @@ import (
 type State struct {
 	ReadHistory  []float64 // most recent last; length = Env.HistLen
 	WriteHistory []float64
-	SizeGB       float64
-	Tier         pricing.Tier
+	// ReadLogs optionally holds log1p of ReadHistory, day for day, filled by
+	// FillHistory from a precomputed series; nil makes FeaturesInto take
+	// the logarithms itself.
+	ReadLogs []float64
+	SizeGB   float64
+	Tier     pricing.Tier
 }
 
 // NumActions is the per-file action count |Γ| (Eq. 3): keep the tier or
@@ -61,10 +65,14 @@ func (s *State) Features() []float64 {
 // day-len(ReadHistory)+i. Days before the series start are clamped to day
 // 0, so a cold start repeats the first observation instead of looking like
 // a traffic cliff. Both windows must have the same length; the series must
-// cover day-1 (or day 0 when day is 0).
+// cover day-1 (or day 0 when day is 0). logs is either nil or log1p of
+// reads, day for day; when it is given, ReadLogs (which must then have the
+// windows' length) takes the same days from it, so a caller that encodes
+// every day of a series takes each logarithm once instead of once per
+// window it slides through.
 //
 //minicost:hotpath
-func (s *State) FillHistory(reads, writes []float64, day int) {
+func (s *State) FillHistory(reads, writes, logs []float64, day int) {
 	h := len(s.ReadHistory)
 	for i := range s.ReadHistory {
 		d := day - h + i
@@ -73,18 +81,27 @@ func (s *State) FillHistory(reads, writes []float64, day int) {
 		}
 		s.ReadHistory[i] = reads[d]
 		s.WriteHistory[i] = writes[d]
+		if logs != nil {
+			s.ReadLogs[i] = logs[d]
+		}
 	}
 }
 
 // FeaturesInto encodes the state into dst, which must have length
 // FeatureDim(len(s.ReadHistory)). It performs no allocation — the batched
 // inference path uses it to pack feature rows directly into a batch matrix.
+// The log channel reads ReadLogs when it is set and takes log1p of the
+// history otherwise; the two give the same bits.
 //
 //minicost:hotpath
 func (s *State) FeaturesInto(dst []float64) {
 	h := len(s.ReadHistory)
 	if len(dst) != FeatureDim(h) {
 		panic(fmt.Sprintf("mdp: FeaturesInto dst len %d, want %d", len(dst), FeatureDim(h)))
+	}
+	logs := s.ReadLogs
+	if logs != nil && len(logs) != h {
+		panic(fmt.Sprintf("mdp: FeaturesInto ReadLogs len %d, want %d", len(logs), h))
 	}
 	out := dst
 	for i := range out {
@@ -101,7 +118,11 @@ func (s *State) FeaturesInto(dst []float64) {
 	}
 	for i, v := range s.ReadHistory {
 		out[2*i] = v / denom
-		out[2*i+1] = math.Log1p(v) / 10
+		if logs != nil {
+			out[2*i+1] = logs[i] / 10
+		} else {
+			out[2*i+1] = math.Log1p(v) / 10
+		}
 	}
 	out[2*h] = math.Log1p(mean) / 10
 	wmean := 0.0
@@ -308,7 +329,7 @@ func (e *Env) state() State {
 		s.ReadHistory = make([]float64, e.HistLen)
 		s.WriteHistory = make([]float64, e.HistLen)
 	}
-	s.FillHistory(e.Reads, e.Writes, e.day)
+	s.FillHistory(e.Reads, e.Writes, nil, e.day)
 	return s
 }
 

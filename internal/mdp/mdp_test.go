@@ -223,6 +223,38 @@ func TestFeaturesZeroHistory(t *testing.T) {
 	}
 }
 
+// TestFeaturesReadLogsMatchOnTheSpot holds the two cases of the log
+// channel together bit for bit: a window whose ReadLogs FillHistory takes
+// from a precomputed log1p series encodes exactly what the same window
+// encodes taking its logarithms on the spot, on every day of a series —
+// the clamped cold-start days included — whose reads span zero, fractions
+// and large counts.
+func TestFeaturesReadLogsMatchOnTheSpot(t *testing.T) {
+	const h, days = 5, 13
+	reads, writes, logs := make([]float64, days), make([]float64, days), make([]float64, days)
+	for d := range reads {
+		reads[d] = float64(d*d*d) * 0.7 * float64(d%3)
+		writes[d] = float64(d % 4)
+		logs[d] = math.Log1p(reads[d])
+	}
+	spot := State{ReadHistory: make([]float64, h), WriteHistory: make([]float64, h), SizeGB: 0.3, Tier: pricing.Cool}
+	pre := spot
+	pre.ReadHistory, pre.WriteHistory = make([]float64, h), make([]float64, h)
+	pre.ReadLogs = make([]float64, h)
+	want, got := make([]float64, FeatureDim(h)), make([]float64, FeatureDim(h))
+	for day := 0; day < days; day++ {
+		spot.FillHistory(reads, writes, nil, day)
+		pre.FillHistory(reads, writes, logs, day)
+		spot.FeaturesInto(want)
+		pre.FeaturesInto(got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("day %d feature %d: %v with ReadLogs, %v on the spot", day, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func BenchmarkEnvStep(b *testing.B) {
 	reads := make([]float64, 1<<20)
 	writes := make([]float64, 1<<20)

@@ -81,6 +81,7 @@ type Agent struct {
 	feats   *mat.Matrix    // reused batch feature matrix (DecideTrace)
 	tiers   []pricing.Tier // reused batch decision buffer
 	window  mdp.State      // reused history window (DecideTrace)
+	logs    []float64      // reused per-file log1p read series (DecideTrace)
 	featBuf []float64      // reused single-sample feature encoding
 }
 

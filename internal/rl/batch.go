@@ -2,6 +2,7 @@ package rl
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"minicost/internal/costmodel"
@@ -55,12 +56,15 @@ func (a *Agent) DecideBatch(x *mat.Matrix, out []pricing.Tier, workers int) {
 // state for day d depends only on its trace and the tier it chose for day
 // d-1, so the states are built straight from the trace
 // (mdp.State.FillHistory) and nothing is billed: pricing the plan is the
-// caller's business (costmodel.Model.TraceCost). Each file is validated like
+// caller's business (costmodel.Model.TraceCost). Each file's log1p read
+// series is taken once up front and every window of it is handed to the
+// encoder (mdp.State.ReadLogs), instead of each day's logarithm being
+// retaken in every window that slides over it. Each file is validated like
 // an mdp.Env episode (mdp.CheckEpisode) and its series must cover tr.Days;
 // a bad file is an error, never a panic. The agent's serving scratch —
-// feature matrix, tier buffer and history window — is reused across calls,
-// so a replica that serves many chunks reaches a fully allocation-free
-// steady state, which the rl allocation tests pin down.
+// feature matrix, tier buffer, log series and history window — is reused
+// across calls, so a replica that serves many chunks reaches a fully
+// allocation-free steady state, which the rl allocation tests pin down.
 func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, histLen int, out costmodel.Assignment, workers int) error {
 	b := hi - lo
 	if b <= 0 {
@@ -87,14 +91,25 @@ func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, h
 	if cap(a.window.ReadHistory) < histLen {
 		a.window.ReadHistory = make([]float64, histLen)
 		a.window.WriteHistory = make([]float64, histLen)
+		a.window.ReadLogs = make([]float64, histLen)
+	}
+	if cap(a.logs) < b*tr.Days {
+		a.logs = make([]float64, b*tr.Days)
+	}
+	logs := a.logs[:b*tr.Days]
+	for i := 0; i < b; i++ {
+		for d, v := range tr.Reads[lo+i][:tr.Days] {
+			logs[i*tr.Days+d] = math.Log1p(v)
+		}
 	}
 	tiers := a.tiers[:b]
 	st := &a.window
 	st.ReadHistory, st.WriteHistory = st.ReadHistory[:histLen], st.WriteHistory[:histLen]
+	st.ReadLogs = st.ReadLogs[:histLen]
 	for d := 0; d < tr.Days; d++ {
 		for i := 0; i < b; i++ {
 			f := lo + i
-			st.FillHistory(tr.Reads[f], tr.Writes[f], d)
+			st.FillHistory(tr.Reads[f], tr.Writes[f], logs[i*tr.Days:(i+1)*tr.Days], d)
 			st.SizeGB = tr.Files[f].SizeGB
 			st.Tier = initial
 			if d > 0 {

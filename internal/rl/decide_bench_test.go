@@ -8,6 +8,7 @@ import (
 	"minicost/internal/nn"
 	"minicost/internal/pricing"
 	"minicost/internal/rng"
+	"minicost/internal/trace"
 )
 
 // benchMatrix returns a rows×cols matrix of fixed values in [-1, 1): random
@@ -84,4 +85,47 @@ func BenchmarkDecideBatch(b *testing.B) {
 		out := make([]pricing.Tier, 64)
 		perRow(b, 64, func() { agent.DecideBatch(x, out, 1) })
 	})
+}
+
+// BenchmarkPlanTrace times the whole decision pass a scoreboard row pays —
+// PlanTrace over a generated 200-file × 42-day trace on one worker, one
+// 200-row chunk, a pooled replica — in µs per decided file-day:
+//
+//	harness/7-16-32     the end-to-end harness's pricing network (the
+//	                    policy.rl_assign_us_per_file_day probe's shape)
+//	minicostd/14-32-64  the network minicostd bootstraps by default
+//
+// Both output layers are 3 wide, a ragged column tile, and every file-day
+// encodes a history window (mdp.State.FeaturesInto), so this is where the
+// tail tile and the log channel show.
+func BenchmarkPlanTrace(b *testing.B) {
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles, gen.Days, gen.Seed, gen.Workers = 200, 42, 3, 1
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fileDays := float64(tr.NumFiles() * tr.Days)
+	for _, bc := range []struct {
+		name string
+		net  NetConfig
+	}{
+		{"harness/7-16-32", NetConfig{HistLen: 7, Filters: 16, Kernel: 4, Stride: 1, Hidden: 32}},
+		{"minicostd/14-32-64", NetConfig{HistLen: 14, Filters: 32, Kernel: 4, Stride: 1, Hidden: 64}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pool := NewReplicaPool(NewAgent(bc.net, bc.net.BuildActor(rng.New(5))))
+			plan := func() {
+				if _, err := PlanTrace(pool, tr, bc.net.HistLen, pricing.Hot, tr.NumFiles(), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			plan() // warm the replica's scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/fileDays, "us/file-day")
+		})
+	}
 }

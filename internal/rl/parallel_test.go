@@ -40,24 +40,31 @@ func TestBatchedTrainerParallelismBitwise(t *testing.T) {
 }
 
 // TestDecideTraceSteadyStateAllocFree gates the serving hot path end to end:
-// once an agent has served a chunk (history window built, plans sized,
-// network scratch warm), re-serving the same-shaped chunk allocates nothing.
+// once an agent has served a chunk (history window and log series built,
+// plans sized, network scratch warm), re-serving the same-shaped chunk
+// allocates nothing. Six files stay under nn's packMinRows, on the unpacked
+// products; 67 run the packed ones over two row panels, where every layer's
+// last column tile — all of the 3-wide output layer — is ragged and runs on
+// a stack panel.
 func TestDecideTraceSteadyStateAllocFree(t *testing.T) {
 	cfg := smallA3CConfig()
-	r := rng.New(9)
-	agent := NewAgent(cfg.Net, cfg.Net.BuildActor(r))
-	tr := polarTrace(t, 6, 20)
-	out := make(costmodel.Assignment, tr.NumFiles())
+	for _, files := range []int{6, 67} {
+		t.Run(fmt.Sprintf("files=%d", files), func(t *testing.T) {
+			agent := NewAgent(cfg.Net, cfg.Net.BuildActor(rng.New(9)))
+			tr := polarTrace(t, files, 20)
+			out := make(costmodel.Assignment, tr.NumFiles())
 
-	serve := func() {
-		if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, cfg.Net.HistLen, out, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	serve()
-	allocs := testing.AllocsPerRun(5, serve)
-	if allocs != 0 {
-		t.Fatalf("steady-state DecideTrace allocates %.0f/op, want 0", allocs)
+			serve := func() {
+				if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, cfg.Net.HistLen, out, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			serve()
+			allocs := testing.AllocsPerRun(5, serve)
+			if allocs != 0 {
+				t.Fatalf("steady-state DecideTrace allocates %.0f/op, want 0", allocs)
+			}
+		})
 	}
 }
 
