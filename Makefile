@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint fuzz check check-parallel check-purego smoke-serve smoke-online bench-e2e bench-smoke
+.PHONY: build test lint loc fuzz check check-parallel check-purego smoke-serve smoke-online bench-e2e bench-smoke
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ test:
 # legitimate exceptions carry //minicost: directives at the offending line.
 lint:
 	$(GO) run ./cmd/minicost-vet ./...
+
+# loc prints the non-test Go line count, the figure CHANGES.md quotes for a
+# PR's net size.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' | xargs cat | wc -l
 
 # fuzz runs short native-fuzzing lanes over the untrusted parsers — the
 # trace CSV loader, the /v1/observe JSON body and the trainer checkpoint

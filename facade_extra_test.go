@@ -1,38 +1,48 @@
 package minicost_test
 
 import (
+	"math"
 	"net/http/httptest"
 	"testing"
 
 	"minicost"
 )
 
-func TestDeploymentThroughFacade(t *testing.T) {
-	catalog := minicost.NewCatalog()
-	if err := catalog.Add("us", minicost.AzurePricing()); err != nil {
-		t.Fatal(err)
-	}
-	eu := minicost.AzurePricing()
-	eu.Name = "eu"
-	eu.Tiers[minicost.Hot].StoragePerGBMonth *= 1.5
-	if err := catalog.Add("eu", eu); err != nil {
-		t.Fatal(err)
-	}
-	d, err := minicost.NewDeployment(catalog, "us")
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMultiDatacenterViaScore runs README's multi-datacenter recipe: score
+// each datacenter's files under its own prices and add the bills. Bills are
+// per file, so with one price schedule everywhere the split sum is the
+// single-datacenter bill, and dearer hot storage in one datacenter raises it.
+func TestMultiDatacenterViaScore(t *testing.T) {
 	tr := smallTrace(t)
-	spread, err := minicost.AssignDatacenters(tr, []string{"us", "eu"})
+	eu := minicost.AzurePricing()
+	eu.Tiers[minicost.Hot].StoragePerGBMonth *= 1.5
+	byDC := map[string][]int{}
+	for i := range tr.Files {
+		dc := []string{"us", "eu"}[i%2]
+		byDC[dc] = append(byDC[dc], i)
+	}
+	multiDC := func(prices map[string]*minicost.PricingPolicy) float64 {
+		total := 0.0
+		for _, dc := range []string{"us", "eu"} {
+			board, err := minicost.Score(tr.Subset(byDC[dc]), prices[dc], minicost.GreedyBaseline())
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += board[0].Total.Total()
+		}
+		return total
+	}
+	board, err := minicost.Score(tr, minicost.AzurePricing(), minicost.GreedyBaseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bills, total, err := d.Evaluate(minicost.GreedyBaseline(), spread, minicost.Hot)
-	if err != nil {
-		t.Fatal(err)
+	one := board[0].Total.Total()
+	same := multiDC(map[string]*minicost.PricingPolicy{"us": minicost.AzurePricing(), "eu": minicost.AzurePricing()})
+	if math.Abs(same-one) > 1e-9*one {
+		t.Fatalf("split bill %v, single-datacenter bill %v", same, one)
 	}
-	if len(bills) != 2 || total.Total() <= 0 {
-		t.Fatalf("bills %d total %v", len(bills), total.Total())
+	if dear := multiDC(map[string]*minicost.PricingPolicy{"us": minicost.AzurePricing(), "eu": eu}); dear <= one {
+		t.Fatalf("dearer eu hot storage billed %v, not above %v", dear, one)
 	}
 }
 

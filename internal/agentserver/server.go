@@ -156,9 +156,6 @@ type Config struct {
 	// Workers bounds the observe/plan shard fan-out. 0 selects
 	// par.DefaultWorkers at each call.
 	Workers int
-	// Tap, when non-nil, is invoked with every validated observe batch
-	// after ingestion (the online learner's feed). nil disables the tap.
-	Tap ObserveTap
 }
 
 // Server wraps an agent with sharded observation state. Create with New or
@@ -306,7 +303,6 @@ func NewWithConfig(agent *rl.Agent, initial pricing.Tier, cfg Config) (*Server, 
 		shards:          make([]*shard, shards),
 		shardMask:       uint32(shards - 1),
 		maxObserveBytes: maxBytes,
-		tap:             cfg.Tap,
 		met:             newServeMetrics(),
 	}
 	for i := range s.shards {
@@ -349,7 +345,8 @@ func ceilPow2(n int) int {
 // Shards returns the store's partition count.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// SetTap installs the observe tap after construction — minicostd builds the
+// SetTap installs the observe tap (the online learner's feed; a server has
+// none until it is set), after construction — minicostd builds the
 // server first, then the online learner (which needs the server), then taps
 // it. Call before the server starts taking traffic; the field is read
 // without synchronization on the observe path.

@@ -28,8 +28,6 @@ type Model struct {
 	series []float64 // original series (training data)
 	w      []float64 // differenced series
 	resid  []float64 // innovations aligned with w (resid[t] for w[t])
-	sse    float64
-	nEff   int // effective sample size used in the final regression
 }
 
 // longARWindow bounds the order of the stage-1 long autoregression.
@@ -107,8 +105,7 @@ func Fit(series []float64, p, d, q int) (*Model, error) {
 	m.Phi = append([]float64(nil), beta[1:1+p]...)
 	m.Theta = append([]float64(nil), beta[1+p:]...)
 
-	// Final residuals under the fitted model (used for forecasting MA terms
-	// and for AIC).
+	// Final residuals under the fitted model (used for forecasting MA terms).
 	m.resid = make([]float64, len(w))
 	for t := start; t < len(w); t++ {
 		pred := m.Intercept
@@ -119,9 +116,7 @@ func Fit(series []float64, p, d, q int) (*Model, error) {
 			pred += m.Theta[j] * m.resid[t-1-j]
 		}
 		m.resid[t] = w[t] - pred
-		m.sse += m.resid[t] * m.resid[t]
 	}
-	m.nEff = rows
 	return m, nil
 }
 
@@ -209,66 +204,6 @@ func (m *Model) Forecast(h int) []float64 {
 		}
 	}
 	return out
-}
-
-// AIC returns the Akaike information criterion of the fit (lower is better).
-func (m *Model) AIC() float64 {
-	k := float64(1 + m.P + m.Q)
-	n := float64(m.nEff)
-	if n <= 0 || m.sse <= 0 {
-		return math.Inf(-1) // a perfect fit dominates any alternative
-	}
-	return n*math.Log(m.sse/n) + 2*k
-}
-
-// FitAuto grid-searches (p,d,q) up to the given bounds and returns the model
-// minimizing AIC. At least one of maxP, maxQ must be positive.
-func FitAuto(series []float64, maxP, maxD, maxQ int) (*Model, error) {
-	var best *Model
-	var firstErr error
-	for d := 0; d <= maxD; d++ {
-		for p := 0; p <= maxP; p++ {
-			for q := 0; q <= maxQ; q++ {
-				if p == 0 && q == 0 {
-					continue
-				}
-				mod, err := Fit(series, p, d, q)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-				if best == nil || mod.AIC() < best.AIC() {
-					best = mod
-				}
-			}
-		}
-	}
-	if best == nil {
-		if firstErr == nil {
-			firstErr = errors.New("forecast: no candidate orders")
-		}
-		return nil, firstErr
-	}
-	return best, nil
-}
-
-// RelativeError is the paper's prediction-error metric:
-// (true − predicted) / true. A zero true value yields 0 when the prediction
-// is also ~0 and ±1 otherwise (capped), keeping idle files from producing
-// infinities.
-func RelativeError(truth, pred float64) float64 {
-	if truth == 0 {
-		if math.Abs(pred) < 1e-9 {
-			return 0
-		}
-		if pred > 0 {
-			return -1
-		}
-		return 1
-	}
-	return (truth - pred) / truth
 }
 
 // Percentile returns the q-th percentile (q in [0,100]) of xs by linear

@@ -61,7 +61,6 @@ var DeterministicPackages = map[string]bool{
 	"minicost/internal/rng":         true,
 	"minicost/internal/experiments": true,
 	"minicost/internal/aggregate":   true,
-	"minicost/internal/multidc":     true,
 	"minicost/internal/forecast":    true,
 	"minicost/internal/pricing":     true,
 	"minicost/internal/online":      true,

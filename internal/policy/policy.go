@@ -2,9 +2,8 @@
 // paper evaluates (§6.1): the Hot and Cold single-tier baselines, the
 // per-day Greedy algorithm, the offline Optimal ("brutal-force") solution —
 // computed exactly by a per-file dynamic program, held to a literal
-// brute-force enumerator in this package's tests — plus an ARIMA-predictive
-// greedy extension and the adapter that turns a trained RL agent into an
-// assigner.
+// brute-force enumerator in this package's tests — plus the adapter that
+// turns a trained RL agent into an assigner.
 package policy
 
 import (

@@ -97,7 +97,6 @@ func TestOptimalLowerBoundsEveryPolicy(t *testing.T) {
 		Static{Tier: pricing.Cool},
 		Static{Tier: pricing.Archive},
 		Greedy{},
-		DefaultPredictive(),
 	} {
 		c, err := bill(a, tr, m, pricing.Hot)
 		if err != nil {
@@ -221,30 +220,6 @@ func TestBruteForceAssignerMatchesOptimalAssigner(t *testing.T) {
 	}
 	if math.Abs(bf.Total()-opt.Total()) > 1e-9 {
 		t.Fatalf("brute %v vs dp %v", bf.Total(), opt.Total())
-	}
-}
-
-func TestPredictiveBeatsStaticOnSeasonalWorkload(t *testing.T) {
-	// Strongly weekly-cyclical files: ARIMA sees the cycle, so predictive
-	// re-tiering should at least not lose to the best static choice.
-	cfg := trace.DefaultGenConfig()
-	cfg.NumFiles = 40
-	cfg.Days = 56
-	cfg.WeeklyAmplitude = 0.5
-	tr, err := trace.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := model()
-	pred, err := bill(DefaultPredictive(), tr, m, pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, _ := bill(Static{Tier: pricing.Hot}, tr, m, pricing.Hot)
-	cold, _ := bill(Static{Tier: pricing.Cool}, tr, m, pricing.Hot)
-	worst := math.Max(hot.Total(), cold.Total())
-	if pred.Total() > worst {
-		t.Fatalf("predictive %v worse than worst static %v", pred.Total(), worst)
 	}
 }
 

@@ -27,17 +27,11 @@ import (
 // single-sample Decide calls (see nn/batch.go), which the tests keep as the
 // oracle.
 type RL struct {
-	Agent   *rl.Agent
+	Agent *rl.Agent
+	// HistLen, when non-zero, must equal Agent.Net.HistLen, the window the
+	// network was built for: any other value is an error, not a plan.
 	HistLen int
 	Workers int
-	// Pool optionally supplies the replica pool (e.g. shared across repeated
-	// evaluations of training snapshots); Assign builds a private one when
-	// nil.
-	Pool *rl.ReplicaPool
-	// BatchRows caps how many files one batched step packs into a feature
-	// matrix (bounding per-worker activation memory); <= 0 selects
-	// rl.DefaultBatchRows.
-	BatchRows int
 }
 
 // Name implements Assigner.
@@ -48,31 +42,16 @@ func (p RL) Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (c
 	if p.Agent == nil {
 		return nil, fmt.Errorf("policy: RL assigner without an agent")
 	}
-	histLen := p.HistLen
-	if histLen <= 0 {
-		histLen = p.Agent.Net.HistLen
+	if p.HistLen != 0 && p.HistLen != p.Agent.Net.HistLen {
+		return nil, fmt.Errorf("policy: RL HistLen %d, but the agent's network reads a %d-day window",
+			p.HistLen, p.Agent.Net.HistLen)
 	}
-	n := tr.NumFiles()
-	batch := p.BatchRows
-	if batch <= 0 {
-		batch = rl.DefaultBatchRows
-		// Shrink the default so every worker gets a chunk — with few files a
-		// fixed 256-row batch would leave most workers idle. An explicit
-		// BatchRows is always respected.
-		workers := p.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if per := (n + workers - 1) / workers; per < batch {
-			batch = per
-			if batch < 1 {
-				batch = 1
-			}
-		}
+	// Shrink the default batch so every worker gets a chunk — with few files
+	// a fixed 256-row batch would leave most workers idle.
+	workers := p.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	pool := p.Pool
-	if pool == nil {
-		pool = rl.NewReplicaPool(p.Agent)
-	}
-	return rl.PlanTrace(pool, tr, histLen, initial, batch, p.Workers)
+	batch := min(rl.DefaultBatchRows, max((tr.NumFiles()+workers-1)/workers, 1))
+	return rl.PlanTrace(rl.NewReplicaPool(p.Agent), tr, initial, batch, p.Workers)
 }

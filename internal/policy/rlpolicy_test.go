@@ -89,7 +89,8 @@ func (p RL) assignSingleSample(tr *trace.Trace, m *costmodel.Model, initial pric
 // TestRLBatchedMatchesSingleSample is the rewrite's safety net: for a fixed
 // seed, the batched day-major engine must produce the exact assignment the
 // legacy single-sample loop produced, across worker counts, batch sizes and
-// initial tiers.
+// initial tiers. Assign picks its own batch size; explicit chunkings go
+// through rl.PlanTrace, the engine Assign runs.
 func TestRLBatchedMatchesSingleSample(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 99} {
 		agent, tr, m := rlTestFixture(t, 57, 13, seed)
@@ -98,19 +99,24 @@ func TestRLBatchedMatchesSingleSample(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cfg := range []RL{
-				{Agent: agent},
-				{Agent: agent, Workers: 1},
-				{Agent: agent, Workers: 7, BatchRows: 9},
-				{Agent: agent, Workers: 2, BatchRows: 1},
+			for _, cfg := range []struct{ workers, batch int }{
+				{0, 0},
+				{1, 0},
+				{7, 9},
+				{2, 1},
 			} {
-				got, err := cfg.Assign(tr, m, initial)
+				var got costmodel.Assignment
+				if cfg.batch == 0 {
+					got, err = RL{Agent: agent, Workers: cfg.workers}.Assign(tr, m, initial)
+				} else {
+					got, err = rl.PlanTrace(rl.NewReplicaPool(agent), tr, initial, cfg.batch, cfg.workers)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				if f, d, ok := assignmentsEqual(want, got); !ok {
 					t.Fatalf("seed %d workers=%d batch=%d initial=%v: batched differs from single-sample at file %d day %d",
-						seed, cfg.Workers, cfg.BatchRows, initial, f, d)
+						seed, cfg.workers, cfg.batch, initial, f, d)
 				}
 			}
 		}
@@ -140,7 +146,7 @@ func TestRLAssignEquivalentAcrossPaperWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RL{Agent: agent, Workers: 3, BatchRows: 11}.Assign(tr, m, pricing.Hot)
+		got, err := RL{Agent: agent, Workers: 3}.Assign(tr, m, pricing.Hot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,25 +158,26 @@ func TestRLAssignEquivalentAcrossPaperWidths(t *testing.T) {
 
 // TestRLAssignReplicaCountBoundedByWorkers asserts the headline allocation
 // property of the rewrite: network replicas scale with Workers, never with
-// the file count.
+// the file count. Assign runs rl.PlanTrace on a pool of its own; the pool is
+// passed in here so its replica count can be read.
 func TestRLAssignReplicaCountBoundedByWorkers(t *testing.T) {
-	agent, tr, m := rlTestFixture(t, 300, 8, 3)
+	agent, tr, _ := rlTestFixture(t, 300, 8, 3)
 	const workers = 2
 	pool := rl.NewReplicaPool(agent)
-	if _, err := (RL{Agent: agent, Workers: workers, Pool: pool, BatchRows: 16}).Assign(tr, m, pricing.Hot); err != nil {
+	if _, err := rl.PlanTrace(pool, tr, pricing.Hot, 16, workers); err != nil {
 		t.Fatal(err)
 	}
 	if c := pool.Created(); c > workers {
-		t.Fatalf("Assign over %d files built %d replicas, want <= %d (bounded by Workers)",
+		t.Fatalf("PlanTrace over %d files built %d replicas, want <= %d (bounded by workers)",
 			tr.NumFiles(), c, workers)
 	}
 	// Repeated runs on a warm pool stay within the same bound: replica
-	// construction is a one-time cost, not a per-Assign cost.
-	if _, err := (RL{Agent: agent, Workers: workers, Pool: pool, BatchRows: 16}).Assign(tr, m, pricing.Hot); err != nil {
+	// construction is a one-time cost, not a per-plan cost.
+	if _, err := rl.PlanTrace(pool, tr, pricing.Hot, 16, workers); err != nil {
 		t.Fatal(err)
 	}
 	if c := pool.Created(); c > workers {
-		t.Fatalf("two Assign runs built %d replicas total, want <= %d", c, workers)
+		t.Fatalf("two PlanTrace runs built %d replicas total, want <= %d", c, workers)
 	}
 }
 
@@ -193,8 +200,9 @@ func TestRLAssignConcurrentOverOneAgent(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			// BatchRows past the packed-GEMM threshold, two workers each.
-			got[c], errs[c] = RL{Agent: agent, Workers: 2, BatchRows: 40}.Assign(tr, m, pricing.Hot)
+			// Two workers each: 60-row chunks, past the packed-GEMM
+			// threshold.
+			got[c], errs[c] = RL{Agent: agent, Workers: 2}.Assign(tr, m, pricing.Hot)
 		}(c)
 	}
 	wg.Wait()
@@ -204,6 +212,33 @@ func TestRLAssignConcurrentOverOneAgent(t *testing.T) {
 		}
 		if f, d, ok := assignmentsEqual(want, got[c]); !ok {
 			t.Fatalf("concurrent caller %d differs from the lone run at file %d day %d", c, f, d)
+		}
+	}
+}
+
+// TestRLHistLenMismatchIsAnError: a HistLen other than the agent's own
+// window is refused by Assign and by Score, never reaches the network (where
+// it would panic on a wrong input width), while 0 and the agent's own window
+// plan.
+func TestRLHistLenMismatchIsAnError(t *testing.T) {
+	agent, tr, m := rlTestFixture(t, 9, 12, 5) // a 7-day agent
+	for _, c := range []struct {
+		histLen int
+		ok      bool
+	}{{5, false}, {9, false}, {-7, false}, {0, true}, {7, true}} {
+		p := RL{Agent: agent, HistLen: c.histLen}
+		_, errAssign := p.Assign(tr, m, pricing.Hot)
+		_, errScore := Score(m, tr, pricing.Hot, 1, p)
+		for _, r := range []struct {
+			what string
+			err  error
+		}{{"Assign", errAssign}, {"Score", errScore}} {
+			if c.ok && r.err != nil {
+				t.Errorf("HistLen %d: %s: %v", c.histLen, r.what, r.err)
+			}
+			if !c.ok && r.err == nil {
+				t.Errorf("HistLen %d on a %d-day agent: %s accepted it", c.histLen, agent.Net.HistLen, r.what)
+			}
 		}
 	}
 }

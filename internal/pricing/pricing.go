@@ -2,9 +2,8 @@
 // storage, operation, and retrieval prices plus the tier-transition fee that
 // Eq. 9 of the MiniCost paper calls u_tran.
 //
-// A Policy is one datacenter's schedule; a Catalog maps datacenter IDs to
-// policies so the system extends to multiple datacenters / CSPs (the paper's
-// §4.2.1 remark that Γ "can be easily adjusted for multiple CSPs").
+// A Policy is one datacenter's schedule. A workload spread over several
+// datacenters is priced one datacenter at a time, each under its own Policy.
 //
 // The default schedule, Azure(), follows the structure and magnitudes of
 // Microsoft Azure Block Blob pricing as quoted in the paper's introduction
@@ -16,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Tier identifies a storage tier (the paper's storage "type").
@@ -189,44 +187,4 @@ func ParsePolicy(data []byte) (*Policy, error) {
 		return nil, err
 	}
 	return &p, nil
-}
-
-// Catalog maps datacenter IDs to their price schedules (the paper's set Ds).
-type Catalog struct {
-	policies map[string]*Policy
-}
-
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog { return &Catalog{policies: make(map[string]*Policy)} }
-
-// Add registers a datacenter's policy; it validates and rejects duplicates.
-func (c *Catalog) Add(datacenter string, p *Policy) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if _, dup := c.policies[datacenter]; dup {
-		return fmt.Errorf("pricing: duplicate datacenter %q", datacenter)
-	}
-	c.policies[datacenter] = p
-	return nil
-}
-
-// Get returns the policy for a datacenter.
-func (c *Catalog) Get(datacenter string) (*Policy, bool) {
-	p, ok := c.policies[datacenter]
-	return p, ok
-}
-
-// Len returns the number of registered datacenters.
-func (c *Catalog) Len() int { return len(c.policies) }
-
-// Datacenters returns the registered IDs, sorted.
-func (c *Catalog) Datacenters() []string {
-	out := make([]string, 0, len(c.policies))
-	//minicost:allow-maprange keys are sorted before returning
-	for id := range c.policies {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

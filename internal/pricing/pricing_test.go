@@ -139,37 +139,3 @@ func TestParsePolicyRejectsInvalid(t *testing.T) {
 		t.Error("invalid policy accepted by ParsePolicy")
 	}
 }
-
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
-	if err := c.Add("us-west", Azure()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add("us-west", Azure()); err == nil {
-		t.Error("duplicate datacenter accepted")
-	}
-	east := Azure()
-	east.Name = "azure-us-east"
-	east.Tiers[Hot].StoragePerGBMonth = 0.0208
-	if err := c.Add("us-east", east); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("catalog len %d, want 2", c.Len())
-	}
-	got, ok := c.Get("us-east")
-	if !ok || got.Name != "azure-us-east" {
-		t.Fatal("Get returned wrong policy")
-	}
-	if _, ok := c.Get("eu"); ok {
-		t.Error("Get found unregistered datacenter")
-	}
-	if len(c.Datacenters()) != 2 {
-		t.Error("Datacenters length wrong")
-	}
-	invalid := Azure()
-	invalid.TransitionPerGB = -1
-	if err := c.Add("bad", invalid); err == nil {
-		t.Error("catalog accepted invalid policy")
-	}
-}

@@ -65,11 +65,13 @@ func (a *Agent) DecideBatch(x *mat.Matrix, out []pricing.Tier, workers int) {
 // feature matrix, tier buffer, log series and history window — is reused
 // across calls, so a replica that serves many chunks reaches a fully
 // allocation-free steady state, which the rl allocation tests pin down.
-func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, histLen int, out costmodel.Assignment, workers int) error {
+// The history window is the network's own, a.Net.HistLen.
+func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, out costmodel.Assignment, workers int) error {
 	b := hi - lo
 	if b <= 0 {
 		return nil
 	}
+	histLen := a.Net.HistLen
 	for i := lo; i < hi; i++ {
 		reads, writes := tr.Reads[i], tr.Writes[i]
 		if err := mdp.CheckEpisode(tr.Files[i].SizeGB, reads, writes, initial, histLen); err != nil {
@@ -131,14 +133,14 @@ func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, h
 // DecideTrace on a replica from pool, with at most workers chunks in flight
 // (workers <= 0 selects GOMAXPROCS). It returns the per-file, per-day plan
 // or the first failing chunk's error.
-func PlanTrace(pool *ReplicaPool, tr *trace.Trace, histLen int, initial pricing.Tier, batch, workers int) (costmodel.Assignment, error) {
+func PlanTrace(pool *ReplicaPool, tr *trace.Trace, initial pricing.Tier, batch, workers int) (costmodel.Assignment, error) {
 	n := tr.NumFiles()
 	asg := costmodel.NewAssignment(n, tr.Days)
 	chunkErrs := make([]error, (n+batch-1)/batch)
 	par.ForBatched(n, batch, workers, func(lo, hi int) {
 		rep := pool.Get()
 		defer pool.Put(rep)
-		if err := rep.DecideTrace(tr, lo, hi, initial, histLen, asg, 1); err != nil {
+		if err := rep.DecideTrace(tr, lo, hi, initial, asg, 1); err != nil {
 			chunkErrs[lo/batch] = err
 		}
 	})

@@ -85,7 +85,7 @@ func TestDecideTraceMatchesPerFileLoop(t *testing.T) {
 	reward := mdp.DefaultReward()
 
 	asg := make(costmodel.Assignment, tr.NumFiles())
-	if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, cfg.HistLen, asg, 1); err != nil {
+	if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, asg, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Reference: the single-sample per-file loop, stepping each file through

@@ -116,7 +116,7 @@ func BenchmarkPlanTrace(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			pool := NewReplicaPool(NewAgent(bc.net, bc.net.BuildActor(rng.New(5))))
 			plan := func() {
-				if _, err := PlanTrace(pool, tr, bc.net.HistLen, pricing.Hot, tr.NumFiles(), 1); err != nil {
+				if _, err := PlanTrace(pool, tr, pricing.Hot, tr.NumFiles(), 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -126,7 +126,7 @@ func TestDQNLearnsPolarWorkload(t *testing.T) {
 		t.Fatalf("stats %+v", stats)
 	}
 	agent := d.Agent()
-	got, err := planBill(agent, model, tr, cfg.Net.HistLen, pricing.Hot)
+	got, err := planBill(agent, model, tr, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}

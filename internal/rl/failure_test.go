@@ -84,12 +84,13 @@ func TestDQNSurvivesExhaustedEnvs(t *testing.T) {
 }
 
 // TestDecideTraceRejectsBadFiles: every input an mdp.Env episode refuses —
-// a non-positive history length, an invalid initial tier, a non-positive
-// size — and series that do not cover the trace's days or disagree in
-// length come back from DecideTrace (and PlanTrace) as errors, not panics.
+// a non-positive history length (the agent's Net.HistLen), an invalid
+// initial tier, a non-positive size — and series that do not cover the
+// trace's days or disagree in length come back from DecideTrace (and
+// PlanTrace) as errors, not panics.
 func TestDecideTraceRejectsBadFiles(t *testing.T) {
 	netCfg := NetConfig{HistLen: 7, Filters: 4, Kernel: 3, Stride: 1, Hidden: 8}
-	agent := NewAgent(netCfg, netCfg.BuildActor(rng.New(1)))
+	actor := netCfg.BuildActor(rng.New(1))
 	cases := []struct {
 		name    string
 		histLen int
@@ -113,11 +114,14 @@ func TestDecideTraceRejectsBadFiles(t *testing.T) {
 		if c.corrupt != nil {
 			c.corrupt(tr)
 		}
+		cfg := netCfg
+		cfg.HistLen = c.histLen
+		agent := NewAgent(cfg, actor)
 		out := make(costmodel.Assignment, tr.NumFiles())
-		if err := agent.DecideTrace(tr, 0, tr.NumFiles(), c.initial, c.histLen, out, 1); err == nil {
+		if err := agent.DecideTrace(tr, 0, tr.NumFiles(), c.initial, out, 1); err == nil {
 			t.Errorf("%s: DecideTrace accepted the input", c.name)
 		}
-		if _, err := PlanTrace(NewReplicaPool(agent), tr, c.histLen, c.initial, 2, 1); err == nil {
+		if _, err := PlanTrace(NewReplicaPool(agent), tr, c.initial, 2, 1); err == nil {
 			t.Errorf("%s: PlanTrace accepted the input", c.name)
 		}
 	}

@@ -55,7 +55,7 @@ func TestDecideTraceSteadyStateAllocFree(t *testing.T) {
 			out := make(costmodel.Assignment, tr.NumFiles())
 
 			serve := func() {
-				if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, cfg.Net.HistLen, out, 1); err != nil {
+				if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, out, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -80,17 +80,17 @@ func TestDecideTraceReusedEnvsMatchFresh(t *testing.T) {
 
 	reused := NewAgent(cfg.Net, actor)
 	warm := make(costmodel.Assignment, tr.NumFiles())
-	if err := reused.DecideTrace(tr, 0, 5, pricing.Hot, cfg.Net.HistLen, warm, 1); err != nil {
+	if err := reused.DecideTrace(tr, 0, 5, pricing.Hot, warm, 1); err != nil {
 		t.Fatal(err)
 	}
 	got := make(costmodel.Assignment, tr.NumFiles())
-	if err := reused.DecideTrace(tr, 2, 8, pricing.Cool, cfg.Net.HistLen, got, 1); err != nil {
+	if err := reused.DecideTrace(tr, 2, 8, pricing.Cool, got, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := NewAgent(cfg.Net, actor.Clone())
 	want := make(costmodel.Assignment, tr.NumFiles())
-	if err := fresh.DecideTrace(tr, 2, 8, pricing.Cool, cfg.Net.HistLen, want, 1); err != nil {
+	if err := fresh.DecideTrace(tr, 2, 8, pricing.Cool, want, 1); err != nil {
 		t.Fatal(err)
 	}
 	for f := 2; f < 8; f++ {

@@ -184,7 +184,7 @@ func TestA3CLearnsPolarWorkload(t *testing.T) {
 		t.Fatalf("stats %+v", stats)
 	}
 	agent := a3c.Snapshot()
-	got, err := planBill(agent, model, tr, cfg.Net.HistLen, pricing.Hot)
+	got, err := planBill(agent, model, tr, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TrainWithSelection(a *A3C, model *costmodel.Model, tr *trace.Trace, reward 
 		total.CostSum += stats.CostSum
 
 		snap := a.Snapshot()
-		cost, err := planBill(snap, model, val, a.cfg.Net.HistLen, initial)
+		cost, err := planBill(snap, model, val, initial)
 		if err != nil {
 			return nil, TrainStats{}, err
 		}
@@ -88,8 +88,8 @@ func TrainWithSelection(a *A3C, model *costmodel.Model, tr *trace.Trace, reward 
 // file starting in initial, summed in file order: policy.Score's number for
 // one RL row, which rl cannot import. It plans through PlanTrace in
 // DefaultBatchRows chunks on a pool of its own.
-func planBill(agent *Agent, model *costmodel.Model, tr *trace.Trace, histLen int, initial pricing.Tier) (float64, error) {
-	asg, err := PlanTrace(NewReplicaPool(agent), tr, histLen, initial, DefaultBatchRows, 0)
+func planBill(agent *Agent, model *costmodel.Model, tr *trace.Trace, initial pricing.Tier) (float64, error) {
+	asg, err := PlanTrace(NewReplicaPool(agent), tr, initial, DefaultBatchRows, 0)
 	if err != nil {
 		return 0, err
 	}

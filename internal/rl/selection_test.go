@@ -43,7 +43,7 @@ func TestTrainWithSelectionReturnsScoredAgent(t *testing.T) {
 	}
 	// The selected snapshot must not be worse than untrained all-hot-ish
 	// behaviour on the same workload: compare against the all-hot bill.
-	got, err := planBill(agent, m, tr, cfg.Net.HistLen, pricing.Hot)
+	got, err := planBill(agent, m, tr, pricing.Hot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"minicost/internal/core"
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
-	"minicost/internal/multidc"
 	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
@@ -141,10 +140,6 @@ func GreedyBaseline() Assigner { return policy.Greedy{} }
 // "brutal-force" lower bound, computed by an equivalent dynamic program).
 func OptimalBaseline() Assigner { return policy.Optimal{} }
 
-// PredictiveBaseline re-tiers weekly from ARIMA forecasts (an extension the
-// paper's §3 motivates).
-func PredictiveBaseline() Assigner { return policy.DefaultPredictive() }
-
 // Baselines returns the paper's comparison methods in its plot order: Hot,
 // Cold, Greedy and Optimal.
 func Baselines() []Assigner { return policy.Baselines(0) }
@@ -159,33 +154,6 @@ type Scoreboard = policy.Scoreboard
 // Score(tr, p, Baselines()...).
 func Score(tr *Trace, p *PricingPolicy, methods ...Assigner) (Scoreboard, error) {
 	return policy.Score(costmodel.New(p), tr, pricing.Hot, 0, methods...)
-}
-
-// Multi-datacenter deployments (§4.1: the file set spans datacenters, each
-// with its own pricing policy).
-
-// Catalog maps datacenter IDs to pricing policies.
-type Catalog = pricing.Catalog
-
-// NewCatalog returns an empty datacenter catalog.
-func NewCatalog() *Catalog { return pricing.NewCatalog() }
-
-// Deployment evaluates policies across a multi-datacenter workload.
-type Deployment = multidc.Deployment
-
-// DatacenterBill is one datacenter's share of a deployment evaluation.
-type DatacenterBill = multidc.Bill
-
-// NewDeployment builds a deployment over a catalog; files without a
-// datacenter label use defaultDC.
-func NewDeployment(c *Catalog, defaultDC string) (*Deployment, error) {
-	return multidc.New(c, defaultDC)
-}
-
-// AssignDatacenters spreads a trace's files round-robin across datacenters,
-// returning a labeled copy.
-func AssignDatacenters(tr *Trace, dcs []string) (*Trace, error) {
-	return multidc.AssignDatacenters(tr, dcs)
 }
 
 // Agent serving (the paper's §4.2 agent server).

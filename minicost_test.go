@@ -53,7 +53,7 @@ func TestPublicSurfaceEndToEnd(t *testing.T) {
 func TestBaselinesThroughFacade(t *testing.T) {
 	tr := smallTrace(t)
 	p := minicost.AzurePricing()
-	methods := append(minicost.Baselines(), minicost.ArchiveBaseline(), minicost.PredictiveBaseline())
+	methods := append(minicost.Baselines(), minicost.ArchiveBaseline())
 	board, err := minicost.Score(tr, p, methods...)
 	if err != nil {
 		t.Fatal(err)
