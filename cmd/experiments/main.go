@@ -9,7 +9,6 @@
 //	experiments -fig 7                  # one figure (trains the agent)
 //	experiments -fig all -profile quick # everything, scaled down
 //	experiments -fig 9 -profile full    # learning-rate sweep, full profile
-//	experiments -fig 7 -cpuprofile cpu.pprof # profile training + evaluation
 package main
 
 import (
@@ -20,21 +19,18 @@ import (
 	"time"
 
 	"minicost/internal/experiments"
-	"minicost/internal/prof"
 )
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figures, comma-separated: 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, breakdown, or all")
-		profile    = flag.String("profile", "quick", "workload profile: quick or full")
-		files      = flag.Int("files", 0, "override file count")
-		days       = flag.Int("days", 0, "override trace days")
-		steps      = flag.Int64("train-steps", 0, "override training steps")
-		seed       = flag.Uint64("seed", 1, "workload/training seed")
-		psi        = flag.Int("psi", 0, "aggregation Psi for fig 13 (0 = default)")
-		runs       = flag.Int("runs", 0, "repetitions for fig 11 (0 = default)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this path")
+		fig     = flag.String("fig", "all", "figures, comma-separated: 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, breakdown, or all")
+		profile = flag.String("profile", "quick", "workload profile: quick or full")
+		files   = flag.Int("files", 0, "override file count")
+		days    = flag.Int("days", 0, "override trace days")
+		steps   = flag.Int64("train-steps", 0, "override training steps")
+		seed    = flag.Uint64("seed", 1, "workload/training seed")
+		psi     = flag.Int("psi", 0, "aggregation Psi for fig 13 (0 = default)")
+		runs    = flag.Int("runs", 0, "repetitions for fig 11 (0 = default)")
 	)
 	flag.Parse()
 
@@ -45,11 +41,6 @@ func main() {
 		cfg, lcfg = experiments.Full(), experiments.DefaultLearningConfig()
 	default:
 		fatal(fmt.Errorf("unknown profile %q (want quick or full)", *profile))
-	}
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fatal(err)
 	}
 
 	cfg.Seed = *seed
@@ -180,9 +171,6 @@ func main() {
 		for _, f := range strings.Split(*fig, ",") {
 			run(strings.TrimSpace(f))
 		}
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
 	}
 }
 

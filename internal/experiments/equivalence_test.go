@@ -11,10 +11,11 @@ import (
 )
 
 // TestBatchedInferenceEquivalentAcrossPaperWidths pins the batched engine to
-// the single-sample reference at every network width the paper sweeps
-// (Fig. 11): ForwardBatch must reproduce Forward bitwise and DecideBatch
-// must reproduce Decide exactly, on randomly initialised networks at the
-// paper's 14-day history window.
+// one-row batches — the shape nn holds bitwise to its scalar oracle, and the
+// one Decide runs — at every network width the paper sweeps (Fig. 11): each
+// row of a 33-row ForwardBatch must reproduce that sample's one-row forward
+// bitwise and DecideBatch must reproduce Decide exactly, on randomly
+// initialised networks at the paper's 14-day history window.
 func TestBatchedInferenceEquivalentAcrossPaperWidths(t *testing.T) {
 	const histLen = 14
 	const batch = 33
@@ -40,10 +41,15 @@ func TestBatchedInferenceEquivalentAcrossPaperWidths(t *testing.T) {
 			states[i].FeaturesInto(x.Row(i))
 		}
 
-		// Bitwise forward equivalence.
-		yb := net.ForwardBatch(x, 0)
+		// Bitwise forward equivalence against one-row batches, the shape nn
+		// holds to its scalar oracle. The batch's output is copied out first:
+		// every ForwardBatch overwrites the network's output buffer.
+		yb := mat.New(batch, mdp.NumActions)
+		copy(yb.Data, net.ForwardBatch(x, 0).Data)
+		one := &mat.Matrix{}
 		for i := range states {
-			single := net.Forward(x.Row(i))
+			x.SliceRows(one, i, i+1)
+			single := net.ForwardBatch(one, 1).Row(0)
 			row := yb.Row(i)
 			if len(single) != len(row) {
 				t.Fatalf("width %d: batch row width %d, single %d", width, len(row), len(single))

@@ -15,10 +15,10 @@ import (
 // Numerical contract: for every output element the inner (k) accumulation
 // runs sequentially over the full shared dimension, in index order, seeded
 // with the bias when one is given. That is exactly the operation order of
-// the single-sample loop in nn.Dense.Forward, so the batched path is
-// *bitwise* identical to the single-sample path — the equivalence tests
-// rely on this. Blocking therefore tiles only the output
-// rows and columns (which reorders independent elements, never an
+// nn's scalar test oracle for a Dense layer (one sample's W·x + b), so the
+// batched path is *bitwise* identical to it, whatever the batch length —
+// nn's equivalence tests rely on this. Blocking therefore tiles only the
+// output rows and columns (which reorders independent elements, never an
 // accumulation) and unrolled/FMA-style k-splitting is deliberately avoided.
 
 // Tile sizes: a colTile of B rows is kept hot in cache while a rowTile of A
@@ -82,8 +82,7 @@ func MulTransBBiasTo(dst, a, b *Matrix, bias []float64, workers int) *Matrix {
 // each element's own accumulation is still bias-seeded and k-sequential
 // (preserving the exactness contract — independent elements may interleave),
 // but the four chains hide FP-add latency and amortize the A loads, which is
-// where the batched engine's throughput over the single-sample matvec comes
-// from.
+// where the batched engine's throughput over a row-by-row matvec comes from.
 //
 //minicost:hotpath
 func mulTransBBlock(dst, a, b *Matrix, bias []float64, lo, hi int) {

@@ -17,9 +17,8 @@ import (
 // The numerical contract matches gemm.go: every output element's shared-
 // dimension accumulation runs sequentially in index order, seeded — for the
 // accumulating variant — with the element's existing value. That is exactly
-// the order in which the single-sample nn backward loops add one gradient
-// term per sample, so batched gradients are bitwise identical to the
-// per-sample reference.
+// the order in which nn's scalar test oracle adds one gradient term per
+// sample, so batched gradients are bitwise identical to it.
 
 // TransposeParTo writes srcᵀ into dst, reusing dst's backing storage when
 // large enough (pass nil to allocate); the returned matrix must be used in

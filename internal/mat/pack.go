@@ -164,8 +164,8 @@ func packTransposeTile(dst *PackedTransB, m *Matrix, t int) {
 // dst[r][c] = bias[c] + Σ_k a[r][k]·B[c][k] with B pre-packed by
 // PackTransBTo. It is the hot path of the batched inference engine — on
 // amd64 with AVX the inner kernel runs one output column per vector lane —
-// and is bitwise identical to MulTransBBiasTo and to the single-sample
-// loops (each element's accumulation is still bias-seeded and k-sequential;
+// and is bitwise identical to MulTransBBiasTo and to nn's scalar test
+// oracle (each element's accumulation is still bias-seeded and k-sequential;
 // see gemm.go).
 func MulPackTransBBiasTo(dst, a *Matrix, pb *PackedTransB, bias []float64, workers int) *Matrix {
 	return MulPackTransBBiasRowsTo(dst, a, pb, bias, 0, a.Rows, workers)

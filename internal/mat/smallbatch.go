@@ -8,7 +8,7 @@ package mat
 // gathers the batch into an 8-lane transposed scratch (lane r of word i
 // holds X[r][i]) and lets each vector lane carry one row's chain. Every
 // element still accumulates bias-seeded, ascending in i, bitwise identical
-// to MulTransBBiasTo and the single-sample reference.
+// to MulTransBBiasTo and to nn's scalar test oracle.
 
 // laneWidth is the row capacity of the lane-transposed scratch: two 4-wide
 // vector registers per output.

@@ -109,8 +109,8 @@ func Gate(v, by float64, pass uint64) float64 {
 // Conv4To is the conv front-end's inner loops at the paper's shape, one
 // sample's responses to every kernel-4, stride-1 filter: with ol = len(x)-3
 // outputs per filter, channel-major, y[f·ol+t] = b[f] + w[4f]·x[t] +
-// w[4f+1]·x[t+1] + w[4f+2]·x[t+2] + w[4f+3]·x[t+3], added in that order (the
-// single-sample Conv1D.Forward's), then gated on its own sign — pass 0
+// w[4f+1]·x[t+1] + w[4f+2]·x[t+2] + w[4f+3]·x[t+3], added in that order (nn's
+// scalar test oracle's for a Conv1D), then gated on its own sign — pass 0
 // rectifies, all ones lets every response through (see Gate). Outputs are
 // independent elements, so the AVX body (vec_amd64.s), four of them to a
 // vector, leaves the bits of conv4Generic.

@@ -13,17 +13,17 @@ import (
 // training-side counterpart of ForwardBatch and must follow the ForwardBatch
 // whose retained activations it consumes.
 //
-// Exactness: the single-sample reference processes the batch row by row, so
-// every parameter-gradient element receives its per-row terms in ascending
-// row order, each added to the element's running value one at a time. The
-// batched kernels keep exactly that order — Dense's weight gradient runs
-// dW += dYᵀ·X through mat.MulTransAAccTo or mat.MulPackAccTo (both
-// row-sequential, seeded from the existing gradient), Conv1D rereads the
-// input windows from the retained batch with the reference's
-// zero-gradient skip, and the input-gradient products seed at zero and walk
-// the output dimension in index order, matching the per-sample loops term
-// for term. Batched training is therefore bitwise identical to the
-// per-sample loop, which rl's per-row oracle test pins down.
+// Exactness: the scalar oracle (oracle_test.go) processes the batch row by
+// row, so every parameter-gradient element receives its per-row terms in
+// ascending row order, each added to the element's running value one at a
+// time. The batched kernels keep exactly that order — Dense's weight
+// gradient runs dW += dYᵀ·X through mat.MulTransAAccTo or mat.MulPackAccTo
+// (both row-sequential, seeded from the existing gradient), Conv1D rereads
+// the input windows from the retained batch with the oracle's zero-gradient
+// skip, and the input-gradient products seed at zero and walk the output
+// dimension in index order, matching the per-sample loops term for term.
+// Batched training is therefore bitwise identical to the per-sample loop,
+// which this package's bitwise tests and rl's per-row oracle test pin down.
 //
 // Buffer ownership matches ForwardBatch: returned matrices are owned by the
 // layer and overwritten by its next BackwardBatch call; scratch grows to the
@@ -36,7 +36,7 @@ import (
 // features, and a training update has no use for that (Network.BackwardParams).
 
 // BackwardBatch implements the batched gradient pass for Dense. Three
-// products, each in the reference accumulation order:
+// products, each in the oracle's accumulation order:
 //
 //	db[o] += Σ_r dy[r][o]          (r ascending, seeded from the live grad)
 //	dW[o][i] += Σ_r dy[r][o]·x[r][i]  (r ascending, seeded from the live grad)
@@ -52,7 +52,7 @@ import (
 // as the streaming operand (mat.MulPackAccTo), which keeps the per-k tile
 // loads contiguous and drops the full-width input-batch transpose. All
 // kernels share the accumulation-order contract, so both paths are bitwise
-// identical to the reference.
+// identical to the oracle.
 func (d *Dense) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
 	return d.backwardBatch(dy, workers, true)
 }
@@ -130,17 +130,17 @@ func (d *Dense) biasGradRows(lo, hi int) {
 // its retained output: a response's gradient counts only where the
 // rectified response is positive (y > 0 ⇔ the response was).
 //
-// Two passes, both preserving the reference's `g == 0` skip (rewards are
+// Two passes, both preserving the oracle's `g == 0` skip (rewards are
 // often zero early in a trace, so whole timesteps of critic gradient vanish
 // — as does every rectified-away response's — and the skip is both a real
 // win and part of the bitwise contract):
 //
 //   - parameter gradients: a filter's accumulators receive their terms in
-//     (row, position) ascending order — the order the reference's per-sample
+//     (row, position) ascending order — the order the oracle's per-sample
 //     f-loop contributes them to that filter — and distinct filters touch
 //     disjoint gradient elements, so the element-wise accumulation order is
-//     the reference's however the filters are interleaved (filterGradSpan);
-//   - input gradients: row-major with the reference's f-outer/t-inner walk,
+//     the oracle's however the filters are interleaved (filterGradSpan);
+//   - input gradients: row-major with the oracle's f-outer/t-inner walk,
 //     each output row scattered back through its filter taps.
 func (c *Conv1D) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
 	return c.backwardBatch(dy, workers, true)
@@ -168,7 +168,7 @@ func (c *Conv1D) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat
 	}
 	c.bdx = mat.EnsureShape(c.bdx, dy.Rows, c.bx.Cols)
 	// Sample rows own disjoint input-gradient rows; each shard zeroes and
-	// then accumulates its own rows with the reference's f-outer/t-inner
+	// then accumulates its own rows with the oracle's f-outer/t-inner
 	// walk.
 	if parRows(dy.Rows, c.Filters*ol*c.Kernel, workers) {
 		par.ForChunked(dy.Rows, workers, func(rlo, rhi int) { c.inputGradRows(dy, rlo, rhi) })
@@ -252,7 +252,7 @@ func filterGradRow(gw []float64, bg float64, drow, yrow, xrow []float64, stride 
 }
 
 // inputGradRows zeroes and accumulates the window gradients of rows
-// [rlo, rhi) with the reference's f-outer/t-inner walk, then copies the
+// [rlo, rhi) with the oracle's f-outer/t-inner walk, then copies the
 // tail's gradient behind them; rows are disjoint.
 //
 //minicost:hotpath

@@ -8,14 +8,12 @@ import (
 	"minicost/internal/rng"
 )
 
-// refGrads runs the single-sample reference over the batch in row order —
-// Forward then Backward per row — and returns the resulting flat gradient
-// vector plus the per-row input gradients.
+// refGrads runs the scalar oracle over the batch in row order and returns
+// the resulting flat gradient vector plus the per-row input gradients.
 func refGrads(net *Network, x, dy *mat.Matrix) ([]float64, *mat.Matrix) {
 	dx := mat.New(dy.Rows, x.Cols)
 	for r := 0; r < x.Rows; r++ {
-		net.Forward(x.Row(r))
-		copy(dx.Row(r), net.Backward(dy.Row(r)))
+		copy(dx.Row(r), net.refBackward(x.Row(r), dy.Row(r)))
 	}
 	return net.GradVector(), dx
 }
@@ -31,7 +29,7 @@ func setGrads(n *Network, flat []float64) {
 
 // assertBackwardBatchMatchesSingle checks that ForwardBatch + BackwardBatch
 // accumulates bitwise-identical parameter gradients and input gradients to
-// the per-sample reference, including on top of pre-existing gradients, and
+// the scalar oracle, including on top of pre-existing gradients, and
 // that BackwardParams — the same pass without the first layer's input
 // gradient — accumulates the same parameter gradients.
 func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*Network, *Network), x, dy *mat.Matrix, workers int) {
@@ -53,11 +51,11 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 	gotGrad := batched.GradVector()
 
 	if i, ok := sameBits(gotGrad, wantGrad); !ok {
-		t.Fatalf("%s: grad elem %d = %v, single-sample = %v (not bitwise equal)",
+		t.Fatalf("%s: grad elem %d = %v, oracle = %v (not bitwise equal)",
 			name, i, gotGrad[i], wantGrad[i])
 	}
 	if i, ok := sameBits(gotDx.Data, wantDx.Data); !ok {
-		t.Fatalf("%s: input-grad elem %d = %v, single-sample = %v (not bitwise equal)",
+		t.Fatalf("%s: input-grad elem %d = %v, oracle = %v (not bitwise equal)",
 			name, i, gotDx.Data[i], wantDx.Data[i])
 	}
 
@@ -66,7 +64,7 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 	setGrads(batched, start)
 	batched.BackwardParams(dy, workers)
 	if i, ok := sameBits(batched.GradVector(), wantGrad); !ok {
-		t.Fatalf("%s: BackwardParams grad elem %d differs from the single-sample reference", name, i)
+		t.Fatalf("%s: BackwardParams grad elem %d differs from the scalar oracle", name, i)
 	}
 }
 
@@ -155,7 +153,7 @@ func leanMatrix() bool { return testing.Short() || raceEnabled }
 
 // TestNetworkBackwardBatchBitwise runs the full MiniCost-shaped stack
 // (Split(Conv1D→ReLU) → Dense → ReLU → Dense) through the batched gradient
-// pass and pins bitwise equality to the per-sample reference.
+// pass and pins bitwise equality to the scalar oracle.
 func TestNetworkBackwardBatchBitwise(t *testing.T) {
 	r := rng.New(24)
 	const head, static = 28, 6
@@ -172,7 +170,7 @@ func TestNetworkBackwardBatchBitwise(t *testing.T) {
 			batched, single := mk(), mk()
 			pair := func() (*Network, *Network) { return batched, single }
 			for _, batch := range seamBatches {
-				// The per-row reference makes the wide stacks slow: widths past
+				// The per-row oracle makes the wide stacks slow: widths past
 				// 32 run the multi-panel batch at the paper's front-end only,
 				// and the lean matrix keeps the panel seams to widths 4 and 16
 				// and the other front-ends to widths up to 32.
@@ -195,7 +193,7 @@ func TestNetworkBackwardBatchBitwise(t *testing.T) {
 
 // TestBackwardBatchAccumulatesAcrossBatches checks that two consecutive
 // ForwardBatch/BackwardBatch rounds accumulate gradients identically to the
-// per-sample reference over both batches in sequence — the exact shape of an
+// scalar oracle over both batches in sequence — the exact shape of an
 // A3C update that backprops actor and critic losses without ZeroGrad between
 // rollout rows.
 func TestBackwardBatchAccumulatesAcrossBatches(t *testing.T) {

@@ -9,12 +9,13 @@ import (
 
 // Batched forward: ForwardBatch runs a whole batch of samples (one per
 // matrix row) through a layer in one pass — one GEMM per Dense layer, one
-// fused loop for the conv front-end — instead of len(batch) single-sample
-// passes. It serves two callers: the serving-side inference engine
-// (policy.RL, the agent server) and the batched training path (rl's A3C
-// workers), which follows it with BackwardBatch (backward.go). The
-// single-sample Forward/Backward remains the reference implementation the
-// equivalence tests compare against.
+// fused loop for the conv front-end. It is the one forward pass there is,
+// and it serves every caller: the serving-side inference engine (policy.RL,
+// the agent server), a one-off decision (a one-row batch, rl.Agent.Decide)
+// and the training paths (rl's A3C workers and the replay DQN), which follow
+// it with BackwardBatch (backward.go). The scalar per-sample loops live on
+// only as the test oracle (oracle_test.go) the equivalence tests compare
+// against.
 //
 // The front-end the agent networks are built with — Split over a Conv1D and
 // a ReLU, concatenated with the static features — is one loop over the rows
@@ -40,15 +41,16 @@ import (
 // is done the update's forward pass has already happened.
 //
 // Exactness: every kernel accumulates each output element in the same
-// floating-point order as the single-sample Forward (bias seed, then the
-// shared dimension in index order — see mat's GEMM contract), so batched
-// outputs are bitwise identical to per-sample outputs. Downstream argmax
-// tier decisions therefore match exactly, not just approximately.
+// floating-point order as the scalar oracle (bias seed, then the shared
+// dimension in index order — see mat's GEMM contract), so each output row is
+// bitwise identical to the oracle's output for that sample, whatever the
+// batch length. Downstream argmax tier decisions therefore match exactly,
+// not just approximately.
 //
-// Buffer ownership mirrors Forward: the returned matrix is owned by the
-// layer and overwritten by its next ForwardBatch call. Scratch buffers grow
-// to the largest batch seen and are reused, so steady-state batched
-// inference performs no allocations.
+// Buffer ownership: the returned matrix is owned by the layer and
+// overwritten by its next ForwardBatch call. Scratch buffers grow to the
+// largest batch seen and are reused, so steady-state batched inference
+// performs no allocations.
 //
 // workers bounds the intra-GEMM parallel fan-out: pass 1 (serial) when the
 // caller already parallelizes across batches — e.g. the chunked stepper in
@@ -165,8 +167,8 @@ func (c *Conv1D) forward(x *mat.Matrix, rectify bool, lo, hi, workers int) *mat.
 // convRows is the batched convolution, for sample rows [lo, hi): it
 // cross-correlates the window at the start of x's row with every filter and
 // writes the responses channel-major at the start of the output row — each
-// bias-seeded and accumulated over the kernel in index order, the
-// single-sample Forward's bits — rectified in the same breath when rectify
+// bias-seeded and accumulated over the kernel in index order, the scalar
+// oracle's bits — rectified in the same breath when rectify
 // is set (mat.Gate: `v > 0 ? v : 0` without the branch), then copies
 // what follows the window in x's row behind them. With rectify set and a
 // tail that is Split∘Conv1D∘ReLU∘concat in one pass over the batch; without

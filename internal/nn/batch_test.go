@@ -54,20 +54,18 @@ func randomBatch(r *rng.RNG, rows, cols int) *mat.Matrix {
 }
 
 // assertBatchMatchesSingle checks that ForwardBatch on x is bitwise
-// identical to Forward row by row.
+// identical to the scalar oracle row by row.
 func assertBatchMatchesSingle(t *testing.T, name string, l Layer, x *mat.Matrix, workers int) {
 	t.Helper()
 	y := l.ForwardBatch(x, workers)
 	for r := 0; r < x.Rows; r++ {
-		// Forward overwrites the batch layers' single-sample buffers, not the
-		// batched ones, so interleaving is safe; copy anyway for clarity.
-		want := append([]float64(nil), l.Forward(x.Row(r))...)
+		want := l.(refLayer).refForward(x.Row(r))
 		got := y.Row(r)
 		if len(got) != len(want) {
 			t.Fatalf("%s: batch row %d len %d, single %d", name, r, len(got), len(want))
 		}
 		if i, ok := sameBits(got, want); !ok {
-			t.Fatalf("%s: batch row %d elem %d = %v, single-sample = %v (not bitwise equal)",
+			t.Fatalf("%s: batch row %d elem %d = %v, oracle = %v (not bitwise equal)",
 				name, r, i, got[i], want[i])
 		}
 	}
@@ -87,8 +85,8 @@ func TestDenseForwardBatchBitwise(t *testing.T) {
 // mat.Conv4To's vector kernel, at output lengths with and without a ragged
 // tail) and its neighbours, which must stay on convFilterRow's loop — four
 // taps at stride two, three and five at stride one: the kernel would read
-// the wrong window or the wrong number of taps, and the single-sample
-// reference would show it.
+// the wrong window or the wrong number of taps, and the scalar oracle would
+// show it.
 func TestConv1DForwardBatchBitwise(t *testing.T) {
 	r := rng.New(2)
 	for _, sh := range []struct{ inLen, filters, kernel, stride, batch int }{
@@ -128,21 +126,16 @@ func TestNetworkForwardBatchBitwise(t *testing.T) {
 		NewReLU(),
 		NewDense(r, 64, 3),
 	)
-	x := randomBatch(r, 57, head+6)
-	y := n.ForwardBatch(x, 1)
-	for row := 0; row < x.Rows; row++ {
-		want := append([]float64(nil), n.Forward(x.Row(row))...)
-		if i, ok := sameBits(y.Row(row), want); !ok {
-			t.Fatalf("Network: row %d elem %d batch %v != single %v", row, i, y.Row(row)[i], want[i])
-		}
-	}
-	// Ragged re-use: a smaller batch after a larger one must still match.
-	x2 := randomBatch(r, 3, head+6)
-	y2 := n.ForwardBatch(x2, 1)
-	for row := 0; row < x2.Rows; row++ {
-		want := append([]float64(nil), n.Forward(x2.Row(row))...)
-		if i, ok := sameBits(y2.Row(row), want); !ok {
-			t.Fatalf("Network (shrunk batch): row %d elem %d mismatch", row, i)
+	// Ragged re-use: smaller batches after a larger one must still match,
+	// down to the one row a one-off decision forwards.
+	for _, rows := range []int{57, 3, 1} {
+		x := randomBatch(r, rows, head+6)
+		y := n.ForwardBatch(x, 1)
+		for row := 0; row < x.Rows; row++ {
+			want := n.refForward(x.Row(row))
+			if i, ok := sameBits(y.Row(row), want); !ok {
+				t.Fatalf("Network (%d rows): row %d elem %d batch %v != oracle %v", rows, row, i, y.Row(row)[i], want[i])
+			}
 		}
 	}
 }
@@ -167,9 +160,9 @@ func TestNetworkForwardBatchSteadyStateAllocFree(t *testing.T) {
 
 // TestRectifierSpecialValues pins the rectifier's semantics — `v > 0 ? v : 0`
 // — on the values where a branch-free formulation can go wrong, and checks
-// that its three implementations agree bit for bit: the single-sample
-// ReLU.Forward/Backward (the reference, a plain comparison), the batched
-// spans, and the fused front-end. A mask taken from the sign bit alone would
+// that the batched spans and the fused front-end agree bit for bit with the
+// scalar oracle (a plain comparison), which is checked against the table
+// too. A mask taken from the sign bit alone would
 // pass a positive NaN through; one that forgot the zero would pass the
 // gradient at +0.
 func TestRectifierSpecialValues(t *testing.T) {
@@ -217,8 +210,7 @@ func TestRectifierSpecialValues(t *testing.T) {
 	}
 
 	relu := NewReLU()
-	y := append([]float64(nil), relu.Forward(x.Row(0))...)
-	check("ReLU single-sample", y, relu.Backward(g.Row(0)))
+	check("ReLU oracle", relu.refForward(x.Row(0)), relu.refBackward(x.Row(0), g.Row(0)))
 	by := relu.ForwardBatch(x, 1)
 	bdx := relu.BackwardBatch(g, 1)
 	for r := 0; r < rows; r++ {
@@ -231,8 +223,7 @@ func TestRectifierSpecialValues(t *testing.T) {
 	conv := NewConv1D(rng.New(1), n, 1, 1, 1)
 	conv.w.Value[0], conv.b.Value[0] = 1, negZero
 	front := NewSplit(n, NewNetwork(conv, NewReLU()))
-	y = append([]float64(nil), front.Forward(x.Row(0))...)
-	check("front-end single-sample", y, front.Backward(g.Row(0)))
+	check("front-end oracle", front.refForward(x.Row(0)), front.refBackward(x.Row(0), g.Row(0)))
 	by = front.ForwardBatch(x, 1)
 	bdx = front.BackwardBatch(g, 1)
 	for r := 0; r < rows; r++ {

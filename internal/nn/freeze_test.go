@@ -17,15 +17,15 @@ func assertPanics(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// assertNetMatchesSingle checks ForwardBatch on x against row-by-row Forward
-// on ref, bit for bit.
+// assertNetMatchesSingle checks ForwardBatch on x against the scalar oracle
+// on ref, row by row, bit for bit.
 func assertNetMatchesSingle(t *testing.T, name string, batched, ref *Network, rows int, seed uint64) {
 	t.Helper()
 	x := randomBatch(rng.New(seed), rows, 20)
 	y := batched.ForwardBatch(x, 1)
 	for r := 0; r < rows; r++ {
-		if i, ok := sameBits(y.Row(r), ref.Forward(x.Row(r))); !ok {
-			t.Fatalf("%s: %d-row batch, row %d elem %d differs from single-sample Forward", name, rows, r, i)
+		if i, ok := sameBits(y.Row(r), ref.refForward(x.Row(r))); !ok {
+			t.Fatalf("%s: %d-row batch, row %d elem %d differs from the scalar oracle", name, rows, r, i)
 		}
 	}
 }

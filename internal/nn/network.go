@@ -20,23 +20,6 @@ type Network struct {
 // NewNetwork stacks the given layers.
 func NewNetwork(layers ...Layer) *Network { return &Network{layers: layers} }
 
-// Forward runs the stack on one sample.
-func (n *Network) Forward(x []float64) []float64 {
-	for _, l := range n.layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward back-propagates dy through the stack (after a Forward), returning
-// the input gradient and accumulating parameter gradients.
-func (n *Network) Backward(dy []float64) []float64 {
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		dy = n.layers[i].Backward(dy)
-	}
-	return dy
-}
-
 // Params returns every parameter block in the stack.
 func (n *Network) Params() []*Param {
 	var out []*Param
@@ -279,16 +262,9 @@ func (n *Network) mustOwnParams(op string) {
 	}
 }
 
-// Softmax returns the softmax of logits, computed stably.
-func Softmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	SoftmaxInto(out, logits)
-	return out
-}
-
 // SoftmaxInto writes the softmax of logits into out (same length, may not
 // alias) without allocating — the training and sampling hot paths reuse one
-// buffer per worker. The arithmetic is identical to Softmax.
+// buffer per worker.
 //
 //minicost:hotpath
 func SoftmaxInto(out, logits []float64) {

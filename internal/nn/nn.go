@@ -3,10 +3,14 @@
 // stride 1, feeding a 128-neuron hidden layer; here parameterizable so
 // Fig. 11's width sweep can run).
 //
-// The design is deliberately minimal: single-sample forward/backward (A3C
-// applies n-step updates sample by sample), float64 everywhere, layers
-// exposing flat parameter/gradient vectors so the RL package can host a
-// locked global parameter server and copy weights into per-worker replicas.
+// The design is deliberately minimal: one batched forward and one batched
+// backward per layer (one sample per matrix row — serving decides a batch of
+// files, training differentiates a rollout or a replay minibatch; one-off
+// decisions are a one-row batch), float64 everywhere, layers exposing flat
+// parameter/gradient vectors so the RL package can host a locked global
+// parameter server and copy weights into per-worker replicas. The scalar
+// per-sample loops survive only in the package's tests, as the oracle the
+// batched kernels are held to bit for bit.
 package nn
 
 import (
@@ -23,24 +27,25 @@ type Param struct {
 	Grad  []float64
 }
 
-// Layer is a differentiable module. Forward must cache whatever Backward
-// needs; Backward consumes the gradient w.r.t. its output, accumulates
-// parameter gradients, and returns the gradient w.r.t. its input.
+// Layer is a differentiable module over a batch of samples, one per matrix
+// row. ForwardBatch (batch.go) retains the input batch (a pointer, not a
+// copy — the caller's own matrix, for a network's first layer, which must not
+// change in between) so that BackwardBatch (backward.go) can differentiate
+// it; BackwardBatch consumes the gradient with respect to the outputs,
+// accumulates parameter gradients, returns the gradient with respect to the
+// inputs, and must follow the ForwardBatch whose activations it consumes.
 //
-// Buffer ownership: the slices Forward and Backward return — and the
-// matrices ForwardBatch and BackwardBatch return — are owned by the layer
-// and overwritten by its next call of the same method; copy them if they
-// must outlive that. This keeps the single-sample training loop, steady-
-// state batched inference and the batched training path allocation-free,
-// which the A3C workers and the serving path depend on.
+// Buffer ownership: the matrices ForwardBatch and BackwardBatch return are
+// owned by the layer and overwritten by its next call of the same method;
+// copy them if they must outlive that. This keeps steady-state batched
+// inference and training allocation-free, which the serving path and the
+// training workers depend on.
 //
-// ForwardBatch (batch.go) must produce outputs bitwise identical to
-// row-by-row Forward calls. It retains the input batch (a pointer, not a
-// copy — the caller's own matrix, for a network's first layer, which must
-// not change in between) so BackwardBatch (backward.go) can differentiate
-// it; BackwardBatch must follow the ForwardBatch whose activations it
-// consumes and must accumulate parameter gradients bitwise identically to
-// calling Forward and Backward once per row, in row order.
+// Exactness: each output row of ForwardBatch, and the parameter gradients
+// BackwardBatch accumulates, are bitwise identical to the scalar loop run
+// once per row, in row order — the per-sample oracle in the package's tests
+// (oracle_test.go). See batch.go and backward.go for how each kernel keeps
+// that order.
 //
 // What a layer owns, and how long a kernel-layout pack of a Dense weight
 // block may live, depends on how its parameters came to be — three cases:
@@ -60,9 +65,7 @@ type Param struct {
 //     are shared, read-only, with every other view of the same freeze, and it
 //     has no gradients — pack per freeze.
 type Layer interface {
-	Forward(x []float64) []float64
 	ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix
-	Backward(dy []float64) []float64
 	BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix
 	Params() []*Param
 	OutDim(inDim int) int
@@ -84,8 +87,6 @@ type Layer interface {
 type Dense struct {
 	In, Out int
 	w, b    Param
-	x       []float64 // cached input
-	y, dx   []float64 // reused output/input-gradient buffers
 
 	by         *mat.Matrix       // reused batched output
 	bxt        *mat.Matrix       // reused lane-transposed scratch for short windows
@@ -119,52 +120,6 @@ func NewDense(r *rng.RNG, in, out int) *Dense {
 	return d
 }
 
-// Forward computes W·x + b.
-func (d *Dense) Forward(x []float64) []float64 {
-	if len(x) != d.In {
-		panic(fmt.Sprintf("nn: Dense input %d, want %d", len(x), d.In))
-	}
-	d.x = x
-	if d.y == nil {
-		d.y = make([]float64, d.Out)
-	}
-	y := d.y
-	for o := 0; o < d.Out; o++ {
-		row := d.w.Value[o*d.In : (o+1)*d.In]
-		s := d.b.Value[o]
-		for i, v := range x {
-			s += row[i] * v
-		}
-		y[o] = s
-	}
-	return y
-}
-
-// Backward accumulates dW = dy·xᵀ, db = dy and returns Wᵀ·dy.
-func (d *Dense) Backward(dy []float64) []float64 {
-	if len(dy) != d.Out {
-		panic("nn: Dense Backward dim mismatch")
-	}
-	if d.dx == nil {
-		d.dx = make([]float64, d.In)
-	}
-	dx := d.dx
-	for i := range dx {
-		dx[i] = 0
-	}
-	for o := 0; o < d.Out; o++ {
-		g := dy[o]
-		d.b.Grad[o] += g
-		row := d.w.Value[o*d.In : (o+1)*d.In]
-		grow := d.w.Grad[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			grow[i] += g * d.x[i]
-			dx[i] += g * row[i]
-		}
-	}
-	return dx
-}
-
 // Params returns the weight and bias blocks.
 func (d *Dense) Params() []*Param { return []*Param{&d.w, &d.b} }
 
@@ -193,8 +148,6 @@ func (d *Dense) freeze() Layer {
 type Conv1D struct {
 	InLen, Filters, Kernel, Stride int
 	w, b                           Param // w[f*Kernel+k], b[f]
-	x                              []float64
-	y, dx                          []float64 // reused buffers
 
 	by, bdx *mat.Matrix // reused batched output / input-gradient buffers
 	// Retained by the last batched forward pass for the gradient pass: the
@@ -223,64 +176,6 @@ func NewConv1D(r *rng.RNG, inLen, filters, kernel, stride int) *Conv1D {
 // outLen returns the number of output positions per filter.
 func (c *Conv1D) outLen() int { return (c.InLen-c.Kernel)/c.Stride + 1 }
 
-// Forward computes the cross-correlation of x with every filter.
-func (c *Conv1D) Forward(x []float64) []float64 {
-	if len(x) != c.InLen {
-		panic(fmt.Sprintf("nn: Conv1D input %d, want %d", len(x), c.InLen))
-	}
-	c.x = x
-	ol := c.outLen()
-	if c.y == nil {
-		c.y = make([]float64, c.Filters*ol)
-	}
-	y := c.y
-	for f := 0; f < c.Filters; f++ {
-		w := c.w.Value[f*c.Kernel : (f+1)*c.Kernel]
-		bias := c.b.Value[f]
-		for t := 0; t < ol; t++ {
-			s := bias
-			base := t * c.Stride
-			for k := 0; k < c.Kernel; k++ {
-				s += w[k] * x[base+k]
-			}
-			y[f*ol+t] = s
-		}
-	}
-	return y
-}
-
-// Backward accumulates filter gradients and returns the input gradient.
-func (c *Conv1D) Backward(dy []float64) []float64 {
-	ol := c.outLen()
-	if len(dy) != c.Filters*ol {
-		panic("nn: Conv1D Backward dim mismatch")
-	}
-	if c.dx == nil {
-		c.dx = make([]float64, c.InLen)
-	}
-	dx := c.dx
-	for i := range dx {
-		dx[i] = 0
-	}
-	for f := 0; f < c.Filters; f++ {
-		w := c.w.Value[f*c.Kernel : (f+1)*c.Kernel]
-		gw := c.w.Grad[f*c.Kernel : (f+1)*c.Kernel]
-		for t := 0; t < ol; t++ {
-			g := dy[f*ol+t]
-			if g == 0 {
-				continue
-			}
-			c.b.Grad[f] += g
-			base := t * c.Stride
-			for k := 0; k < c.Kernel; k++ {
-				gw[k] += g * c.x[base+k]
-				dx[base+k] += g * w[k]
-			}
-		}
-	}
-	return dx
-}
-
 // Params returns the filter and bias blocks.
 func (c *Conv1D) Params() []*Param { return []*Param{&c.w, &c.b} }
 
@@ -299,50 +194,13 @@ func (c *Conv1D) freeze() Layer {
 
 // ReLU is max(0, x).
 type ReLU struct {
-	mask  []bool
-	y, dx []float64   // reused buffers
-	by    *mat.Matrix // reused batched output
-	bx    *mat.Matrix // input batch retained by ForwardBatch for BackwardBatch
-	bdx   *mat.Matrix // reused batched input-gradient buffer
+	by  *mat.Matrix // reused batched output
+	bx  *mat.Matrix // input batch retained by ForwardBatch for BackwardBatch
+	bdx *mat.Matrix // reused batched input-gradient buffer
 }
 
 // NewReLU returns a ReLU activation.
 func NewReLU() *ReLU { return &ReLU{} }
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x []float64) []float64 {
-	if len(r.y) != len(x) {
-		r.y = make([]float64, len(x))
-		r.mask = make([]bool, len(x))
-	}
-	y := r.y
-	for i, v := range x {
-		if v > 0 {
-			y[i] = v
-			r.mask[i] = true
-		} else {
-			y[i] = 0
-			r.mask[i] = false
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(dy []float64) []float64 {
-	if len(r.dx) != len(dy) {
-		r.dx = make([]float64, len(dy))
-	}
-	dx := r.dx
-	for i, g := range dy {
-		if r.mask[i] {
-			dx[i] = g
-		} else {
-			dx[i] = 0
-		}
-	}
-	return dx
-}
 
 // Params implements Layer (none).
 func (r *ReLU) Params() []*Param { return nil }
@@ -359,14 +217,12 @@ func (r *ReLU) freeze() Layer { return &ReLU{} }
 // the results. MiniCost uses it to run the conv front-end over the
 // request-frequency history while static features (size, tier one-hot,
 // write stats) bypass it — the paper's "results from these layers are then
-// aggregated with other inputs". The single-sample passes run Inner layer by
-// layer; the batched passes run the whole front-end as one loop over the
-// rows (Conv1D.forward).
+// aggregated with other inputs". Both passes run the whole front-end as one
+// loop over the rows (Conv1D.forward, Conv1D.backwardBatch).
 type Split struct {
 	Head  int
 	Inner *Network
-	conv  *Conv1D   // Inner's first layer; it owns the batched passes' buffers
-	y, dx []float64 // reused buffers
+	conv  *Conv1D // Inner's first layer; it owns the batched passes' buffers
 }
 
 // NewSplit wraps inner, which must be a Conv1D over head inputs followed by
@@ -383,32 +239,6 @@ func NewSplit(head int, inner *Network) *Split {
 		panic(fmt.Sprintf("nn: Split head %d, inner Conv1D reads %d", head, conv.InLen))
 	}
 	return &Split{Head: head, Inner: inner, conv: conv}
-}
-
-// Forward implements Layer.
-func (s *Split) Forward(x []float64) []float64 {
-	if len(x) < s.Head {
-		panic("nn: Split input shorter than head")
-	}
-	y := s.Inner.Forward(x[:s.Head])
-	if len(s.y) != len(y)+len(x)-s.Head {
-		s.y = make([]float64, len(y)+len(x)-s.Head)
-	}
-	copy(s.y, y)
-	copy(s.y[len(y):], x[s.Head:])
-	return s.y
-}
-
-// Backward implements Layer.
-func (s *Split) Backward(dy []float64) []float64 {
-	innerOut := s.Inner.OutDim(s.Head)
-	dHead := s.Inner.Backward(dy[:innerOut])
-	if len(s.dx) != s.Head+len(dy)-innerOut {
-		s.dx = make([]float64, s.Head+len(dy)-innerOut)
-	}
-	copy(s.dx, dHead)
-	copy(s.dx[s.Head:], dy[innerOut:])
-	return s.dx
 }
 
 // Params implements Layer.

@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"minicost/internal/mat"
 	"minicost/internal/rng"
 )
 
-// numericGrad estimates d(loss)/d(theta) by central differences, where loss
-// is 0.5*||net(x) - target||^2.
+// loss is 0.5*||net(x) - target||^2 on the scalar oracle; the gradient
+// checks estimate its derivatives by central differences.
 func loss(n *Network, x, target []float64) float64 {
-	y := n.Forward(x)
+	y := n.refForward(x)
 	s := 0.0
 	for i := range y {
 		d := y[i] - target[i]
@@ -19,17 +20,22 @@ func loss(n *Network, x, target []float64) float64 {
 	return s
 }
 
-// analyticGrads runs forward/backward and returns the flat param grads and
-// the input grads.
+// analyticGrads runs the scalar oracle forward and backward and returns the
+// flat param grads and the input grads.
 func analyticGrads(n *Network, x, target []float64) (pg, xg []float64) {
 	n.ZeroGrad()
-	y := n.Forward(x)
+	y := n.refForward(x)
 	dy := make([]float64, len(y))
 	for i := range y {
 		dy[i] = y[i] - target[i]
 	}
-	xg = n.Backward(dy)
+	xg = n.refBackward(x, dy)
 	return n.GradVector(), xg
+}
+
+// rowBatch wraps one sample as a one-row batch.
+func rowBatch(x []float64) *mat.Matrix {
+	return &mat.Matrix{Rows: 1, Cols: len(x), Data: x}
 }
 
 func checkGradients(t *testing.T, n *Network, inDim int, seed uint64) {
@@ -131,9 +137,9 @@ func TestConv1DOutputShape(t *testing.T) {
 	if got := c.OutDim(14); got != 128*11 {
 		t.Fatalf("OutDim = %d, want %d", got, 128*11)
 	}
-	y := c.Forward(make([]float64, 14))
-	if len(y) != 128*11 {
-		t.Fatalf("forward len %d", len(y))
+	y := c.ForwardBatch(mat.New(1, 14), 1)
+	if y.Rows != 1 || y.Cols != 128*11 {
+		t.Fatalf("forward shape %dx%d", y.Rows, y.Cols)
 	}
 }
 
@@ -142,7 +148,7 @@ func TestConv1DKnownValues(t *testing.T) {
 	c := NewConv1D(r, 4, 1, 2, 1)
 	copy(c.w.Value, []float64{1, -1})
 	c.b.Value[0] = 0.5
-	y := c.Forward([]float64{3, 1, 4, 1})
+	y := c.ForwardBatch(rowBatch([]float64{3, 1, 4, 1}), 1).Row(0)
 	want := []float64{3 - 1 + 0.5, 1 - 4 + 0.5, 4 - 1 + 0.5}
 	for i := range want {
 		if math.Abs(y[i]-want[i]) > 1e-12 {
@@ -174,10 +180,10 @@ func TestCloneIndependence(t *testing.T) {
 	r := rng.New(18)
 	n := NewNetwork(NewDense(r, 3, 3), NewReLU(), NewDense(r, 3, 2))
 	c := n.Clone()
-	x := []float64{1, 2, 3}
-	// Forward's return is owned by the network; copy before the next call.
-	y1 := append([]float64(nil), n.Forward(x)...)
-	y2 := c.Forward(x)
+	x := rowBatch([]float64{1, 2, 3})
+	// ForwardBatch's return is owned by the network; copy before the next call.
+	y1 := append([]float64(nil), n.ForwardBatch(x, 1).Row(0)...)
+	y2 := c.ForwardBatch(x, 1).Row(0)
 	for i := range y1 {
 		if math.Abs(y1[i]-y2[i]) > 1e-15 {
 			t.Fatal("clone diverges on forward")
@@ -189,7 +195,7 @@ func TestCloneIndependence(t *testing.T) {
 		v[i] += 1
 	}
 	c.SetParamVector(v)
-	y3 := n.Forward(x)
+	y3 := n.ForwardBatch(x, 1).Row(0)
 	for i := range y1 {
 		if y3[i] != y1[i] {
 			t.Fatal("clone shares storage with original")
@@ -222,16 +228,14 @@ func TestGradAccumulation(t *testing.T) {
 	// Two backward passes without ZeroGrad must sum gradients.
 	r := rng.New(20)
 	n := NewNetwork(NewDense(r, 2, 2))
-	x := []float64{1, 2}
-	tgt := []float64{0, 0}
-	g1, _ := analyticGrads(n, x, tgt)
-	// analyticGrads zeroes first; now do a second backward on top.
-	y := n.Forward(x)
-	dy := make([]float64, len(y))
-	for i := range y {
-		dy[i] = y[i] - tgt[i]
-	}
-	n.Backward(dy)
+	x := rowBatch([]float64{1, 2})
+	// The loss is 0.5*||net(x)||^2, so dy is the output itself.
+	dy := mat.New(1, 2)
+	copy(dy.Data, n.ForwardBatch(x, 1).Data)
+	n.BackwardBatch(dy, 1)
+	g1 := n.GradVector()
+	n.ForwardBatch(x, 1)
+	n.BackwardBatch(dy, 1)
 	g2 := n.GradVector()
 	for i := range g1 {
 		if math.Abs(g2[i]-2*g1[i]) > 1e-12 {
@@ -240,8 +244,15 @@ func TestGradAccumulation(t *testing.T) {
 	}
 }
 
+// softmax is SoftmaxInto into a fresh slice.
+func softmax(logits []float64) []float64 {
+	out := make([]float64, len(logits))
+	SoftmaxInto(out, logits)
+	return out
+}
+
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float64{1, 2, 3})
+	p := softmax([]float64{1, 2, 3})
 	sum := 0.0
 	for i := 0; i < len(p)-1; i++ {
 		if p[i] >= p[i+1] {
@@ -258,13 +269,13 @@ func TestSoftmax(t *testing.T) {
 		t.Fatalf("softmax sums to %v", sum)
 	}
 	// Stability under large logits.
-	p = Softmax([]float64{1000, 1001})
+	p = softmax([]float64{1000, 1001})
 	if math.IsNaN(p[0]) || math.Abs(p[0]+p[1]-1) > 1e-12 {
 		t.Fatal("softmax unstable")
 	}
 	// Shift invariance.
-	a := Softmax([]float64{0.3, -0.2, 1.4})
-	b := Softmax([]float64{10.3, 9.8, 11.4})
+	a := softmax([]float64{0.3, -0.2, 1.4})
+	b := softmax([]float64{10.3, 9.8, 11.4})
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatal("softmax not shift invariant")
@@ -324,13 +335,18 @@ func TestOptimizersReduceLoss(t *testing.T) {
 				return s / float64(len(data))
 			}
 			before := evalLoss()
+			x, dy := mat.New(len(data), 2), mat.New(len(data), 1)
+			for i, d := range data {
+				copy(x.Row(i), d[:])
+			}
 			params := n.ParamVector()
 			for epoch := 0; epoch < 300; epoch++ {
 				n.ZeroGrad()
-				for _, d := range data {
-					y := n.Forward(d[:])
-					n.Backward([]float64{y[0] - target(d)})
+				y := n.ForwardBatch(x, 1)
+				for i, d := range data {
+					dy.Data[i] = y.Data[i] - target(d)
 				}
+				n.BackwardParams(dy, 1)
 				g := n.GradVector()
 				for i := range g {
 					g[i] /= float64(len(data))
@@ -404,41 +420,5 @@ func TestDensePanicsOnBadInput(t *testing.T) {
 			t.Fatal("wrong input size accepted")
 		}
 	}()
-	d.Forward([]float64{1, 2})
-}
-
-func BenchmarkForwardPaperNet(b *testing.B) {
-	// The paper's architecture: Conv1D(128,4,1) over 14-day history plus 6
-	// static features, hidden 128, 3 outputs.
-	r := rng.New(1)
-	hist := 14
-	inner := NewNetwork(NewConv1D(r, hist, 128, 4, 1), NewReLU())
-	concat := inner.OutDim(hist) + 6
-	n := NewNetwork(NewSplit(hist, inner), NewDense(r, concat, 128), NewReLU(), NewDense(r, 128, 3))
-	x := make([]float64, hist+6)
-	for i := range x {
-		x[i] = r.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Forward(x)
-	}
-}
-
-func BenchmarkForwardBackwardPaperNet(b *testing.B) {
-	r := rng.New(1)
-	hist := 14
-	inner := NewNetwork(NewConv1D(r, hist, 128, 4, 1), NewReLU())
-	concat := inner.OutDim(hist) + 6
-	n := NewNetwork(NewSplit(hist, inner), NewDense(r, concat, 128), NewReLU(), NewDense(r, 128, 3))
-	x := make([]float64, hist+6)
-	dy := []float64{1, -1, 0.5}
-	for i := range x {
-		x[i] = r.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Forward(x)
-		n.Backward(dy)
-	}
+	d.ForwardBatch(rowBatch([]float64{1, 2}), 1)
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"minicost/internal/mat"
@@ -100,10 +101,20 @@ func TestBackwardBatchParallelSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSoftmaxInto pins the no-alloc softmax against the allocating one.
+// TestSoftmaxInto pins the softmax's arithmetic — shift by the maximum,
+// exponentiate, divide by the sum accumulated in index order — and that it
+// does not allocate.
 func TestSoftmaxInto(t *testing.T) {
 	logits := []float64{0.3, -2.5, 11.0, 0.0, 3.25}
-	want := Softmax(logits)
+	want := make([]float64, len(logits))
+	sum := 0.0
+	for i, v := range logits {
+		want[i] = math.Exp(v - 11.0)
+		sum += want[i]
+	}
+	for i := range want {
+		want[i] /= sum
+	}
 	out := make([]float64, len(logits))
 	allocs := testing.AllocsPerRun(10, func() { SoftmaxInto(out, logits) })
 	for i := range want {

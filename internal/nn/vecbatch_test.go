@@ -29,8 +29,8 @@ func vecTestNet(r *rng.RNG, head int) *Network {
 
 // TestForwardBatchOnArenaViewBitwise runs every lockstep block of a step-major
 // arena through ForwardBatch as a SliceRows view and checks the outputs are
-// bitwise identical both to a copied standalone batch and to the per-row
-// single-sample Forward.
+// bitwise identical both to a copied standalone batch and, row by row, to the
+// scalar oracle.
 func TestForwardBatchOnArenaViewBitwise(t *testing.T) {
 	r := rng.New(9)
 	const head, envs, steps = 14, 4, 7
@@ -51,10 +51,10 @@ func TestForwardBatchOnArenaViewBitwise(t *testing.T) {
 			}
 		}
 		for row := 0; row < envs; row++ {
-			single := n.Forward(arena.Row(s*envs + row))
+			single := n.refForward(arena.Row(s*envs + row))
 			for i, v := range single {
 				if got[row*want.Cols+i] != v {
-					t.Fatalf("step %d row %d elem %d: view %v, single %v", s, row, i, got[row*want.Cols+i], v)
+					t.Fatalf("step %d row %d elem %d: view %v, oracle %v", s, row, i, got[row*want.Cols+i], v)
 				}
 			}
 		}

@@ -24,8 +24,8 @@ import (
 // packed for the GEMM kernel once per pool, so their number is bounded by the
 // worker count instead of the file count and none copies the network. The
 // agent is only read. Decisions are bitwise identical to a per-file loop of
-// single-sample Decide calls (see nn/batch.go), which the tests keep as the
-// oracle.
+// Decide calls, one one-row batch each (see nn/batch.go), which the tests
+// keep as the oracle.
 type RL struct {
 	Agent *rl.Agent
 	// HistLen, when non-zero, must equal Agent.Net.HistLen, the window the

@@ -47,8 +47,8 @@ func assignmentsEqual(a, b costmodel.Assignment) (int, int, bool) {
 }
 
 // assignSingleSample is Assign's oracle, the pre-batching serving loop: one
-// cloned network per goroutine task and one single-sample Decide per (file,
-// day).
+// cloned network per goroutine task and one Decide — a one-row batch — per
+// (file, day).
 func (p RL) assignSingleSample(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error) {
 	histLen := p.HistLen
 	if histLen <= 0 {

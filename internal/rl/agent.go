@@ -78,23 +78,10 @@ type Agent struct {
 	Net   NetConfig
 	actor *nn.Network
 
-	feats   *mat.Matrix    // reused batch feature matrix (DecideTrace)
-	tiers   []pricing.Tier // reused batch decision buffer
-	window  mdp.State      // reused history window (DecideTrace)
-	logs    []float64      // reused per-file log1p read series (DecideTrace)
-	featBuf []float64      // reused single-sample feature encoding
-}
-
-// features encodes s into the agent's reused scratch buffer; the returned
-// slice is valid until the next Decide call.
-func (a *Agent) features(s *mdp.State) []float64 {
-	n := mdp.FeatureDim(len(s.ReadHistory))
-	if cap(a.featBuf) < n {
-		a.featBuf = make([]float64, n)
-	}
-	f := a.featBuf[:n]
-	s.FeaturesInto(f)
-	return f
+	feats  *mat.Matrix    // reused batch feature matrix (Decide, DecideTrace)
+	tiers  []pricing.Tier // reused batch decision buffer
+	window mdp.State      // reused history window (DecideTrace)
+	logs   []float64      // reused per-file log1p read series (DecideTrace)
 }
 
 // NewAgent wraps an actor network.
@@ -102,20 +89,14 @@ func NewAgent(cfg NetConfig, actor *nn.Network) *Agent {
 	return &Agent{Net: cfg, actor: actor}
 }
 
-// Decide returns the greedy (argmax-probability) tier for the state.
+// Decide returns the greedy (argmax-probability) tier for the state: a
+// one-row DecideBatch over the agent's reused feature matrix.
 func (a *Agent) Decide(s *mdp.State) pricing.Tier {
-	return pricing.Tier(argmax(a.actor.Forward(a.features(s))))
-}
-
-// argmax returns the index of the first largest element of xs.
-func argmax(xs []float64) int {
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[best] {
-			best = i
-		}
-	}
-	return best
+	a.feats = mat.EnsureShape(a.feats, 1, mdp.FeatureDim(len(s.ReadHistory)))
+	s.FeaturesInto(a.feats.Row(0))
+	var tier [1]pricing.Tier
+	a.DecideBatch(a.feats, tier[:], 1)
+	return tier[0]
 }
 
 // Clone returns an independent copy safe for use in another goroutine. The

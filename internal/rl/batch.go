@@ -14,13 +14,13 @@ import (
 )
 
 // Batched serving: the per-file inference loop (one cloned network and one
-// single-sample forward pass per file and day) does not survive contact with
-// trace-scale populations, so serving restructures decision-making
-// day-major — pack every file's feature vector for day d into one batch
-// matrix, run one GEMM per layer per day, and take the per-row argmax. The
-// single-sample Decide stays for one-off decisions and as the reference
-// implementation the equivalence tests check DecideBatch against (results
-// are bitwise identical; see nn/batch.go).
+// forward pass per file and day) does not survive contact with trace-scale
+// populations, so serving restructures decision-making day-major — pack
+// every file's feature vector for day d into one batch matrix, run one GEMM
+// per layer per day, and take the per-row argmax. Decide is the one-row case
+// for one-off decisions; each row of a batch decides exactly as it would
+// alone, because nn holds every row of a ForwardBatch bitwise to its scalar
+// test oracle (see nn/batch.go).
 
 // DefaultBatchRows is the chunk size batched steppers use: large enough
 // that GEMM dominates per-row bookkeeping, small enough that one chunk's

@@ -3,6 +3,7 @@ package rl
 import (
 	"fmt"
 
+	"minicost/internal/mat"
 	"minicost/internal/mdp"
 	"minicost/internal/nn"
 	"minicost/internal/pricing"
@@ -76,6 +77,12 @@ func (c DQNConfig) Validate() error {
 		return fmt.Errorf("rl: dqn cadence UpdateEvery=%d TargetSync=%d", c.UpdateEvery, c.TargetSync)
 	case c.WarmupSteps < c.BatchSize:
 		return fmt.Errorf("rl: dqn warmup %d below batch size", c.WarmupSteps)
+	case c.WarmupSteps > c.BufferSize:
+		// The ring holds at most BufferSize transitions, so learning would
+		// never start.
+		return fmt.Errorf("rl: dqn warmup %d above buffer size %d", c.WarmupSteps, c.BufferSize)
+	case c.ExploreHold < 0:
+		return fmt.Errorf("rl: dqn explore hold %d", c.ExploreHold)
 	}
 	return nil
 }
@@ -89,7 +96,9 @@ type transition struct {
 	done   bool
 }
 
-// DQN is a deep Q-learner over the MiniCost MDP.
+// DQN is a deep Q-learner over the MiniCost MDP. It runs on nn's batched
+// passes: an action pick is a one-row forward, an update one forward of the
+// minibatch through each network and one params-only backward.
 type DQN struct {
 	cfg    DQNConfig
 	online *nn.Network
@@ -100,6 +109,11 @@ type DQN struct {
 	cursor int
 	steps  int64
 	rng    *rng.RNG
+
+	pick          *mat.Matrix // reused 1×FeatureDim action-pick input
+	drawn         []int       // reused minibatch buffer indices, in draw order
+	states, nexts *mat.Matrix // reused BatchSize×FeatureDim minibatch gathers
+	dq            *mat.Matrix // reused BatchSize×NumActions output gradient
 }
 
 // NewDQN builds the learner.
@@ -109,6 +123,7 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 	}
 	r := rng.New(cfg.Seed)
 	online := cfg.Net.BuildActor(r.Split(1)) // 3 outputs = Q-values per tier
+	fd := cfg.Net.featureDim()
 	return &DQN{
 		cfg:    cfg,
 		online: online,
@@ -116,6 +131,11 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 		opt:    nn.NewRMSProp(cfg.LearningRate),
 		buffer: make([]transition, cfg.BufferSize),
 		rng:    r.Split(2),
+		pick:   mat.New(1, fd),
+		drawn:  make([]int, cfg.BatchSize),
+		states: mat.New(cfg.BatchSize, fd),
+		nexts:  mat.New(cfg.BatchSize, fd),
+		dq:     mat.New(cfg.BatchSize, mdp.NumActions),
 	}, nil
 }
 
@@ -179,7 +199,8 @@ func (d *DQN) Train(src EnvSource, totalSteps int64) (TrainStats, error) {
 				stickyLeft = d.cfg.ExploreHold - 1
 			}
 		default:
-			action = pricing.Tier(argmax(d.online.Forward(feats)))
+			copy(d.pick.Data, feats)
+			action = pricing.Tier(argmax(d.online.ForwardBatch(d.pick, 1).Data))
 		}
 
 		next, reward, cost, done, err := env.Step(action)
@@ -225,27 +246,48 @@ func (d *DQN) Train(src EnvSource, totalSteps int64) (TrainStats, error) {
 
 // update performs one minibatch gradient step: the TD target is
 // r + γ·max_a' Q_target(s', a') (0 bootstrap at episode end), loss is the
-// squared error on the taken action only.
+// squared error on the taken action only, averaged over the minibatch. The
+// sampled transitions are gathered into two matrices, in draw order, and
+// each network runs one forward over its matrix; the output gradient has one
+// nonzero entry per row, and the backward pass accumulates it row by row,
+// exactly as one backward per sample would.
 func (d *DQN) update() {
-	d.online.ZeroGrad()
-	grad := make([]float64, mdp.NumActions)
-	for b := 0; b < d.cfg.BatchSize; b++ {
-		t := d.buffer[d.rng.Intn(d.filled)]
+	for b := range d.drawn {
+		i := d.rng.Intn(d.filled)
+		d.drawn[b] = i
+		copy(d.states.Row(b), d.buffer[i].state)
+		copy(d.nexts.Row(b), d.buffer[i].next)
+	}
+	qNext := d.target.ForwardBatch(d.nexts, 1)
+	q := d.online.ForwardBatch(d.states, 1)
+	for i := range d.dq.Data {
+		d.dq.Data[i] = 0
+	}
+	for b, i := range d.drawn {
+		t := &d.buffer[i]
 		targetQ := t.reward
 		if !t.done {
-			q := d.target.Forward(t.next)
-			targetQ += d.cfg.Gamma * q[argmax(q)]
+			next := qNext.Row(b)
+			targetQ += d.cfg.Gamma * next[argmax(next)]
 		}
-		q := d.online.Forward(t.state)
-		for k := range grad {
-			grad[k] = 0
-		}
-		grad[t.action] = (q[t.action] - targetQ) / float64(d.cfg.BatchSize)
-		d.online.Backward(grad)
+		d.dq.Row(b)[t.action] = (q.Row(b)[t.action] - targetQ) / float64(len(d.drawn))
 	}
+	d.online.ZeroGrad()
+	d.online.BackwardParams(d.dq, 1)
 	g := d.online.GradVector()
 	nn.ClipGrads(g, 5)
 	params := d.online.ParamVector()
 	d.opt.Step(params, g)
 	d.online.SetParamVector(params)
+}
+
+// argmax returns the index of the first largest element of xs.
+func argmax(xs []float64) int {
+	best := 0
+	for i := 1; i < len(xs); i++ {
+		if xs[i] > xs[best] {
+			best = i
+		}
+	}
+	return best
 }

@@ -3,11 +3,13 @@ package rl
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"minicost/internal/costmodel"
 	"minicost/internal/pricing"
 	"minicost/internal/rng"
+	"minicost/internal/trace"
 )
 
 func smallDQNConfig() DQNConfig {
@@ -37,6 +39,8 @@ func TestDQNConfigValidate(t *testing.T) {
 		mut(func(c *DQNConfig) { c.UpdateEvery = 0 }),
 		mut(func(c *DQNConfig) { c.TargetSync = 0 }),
 		mut(func(c *DQNConfig) { c.WarmupSteps = 1 }),
+		mut(func(c *DQNConfig) { c.BufferSize = 100; c.WarmupSteps = 1000 }), // the ring never fills that far
+		mut(func(c *DQNConfig) { c.ExploreHold = -1 }),
 	} {
 		if c.Validate() == nil {
 			t.Errorf("case %d: invalid DQN config accepted", i)
@@ -219,5 +223,35 @@ func BenchmarkDQNTrainStep(b *testing.B) {
 	b.ResetTimer()
 	if _, err := d.Train(src, int64(b.N)); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestDQNGoldenHash pins a whole DQN run — ε-greedy action picks, replay
+// sampling, minibatch updates, target syncs — as the online network's
+// parameter hash (paramHash's FNV-1a), recorded when the update still ran
+// one sample at a time. A change that moves it changed the learner's
+// arithmetic. The constant is amd64's, like TestVecTrainGoldenHashes'.
+func TestDQNGoldenHash(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden hash was recorded on amd64; fused multiply-adds round differently")
+	}
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles, gen.Days = 40, 21
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultDQNConfig()
+	cfg.Net = netQuick16
+	cfg.Seed = 3
+	d, err := NewDQN(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Train(traceSource(t, tr, cfg.Net.HistLen), 6000); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hashVectors(d.online.ParamVector()), uint64(0x46dc73cd18f598a1); got != want {
+		t.Errorf("online parameter hash %#x, want %#x", got, want)
 	}
 }

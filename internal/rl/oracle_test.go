@@ -14,13 +14,27 @@ import (
 	"minicost/internal/trace"
 )
 
+// rowForward is a one-row ForwardBatch: n's output for the sample x. A one-row
+// batch is what nn's bitwise tests hold to the scalar per-sample oracle, so
+// the oracles here chain to it.
+func rowForward(n *nn.Network, x []float64) []float64 {
+	return n.ForwardBatch(&mat.Matrix{Rows: 1, Cols: len(x), Data: x}, 1).Row(0)
+}
+
+// rowBackward runs a one-row ForwardBatch on x and a one-row BackwardBatch
+// of dy, accumulating dy's parameter gradients at the sample x into n.
+func rowBackward(n *nn.Network, x, dy []float64) {
+	rowForward(n, x)
+	n.BackwardBatch(&mat.Matrix{Rows: 1, Cols: len(dy), Data: dy}, 1)
+}
+
 // accumulateSingle is accumulateVec's per-row oracle: the same n-step update
 // over the same E×NSteps arena, one row at a time. Each row's value and
-// logits come from a single-sample Forward per network, the scalar
+// logits come from a one-row forward per network, the scalar
 // return/advantage/entropy/decay loop is the reference arithmetic, and each
-// row's output gradient then goes through a single-sample Backward per
-// network in arena row order — the order in which BackwardParams accumulates
-// its terms. Gradients accumulate into the networks' Grad blocks.
+// row's output gradient then goes through a one-row backward per network in
+// arena row order — the order in which BackwardParams accumulates its terms.
+// Gradients accumulate into the networks' Grad blocks.
 func (a *A3C) accumulateSingle(actor, critic *nn.Network, feats *mat.Matrix, rewards []float64, actions []int, dones []bool, boot []float64) {
 	rows := feats.Rows
 	nEnvs := len(boot)
@@ -28,8 +42,8 @@ func (a *A3C) accumulateSingle(actor, critic *nn.Network, feats *mat.Matrix, rew
 	values := make([]float64, rows)
 	logits := make([][]float64, rows)
 	for i := 0; i < rows; i++ {
-		values[i] = critic.Forward(feats.Row(i))[0]
-		logits[i] = append([]float64(nil), actor.Forward(feats.Row(i))...)
+		values[i] = rowForward(critic, feats.Row(i))[0]
+		logits[i] = append([]float64(nil), rowForward(actor, feats.Row(i))...)
 	}
 	dV := make([]float64, rows)
 	dL := make([][]float64, rows)
@@ -52,7 +66,8 @@ func (a *A3C) accumulateSingle(actor, critic *nn.Network, feats *mat.Matrix, rew
 				adv = math.Max(-a.cfg.AdvClip, math.Min(a.cfg.AdvClip, adv))
 			}
 			z := logits[i]
-			p := nn.Softmax(z)
+			p := make([]float64, len(z))
+			nn.SoftmaxInto(p, z)
 			h := nn.Entropy(p)
 			dL[i] = make([]float64, len(z))
 			for k := range z {
@@ -69,10 +84,8 @@ func (a *A3C) accumulateSingle(actor, critic *nn.Network, feats *mat.Matrix, rew
 		}
 	}
 	for i := 0; i < rows; i++ {
-		critic.Forward(feats.Row(i))
-		critic.Backward(dV[i : i+1])
-		actor.Forward(feats.Row(i))
-		actor.Backward(dL[i])
+		rowBackward(critic, feats.Row(i), dV[i:i+1])
+		rowBackward(actor, feats.Row(i), dL[i])
 	}
 }
 
@@ -97,8 +110,8 @@ func (s factorySource) ReinitEnv(r *rng.RNG, env *mdp.Env) {
 // It keeps vecWorker's stream layout (member substreams split from the
 // worker stream), its fixed member order, its shared reward normalizer and
 // its in-place episode turnover, but steps each member's environment alone
-// (no EnvBank), picks each action from a single-sample Forward, bootstraps
-// each member with its own critic Forward and updates through
+// (no EnvBank), picks each action from a one-row forward, bootstraps each
+// member with its own one-row critic forward and updates through
 // accumulateSingle on replicas that copy the published weights.
 func (a *A3C) trainSingleSample(src EnvSource, totalSteps int64) TrainStats {
 	nEnvs := a.cfg.envsPerWorker()
@@ -154,7 +167,7 @@ func (a *A3C) trainSingleSample(src EnvSource, totalSteps int64) TrainStats {
 						stickyLeft[e] = a.cfg.ExploreHold - 1
 					}
 				default:
-					nn.SoftmaxInto(probs, actor.Forward(feats.Row(i)))
+					nn.SoftmaxInto(probs, rowForward(actor, feats.Row(i)))
 					action = sampleDist(probs, r.Float64())
 				}
 				next, reward, cost, done, err := envs[e].Step(action)
@@ -187,7 +200,7 @@ func (a *A3C) trainSingleSample(src EnvSource, totalSteps int64) TrainStats {
 			boot[e] = 0
 			if !dones[lastBase+e] {
 				states[e].FeaturesInto(bootRow)
-				boot[e] = critic.Forward(bootRow)[0]
+				boot[e] = rowForward(critic, bootRow)[0]
 			}
 		}
 		a.accumulateSingle(actor, critic, feats, rewards, actions, dones, boot)

@@ -42,7 +42,8 @@ func TestAgentDecideAndSample(t *testing.T) {
 	if !tier.Valid() {
 		t.Fatalf("invalid decision %v", tier)
 	}
-	p := nn.Softmax(agent.actor.Forward(s.Features()))
+	p := make([]float64, mdp.NumActions)
+	nn.SoftmaxInto(p, rowForward(agent.actor, s.Features()))
 	sum := 0.0
 	for _, v := range p {
 		sum += v

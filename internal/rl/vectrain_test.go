@@ -230,7 +230,7 @@ func TestBindSnapshotRepacksRecycledBuffers(t *testing.T) {
 		fresh.SetParamVector(published)
 		y := replica.ForwardBatch(x, 1)
 		for row := 0; row < x.Rows; row++ {
-			assertVectorsBitwise(t, fmt.Sprintf("update %d: %s row %d", update, name, row), y.Row(row), fresh.Forward(x.Row(row)))
+			assertVectorsBitwise(t, fmt.Sprintf("update %d: %s row %d", update, name, row), y.Row(row), rowForward(fresh, x.Row(row)))
 		}
 	}
 
@@ -300,10 +300,16 @@ func harnessTrainer(tb testing.TB, net NetConfig, envs int) (*A3C, *TraceSource)
 // paramHash is the harness's: FNV-1a over the published actor and critic
 // parameter bits.
 func paramHash(a *A3C) uint64 {
+	actor, critic := a.ParamVectors()
+	return hashVectors(actor, critic)
+}
+
+// hashVectors is FNV-1a over the little-endian bits of every element of vs,
+// in order.
+func hashVectors(vs ...[]float64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	actor, critic := a.ParamVectors()
-	for _, v := range [][]float64{actor, critic} {
+	for _, v := range vs {
 		for _, x := range v {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 			h.Write(b[:])
