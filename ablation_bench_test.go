@@ -175,7 +175,8 @@ func BenchmarkAblationDQN(b *testing.B) {
 }
 
 // BenchmarkAblationWorkers measures training throughput scaling with the
-// number of asynchronous workers.
+// number of workers per synchronous round (ns per environment step): the
+// workers' rollouts run concurrently, their applies one after another.
 func BenchmarkAblationWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(benchName("workers", workers), func(b *testing.B) {

@@ -74,7 +74,7 @@ func main() {
 		onlineOn  = flag.Bool("online", false, "run the continuous-learning loop: score drift, fine-tune on the stored history, hot-swap")
 		ftEvery   = flag.Int("finetune-every", 16, "fine-tune epoch cadence in observe batches (0 disables cadence epochs)")
 		ftSteps   = flag.Int64("finetune-steps", 2048, "environment steps per fine-tune epoch")
-		ftWorkers = flag.Int("finetune-workers", 1, "async workers for fine-tune epochs (1 keeps epochs seed-deterministic)")
+		ftWorkers = flag.Int("finetune-workers", 1, "training workers for fine-tune epochs (each round applies their gradients in worker order)")
 		ftEnvs    = flag.Int("finetune-envs", 8, "environments each fine-tune worker drives in lockstep (0 or 1 = one)")
 		ftPar     = flag.Int("finetune-parallelism", 0, "intra-update GEMM fan-out during fine-tuning (0 = serial)")
 		driftThr  = flag.Float64("drift-threshold", 0.25, "PSI drift score that triggers a fine-tune epoch (0 disables drift triggering)")
@@ -83,6 +83,13 @@ func main() {
 		ckptKeep  = flag.Int("checkpoint-keep", 5, "learner checkpoints to retain (-1 keeps all)")
 	)
 	flag.Parse()
+	ftCfg := finetuneA3C(*ftWorkers, *ftEnvs, *ftPar)
+	if *onlineOn {
+		// Refuse a bad fine-tune shape now, not after the bootstrap run.
+		if err := ftCfg.Validate(); err != nil {
+			fatal(fmt.Errorf("fine-tune config: %w", err))
+		}
+	}
 
 	// Turn the default-off registry on before bootstrapping so the training
 	// instruments record from the first step.
@@ -103,7 +110,7 @@ func main() {
 		filters:        *filters,
 		hidden:         *hidden,
 		online:         *onlineOn,
-		finetuneConfig: finetuneA3C(*ftWorkers, *ftEnvs, *ftPar),
+		finetuneConfig: ftCfg,
 	})
 	if err != nil {
 		fatal(err)
@@ -221,14 +228,12 @@ func main() {
 }
 
 // finetuneA3C is the paper's training configuration with the daemon's
-// fine-tune knobs applied: Workers=1 keeps epochs seed-deterministic,
-// EnvsPerWorker sets the lockstep width, Parallelism bounds intra-update
-// GEMM fan-out.
+// fine-tune knobs applied as given: Workers sets the round's worker count,
+// EnvsPerWorker the lockstep width, Parallelism the intra-update GEMM
+// fan-out. Out-of-range values are left for A3CConfig.Validate to refuse.
 func finetuneA3C(workers, envs, parallelism int) rl.A3CConfig {
 	cfg := core.DefaultConfig().A3C
-	if workers > 0 {
-		cfg.Workers = workers
-	}
+	cfg.Workers = workers
 	cfg.EnvsPerWorker = envs
 	cfg.Parallelism = parallelism
 	return cfg
@@ -260,7 +265,7 @@ type bootState struct {
 // trainer state), an actor checkpoint (fresh critic), or a synthetic
 // bootstrap run; after bootstrapping it bills the policy on the bootstrap
 // workload and logs the bill. With
-// opts.online the returned trainer's published actor is bitwise the serving
+// opts.online the returned trainer's global actor is bitwise the serving
 // agent's, so the learner's first rollback point and incumbent agree.
 func loadOrBootstrap(opts bootOpts) (*bootState, error) {
 	model := costmodel.New(pricing.Azure())
@@ -349,7 +354,7 @@ func loadOrBootstrap(opts bootOpts) (*bootState, error) {
 	return st, nil
 }
 
-// trainerForAgent builds a fine-tune trainer whose published actor weights
+// trainerForAgent builds a fine-tune trainer whose global actor weights
 // are the agent's. critic, when non-nil, warm-starts the value network
 // (e.g. from a bootstrap run); nil keeps the fresh initialization.
 func trainerForAgent(cfg rl.A3CConfig, agent *rl.Agent, critic []float64) (*rl.A3C, error) {

@@ -30,12 +30,12 @@ type Config struct {
 	TrainSteps int64
 	// Net is the agent architecture (the paper's 128/128 by default).
 	Net rl.NetConfig
-	// TrainWorkers is the number of A3C workers.
+	// TrainWorkers is the number of A3C workers; 0 keeps
+	// rl.DefaultA3CConfig's.
 	TrainWorkers int
 	// TrainParallelism bounds the intra-update GEMM fan-out of each worker
 	// (rl.A3CConfig.Parallelism). The knob is bitwise-neutral, so a
-	// one-worker profile can train deterministically while still using
-	// several cores per update.
+	// one-worker profile can still use several cores per update.
 	TrainParallelism int
 	// Workers bounds evaluation parallelism.
 	Workers int
@@ -54,10 +54,10 @@ func Full() Config {
 }
 
 // Quick returns a profile that keeps every experiment under a few seconds.
-// It trains with one worker — a single seeded A3C actor is fully
-// deterministic, so every test and bench built on Quick is reproducible —
-// and leans on TrainParallelism for multi-core speed instead, which is
-// bitwise-neutral. Full keeps the paper's asynchronous 4-worker setup.
+// It trains with one worker and leans on TrainParallelism for multi-core
+// speed instead, which is bitwise-neutral. Full keeps the paper's 4 workers.
+// Training is a pure function of (config, seed) at every worker count, so
+// both profiles reproduce bit for bit.
 func Quick() Config {
 	return Config{
 		Files:            300,
@@ -116,9 +116,8 @@ func (l *Lab) TrainAgent() (*rl.Agent, error) {
 	}
 	cfg := rl.DefaultA3CConfig()
 	cfg.Net = l.Cfg.Net
-	cfg.Workers = l.Cfg.TrainWorkers
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+	if l.Cfg.TrainWorkers > 0 {
+		cfg.Workers = l.Cfg.TrainWorkers
 	}
 	cfg.Parallelism = l.Cfg.TrainParallelism
 	cfg.Seed = l.Cfg.Seed

@@ -150,7 +150,7 @@ func conv4Generic(y, x, w, b []float64, ol int, pass uint64) {
 // dst may alias params. All four slices must share a length. Every operation
 // is elementwise and IEEE correctly rounded (including packed sqrt and
 // divide), so the AVX path produces bitwise-identical results to the scalar
-// loop — nn.RMSProp routes both its in-place and double-buffered steps here.
+// loop — nn.RMSProp routes its step here.
 func RMSPropStep(dst, params, grads, msq []float64, lr, decay, eps float64) {
 	if len(params) != len(grads) || len(dst) != len(grads) || len(msq) != len(grads) {
 		panic("mat: RMSPropStep length mismatch")

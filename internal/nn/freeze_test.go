@@ -62,9 +62,9 @@ func TestForwardBatchSeesRebinds(t *testing.T) {
 		t.Fatalf("%d packs after one bind and three batches, want 3 (2 before the bind, 1 for it)", got)
 	}
 
-	// The bound vector is the caller's, and a parameter server does publish
-	// into a reused buffer: rewrite it, then bind again — the same slice, at
-	// the same address — and the new values show.
+	// The bound vector is the caller's, and a trainer does apply its update
+	// in place: rewrite it, then bind again — the same slice, at the same
+	// address — and the new values show.
 	for i := range bound {
 		bound[i] = -bound[i]
 	}

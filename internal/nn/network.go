@@ -90,8 +90,8 @@ func (n *Network) SetParamVector(v []float64) {
 // caller keeps ownership of v and must keep it immutable and alive while the
 // network can still read parameters; the network itself never writes
 // parameter values (only gradients), so sharing one vector across readers is
-// safe. rl's training workers bind straight to the pinned published snapshot,
-// replacing a full-vector copy per update.
+// safe. rl's training workers bind straight to the trainer's global vectors
+// at the start of every round, replacing a full-vector copy per update.
 //
 // The network holds the caller to that: a Dense packs its weights into kernel
 // layout at the first forward window of packMinRows rows or more after this
@@ -203,7 +203,7 @@ func (n *Network) Clone() *Network {
 // by BindParamVector, so n must keep them unchanged until the replica is
 // bound elsewhere — with zeroed gradients of its own, backed by one flat
 // vector from the start (FlattenGrads returns it). Nothing is copied, which
-// is what a worker wants that binds to a published snapshot before its first
+// is what a worker wants that binds to the global vectors before its first
 // forward pass and would drop a Clone's values and gradients unread. Give the
 // replica new parameters with BindParamVector: SetParamVector copies into the
 // bound storage, which here is n's.

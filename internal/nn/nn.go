@@ -7,8 +7,8 @@
 // backward per layer (one sample per matrix row — serving decides a batch of
 // files, training differentiates a rollout or a replay minibatch; one-off
 // decisions are a one-row batch), float64 everywhere, layers exposing flat
-// parameter/gradient vectors so the RL package can host a locked global
-// parameter server and copy weights into per-worker replicas. The scalar
+// parameter/gradient vectors so the RL package can keep the global network
+// as flat vectors and bind per-worker replicas to them. The scalar
 // per-sample loops survive only in the package's tests, as the oracle the
 // batched kernels are held to bit for bit.
 package nn
@@ -60,7 +60,7 @@ type Param struct {
 //     layer's. The first forward window of at least packMinRows rows after
 //     such a call packs, and every later one multiplies against that pack —
 //     pack per bind. It is the call that invalidates, never the address: a
-//     parameter server recycles its buffers.
+//     trainer rewrites one vector in place between binds.
 //   - It is frozen (Network.Freeze): it owns only scratch; values and packs
 //     are shared, read-only, with every other view of the same freeze, and it
 //     has no gradients — pack per freeze.

@@ -362,44 +362,6 @@ func TestOptimizersReduceLoss(t *testing.T) {
 	}
 }
 
-// TestStepToMatchesStepBitwise pins the double-buffering contract: a chain
-// of StepTo calls ping-ponging between two buffers (the parameter server's
-// apply pattern) must land bitwise identical to in-place Step with the same
-// gradient sequence, for every optimizer.
-func TestStepToMatchesStepBitwise(t *testing.T) {
-	for name, mk := range map[string]func() Optimizer{
-		"rmsprop": func() Optimizer { return NewRMSProp(0.005) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			r := rng.New(31)
-			const dim = 203 // not a multiple of the unroll width
-			inPlace := make([]float64, dim)
-			bufA := make([]float64, dim)
-			bufB := make([]float64, dim)
-			for i := range inPlace {
-				inPlace[i] = r.NormalMS(0, 1)
-			}
-			copy(bufA, inPlace)
-			optRef, optTo := mk(), mk()
-			cur, next := bufA, bufB
-			g := make([]float64, dim)
-			for step := 0; step < 25; step++ {
-				for i := range g {
-					g[i] = r.NormalMS(0, 0.1)
-				}
-				optRef.Step(inPlace, g)
-				optTo.StepTo(next, cur, g)
-				cur, next = next, cur
-			}
-			for i := range inPlace {
-				if cur[i] != inPlace[i] {
-					t.Fatalf("elem %d: StepTo chain %v, Step %v (not bitwise equal)", i, cur[i], inPlace[i])
-				}
-			}
-		})
-	}
-}
-
 func TestOptimizerLearningRateAccessors(t *testing.T) {
 	for _, o := range []Optimizer{NewRMSProp(0.1)} {
 		if o.LearningRate() != 0.1 {

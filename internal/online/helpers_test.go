@@ -17,9 +17,9 @@ func testNet() rl.NetConfig {
 	return rl.NetConfig{HistLen: 4, Filters: 8, Kernel: 2, Stride: 1, Hidden: 16}
 }
 
-// testA3CConfig is the paper configuration shrunk onto testNet, pinned to
-// Workers=1 so runs are seed-deterministic, with two environments in
-// lockstep (EnvsPerWorker=2) the way minicostd drives fine-tuning.
+// testA3CConfig is the paper configuration shrunk onto testNet, at one
+// worker with two environments in lockstep (EnvsPerWorker=2), the way
+// minicostd drives fine-tuning by default.
 func testA3CConfig(seed uint64) rl.A3CConfig {
 	cfg := rl.DefaultA3CConfig()
 	cfg.Net = testNet()

@@ -11,6 +11,7 @@ import (
 	"minicost/internal/mdp"
 	"minicost/internal/nn"
 	"minicost/internal/obs"
+	"minicost/internal/par"
 	"minicost/internal/rng"
 )
 
@@ -43,7 +44,10 @@ type A3CConfig struct {
 	LogitDecay float64
 	// NSteps is the rollout length per update (n-step advantage).
 	NSteps int
-	// Workers is the number of asynchronous actor-learners.
+	// Workers is the number of actor-learners. Training runs in synchronous
+	// rounds: every worker rolls out from the same parameters, then the
+	// trainer applies the workers' gradients one after another in worker
+	// order, so a run is a pure function of (config, seed) at every Workers.
 	Workers int
 	// EnvsPerWorker is the number of environments each worker drives in
 	// lockstep (vectrain.go); 0 means 1. One E-row forward selects actions
@@ -53,12 +57,12 @@ type A3CConfig struct {
 	// in place and the return recursion restarts at the boundary, so
 	// rollouts always carry the full E×NSteps transitions. Each environment
 	// samples episodes and actions from its own RNG substream split from the
-	// worker seed, so runs are seed-deterministic at Workers=1.
+	// worker seed.
 	EnvsPerWorker int
 	// Parallelism bounds the intra-update GEMM fan-out: it is the workers
 	// argument handed to every batched forward and backward pass inside one
 	// update. The default 0 (like 1) runs updates serially —
-	// A3C's parallelism conventionally comes from Workers — but a
+	// a round's workers already roll out concurrently — but a
 	// single-worker trainer on a big machine can parallelize inside each
 	// update instead. Any value leaves training bitwise unchanged: the
 	// parallel kernels shard only independent output elements (see mat).
@@ -160,29 +164,24 @@ func (c A3CConfig) parallelism() int {
 	return c.Parallelism
 }
 
-// A3C is the asynchronous advantage actor–critic trainer of Fig. 6: a
-// global parameter server (actor + critic vectors and shared optimizer
-// state) that asynchronous workers pull parameters from and push
-// accumulated gradients to.
+// A3C is the advantage actor–critic trainer of Fig. 6: the global actor and
+// critic vectors with their optimizer state, trained by Workers
+// actor-learners in synchronous rounds (vectrain.go). The paper's workers
+// are asynchronous; synchronous rounds (A2C) are reported to match them
+// (Wu et al., ACKTR) and make every worker count reproducible.
 //
-// The global vectors live in a double-buffered store (params.go): the
-// current buffer is published through an atomic pointer, every optimizer
-// apply writes the updated vectors into the next buffer and swaps it in, and
-// superseded buffers are recycled once their readers drain. Synchronization
-// is therefore two-tier: a.mu serializes the apply (a short critical section
-// per update), while worker pulls bind the published buffer lock-free and
-// never convoy on the writers' lock.
+// mu guards the global vectors: a round's rollouts and every reader
+// (Snapshot, ParamVectors, SaveCheckpoint) hold it shared, while the
+// round's apply and every writer (SetParamVectors, LoadCheckpoint) hold it
+// exclusively. The vectors never move: applies and restores write them in
+// place.
 type A3C struct {
 	cfg A3CConfig
 
-	mu        sync.Mutex
-	actorOpt  nn.Optimizer
-	criticOpt nn.Optimizer
-
-	// snap is the published parameter buffer (the master copy); retired
-	// (guarded by mu) holds superseded buffers awaiting reader drain.
-	snap    atomic.Pointer[paramSnap]
-	retired []*paramSnap
+	mu            sync.RWMutex
+	actor, critic []float64
+	actorOpt      nn.Optimizer
+	criticOpt     nn.Optimizer
 
 	protoActor  *nn.Network
 	protoCritic *nn.Network
@@ -198,15 +197,15 @@ func NewA3C(cfg A3CConfig) (*A3C, error) {
 	r := rng.New(cfg.Seed)
 	actor := cfg.Net.BuildActor(r.Split(1))
 	critic := cfg.Net.BuildCritic(r.Split(2))
-	a := &A3C{
+	return &A3C{
 		cfg:         cfg,
+		actor:       actor.ParamVector(),
+		critic:      critic.ParamVector(),
 		actorOpt:    nn.NewRMSProp(cfg.LearningRate),
 		criticOpt:   nn.NewRMSProp(cfg.LearningRate * cfg.CriticLRMult),
 		protoActor:  actor,
 		protoCritic: critic,
-	}
-	a.snap.Store(&paramSnap{actor: actor.ParamVector(), critic: critic.ParamVector()})
-	return a, nil
+	}, nil
 }
 
 // Config returns the training configuration.
@@ -218,9 +217,9 @@ func (a *A3C) Steps() int64 { return a.steps.Load() }
 // Snapshot returns a serving Agent with the current global actor weights.
 func (a *A3C) Snapshot() *Agent {
 	actor := a.protoActor.Clone()
-	a.mu.Lock()
-	actor.SetParamVector(a.snap.Load().actor)
-	a.mu.Unlock()
+	a.mu.RLock()
+	actor.SetParamVector(a.actor)
+	a.mu.RUnlock()
 	return NewAgent(a.cfg.Net, actor)
 }
 
@@ -236,11 +235,11 @@ type EnvSource interface {
 	ReinitEnv(r *rng.RNG, env *mdp.Env)
 }
 
-// TrainFrom runs the asynchronous workers until the global step counter
-// reaches totalSteps (Algorithm 1's outer loop) and returns aggregate
-// statistics. Sources that implement in-place episode re-targeting
-// (TraceSource) keep worker episode turnover allocation-free, which the
-// engine's alloc gates require.
+// TrainFrom runs synchronous rounds until the global step counter reaches
+// totalSteps (Algorithm 1's outer loop) and returns aggregate statistics.
+// Sources that implement in-place episode re-targeting (TraceSource) keep
+// worker episode turnover allocation-free, which the engine's alloc gates
+// require.
 func (a *A3C) TrainFrom(src EnvSource, totalSteps int64) (TrainStats, error) {
 	if src == nil {
 		return TrainStats{}, errors.New("rl: nil env source")
@@ -250,25 +249,46 @@ func (a *A3C) TrainFrom(src EnvSource, totalSteps int64) (TrainStats, error) {
 	}
 	trainRate.begin(a)
 	defer trainRate.finish(a)
-	var wg sync.WaitGroup
-	stats := make([]TrainStats, a.cfg.Workers)
-	for w := 0; w < a.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			stats[w] = a.vecWorker(w, src, totalSteps)
-		}(w)
+	ws := make([]*worker, a.cfg.Workers)
+	for id := range ws {
+		ws[id] = a.newWorker(id, src)
 	}
-	wg.Wait()
+	envs := float64(a.cfg.Workers * a.cfg.envsPerWorker())
+	trainMet.envs.Add(envs)
+	defer trainMet.envs.Add(-envs)
+	for a.steps.Load() < totalSteps {
+		a.round(ws, totalSteps)
+	}
 	var total TrainStats
-	for _, s := range stats {
-		total.Steps += s.Steps
-		total.Episodes += s.Episodes
-		total.RewardSum += s.RewardSum
-		total.CostSum += s.CostSum
-		total.Updates += s.Updates
+	for _, w := range ws {
+		total.Steps += w.st.Steps
+		total.Episodes += w.st.Episodes
+		total.RewardSum += w.st.RewardSum
+		total.CostSum += w.st.CostSum
+		total.Updates += w.st.Updates
 	}
 	return total, nil
+}
+
+// round runs one synchronous round: every worker rolls out from the global
+// vectors — concurrently, except that a single worker runs inline — and
+// then the workers' gradients are applied in worker order.
+func (a *A3C) round(ws []*worker, totalSteps int64) {
+	a.mu.RLock()
+	if len(ws) == 1 {
+		ws[0].rollout()
+	} else {
+		par.ForShards(len(ws), len(ws), func(s int) { ws[s].rollout() })
+	}
+	a.mu.RUnlock()
+
+	a.mu.Lock()
+	a.annealLocked(totalSteps)
+	for _, w := range ws {
+		a.stepLocked(w.aGrad, w.cGrad)
+		w.st.Updates++
+	}
+	a.mu.Unlock()
 }
 
 // TrainStats summarizes a training run.
@@ -313,10 +333,26 @@ func (n *rewardNorm) normalize(r float64) float64 {
 	return (r - n.mean) / math.Sqrt(n.vr+1e-12)
 }
 
-// pushUpdate clips the worker's accumulated flat gradients and applies them
-// to the global parameters (Eq. 12) under the apply lock, annealing the
-// learning rate by global progress first. Every worker update ends here.
-func (a *A3C) pushUpdate(aGrad, cGrad []float64, totalSteps int64) {
+// annealLocked sets both learning rates for the round about to be applied:
+// a linear anneal over this TrainFrom call's step budget, by the step count
+// after the round. Called with a.mu held exclusively.
+func (a *A3C) annealLocked(totalSteps int64) {
+	f := a.cfg.FinalLRFraction
+	if f >= 1 {
+		return
+	}
+	progress := float64(a.steps.Load()) / float64(totalSteps)
+	if progress > 1 {
+		progress = 1
+	}
+	scale := 1 - (1-f)*progress
+	a.actorOpt.SetLearningRate(a.cfg.LearningRate * scale)
+	a.criticOpt.SetLearningRate(a.cfg.LearningRate * a.cfg.CriticLRMult * scale)
+}
+
+// stepLocked clips one worker's flat gradients and applies them to the
+// global vectors in place (Eq. 12). Called with a.mu held exclusively.
+func (a *A3C) stepLocked(aGrad, cGrad []float64) {
 	nn.ClipGrads(aGrad, a.cfg.GradClip)
 	nn.ClipGrads(cGrad, a.cfg.GradClip)
 	if obs.Default().Enabled() {
@@ -325,19 +361,8 @@ func (a *A3C) pushUpdate(aGrad, cGrad []float64, totalSteps int64) {
 		trainMet.gradNorm.Set(math.Sqrt(mat.SumSquares(aGrad)))
 	}
 	sw := trainMet.updateLat.Start()
-	a.mu.Lock()
-	if f := a.cfg.FinalLRFraction; f < 1 {
-		// Linear LR annealing over this TrainFrom call's step budget.
-		progress := float64(a.steps.Load()) / float64(totalSteps)
-		if progress > 1 {
-			progress = 1
-		}
-		scale := 1 - (1-f)*progress
-		a.actorOpt.SetLearningRate(a.cfg.LearningRate * scale)
-		a.criticOpt.SetLearningRate(a.cfg.LearningRate * a.cfg.CriticLRMult * scale)
-	}
-	a.applyLocked(aGrad, cGrad)
-	a.mu.Unlock()
+	a.actorOpt.Step(a.actor, aGrad)
+	a.criticOpt.Step(a.critic, cGrad)
 	sw.Stop()
 	trainMet.updates.Inc()
 }

@@ -1,7 +1,7 @@
 // Package rl implements MiniCost's reinforcement-learning machinery: the
 // actor–critic networks (§6.1's architecture), the A3C training loop of
-// Fig. 6 / Algorithm 1 with asynchronous workers and ε-greedy exploration,
-// and the batched decider that serves a trained agent.
+// Fig. 6 / Algorithm 1 — its workers run in synchronous rounds — with
+// ε-greedy exploration, and the batched decider that serves a trained agent.
 //
 // Training steps mdp.Env episodes, which bill and reward every file-day.
 // Deciding does not bill: DecideTrace/PlanTrace build each day's state

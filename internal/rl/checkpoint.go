@@ -80,15 +80,13 @@ func checkFinite(vecs ...[]float64) error {
 // not persisted; resumed training re-warms them, which costs a few hundred
 // updates of progress.
 func (a *A3C) SaveCheckpoint(w io.Writer) error {
-	a.mu.Lock()
-	cur := a.snap.Load()
+	actor, critic := a.ParamVectors()
 	cp := checkpoint{
 		Version: checkpointVersion,
 		Net:     a.cfg.Net,
-		Actor:   append([]float64(nil), cur.actor...),
-		Critic:  append([]float64(nil), cur.critic...),
+		Actor:   actor,
+		Critic:  critic,
 	}
-	a.mu.Unlock()
 	if err := gob.NewEncoder(w).Encode(cp); err != nil {
 		return fmt.Errorf("rl: write trainer checkpoint: %w", err)
 	}
@@ -111,14 +109,8 @@ func (a *A3C) LoadCheckpoint(r io.Reader) error {
 	if err := checkFinite(cp.Actor, cp.Critic); err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur := a.snap.Load()
-	if len(cp.Actor) != len(cur.actor) || len(cp.Critic) != len(cur.critic) {
-		return fmt.Errorf("rl: checkpoint parameter counts do not match trainer")
+	if err := a.SetParamVectors(cp.Actor, cp.Critic); err != nil {
+		return fmt.Errorf("rl: checkpoint: %w", err)
 	}
-	// Install into a fresh buffer and swap, so workers pull the restored
-	// weights instead of whatever buffer was published before.
-	a.installLocked(cp.Actor, cp.Critic)
 	return nil
 }

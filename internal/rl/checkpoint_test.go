@@ -8,15 +8,13 @@ import (
 	"testing"
 )
 
-// sgd is plain gradient descent, dst = params − lr·g. The exact-resume tests
+// sgd is plain gradient descent, params −= lr·g. The exact-resume tests
 // train with it because it keeps no state a checkpoint would have to carry.
 type sgd struct{ lr float64 }
 
-func (o *sgd) Step(params, grads []float64) { o.StepTo(params, params, grads) }
-
-func (o *sgd) StepTo(dst, params, grads []float64) {
+func (o *sgd) Step(params, grads []float64) {
 	for i, g := range grads {
-		dst[i] = params[i] - o.lr*g
+		params[i] -= o.lr * g
 	}
 }
 
@@ -74,26 +72,24 @@ func TestCheckpointRoundTripResumesBatchedTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumedCur, origCur := resumed.snap.Load(), orig.snap.Load()
-	assertVectorsBitwise(t, "actor", resumedCur.actor, origCur.actor)
-	assertVectorsBitwise(t, "critic", resumedCur.critic, origCur.critic)
+	assertVectorsBitwise(t, "actor", resumed.actor, orig.actor)
+	assertVectorsBitwise(t, "critic", resumed.critic, orig.critic)
 }
 
 // TestLoadCheckpointRepublishesSnapshot guards the workers' pull source
-// directly: after a load, a snapshot pull must see the restored
-// weights, not the ones published at construction.
+// directly: after a load, a replica bound the way a round binds it must see
+// the restored weights, not the ones initialized at construction.
 func TestLoadCheckpointRepublishesSnapshot(t *testing.T) {
 	cfg := smallA3CConfig()
 	src, err := NewA3C(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcCur := src.snap.Load()
-	for i := range srcCur.actor {
-		srcCur.actor[i] = float64(i%13) * 0.01
+	for i := range src.actor {
+		src.actor[i] = float64(i%13) * 0.01
 	}
-	for i := range srcCur.critic {
-		srcCur.critic[i] = -float64(i%7) * 0.02
+	for i := range src.critic {
+		src.critic[i] = -float64(i%7) * 0.02
 	}
 	var buf bytes.Buffer
 	if err := src.SaveCheckpoint(&buf); err != nil {
@@ -106,15 +102,14 @@ func TestLoadCheckpointRepublishesSnapshot(t *testing.T) {
 	if err := dst.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	actor := dst.protoActor.Clone()
-	critic := dst.protoCritic.Clone()
-	held := dst.bindSnapshot(actor, critic, nil)
-	assertVectorsBitwise(t, "actor", actor.ParamVector(), srcCur.actor)
-	assertVectorsBitwise(t, "critic", critic.ParamVector(), srcCur.critic)
-	releaseSnapshot(held)
+	actor, critic := dst.protoActor.BoundClone(), dst.protoCritic.BoundClone()
+	actor.BindParamVector(dst.actor)
+	critic.BindParamVector(dst.critic)
+	assertVectorsBitwise(t, "actor", actor.ParamVector(), src.actor)
+	assertVectorsBitwise(t, "critic", critic.ParamVector(), src.critic)
 }
 
-// checkpointBytes saves a fresh trainer of cfg whose published weights were
+// checkpointBytes saves a fresh trainer of cfg whose global weights were
 // first passed to edit (nil leaves them as initialized).
 func checkpointBytes(tb testing.TB, cfg A3CConfig, edit func(actor, critic []float64)) []byte {
 	tb.Helper()
@@ -123,8 +118,7 @@ func checkpointBytes(tb testing.TB, cfg A3CConfig, edit func(actor, critic []flo
 		tb.Fatal(err)
 	}
 	if edit != nil {
-		cur := a3c.snap.Load()
-		edit(cur.actor, cur.critic)
+		edit(a3c.actor, a3c.critic)
 	}
 	var buf bytes.Buffer
 	if err := a3c.SaveCheckpoint(&buf); err != nil {
@@ -145,7 +139,7 @@ func encodeCheckpoint(tb testing.TB, cp checkpoint) []byte {
 
 // TestLoadCheckpointRejectsNonFinite: a trainer checkpoint carrying a NaN or
 // Inf weight — in the critic as much as in the actor — is refused with
-// LoadAgent's error, and the refused load leaves the trainer's published
+// LoadAgent's error, and the refused load leaves the trainer's global
 // weights as they were.
 func TestLoadCheckpointRejectsNonFinite(t *testing.T) {
 	cfg := smallA3CConfig()
@@ -175,7 +169,7 @@ func TestLoadCheckpointRejectsNonFinite(t *testing.T) {
 // FuzzLoadCheckpoint feeds the trainer's checkpoint decoder arbitrary bytes:
 // truncated and garbage gob, a wrong version, a wrong architecture, wrong
 // parameter counts and non-finite weights among the seeds. Whatever arrives,
-// the load either is refused and leaves the published weights untouched, or
+// the load either is refused and leaves the global weights untouched, or
 // publishes exactly the finite weights the stream carries.
 func FuzzLoadCheckpoint(f *testing.F) {
 	cfg := smallA3CConfig()

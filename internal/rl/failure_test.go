@@ -24,7 +24,7 @@ func TestA3CSurvivesExhaustedEnvs(t *testing.T) {
 	}
 	reads := []float64{10, 20, 30, 40, 50, 60, 70, 80}
 	writes := make([]float64, len(reads))
-	// The factory is called concurrently by the async workers, so the call
+	// The factory is called concurrently by a round's workers, so the call
 	// counter must be atomic.
 	var calls atomic.Int64
 	factory := func(r *rng.RNG) *mdp.Env {

@@ -18,31 +18,30 @@ func (a *A3C) FineTune(src EnvSource, steps int64) (TrainStats, error) {
 	return a.TrainFrom(src, a.Steps()+steps)
 }
 
-// ParamVectors returns copies of the published actor and critic parameter
+// ParamVectors returns copies of the global actor and critic parameter
 // vectors — the rollback point the online learner captures before a
 // fine-tune epoch, without the gob round-trip a checkpoint would cost.
 func (a *A3C) ParamVectors() (actor, critic []float64) {
-	a.mu.Lock()
-	cur := a.snap.Load()
-	actor = append([]float64(nil), cur.actor...)
-	critic = append([]float64(nil), cur.critic...)
-	a.mu.Unlock()
+	a.mu.RLock()
+	actor = append([]float64(nil), a.actor...)
+	critic = append([]float64(nil), a.critic...)
+	a.mu.RUnlock()
 	return actor, critic
 }
 
-// SetParamVectors installs the given parameter vectors as the published
+// SetParamVectors installs the given parameter vectors as the global
 // weights (the learner's rollback after a rejected candidate, or a warm
 // start from an actor-only serving checkpoint paired with a fresh critic).
 // Vectors are copied; the optimizer moments are left as-is, matching
 // LoadCheckpoint's resume semantics.
 func (a *A3C) SetParamVectors(actor, critic []float64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur := a.snap.Load()
-	if len(actor) != len(cur.actor) || len(critic) != len(cur.critic) {
+	if len(actor) != len(a.actor) || len(critic) != len(a.critic) {
 		return fmt.Errorf("rl: param vectors %d/%d do not match trainer %d/%d",
-			len(actor), len(critic), len(cur.actor), len(cur.critic))
+			len(actor), len(critic), len(a.actor), len(a.critic))
 	}
-	a.installLocked(actor, critic)
+	a.mu.Lock()
+	copy(a.actor, actor)
+	copy(a.critic, critic)
+	a.mu.Unlock()
 	return nil
 }

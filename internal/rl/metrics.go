@@ -16,15 +16,14 @@ type trainMetrics struct {
 	steps     *obs.Counter
 	updates   *obs.Counter
 	episodes  *obs.Counter
-	swaps     *obs.Counter
 	updateLat *obs.Timer
 	gradNorm  *obs.Gauge
 	// Lockstep instruments (DESIGN.md §10): envs counts the environments
 	// currently driven in lockstep across all workers; vecForward times the
 	// batched action-selection forward (one E-row GEMM per lockstep step);
 	// weightPacks counts the times a worker's replica packed its weights
-	// into GEMM kernel layout — once per network per bound snapshot when the
-	// arena reaches the packed kernels, never when it does not.
+	// into GEMM kernel layout — once per network per round when the arena
+	// reaches the packed kernels, never when it does not.
 	envs        *obs.Gauge
 	vecForward  *obs.Timer
 	weightPacks *obs.Counter
@@ -36,13 +35,11 @@ var trainMet = func() trainMetrics {
 		steps: reg.Counter("minicost_train_steps_total",
 			"Environment steps taken by the A3C workers."),
 		updates: reg.Counter("minicost_train_updates_total",
-			"Gradient pushes applied to the global parameters."),
+			"Worker gradients applied to the global parameters."),
 		episodes: reg.Counter("minicost_train_episodes_total",
 			"Training episodes completed."),
-		swaps: reg.Counter("minicost_train_snapshot_swaps_total",
-			"Published parameter-buffer swaps (optimizer applies and checkpoint restores)."),
 		updateLat: reg.Timer("minicost_train_update_seconds",
-			"Per-worker update latency: lock wait plus optimizer apply."),
+			"Per-update optimizer apply latency: one worker's gradients applied to the global parameters."),
 		gradNorm: reg.Gauge("minicost_train_grad_norm",
 			"Post-clip L2 norm of the actor gradient, most recent update."),
 		envs: reg.Gauge("minicost_train_envs",
@@ -50,7 +47,7 @@ var trainMet = func() trainMetrics {
 		vecForward: reg.Timer("minicost_train_vec_forward_seconds",
 			"Batched action-selection forward latency of the lockstep rollout."),
 		weightPacks: reg.Counter("minicost_train_weight_packs_total",
-			"Forward weight packs made by the training workers' replicas: one per network per bound snapshot."),
+			"Forward weight packs made by the training workers' replicas: one per network per round."),
 	}
 	reg.GaugeFunc("minicost_train_steps_per_second",
 		"Throughput of the current (or last finished) Train call; NaN before the first.",

@@ -13,7 +13,7 @@ import (
 
 // TestTrainingMetricsAdvance runs a short TrainFrom with the default registry
 // enabled and asserts the training instruments move: steps, updates,
-// snapshot swaps, update latency, and the derived steps/sec gauge. Deltas,
+// episodes, update latency, and the derived steps/sec gauge. Deltas,
 // not absolutes — the registry is process-global.
 func TestTrainingMetricsAdvance(t *testing.T) {
 	reg := obs.Default()
@@ -43,9 +43,6 @@ func TestTrainingMetricsAdvance(t *testing.T) {
 	}
 	if delta("minicost_train_updates_total") <= 0 {
 		t.Error("updates counter did not advance")
-	}
-	if delta("minicost_train_snapshot_swaps_total") <= 0 {
-		t.Error("snapshot swap counter did not advance")
 	}
 	if delta("minicost_train_episodes_total") <= 0 {
 		t.Error("episode counter did not advance")
@@ -103,12 +100,13 @@ func TestVecTrainingMetricsAdvance(t *testing.T) {
 	}
 }
 
-// TestWeightPacksMetric counts the weight packs a worker's replicas make, exactly: both stay bound to one snapshot per update, so each
-// packs at most once per update however many forwards it runs — the actor at
-// its first E-row rollout window if that reaches the packed kernels (E ≥ 16),
-// never otherwise (it runs nothing but E-row windows), the critic at its
-// arena forward (or its bootstrap batch, at E ≥ 16) if the arena does. Before
-// the pack outlived the forward that built it, the first case read ten per
+// TestWeightPacksMetric counts the weight packs a worker's replicas make,
+// exactly: both are bound once per round, so each packs at most once per
+// update however many forwards it runs — the actor at its first E-row
+// rollout window if that reaches the packed kernels (E ≥ 16), never
+// otherwise (it runs nothing but E-row windows), the critic at its arena
+// forward (or its bootstrap batch, at E ≥ 16) if the arena does. Before the
+// pack outlived the forward that built it, the first case read ten per
 // update.
 func TestWeightPacksMetric(t *testing.T) {
 	reg := obs.Default()
@@ -121,11 +119,11 @@ func TestWeightPacksMetric(t *testing.T) {
 		envs      int
 		perUpdate float64
 	}{
-		{16, 2}, // 16-row windows, 112-row arena: one per network per snapshot
+		{16, 2}, // 16-row windows, 112-row arena: one per network per round
 		{4, 1},  // 4-row windows stay unpacked; the 28-row arena packs the critic
 		{2, 0},  // a 14-row arena never reaches the packed kernels
 	} {
-		a3c, src := harnessTrainer(t, smallA3CConfig().Net, c.envs)
+		a3c, src := harnessTrainer(t, smallA3CConfig().Net, 1, c.envs)
 		before := reg.Snapshot().Counter(packs)
 		const updates = 3
 		stats, err := a3c.TrainFrom(src, int64(updates*c.envs*a3c.Config().NSteps))

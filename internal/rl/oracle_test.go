@@ -106,13 +106,13 @@ func (s factorySource) ReinitEnv(r *rng.RNG, env *mdp.Env) {
 }
 
 // trainSingleSample is the training engine's single-sample reference: the
-// trainer vecWorker implements, written one sample at a time for Workers=1.
-// It keeps vecWorker's stream layout (member substreams split from the
-// worker stream), its fixed member order, its shared reward normalizer and
-// its in-place episode turnover, but steps each member's environment alone
-// (no EnvBank), picks each action from a one-row forward, bootstraps each
-// member with its own one-row critic forward and updates through
-// accumulateSingle on replicas that copy the published weights.
+// trainer worker.rollout implements, written one sample at a time for
+// Workers=1. It keeps the worker's stream layout (member substreams split
+// from the worker stream), its fixed member order, its shared reward
+// normalizer and its in-place episode turnover, but steps each member's
+// environment alone (no EnvBank), picks each action from a one-row forward,
+// bootstraps each member with its own one-row critic forward and updates
+// through accumulateSingle on replicas that copy the global weights.
 func (a *A3C) trainSingleSample(src EnvSource, totalSteps int64) TrainStats {
 	nEnvs := a.cfg.envsPerWorker()
 	nSteps := a.cfg.NSteps
@@ -144,9 +144,8 @@ func (a *A3C) trainSingleSample(src EnvSource, totalSteps int64) TrainStats {
 	var st TrainStats
 
 	for a.steps.Load() < totalSteps {
-		cur := a.snap.Load()
-		actor.SetParamVector(cur.actor)
-		critic.SetParamVector(cur.critic)
+		actor.SetParamVector(a.actor)
+		critic.SetParamVector(a.critic)
 		actor.ZeroGrad()
 		critic.ZeroGrad()
 
@@ -210,6 +209,15 @@ func (a *A3C) trainSingleSample(src EnvSource, totalSteps int64) TrainStats {
 	return st
 }
 
+// pushUpdate is a one-worker round's apply: anneal by the current step
+// count, then clip and apply aGrad and cGrad.
+func (a *A3C) pushUpdate(aGrad, cGrad []float64, totalSteps int64) {
+	a.mu.Lock()
+	a.annealLocked(totalSteps)
+	a.stepLocked(aGrad, cGrad)
+	a.mu.Unlock()
+}
+
 // engineVsSingleSample trains two fresh trainers with cfg (Workers must be
 // 1): the engine through TrainFrom(engineSrc) and the single-sample
 // reference through refSrc. It fails unless both reach identical stats and
@@ -236,16 +244,15 @@ func engineVsSingleSample(t *testing.T, cfg A3CConfig, engineSrc, refSrc EnvSour
 	if gotStats != wantStats {
 		t.Fatalf("stats diverged: engine %+v, single-sample %+v", gotStats, wantStats)
 	}
-	want, got := ref.snap.Load(), engine.snap.Load()
-	assertVectorsBitwise(t, "actor", got.actor, want.actor)
-	assertVectorsBitwise(t, "critic", got.critic, want.critic)
+	assertVectorsBitwise(t, "actor", engine.actor, ref.actor)
+	assertVectorsBitwise(t, "critic", engine.critic, ref.critic)
 }
 
 // TestBatchedTrainerMatchesSingleSampleBitwise is the training-engine
 // equivalence gate: at Workers=1 with a fixed seed, the lockstep engine at
 // E=4 — every action picked from a batched row-window forward, every update
-// one batched backward per network, replicas bound to the published
-// snapshot — must leave bitwise-identical actor and critic parameters and
+// one batched backward per network, replicas bound to the global
+// vectors — must leave bitwise-identical actor and critic parameters and
 // identical stats to the single-sample reference trainer after a sustained
 // run, both driven through the same fresh-env-per-episode source. The
 // paper-width sweep is TestBatchedTrainingEquivalentAcrossPaperWidths.
@@ -321,8 +328,8 @@ func TestBatchedTrainingEquivalentAcrossPaperWidths(t *testing.T) {
 // its per-row oracle bit for bit, at every lockstep width from E=1 (the shape
 // every caller without an explicit width trains at) to 16 and at every
 // network width Fig. 11 sweeps, 4 to the paper's 128. Each case runs three
-// updates against the parameter server, so the later ones run on published,
-// recycled, re-bound snapshots rather than the initial weights; the rollout
+// updates against the global vectors, so the later ones run on updated,
+// re-bound vectors rather than the initial weights; the rollout
 // data has episodes ending mid-rollout, on the last step and not at all.
 // -short and the race detector stop at width 32.
 func TestAccumulateVecMatchesPerRowOracle(t *testing.T) {
@@ -345,8 +352,8 @@ func TestAccumulateVecMatchesPerRowOracle(t *testing.T) {
 
 // checkOracle runs updates rounds of the engine's update (ForwardRows windows
 // over a random arena, then accumulateVec) on bound replicas and the per-row
-// oracle on fresh copies of the same snapshot, compares the two gradient
-// vectors bitwise, and pushes the engine's to the parameter server.
+// oracle on fresh copies of the same vectors, compares the two gradient
+// vectors bitwise, and applies the engine's to the global vectors.
 func checkOracle(t *testing.T, cfg A3CConfig, updates int) {
 	t.Helper()
 	a3c, err := NewA3C(cfg)
@@ -367,8 +374,6 @@ func checkOracle(t *testing.T, cfg A3CConfig, updates int) {
 	dones := make([]bool, rows)
 	boot := make([]float64, nEnvs)
 	var vb vecBuf
-	var held *paramSnap
-	defer func() { releaseSnapshot(held) }()
 	for u := 0; u < updates; u++ {
 		for i := range feats.Data {
 			feats.Data[i] = r.Float64()*4 - 1
@@ -387,7 +392,8 @@ func checkOracle(t *testing.T, cfg A3CConfig, updates int) {
 			}
 		}
 
-		held = a3c.bindSnapshot(actor, critic, held)
+		actor.BindParamVector(a3c.actor)
+		critic.BindParamVector(a3c.critic)
 		actor.ZeroGrad()
 		critic.ZeroGrad()
 		var logits *mat.Matrix
@@ -396,8 +402,8 @@ func checkOracle(t *testing.T, cfg A3CConfig, updates int) {
 		}
 		a3c.accumulateVec(actor, critic, feats, logits, rewards, actions, dones, boot, &vb)
 
-		refActor.SetParamVector(held.actor)
-		refCritic.SetParamVector(held.critic)
+		refActor.SetParamVector(a3c.actor)
+		refCritic.SetParamVector(a3c.critic)
 		refActor.ZeroGrad()
 		refCritic.ZeroGrad()
 		a3c.accumulateSingle(refActor, refCritic, feats, rewards, actions, dones, boot)

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"io"
 	"math"
 	"testing"
 
@@ -214,6 +215,10 @@ func TestA3CLearnsPolarWorkload(t *testing.T) {
 	t.Logf("agent=%.4f hot=%.4f cool=%.4f archive=%.4f", got, hot, cool, archive)
 }
 
+// TestA3CSnapshotThreadSafeDuringTraining races every reader and writer of
+// the global vectors — Snapshot, ParamVectors, SaveCheckpoint and
+// SetParamVectors — against a running two-worker TrainFrom; under -race it
+// checks the rounds' locking.
 func TestA3CSnapshotThreadSafeDuringTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -224,22 +229,33 @@ func TestA3CSnapshotThreadSafeDuringTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := traceSource(t, polarTrace(t, 4, 10), cfg.Net.HistLen)
-	done := make(chan struct{})
+	trained := make(chan error, 1)
 	go func() {
-		defer close(done)
-		for i := 0; i < 20; i++ {
-			agent := a3c.Snapshot()
-			s := mdp.State{ReadHistory: make([]float64, 7), WriteHistory: make([]float64, 7), SizeGB: 0.1}
-			if !agent.Decide(&s).Valid() {
-				t.Error("invalid decision from snapshot")
-				return
-			}
-		}
+		_, err := a3c.TrainFrom(src, 3000)
+		trained <- err
 	}()
-	if _, err := a3c.TrainFrom(src, 3000); err != nil {
-		t.Fatal(err)
+	for {
+		agent := a3c.Snapshot()
+		s := mdp.State{ReadHistory: make([]float64, 7), WriteHistory: make([]float64, 7), SizeGB: 0.1}
+		if !agent.Decide(&s).Valid() {
+			t.Fatal("invalid decision from snapshot")
+		}
+		actor, critic := a3c.ParamVectors()
+		if err := a3c.SaveCheckpoint(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := a3c.SetParamVectors(actor, critic); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-trained:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
 	}
-	<-done
 }
 
 func TestTrainRejectsBadArgs(t *testing.T) {

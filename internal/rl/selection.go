@@ -14,9 +14,9 @@ import (
 // scores a policy snapshot on a validation slice of the training trace,
 // returning the cheapest snapshot seen.
 //
-// Why: asynchronous policy-gradient training oscillates — the policy at the
-// final step is not reliably the best policy of the run, and a snapshot
-// caught mid-swing can mis-tier high-traffic files, which is catastrophic
+// Why: policy-gradient training oscillates — the policy at the final step
+// is not reliably the best policy of the run, and a snapshot caught
+// mid-swing can mis-tier high-traffic files, which is catastrophic
 // under cloud prices (one archived hot file costs more than the rest of the
 // fleet combined). Standard model selection on held-in data removes that
 // run-to-run luck without touching the test set.

@@ -10,7 +10,7 @@ import (
 	"minicost/internal/rng"
 )
 
-// This file is the training engine (DESIGN.md §10): the one A3C worker loop.
+// This file is the training engine (DESIGN.md §10): the one worker rollout.
 // Each worker drives A3CConfig.EnvsPerWorker = E environments in lockstep
 // through an mdp.EnvBank (E=1 is the degenerate case, not a separate path):
 // each lockstep step fills one E-row block of a flat E×NSteps feature arena,
@@ -20,18 +20,20 @@ import (
 // chosen its actions the actor's forward pass over the whole arena — logits
 // and every activation the gradient pass needs — already exists, and the
 // n-step update adds one critic forward, a scalar return/advantage loop and
-// one params-only backward pass per network. Both replicas stay bound to one
-// pinned snapshot from bindSnapshot to pushUpdate, so each packs its weights
-// once per update, at its first forward, however many forwards follow.
+// one params-only backward pass per network. Both replicas are bound to the
+// global vectors at the start of every round and read them unchanged until
+// the round's apply, so each packs its weights once per round, at its first
+// forward, however many forwards follow.
 //
 // Determinism contract: every environment owns an RNG substream split from
 // the worker stream by member index, all lockstep loops run in fixed member
 // order (0…E-1), and episodes that end mid-rollout are re-targeted in place
 // (EnvSource.ReinitEnv) and reset immediately, with the return recursion
-// restarted at the boundary. A run is therefore a pure function of (config,
-// seed) at Workers=1 — the seed-determinism test and the golden parameter
-// hashes pin it — and accumulateVec equals a per-row Forward/Backward oracle
-// bit for bit (oracle_test.go).
+// restarted at the boundary. A worker's rollout reads nothing another worker
+// writes, and a round's gradients are applied in worker order, so a run is a
+// pure function of (config, seed) at every Workers — the seed-determinism
+// test and the golden parameter hashes pin it — and accumulateVec equals a
+// per-row Forward/Backward oracle bit for bit (oracle_test.go).
 
 // vecBuf holds one worker's reused update matrices, grown once
 // and reused for every rollout thereafter.
@@ -56,149 +58,174 @@ func sampleDist(p []float64, u float64) pricing.Tier {
 	return pricing.Tier(len(p) - 1)
 }
 
-// vecWorker is one asynchronous actor-learner driving EnvsPerWorker
-// environments in lockstep.
-func (a *A3C) vecWorker(id int, src EnvSource, totalSteps int64) TrainStats {
+// worker is one actor-learner driving EnvsPerWorker environments in
+// lockstep. Its state lives across the rounds of one TrainFrom call.
+type worker struct {
+	a      *A3C
+	src    EnvSource
+	envRNG []*rng.RNG
+	bank   *mdp.EnvBank
+
+	actor, critic *nn.Network
+	aGrad, cGrad  []float64 // the replicas' flat gradients, read by the apply
+
+	// Rollout storage, step-major: lockstep step t owns rows [t·E, (t+1)·E)
+	// of the arena and the flat transition arrays.
+	feats        *mat.Matrix
+	rewards      []float64
+	actions      []int
+	dones        []bool
+	stepActions  []pricing.Tier
+	bootFeats    *mat.Matrix
+	boot         []float64
+	stickyLeft   []int
+	stickyAction []pricing.Tier
+	probs        []float64
+	norm         rewardNorm
+	vb           vecBuf
+	packs        int
+
+	st TrainStats
+}
+
+// newWorker builds worker id's environments, replicas and buffers.
+func (a *A3C) newWorker(id int, src EnvSource) *worker {
 	nEnvs := a.cfg.envsPerWorker()
-	nSteps := a.cfg.NSteps
-	w := a.cfg.parallelism()
 	featDim := a.cfg.Net.featureDim()
+	rows := nEnvs * a.cfg.NSteps
 
 	// One stream per worker; each bank member then splits its own substream
 	// by index, so a member's episode draws and action samples are
 	// independent of every other member's and of E itself.
 	wr := rng.New(a.cfg.Seed).Split(uint64(id) + 0xAC7)
-	envRNG := make([]*rng.RNG, nEnvs)
-	for e := range envRNG {
-		envRNG[e] = wr.Split(uint64(e) + 0x5EED)
+	w := &worker{
+		a:      a,
+		src:    src,
+		envRNG: make([]*rng.RNG, nEnvs),
+		bank:   mdp.NewEnvBank(nEnvs),
+		// Replicas bound to the prototypes' values until the first round
+		// binds them to the global vectors, with flat gradients from the
+		// start: nothing is copied.
+		actor:        a.protoActor.BoundClone(),
+		critic:       a.protoCritic.BoundClone(),
+		feats:        mat.New(rows, featDim),
+		rewards:      make([]float64, rows),
+		actions:      make([]int, rows),
+		dones:        make([]bool, rows),
+		stepActions:  make([]pricing.Tier, nEnvs),
+		bootFeats:    mat.New(nEnvs, featDim),
+		boot:         make([]float64, nEnvs),
+		stickyLeft:   make([]int, nEnvs),
+		stickyAction: make([]pricing.Tier, nEnvs),
+		probs:        make([]float64, mdp.NumActions),
 	}
-
-	// Replicas bound to the prototypes' values until the first bindSnapshot
-	// below, with flat gradients from the start: nothing is copied.
-	actor := a.protoActor.BoundClone()
-	critic := a.protoCritic.BoundClone()
-
-	bank := mdp.NewEnvBank(nEnvs)
-	for e := 0; e < nEnvs; e++ {
-		bank.Install(e, src.NewEnv(envRNG[e]))
+	for e := range w.envRNG {
+		w.envRNG[e] = wr.Split(uint64(e) + 0x5EED)
+		w.bank.Install(e, src.NewEnv(w.envRNG[e]))
 	}
-	trainMet.envs.Add(float64(nEnvs))
-	defer trainMet.envs.Add(-float64(nEnvs))
+	w.aGrad = w.actor.FlattenGrads()
+	w.cGrad = w.critic.FlattenGrads()
+	return w
+}
 
-	// Rollout storage, step-major: lockstep step t owns rows [t·E, (t+1)·E)
-	// of the arena and the flat transition arrays.
-	rows := nEnvs * nSteps
-	feats := mat.New(rows, featDim)
-	rewards := make([]float64, rows)
-	actions := make([]int, rows)
-	dones := make([]bool, rows)
-	stepActions := make([]pricing.Tier, nEnvs)
-	bootFeats := mat.New(nEnvs, featDim)
-	boot := make([]float64, nEnvs)
-	stickyLeft := make([]int, nEnvs)
-	stickyAction := make([]pricing.Tier, nEnvs)
-	var norm rewardNorm
-	var vb vecBuf
-	probs := make([]float64, mdp.NumActions)
+// rollout is the worker's part of one round: bind the replicas to the global
+// vectors, drive the E environments NSteps lockstep steps, and leave the
+// n-step gradients in aGrad and cGrad. The caller holds a.mu shared.
+func (w *worker) rollout() {
+	a := w.a
+	nEnvs := len(w.boot)
+	nSteps := a.cfg.NSteps
+	par := a.cfg.parallelism()
+	featDim := a.cfg.Net.featureDim()
+	actor, critic, bank := w.actor, w.critic, w.bank
 
-	aGrad := actor.FlattenGrads()
-	cGrad := critic.FlattenGrads()
-	var st TrainStats
-	var held *paramSnap
-	defer func() { releaseSnapshot(held) }()
-	packs := 0
+	actor.BindParamVector(a.actor)
+	critic.BindParamVector(a.critic)
+	actor.ZeroGrad()
+	critic.ZeroGrad()
+
 	var logits *mat.Matrix
-
-	for a.steps.Load() < totalSteps {
-		held = a.bindSnapshot(actor, critic, held)
-		actor.ZeroGrad()
-		critic.ZeroGrad()
-
-		for t := 0; t < nSteps; t++ {
-			// Encode all members into this step's arena block and select all
-			// actions with one batched forward over it, in place: logits has
-			// a row per arena row, and step t's are rows [base, base+E).
-			base := t * nEnvs
-			bank.FillFeatures(feats.Data[base*featDim:(base+nEnvs)*featDim], featDim)
-			sw := trainMet.vecForward.Start()
-			logits = actor.ForwardRows(feats, base, base+nEnvs, w)
-			sw.Stop()
-			for e := 0; e < nEnvs; e++ {
-				r := envRNG[e]
-				var action pricing.Tier
-				switch {
-				case stickyLeft[e] > 0:
-					action = stickyAction[e]
-					stickyLeft[e]--
-				case a.cfg.Epsilon > 0 && r.Float64() < a.cfg.Epsilon:
-					action = pricing.Tier(r.Intn(mdp.NumActions))
-					stickyAction[e] = action
-					if a.cfg.ExploreHold > 1 {
-						stickyLeft[e] = a.cfg.ExploreHold - 1
-					}
-				default:
-					lrow := logits.Row(base + e)
-					p := probs[:len(lrow)]
-					nn.SoftmaxInto(p, lrow)
-					action = sampleDist(p, r.Float64())
-				}
-				stepActions[e] = action
-			}
-			bank.StepAll(stepActions)
-
-			for e := 0; e < nEnvs; e++ {
-				reward := bank.Rewards[e]
-				if a.cfg.NormalizeRewards {
-					rewards[base+e] = norm.normalize(reward)
-				} else {
-					rewards[base+e] = reward
-				}
-				actions[base+e] = int(stepActions[e])
-				dones[base+e] = bank.Done[e]
-				st.Steps++
-				st.RewardSum += reward
-				st.CostSum += bank.Costs[e]
-				if bank.Done[e] {
-					// Episode turnover happens in place mid-rollout: the
-					// member is re-targeted and reset now, so the next
-					// lockstep step records the new episode's first
-					// transition; the return recursion in accumulateVec
-					// restarts at this boundary.
-					st.Episodes++
-					trainMet.episodes.Inc()
-					src.ReinitEnv(envRNG[e], bank.Env(e))
-					bank.ResetEnv(e)
-					stickyLeft[e] = 0
-				}
-			}
-			a.steps.Add(int64(nEnvs))
-		}
-		trainMet.steps.Add(float64(rows))
-
-		// Bootstrap all members with one batched critic pass. The returned
-		// matrix is owned by the network and overwritten by the next
-		// ForwardBatch, so the values are copied out first; members whose
-		// last transition was terminal bootstrap from 0 (their bank state is
-		// already the next episode's reset observation).
-		bank.FillFeatures(bootFeats.Data, featDim)
-		values := critic.ForwardBatch(bootFeats, w)
-		lastBase := (nSteps - 1) * nEnvs
+	for t := 0; t < nSteps; t++ {
+		// Encode all members into this step's arena block and select all
+		// actions with one batched forward over it, in place: logits has a
+		// row per arena row, and step t's are rows [base, base+E).
+		base := t * nEnvs
+		bank.FillFeatures(w.feats.Data[base*featDim:(base+nEnvs)*featDim], featDim)
+		sw := trainMet.vecForward.Start()
+		logits = actor.ForwardRows(w.feats, base, base+nEnvs, par)
+		sw.Stop()
 		for e := 0; e < nEnvs; e++ {
-			if dones[lastBase+e] {
-				boot[e] = 0
+			r := w.envRNG[e]
+			var action pricing.Tier
+			switch {
+			case w.stickyLeft[e] > 0:
+				action = w.stickyAction[e]
+				w.stickyLeft[e]--
+			case a.cfg.Epsilon > 0 && r.Float64() < a.cfg.Epsilon:
+				action = pricing.Tier(r.Intn(mdp.NumActions))
+				w.stickyAction[e] = action
+				if a.cfg.ExploreHold > 1 {
+					w.stickyLeft[e] = a.cfg.ExploreHold - 1
+				}
+			default:
+				lrow := logits.Row(base + e)
+				p := w.probs[:len(lrow)]
+				nn.SoftmaxInto(p, lrow)
+				action = sampleDist(p, r.Float64())
+			}
+			w.stepActions[e] = action
+		}
+		bank.StepAll(w.stepActions)
+
+		for e := 0; e < nEnvs; e++ {
+			reward := bank.Rewards[e]
+			if a.cfg.NormalizeRewards {
+				w.rewards[base+e] = w.norm.normalize(reward)
 			} else {
-				boot[e] = values.Row(e)[0]
+				w.rewards[base+e] = reward
+			}
+			w.actions[base+e] = int(w.stepActions[e])
+			w.dones[base+e] = bank.Done[e]
+			w.st.Steps++
+			w.st.RewardSum += reward
+			w.st.CostSum += bank.Costs[e]
+			if bank.Done[e] {
+				// Episode turnover happens in place mid-rollout: the
+				// member is re-targeted and reset now, so the next
+				// lockstep step records the new episode's first
+				// transition; the return recursion in accumulateVec
+				// restarts at this boundary.
+				w.st.Episodes++
+				trainMet.episodes.Inc()
+				w.src.ReinitEnv(w.envRNG[e], bank.Env(e))
+				bank.ResetEnv(e)
+				w.stickyLeft[e] = 0
 			}
 		}
-
-		a.accumulateVec(actor, critic, feats, logits, rewards, actions, dones, boot, &vb)
-		a.pushUpdate(aGrad, cGrad, totalSteps)
-		st.Updates++
-		p := actor.WeightPacks() + critic.WeightPacks()
-		trainMet.weightPacks.Add(float64(p - packs))
-		packs = p
+		a.steps.Add(int64(nEnvs))
 	}
-	return st
+	trainMet.steps.Add(float64(nEnvs * nSteps))
+
+	// Bootstrap all members with one batched critic pass. The returned
+	// matrix is owned by the network and overwritten by the next
+	// ForwardBatch, so the values are copied out first; members whose last
+	// transition was terminal bootstrap from 0 (their bank state is already
+	// the next episode's reset observation).
+	bank.FillFeatures(w.bootFeats.Data, featDim)
+	values := critic.ForwardBatch(w.bootFeats, par)
+	lastBase := (nSteps - 1) * nEnvs
+	for e := 0; e < nEnvs; e++ {
+		if w.dones[lastBase+e] {
+			w.boot[e] = 0
+		} else {
+			w.boot[e] = values.Row(e)[0]
+		}
+	}
+
+	a.accumulateVec(actor, critic, w.feats, logits, w.rewards, w.actions, w.dones, w.boot, &w.vb)
+	p := actor.WeightPacks() + critic.WeightPacks()
+	trainMet.weightPacks.Add(float64(p - w.packs))
+	w.packs = p
 }
 
 // accumulateVec runs the n-step update over a full E×NSteps lockstep arena.

@@ -31,9 +31,8 @@ func trainParams(t *testing.T, cfg A3CConfig, files, days int, steps int64) ([]f
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := a3c.snap.Load()
-	return append([]float64(nil), cur.actor...),
-		append([]float64(nil), cur.critic...), stats
+	actor, critic := a3c.ParamVectors()
+	return actor, critic, stats
 }
 
 func assertVectorsBitwise(t *testing.T, name string, got, want []float64) {
@@ -147,9 +146,8 @@ func TestVecCheckpointRoundTripResumesTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumedCur, origCur := resumed.snap.Load(), orig.snap.Load()
-	assertVectorsBitwise(t, "actor", resumedCur.actor, origCur.actor)
-	assertVectorsBitwise(t, "critic", resumedCur.critic, origCur.critic)
+	assertVectorsBitwise(t, "actor", resumed.actor, orig.actor)
+	assertVectorsBitwise(t, "critic", resumed.critic, orig.critic)
 }
 
 // TestAccumulateVecSteadyStateAllocFree gates the update in the shape the
@@ -202,61 +200,52 @@ func TestAccumulateVecSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestBindSnapshotRepacksRecycledBuffers is the rl side of the pack-per-bind
-// rule (nn's TestForwardBatchSeesRebinds): the parameter server recycles its
-// buffers, so with one reader the snapshot published by update u+2 lives at
-// the address a replica was bound to at update u, under different values. A
-// replica that told binds apart by address would multiply against the old
-// pack; it must go by the call. After every bindSnapshot a batch long enough
-// for the packed kernels has to equal row-by-row Forward on a fresh network
-// set to the published vector.
-func TestBindSnapshotRepacksRecycledBuffers(t *testing.T) {
+// TestRebindRepacksUpdatedVectors is the rl side of the pack-per-bind rule
+// (nn's TestForwardBatchSeesRebinds): every round's apply rewrites the global
+// vectors in place, so each round re-binds a worker's replicas to the same
+// address under different values. A replica that told binds apart by address
+// would multiply against the previous round's pack; it must go by the call.
+// After every round's rebind a batch long enough for the packed kernels has
+// to equal row-by-row Forward on a fresh network set to the global vector.
+func TestRebindRepacksUpdatedVectors(t *testing.T) {
 	cfg := smallA3CConfig()
+	cfg.Workers = 1
 	cfg.EnvsPerWorker = 4
 	a3c, err := NewA3C(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	actor, critic := a3c.protoActor.BoundClone(), a3c.protoCritic.BoundClone()
-	aGrad, cGrad := actor.FlattenGrads(), critic.FlattenGrads()
+	w := a3c.newWorker(0, traceSource(t, polarTrace(t, 6, 12), cfg.Net.HistLen))
 	r := rng.New(12)
 	x := mat.New(32, cfg.Net.featureDim()) // twice nn's packMinRows
 	for i := range x.Data {
 		x.Data[i] = r.Float64()
 	}
-	assertMatchesFresh := func(update int, name string, replica, proto *nn.Network, published []float64) {
+	assertMatchesFresh := func(round int, name string, replica, proto *nn.Network, global []float64) {
 		t.Helper()
 		fresh := proto.Clone()
-		fresh.SetParamVector(published)
+		fresh.SetParamVector(global)
 		y := replica.ForwardBatch(x, 1)
 		for row := 0; row < x.Rows; row++ {
-			assertVectorsBitwise(t, fmt.Sprintf("update %d: %s row %d", update, name, row), y.Row(row), rowForward(fresh, x.Row(row)))
+			assertVectorsBitwise(t, fmt.Sprintf("round %d: %s row %d", round, name, row), y.Row(row), rowForward(fresh, x.Row(row)))
 		}
 	}
 
-	boundAt := map[*float64]int{} // a snapshot's address → the last update bound to it
-	recycled := false
-	var held *paramSnap
-	defer func() { releaseSnapshot(held) }()
+	actorAt, criticAt := &a3c.actor[0], &a3c.critic[0]
+	before := append([]float64(nil), a3c.actor...)
 	for u := 0; u < 6; u++ {
-		held = a3c.bindSnapshot(actor, critic, held)
-		if prev, ok := boundAt[&held.actor[0]]; ok && u-prev == 2 {
-			recycled = true
-		}
-		boundAt[&held.actor[0]] = u
-		assertMatchesFresh(u, "actor", actor, a3c.protoActor, held.actor)
-		assertMatchesFresh(u, "critic", critic, a3c.protoCritic, held.critic)
-		for _, g := range [][]float64{aGrad, cGrad} {
-			for i := range g {
-				g[i] = r.NormalMS(0, 1)
-			}
-		}
-		a3c.mu.Lock()
-		a3c.applyLocked(aGrad, cGrad)
-		a3c.mu.Unlock()
+		a3c.mu.RLock()
+		w.rollout()
+		a3c.mu.RUnlock()
+		assertMatchesFresh(u, "actor", w.actor, a3c.protoActor, a3c.actor)
+		assertMatchesFresh(u, "critic", w.critic, a3c.protoCritic, a3c.critic)
+		a3c.pushUpdate(w.aGrad, w.cGrad, 1)
 	}
-	if !recycled {
-		t.Fatal("no snapshot was published at an address bound two updates earlier: the test no longer exercises recycling")
+	if &a3c.actor[0] != actorAt || &a3c.critic[0] != criticAt {
+		t.Fatal("the apply moved the global vectors: the test no longer exercises in-place rebinding")
+	}
+	if hashVectors(before) == hashVectors(a3c.actor) {
+		t.Fatal("six applies left the actor unchanged: the test no longer exercises new values at the old address")
 	}
 }
 
@@ -271,9 +260,10 @@ var (
 
 // harnessTrainer returns a fresh trainer in the end-to-end harness's
 // configuration (benchmark/train_offline.go's a3cConfig: the paper's
-// defaults, one worker, serial updates) and a TraceSource over a small
-// generated trace whose episodes turn over every few rollouts.
-func harnessTrainer(tb testing.TB, net NetConfig, envs int) (*A3C, *TraceSource) {
+// defaults, serial updates; the harness trains at one worker) at the given
+// worker count and lockstep width, and a TraceSource over a small generated
+// trace whose episodes turn over every few rollouts.
+func harnessTrainer(tb testing.TB, net NetConfig, workers, envs int) (*A3C, *TraceSource) {
 	tb.Helper()
 	gen := trace.DefaultGenConfig()
 	gen.NumFiles, gen.Days, gen.Seed, gen.Workers = 48, 42, 20, 1
@@ -283,7 +273,7 @@ func harnessTrainer(tb testing.TB, net NetConfig, envs int) (*A3C, *TraceSource)
 	}
 	cfg := DefaultA3CConfig()
 	cfg.Net = net
-	cfg.Workers = 1
+	cfg.Workers = workers
 	cfg.EnvsPerWorker = envs
 	cfg.Seed = 20
 	a3c, err := NewA3C(cfg)
@@ -297,7 +287,7 @@ func harnessTrainer(tb testing.TB, net NetConfig, envs int) (*A3C, *TraceSource)
 	return a3c, src
 }
 
-// paramHash is the harness's: FNV-1a over the published actor and critic
+// paramHash is the harness's: FNV-1a over the global actor and critic
 // parameter bits.
 func paramHash(a *A3C) uint64 {
 	actor, critic := a.ParamVectors()
@@ -320,43 +310,59 @@ func hashVectors(vs ...[]float64) uint64 {
 
 // TestVecTrainGoldenHashes is the engine's end-to-end bitwise oracle: the
 // per-row oracle pins one update, this pins whole runs — rollout, action
-// sampling, episode turnover, parameter server — as parameter hashes. The
-// E ≥ 4 constants were recorded at the commit before the update stopped
-// packing per forward, re-running the actor's forward and computing the
-// feature gradient (PR 20), on both sides of packMinRows: 4-row windows and a
+// sampling, episode turnover, the rounds' applies — as parameter hashes. The
+// one-worker E ≥ 4 constants were recorded at the commit before the update
+// stopped packing per forward, re-running the actor's forward and computing
+// the feature gradient, on both sides of packMinRows: 4-row windows and a
 // 28-row arena, 8-row windows and a 56-row arena, 16-row windows and a
 // 112-row arena at the paper's network. The E=1 rows (7-row arenas, never
-// packed) were recorded when E=1 became every default caller's shape (PR 25).
-// Each budget is split over two TrainFrom calls, so replicas are rebuilt and
-// every RNG stream re-derived in between. A change to the engine that moves a
-// hash changed its arithmetic. The constants are amd64's: the Go compiler
-// fuses a multiply and an add on some other architectures, which rounds
-// differently.
+// packed) were recorded when E=1 became every default caller's shape.
+// The W = 2 and W = 4 rows were recorded when training moved to synchronous
+// rounds; they run at GOMAXPROCS 1, 2 and 4, since a round's result must not
+// depend on how its workers were scheduled. Each budget is split over two
+// TrainFrom calls, so replicas are rebuilt and every RNG stream re-derived in
+// between. A change to the engine that moves a hash changed its arithmetic.
+// The constants are amd64's: the Go compiler fuses a multiply and an add on
+// some other architectures, which rounds differently.
 func TestVecTrainGoldenHashes(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden hashes were recorded on amd64; fused multiply-adds round differently")
 	}
+	net8 := NetConfig{HistLen: 14, Filters: 8, Kernel: 4, Stride: 1, Hidden: 8}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
-		net   NetConfig
-		envs  int
-		steps int64 // per TrainFrom call: a whole number of E×NSteps updates
-		want  uint64
+		net     NetConfig
+		workers int
+		envs    int
+		steps   int64 // per TrainFrom call: a whole number of W×E×NSteps rounds
+		want    uint64
 	}{
-		{NetConfig{HistLen: 14, Filters: 8, Kernel: 4, Stride: 1, Hidden: 8}, 4, 280, 0x6803fb0b3fbea9ea},
-		{NetConfig{HistLen: 14, Filters: 8, Kernel: 4, Stride: 1, Hidden: 8}, 1, 280, 0x9327e93118498436},
-		{netBoot64, 8, 224, 0xe4687a8554421d7e},
-		{netBoot64, 1, 224, 0x703e04e9d42232b4},
-		{netPaper128, 16, 224, 0xc805ceeac39e0dd7},
+		{net8, 1, 4, 280, 0x6803fb0b3fbea9ea},
+		{net8, 1, 1, 280, 0x9327e93118498436},
+		{netBoot64, 1, 8, 224, 0xe4687a8554421d7e},
+		{netBoot64, 1, 1, 224, 0x703e04e9d42232b4},
+		{netPaper128, 1, 16, 224, 0xc805ceeac39e0dd7},
+		{net8, 2, 4, 280, 0x4e3f510ffe337720},
+		{net8, 4, 4, 448, 0x81f6dca22b5e7c63},
+		{netBoot64, 2, 8, 224, 0xf2afec6a9891b293},
+		{netBoot64, 4, 8, 448, 0xa0fec510c9648644},
 	} {
-		a3c, src := harnessTrainer(t, c.net, c.envs)
-		for call := int64(1); call <= 2; call++ {
-			if _, err := a3c.TrainFrom(src, call*c.steps); err != nil {
-				t.Fatal(err)
-			}
+		procs := []int{runtime.GOMAXPROCS(0)}
+		if c.workers > 1 {
+			procs = []int{1, 2, 4}
 		}
-		if got := paramHash(a3c); got != c.want {
-			t.Errorf("%d/%d/%d E=%d: parameter hash %#x after 2×%d steps, want %#x",
-				c.net.HistLen, c.net.Filters, c.net.Hidden, c.envs, got, c.steps, c.want)
+		for _, p := range procs {
+			runtime.GOMAXPROCS(p)
+			a3c, src := harnessTrainer(t, c.net, c.workers, c.envs)
+			for call := int64(1); call <= 2; call++ {
+				if _, err := a3c.TrainFrom(src, call*c.steps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := paramHash(a3c); got != c.want {
+				t.Errorf("%d/%d/%d W=%d E=%d GOMAXPROCS=%d: parameter hash %#x after 2×%d steps, want %#x",
+					c.net.HistLen, c.net.Filters, c.net.Hidden, c.workers, c.envs, p, got, c.steps, c.want)
+			}
 		}
 	}
 }
@@ -385,7 +391,7 @@ func BenchmarkVecTrainUpdate(b *testing.B) {
 		{"quick16/E=4", netQuick16, 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			a3c, src := harnessTrainer(b, bc.net, bc.envs)
+			a3c, src := harnessTrainer(b, bc.net, 1, bc.envs)
 			if _, err := a3c.FineTune(src, slice); err != nil { // warm the trace's lazily built state
 				b.Fatal(err)
 			}
