@@ -156,3 +156,20 @@ func TestSnapshotDuringObserveAndPlan(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSnapshotHistoryCapsTotal pins SnapshotHistory's cap on the total, also
+// below one file per shard: the shares are maxFiles split over the shards,
+// the remainder to the lowest ones, not at least one file each.
+func TestSnapshotHistoryCapsTotal(t *testing.T) {
+	s, err := NewWithConfig(testAgent(), pricing.Hot, Config{Shards: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedWeek(t, s, 400)
+	for _, limit := range []int{1, 4, 15, 16, 20, 100} {
+		h := s.SnapshotHistory(1, limit)
+		if len(h.IDs) != limit {
+			t.Errorf("SnapshotHistory(1, %d) copied %d files", limit, len(h.IDs))
+		}
+	}
+}

@@ -395,16 +395,21 @@ type History struct {
 // least minDays observed days: its ID, last size and latest window. Days is
 // the shortest history among those files, capped at the ring length, so all
 // series align. At most maxFiles files are copied — each shard contributes
-// its earliest-tracked eligible files up to an equal share, so membership
-// below the cap does not move as the population grows. Observations landing
-// between the two passes only lengthen histories; the latest Days cells of
-// every picked file are still in its ring.
+// its earliest-tracked eligible files up to a fixed share, maxFiles split as
+// evenly as the shard count allows with the remainder going to the lowest
+// shards, so membership below the cap does not move as the population
+// grows. Observations landing between the two passes only lengthen
+// histories; the latest Days cells of every picked file are still in its
+// ring.
 func (s *Server) SnapshotHistory(minDays, maxFiles int) *History {
-	share := max(maxFiles/len(s.shards), 1)
 	picked := make([][]int32, len(s.shards))
 	h := &History{Days: s.shards[0].ringLen}
 	n := 0
 	for si, sh := range s.shards {
+		share := maxFiles / len(s.shards)
+		if si < maxFiles%len(s.shards) {
+			share++
+		}
 		sh.mu.Lock()
 		for slot := 0; slot < len(sh.ids) && len(picked[si]) < share; slot++ {
 			if f := int(sh.fill[slot]); f >= minDays {

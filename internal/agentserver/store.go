@@ -14,10 +14,11 @@ package agentserver
 // batch matrix that feeds rl.Agent.DecideBatch.
 //
 // The rings are the only per-file history in the process. A decision row
-// packs the most recent histLen cells; an attached online learner
-// (Server.AttachLearner) lengthens the rings to its training window and
-// reads them through Server.SnapshotHistory, and ingest then also counts
-// drift samples (drift.go) under the shard lock it already holds.
+// packs the most recent histLen cells through mdp.State.FillHistory; an
+// attached online learner (Server.AttachLearner) lengthens the rings to its
+// training window and reads them through Server.SnapshotHistory, and ingest
+// then also counts drift samples (drift.go) under the shard lock it already
+// holds.
 //
 // Locking: one mutex per shard. /v1/observe fans the batch out with
 // par.ForShards, so concurrent ingestion of a million-file batch never
@@ -122,8 +123,9 @@ type shard struct {
 	feats    *mat.Matrix
 	tiers    []pricing.Tier
 	decSlots []int32
-	readBuf  []float64
+	readBuf  []float64 // a slot's latest ring cells, oldest first
 	writeBuf []float64
+	window   mdp.State // the decision window filled from them
 }
 
 func newShard(histLen int) *shard {
@@ -133,6 +135,10 @@ func newShard(histLen int) *shard {
 		index:    make(map[string]int32),
 		readBuf:  make([]float64, histLen),
 		writeBuf: make([]float64, histLen),
+		window: mdp.State{
+			ReadHistory:  make([]float64, histLen),
+			WriteHistory: make([]float64, histLen),
+		},
 	}
 }
 
@@ -335,39 +341,23 @@ func (sh *shard) latestInto(slot int32, n int, rs, ws []float64) {
 	copy(ws[first:n], sh.writes[base:])
 }
 
-// windowInto linearizes a slot's most recent histLen ring cells into
-// oldest-first windows, left-padding a shorter history by repeating its
-// first value — the same cold-start convention mdp.Env uses. Cells older
-// than histLen never reach a decision row, so serving is bitwise the same
-// at any ringLen.
-//
-//minicost:hotpath
-func (sh *shard) windowInto(slot int32, rs, ws []float64) {
-	n := min(int(sh.fill[slot]), sh.histLen)
-	pad := sh.histLen - n
-	sh.latestInto(slot, n, rs[pad:], ws[pad:])
-	var r0, w0 float64
-	if n > 0 {
-		r0, w0 = rs[pad], ws[pad]
-	}
-	for i := 0; i < pad; i++ {
-		rs[i], ws[i] = r0, w0
-	}
-}
-
 // featureInto encodes one slot's feature row straight from the
-// struct-of-arrays state — ring windows, size, tier one-hot — with the
-// exact mdp.State encoding the training path uses. Caller holds sh.mu.
+// struct-of-arrays state with the exact mdp.State encoding the training path
+// uses: the ring's latest histLen cells (fewer while the slot is young) go
+// through mdp.State.FillHistory, the decision rule's one window and clamp,
+// then size and tier. The plan that follows a day's observe decides the
+// next day, so the ring holds exactly the days before it; cells older than
+// histLen never reach a row, so serving is bitwise the same at any ringLen.
+// Caller holds sh.mu.
 //
 //minicost:hotpath
 func (sh *shard) featureInto(slot int32, dst []float64) {
-	sh.windowInto(slot, sh.readBuf, sh.writeBuf)
-	st := mdp.State{
-		ReadHistory:  sh.readBuf,
-		WriteHistory: sh.writeBuf,
-		SizeGB:       sh.size[slot],
-		Tier:         pricing.Tier(sh.tier[slot]),
-	}
+	n := min(int(sh.fill[slot]), sh.histLen)
+	sh.latestInto(slot, n, sh.readBuf, sh.writeBuf)
+	st := &sh.window
+	st.FillHistory(sh.readBuf[:n], sh.writeBuf[:n], nil, n)
+	st.SizeGB = sh.size[slot]
+	st.Tier = pricing.Tier(sh.tier[slot])
 	st.FeaturesInto(dst)
 }
 

@@ -51,7 +51,7 @@ func TestEnvBankMatchesIndividualStepping(t *testing.T) {
 	actions := make([]pricing.Tier, n)
 	got := make([]float64, n*dim)
 	want := make([]float64, dim)
-	for d := 0; d < days; d++ {
+	for d := 1; d < days; d++ { // day 0 is served in the initial tier
 		bank.FillFeatures(got, dim)
 		for i := range refs {
 			refStates[i].FeaturesInto(want)
@@ -89,7 +89,7 @@ func TestEnvBankResetEnvStartsFreshEpisode(t *testing.T) {
 	const days, histLen = 3, 2
 	bank, _ := bankFixture(t, 2, days, histLen)
 	actions := []pricing.Tier{pricing.Hot, pricing.Cool}
-	for d := 0; d < days; d++ {
+	for d := 1; d < days; d++ {
 		bank.StepAll(actions)
 	}
 	if !bank.Done[0] || !bank.Done[1] {
@@ -146,7 +146,7 @@ func TestEnvBankSteadyStateAllocFree(t *testing.T) {
 
 // TestEnvBankStepAfterDonePanics pins the reset-before-step contract.
 func TestEnvBankStepAfterDonePanics(t *testing.T) {
-	bank, _ := bankFixture(t, 1, 2, 2)
+	bank, _ := bankFixture(t, 1, 3, 2) // decides days 1 and 2
 	actions := []pricing.Tier{pricing.Hot}
 	bank.StepAll(actions)
 	bank.StepAll(actions)

@@ -4,10 +4,18 @@
 // (Eq. 3); transitions are deterministic (P = 1); and the reward is
 // R(s,a) = α / C(s,a) + Δ (Eq. 4).
 //
-// Env steps one file through its trace day by day, billing each day through
-// the file's costmodel.FileCoeffs; EnvBank steps many of them in lockstep.
-// State.FillHistory is the one implementation of the trailing history
-// window, shared by Env and by inference that plans straight from a trace.
+// The decision rule, which every decider in the repository follows: the
+// tier for day d is decided from the file's last HistLen observed days
+// before d, left-padded with its first observed day; day 0 is served in the
+// initial tier. A day on which the file was not observed does not count.
+// State.FillHistory is the rule's one implementation — the window and its
+// cold-start clamp — shared by Env, by inference that plans straight from a
+// trace (rl.Agent.DecideTrace) and by the serving store, which hands it a
+// file's latest ring cells.
+//
+// Env steps one file through its trace day by day from day 1, billing each
+// day through the file's costmodel.FileCoeffs; EnvBank steps many of them in
+// lockstep.
 package mdp
 
 import (
@@ -60,25 +68,31 @@ func (s *State) Features() []float64 {
 	return out
 }
 
-// FillHistory fills s's history windows with the trailing days before day
-// of the read/write series: ReadHistory[i] and WriteHistory[i] hold day
-// day-len(ReadHistory)+i. Days before the series start are clamped to day
-// 0, so a cold start repeats the first observation instead of looking like
-// a traffic cliff. Both windows must have the same length; the series must
-// cover day-1 (or day 0 when day is 0). logs is either nil or log1p of
-// reads, day for day; when it is given, ReadLogs (which must then have the
-// windows' length) takes the same days from it, so a caller that encodes
-// every day of a series takes each logarithm once instead of once per
-// window it slides through.
+// FillHistory fills s's history windows for deciding day day of the
+// read/write series under the decision rule: ReadHistory[i] and
+// WriteHistory[i] hold day day-len(ReadHistory)+i, and days before the
+// series start repeat day 0, so a cold start repeats the first observation
+// instead of looking like a traffic cliff. Day 0 has no observed day before
+// it: its windows are zeros. Both windows must have the same length; the
+// series must cover day-1. logs is either nil or log1p of reads, day for
+// day; when it is given, ReadLogs (which must then have the windows' length)
+// takes the same days from it, so a caller that encodes every day of a
+// series takes each logarithm once instead of once per window it slides
+// through.
 //
 //minicost:hotpath
 func (s *State) FillHistory(reads, writes, logs []float64, day int) {
+	if day <= 0 {
+		clear(s.ReadHistory)
+		clear(s.WriteHistory)
+		if logs != nil {
+			clear(s.ReadLogs)
+		}
+		return
+	}
 	h := len(s.ReadHistory)
 	for i := range s.ReadHistory {
-		d := day - h + i
-		if d < 0 {
-			d = 0
-		}
+		d := max(day-h+i, 0)
 		s.ReadHistory[i] = reads[d]
 		s.WriteHistory[i] = writes[d]
 		if logs != nil {
@@ -194,10 +208,12 @@ func (rc RewardConfig) Reward(cost float64) float64 {
 	return rc.Alpha/cost + rc.Delta
 }
 
-// Env is one file's decision process over its daily request series. At each
-// step the agent observes the trailing HistLen days of frequencies, picks a
-// tier for the next day, and pays that day's bill. The exported fields are
-// set by NewEnv/Reinit and read-only afterwards.
+// Env is one file's decision process over its daily request series, under
+// the decision rule (package comment): day 0 is served in the initial tier
+// and the episode decides days 1 through len(Reads)-1. At each step the
+// agent observes the HistLen days before the day being decided, picks its
+// tier, and pays that day's bill. The exported fields are set by
+// NewEnv/Reinit and read-only afterwards.
 type Env struct {
 	Reads   []float64
 	Writes  []float64
@@ -221,10 +237,9 @@ type Env struct {
 	flip     int
 }
 
-// NewEnv constructs an environment. The first decision is made for day 0
-// with history synthesized by repeating the first observation (the agent in
-// production has two months of history; an episode's cold start should not
-// look like a traffic cliff).
+// NewEnv constructs an environment. The first decision is made for day 1,
+// from a window that repeats day 0 (the decision rule's left padding). A
+// series under two days holds no decision and is an error.
 func NewEnv(model *costmodel.Model, sizeGB float64, reads, writes []float64, initial pricing.Tier, histLen int, reward RewardConfig) (*Env, error) {
 	e := &Env{}
 	if err := e.Reinit(model, sizeGB, reads, writes, initial, histLen, reward); err != nil {
@@ -240,6 +255,9 @@ func NewEnv(model *costmodel.Model, sizeGB float64, reads, writes []float64, ini
 func (e *Env) Reinit(model *costmodel.Model, sizeGB float64, reads, writes []float64, initial pricing.Tier, histLen int, reward RewardConfig) error {
 	if err := CheckEpisode(sizeGB, reads, writes, initial, histLen); err != nil {
 		return err
+	}
+	if len(reads) < 2 {
+		return fmt.Errorf("mdp: a %d-day series holds no decision", len(reads))
 	}
 	e.Reads, e.Writes, e.SizeGB = reads, writes, sizeGB
 	e.HistLen, e.Reward, e.init = histLen, reward, initial
@@ -277,9 +295,10 @@ func CheckEpisode(sizeGB float64, reads, writes []float64, initial pricing.Tier,
 // buffers, diagnostics) must not enable this.
 func (e *Env) EnableStateReuse() { e.reuse = true }
 
-// Reset rewinds the episode and returns the initial state.
+// Reset rewinds the episode to day 1's decision, the file in its initial
+// tier, and returns that state.
 func (e *Env) Reset() State {
-	e.day = 0
+	e.day = 1
 	e.tier = e.init
 	return e.state()
 }
@@ -304,7 +323,7 @@ func (e *Env) reward(day int, cost float64) float64 {
 	return r
 }
 
-// Days returns the episode length.
+// Days returns the length of the file's series, day 0 included.
 func (e *Env) Days() int { return len(e.Reads) }
 
 // Day returns the index of the next day to be decided.
@@ -313,8 +332,8 @@ func (e *Env) Day() int { return e.day }
 // Tier returns the file's current tier.
 func (e *Env) Tier() pricing.Tier { return e.tier }
 
-// state builds the observation before deciding day e.day: the trailing
-// HistLen observed frequencies (State.FillHistory).
+// state builds the observation before deciding day e.day: the HistLen
+// observed days before it (State.FillHistory).
 func (e *Env) state() State {
 	s := State{SizeGB: e.SizeGB, Tier: e.tier}
 	if e.reuse {

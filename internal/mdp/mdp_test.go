@@ -57,10 +57,11 @@ func TestEnvEpisode(t *testing.T) {
 	writes := []float64{1, 2, 3}
 	e := env(t, reads, writes)
 	s := e.Reset()
-	if s.Tier != pricing.Hot || len(s.ReadHistory) != 4 {
-		t.Fatalf("initial state %+v", s)
+	if e.Day() != 1 || s.Tier != pricing.Hot || len(s.ReadHistory) != 4 {
+		t.Fatalf("initial state day %d %+v", e.Day(), s)
 	}
-	// Cold-start padding repeats the first observation.
+	// Day 0 is served in the initial tier; day 1's window is day 0, and the
+	// cold-start padding repeats it.
 	for _, v := range s.ReadHistory {
 		if v != 100 {
 			t.Fatalf("padding %v", s.ReadHistory)
@@ -71,12 +72,12 @@ func TestEnvEpisode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCost := c.DayTotal(pricing.Hot, pricing.Cool, 100, 1)
+	wantCost := c.DayTotal(pricing.Hot, pricing.Cool, 200, 2)
 	if math.Abs(cost-wantCost) > 1e-12 {
 		t.Fatalf("cost %v want %v", cost, wantCost)
 	}
-	// AutoAlpha scales α by the day-0 cost in the initial (hot) tier.
-	base := c.ServeCost(pricing.Hot, 100, 1)
+	// AutoAlpha scales α by the day-1 cost in the initial (hot) tier.
+	base := c.ServeCost(pricing.Hot, 200, 2)
 	rc := DefaultReward()
 	rc.Alpha *= base
 	if math.Abs(reward-rc.Reward(wantCost)) > 1e-12 {
@@ -88,13 +89,9 @@ func TestEnvEpisode(t *testing.T) {
 	if next.Tier != pricing.Cool {
 		t.Fatal("tier not updated")
 	}
-	// History window now ends with day 0's observation.
-	if next.ReadHistory[3] != 100 {
+	// History window now ends with day 1's observation.
+	if next.ReadHistory[2] != 100 || next.ReadHistory[3] != 200 {
 		t.Fatalf("history %v", next.ReadHistory)
-	}
-	_, _, _, done, _ = e.Step(pricing.Cool)
-	if done {
-		t.Fatal("done after 2 of 3 days")
 	}
 	_, _, _, done, err = e.Step(pricing.Hot)
 	if err != nil || !done {
@@ -105,7 +102,7 @@ func TestEnvEpisode(t *testing.T) {
 	}
 	// Reset rewinds fully.
 	s = e.Reset()
-	if e.Day() != 0 || s.Tier != pricing.Hot {
+	if e.Day() != 1 || s.Tier != pricing.Hot {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -118,11 +115,12 @@ func TestEnvRejectsInvalidAction(t *testing.T) {
 }
 
 func TestEnvCostsSumToPlanCost(t *testing.T) {
-	// Stepping an env through a plan must reproduce costmodel.PlanCost.
+	// Stepping an env through a plan must reproduce costmodel.PlanCost of
+	// the days it decides, 1 onward, entered from day 0's initial tier.
 	reads := []float64{50, 500, 5, 800, 2}
 	writes := []float64{1, 0, 2, 1, 0}
 	e := env(t, reads, writes)
-	plan := costmodel.Plan{pricing.Hot, pricing.Cool, pricing.Cool, pricing.Hot, pricing.Archive}
+	plan := costmodel.Plan{pricing.Cool, pricing.Cool, pricing.Hot, pricing.Archive}
 	total := 0.0
 	e.Reset()
 	for _, a := range plan {
@@ -133,7 +131,7 @@ func TestEnvCostsSumToPlanCost(t *testing.T) {
 		total += cost
 	}
 	m := costmodel.New(pricing.Azure())
-	want, err := m.PlanCost(pricing.Hot, plan, 0.1, reads, writes)
+	want, err := m.PlanCost(pricing.Hot, plan, 0.1, reads[1:], writes[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +157,12 @@ func TestNewEnvValidation(t *testing.T) {
 	}
 	if _, err := NewEnv(m, 0.1, []float64{1}, []float64{1}, pricing.Tier(9), 4, rc); err == nil {
 		t.Error("invalid tier accepted")
+	}
+	if _, err := NewEnv(m, 0.1, []float64{1}, []float64{1}, pricing.Hot, 4, rc); err == nil {
+		t.Error("1-day series accepted: it holds no decision")
+	}
+	if _, err := NewEnv(m, 0.1, []float64{1, 2}, []float64{1, 2}, pricing.Hot, 4, rc); err != nil {
+		t.Errorf("2-day series refused: %v", err)
 	}
 }
 
@@ -219,6 +223,35 @@ func TestFeaturesZeroHistory(t *testing.T) {
 	for _, v := range s.Features() {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("zero history produced NaN/Inf features")
+		}
+	}
+}
+
+// TestFillHistoryDecisionRule pins the decision rule's window: deciding day
+// d reads days d-h .. d-1, left-padded with day 0, never day d itself; day 0
+// has no observed day and reads zeros.
+func TestFillHistoryDecisionRule(t *testing.T) {
+	reads := []float64{10, 11, 12, 13, 14, 15}
+	writes := []float64{20, 21, 22, 23, 24, 25}
+	s := State{ReadHistory: make([]float64, 4), WriteHistory: make([]float64, 4)}
+	for day, want := range [][]float64{
+		{0, 0, 0, 0},
+		{10, 10, 10, 10},
+		{10, 10, 10, 11},
+		{10, 10, 11, 12},
+		{10, 11, 12, 13},
+		{11, 12, 13, 14},
+		{12, 13, 14, 15},
+	} {
+		s.FillHistory(reads, writes, nil, day)
+		for i, w := range want {
+			ww := w
+			if w != 0 {
+				ww += 10
+			}
+			if s.ReadHistory[i] != w || s.WriteHistory[i] != ww {
+				t.Fatalf("day %d: window reads %v writes %v, want reads %v", day, s.ReadHistory, s.WriteHistory, want)
+			}
 		}
 	}
 }
@@ -315,7 +348,7 @@ func TestEnvStateReuseMatchesFresh(t *testing.T) {
 	reused.EnableStateReuse()
 
 	sf, sr := fresh.Reset(), reused.Reset()
-	for d := 0; d < days; d++ {
+	for d := 1; d < days; d++ {
 		for i := range sf.ReadHistory {
 			if sr.ReadHistory[i] != sf.ReadHistory[i] || sr.WriteHistory[i] != sf.WriteHistory[i] {
 				t.Fatalf("day %d: reused history diverges at %d", d, i)

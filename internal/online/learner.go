@@ -78,7 +78,10 @@ type Config struct {
 	// 2048.
 	FinetuneSteps int64
 	// MinTrainDays is the observed-day minimum for a tracked file to enter
-	// a training snapshot. 0 selects histLen (clamped to the window).
+	// a training snapshot. 0 selects max(histLen, 2); a value below 2 is
+	// raised to 2, since a 1-day history holds no decision (mdp's decision
+	// rule serves day 0 in the initial tier); the window caps it. Negative
+	// is an error.
 	MinTrainDays int
 	// HoldoutEvery holds out the ~1/k of eligible files whose ID hash
 	// falls in the holdout residue class — an identity-keyed split, stable
@@ -212,10 +215,13 @@ func New(cfg Config) (*Learner, error) {
 	if cfg.FinetuneSteps < 0 {
 		return nil, fmt.Errorf("online: fine-tune steps %d", cfg.FinetuneSteps)
 	}
+	if cfg.MinTrainDays < 0 {
+		return nil, fmt.Errorf("online: negative MinTrainDays %d", cfg.MinTrainDays)
+	}
 	if cfg.MinTrainDays == 0 {
 		cfg.MinTrainDays = histLen
 	}
-	cfg.MinTrainDays = min(cfg.MinTrainDays, window)
+	cfg.MinTrainDays = min(max(cfg.MinTrainDays, 2), window)
 	if cfg.HoldoutEvery == 0 {
 		cfg.HoldoutEvery = 5
 	}

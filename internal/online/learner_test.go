@@ -120,6 +120,40 @@ func TestLearnerEpochWithoutDataReports(t *testing.T) {
 	}
 }
 
+// TestNewMinTrainDays pins the training-history floor: a negative
+// MinTrainDays is refused, the default is the decision window, and anything
+// below 2 days is raised to 2 — a 1-day history holds no decision, so one
+// observed day is not enough data for an epoch, and two are.
+func TestNewMinTrainDays(t *testing.T) {
+	srv, err := agentserver.NewWithConfig(testTrainer(t, 5).Snapshot(), pricing.Hot, agentserver.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Trainer: testTrainer(t, 5), Serving: srv, Model: costmodel.New(pricing.Azure()),
+		Reward: mdp.DefaultReward(), Initial: pricing.Hot, MinTrainDays: -1}); err == nil {
+		t.Fatal("negative MinTrainDays accepted")
+	}
+	for _, c := range []struct{ in, want int }{{0, testNet().HistLen}, {1, 2}, {2, 2}, {9, 9}, {40, 16}} {
+		_, l, _ := newTestStack(t, 13, func(cfg *Config) { cfg.MinTrainDays = c.in })
+		if got := l.cfg.MinTrainDays; got != c.want {
+			t.Errorf("MinTrainDays %d became %d, want %d", c.in, got, c.want)
+		}
+	}
+
+	srv, l, _ := newTestStack(t, 13, func(cfg *Config) {
+		cfg.MinTrainDays = 1
+		cfg.HoldoutEvery = -1
+	})
+	observe(t, srv, synthBatch(24, 1, 7, false)...)
+	if err := l.RunEpoch(); err != ErrNotEnoughData {
+		t.Fatalf("epoch on 1 observed day: %v, want ErrNotEnoughData", err)
+	}
+	observe(t, srv, synthBatch(24, 2, 7, false)...)
+	if err := l.RunEpoch(); err != nil {
+		t.Fatalf("epoch on 2 observed days: %v", err)
+	}
+}
+
 // TestLearnerEndToEndDriftSwap is the issue's acceptance loop over real HTTP:
 // synthetic traffic flows through /v1/observe into the tap, the workload
 // shifts to the drifted regime, the PSI score crosses the threshold, the

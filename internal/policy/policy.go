@@ -16,10 +16,11 @@ import (
 )
 
 // Assigner produces a full per-file, per-day tier assignment for a trace.
-// Online assigners may only use day d information when deciding day d (the
-// paper's Greedy additionally sees day d's own frequencies, matching its
-// "offline greedy for each day" definition); offline assigners see the whole
-// horizon.
+// Online assigners follow the decision rule of package mdp: day d is
+// decided from days before d only, and day 0 is served in the initial tier
+// (the paper's literal Greedy, Greedy{Oracle: true}, additionally sees day
+// d's own frequencies, matching its "offline greedy for each day"
+// definition); offline assigners see the whole horizon.
 type Assigner interface {
 	Name() string
 	Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error)
@@ -152,10 +153,11 @@ func (s Static) Assign(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier
 // type with the minimum money cost only for the next day", §3.2).
 //
 // By default it is an online policy, like MiniCost itself: the day-d
-// decision is priced with day d−1's observed frequencies. Oracle switches to
-// the paper's literal offline per-day variant, which sees day d's own
-// frequencies before deciding — still myopic, but clairvoyant within the
-// day.
+// decision is priced with day d−1's observed frequencies, and day 0 is
+// served in the initial tier (the decision rule of package mdp). Oracle
+// switches to the paper's literal offline per-day variant, which sees day
+// d's own frequencies before deciding — still myopic, but clairvoyant within
+// the day.
 type Greedy struct {
 	// Oracle grants same-day knowledge (the paper's "offline greedy for
 	// each day").
@@ -191,10 +193,14 @@ func greedyPlan(dst costmodel.Plan, c *costmodel.FileCoeffs, reads, writes []flo
 	cur := initial
 	for d := range reads {
 		// The frequencies the decision is based on: today's own (oracle) or
-		// yesterday's observation (online; day 0 sees day 0, standing in
-		// for the pre-horizon history the operator always has).
+		// yesterday's observation (online, under the decision rule of
+		// package mdp: day 0 is served in the initial tier).
 		obs := d
-		if !oracle && d > 0 {
+		if !oracle {
+			if d == 0 {
+				dst[0] = cur
+				continue
+			}
 			obs = d - 1
 		}
 		r, w := reads[obs], writes[obs]

@@ -48,7 +48,7 @@ func assignmentsEqual(a, b costmodel.Assignment) (int, int, bool) {
 
 // assignSingleSample is Assign's oracle, the pre-batching serving loop: one
 // cloned network per goroutine task and one Decide — a one-row batch — per
-// (file, day).
+// (file, day) of an mdp.Env episode, day 0 served in the initial tier.
 func (p RL) assignSingleSample(tr *trace.Trace, m *costmodel.Model, initial pricing.Tier) (costmodel.Assignment, error) {
 	histLen := p.HistLen
 	if histLen <= 0 {
@@ -66,8 +66,9 @@ func (p RL) assignSingleSample(tr *trace.Trace, m *costmodel.Model, initial pric
 			return
 		}
 		plan := asg[i]
+		plan[0] = initial
 		state := env.Reset()
-		for d := 0; d < tr.Days; d++ {
+		for d := 1; d < tr.Days; d++ {
 			tier := agent.Decide(&state)
 			next, _, _, _, err := env.Step(tier)
 			if err != nil {

@@ -52,20 +52,21 @@ func (a *Agent) DecideBatch(x *mat.Matrix, out []pricing.Tier, workers int) {
 }
 
 // DecideTrace plans the files [lo, hi) of a trace with day-major batched
-// decisions, writing each file's per-day plan into out[lo:hi]. A file's
-// state for day d depends only on its trace and the tier it chose for day
-// d-1, so the states are built straight from the trace
-// (mdp.State.FillHistory) and nothing is billed: pricing the plan is the
-// caller's business (costmodel.Model.TraceCost). Each file's log1p read
-// series is taken once up front and every window of it is handed to the
-// encoder (mdp.State.ReadLogs), instead of each day's logarithm being
-// retaken in every window that slides over it. Each file is validated like
-// an mdp.Env episode (mdp.CheckEpisode) and its series must cover tr.Days;
-// a bad file is an error, never a panic. The agent's serving scratch —
-// feature matrix, tier buffer, log series and history window — is reused
-// across calls, so a replica that serves many chunks reaches a fully
-// allocation-free steady state, which the rl allocation tests pin down.
-// The history window is the network's own, a.Net.HistLen.
+// decisions under the decision rule (package mdp), writing each file's
+// per-day plan into out[lo:hi]: day 0 is served in initial, so a 1-day trace
+// plans all-initial. A file's state for day d depends only on its trace
+// before d and the tier it chose for day d-1, so the states are built
+// straight from the trace (mdp.State.FillHistory) and nothing is billed:
+// pricing the plan is the caller's business (costmodel.Model.TraceCost).
+// Each file's log1p read series is taken once up front and every window of
+// it is handed to the encoder (mdp.State.ReadLogs), instead of each day's
+// logarithm being retaken in every window that slides over it. Each file is
+// validated with mdp.CheckEpisode, as an mdp.Env episode is, and its series
+// must cover tr.Days; a bad file is an error, never a panic. The agent's serving
+// scratch — feature matrix, tier buffer, log series and history window — is
+// reused across calls, so a replica that serves many chunks reaches a fully
+// allocation-free steady state, which the rl allocation tests pin down. The
+// history window is the network's own, a.Net.HistLen.
 func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, out costmodel.Assignment, workers int) error {
 	b := hi - lo
 	if b <= 0 {
@@ -84,6 +85,9 @@ func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, o
 		// when it already has the right length.
 		if len(out[i]) != tr.Days {
 			out[i] = make(costmodel.Plan, tr.Days)
+		}
+		if tr.Days > 0 {
+			out[i][0] = initial
 		}
 	}
 	a.feats = mat.EnsureShape(a.feats, b, mdp.FeatureDim(histLen))
@@ -108,15 +112,12 @@ func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, o
 	st := &a.window
 	st.ReadHistory, st.WriteHistory = st.ReadHistory[:histLen], st.WriteHistory[:histLen]
 	st.ReadLogs = st.ReadLogs[:histLen]
-	for d := 0; d < tr.Days; d++ {
+	for d := 1; d < tr.Days; d++ {
 		for i := 0; i < b; i++ {
 			f := lo + i
 			st.FillHistory(tr.Reads[f], tr.Writes[f], logs[i*tr.Days:(i+1)*tr.Days], d)
 			st.SizeGB = tr.Files[f].SizeGB
-			st.Tier = initial
-			if d > 0 {
-				st.Tier = out[f][d-1]
-			}
+			st.Tier = out[f][d-1]
 			st.FeaturesInto(a.feats.Row(i))
 		}
 		a.DecideBatch(a.feats, tiers, workers)

@@ -89,15 +89,18 @@ func TestDecideTraceMatchesPerFileLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference: the single-sample per-file loop, stepping each file through
-	// an mdp.Env.
+	// an mdp.Env from day 1; day 0 is served in the initial tier.
 	single := agent.Clone()
 	for i := 0; i < tr.NumFiles(); i++ {
+		if asg[i][0] != pricing.Hot {
+			t.Fatalf("file %d day 0: batched %v, want the initial tier", i, asg[i][0])
+		}
 		env, err := mdp.NewEnv(model, tr.Files[i].SizeGB, tr.Reads[i], tr.Writes[i], pricing.Hot, cfg.HistLen, reward)
 		if err != nil {
 			t.Fatal(err)
 		}
 		state := env.Reset()
-		for d := 0; d < tr.Days; d++ {
+		for d := 1; d < tr.Days; d++ {
 			tier := single.Decide(&state)
 			if asg[i][d] != tier {
 				t.Fatalf("file %d day %d: batched %v, single-sample %v", i, d, asg[i][d], tier)

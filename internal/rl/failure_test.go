@@ -34,8 +34,8 @@ func TestA3CSurvivesExhaustedEnvs(t *testing.T) {
 			return nil
 		}
 		if calls.Add(1)%3 == 0 {
-			// Exhaust the episode before handing it over.
-			for d := 0; d < len(reads); d++ {
+			// Exhaust the episode (days 1 onward) before handing it over.
+			for d := 1; d < len(reads); d++ {
 				if _, _, _, _, err := env.Step(pricing.Hot); err != nil {
 					t.Error(err)
 				}

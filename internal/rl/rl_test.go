@@ -280,6 +280,25 @@ func TestTraceSourceValidation(t *testing.T) {
 	if _, err := NewTraceSource(model, tr, 0, mdp.DefaultReward(), pricing.Hot); err == nil {
 		t.Error("zero histLen accepted")
 	}
+	oneDay, err := tr.Window(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewTraceSource(model, oneDay, 7, mdp.DefaultReward(), pricing.Hot); err == nil {
+		t.Error("1-day trace accepted: it holds no decision")
+	}
+	// Planning the same day is not an error: day 0 is served in the initial
+	// tier.
+	asg := make(costmodel.Assignment, oneDay.NumFiles())
+	agent := NewAgent(testNetConfig(), testNetConfig().BuildActor(rng.New(3)))
+	if err := agent.DecideTrace(oneDay, 0, oneDay.NumFiles(), pricing.Cool, asg, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := range asg {
+		if len(asg[i]) != 1 || asg[i][0] != pricing.Cool {
+			t.Fatalf("1-day plan of file %d: %v, want [cool]", i, asg[i])
+		}
+	}
 	env := traceSource(t, tr, 7).NewEnv(rng.New(1))
 	if env.Days() != 10 {
 		t.Fatalf("episode days %d", env.Days())

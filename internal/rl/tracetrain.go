@@ -25,10 +25,14 @@ type TraceSource struct {
 	initial pricing.Tier
 }
 
-// NewTraceSource validates the inputs and builds a TraceSource.
+// NewTraceSource validates the inputs and builds a TraceSource. Episodes
+// decide days 1 onward (mdp.Env), so a trace under two days is an error.
 func NewTraceSource(model *costmodel.Model, tr *trace.Trace, histLen int, reward mdp.RewardConfig, initial pricing.Tier) (*TraceSource, error) {
 	if tr.NumFiles() == 0 {
 		return nil, fmt.Errorf("rl: empty trace")
+	}
+	if tr.Days < 2 {
+		return nil, fmt.Errorf("rl: a %d-day trace holds no decision", tr.Days)
 	}
 	if histLen <= 0 {
 		return nil, fmt.Errorf("rl: histLen %d", histLen)
