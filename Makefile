@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint loc fuzz check check-parallel check-purego smoke-serve smoke-online bench-e2e bench-smoke
+.PHONY: build test lint loc fuzz check check-parallel check-purego smoke-serve smoke-online bench-e2e bench-smoke bench-check
 
 build:
 	$(GO) build ./...
@@ -89,3 +89,17 @@ bench-e2e:
 # every output check on (needs 2 CPUs, like the harness itself).
 bench-smoke:
 	$(GO) run ./benchmark -smoke
+
+# bench-check is the performance gate a speed claim quotes: BENCH_CHECK_PAIRS
+# interleaved pairs of every workload (BENCH_CHECK_WORKLOADS) through
+# benchmark/run.sh, on a git clone of BENCH_CHECK_BASE and on the working
+# tree. It prints each side's median and quartiles per end-to-end metric and
+# the pairs won, and fails when a median is worse than the base's by more
+# than its BENCHMARK.json bound (scripts/bench_check.sh; ~1 min per pair and
+# workload on two cores).
+BENCH_CHECK_BASE ?= HEAD~1
+BENCH_CHECK_PAIRS ?= 10
+BENCH_CHECK_SEED ?= 11
+BENCH_CHECK_WORKLOADS ?= $(BENCH_E2E_WORKLOADS)
+bench-check:
+	bash scripts/bench_check.sh -b '$(BENCH_CHECK_BASE)' -n $(BENCH_CHECK_PAIRS) -s $(BENCH_CHECK_SEED) -w '$(BENCH_CHECK_WORKLOADS)'

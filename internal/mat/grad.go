@@ -196,27 +196,44 @@ func MulPackAccTo(dst, a *Matrix, pb *PackedTransB, workers int) {
 	})
 }
 
+// packAccCols is the width, in columns, of the destination blocks
+// mulPackAccBlock walks: eight tiles, whose packed segments — at the
+// weight gradient's 112-row shared dimension 112 kB — stay in L2 while
+// every row group of the block passes over them.
+const packAccCols = 8 * packLanes
+
+// packAccRows is the row group mulPackAccBlock takes across one
+// destination block: the eight rows of the AVX-512 kernel, whose
+// shared-dimension stripe of a stays in L1 across the block's tiles.
+const packAccRows = 8
+
 // mulPackAccBlock accumulates into dst rows [lo, hi) from the packed
-// operand. Column tiles are the outer loop with the shared dimension
-// blocked inside them (packKBlock, mulPackBlock's block length) so the revisited
-// segment stays cache-hot; dotPackRows accumulates into the live destination
-// rows, so no seeding pass is needed — the existing values are the seed.
-// The ragged last tile goes through the same kernel a packRowPanel of rows
-// at a time (packTail), likewise from each element's current value.
+// operand. Blocks of packAccCols destination columns are the outer loop,
+// the shared dimension blocked inside them (packKBlock, mulPackBlock's
+// block length), then groups of packAccRows rows, then the block's tiles:
+// each row group walks its destination rows contiguously, a block's tile
+// segments stay in L2 across the groups, and every element still takes its
+// k-blocks in ascending order (DESIGN §10). dotPackRows accumulates into the
+// live destination rows, so no seeding pass is needed — the existing values
+// are the seed. The ragged last tile goes through the same
+// kernel a packRowPanel of rows at a time (packTail), likewise from each
+// element's current value.
 //
 //minicost:hotpath
 func mulPackAccBlock(dst, a *Matrix, pb *PackedTransB, lo, hi int) {
 	n, k := pb.Cols, pb.K
 	full := n / packLanes * packLanes
-	for j := 0; j < full; j += packLanes {
-		tile := pb.Data[j*k : (j+packLanes)*k]
+	for c0 := 0; c0 < full; c0 += packAccCols {
+		c1 := min(c0+packAccCols, full)
 		for k0 := 0; k0 < k; k0 += packKBlock {
-			k1 := k0 + packKBlock
-			if k1 > k {
-				k1 = k
+			k1 := min(k0+packKBlock, k)
+			for r0 := lo; r0 < hi; r0 += packAccRows {
+				r1 := min(r0+packAccRows, hi)
+				for j := c0; j < c1; j += packLanes {
+					seg := pb.Data[j*k+k0*packLanes : j*k+k1*packLanes]
+					dotPackRows(dst.Data, n, j, a.Data, k, k0, k1, seg, r0, r1)
+				}
 			}
-			seg := tile[k0*packLanes : k1*packLanes]
-			dotPackRows(dst.Data, n, j, a.Data, k, k0, k1, seg, lo, hi)
 		}
 	}
 	if full < n {

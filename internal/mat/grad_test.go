@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"minicost/internal/rng"
@@ -202,20 +204,31 @@ func TestGradKernelShapePanics(t *testing.T) {
 
 // TestPackTransposeMatchesPackOfT verifies PackTransposeTo(m) produces the
 // identical packed layout as PackTransBTo(mᵀ), including padding, across
-// ragged and exact tile widths.
+// ragged and exact tile widths — and PackTransposeParTo at 2 and 4 workers
+// too, into a buffer left dirty by a previous pack so that a padding lane
+// the walk missed would show. {112, 3206} and {128, 806} are the paper
+// network's input batch and a weight block, row counts a multiple of the
+// walk's row block, and {13, 3206} ends on a ragged one; 3206 columns end on
+// a ragged tile.
 func TestPackTransposeMatchesPackOfT(t *testing.T) {
 	r := rng.New(13)
-	for _, sh := range []struct{ rows, cols int }{{4, 3}, {7, 16}, {128, 33}, {5, 40}} {
+	for _, sh := range []struct{ rows, cols int }{{4, 3}, {7, 16}, {128, 33}, {5, 40}, {112, 3206}, {13, 3206}, {128, 806}} {
 		m := randMat(r, sh.rows, sh.cols)
 		want := PackTransBTo(nil, transpose(m))
-		got := PackTransposeTo(nil, m)
-		if got.Cols != want.Cols || got.K != want.K || len(got.Data) != len(want.Data) {
-			t.Fatalf("%dx%d: packed shape (%d,%d,%d) want (%d,%d,%d)",
-				sh.rows, sh.cols, got.Cols, got.K, len(got.Data), want.Cols, want.K, len(want.Data))
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%d: packed elem %d mismatch", sh.rows, sh.cols, i)
+		for _, workers := range []int{1, 2, 4} {
+			dirty := &PackedTransB{Data: make([]float64, len(want.Data))}
+			for i := range dirty.Data {
+				dirty.Data[i] = math.NaN()
+			}
+			got := PackTransposeParTo(dirty, m, workers)
+			if got.Cols != want.Cols || got.K != want.K || len(got.Data) != len(want.Data) {
+				t.Fatalf("%dx%d: packed shape (%d,%d,%d) want (%d,%d,%d)",
+					sh.rows, sh.cols, got.Cols, got.K, len(got.Data), want.Cols, want.K, len(want.Data))
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%dx%d workers=%d: packed elem %d = %v, want %v", sh.rows, sh.cols, workers, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}
@@ -242,16 +255,38 @@ func TestPackTransposeGEMM(t *testing.T) {
 
 // TestMulPackAccBitwise pins the packed weight-gradient kernel to the
 // per-element reference: dst[m][j] += Σ_k a[m][k]·X[k][j] with each
-// element's k-chain ascending from the element's pre-seeded value, bitwise
-// equal to both the scalar reference and the unpacked MulTransAAccTo route
-// (the kernel it replaces on large batches).
+// element's k-chain ascending from the element's pre-seeded value, bit for
+// bit, at every kernel tier and at 1, 2 and 4 workers, and equal to the
+// unpacked MulTransAAccTo route (the kernel it replaces on large batches).
+// Besides small odd shapes, rows 1, 7, 9 and 128 sit on both sides of the
+// blocked walk's 8-row group; columns 15, 16, 17 and 3206 on both sides of a
+// tile and across many 128-column blocks; K 1, 112 and 200 on both sides of
+// packKBlock. Every third seed is -0.0 and every fourth row of a is zero, so
+// some elements take nothing but ±0 products and must come out signed as
+// the reference's adds leave them — a kernel that summed the products from
+// +0 and added the seed last would turn -0 + (-0) into +0.
 func TestMulPackAccBitwise(t *testing.T) {
 	r := rng.New(21)
-	for _, sh := range []struct{ m, k, n int }{{1, 1, 1}, {5, 7, 33}, {128, 448, 40}, {17, 16, 16}, {3, 28, 100}} {
-		a := randMat(r, sh.m, sh.k)   // dYᵀ: dst rows × shared
-		x := randMat(r, sh.k, sh.n)   // input batch: shared × dst cols
-		dst := randMat(r, sh.m, sh.n) // pre-seeded accumulator
-		want := dst.Clone()
+	shapes := []struct{ m, k, n int }{{1, 1, 1}, {5, 7, 33}, {128, 448, 40}, {17, 16, 16}, {3, 28, 100}}
+	for _, m := range []int{1, 7, 9, 128} {
+		for _, n := range []int{15, 16, 17, 3206} {
+			for _, k := range []int{1, 112, 200} {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, sh := range shapes {
+		a := randMat(r, sh.m, sh.k) // dYᵀ: dst rows × shared
+		for i := 3; i < sh.m; i += 4 {
+			clear(a.Data[i*sh.k : (i+1)*sh.k])
+		}
+		x := randMat(r, sh.k, sh.n)    // input batch: shared × dst cols
+		seed := randMat(r, sh.m, sh.n) // pre-seeded accumulator
+		for i := 0; i < len(seed.Data); i += 3 {
+			seed.Data[i] = negZero
+		}
+		want := seed.Clone()
 		for i := 0; i < sh.m; i++ {
 			for j := 0; j < sh.n; j++ {
 				s := want.At(i, j)
@@ -261,19 +296,20 @@ func TestMulPackAccBitwise(t *testing.T) {
 				want.Set(i, j, s)
 			}
 		}
-		other := dst.Clone()
-		MulPackAccTo(dst, a, PackTransposeTo(nil, x), 1)
-		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%d · %dx%d: elem %d = %v, want %v (not bitwise equal)",
-					sh.m, sh.k, sh.k, sh.n, i, dst.Data[i], want.Data[i])
-			}
-		}
+		name := fmt.Sprintf("%dx%d·%dx%d", sh.m, sh.k, sh.k, sh.n)
+		other := seed.Clone()
 		MulTransAAccTo(other, TransposeParTo(nil, a, 1), x, 1)
-		for i := range want.Data {
-			if other.Data[i] != dst.Data[i] {
-				t.Fatalf("%dx%d · %dx%d: packed route elem %d diverges from MulTransAAccTo", sh.m, sh.k, sh.k, sh.n, i)
-			}
+		sameBits(t, name+" MulTransAAccTo", other.Data, want.Data)
+		pack := PackTransposeTo(nil, x)
+		for _, tier := range kernelTiers() {
+			t.Run(tier+"/"+name, func(t *testing.T) {
+				forceTier(t, tier)
+				for _, workers := range []int{1, 2, 4} {
+					got := seed.Clone()
+					MulPackAccTo(got, a, pack, workers)
+					sameBits(t, fmt.Sprintf("MulPackAccTo workers=%d", workers), got.Data, want.Data)
+				}
+			})
 		}
 	}
 }

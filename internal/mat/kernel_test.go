@@ -284,3 +284,95 @@ func BenchmarkPackedKernel(b *testing.B) {
 		})
 	}
 }
+
+// TestConv4GradTiers pins Conv4GradTo to a textbook loop — per filter, t
+// ascending, a gated gradient of ±0 skipped, bias term then the taps — at
+// every kernel tier: it must take the leading whole groups of four filters
+// on a tier with the vector kernel and none on the generic one, and what it
+// takes, topped up by the textbook loop over the rest, must leave the
+// textbook's bits. Response gradients carry ±0, NaN, ±Inf and subnormals,
+// masks ±0 and NaN, and the seeds -0.0, which an addend of +0 in place of a
+// skip would turn into +0; every third filter sees only zero gradients, so
+// its seeds must come out as they went in.
+func TestConv4GradTiers(t *testing.T) {
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	grads := []float64{0.75, negZero, -1.5, 0, math.NaN(), 2.25, math.Inf(1), tiny, -0.5, math.Inf(-1), -tiny, 1.25}
+	masks := []float64{1, 0, 2, negZero, math.NaN(), 0.5, -1, tiny, 3}
+	textbook := func(gw, gb, dy, y, x []float64, ol int, pass uint64, from int) {
+		for f := from; f < len(gb); f++ {
+			for t := 0; t < ol; t++ {
+				g := dy[f*ol+t]
+				if pass == 0 && !(y[f*ol+t] > 0) {
+					g = 0
+				}
+				if g != 0 {
+					gb[f] += g
+					for k := 0; k < 4; k++ {
+						gw[4*f+k] += g * x[t+k]
+					}
+				}
+			}
+		}
+	}
+	for _, tier := range kernelTiers() {
+		t.Run(tier, func(t *testing.T) {
+			forceTier(t, tier)
+			for _, filters := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 128} {
+				for _, ol := range []int{1, 2, 3, 4, 5, 24, 25, 30} {
+					x := make([]float64, ol+3)
+					for i := range x {
+						x[i] = float64((i*5)%13)*0.375 - 2
+					}
+					dy, y := make([]float64, filters*ol), make([]float64, filters*ol)
+					for i := range dy {
+						dy[i] = grads[(i*7)%len(grads)]
+						if (i/ol)%3 == 1 {
+							dy[i] = []float64{0, negZero}[i%2]
+						}
+						y[i] = masks[(i*3)%len(masks)]
+					}
+					for _, pass := range []uint64{0, ^uint64(0)} {
+						name := fmt.Sprintf("%d filters, ol %d, pass %#x", filters, ol, pass)
+						want := struct{ w, b []float64 }{make([]float64, 4*filters), make([]float64, filters)}
+						for i := range want.w {
+							want.w[i] = []float64{negZero, 0.5, negZero}[i%3]
+						}
+						for i := range want.b {
+							want.b[i] = negZero
+						}
+						got := struct{ w, b []float64 }{append([]float64(nil), want.w...), append([]float64(nil), want.b...)}
+						textbook(want.w, want.b, dy, y, x, ol, pass, 0)
+						n := Conv4GradTo(got.w, got.b, dy, y, x, pass)
+						if wantN := filters &^ 3; tier == "generic" && n != 0 || tier != "generic" && n != wantN {
+							t.Fatalf("%s: took %d filters", name, n)
+						}
+						textbook(got.w, got.b, dy, y, x, ol, pass, n)
+						sameBits(t, name+" taps", got.w, want.w)
+						sameBits(t, name+" biases", got.b, want.b)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestConv4GradToShapePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		gw, gb, dy, y, x int
+	}{
+		{"no output", 4, 1, 0, 0, 3},
+		{"taps", 5, 1, 2, 2, 5},
+		{"gradients", 4, 1, 3, 2, 5},
+		{"masks", 4, 1, 2, 3, 5},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			Conv4GradTo(make([]float64, tc.gw), make([]float64, tc.gb), make([]float64, tc.dy), make([]float64, tc.y), make([]float64, tc.x), 0)
+		}()
+	}
+}

@@ -142,6 +142,24 @@ func conv4Generic(y, x, w, b []float64, ol int, pass uint64) {
 	}
 }
 
+// Conv4GradTo accumulates one sample's terms of the gradients of Conv4To's
+// filters — kernel 4, stride 1, ol = len(x)-3 responses per filter,
+// channel-major — for as many of them as the vector kernel takes, and
+// returns that count: the leading 4·⌊len(gb)/4⌋ filters where the CPU has
+// AVX, none on builds and CPUs without it. For each filter f it takes, with
+// g = Gate(dy[f·ol+t], y[f·ol+t], pass), every t in ascending order whose g
+// is not ±0 adds g to gb[f] and then g·x[t+k] to gw[4f+k] — the terms of nn's
+// scalar filter-gradient loop, which the caller runs over the filters left,
+// in its order, bit for bit (see vec_amd64.s for how the skip stays exact
+// without a branch).
+func Conv4GradTo(gw, gb, dy, y, x []float64, pass uint64) int {
+	ol, nf := len(x)-3, len(gb)
+	if ol < 1 || len(gw) != 4*nf || len(dy) != ol*nf || len(y) != ol*nf {
+		panic(fmt.Sprintf("mat: Conv4GradTo %d filters' %d taps, %d gradients and %d masks over %d inputs", nf, len(gw), len(dy), len(y), len(x)))
+	}
+	return conv4Grad(gw, gb, dy, y, x, ol, pass)
+}
+
 // RMSPropStep applies one RMSProp update over flat vectors:
 //
 //	msq[i] = decay*msq[i] + (1-decay)*g*g

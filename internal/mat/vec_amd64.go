@@ -27,6 +27,9 @@ func scalAVX(dst []float64, s float64)
 //go:noescape
 func conv4AVX(y, x, w, b []float64, ol int, pass uint64)
 
+//go:noescape
+func conv4GradAVX(gw, gb, dy, y, x []float64, ol int, pass uint64)
+
 // laneKernels reports whether the 8-lane short-batch forward kernel is
 // worth taking: without SIMD its transposed gather only adds overhead.
 var laneKernels = haveAVX
@@ -77,6 +80,15 @@ func conv4(y, x, w, b []float64, ol int, pass uint64) {
 		return
 	}
 	conv4Generic(y, x, w, b, ol, pass)
+}
+
+func conv4Grad(gw, gb, dy, y, x []float64, ol int, pass uint64) int {
+	n := len(gb) &^ 3
+	if !haveAVX || n == 0 {
+		return 0
+	}
+	conv4GradAVX(gw[:4*n], gb[:n], dy[:n*ol], y[:n*ol], x, ol, pass)
+	return n
 }
 
 func rmspropVec(dst, params, grads, msq []float64, lr, decay, rem, eps float64) {

@@ -360,3 +360,122 @@ cvnext:
 cvdone:
 	VZEROUPPER
 	RET
+
+DATA negzero<>+0(SB)/8, $0x8000000000000000
+GLOBL negzero<>(SB), RODATA|NOPTR, $8
+
+// func conv4GradAVX(gw, gb, dy, y, x []float64, ol int, pass uint64)
+//
+// One sample's terms of the filter and bias gradients of kernel-4, stride-1
+// filters, four filters to a vector: for each group of four, the lanes are
+// the filters, its taps' accumulators gw[4f+k] (transposed in from and back
+// out to their filter-major layout) and gb[f] stay in registers while t
+// walks the ol responses in ascending order. Each t gathers the four
+// filters' response gradients dy[f*ol+t] and masks y[f*ol+t], gates the
+// gradients as Gate does (VCMPPD $0x1E — greater-than, ordered, quiet — is
+// all ones where the mask is > 0, OR-ed with pass and AND-ed into the
+// gradient), and adds g to gb[f] and g·x[t+k] to gw[4f+k], VMULPD then
+// VADDPD with the scalar loop's operand order (never FMA). The scalar loop
+// skips a zero g; here VCMPPD $0x04 (not-equal, unordered) marks the lanes
+// to keep — NaN included — and VBLENDVPD replaces the rest of the addends
+// with -0.0, which leaves every accumulator's bits as they were (x + -0.0 is
+// x for every x, -0 and +0 included, NaN but a signaling one). len(gb) must
+// be a multiple of four, len(gw) 4·len(gb), len(dy) and len(y) ol·len(gb),
+// len(x) ol+3 and ol >= 1; conv4Grad guarantees all of them.
+TEXT ·conv4GradAVX(SB), NOSPLIT, $0-136
+	MOVQ gw_base+0(FP), DI
+	MOVQ gb_base+24(FP), BX
+	MOVQ gb_len+32(FP), R11  // filters left
+	MOVQ dy_base+48(FP), DX
+	MOVQ y_base+72(FP), R8
+	MOVQ x_base+96(FP), SI
+	MOVQ ol+120(FP), CX
+	VBROADCASTSD pass+128(FP), Y9
+	VXORPD Y10, Y10, Y10
+	VBROADCASTSD negzero<>(SB), Y11
+	LEAQ (CX*8), R9          // one filter's responses, in bytes, and 3×
+	LEAQ (R9)(R9*2), R10
+	LEAQ (SI)(R9*1), R12     // x[ol]: where the window walk stops
+
+cggroup:
+	CMPQ R11, $4
+	JLT  cgdone
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VUNPCKLPD Y1, Y0, Y12
+	VUNPCKHPD Y1, Y0, Y13
+	VUNPCKLPD Y3, Y2, Y14
+	VUNPCKHPD Y3, Y2, Y15
+	VPERM2F128 $0x20, Y14, Y12, Y0 // tap k's accumulators, one filter a lane
+	VPERM2F128 $0x20, Y15, Y13, Y1
+	VPERM2F128 $0x31, Y14, Y12, Y2
+	VPERM2F128 $0x31, Y15, Y13, Y3
+	VMOVUPD (BX), Y4
+	MOVQ DX, R13             // &dy[f*ol+t], &y[f*ol+t], &x[t] of the group's first filter
+	MOVQ R8, R14
+	MOVQ SI, AX
+
+cgt:
+	VMOVSD (R13), X12
+	VMOVHPD (R13)(R9*1), X12, X12
+	VMOVSD (R13)(R9*2), X13
+	VMOVHPD (R13)(R10*1), X13, X13
+	VINSERTF128 $1, X13, Y12, Y12
+	VMOVSD (R14), X13
+	VMOVHPD (R14)(R9*1), X13, X13
+	VMOVSD (R14)(R9*2), X14
+	VMOVHPD (R14)(R10*1), X14, X14
+	VINSERTF128 $1, X14, Y13, Y13
+	VCMPPD $0x1E, Y10, Y13, Y13
+	VORPD  Y9, Y13, Y13
+	VANDPD Y13, Y12, Y12     // g
+	VCMPPD $0x04, Y10, Y12, Y13
+	VBLENDVPD Y13, Y12, Y11, Y14
+	VADDPD Y14, Y4, Y4
+	VBROADCASTSD (AX), Y14
+	VMULPD Y14, Y12, Y14
+	VBLENDVPD Y13, Y14, Y11, Y14
+	VADDPD Y14, Y0, Y0
+	VBROADCASTSD 8(AX), Y15
+	VMULPD Y15, Y12, Y15
+	VBLENDVPD Y13, Y15, Y11, Y15
+	VADDPD Y15, Y1, Y1
+	VBROADCASTSD 16(AX), Y14
+	VMULPD Y14, Y12, Y14
+	VBLENDVPD Y13, Y14, Y11, Y14
+	VADDPD Y14, Y2, Y2
+	VBROADCASTSD 24(AX), Y15
+	VMULPD Y15, Y12, Y15
+	VBLENDVPD Y13, Y15, Y11, Y15
+	VADDPD Y15, Y3, Y3
+	ADDQ $8, R13
+	ADDQ $8, R14
+	ADDQ $8, AX
+	CMPQ AX, R12
+	JLT  cgt
+
+	VUNPCKLPD Y1, Y0, Y12
+	VUNPCKHPD Y1, Y0, Y13
+	VUNPCKLPD Y3, Y2, Y14
+	VUNPCKHPD Y3, Y2, Y15
+	VPERM2F128 $0x20, Y14, Y12, Y0 // filter f's four taps again
+	VPERM2F128 $0x20, Y15, Y13, Y1
+	VPERM2F128 $0x31, Y14, Y12, Y2
+	VPERM2F128 $0x31, Y15, Y13, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, (BX)
+	ADDQ $128, DI
+	ADDQ $32, BX
+	LEAQ (DX)(R9*4), DX
+	LEAQ (R8)(R9*4), R8
+	SUBQ $4, R11
+	JMP  cggroup
+
+cgdone:
+	VZEROUPPER
+	RET

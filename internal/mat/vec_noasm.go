@@ -18,6 +18,9 @@ func scal(dst []float64, s float64) { scalGeneric(dst, s) }
 
 func conv4(y, x, w, b []float64, ol int, pass uint64) { conv4Generic(y, x, w, b, ol, pass) }
 
+// conv4Grad takes no filters: the caller's scalar loop takes them all.
+func conv4Grad(gw, gb, dy, y, x []float64, ol int, pass uint64) int { return 0 }
+
 func rmspropVec(dst, params, grads, msq []float64, lr, decay, rem, eps float64) {
 	rmspropGeneric(dst, params, grads, msq, lr, decay, rem, eps)
 }

@@ -95,13 +95,22 @@ func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.
 	} else {
 		d.biasGradRows(0, d.Out)
 	}
-	d.xpack = mat.PackTransposeParTo(d.xpack, d.bx, workers)
-	mat.MulPackAccTo(d.gView, d.dyT, d.xpack, workers)
+	// The two transposed packs take turns in one buffer — dX reads the
+	// weights' and is done with it before dW needs the input batch's — so a
+	// replica's backward scratch holds one of them, not both (at the
+	// paper's width each is ≈3 MB, allocated and zeroed per TrainFrom call).
+	// In a hidden layer at a training arena the weights' is the larger, so
+	// taking it first sizes the buffer once; in an output layer the input
+	// batch's is, and the first backward of a call grows the buffer once.
+	if inputGrad {
+		d.tpack = mat.PackTransposeParTo(d.tpack, d.wView, workers)
+		d.bdx = mat.MulPackTransBBiasTo(d.bdx, dy, d.tpack, nil, workers)
+	}
+	d.tpack = mat.PackTransposeParTo(d.tpack, d.bx, workers)
+	mat.MulPackAccTo(d.gView, d.dyT, d.tpack, workers)
 	if !inputGrad {
 		return nil
 	}
-	d.wtpack = mat.PackTransposeParTo(d.wtpack, d.wView, workers)
-	d.bdx = mat.MulPackTransBBiasTo(d.bdx, dy, d.wtpack, nil, workers)
 	return d.bdx
 }
 
@@ -195,15 +204,24 @@ func (c *Conv1D) rectMask(dy *mat.Matrix) (*mat.Matrix, uint64) {
 // reads — gradient, mask and input, megabytes each at the paper's width — are
 // walked once, front to back, instead of once per filter in stripes of one
 // filter's responses; a filter's accumulators still see their terms in
-// (row, position) ascending order.
+// (row, position) ascending order. At the paper's shape — a kernel of four
+// at stride one — mat.Conv4GradTo takes the span's filters four to a vector
+// where the CPU allows, the same terms in the same order without the skip's
+// branch (DESIGN §10); filterGradRow takes the rest.
 //
 //minicost:hotpath
 func (c *Conv1D) filterGradSpan(dy *mat.Matrix, flo, fhi int) {
 	ol, kernel := c.outLen(), c.Kernel
 	rect, pass := c.rectMask(dy)
+	paper := kernel == 4 && c.Stride == 1
 	for r := 0; r < dy.Rows; r++ {
 		drow, yrow, xrow := dy.Row(r), rect.Row(r), c.bx.Row(r)
-		for f := flo; f < fhi; f++ {
+		f := flo
+		if paper {
+			f += mat.Conv4GradTo(c.w.Grad[flo*4:fhi*4], c.b.Grad[flo:fhi],
+				drow[flo*ol:fhi*ol], yrow[flo*ol:fhi*ol], xrow[:c.InLen], pass)
+		}
+		for ; f < fhi; f++ {
 			c.b.Grad[f] = filterGradRow(c.w.Grad[f*kernel:(f+1)*kernel], c.b.Grad[f],
 				drow[f*ol:(f+1)*ol], yrow[f*ol:(f+1)*ol], xrow, c.Stride, pass)
 		}

@@ -300,18 +300,19 @@ func Entropy(p []float64) float64 {
 }
 
 // ClipGrads scales the flat gradient vector down to the given L2 norm if it
-// exceeds it, in place; a non-positive maxNorm is a no-op. The squared norm
-// is accumulated in mat.SumSquares's eight fixed-order chains, so the norm
-// (and hence any training trajectory crossing a clip) is a deterministic
-// function of the gradient alone — every engine and platform sees the same
-// bits.
-func ClipGrads(grads []float64, maxNorm float64) {
+// exceeds it, in place, and returns the norm it measured before clipping; a
+// non-positive maxNorm is a no-op that measures nothing and returns NaN. The
+// squared norm is accumulated in mat.SumSquares's eight fixed-order chains,
+// so the norm (and hence any training trajectory crossing a clip) is a
+// deterministic function of the gradient alone — every engine and platform
+// sees the same bits.
+func ClipGrads(grads []float64, maxNorm float64) float64 {
 	if maxNorm <= 0 {
-		return
+		return math.NaN()
 	}
 	norm := math.Sqrt(mat.SumSquares(grads))
-	if norm <= maxNorm {
-		return
+	if norm > maxNorm {
+		mat.ScaleVec(grads, maxNorm/norm)
 	}
-	mat.ScaleVec(grads, maxNorm/norm)
+	return norm
 }

@@ -101,8 +101,7 @@ type Dense struct {
 	bx       *mat.Matrix       // input batch retained by ForwardBatch for BackwardBatch
 	dyT, bdx *mat.Matrix       // reused gradient-pass scratch/output buffers
 	gView    *mat.Matrix       // lazily built view of w.Grad as an Out×In matrix
-	wtpack   *mat.PackedTransB // reused transposed-weight pack for the dX GEMM
-	xpack    *mat.PackedTransB // reused input-batch pack for the dW GEMM
+	tpack    *mat.PackedTransB // reused transposed pack: the weights' for the dX GEMM, then the input batch's for the dW GEMM
 }
 
 // NewDense constructs a Dense layer with Xavier/Glorot uniform init.

@@ -299,15 +299,21 @@ func TestEntropy(t *testing.T) {
 
 func TestClipGrads(t *testing.T) {
 	g := []float64{3, 4} // norm 5
-	ClipGrads(g, 10)
+	if norm := ClipGrads(g, 10); norm != 5 {
+		t.Fatalf("ClipGrads returned %v, want the norm 5", norm)
+	}
 	if g[0] != 3 || g[1] != 4 {
 		t.Fatal("clip below threshold changed grads")
 	}
-	ClipGrads(g, 1)
+	if norm := ClipGrads(g, 1); norm != 5 {
+		t.Fatalf("ClipGrads returned %v, want the pre-clip norm 5", norm)
+	}
 	if math.Abs(math.Hypot(g[0], g[1])-1) > 1e-12 {
 		t.Fatalf("clipped norm %v", math.Hypot(g[0], g[1]))
 	}
-	ClipGrads(g, 0) // no-op
+	if norm := ClipGrads(g, 0); !math.IsNaN(norm) { // no-op
+		t.Fatalf("ClipGrads with maxNorm 0 returned %v, want NaN", norm)
+	}
 	if math.Abs(math.Hypot(g[0], g[1])-1) > 1e-12 {
 		t.Fatal("maxNorm=0 should be a no-op")
 	}

@@ -247,6 +247,13 @@ func (a *A3C) TrainFrom(src EnvSource, totalSteps int64) (TrainStats, error) {
 	if totalSteps <= 0 {
 		return TrainStats{}, fmt.Errorf("rl: totalSteps %d", totalSteps)
 	}
+	if a.steps.Load() >= totalSteps {
+		// Nothing to train — a chunk loop whose last round overshot its
+		// target asks for this. Build no worker (at the paper's network
+		// that is ≈40 MB of replica scratch and every environment) and
+		// leave the steps/s gauge on the last run's rate.
+		return TrainStats{}, nil
+	}
 	trainRate.begin(a)
 	defer trainRate.finish(a)
 	ws := make([]*worker, a.cfg.Workers)
@@ -353,12 +360,18 @@ func (a *A3C) annealLocked(totalSteps int64) {
 // stepLocked clips one worker's flat gradients and applies them to the
 // global vectors in place (Eq. 12). Called with a.mu held exclusively.
 func (a *A3C) stepLocked(aGrad, cGrad []float64) {
-	nn.ClipGrads(aGrad, a.cfg.GradClip)
+	norm := nn.ClipGrads(aGrad, a.cfg.GradClip)
 	nn.ClipGrads(cGrad, a.cfg.GradClip)
 	if obs.Default().Enabled() {
-		// The O(params) norm is only worth computing when someone is
-		// watching; Set self-gates but would not skip the sqrt-sum.
-		trainMet.gradNorm.Set(math.Sqrt(mat.SumSquares(aGrad)))
+		// The post-clip norm is the clip's own measure, capped; only an
+		// unclipped trainer pays an O(params) pass for it, and only when
+		// someone is watching (Set self-gates but would not skip the sum).
+		if a.cfg.GradClip > 0 {
+			norm = min(norm, a.cfg.GradClip)
+		} else {
+			norm = math.Sqrt(mat.SumSquares(aGrad))
+		}
+		trainMet.gradNorm.Set(norm)
 	}
 	sw := trainMet.updateLat.Start()
 	a.actorOpt.Step(a.actor, aGrad)

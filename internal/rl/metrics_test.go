@@ -22,7 +22,13 @@ func TestTrainingMetricsAdvance(t *testing.T) {
 	t.Cleanup(func() { reg.SetEnabled(was) })
 
 	before := reg.Snapshot()
-	a3c, err := NewA3C(smallA3CConfig())
+	cfg := smallA3CConfig()
+	// A clip no gradient stays under: every update clips, so the gauge's
+	// post-clip norm, min(pre-clip norm, GradClip), is GradClip exactly —
+	// where re-measuring the clipped vector, as the gauge once did, reads
+	// 0.0010000000000000002.
+	cfg.GradClip = 1e-3
+	a3c, err := NewA3C(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +60,56 @@ func TestTrainingMetricsAdvance(t *testing.T) {
 	if rate := after.Gauge("minicost_train_steps_per_second"); math.IsNaN(rate) || rate <= 0 {
 		t.Errorf("steps/sec gauge = %v, want finite positive", rate)
 	}
-	// The grad-norm gauge saw at least one post-clip update.
-	if norm := after.Gauge("minicost_train_grad_norm"); math.IsNaN(norm) || norm < 0 {
-		t.Errorf("grad norm gauge = %v", norm)
+	// The grad-norm gauge holds the last update's post-clip norm.
+	if norm := after.Gauge("minicost_train_grad_norm"); norm != cfg.GradClip {
+		t.Errorf("grad norm gauge = %v, want the clip %v", norm, cfg.GradClip)
+	}
+}
+
+// TestTrainFromPastTargetIsANoOp covers a TrainFrom whose target the trainer
+// has already reached — what a chunk loop asks for when a round overshot its
+// chunk: it returns zero stats without building a worker (no allocation at
+// all) and leaves the steps/s gauge on the previous run's rate.
+func TestTrainFromPastTargetIsANoOp(t *testing.T) {
+	reg := obs.Default()
+	was := reg.Enabled()
+	reg.SetEnabled(true)
+	t.Cleanup(func() { reg.SetEnabled(was) })
+
+	a3c, err := NewA3C(smallA3CConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src EnvSource = factorySource{f: func(r *rng.RNG) *mdp.Env {
+		e, _ := mdp.NewEnv(costmodel.New(pricing.Azure()), 0.1,
+			[]float64{1, 2, 3, 4, 5, 6, 7, 8}, make([]float64, 8), pricing.Hot, 7, mdp.DefaultReward())
+		return e
+	}}
+	if _, err := a3c.TrainFrom(src, 200); err != nil {
+		t.Fatal(err)
+	}
+	rate := reg.Snapshot().Gauge("minicost_train_steps_per_second")
+	if math.IsNaN(rate) || rate <= 0 {
+		t.Fatalf("steps/sec gauge after a run = %v, want finite positive", rate)
+	}
+	steps := a3c.Steps()
+	for _, target := range []int64{1, steps / 2, steps} {
+		var stats TrainStats
+		allocs := testing.AllocsPerRun(5, func() {
+			stats, err = a3c.TrainFrom(src, target)
+		})
+		if err != nil || stats != (TrainStats{}) {
+			t.Fatalf("TrainFrom(%d) at %d steps = %+v, %v; want zero stats", target, steps, stats, err)
+		}
+		if allocs != 0 {
+			t.Errorf("TrainFrom(%d) at %d steps allocates %.0f times, want 0", target, steps, allocs)
+		}
+	}
+	if a3c.Steps() != steps {
+		t.Fatalf("steps moved from %d to %d", steps, a3c.Steps())
+	}
+	if got := reg.Snapshot().Gauge("minicost_train_steps_per_second"); got != rate {
+		t.Errorf("steps/sec gauge = %v after the no-op calls, want the last run's %v", got, rate)
 	}
 }
 
