@@ -200,8 +200,8 @@ func BenchmarkAblationWorkers(b *testing.B) {
 }
 
 // BenchmarkAblationAggregationPsi sweeps the Ψ cap on aggregated groups and
-// reports the optimal-policy cost on the rewritten trace relative to no
-// aggregation.
+// reports Fig. 13's minicost-w/E cost over minicost's at the longest
+// horizon.
 func BenchmarkAblationAggregationPsi(b *testing.B) {
 	l := benchLabGet(b)
 	for _, psi := range []int{1, 4, 16, 64} {

@@ -43,6 +43,11 @@ func main() {
 		fatal(fmt.Errorf("unknown profile %q (want quick or full)", *profile))
 	}
 
+	// Fig. 13's Ψ is checked before anything trains.
+	if _, err := experiments.AggregationConfig(*psi); err != nil {
+		fatal(err)
+	}
+
 	cfg.Seed = *seed
 	lcfg.Seed = *seed
 	if *files > 0 {

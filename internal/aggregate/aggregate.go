@@ -268,32 +268,70 @@ func Reroute(tr *trace.Trace, lives []Lifetime) ([][]float64, error) {
 	return reads, nil
 }
 
-// ApplyToTrace rewrites a trace as if the given groups were aggregated for
-// the whole horizon: Reroute moves the groups' concurrent reads onto the
-// replicas, and one new pseudo-file per group, in the order given, is
-// appended carrying the replica's size and the concurrent reads. The result
-// prices aggregation with any Assigner; it shares no storage with the input.
-func ApplyToTrace(tr *trace.Trace, groups []int) (*trace.Trace, error) {
-	lives := make([]Lifetime, len(groups))
-	for i, gi := range groups {
-		lives[i] = Lifetime{Group: gi, From: 0, To: tr.Days}
+// Bill prices plan on tr with the enhancement on, the bill core.System.Run
+// and Fig. 13 share. Algorithm 2 runs every cfg.WindowDays days from day
+// WindowDays on (Ω is scored over the week before, so day 0 has nothing to
+// score): each replica it creates on day d and evicts on day e is a
+// Lifetime{Group, d, e}, with e = tr.Days if it is still live at the end.
+// The members are billed by TraceCost against the unchanged plan on reads
+// Reroute moved off them, and each lifetime by PlanCost in cfg.ReplicaTier
+// for its days with the group's concurrent reads. activeAtEnd counts the
+// replicas live at the end of the trace. With no lifetime the bill is
+// TraceCost's on tr bit for bit.
+func Bill(m *costmodel.Model, tr *trace.Trace, plan costmodel.Assignment, initial []pricing.Tier, cfg Config, workers int) (bill costmodel.Breakdown, activeAtEnd int, err error) {
+	lives, err := lifetimes(m, tr, cfg)
+	if err != nil {
+		return costmodel.Breakdown{}, 0, err
 	}
-	reads, err := Reroute(tr, lives)
+	billed := tr
+	if len(lives) > 0 {
+		reads, err := Reroute(tr, lives)
+		if err != nil {
+			return costmodel.Breakdown{}, 0, err
+		}
+		billed = &trace.Trace{Days: tr.Days, Files: tr.Files, Reads: reads, Writes: tr.Writes}
+	}
+	bds, err := m.TraceCost(billed, plan, initial, workers)
+	if err != nil {
+		return costmodel.Breakdown{}, 0, err
+	}
+	for _, l := range lives {
+		days := l.To - l.From
+		bd, err := m.PlanCost(cfg.ReplicaTier, costmodel.Uniform(cfg.ReplicaTier, days), GroupSizeGB(tr, l.Group),
+			tr.Groups[l.Group].Concurrent[l.From:l.To], make([]float64, days))
+		if err != nil {
+			return costmodel.Breakdown{}, 0, err
+		}
+		bds = append(bds, bd)
+		if l.To == tr.Days {
+			activeAtEnd++
+		}
+	}
+	return costmodel.SumBreakdowns(bds), activeAtEnd, nil
+}
+
+// lifetimes runs Algorithm 2 over tr every cfg.WindowDays days and returns
+// the replica lifetimes it produces in creation order.
+func lifetimes(m *costmodel.Model, tr *trace.Trace, cfg Config) ([]Lifetime, error) {
+	agg, err := New(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := &trace.Trace{Days: tr.Days, Reads: reads}
-	out.Files = append([]trace.FileMeta(nil), tr.Files...)
-	out.Writes = make([][]float64, len(tr.Writes))
-	for i := range tr.Writes {
-		out.Writes[i] = append([]float64(nil), tr.Writes[i]...)
+	var lives []Lifetime
+	open := make(map[int]int) // group -> index of its live replica in lives
+	for day := cfg.WindowDays; day < tr.Days; day += cfg.WindowDays {
+		create, del, err := agg.Update(tr, day)
+		if err != nil {
+			return nil, err
+		}
+		for _, gi := range del {
+			lives[open[gi]].To = day
+			delete(open, gi)
+		}
+		for _, gi := range create {
+			open[gi] = len(lives)
+			lives = append(lives, Lifetime{Group: gi, From: day, To: tr.Days})
+		}
 	}
-	for _, gi := range groups {
-		out.Files = append(out.Files, trace.FileMeta{ID: len(out.Files), SizeGB: GroupSizeGB(tr, gi)})
-		out.Reads = append(out.Reads, append([]float64(nil), tr.Groups[gi].Concurrent...))
-		out.Writes = append(out.Writes, make([]float64, tr.Days))
-	}
-	// Groups are intentionally dropped: the derived trace represents the
-	// post-aggregation request stream.
-	return out, nil
+	return lives, nil
 }

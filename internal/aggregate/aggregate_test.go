@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -212,58 +213,114 @@ func TestAggregatorLifecycle(t *testing.T) {
 	_ = create
 }
 
-func TestApplyToTrace(t *testing.T) {
-	tr := genTrace(t, 60, 14)
-	if len(tr.Groups) == 0 {
-		t.Fatal("need groups")
+// TestReroute holds Reroute to §5.2's read move: on a lifetime's live days
+// each member's reads drop by the group's r_dc, clamped at 0, so the
+// requests left on the members plus those the replica serves fall short of
+// the original by (n−1)·Σ r_dc. The result must not depend on the order
+// the lifetimes are listed in: shared is a trace whose two groups share
+// file 0, with values chosen so that (1−0.1)−0.2 and (1−0.2)−0.1 differ in
+// the last bit.
+func TestReroute(t *testing.T) {
+	gen := genTrace(t, 60, 14)
+	if len(gen.Groups) < 2 {
+		t.Fatal("need two groups")
 	}
-	derived, err := ApplyToTrace(tr, []int{0})
-	if err != nil {
+	shared := &trace.Trace{Days: 2}
+	for i, r := range []float64{1, 0.5, 0.5} {
+		shared.Files = append(shared.Files, trace.FileMeta{ID: i, SizeGB: 0.1})
+		shared.Reads = append(shared.Reads, []float64{r, r})
+		shared.Writes = append(shared.Writes, make([]float64, 2))
+	}
+	shared.Groups = []trace.Group{
+		{Members: []int{0, 1}, Concurrent: []float64{0.1, 0.1}},
+		{Members: []int{0, 2}, Concurrent: []float64{0.2, 0.2}},
+	}
+	if err := shared.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if derived.NumFiles() != tr.NumFiles()+1 {
-		t.Fatal("replica file not appended")
-	}
-	g := tr.Groups[0]
-	for d := 0; d < tr.Days; d++ {
-		// Replica carries the concurrent reads.
-		if math.Abs(derived.Reads[tr.NumFiles()][d]-g.Concurrent[d]) > 1e-12 {
-			t.Fatal("replica reads wrong")
+	for _, tc := range []struct {
+		name  string
+		tr    *trace.Trace
+		lives []Lifetime
+	}{
+		{"whole horizon", gen, []Lifetime{{0, 0, gen.Days}}},
+		{"inside the horizon", gen, []Lifetime{{0, 3, gen.Days - 4}}},
+		{"two groups", gen, []Lifetime{{0, 0, 7}, {1, 7, gen.Days}}},
+		{"shared member", shared, []Lifetime{{0, 0, 2}, {1, 0, 2}}},
+	} {
+		tr := tc.tr
+		before := make([][]float64, len(tr.Reads))
+		for i := range tr.Reads {
+			before[i] = append([]float64(nil), tr.Reads[i]...)
 		}
-		for _, mber := range g.Members {
-			want := tr.Reads[mber][d] - g.Concurrent[d]
-			if want < 0 {
-				want = 0
+		reads, err := Reroute(tr, tc.lives)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := make(map[[2]int]float64) // (member, day) -> r_dc moved off it
+		savedWant, replicaReads := 0.0, 0.0
+		for _, l := range tc.lives {
+			g := tr.Groups[l.Group]
+			for d := l.From; d < l.To; d++ {
+				for _, mb := range g.Members {
+					moved[[2]int{mb, d}] += g.Concurrent[d]
+				}
+				savedWant += float64(len(g.Members)-1) * g.Concurrent[d]
+				replicaReads += g.Concurrent[d]
 			}
-			if math.Abs(derived.Reads[mber][d]-want) > 1e-12 {
-				t.Fatal("member reads not reduced")
+		}
+		for i := range reads {
+			for d, r := range reads[i] {
+				want := max(tr.Reads[i][d]-moved[[2]int{i, d}], 0)
+				if math.Abs(r-want) > 1e-12 {
+					t.Fatalf("%s: file %d day %d reads %v, want %v", tc.name, i, d, r, want)
+				}
+			}
+		}
+		rerouted := &trace.Trace{Days: tr.Days, Files: tr.Files, Reads: reads, Writes: tr.Writes}
+		saved := tr.TotalRequests() - rerouted.TotalRequests() - replicaReads
+		if math.Abs(saved-savedWant) > 1e-6 {
+			t.Fatalf("%s: request reduction %v, want %v", tc.name, saved, savedWant)
+		}
+		reversed := append([]Lifetime(nil), tc.lives...)
+		slices.Reverse(reversed)
+		again, err := Reroute(tr, reversed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range reads {
+			for d := range reads[i] {
+				if math.Float64bits(reads[i][d]) != math.Float64bits(again[i][d]) {
+					t.Fatalf("%s: file %d day %d: %.17g as listed, %.17g reversed", tc.name, i, d, reads[i][d], again[i][d])
+				}
+			}
+		}
+		// The result shares no storage with the input, and the input is
+		// left as it was.
+		reads[tr.Groups[0].Members[0]][0] = -1
+		for i := range tr.Reads {
+			for d := range tr.Reads[i] {
+				if math.Float64bits(tr.Reads[i][d]) != math.Float64bits(before[i][d]) {
+					t.Fatalf("%s: input reads of file %d day %d changed", tc.name, i, d)
+				}
 			}
 		}
 	}
-	// Total requests decreased by (n-1) * total concurrency.
-	savedWant := 0.0
-	for d := 0; d < tr.Days; d++ {
-		savedWant += float64(len(g.Members)-1) * g.Concurrent[d]
+	for _, g := range []int{-1, len(gen.Groups)} {
+		if _, err := Reroute(gen, []Lifetime{{g, 0, gen.Days}}); err == nil {
+			t.Fatalf("group %d accepted", g)
+		}
 	}
-	saved := tr.TotalRequests() - derived.TotalRequests()
-	if math.Abs(saved-savedWant) > 1e-6 {
-		t.Fatalf("request reduction %v, want %v", saved, savedWant)
-	}
-	// Original untouched.
-	if tr.NumFiles() == derived.NumFiles() {
-		t.Fatal("input mutated")
-	}
-	if _, err := ApplyToTrace(tr, []int{999}); err == nil {
-		t.Fatal("bad group index accepted")
-	}
-	if _, err := ApplyToTrace(&trace.Trace{Days: 3}, nil); err == nil {
+	if _, err := Reroute(&trace.Trace{Days: 3}, nil); err == nil {
 		t.Fatal("trace without groups accepted")
 	}
 }
 
+// TestAggregationReducesCostWhenOmegaPositive: on a trace with strong
+// concurrency, every baseline's plan billed with Algorithm 2's replica
+// lifetimes costs no more than its plain Score row; on the same trace
+// without groups the bill is the Score row bit for bit.
 func TestAggregationReducesCostWhenOmegaPositive(t *testing.T) {
-	// End-to-end: on a trace with strong concurrency, aggregating the
-	// positive-Ω groups must not increase the optimal-policy cost.
 	cfg := trace.DefaultGenConfig()
 	cfg.NumFiles = 120
 	cfg.Days = 21
@@ -274,35 +331,32 @@ func TestAggregationReducesCostWhenOmegaPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := model()
-	scores, err := ScoreGroups(tr, m, DefaultConfig(), tr.Days)
+	board, err := policy.Score(m, tr, pricing.Hot, 0, policy.Baselines(0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := SelectTop(scores, 0)
-	if len(top) == 0 {
-		t.Skip("no positive-Ω groups in this trace")
+	groupless := *tr
+	groupless.Groups = nil
+	for _, row := range board {
+		bill, active, err := Bill(m, tr, row.Plan, nil, DefaultConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if active == 0 {
+			t.Fatalf("%s: no group aggregated; the test needs a trace the enhancement acts on", row.Name)
+		}
+		if bill.Total() > row.Total.Total() {
+			t.Fatalf("%s: aggregation raised the bill: %v -> %v", row.Name, row.Total.Total(), bill.Total())
+		}
+		t.Logf("%s: %v -> %v with %d replicas live at the end", row.Name, row.Total.Total(), bill.Total(), active)
+		plain, _, err := Bill(m, &groupless, row.Plan, nil, DefaultConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain != row.Total {
+			t.Fatalf("%s: without groups Bill %v, Score row %v", row.Name, plain, row.Total)
+		}
 	}
-	groups := make([]int, len(top))
-	for i, s := range top {
-		groups[i] = s.Group
-	}
-	derived, err := ApplyToTrace(tr, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseBoard, err := policy.Score(m, tr, pricing.Hot, 0, policy.Optimal{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggBoard, err := policy.Score(m, derived, pricing.Hot, 0, policy.Optimal{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, agg := baseBoard[0].Total, aggBoard[0].Total
-	if agg.Total() > base.Total() {
-		t.Fatalf("aggregation raised optimal cost: %v -> %v", base.Total(), agg.Total())
-	}
-	t.Logf("optimal cost %v -> %v with %d groups aggregated", base.Total(), agg.Total(), len(groups))
 }
 
 func TestConfigValidate(t *testing.T) {

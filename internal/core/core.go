@@ -33,10 +33,9 @@ type Config struct {
 	TrainSteps int64
 	// InitialTier is where files start (web applications default to hot).
 	InitialTier pricing.Tier
-	// Aggregation enables the §5.2 enhancement when non-nil.
+	// Aggregation enables the §5.2 enhancement when non-nil; Algorithm 2
+	// runs every Aggregation.WindowDays days, the week its Ω covers.
 	Aggregation *aggregate.Config
-	// AggregationPeriod is the cadence (days) of Algorithm 2; 0 means 7.
-	AggregationPeriod int
 	// Workers bounds serving-time parallelism.
 	Workers int
 }
@@ -76,9 +75,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.TrainSteps < 0 {
 		return nil, fmt.Errorf("core: TrainSteps %d", cfg.TrainSteps)
-	}
-	if cfg.AggregationPeriod < 0 {
-		return nil, fmt.Errorf("core: AggregationPeriod %d", cfg.AggregationPeriod)
 	}
 	if cfg.Aggregation != nil {
 		if err := cfg.Aggregation.Validate(); err != nil {
@@ -155,9 +151,10 @@ var ErrUntrained = errors.New("core: system has no trained agent; call Train fir
 // decided on the raw trace and aggregation never changes it. The plan is
 // billed through the cost model exactly as policy.Score bills a method, so
 // without aggregation Total is that method's Score row bit for bit. With
-// aggregation, Algorithm 2 runs on its period; each replica's concurrent
-// reads move off its members for the days it is live, and the replica is
-// billed in its tier from its creation day until its eviction.
+// aggregation, aggregate.Bill prices it: Algorithm 2 runs on its weekly
+// cadence, each replica's concurrent reads move off its members for the
+// days it is live, and the replica is billed in its tier from its creation
+// day until its eviction.
 func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 	assigner, err := s.Assigner()
 	if err != nil {
@@ -172,77 +169,24 @@ func (s *System) Run(tr *trace.Trace) (*RunReport, error) {
 		return nil, err
 	}
 	report := &RunReport{DecisionTime: time.Since(start)} //minicost:allow-wallclock DecisionTime is a measurement
-	lives, err := s.replicaLifetimes(tr)
-	if err != nil {
-		return nil, err
-	}
-	billed := tr
-	if len(lives) > 0 {
-		reads, err := aggregate.Reroute(tr, lives)
-		if err != nil {
-			return nil, err
-		}
-		billed = &trace.Trace{Days: tr.Days, Files: tr.Files, Reads: reads, Writes: tr.Writes}
-	}
 	initial := make([]pricing.Tier, tr.NumFiles())
 	for i := range initial {
 		initial[i] = s.cfg.InitialTier
 		report.TierChanges += plan[i].Changes(s.cfg.InitialTier)
 	}
-	bds, err := s.model.TraceCost(billed, plan, initial, s.cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	for _, l := range lives {
-		tier, days := s.cfg.Aggregation.ReplicaTier, l.To-l.From
-		bd, err := s.model.PlanCost(tier, costmodel.Uniform(tier, days), aggregate.GroupSizeGB(tr, l.Group),
-			tr.Groups[l.Group].Concurrent[l.From:l.To], make([]float64, days))
+	if s.cfg.Aggregation != nil {
+		report.Total, report.AggregatedGroups, err = aggregate.Bill(s.model, tr, plan, initial, *s.cfg.Aggregation, s.cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
-		bds = append(bds, bd)
-		if l.To == tr.Days {
-			report.AggregatedGroups++
-		}
+		return report, nil
+	}
+	bds, err := s.model.TraceCost(tr, plan, initial, s.cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
 	report.Total = costmodel.SumBreakdowns(bds)
 	return report, nil
-}
-
-// replicaLifetimes runs Algorithm 2 over the trace on the system's period,
-// from the first period day on (it needs an observed day), and returns the
-// replica lifetimes it produces in creation order. A replica still live at
-// the end of the trace closes at tr.Days. Without aggregation it returns
-// none.
-func (s *System) replicaLifetimes(tr *trace.Trace) ([]aggregate.Lifetime, error) {
-	if s.cfg.Aggregation == nil {
-		return nil, nil
-	}
-	agg, err := aggregate.New(s.model, *s.cfg.Aggregation)
-	if err != nil {
-		return nil, err
-	}
-	period := s.cfg.AggregationPeriod
-	if period == 0 {
-		period = 7
-	}
-	var lives []aggregate.Lifetime
-	open := make(map[int]int) // group -> index of its live replica in lives
-	for day := period; day < tr.Days; day += period {
-		create, del, err := agg.Update(tr, day)
-		if err != nil {
-			return nil, err
-		}
-		for _, gi := range del {
-			lives[open[gi]].To = day
-			delete(open, gi)
-		}
-		for _, gi := range create {
-			open[gi] = len(lives)
-			lives = append(lives, aggregate.Lifetime{Group: gi, From: day, To: tr.Days})
-		}
-	}
-	return lives, nil
 }
 
 // Assigner returns this system's trained agent wrapped as a policy.Assigner

@@ -331,10 +331,7 @@ func meterRun(t *testing.T, sys *System, tr *trace.Trace, plan costmodel.Assignm
 	if err != nil {
 		t.Fatal(err)
 	}
-	period := cfg.AggregationPeriod
-	if period == 0 {
-		period = 7
-	}
+	period := cfg.Aggregation.WindowDays
 	files := make([]costmodel.FileCoeffs, tr.NumFiles())
 	tiers := make([]pricing.Tier, tr.NumFiles())
 	for i, f := range tr.Files {
@@ -471,44 +468,5 @@ func TestRunAggregationMatchesDayByDayMeter(t *testing.T) {
 	}
 	if report.AggregatedGroups != 2 {
 		t.Fatalf("%d groups aggregated at the end, want 2", report.AggregatedGroups)
-	}
-}
-
-// TestNewAggregationPeriod refuses a negative period; 0 keeps its meaning
-// of weekly, so it bills like 7.
-func TestNewAggregationPeriod(t *testing.T) {
-	tr := aggTrace(t, 80, 28, 3)
-	var weekly float64
-	for _, tc := range []struct {
-		period  int
-		wantErr bool
-	}{{-7, true}, {-1, true}, {7, false}, {0, false}, {3, false}} {
-		cfg := testConfig()
-		cfg.TrainSteps = 0
-		aggCfg := aggregate.DefaultConfig()
-		cfg.Aggregation = &aggCfg
-		cfg.AggregationPeriod = tc.period
-		sys, err := New(cfg)
-		if (err != nil) != tc.wantErr {
-			t.Fatalf("period %d: err = %v, want error %v", tc.period, err, tc.wantErr)
-		}
-		if err != nil {
-			continue
-		}
-		if _, err := sys.Train(tr); err != nil {
-			t.Fatal(err)
-		}
-		report, err := sys.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch tc.period {
-		case 7:
-			weekly = report.Total.Total()
-		case 0:
-			if got := report.Total.Total(); got != weekly { //minicost:allow-floatcmp 0 and 7 run the same schedule
-				t.Fatalf("period 0 billed %v, period 7 %v", got, weekly)
-			}
-		}
 	}
 }

@@ -218,52 +218,38 @@ func (r *Fig12Result) Render(w io.Writer) {
 // MiniCost, MiniCost with the aggregation enhancement, and Optimal.
 type Fig13Result struct {
 	Days []int
-	// Costs holds the five methods' series on the workload and
-	// "minicost-w/E", MiniCost's on the aggregated one; Render plots the
-	// paper's four.
-	Costs            map[string][]float64
+	// Costs holds the five methods' series and "minicost-w/E", MiniCost's
+	// plan billed with the enhancement on; Render plots the paper's four.
+	Costs map[string][]float64
+	// AggregatedGroups counts the replicas live at the end of the longest
+	// horizon.
 	AggregatedGroups int
 }
 
-// fig13Setup aggregates the top-Ψ groups and returns the workload, the
-// rewritten workload, and the aggregated-group count.
-func (l *Lab) fig13Setup(psi int) (tr, aggTr *trace.Trace, groups int, err error) {
-	// Aggregation is evaluated on the full workload: the 80/20 file split
-	// tears concurrency groups apart (a group survives a Subset only when
-	// every member lands on the same side), and the enhancement is an
-	// operational mechanism, not a generalisation test.
-	tr = l.Trace
-	if len(tr.Groups) == 0 {
-		return nil, nil, 0, aggregate.ErrNoGroups
-	}
+// AggregationConfig is the enhancement's configuration for Fig. 13 at cap
+// psi: the paper's, with Ψ = psi unless psi is 0. A negative psi is an
+// error.
+func AggregationConfig(psi int) (aggregate.Config, error) {
 	cfg := aggregate.DefaultConfig()
-	if psi > 0 {
+	if psi != 0 {
 		cfg.Psi = psi
 	}
-	scores, err := aggregate.ScoreGroups(tr, l.Model, cfg, min(cfg.WindowDays, tr.Days))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	top := aggregate.SelectTop(scores, cfg.Psi)
-	ids := make([]int, len(top))
-	for i, s := range top {
-		ids[i] = s.Group
-	}
-	aggTr = tr
-	if len(ids) > 0 {
-		aggTr, err = aggregate.ApplyToTrace(tr, ids)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	return tr, aggTr, len(ids), nil
+	return cfg, cfg.Validate()
 }
 
-// Fig13 evaluates the enhancement: groups with positive Ω (top-Ψ, measured
-// over the first week) are aggregated and MiniCost re-priced on the
-// rewritten request stream. Like Fig7, each (method, workload) pair is
-// assigned on Window(0, days) and priced from scratch at every horizon.
+// Fig13 evaluates the enhancement (§5.2) at cap psi (0 = the paper's 64).
+// Like Fig7, every method is assigned on Window(0, days) and priced from
+// scratch at every horizon; minicost-w/E is the minicost row's plan billed
+// through aggregate.Bill, the bill core.System.Run serves with. The
+// workload is the full trace: the 80/20 file split tears concurrency groups
+// apart (a group survives a Subset only when every member lands on the same
+// side), and the enhancement is an operational mechanism, not a
+// generalisation test.
 func (l *Lab) Fig13(psi int) (*Fig13Result, error) {
+	aggCfg, err := AggregationConfig(psi)
+	if err != nil {
+		return nil, err
+	}
 	days, err := horizons(l.Trace.Days)
 	if err != nil {
 		return nil, err
@@ -272,18 +258,10 @@ func (l *Lab) Fig13(psi int) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mini := methods[len(methods)-1]
-	tr, aggTr, groups, err := l.fig13Setup(psi)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig13Result{Days: days, Costs: make(map[string][]float64), AggregatedGroups: groups}
+	mini := methods[len(methods)-1].Name()
+	res := &Fig13Result{Days: days, Costs: make(map[string][]float64)}
 	for _, d := range days {
-		window, err := tr.Window(0, d)
-		if err != nil {
-			return nil, err
-		}
-		aggWindow, err := aggTr.Window(0, d)
+		window, err := l.Trace.Window(0, d)
 		if err != nil {
 			return nil, err
 		}
@@ -291,14 +269,17 @@ func (l *Lab) Fig13(psi int) (*Fig13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		agg, err := policy.Score(l.Model, aggWindow, pricing.Hot, l.Cfg.Workers, mini)
-		if err != nil {
-			return nil, err
-		}
 		for _, row := range board {
 			res.Costs[row.Name] = append(res.Costs[row.Name], row.Total.Total())
 		}
-		res.Costs["minicost-w/E"] = append(res.Costs["minicost-w/E"], agg[0].Total.Total())
+		// A nil initial starts every file in Hot, as the board's rows did.
+		row, _ := board.Find(mini)
+		bill, active, err := aggregate.Bill(l.Model, window, row.Plan, nil, aggCfg, l.Cfg.Workers)
+		if err != nil {
+			return nil, err
+		}
+		res.Costs["minicost-w/E"] = append(res.Costs["minicost-w/E"], bill.Total())
+		res.AggregatedGroups = active
 	}
 	return res, nil
 }

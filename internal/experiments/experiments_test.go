@@ -198,21 +198,68 @@ func TestFig12Overhead(t *testing.T) {
 	t.Logf("\n%s", buf.String())
 }
 
+// TestFig13Enhancement: MiniCost-w/E bills the minicost plan with
+// Algorithm 2's replica lifetimes, so it never costs more than minicost and
+// equals it bit for bit at the 7-day horizon, before the first evaluation
+// (day 7) can create a replica. The shared 250-file lab aggregates no
+// group; Quick's 300-file lab with a seeded random agent must aggregate
+// one.
 func TestFig13Enhancement(t *testing.T) {
-	l := lab(t)
-	r, err := l.Fig13(0)
+	quick := func(t testing.TB) *Lab {
+		cfg := Quick()
+		l, err := NewLab(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.SetAgent(rl.NewAgent(cfg.Net, cfg.Net.BuildActor(rng.New(7))))
+		return l
+	}
+	for _, tc := range []struct {
+		name      string
+		lab       func(testing.TB) *Lab
+		aggregate bool
+	}{
+		{"shared lab", lab, false},
+		{"quick, random agent", quick, true},
+	} {
+		r, err := tc.lab(t).Fig13(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		r.Render(&buf)
+		t.Logf("%s:\n%s", tc.name, buf.String())
+		if tc.aggregate && r.AggregatedGroups == 0 {
+			t.Fatalf("%s: no group aggregated; the case needs a lab the enhancement acts on", tc.name)
+		}
+		for i, d := range r.Days {
+			mini, withE := r.Costs["minicost"][i], r.Costs["minicost-w/E"][i]
+			if withE > mini {
+				t.Fatalf("%s, %d days: enhancement raised cost %v -> %v", tc.name, d, mini, withE)
+			}
+			if d == 7 && math.Float64bits(withE) != math.Float64bits(mini) {
+				t.Fatalf("%s, 7 days: w/E %.17g != minicost %.17g before any replica exists", tc.name, withE, mini)
+			}
+		}
+	}
+}
+
+// TestFig13RefusesNegativePsi: a negative Ψ is an error from Fig13, raised
+// before the agent trains.
+func TestFig13RefusesNegativePsi(t *testing.T) {
+	l, err := NewLab(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := len(r.Days) - 1
-	mini := r.Costs["minicost"][last]
-	withE := r.Costs["minicost-w/E"][last]
-	if r.AggregatedGroups > 0 && withE > mini*1.001 {
-		t.Fatalf("enhancement raised cost: %v -> %v (%d groups)", mini, withE, r.AggregatedGroups)
+	if _, err := l.Fig13(-1); err == nil {
+		t.Fatal("Fig13 accepted psi -1")
 	}
-	var buf bytes.Buffer
-	r.Render(&buf)
-	t.Logf("\n%s", buf.String())
+	if l.agent != nil {
+		t.Fatal("Fig13 trained the agent before refusing psi -1")
+	}
+	if _, err := AggregationConfig(-1); err == nil {
+		t.Fatal("AggregationConfig accepted psi -1")
+	}
 }
 
 func TestCostBreakdownTable(t *testing.T) {
