@@ -21,7 +21,7 @@ loc:
 
 # fuzz runs short native-fuzzing lanes over the untrusted parsers — the
 # trace CSV loader, the /v1/observe JSON body and the trainer checkpoint
-# decoder (minicostd -load-checkpoint) — and the plan encoder. The two
+# decoder (minicostd -checkpoint) — and the plan encoder. The two
 # agentserver lanes are differential: the wire codec against encoding/json
 # on every input. One pattern per invocation (go test allows a single -fuzz
 # target at a time).
@@ -61,15 +61,16 @@ check-purego:
 
 # smoke-serve boots minicostd with a tiny bootstrap agent, exercises
 # observe -> plan, and asserts /healthz answers, /metrics exposes the
-# serving and training metric families, and the bootstrap bill was logged.
+# serving and training metric families, the bootstrap bill was logged, and
+# three days of curl traffic were accepted whole.
 smoke-serve:
 	sh scripts/smoke_serve.sh
 
 # smoke-online boots minicostd with the continuous-learning loop enabled,
-# drives drifting loadgen traffic through it, and asserts at least one
+# posts drifting curl traffic through it, and asserts at least one
 # fine-tune epoch ran, the drift score is exported on /metrics, and a
 # candidate policy was hot-swapped into serving — then reboots from the
-# learner checkpoint via -load-checkpoint.
+# learner checkpoint via -checkpoint ... -online.
 smoke-online:
 	sh scripts/smoke_online.sh
 

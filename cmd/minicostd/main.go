@@ -3,12 +3,12 @@
 // application POSTs each day's per-file request statistics to /v1/observe
 // and fetches the tier assignment plan from /v1/plan.
 //
-// The agent comes from a checkpoint written by `minicost-train` (or any
-// code calling rl.Agent.Save), from a learner checkpoint written by the
-// online subsystem (-load-checkpoint restores the full trainer state);
-// without either, minicostd bootstraps by training on a synthetic workload
-// so the service is demonstrable out of the box, then bills the
-// bootstrapped policy on that workload and logs the bill.
+// The agent comes from -checkpoint, which reads any checkpoint: the
+// actor-only file rl.Agent.Save writes (-save among others) or a learner
+// checkpoint the online subsystem writes, whose critic -online carries into
+// the fine-tune trainer. Without one, minicostd bootstraps by training on a
+// synthetic workload so the service is demonstrable out of the box, then
+// bills the bootstrapped policy on that workload and logs the bill.
 //
 // With -online the daemon closes the serve→train loop (DESIGN.md §16): the
 // serving store keeps each file's history over the learner's window, drift
@@ -29,10 +29,11 @@
 //	minicostd -checkpoint agent.ckpt -addr :8080
 //	minicostd -bootstrap-steps 200000 -save agent.ckpt
 //	minicostd -online -finetune-every 16 -checkpoint-dir /var/lib/minicost
-//	minicostd -load-checkpoint /var/lib/minicost/learner-0000000003.ckpt -online
+//	minicostd -checkpoint /var/lib/minicost/learner-0000000003.ckpt -online
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -59,9 +60,8 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		checkpoint = flag.String("checkpoint", "", "agent checkpoint to load (actor only)")
-		loadCkpt   = flag.String("load-checkpoint", "", "learner checkpoint to boot from (full trainer state; overrides -checkpoint)")
-		save       = flag.String("save", "", "write the (possibly bootstrapped) agent checkpoint here")
+		checkpoint = flag.String("checkpoint", "", "checkpoint to boot from: an agent's actor, or a learner's actor and critic")
+		save       = flag.String("save", "", "write the (possibly bootstrapped) agent checkpoint here, atomically")
 		steps      = flag.Int64("bootstrap-steps", 200000, "training steps when bootstrapping without a checkpoint")
 		filters    = flag.Int("filters", 32, "conv filters when bootstrapping")
 		hidden     = flag.Int("hidden", 64, "hidden neurons when bootstrapping")
@@ -85,9 +85,9 @@ func main() {
 	flag.Parse()
 	ftCfg := finetuneA3C(*ftWorkers, *ftEnvs, *ftPar)
 	if *onlineOn {
-		// Refuse a bad fine-tune shape now, not after the bootstrap run.
-		if err := ftCfg.Validate(); err != nil {
-			fatal(fmt.Errorf("fine-tune config: %w", err))
+		// Refuse bad learner settings now, not after the bootstrap run.
+		if err := checkOnlineFlags(ftCfg, *ftSteps, *ckptKeep); err != nil {
+			fatal(err)
 		}
 	}
 
@@ -105,7 +105,6 @@ func main() {
 
 	boot, err := loadOrBootstrap(bootOpts{
 		checkpoint:     *checkpoint,
-		learnerCkpt:    *loadCkpt,
 		steps:          *steps,
 		filters:        *filters,
 		hidden:         *hidden,
@@ -117,14 +116,7 @@ func main() {
 	}
 	agent := boot.agent
 	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			fatal(err)
-		}
-		if err := agent.Save(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := online.WriteAtomic(*save, agent.Save); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "minicostd: checkpoint written to %s\n", *save)
@@ -239,10 +231,27 @@ func finetuneA3C(workers, envs, parallelism int) rl.A3CConfig {
 	return cfg
 }
 
+// checkOnlineFlags refuses the -online settings that would otherwise fail
+// only after the bootstrap run (an invalid fine-tune shape, a negative step
+// budget) or be silently replaced: online.Config reads an explicit zero as
+// "unset", so -finetune-steps 0 would train 2048 steps and -checkpoint-keep 0
+// keep 5.
+func checkOnlineFlags(ft rl.A3CConfig, steps int64, keep int) error {
+	if err := ft.Validate(); err != nil {
+		return fmt.Errorf("fine-tune config: %w", err)
+	}
+	if steps < 1 {
+		return fmt.Errorf("-finetune-steps %d: want at least 1", steps)
+	}
+	if keep == 0 {
+		return errors.New("-checkpoint-keep 0: want at least 1, or -1 to keep every checkpoint")
+	}
+	return nil
+}
+
 // bootOpts selects minicostd's policy source.
 type bootOpts struct {
 	checkpoint     string
-	learnerCkpt    string
 	steps          int64
 	filters        int
 	hidden         int
@@ -261,21 +270,24 @@ type bootState struct {
 	baseline *trace.Trace
 }
 
-// loadOrBootstrap resolves the serving policy: a learner checkpoint (full
-// trainer state), an actor checkpoint (fresh critic), or a synthetic
-// bootstrap run; after bootstrapping it bills the policy on the bootstrap
-// workload and logs the bill. With
-// opts.online the returned trainer's global actor is bitwise the serving
-// agent's, so the learner's first rollback point and incumbent agree.
+// loadOrBootstrap resolves the serving policy: a checkpoint, or a
+// synthetic bootstrap run; after bootstrapping it bills the policy on the
+// bootstrap workload and logs the bill. With opts.online the returned
+// trainer's global actor is bitwise the serving agent's, so the learner's
+// first rollback point and incumbent agree; its critic is the checkpoint's
+// when the file carries one, the bootstrap run's warm critic after a
+// bootstrap, and rl.NewA3C's fresh one otherwise.
 func loadOrBootstrap(opts bootOpts) (*bootState, error) {
 	model := costmodel.New(pricing.Azure())
-	if opts.learnerCkpt != "" {
-		f, err := os.Open(opts.learnerCkpt)
+	if opts.checkpoint != "" {
+		// One read: the agent and the trainer decode the same bytes, so a
+		// file replaced on disk meanwhile cannot pair one checkpoint's actor
+		// with another's critic.
+		data, err := os.ReadFile(opts.checkpoint)
 		if err != nil {
 			return nil, err
 		}
-		agent, err := rl.LoadAgent(f)
-		f.Close()
+		agent, err := rl.LoadAgent(bytes.NewReader(data))
 		if err != nil {
 			return nil, err
 		}
@@ -283,32 +295,14 @@ func loadOrBootstrap(opts bootOpts) (*bootState, error) {
 		if opts.online {
 			cfg := opts.finetuneConfig
 			cfg.Net = agent.Net
-			st.trainer, err = online.LoadTrainer(cfg, opts.learnerCkpt)
-			if err != nil {
+			if st.trainer, err = rl.NewA3C(cfg); err != nil {
+				return nil, err
+			}
+			if err := st.trainer.LoadCheckpoint(bytes.NewReader(data)); err != nil {
 				return nil, err
 			}
 		}
-		fmt.Fprintf(os.Stderr, "minicostd: loaded learner checkpoint %s\n", opts.learnerCkpt)
-		return st, nil
-	}
-	if opts.checkpoint != "" {
-		f, err := os.Open(opts.checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		agent, err := rl.LoadAgent(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		st := &bootState{agent: agent, model: model}
-		if opts.online {
-			st.trainer, err = trainerForAgent(opts.finetuneConfig, agent, nil)
-			if err != nil {
-				return nil, err
-			}
-		}
-		fmt.Fprintf(os.Stderr, "minicostd: loaded agent from %s\n", opts.checkpoint)
+		fmt.Fprintf(os.Stderr, "minicostd: loaded %s\n", opts.checkpoint)
 		return st, nil
 	}
 	fmt.Fprintf(os.Stderr, "minicostd: no checkpoint; bootstrapping on a synthetic workload (%d steps)...\n", opts.steps)
@@ -345,31 +339,15 @@ func loadOrBootstrap(opts bootOpts) (*bootState, error) {
 		// the bootstrap trainer's warm critic into the fine-tune trainer.
 		ftCfg := opts.finetuneConfig
 		ftCfg.Net = cfg.A3C.Net
+		if st.trainer, err = rl.NewA3C(ftCfg); err != nil {
+			return nil, err
+		}
 		_, critic := sys.Trainer().ParamVectors()
-		st.trainer, err = trainerForAgent(ftCfg, st.agent, critic)
-		if err != nil {
+		if err := st.trainer.SetParamVectors(st.agent.ParamVector(), critic); err != nil {
 			return nil, err
 		}
 	}
 	return st, nil
-}
-
-// trainerForAgent builds a fine-tune trainer whose global actor weights
-// are the agent's. critic, when non-nil, warm-starts the value network
-// (e.g. from a bootstrap run); nil keeps the fresh initialization.
-func trainerForAgent(cfg rl.A3CConfig, agent *rl.Agent, critic []float64) (*rl.A3C, error) {
-	cfg.Net = agent.Net
-	tr, err := rl.NewA3C(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if critic == nil {
-		_, critic = tr.ParamVectors()
-	}
-	if err := tr.SetParamVectors(agent.ParamVector(), critic); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }
 
 func fatal(err error) {

@@ -36,16 +36,6 @@ func (c *Client) Plan() (*PlanResponse, error) {
 	return &resp, nil
 }
 
-// PlanFull fetches a plan with every file re-decided (?full=1), bypassing
-// the server's incremental dirty-set path.
-func (c *Client) PlanFull() (*PlanResponse, error) {
-	var resp PlanResponse
-	if err := c.get("/v1/plan?full=1", &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Stats fetches service counters.
 func (c *Client) Stats() (*StatsResponse, error) {
 	var resp StatsResponse

@@ -22,11 +22,11 @@ const (
 const DriftBuckets = 8
 
 // driftEdges are fixed and log-scale, spanning the workload ranges the paper
-// and loadgen produce, so bucketing allocates nothing and a count is a
-// function of the observed values alone. Rows: operations per file per day
-// (reads, writes), size in GB (loadgen emits 0.01–50), and inter-access gap
-// in per-file observed days — the trace-day unit a baseline seeded from a
-// training trace uses.
+// and the smoke scripts produce, so bucketing allocates nothing and a count
+// is a function of the observed values alone. Rows: operations per file per
+// day (reads, writes), size in GB (the smoke traffic spans 0.01–50), and
+// inter-access gap in per-file observed days — the trace-day unit a baseline
+// seeded from a training trace uses.
 var driftEdges = [NumDriftDims][DriftBuckets - 1]float64{
 	DriftReads:  {0.5, 5, 50, 500, 5e3, 5e4, 5e5},
 	DriftWrites: {0.5, 5, 50, 500, 5e3, 5e4, 5e5},

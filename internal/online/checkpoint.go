@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,12 +13,12 @@ import (
 
 // Checkpoint files are the learner's crash-recovery and redeploy story:
 // after every accepted fine-tune epoch the full trainer state (actor +
-// critic) is written as learner-<seq>.ckpt via a temp-file + atomic-rename
-// protocol, so a reader (or a crashed writer) never sees a torn file, and
-// old checkpoints beyond the retention count are pruned. The sequence
-// number is zero-padded so lexicographic directory order is chronological
-// order; minicostd's -load-checkpoint boots serving straight from the
-// newest one (rl.LoadAgent reads the trainer format, ignoring the critic).
+// critic) is written as learner-<seq>.ckpt through WriteAtomic, so a reader
+// (or a crashed writer) never sees a torn file, and old checkpoints beyond
+// the retention count are pruned. The sequence number is zero-padded so
+// lexicographic directory order is chronological order; minicostd's
+// -checkpoint boots serving (and, with -online, the fine-tune trainer, critic
+// included) straight from the newest one.
 
 const (
 	checkpointPrefix = "learner-"
@@ -29,6 +30,32 @@ func checkpointName(seq int64) string {
 	return fmt.Sprintf("%s%010d%s", checkpointPrefix, seq, checkpointSuffix)
 }
 
+// WriteAtomic writes path through write into path+".tmp", fsyncs it and
+// renames it over path, so a crash or a failed write leaves the previous
+// file byte for byte as it was and no temp file behind. The learner's
+// checkpoints and minicostd's -save both go through it.
+func WriteAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
 // writeCheckpoint atomically persists the trainer's state to dir and prunes
 // all but the newest `keep` checkpoints (keep <= 0 keeps everything).
 // Returns the final path.
@@ -37,28 +64,8 @@ func writeCheckpoint(dir string, seq int64, keep int, tr *rl.A3C) (string, error
 		return "", fmt.Errorf("online: checkpoint dir: %w", err)
 	}
 	final := filepath.Join(dir, checkpointName(seq))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := WriteAtomic(final, tr.SaveCheckpoint); err != nil {
 		return "", fmt.Errorf("online: checkpoint: %w", err)
-	}
-	if err := tr.SaveCheckpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", fmt.Errorf("online: checkpoint sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("online: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("online: checkpoint rename: %w", err)
 	}
 	if keep > 0 {
 		if err := pruneCheckpoints(dir, keep); err != nil {
@@ -152,23 +159,4 @@ func LatestCheckpoint(dir string) (string, error) {
 		return "", err
 	}
 	return filepath.Join(dir, names[len(names)-1]), nil
-}
-
-// LoadTrainer builds an A3C from cfg and restores the trainer state saved
-// at path — minicostd's boot path for resuming the online learner from a
-// prior run's checkpoint.
-func LoadTrainer(cfg rl.A3CConfig, path string) (*rl.A3C, error) {
-	tr, err := rl.NewA3C(cfg)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("online: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	if err := tr.LoadCheckpoint(f); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }

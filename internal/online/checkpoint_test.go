@@ -1,7 +1,9 @@
 package online
 
 import (
-	"math"
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,9 +15,9 @@ import (
 	"minicost/internal/rl"
 )
 
-// TestCheckpointRoundTripMidFineTune is satellite 2's restore guarantee: a
-// checkpoint written mid-fine-tune must restore both the trainer (actor +
-// critic) and a serving agent (rl.LoadAgent reads the same format) to
+// TestCheckpointRoundTripMidFineTune is the restore guarantee: a checkpoint
+// written mid-fine-tune must restore both the trainer (actor + critic) and a
+// serving agent (rl.LoadAgent reads the same format) to
 // bitwise-identical weights, and the atomic-rename protocol must leave no
 // temp file behind.
 func TestCheckpointRoundTripMidFineTune(t *testing.T) {
@@ -42,8 +44,15 @@ func TestCheckpointRoundTripMidFineTune(t *testing.T) {
 		t.Fatalf("checkpoint name %q, want %q", got, checkpointName(3))
 	}
 
-	re, err := LoadTrainer(cfg, path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := rl.NewA3C(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.LoadCheckpoint(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	wantA, wantC := tr.ParamVectors()
@@ -51,12 +60,7 @@ func TestCheckpointRoundTripMidFineTune(t *testing.T) {
 	bitwiseEq(t, "restored actor", gotA, wantA)
 	bitwiseEq(t, "restored critic", gotC, wantC)
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := rl.LoadAgent(f)
-	f.Close()
+	agent, err := rl.LoadAgent(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,31 +77,49 @@ func TestCheckpointRoundTripMidFineTune(t *testing.T) {
 	}
 }
 
-// TestLoadTrainerRejectsNonFinite: minicostd -load-checkpoint must not boot
-// a learner from a checkpoint whose critic (or actor) carries a NaN or Inf —
-// the critic never serves, so nothing downstream would notice until every
-// advantage it feeds is NaN.
-func TestLoadTrainerRejectsNonFinite(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		edit func(actor, critic []float64)
-	}{
-		{"NaN critic", func(_, critic []float64) { critic[1] = math.NaN() }},
-		{"+Inf actor", func(actor, _ []float64) { actor[len(actor)-1] = math.Inf(1) }},
-	} {
-		tr := testTrainer(t, 9)
-		actor, critic := tr.ParamVectors()
-		c.edit(actor, critic)
-		if err := tr.SetParamVectors(actor, critic); err != nil {
-			t.Fatal(err)
+// TestWriteAtomicFailedWriteKeepsPrevious: a write that fails halfway
+// through leaves the file it would have replaced byte for byte as it was,
+// and no temp file behind — minicostd -checkpoint x -save x included.
+func TestWriteAtomicFailedWriteKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "agent.ckpt")
+	prev := []byte("the previous checkpoint")
+	if err := os.WriteFile(path, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := WriteAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half a new")); err != nil {
+			return err
 		}
-		path, err := writeCheckpoint(t.TempDir(), 1, 0, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadTrainer(testA3CConfig(9), path); err == nil || !strings.Contains(err.Error(), "non-finite") {
-			t.Fatalf("%s: LoadTrainer error %v, want the non-finite refusal", c.name, err)
-		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteAtomic error %v, want the writer's", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, prev) {
+		t.Fatalf("file after a failed write = %q, want %q", got, prev)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory after a failed write holds %d entries, want only %s", len(entries), path)
+	}
+
+	if err := WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("new"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("file after a good write = %q (%v), want %q", got, err, "new")
 	}
 }
 

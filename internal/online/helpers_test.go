@@ -38,8 +38,9 @@ func testTrainer(t testing.TB, seed uint64) *rl.A3C {
 	return tr
 }
 
-// testTrace builds a seeded synthetic trace in loadgen's hot regime (or the
-// cold+bulky drifted regime) — the same distributions the drift tests use.
+// testTrace builds a seeded synthetic trace in the smoke traffic's hot regime
+// (or the cold+bulky drifted regime) — the same distributions the drift
+// tests use.
 func testTrace(t testing.TB, files, days int, seed uint64, cold bool) *trace.Trace {
 	t.Helper()
 	tr := &trace.Trace{Days: days}
@@ -70,8 +71,8 @@ func testTrace(t testing.TB, files, days int, seed uint64, cold bool) *trace.Tra
 	return tr
 }
 
-// synthBatch builds day d's observations for n files, matching loadgen's
-// generator (including the drifted regime).
+// synthBatch builds day d's observations for n files, matching the smoke
+// scripts' traffic (including the drifted regime).
 func synthBatch(n, d int, seed uint64, drifted bool) []agentserver.FileObservation {
 	files := make([]agentserver.FileObservation, n)
 	for i := 0; i < n; i++ {

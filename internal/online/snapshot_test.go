@@ -227,8 +227,8 @@ func fid(i int) string {
 
 // TestGapDimensionCountsPerFileObservedDays pins the drift gap unit: gaps
 // are measured in a file's own observed days, not in global observe
-// batches, so splitting one workload day across many observe batches (the
-// loadgen deployment shape) does not inflate them away from the trace-day
+// batches, so splitting one workload day across many observe batches (a
+// common deployment shape) does not inflate them away from the trace-day
 // baseline, and out-of-order batch arrival cannot produce negative gaps.
 func TestGapDimensionCountsPerFileObservedDays(t *testing.T) {
 	srv := newStore(t, 8, 1)

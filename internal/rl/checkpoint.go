@@ -16,7 +16,8 @@ type checkpoint struct {
 	Version int
 	Net     NetConfig
 	Actor   []float64
-	// Critic is optional (serving only needs the actor); nil when absent.
+	// Critic is optional: Agent.Save writes none (serving needs only the
+	// actor), A3C.SaveCheckpoint writes the trainer's; nil when absent.
 	Critic []float64
 }
 
@@ -93,8 +94,12 @@ func (a *A3C) SaveCheckpoint(w io.Writer) error {
 	return nil
 }
 
-// LoadCheckpoint restores trainer weights saved with SaveCheckpoint. The
-// architecture in the checkpoint must match the trainer's configuration.
+// LoadCheckpoint restores trainer weights from any checkpoint: the full
+// state SaveCheckpoint writes, or the actor-only file Agent.Save writes, which
+// installs the actor and leaves the trainer's critic as it is. The
+// architecture in the checkpoint must match the trainer's configuration, the
+// parameter counts must match it, and every weight must be finite; a refused
+// load changes nothing.
 func (a *A3C) LoadCheckpoint(r io.Reader) error {
 	var cp checkpoint
 	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
@@ -106,11 +111,18 @@ func (a *A3C) LoadCheckpoint(r io.Reader) error {
 	if cp.Net != a.cfg.Net {
 		return fmt.Errorf("rl: checkpoint architecture %+v != trainer %+v", cp.Net, a.cfg.Net)
 	}
+	if len(cp.Actor) != len(a.actor) || (cp.Critic != nil && len(cp.Critic) != len(a.critic)) {
+		return fmt.Errorf("rl: checkpoint: param vectors %d/%d do not match trainer %d/%d",
+			len(cp.Actor), len(cp.Critic), len(a.actor), len(a.critic))
+	}
 	if err := checkFinite(cp.Actor, cp.Critic); err != nil {
 		return err
 	}
-	if err := a.SetParamVectors(cp.Actor, cp.Critic); err != nil {
-		return fmt.Errorf("rl: checkpoint: %w", err)
+	a.mu.Lock()
+	copy(a.actor, cp.Actor)
+	if cp.Critic != nil {
+		copy(a.critic, cp.Critic)
 	}
+	a.mu.Unlock()
 	return nil
 }

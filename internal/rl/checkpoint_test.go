@@ -168,9 +168,11 @@ func TestLoadCheckpointRejectsNonFinite(t *testing.T) {
 
 // FuzzLoadCheckpoint feeds the trainer's checkpoint decoder arbitrary bytes:
 // truncated and garbage gob, a wrong version, a wrong architecture, wrong
-// parameter counts and non-finite weights among the seeds. Whatever arrives,
-// the load either is refused and leaves the global weights untouched, or
-// publishes exactly the finite weights the stream carries.
+// parameter counts, an actor-only stream and non-finite weights among the
+// seeds. Whatever arrives, the load either is refused and leaves the global
+// weights untouched, or publishes exactly the finite weights the stream
+// carries: its actor, and its critic when it carries one (an actor-only
+// stream leaves the trainer's critic bitwise as it was).
 func FuzzLoadCheckpoint(f *testing.F) {
 	cfg := smallA3CConfig()
 	valid := checkpointBytes(f, cfg, nil)
@@ -190,6 +192,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(encodeCheckpoint(f, checkpoint{Version: checkpointVersion, Net: cp.Net, Actor: cp.Actor[1:], Critic: cp.Critic}))
 	f.Add(encodeCheckpoint(f, checkpoint{Version: checkpointVersion, Net: cp.Net, Actor: cp.Actor}))
 	f.Add(checkpointBytes(f, cfg, func(_, critic []float64) { critic[0] = math.Inf(-1) }))
+	// Valid weights unlike a fresh trainer's: a load that dropped either
+	// vector would show.
+	f.Add(checkpointBytes(f, cfg, func(actor, critic []float64) { actor[0]++; critic[0]++ }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a3c, err := NewA3C(cfg)
 		if err != nil {
@@ -211,6 +216,10 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertVectorsBitwise(t, "actor", gotA, in.Actor)
+		if in.Critic == nil {
+			assertVectorsBitwise(t, "critic kept by an actor-only load", gotC, wantC)
+			return
+		}
 		assertVectorsBitwise(t, "critic", gotC, in.Critic)
 	})
 }

@@ -2,13 +2,14 @@
 # smoke_online.sh — end-to-end continuous-learning smoke test
 # (make smoke-online, CI).
 #
-# Boots minicostd with -online, drives drifting loadgen traffic through
-# /v1/observe, and asserts the full loop closed: at least one fine-tune
-# epoch ran, the drift score is exported on /metrics, and a candidate
-# policy was hot-swapped into serving (the gate is disabled so the swap is
-# deterministic; gate rejection is pinned by the Go tests). The learner
-# checkpoint written by the swap then boots a second daemon via
-# -load-checkpoint, which must serve an observe -> plan round trip.
+# Boots minicostd with -online, posts drifting synthetic traffic
+# (scripts/observe_body.awk) through /v1/observe with curl, and asserts the
+# full loop closed: at least one fine-tune epoch ran, the drift score is
+# exported on /metrics, and a candidate policy was hot-swapped into serving
+# (the gate is disabled so the swap is deterministic; gate rejection is
+# pinned by the Go tests). The learner checkpoint written by the swap then
+# boots a second daemon via -checkpoint ... -online, which must serve an
+# observe -> plan round trip.
 set -eu
 
 ADDR="127.0.0.1:${SMOKE_ONLINE_PORT:-18473}"
@@ -68,12 +69,27 @@ echo "smoke-online: booting with -online on $ADDR"
 PID=$!
 wait_up "$BASE" "$PID"
 
-# 18 days: the learner needs MinTrainDays (= the agent's 14-day history
-# window) of buffered history before an epoch can train, and the back half
-# of the run drifts to trip the PSI detector.
-echo "smoke-online: drifting loadgen traffic (200 files x 18 days)"
-go run ./cmd/loadgen -addr "$BASE" -files 200 -days 18 -batch 200 \
-    -plan-every 3 -drift -drift-at 0.5 -min-observes 1 >/dev/null
+# 18 days of 200 files, one POST a day, each of which must accept all 200,
+# and a plan every third day: the learner needs MinTrainDays (= the agent's
+# 14-day history window) of buffered history before an epoch can train, and
+# the back half of the run (days 9-17) drifts to trip the PSI detector.
+echo "smoke-online: drifting observe traffic (200 files x 18 days)"
+day=0
+while [ "$day" -lt 18 ]; do
+    resp="$(awk -v files=200 -v day="$day" -v drifted="$((day >= 9))" -f scripts/observe_body.awk |
+        curl -fsS -X POST -H 'Content-Type: application/json' --data-binary @- "$BASE/v1/observe")"
+    case "$resp" in
+    *'"accepted":200,'*) ;;
+    *)
+        echo "smoke-online: day $day observe answered '$resp', want \"accepted\":200" >&2
+        exit 1
+        ;;
+    esac
+    day=$((day + 1))
+    if [ $((day % 3)) -eq 0 ]; then
+        curl -fsS "$BASE/v1/plan" >/dev/null
+    fi
+done
 
 echo "smoke-online: waiting for a fine-tune epoch and a hot swap"
 i=0
@@ -129,10 +145,14 @@ wait "$PID"
 PID=""
 
 echo "smoke-online: rebooting from $CKPT"
-"$BIN" -addr "$ADDR2" -load-checkpoint "$CKPT" -online \
+"$BIN" -addr "$ADDR2" -checkpoint "$CKPT" -online \
     -finetune-every 0 -drift-threshold 0 2>"$LOG2" &
 PID2=$!
 wait_up "$BASE2" "$PID2"
+if ! grep -q "^minicostd: loaded $CKPT\$" "$LOG2"; then
+    echo "smoke-online: second daemon did not boot from $CKPT" >&2
+    exit 1
+fi
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"files":[{"id":"a","size_gb":0.5,"reads":100,"writes":2}]}' \
     "$BASE2/v1/observe" >/dev/null

@@ -4,8 +4,9 @@
 # Builds minicostd, boots it with a tiny bootstrap agent, waits for
 # /healthz, pushes one observation batch, fetches a plan, and asserts
 # /metrics exposes the serving and training metric families in Prometheus
-# text format and that the daemon logged the bootstrap bill. Exits non-zero
-# on any failure.
+# text format and that the daemon logged the bootstrap bill; then posts a
+# few days of synthetic traffic with curl and checks every batch landed.
+# Exits non-zero on any failure.
 set -eu
 
 ADDR="127.0.0.1:${SMOKE_PORT:-18471}"
@@ -73,11 +74,25 @@ if ! grep -q 'minicostd: bootstrap eval: bill \$' "$LOG"; then
     exit 1
 fi
 
-# Load generator against the live daemon: ingests a small population over
-# a few simulated days with interleaved plans, and fails (non-zero exit)
-# unless observe traffic actually landed.
-echo "smoke-serve: loadgen traffic (500 files x 3 days)"
-go run ./cmd/loadgen -addr "$BASE" -files 500 -days 3 -batch 200 -plan-every 2 -min-observes 1 >/dev/null
+# Traffic against the live daemon: 500 files over 3 days, one POST a day
+# (scripts/observe_body.awk), each of which must accept all 500, with a plan
+# after days 2 and 3. Load is measured by the end-to-end benchmark
+# (make bench-e2e), not here.
+echo "smoke-serve: observe traffic (500 files x 3 days)"
+for day in 0 1 2; do
+    resp="$(awk -v files=500 -v day="$day" -f scripts/observe_body.awk |
+        curl -fsS -X POST -H 'Content-Type: application/json' --data-binary @- "$BASE/v1/observe")"
+    case "$resp" in
+    *'"accepted":500,'*) ;;
+    *)
+        echo "smoke-serve: day $day observe answered '$resp', want \"accepted\":500" >&2
+        exit 1
+        ;;
+    esac
+    if [ "$day" -ge 1 ]; then
+        curl -fsS "$BASE/v1/plan" >/dev/null
+    fi
+done
 
 # Graceful shutdown: SIGTERM must drain and exit cleanly.
 kill -TERM "$PID"
