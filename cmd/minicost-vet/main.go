@@ -10,8 +10,10 @@
 //	minicost-vet [packages]
 //
 // With no arguments it analyzes ./... from the current directory. Only
-// non-test files are analyzed: the bitwise-equivalence helpers and other
-// test-only code are exempt by construction.
+// non-test files are analyzed — the bitwise-equivalence helpers and other
+// test-only code are exempt by construction — except by an analyzer that
+// asks for a package's in-package _test.go files too (fmacontract in mat and
+// nn, whose tests hold the kernels' oracles).
 //
 // Exit status: 0 clean, 1 findings, 2 operational failure (unparseable or
 // untypeable source, go list failure).
@@ -36,9 +38,10 @@ import (
 
 // listedPackage is the subset of `go list -json` output the driver needs.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
+	ImportPath  string
+	Dir         string
+	GoFiles     []string
+	TestGoFiles []string
 }
 
 func main() {
@@ -66,37 +69,31 @@ func main() {
 		if len(pkg.GoFiles) == 0 {
 			continue
 		}
-		files := make([]*ast.File, 0, len(pkg.GoFiles))
-		ok := true
-		for _, name := range pkg.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(pkg.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "minicost-vet:", err)
-				ok = false
-				continue
-			}
-			files = append(files, f)
-		}
+		files, ok := parseFiles(fset, pkg.Dir, pkg.GoFiles)
 		if !ok {
 			failed = true
 			continue
 		}
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
-		}
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(pkg.ImportPath, fset, files, info)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "minicost-vet: %s: %v\n", pkg.ImportPath, err)
+		tpkg, info, ok := check(fset, imp, pkg.ImportPath, files)
+		if !ok {
 			failed = true
 			continue
 		}
 		diags = append(diags, suite.RunPackage(fset, pkg.ImportPath, tpkg, info, files)...)
+		if len(pkg.TestGoFiles) == 0 || !suite.WantsTests(pkg.ImportPath) {
+			continue
+		}
+		tests, ok := parseFiles(fset, pkg.Dir, pkg.TestGoFiles)
+		if !ok {
+			failed = true
+			continue
+		}
+		files = append(files, tests...)
+		if tpkg, info, ok = check(fset, imp, pkg.ImportPath, files); !ok {
+			failed = true
+			continue
+		}
+		diags = append(diags, suite.RunTests(fset, pkg.ImportPath, tpkg, info, files)...)
 	}
 	diags = append(diags, suite.Finish(fset)...)
 	lint.SortDiagnostics(diags)
@@ -109,6 +106,41 @@ func main() {
 	case len(diags) > 0:
 		os.Exit(1)
 	}
+}
+
+// parseFiles parses the named files of dir, reporting failures on stderr.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, bool) {
+	files := make([]*ast.File, 0, len(names))
+	ok := true
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "minicost-vet:", err)
+			ok = false
+			continue
+		}
+		files = append(files, f)
+	}
+	return files, ok
+}
+
+// check type-checks files as the package path, reporting failures on stderr.
+func check(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, bool) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "minicost-vet: %s: %v\n", path, err)
+		return nil, nil, false
+	}
+	return pkg, info, true
 }
 
 // goList resolves package patterns to their directories and files with

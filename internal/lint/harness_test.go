@@ -26,6 +26,17 @@ var wantRe = regexp.MustCompile(`want "((?:[^"\\]|\\.)*)"`)
 // the single named analyzer over it, returning its findings.
 func runAnalyzer(t *testing.T, analyzer, dir, pkgPath string) ([]lint.Diagnostic, *token.FileSet, []*ast.File) {
 	t.Helper()
+	fset, pkg, info, files := loadTestdata(t, dir, pkgPath)
+	suite := analyzerSuite(t, analyzer)
+	diags := suite.RunPackage(fset, pkgPath, pkg, info, files)
+	diags = append(diags, suite.Finish(fset)...)
+	return diags, fset, files
+}
+
+// loadTestdata parses and type-checks every Go file in dir, _test.go files
+// included, as the package pkgPath.
+func loadTestdata(t *testing.T, dir, pkgPath string) (*token.FileSet, *types.Package, *types.Info, []*ast.File) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("read %s: %v", dir, err)
@@ -58,6 +69,12 @@ func runAnalyzer(t *testing.T, analyzer, dir, pkgPath string) ([]lint.Diagnostic
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", dir, err)
 	}
+	return fset, pkg, info, files
+}
+
+// analyzerSuite is a suite of the one named analyzer.
+func analyzerSuite(t *testing.T, analyzer string) *lint.Suite {
+	t.Helper()
 	suite := &lint.Suite{}
 	for _, a := range lint.NewSuite().Analyzers {
 		if a.Name == analyzer {
@@ -67,9 +84,7 @@ func runAnalyzer(t *testing.T, analyzer, dir, pkgPath string) ([]lint.Diagnostic
 	if len(suite.Analyzers) != 1 {
 		t.Fatalf("analyzer %q not found", analyzer)
 	}
-	diags := suite.RunPackage(fset, pkgPath, pkg, info, files)
-	diags = append(diags, suite.Finish(fset)...)
-	return diags, fset, files
+	return suite
 }
 
 // checkExpectations matches findings against the `// want` comments:
@@ -152,4 +167,31 @@ func TestObsNames(t *testing.T) {
 }
 func TestFloatCmp(t *testing.T) {
 	testAnalyzer(t, "floatcmp", "minicost/internal/lint/testdata/floatcmp")
+}
+
+// The multiply-add rule is mat's and nn's; the testdata masquerades as mat.
+func TestFMAContract(t *testing.T) { testAnalyzer(t, "fmacontract", "minicost/internal/mat") }
+
+func TestFMAContractScopedToListedPackages(t *testing.T) {
+	diags, _, _ := runAnalyzer(t, "fmacontract", filepath.Join("testdata", "fmacontract"), "minicost/internal/lint/testdata/notlisted")
+	if len(diags) != 0 {
+		t.Fatalf("fmacontract fired outside mat and nn: %v", diags)
+	}
+}
+
+// RunTests is how minicost-vet reaches _test.go files: it reports the
+// findings there — the oracle's one — and none of the non-test files',
+// which RunPackage reports; a package the analyzer does not cover asks for
+// no tests at all.
+func TestFMAContractRunTests(t *testing.T) {
+	const pkgPath = "minicost/internal/nn"
+	fset, pkg, info, files := loadTestdata(t, filepath.Join("testdata", "fmacontract"), pkgPath)
+	suite := lint.NewSuite()
+	diags := suite.RunTests(fset, pkgPath, pkg, info, files)
+	if len(diags) != 1 || !strings.HasSuffix(diags[0].Pos.Filename, "oracle_test.go") || diags[0].Analyzer != "fmacontract" {
+		t.Fatalf("RunTests found %v, want the one fmacontract finding in oracle_test.go", diags)
+	}
+	if suite.WantsTests("minicost/internal/rl") {
+		t.Fatal("the suite asks for rl's test files")
+	}
 }

@@ -1,4 +1,4 @@
-// Package lint houses the minicost-vet analyzer suite: five zero-dependency
+// Package lint houses the minicost-vet analyzer suite: six zero-dependency
 // static analyzers (stdlib go/ast + go/types only) that enforce the repo's
 // hand-maintained invariants at lint time instead of runtime:
 //
@@ -12,6 +12,9 @@
 //     names (DESIGN.md §14.4).
 //   - floatcmp: no ==/!= between non-constant floating-point operands
 //     (DESIGN.md §14.5).
+//   - fmacontract: in mat and nn, tests included, a floating-point product
+//     is added only through math.FMA or after an explicit float64()
+//     rounding (DESIGN.md §14.6).
 //
 // The driver lives in cmd/minicost-vet. Analyzers operate on one
 // type-checked package at a time (a Pass); analyzers that need whole-repo
@@ -126,15 +129,19 @@ type Analyzer struct {
 	// Finish reports whole-run findings (e.g. duplicate metric names across
 	// packages). The fset is the shared one every Pass used.
 	Finish func(fset *token.FileSet, report func(Diagnostic))
+	// Tests (optional) reports whether the analyzer also checks the named
+	// package's _test.go files (RunTests); without it an analyzer sees
+	// non-test files only.
+	Tests func(pkgPath string) bool
 }
 
-// Suite is a fresh, stateful set of the five analyzers. Create one per run:
+// Suite is a fresh, stateful set of the six analyzers. Create one per run:
 // cross-package analyzers keep accumulation state inside the closure.
 type Suite struct {
 	Analyzers []*Analyzer
 }
 
-// NewSuite returns the five minicost-vet analyzers with fresh state.
+// NewSuite returns the six minicost-vet analyzers with fresh state.
 func NewSuite() *Suite {
 	return &Suite{Analyzers: []*Analyzer{
 		newDeterminism(),
@@ -142,15 +149,49 @@ func NewSuite() *Suite {
 		newShardContract(),
 		newObsNames(),
 		newFloatCmp(),
+		newFMAContract(),
 	}}
 }
 
 // RunPackage runs every analyzer in the suite over one type-checked package
 // and returns the findings sorted by position.
 func (s *Suite) RunPackage(fset *token.FileSet, pkgPath string, pkg *types.Package, info *types.Info, files []*ast.File) []Diagnostic {
+	return s.run(s.Analyzers, fset, pkgPath, pkg, info, files)
+}
+
+// WantsTests reports whether any analyzer checks pkgPath's _test.go files.
+func (s *Suite) WantsTests(pkgPath string) bool {
+	return len(s.testAnalyzers(pkgPath)) > 0
+}
+
+// RunTests runs the analyzers that check pkgPath's _test.go files over the
+// package type-checked with them (files holds its non-test and test files
+// alike) and returns their findings in the test files, sorted by position;
+// RunPackage has reported the rest.
+func (s *Suite) RunTests(fset *token.FileSet, pkgPath string, pkg *types.Package, info *types.Info, files []*ast.File) []Diagnostic {
+	var diags []Diagnostic
+	for _, d := range s.run(s.testAnalyzers(pkgPath), fset, pkgPath, pkg, info, files) {
+		if strings.HasSuffix(d.Pos.Filename, "_test.go") {
+			diags = append(diags, d)
+		}
+	}
+	return diags
+}
+
+func (s *Suite) testAnalyzers(pkgPath string) []*Analyzer {
+	var out []*Analyzer
+	for _, a := range s.Analyzers {
+		if a.Tests != nil && a.Tests(pkgPath) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func (s *Suite) run(analyzers []*Analyzer, fset *token.FileSet, pkgPath string, pkg *types.Package, info *types.Info, files []*ast.File) []Diagnostic {
 	var diags []Diagnostic
 	dirs := collectDirectives(fset, files)
-	for _, a := range s.Analyzers {
+	for _, a := range analyzers {
 		pass := &Pass{
 			Fset:       fset,
 			PkgPath:    pkgPath,

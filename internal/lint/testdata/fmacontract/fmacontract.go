@@ -1,0 +1,26 @@
+// Package fmacontracttest seeds multiply-add spellings for the analyzer
+// tests.
+package fmacontracttest
+
+import "math"
+
+const half = 0.5
+
+func kernels(x, y, z float64, xs []float64, f float32, n, m int) float64 {
+	s := x*y + z                     // want "floating-point product added unrounded"
+	s = z - x*y                      // want "floating-point product added unrounded"
+	s += x * y                       // want "floating-point product added unrounded"
+	s -= xs[0] * xs[1]               // want "floating-point product added unrounded"
+	s = (x * y) + z                  // want "floating-point product added unrounded"
+	s += x * y * z                   // want "floating-point product added unrounded"
+	s += float64(f*f) + float64(f)*2 // want "floating-point product added unrounded"
+
+	s = math.FMA(x, y, s) // fused: the kernel contract
+	s = float64(x*y) + z  // rounded first: the compiler may not fuse it
+	s -= float64(x * y)   // the same, compound
+	s += x / y            // a quotient is never fused
+	s = x * y             // a product alone
+	s += half * 2         // a constant product is exact
+	s += float64(n*m + n) // integer products are exact
+	return s
+}

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 
 	"minicost/internal/par"
 )
@@ -14,12 +15,15 @@ import (
 //
 // Numerical contract: for every output element the inner (k) accumulation
 // runs sequentially over the full shared dimension, in index order, seeded
-// with the bias when one is given. That is exactly the operation order of
-// nn's scalar test oracle for a Dense layer (one sample's W·x + b), so the
-// batched path is *bitwise* identical to it, whatever the batch length —
-// nn's equivalence tests rely on this. Blocking therefore tiles only the
-// output rows and columns (which reorders independent elements, never an
-// accumulation) and unrolled/FMA-style k-splitting is deliberately avoided.
+// with the bias when one is given, and every term is one fused multiply-add
+// — s = fma(a, b, s), the product and the sum rounded once, as math.FMA
+// computes it on any architecture and VFMADD231PD on amd64. That is exactly
+// the operation sequence of nn's scalar test oracle for a Dense layer (one
+// sample's W·x + b), so the batched path is *bitwise* identical to it,
+// whatever the batch length and kernel tier — nn's equivalence tests rely on
+// this. Blocking therefore tiles only the output rows and columns (which
+// reorders independent elements, never an accumulation) and k-splitting
+// into partial sums is deliberately avoided.
 
 // Tile sizes: a colTile of B rows is kept hot in cache while a rowTile of A
 // rows streams over it. With float64 data a 8×k B tile stays L2-resident up
@@ -81,7 +85,7 @@ func MulTransBBiasTo(dst, a, b *Matrix, bias []float64, workers int) *Matrix {
 // output columns are computed together with four independent accumulators:
 // each element's own accumulation is still bias-seeded and k-sequential
 // (preserving the exactness contract — independent elements may interleave),
-// but the four chains hide FP-add latency and amortize the A loads, which is
+// but the four chains hide FMA latency and amortize the A loads, which is
 // where the batched engine's throughput over a row-by-row matvec comes from.
 //
 //minicost:hotpath
@@ -106,10 +110,10 @@ func mulTransBBlock(dst, a, b *Matrix, bias []float64, lo, hi int) {
 					s0, s1, s2, s3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
 				}
 				for i, v := range arow {
-					s0 += v * b0[i]
-					s1 += v * b1[i]
-					s2 += v * b2[i]
-					s3 += v * b3[i]
+					s0 = math.FMA(v, b0[i], s0)
+					s1 = math.FMA(v, b1[i], s1)
+					s2 = math.FMA(v, b2[i], s2)
+					s3 = math.FMA(v, b3[i], s3)
 				}
 				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
 			}
@@ -120,7 +124,7 @@ func mulTransBBlock(dst, a, b *Matrix, bias []float64, lo, hi int) {
 					s = bias[j]
 				}
 				for i, v := range arow {
-					s += v * brow[i]
+					s = math.FMA(v, brow[i], s)
 				}
 				drow[j] = s
 			}

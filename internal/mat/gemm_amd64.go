@@ -4,7 +4,8 @@ package mat
 
 // Assembly kernels (gemm_amd64.s), chosen once at init from CPUID. Both keep
 // one output column per vector lane, so every element's accumulation stays
-// sequential — see the exactness contract in gemm.go.
+// sequential, one fused multiply-add per term — see the exactness contract
+// in gemm.go.
 
 //go:noescape
 func dotPack16AVX(a, bp, acc []float64)
@@ -16,34 +17,42 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)
 
-// haveAVX reports whether the CPU supports AVX and the OS preserves YMM
-// state across context switches (OSXSAVE + XCR0 bits 1-2). haveAVX512 asks
-// the same of AVX-512F: CPUID.7.0:EBX bit 16, and XCR0 bits 5-7 (opmask,
-// ZMM0-15 upper halves, ZMM16-31) on top of the AVX ones.
+// haveAVX reports whether the CPU has AVX and FMA3 and the OS preserves YMM
+// state; haveAVX512 asks the same of AVX-512F (see cpuTier).
 var haveAVX, haveAVX512 = func() (avx, avx512 bool) {
 	maxID, _, _, _ := cpuidAsm(0, 0)
-	if maxID < 1 {
-		return false, false
+	_, _, ecx1, _ := cpuidAsm(1, 0)
+	_, ebx7, _, _ := cpuidAsm(7, 0) // past maxID this reads another leaf, which cpuTier ignores
+	var xcr0 uint32
+	if ecx1&cpuidOSXSAVE != 0 { // XGETBV faults where the OS has not enabled it
+		xcr0, _ = xgetbvAsm()
 	}
-	const (
-		osxsave = 1 << 27
-		avxBit  = 1 << 28
-		avx512f = 1 << 16
-	)
-	_, _, ecx, _ := cpuidAsm(1, 0)
-	if ecx&osxsave == 0 || ecx&avxBit == 0 {
-		return false, false
-	}
-	xcr0, _ := xgetbvAsm()
-	if xcr0&6 != 6 {
-		return false, false
-	}
-	if maxID < 7 {
-		return true, false
-	}
-	_, ebx, _, _ := cpuidAsm(7, 0)
-	return true, ebx&avx512f != 0 && xcr0&0xE6 == 0xE6
+	return cpuTier(maxID, ecx1, ebx7, xcr0)
 }()
+
+// The CPUID and XCR0 bits cpuTier reads.
+const (
+	cpuidFMA     = 1 << 12 // CPUID.1:ECX
+	cpuidOSXSAVE = 1 << 27 // CPUID.1:ECX
+	cpuidAVX     = 1 << 28 // CPUID.1:ECX
+	cpuidAVX512F = 1 << 16 // CPUID.7.0:EBX
+	xcr0YMM      = 0x06    // SSE and AVX state
+	xcr0ZMM      = 0xE6    // and opmask, ZMM0-15 upper halves, ZMM16-31
+)
+
+// cpuTier decides the kernel tiers from the register words: maxID is
+// CPUID.0:EAX, ecx1 CPUID.1:ECX, ebx7 CPUID.7.0:EBX and xcr0 XCR0's low
+// word (each zero where the CPU or OS does not report it). The AVX tier
+// needs AVX, FMA3 — every kernel term is one VFMADD231PD — OSXSAVE and the
+// OS saving YMM state; the AVX-512 tier needs that, AVX-512F (which
+// includes its FMA) and the OS saving the opmask and ZMM state.
+func cpuTier(maxID, ecx1, ebx7, xcr0 uint32) (avx, avx512 bool) {
+	const need = cpuidFMA | cpuidOSXSAVE | cpuidAVX
+	if maxID < 1 || ecx1&need != need || xcr0&xcr0YMM != xcr0YMM {
+		return false, false
+	}
+	return true, maxID >= 7 && ebx7&cpuidAVX512F != 0 && xcr0&xcr0ZMM == xcr0ZMM
+}
 
 // KernelISA names the widest kernel tier the packed GEMM runs on this CPU:
 // "avx512", "avx" or "generic".

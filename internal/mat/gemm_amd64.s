@@ -6,8 +6,8 @@
 //
 // acc[lane] += Σ_i a[i] · bp[i*16+lane] for lane in 0..15, with each lane's
 // accumulation strictly sequential in i — four 4-wide vector accumulators,
-// one output column per lane, VMULPD+VADDPD (never FMA, whose single
-// rounding would diverge from the scalar reference). len(bp) must be
+// one output column per lane, each term one VFMADD231PD: acc + a·b rounded
+// once, the math.FMA of the scalar reference (gemm.go). len(bp) must be
 // 16*len(a) and len(acc) 16; the caller (mulPackBlock) guarantees both.
 TEXT ·dotPack16AVX(SB), NOSPLIT, $0-72
 	MOVQ a_base+0(FP), SI
@@ -23,14 +23,10 @@ TEXT ·dotPack16AVX(SB), NOSPLIT, $0-72
 
 loop:
 	VBROADCASTSD (SI), Y4
-	VMULPD (DX), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	VMULPD 32(DX), Y4, Y6
-	VADDPD Y6, Y1, Y1
-	VMULPD 64(DX), Y4, Y7
-	VADDPD Y7, Y2, Y2
-	VMULPD 96(DX), Y4, Y8
-	VADDPD Y8, Y3, Y3
+	VFMADD231PD (DX), Y4, Y0
+	VFMADD231PD 32(DX), Y4, Y1
+	VFMADD231PD 64(DX), Y4, Y2
+	VFMADD231PD 96(DX), Y4, Y3
 	ADDQ $8, SI
 	ADDQ $128, DX
 	DECQ CX
@@ -48,12 +44,12 @@ done:
 //
 // dotPack16AVX for eight rows at once: c[r*ldc+lane] += Σ_i a[r*lda+i] ·
 // bp[i*16+lane] for r in 0..7, lane in 0..15. Each row owns two 8-wide
-// accumulators, so sixteen add chains are in flight where the one-row kernel
-// has four — that kernel retires one VADDPD per add latency, this one is
-// bound by the two FP ports — and each k-step's two loads of bp serve eight
-// rows. Rows are independent output elements: every element is still seeded
-// from c, sequential in i, VMULPD then VADDPD with the operands in the
-// one-row kernel's order (never FMA), so it leaves that kernel's bits.
+// accumulators, so sixteen FMA chains are in flight where the one-row kernel
+// has four — that kernel retires one VFMADD231PD per FMA latency, this one
+// is bound by the two FP ports — and each k-step's two loads of bp serve
+// eight rows. Rows are independent output elements: every element is still
+// seeded from c, sequential in i, one fused multiply-add per term, so it
+// leaves that kernel's bits.
 // len(bp) must be 16·k, a must span [0, 7·lda+k) and c [0, 7·ldc+16); the
 // caller (dotPackRows) slices exactly those spans, so the bounds are checked
 // before control arrives here.
@@ -96,45 +92,29 @@ loop8:
 	VMOVUPD (DX), Z16
 	VMOVUPD 64(DX), Z17
 	VBROADCASTSD (SI), Z18
-	VMULPD Z16, Z18, Z19
-	VADDPD Z19, Z0, Z0
-	VMULPD Z17, Z18, Z20
-	VADDPD Z20, Z1, Z1
+	VFMADD231PD Z16, Z18, Z0
+	VFMADD231PD Z17, Z18, Z1
 	VBROADCASTSD (SI)(R8*1), Z21
-	VMULPD Z16, Z21, Z22
-	VADDPD Z22, Z2, Z2
-	VMULPD Z17, Z21, Z23
-	VADDPD Z23, Z3, Z3
+	VFMADD231PD Z16, Z21, Z2
+	VFMADD231PD Z17, Z21, Z3
 	VBROADCASTSD (SI)(R8*2), Z18
-	VMULPD Z16, Z18, Z19
-	VADDPD Z19, Z4, Z4
-	VMULPD Z17, Z18, Z20
-	VADDPD Z20, Z5, Z5
+	VFMADD231PD Z16, Z18, Z4
+	VFMADD231PD Z17, Z18, Z5
 	VBROADCASTSD (SI)(R9*1), Z21
-	VMULPD Z16, Z21, Z22
-	VADDPD Z22, Z6, Z6
-	VMULPD Z17, Z21, Z23
-	VADDPD Z23, Z7, Z7
+	VFMADD231PD Z16, Z21, Z6
+	VFMADD231PD Z17, Z21, Z7
 	VBROADCASTSD (SI)(R8*4), Z18
-	VMULPD Z16, Z18, Z19
-	VADDPD Z19, Z8, Z8
-	VMULPD Z17, Z18, Z20
-	VADDPD Z20, Z9, Z9
+	VFMADD231PD Z16, Z18, Z8
+	VFMADD231PD Z17, Z18, Z9
 	VBROADCASTSD (SI)(R10*1), Z21
-	VMULPD Z16, Z21, Z22
-	VADDPD Z22, Z10, Z10
-	VMULPD Z17, Z21, Z23
-	VADDPD Z23, Z11, Z11
+	VFMADD231PD Z16, Z21, Z10
+	VFMADD231PD Z17, Z21, Z11
 	VBROADCASTSD (SI)(R9*2), Z18
-	VMULPD Z16, Z18, Z19
-	VADDPD Z19, Z12, Z12
-	VMULPD Z17, Z18, Z20
-	VADDPD Z20, Z13, Z13
+	VFMADD231PD Z16, Z18, Z12
+	VFMADD231PD Z17, Z18, Z13
 	VBROADCASTSD (SI)(R11*1), Z21
-	VMULPD Z16, Z21, Z22
-	VADDPD Z22, Z14, Z14
-	VMULPD Z17, Z21, Z23
-	VADDPD Z23, Z15, Z15
+	VFMADD231PD Z16, Z21, Z14
+	VFMADD231PD Z17, Z21, Z15
 	ADDQ $8, SI
 	ADDQ $128, DX
 	DECQ CX

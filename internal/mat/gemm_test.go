@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"testing"
 
 	"minicost/internal/rng"
@@ -16,7 +17,7 @@ func naiveMulTransB(a, b *Matrix, bias []float64) *Matrix {
 				s = bias[j]
 			}
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(r, k) * b.At(j, k)
+				s = math.FMA(a.At(r, k), b.At(j, k), s)
 			}
 			out.Set(r, j, s)
 		}
@@ -34,7 +35,7 @@ func TestMulTransBMatchesNaiveBitwise(t *testing.T) {
 		b := randomMatrix(r, sh.n, sh.k)
 		bias := make([]float64, sh.n)
 		for i := range bias {
-			bias[i] = 2*r.Float64() - 1
+			bias[i] = float64(2*r.Float64()) - 1
 		}
 		want := naiveMulTransB(a, b, nil)
 		for _, workers := range []int{1, 0, 4} {

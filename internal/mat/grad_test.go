@@ -65,10 +65,10 @@ func mulTransBAccRef(dst, a, b *Matrix) {
 				b3 := b.Data[(j+3)*k : (j+3)*k+k]
 				s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
 				for i, v := range arow {
-					s0 += v * b0[i]
-					s1 += v * b1[i]
-					s2 += v * b2[i]
-					s3 += v * b3[i]
+					s0 = math.FMA(v, b0[i], s0)
+					s1 = math.FMA(v, b1[i], s1)
+					s2 = math.FMA(v, b2[i], s2)
+					s3 = math.FMA(v, b3[i], s3)
 				}
 				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
 			}
@@ -76,7 +76,7 @@ func mulTransBAccRef(dst, a, b *Matrix) {
 				brow := b.Data[j*k : j*k+k]
 				s := drow[j]
 				for i, v := range arow {
-					s += v * brow[i]
+					s = math.FMA(v, brow[i], s)
 				}
 				drow[j] = s
 			}
@@ -97,7 +97,7 @@ func TestMulTransBAccBitwise(t *testing.T) {
 			for j := 0; j < sh.n; j++ {
 				s := want.At(i, j)
 				for k := 0; k < sh.k; k++ {
-					s += a.At(i, k) * b.At(j, k)
+					s = math.FMA(a.At(i, k), b.At(j, k), s)
 				}
 				want.Set(i, j, s)
 			}
@@ -128,7 +128,7 @@ func TestMulTransAAccBitwise(t *testing.T) {
 			for j := 0; j < sh.n; j++ {
 				s := want.At(i, j)
 				for k := 0; k < sh.k; k++ {
-					s += a.At(k, i) * b.At(k, j)
+					s = math.FMA(a.At(k, i), b.At(k, j), s)
 				}
 				want.Set(i, j, s)
 			}
@@ -164,7 +164,7 @@ func TestMulKOuterBitwise(t *testing.T) {
 			for j := 0; j < sh.n; j++ {
 				s := 0.0
 				for k := 0; k < sh.k; k++ {
-					s += a.At(i, k) * b.At(k, j)
+					s = math.FMA(a.At(i, k), b.At(k, j), s)
 				}
 				want.Set(i, j, s)
 			}
@@ -291,7 +291,7 @@ func TestMulPackAccBitwise(t *testing.T) {
 			for j := 0; j < sh.n; j++ {
 				s := want.At(i, j)
 				for k := 0; k < sh.k; k++ {
-					s += a.At(i, k) * x.At(k, j)
+					s = math.FMA(a.At(i, k), x.At(k, j), s)
 				}
 				want.Set(i, j, s)
 			}

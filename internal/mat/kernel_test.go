@@ -8,8 +8,8 @@ import (
 
 // The kernel-tier tests: every tier the CPU has (generic, AVX, AVX-512),
 // forced one at a time, against a textbook loop written here — bias- or
-// destination-seeded, k ascending, multiply then add — bit for bit, signed
-// zeros included.
+// destination-seeded, k ascending, one math.FMA per term — bit for bit,
+// signed zeros included.
 
 // sameBits compares by bit pattern, so -0 does not match +0, except that any
 // NaN matches any NaN: which operand's payload and sign a NaN result carries
@@ -95,9 +95,8 @@ func TestPackedKernelTiersForward(t *testing.T) {
 			for c := 0; c < s.cols; c++ {
 				s0, s1 := 0.0, bias[c]
 				for i := 0; i < s.k; i++ {
-					p := a.Data[r*s.k+i] * b.Data[c*s.k+i]
-					s0 += p
-					s1 += p
+					s0 = math.FMA(a.Data[r*s.k+i], b.Data[c*s.k+i], s0)
+					s1 = math.FMA(a.Data[r*s.k+i], b.Data[c*s.k+i], s1)
 				}
 				want[0].Data[r*s.cols+c], want[1].Data[r*s.cols+c] = s0, s1
 			}
@@ -144,7 +143,7 @@ func TestPackedKernelTiersAcc(t *testing.T) {
 			for c := 0; c < s.cols; c++ {
 				sum := want.Data[r*s.cols+c]
 				for i := 0; i < s.k; i++ {
-					sum += a.Data[r*s.k+i] * x.Data[i*s.cols+c]
+					sum = math.FMA(a.Data[r*s.k+i], x.Data[i*s.cols+c], sum)
 				}
 				want.Data[r*s.cols+c] = sum
 			}
@@ -173,7 +172,7 @@ func TestPackedKernelTiersAcc(t *testing.T) {
 // sit inside a larger buffer whose other elements must survive.
 func TestConv4Tiers(t *testing.T) {
 	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
-	mixed := func(i int) float64 { return float64((i*7)%11)*0.375 - 1.75 }
+	mixed := func(i int) float64 { return float64(float64((i*7)%11)*0.375) - 1.75 }
 	spike := func(v float64) func(i, n int) float64 {
 		return func(i, n int) float64 {
 			if i == n/2 {
@@ -213,7 +212,7 @@ func TestConv4Tiers(t *testing.T) {
 					f, o := i/n, i%n
 					s := b[f]
 					for k, wk := range w[4*f : 4*f+4] {
-						s += wk * x[o+k]
+						s = math.FMA(wk, x[o+k], s)
 					}
 					landed = landed || f == 0 && (math.Float64bits(s) == math.Float64bits(sc.land) || math.IsNaN(s) && math.IsNaN(sc.land))
 					if pass == 0 && !(s > 0) {
@@ -308,7 +307,7 @@ func TestConv4GradTiers(t *testing.T) {
 				if g != 0 {
 					gb[f] += g
 					for k := 0; k < 4; k++ {
-						gw[4*f+k] += g * x[t+k]
+						gw[4*f+k] = math.FMA(g, x[t+k], gw[4*f+k])
 					}
 				}
 			}
@@ -321,7 +320,7 @@ func TestConv4GradTiers(t *testing.T) {
 				for _, ol := range []int{1, 2, 3, 4, 5, 24, 25, 30} {
 					x := make([]float64, ol+3)
 					for i := range x {
-						x[i] = float64((i*5)%13)*0.375 - 2
+						x[i] = float64(float64((i*5)%13)*0.375) - 2
 					}
 					dy, y := make([]float64, filters*ol), make([]float64, filters*ol)
 					for i := range dy {

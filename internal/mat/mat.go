@@ -62,7 +62,9 @@ func (m *Matrix) Clone() *Matrix {
 var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 
 // cholesky computes the lower-triangular L with L·Lᵀ = a for a symmetric
-// positive-definite a. It reads only a's lower triangle.
+// positive-definite a. It reads only a's lower triangle. Here and in
+// solveCholesky each product is rounded before it is subtracted: the solve
+// shares no product with a kernel, so it keeps the textbook roundings.
 func cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("mat: Cholesky of non-square matrix")
@@ -75,7 +77,7 @@ func cholesky(a *Matrix) (*Matrix, error) {
 			li := l.Data[i*n:]
 			lj := l.Data[j*n:]
 			for k := 0; k < j; k++ {
-				sum -= li[k] * lj[k]
+				sum -= float64(li[k] * lj[k])
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
@@ -103,7 +105,7 @@ func solveCholesky(l *Matrix, b []float64) []float64 {
 		s := b[i]
 		row := l.Data[i*n:]
 		for k := 0; k < i; k++ {
-			s -= row[k] * y[k]
+			s -= float64(row[k] * y[k])
 		}
 		y[i] = s / row[i]
 	}
@@ -112,7 +114,7 @@ func solveCholesky(l *Matrix, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= float64(l.At(k, i) * x[k])
 		}
 		x[i] = s / l.At(i, i)
 	}

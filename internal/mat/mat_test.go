@@ -38,7 +38,7 @@ func naiveMul(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Cols; j++ {
 			s := 0.0
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s = math.FMA(a.At(i, k), b.At(k, j), s)
 			}
 			out.Set(i, j, s)
 		}
@@ -145,7 +145,7 @@ func TestSolveRoundTrip(t *testing.T) {
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i, v := range a {
-		s += v * b[i]
+		s = math.FMA(v, b[i], s)
 	}
 	return s
 }
@@ -221,7 +221,7 @@ func TestLeastSquaresCollinearFallsBackToRidge(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		pred := dot(x.Row(i), beta)
-		if !almostEq(pred, y[i], 1e-2*math.Abs(y[i])+1e-2) {
+		if !almostEq(pred, y[i], float64(1e-2*math.Abs(y[i]))+1e-2) {
 			t.Fatalf("ridge fit poor at %d: pred %v want %v (beta=%v)", i, pred, y[i], beta)
 		}
 	}

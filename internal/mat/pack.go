@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 
 	"minicost/internal/par"
 )
@@ -29,7 +30,11 @@ type PackedTransB struct {
 }
 
 // ensurePacked sizes dst for a tiles×k packed operand with the given
-// logical column count, reusing its backing storage when large enough.
+// logical column count, reusing its backing storage when large enough. A
+// new backing array is padded to sixteen in k as well, which holds the same
+// matrix packed transposed: a Dense that is not frozen packs its weights
+// both ways, in turn, in one buffer (nn's forwardRows and backwardBatch),
+// and allocates it once.
 func ensurePacked(dst *PackedTransB, tiles, k, cols int) *PackedTransB {
 	need := tiles * k * packLanes
 	if dst == nil {
@@ -38,7 +43,7 @@ func ensurePacked(dst *PackedTransB, tiles, k, cols int) *PackedTransB {
 	if cap(dst.Data) >= need {
 		dst.Data = dst.Data[:need]
 	} else {
-		dst.Data = make([]float64, need)
+		dst.Data = make([]float64, need, tiles*packLanes*((k+packLanes-1)/packLanes*packLanes))
 	}
 	dst.Cols, dst.K = cols, k
 	return dst
@@ -307,15 +312,16 @@ func packTail(dst, a *Matrix, pb *PackedTransB, r0, r1 int) {
 }
 
 // dotPack16Generic is the portable kernel: acc[lane] += Σ_i a[i]·bp[i*16+lane],
-// each lane sequential in i. It backs dotPackRows on builds without assembly
-// and on amd64 CPUs without AVX.
+// each lane sequential in i, one fused multiply-add per term. It backs
+// dotPackRows on builds without assembly and on amd64 CPUs without AVX and
+// FMA.
 func dotPack16Generic(a, bp, acc []float64) {
 	var s [packLanes]float64
 	copy(s[:], acc)
 	for i, v := range a {
 		t := bp[i*packLanes : i*packLanes+packLanes]
 		for j := range s {
-			s[j] += v * t[j]
+			s[j] = math.FMA(v, t[j], s[j])
 		}
 	}
 	copy(acc, s[:])

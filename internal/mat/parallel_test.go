@@ -8,7 +8,7 @@ import (
 // reordered accumulations would produce different bits.
 func fillDet(m *Matrix, seed float64) {
 	for i := range m.Data {
-		v := float64(i%17) - 7.3*float64(i%5) + seed
+		v := float64(i%17) - float64(7.3*float64(i%5)) + seed
 		m.Data[i] = v * 0.1875
 	}
 }
@@ -22,7 +22,7 @@ func detMatrix(rows, cols int, seed float64) *Matrix {
 func detVec(n int, seed float64) []float64 {
 	v := make([]float64, n)
 	for i := range v {
-		v[i] = float64(i%13)*0.375 - seed
+		v[i] = float64(float64(i%13)*0.375) - seed
 	}
 	return v
 }

@@ -11,27 +11,28 @@ import (
 // the RMSProp parameter step applied on every update. Both are elementwise —
 // distinct indices never interact — so the AVX implementations (vec_amd64.s)
 // vectorize across elements while each element keeps exactly the scalar
-// operation sequence and roundings, preserving the bitwise contract the
-// training-engine equivalence tests pin.
+// operation sequence and roundings — fused where the loop calls math.FMA,
+// separate where it rounds with float64() — preserving the bitwise contract
+// the training-engine equivalence tests pin.
 
-// axpy accumulates dst[i] += alpha * x[i]. Each element receives exactly one
-// product rounding and one addition rounding, identical to the scalar
-// statement, so the vectorized implementation is bitwise-equal to
-// axpyGeneric. len(x) must be >= len(dst).
+// axpyGeneric accumulates dst[i] = fma(alpha, x[i], dst[i]): one rounding
+// per element, which the vectorized implementation matches bit for bit.
+// len(x) must be >= len(dst).
 func axpyGeneric(dst, x []float64, alpha float64) {
 	_ = x[len(dst)-1]
 	for i := range dst {
-		dst[i] += alpha * x[i]
+		dst[i] = math.FMA(alpha, x[i], dst[i])
 	}
 }
 
 // dotXT8Generic is the scalar reference for the 8-lane column kernel:
-// acc[r] += Σ_i w[i] · xt[i*8+r], every lane's accumulation sequential in i.
+// acc[r] += Σ_i w[i] · xt[i*8+r], every lane's accumulation sequential in i,
+// one fused multiply-add per term.
 func dotXT8Generic(w, xt, acc []float64) {
 	for i, wv := range w {
 		lrow := xt[i*laneWidth : i*laneWidth+laneWidth]
 		for r, xv := range lrow {
-			acc[r] += wv * xv
+			acc[r] = math.FMA(wv, xv, acc[r])
 		}
 	}
 }
@@ -49,7 +50,8 @@ func dotXT8x4Generic(w []float64, in int, xt, acc []float64) {
 // The chain split hides the add latency that serializes a single-chain sum;
 // the AVX kernel computes the identical eight partials, so both platforms
 // return the same bits. Note the result differs from a single sequential
-// chain — callers adopting this reassociate their norm.
+// chain — callers adopting this reassociate their norm. Squares and sums
+// round separately (not fused): the norm is no product a kernel shares.
 func SumSquares(g []float64) float64 {
 	var p [8]float64
 	n := len(g) &^ 7
@@ -58,35 +60,16 @@ func SumSquares(g []float64) float64 {
 	}
 	ss := ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
 	for _, v := range g[n:] {
-		ss += v * v
+		ss += float64(v * v)
 	}
 	return ss
 }
 
-// sumsq8Generic is the scalar reference for the 8-chain partial sums;
-// len(g) must be a multiple of 8.
+// sumsq8Generic is the scalar reference for the 8-chain partial sums: chain
+// l takes g[l], g[8+l], … in order. len(g) must be a multiple of 8.
 func sumsq8Generic(g []float64, p *[8]float64) {
-	for i := 0; i+8 <= len(g); i += 8 {
-		p[0] += g[i] * g[i]
-		p[1] += g[i+1] * g[i+1]
-		p[2] += g[i+2] * g[i+2]
-		p[3] += g[i+3] * g[i+3]
-		p[4] += g[i+4] * g[i+4]
-		p[5] += g[i+5] * g[i+5]
-		p[6] += g[i+6] * g[i+6]
-		p[7] += g[i+7] * g[i+7]
-	}
-}
-
-// ScaleVec multiplies every element of dst by s. Elements are independent
-// and each receives exactly one multiply rounding, so the vectorized form is
-// bitwise-identical to the scalar loop. (Scale in mat.go is the Matrix
-// variant.)
-func ScaleVec(dst []float64, s float64) { scal(dst, s) }
-
-func scalGeneric(dst []float64, s float64) {
-	for i := range dst {
-		dst[i] *= s
+	for i, v := range g {
+		p[i%8] += float64(v * v)
 	}
 }
 
@@ -109,11 +92,11 @@ func Gate(v, by float64, pass uint64) float64 {
 // Conv4To is the conv front-end's inner loops at the paper's shape, one
 // sample's responses to every kernel-4, stride-1 filter: with ol = len(x)-3
 // outputs per filter, channel-major, y[f·ol+t] = b[f] + w[4f]·x[t] +
-// w[4f+1]·x[t+1] + w[4f+2]·x[t+2] + w[4f+3]·x[t+3], added in that order (nn's
-// scalar test oracle's for a Conv1D), then gated on its own sign — pass 0
-// rectifies, all ones lets every response through (see Gate). Outputs are
-// independent elements, so the AVX body (vec_amd64.s), four of them to a
-// vector, leaves the bits of conv4Generic.
+// w[4f+1]·x[t+1] + w[4f+2]·x[t+2] + w[4f+3]·x[t+3], each term fused onto the
+// running sum in that order (nn's scalar test oracle's for a Conv1D), then
+// gated on its own sign — pass 0 rectifies, all ones lets every response
+// through (see Gate). Outputs are independent elements, so the AVX body
+// (vec_amd64.s), four of them to a vector, leaves the bits of conv4Generic.
 func Conv4To(y, x, w, b []float64, pass uint64) {
 	ol := len(x) - 3
 	if ol < 1 || len(w) != 4*len(b) || len(y) != ol*len(b) {
@@ -125,18 +108,17 @@ func Conv4To(y, x, w, b []float64, pass uint64) {
 // conv4Generic is Conv4To's portable body. A filter's taps are held in
 // registers and the loop over them is written out, which halves its cost
 // against a loop over the taps (5.5 against 11.4 µs per row at 128 filters)
-// for the same additions in the same order.
+// for the same fused multiply-adds in the same order.
 func conv4Generic(y, x, w, b []float64, ol int, pass uint64) {
 	for f, bias := range b {
 		w0, w1, w2, w3 := w[4*f], w[4*f+1], w[4*f+2], w[4*f+3]
 		out := y[f*ol : (f+1)*ol]
 		for t := range out {
 			win := x[t : t+4 : t+4]
-			s := bias
-			s += w0 * win[0]
-			s += w1 * win[1]
-			s += w2 * win[2]
-			s += w3 * win[3]
+			s := math.FMA(w0, win[0], bias)
+			s = math.FMA(w1, win[1], s)
+			s = math.FMA(w2, win[2], s)
+			s = math.FMA(w3, win[3], s)
 			out[t] = Gate(s, s, pass)
 		}
 	}
@@ -148,10 +130,10 @@ func conv4Generic(y, x, w, b []float64, ol int, pass uint64) {
 // returns that count: the leading 4·⌊len(gb)/4⌋ filters where the CPU has
 // AVX, none on builds and CPUs without it. For each filter f it takes, with
 // g = Gate(dy[f·ol+t], y[f·ol+t], pass), every t in ascending order whose g
-// is not ±0 adds g to gb[f] and then g·x[t+k] to gw[4f+k] — the terms of nn's
-// scalar filter-gradient loop, which the caller runs over the filters left,
-// in its order, bit for bit (see vec_amd64.s for how the skip stays exact
-// without a branch).
+// is not ±0 adds g to gb[f] and then fuses g·x[t+k] onto gw[4f+k] — the
+// terms of nn's scalar filter-gradient loop, which the caller runs over the
+// filters left, in its order, bit for bit (see vec_amd64.s for how the skip
+// stays exact without a branch).
 func Conv4GradTo(gw, gb, dy, y, x []float64, pass uint64) int {
 	ol, nf := len(x)-3, len(gb)
 	if ol < 1 || len(gw) != 4*nf || len(dy) != ol*nf || len(y) != ol*nf {
@@ -160,42 +142,33 @@ func Conv4GradTo(gw, gb, dy, y, x []float64, pass uint64) int {
 	return conv4Grad(gw, gb, dy, y, x, ol, pass)
 }
 
-// RMSPropStep applies one RMSProp update over flat vectors:
+// RMSPropStep applies one RMSProp update over flat vectors, the gradient
+// scaled by scale (a clip factor; 1 leaves it as it is):
 //
+//	g      = grads[i]*scale
 //	msq[i] = decay*msq[i] + (1-decay)*g*g
 //	dst[i] = params[i] - lr*g / (sqrt(msq[i]) + eps)
 //
-// dst may alias params. All four slices must share a length. Every operation
-// is elementwise and IEEE correctly rounded (including packed sqrt and
-// divide), so the AVX path produces bitwise-identical results to the scalar
-// loop — nn.RMSProp routes its step here.
-func RMSPropStep(dst, params, grads, msq []float64, lr, decay, eps float64) {
+// dst may alias params; grads is only read. All four slices must share a
+// length. Every operation is elementwise, IEEE correctly rounded (including
+// packed sqrt and divide) and rounded on its own — g too, so a scale folded
+// in here leaves the bits of scaling grads first — and the AVX path produces
+// bitwise-identical results to the scalar loop. nn.RMSProp routes its step
+// here.
+func RMSPropStep(dst, params, grads, msq []float64, scale, lr, decay, eps float64) {
 	if len(params) != len(grads) || len(dst) != len(grads) || len(msq) != len(grads) {
 		panic("mat: RMSPropStep length mismatch")
 	}
-	rmspropVec(dst, params, grads, msq, lr, decay, 1-decay, eps)
+	rmspropVec(dst, params, grads, msq, scale, lr, decay, 1-decay, eps)
 }
 
-// rmspropGeneric is the scalar reference for RMSPropStep. Four independent
-// element chains run per iteration so the long-latency sqrt/divide operations
-// overlap; each element's own arithmetic is the plain scalar expression.
-func rmspropGeneric(dst, params, grads, msq []float64, lr, decay, rem, eps float64) {
-	i := 0
-	for ; i+4 <= len(grads); i += 4 {
-		g0, g1, g2, g3 := grads[i], grads[i+1], grads[i+2], grads[i+3]
-		m0 := decay*msq[i] + rem*g0*g0
-		m1 := decay*msq[i+1] + rem*g1*g1
-		m2 := decay*msq[i+2] + rem*g2*g2
-		m3 := decay*msq[i+3] + rem*g3*g3
-		msq[i], msq[i+1], msq[i+2], msq[i+3] = m0, m1, m2, m3
-		dst[i] = params[i] - lr*g0/(math.Sqrt(m0)+eps)
-		dst[i+1] = params[i+1] - lr*g1/(math.Sqrt(m1)+eps)
-		dst[i+2] = params[i+2] - lr*g2/(math.Sqrt(m2)+eps)
-		dst[i+3] = params[i+3] - lr*g3/(math.Sqrt(m3)+eps)
-	}
-	for ; i < len(grads); i++ {
-		g := grads[i]
-		m := decay*msq[i] + rem*g*g
+// rmspropGeneric is the scalar reference for RMSPropStep: each element's
+// arithmetic is the plain scalar expression, every product rounded before it
+// is added.
+func rmspropGeneric(dst, params, grads, msq []float64, scale, lr, decay, rem, eps float64) {
+	for i := range grads {
+		g := float64(grads[i] * scale)
+		m := float64(decay*msq[i]) + float64(rem*g*g)
 		msq[i] = m
 		dst[i] = params[i] - lr*g/(math.Sqrt(m)+eps)
 	}

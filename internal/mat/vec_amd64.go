@@ -3,14 +3,15 @@
 package mat
 
 // Assembly kernels (vec_amd64.s) with the same runtime AVX detection as the
-// GEMM path. Both kernels vectorize across independent elements only, so
-// they are bitwise-identical to the generic loops; see vec.go.
+// GEMM path. They vectorize across independent elements only and fuse
+// exactly where the generic loops call math.FMA, so they are
+// bitwise-identical to them; see vec.go.
 
 //go:noescape
 func axpyAVX(dst, x []float64, alpha float64)
 
 //go:noescape
-func rmspropAVX(dst, params, grads, msq []float64, lr, decay, rem, eps float64)
+func rmspropAVX(dst, params, grads, msq []float64, scale, lr, decay, rem, eps float64)
 
 //go:noescape
 func dotXT8AVX(w, xt, acc []float64)
@@ -20,9 +21,6 @@ func dotXT8x4AVX(w []float64, in int, xt, acc []float64)
 
 //go:noescape
 func sumsq8AVX(g []float64, p *[8]float64)
-
-//go:noescape
-func scalAVX(dst []float64, s float64)
 
 //go:noescape
 func conv4AVX(y, x, w, b []float64, ol int, pass uint64)
@@ -66,14 +64,6 @@ func sumsq8(g []float64, p *[8]float64) {
 	sumsq8Generic(g, p)
 }
 
-func scal(dst []float64, s float64) {
-	if haveAVX && len(dst) >= 4 {
-		scalAVX(dst, s)
-		return
-	}
-	scalGeneric(dst, s)
-}
-
 func conv4(y, x, w, b []float64, ol int, pass uint64) {
 	if haveAVX && ol >= 4 {
 		conv4AVX(y, x, w, b, ol, pass)
@@ -91,15 +81,15 @@ func conv4Grad(gw, gb, dy, y, x []float64, ol int, pass uint64) int {
 	return n
 }
 
-func rmspropVec(dst, params, grads, msq []float64, lr, decay, rem, eps float64) {
+func rmspropVec(dst, params, grads, msq []float64, scale, lr, decay, rem, eps float64) {
 	n := 0
 	if haveAVX {
 		// The assembly kernel runs whole 4-lane groups; the ragged tail
 		// falls through to the scalar loop.
 		n = len(grads) &^ 3
 		if n > 0 {
-			rmspropAVX(dst[:n], params[:n], grads[:n], msq[:n], lr, decay, rem, eps)
+			rmspropAVX(dst[:n], params[:n], grads[:n], msq[:n], scale, lr, decay, rem, eps)
 		}
 	}
-	rmspropGeneric(dst[n:], params[n:], grads[n:], msq[n:], lr, decay, rem, eps)
+	rmspropGeneric(dst[n:], params[n:], grads[n:], msq[n:], scale, lr, decay, rem, eps)
 }

@@ -4,11 +4,10 @@
 
 // func axpyAVX(dst, x []float64, alpha float64)
 //
-// dst[i] += alpha · x[i]. Lanes are independent elements, so each element
-// still sees exactly one VMULPD rounding and one VADDPD rounding — the same
-// two roundings as the scalar statement (never FMA). Two 4-wide groups per
-// iteration, then a 4-wide step, then a VEX-scalar tail (staying VEX avoids
-// SSE/AVX transition stalls before VZEROUPPER).
+// dst[i] = dst[i] + alpha·x[i], rounded once: one VFMADD231PD per element,
+// the math.FMA of axpyGeneric. Lanes are independent elements. Two 4-wide
+// groups per iteration, then a 4-wide step, then a VEX-scalar tail (staying
+// VEX avoids SSE/AVX transition stalls before VZEROUPPER).
 TEXT ·axpyAVX(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -18,13 +17,11 @@ TEXT ·axpyAVX(SB), NOSPLIT, $0-56
 loop8:
 	CMPQ CX, $8
 	JL   loop4
-	VMOVUPD (SI), Y1
-	VMULPD  Y1, Y0, Y1
-	VADDPD  (DI), Y1, Y1
+	VMOVUPD (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
 	VMOVUPD Y1, (DI)
-	VMOVUPD 32(SI), Y2
-	VMULPD  Y2, Y0, Y2
-	VADDPD  32(DI), Y2, Y2
+	VMOVUPD 32(DI), Y2
+	VFMADD231PD 32(SI), Y0, Y2
 	VMOVUPD Y2, 32(DI)
 	ADDQ $64, SI
 	ADDQ $64, DI
@@ -34,9 +31,8 @@ loop8:
 loop4:
 	CMPQ CX, $4
 	JL   tail
-	VMOVUPD (SI), Y1
-	VMULPD  Y1, Y0, Y1
-	VADDPD  (DI), Y1, Y1
+	VMOVUPD (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
 	VMOVUPD Y1, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DI
@@ -45,9 +41,8 @@ loop4:
 tail:
 	TESTQ CX, CX
 	JZ    done
-	VMOVSD (SI), X1
-	VMULSD X1, X0, X1
-	VADDSD (DI), X1, X1
+	VMOVSD (DI), X1
+	VFMADD231SD (SI), X0, X1
 	VMOVSD X1, (DI)
 	ADDQ $8, SI
 	ADDQ $8, DI
@@ -58,32 +53,35 @@ done:
 	VZEROUPPER
 	RET
 
-// func rmspropAVX(dst, params, grads, msq []float64, lr, decay, rem, eps float64)
+// func rmspropAVX(dst, params, grads, msq []float64, scale, lr, decay, rem, eps float64)
 //
 // One RMSProp update over whole 4-lane groups (the Go wrapper peels the
 // ragged tail). Per element, in scalar evaluation order:
 //
+//	g      = grads·scale
 //	m      = decay·msq + (rem·g)·g
 //	dst    = params − (lr·g) / (sqrt(m) + eps)
 //
 // Every packed operation (mul, add, sub, div, sqrt) is IEEE correctly
-// rounded, identical to its scalar form, so lanes match the generic loop
-// bitwise. len(grads) must be a multiple of 4; all slices share it.
-TEXT ·rmspropAVX(SB), NOSPLIT, $0-128
+// rounded, identical to its scalar form, and none is fused, so lanes match
+// the generic loop bitwise. len(grads) must be a multiple of 4; all slices
+// share it.
+TEXT ·rmspropAVX(SB), NOSPLIT, $0-136
 	MOVQ dst_base+0(FP), DI
 	MOVQ params_base+24(FP), DX
 	MOVQ grads_base+48(FP), SI
 	MOVQ grads_len+56(FP), CX
 	MOVQ msq_base+72(FP), BX
-	VBROADCASTSD lr+96(FP), Y14
-	VBROADCASTSD decay+104(FP), Y12
-	VBROADCASTSD rem+112(FP), Y13
-	VBROADCASTSD eps+120(FP), Y15
+	VBROADCASTSD scale+96(FP), Y11
+	VBROADCASTSD lr+104(FP), Y14
+	VBROADCASTSD decay+112(FP), Y12
+	VBROADCASTSD rem+120(FP), Y13
+	VBROADCASTSD eps+128(FP), Y15
 	TESTQ CX, CX
 	JZ    done
 
 loop:
-	VMOVUPD (SI), Y0         // g
+	VMULPD  (SI), Y11, Y0    // g = grads·scale
 	VMULPD  Y0, Y13, Y1      // rem·g
 	VMULPD  Y0, Y1, Y1       // (rem·g)·g
 	VMOVUPD (BX), Y2
@@ -112,9 +110,9 @@ done:
 //
 // acc[r] += Σ_i w[i] · xt[i*8+r] for the 8 lanes r. Each lane is an
 // independent batch row whose accumulation runs sequentially in i with one
-// VMULPD and one VADDPD rounding per term — exactly the scalar chain, never
-// FMA. Used for the remainder outputs of the short-batch forward; the
-// 4-output variant below is the main kernel.
+// VFMADD231PD, one rounding, per term — the math.FMA chain of
+// dotXT8Generic. Used for the remainder outputs of the short-batch forward;
+// the 4-output variant below is the main kernel.
 TEXT ·dotXT8AVX(SB), NOSPLIT, $0-72
 	MOVQ w_base+0(FP), SI
 	MOVQ w_len+8(FP), CX
@@ -127,10 +125,8 @@ TEXT ·dotXT8AVX(SB), NOSPLIT, $0-72
 
 dot1:
 	VBROADCASTSD (SI), Y4
-	VMULPD (DX), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	VMULPD 32(DX), Y4, Y6
-	VADDPD Y6, Y1, Y1
+	VFMADD231PD (DX), Y4, Y0
+	VFMADD231PD 32(DX), Y4, Y1
 	ADDQ $8, SI
 	ADDQ $64, DX
 	DECQ CX
@@ -146,9 +142,9 @@ store1:
 //
 // Four consecutive length-in rows of w against the shared 8-lane transposed
 // batch: acc[j*8+r] += Σ_i w[j*in+i] · xt[i*8+r]. Interleaving four outputs
-// keeps eight independent accumulator chains in flight so the broadcast/
-// mul/add latency of any single chain is hidden; each (j, r) element still
-// accumulates sequentially in i with scalar roundings.
+// keeps eight independent accumulator chains in flight so the broadcast/FMA
+// latency of any single chain is hidden; each (j, r) element still
+// accumulates sequentially in i, one fused multiply-add per term.
 TEXT ·dotXT8x4AVX(SB), NOSPLIT, $0-80
 	MOVQ w_base+0(FP), SI
 	MOVQ in+24(FP), CX
@@ -174,25 +170,17 @@ dot4:
 	VMOVUPD (DX), Y8
 	VMOVUPD 32(DX), Y9
 	VBROADCASTSD (SI), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y0, Y0
-	VMULPD Y9, Y10, Y11
-	VADDPD Y11, Y1, Y1
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
 	VBROADCASTSD (R8), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y2, Y2
-	VMULPD Y9, Y10, Y11
-	VADDPD Y11, Y3, Y3
+	VFMADD231PD Y8, Y10, Y2
+	VFMADD231PD Y9, Y10, Y3
 	VBROADCASTSD (R9), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y4, Y4
-	VMULPD Y9, Y10, Y11
-	VADDPD Y11, Y5, Y5
+	VFMADD231PD Y8, Y10, Y4
+	VFMADD231PD Y9, Y10, Y5
 	VBROADCASTSD (R10), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y6, Y6
-	VMULPD Y9, Y10, Y11
-	VADDPD Y11, Y7, Y7
+	VFMADD231PD Y8, Y10, Y6
+	VFMADD231PD Y9, Y10, Y7
 	ADDQ $8, SI
 	ADDQ $8, R8
 	ADDQ $8, R9
@@ -247,64 +235,19 @@ ssdone:
 	VZEROUPPER
 	RET
 
-// func scalAVX(dst []float64, s float64)
-//
-// dst[i] *= s. Independent elements, one correctly rounded multiply each —
-// bitwise-identical to the scalar loop. VEX-scalar tail as in axpyAVX.
-TEXT ·scalAVX(SB), NOSPLIT, $0-32
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	VBROADCASTSD s+24(FP), Y0
-
-scloop8:
-	CMPQ CX, $8
-	JL   scloop4
-	VMOVUPD (DI), Y1
-	VMULPD  Y1, Y0, Y1
-	VMOVUPD Y1, (DI)
-	VMOVUPD 32(DI), Y2
-	VMULPD  Y2, Y0, Y2
-	VMOVUPD Y2, 32(DI)
-	ADDQ $64, DI
-	SUBQ $8, CX
-	JMP  scloop8
-
-scloop4:
-	CMPQ CX, $4
-	JL   sctail
-	VMOVUPD (DI), Y1
-	VMULPD  Y1, Y0, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ $32, DI
-	SUBQ $4, CX
-
-sctail:
-	TESTQ CX, CX
-	JZ    scdone
-	VMOVSD (DI), X1
-	VMULSD X1, X0, X1
-	VMOVSD X1, (DI)
-	ADDQ $8, DI
-	DECQ CX
-	JMP  sctail
-
-scdone:
-	VZEROUPPER
-	RET
-
 // func conv4AVX(y, x, w, b []float64, ol int, pass uint64)
 //
 // One sample's responses to every kernel-4, stride-1 filter, four outputs
 // per lane group: y[f*ol+t] = b[f] + w[4f]·x[t] + w[4f+1]·x[t+1] +
 // w[4f+2]·x[t+2] + w[4f+3]·x[t+3], a filter's taps broadcast and its four
-// products added in that order — per output the scalar loop's roundings
-// (never FMA). The rectifier is a mask: VCMPPD $0x1E (greater-than, ordered,
-// quiet) is all ones where the sum is > 0 and zero for ±0, negatives and NaN
-// — exactly where Gate's mask is — OR-ed with pass and AND-ed into the sum. A
-// filter's ragged tail re-runs its last full group: the stores are
-// idempotent and stay inside the filter's own ol outputs. ol must be >= 4,
-// len(x) ol+3, len(w) 4·len(b) and len(y) ol·len(b); Conv4To guarantees all
-// four.
+// terms fused onto the bias in that order, one VFMADD231PD each — per output
+// conv4Generic's math.FMA chain. The rectifier is a mask: VCMPPD $0x1E
+// (greater-than, ordered, quiet) is all ones where the sum is > 0 and zero
+// for ±0, negatives and NaN — exactly where Gate's mask is — OR-ed with pass
+// and AND-ed into the sum. A filter's ragged tail re-runs its last full
+// group: the stores are idempotent and stay inside the filter's own ol
+// outputs. ol must be >= 4, len(x) ol+3, len(w) 4·len(b) and len(y)
+// ol·len(b); Conv4To guarantees all four.
 TEXT ·conv4AVX(SB), NOSPLIT, $0-112
 	MOVQ y_base+0(FP), DI
 	MOVQ x_base+24(FP), SI
@@ -335,14 +278,11 @@ cvloop:
 	MOVQ BX, AX              // 1-3 outputs left: back up over the last four
 
 cvgroup:
-	VMULPD (SI)(AX*8), Y0, Y7
-	VADDPD Y7, Y4, Y8
-	VMULPD 8(SI)(AX*8), Y1, Y7
-	VADDPD Y7, Y8, Y8
-	VMULPD 16(SI)(AX*8), Y2, Y7
-	VADDPD Y7, Y8, Y8
-	VMULPD 24(SI)(AX*8), Y3, Y7
-	VADDPD Y7, Y8, Y8
+	VMOVAPD Y4, Y8
+	VFMADD231PD (SI)(AX*8), Y0, Y8
+	VFMADD231PD 8(SI)(AX*8), Y1, Y8
+	VFMADD231PD 16(SI)(AX*8), Y2, Y8
+	VFMADD231PD 24(SI)(AX*8), Y3, Y8
 	VCMPPD $0x1E, Y6, Y8, Y9
 	VORPD  Y5, Y9, Y9
 	VANDPD Y9, Y8, Y8
@@ -374,14 +314,16 @@ GLOBL negzero<>(SB), RODATA|NOPTR, $8
 // filters' response gradients dy[f*ol+t] and masks y[f*ol+t], gates the
 // gradients as Gate does (VCMPPD $0x1E — greater-than, ordered, quiet — is
 // all ones where the mask is > 0, OR-ed with pass and AND-ed into the
-// gradient), and adds g to gb[f] and g·x[t+k] to gw[4f+k], VMULPD then
-// VADDPD with the scalar loop's operand order (never FMA). The scalar loop
-// skips a zero g; here VCMPPD $0x04 (not-equal, unordered) marks the lanes
-// to keep — NaN included — and VBLENDVPD replaces the rest of the addends
-// with -0.0, which leaves every accumulator's bits as they were (x + -0.0 is
-// x for every x, -0 and +0 included, NaN but a signaling one). len(gb) must
-// be a multiple of four, len(gw) 4·len(gb), len(dy) and len(y) ol·len(gb),
-// len(x) ol+3 and ol >= 1; conv4Grad guarantees all of them.
+// gradient), and adds g to gb[f] and fuses g·x[t+k] onto gw[4f+k], one
+// VFMADD213PD each — the scalar loop's math.FMA. The scalar loop skips a
+// zero g; here VCMPPD $0x04 (not-equal, unordered) marks the lanes to keep —
+// NaN included. For the bias VBLENDVPD replaces the rest of the addends with
+// -0.0, which leaves the accumulator's bits as they were (x + -0.0 is x for
+// every x, -0 and +0 included, NaN but a signaling one); for the taps it
+// keeps the old accumulator in those lanes, since fma(0, x, acc) is not acc
+// for acc = -0 or an infinite x. len(gb) must be a multiple of four, len(gw)
+// 4·len(gb), len(dy) and len(y) ol·len(gb), len(x) ol+3 and ol >= 1;
+// conv4Grad guarantees all of them.
 TEXT ·conv4GradAVX(SB), NOSPLIT, $0-136
 	MOVQ gw_base+0(FP), DI
 	MOVQ gb_base+24(FP), BX
@@ -435,21 +377,17 @@ cgt:
 	VBLENDVPD Y13, Y12, Y11, Y14
 	VADDPD Y14, Y4, Y4
 	VBROADCASTSD (AX), Y14
-	VMULPD Y14, Y12, Y14
-	VBLENDVPD Y13, Y14, Y11, Y14
-	VADDPD Y14, Y0, Y0
+	VFMADD213PD Y0, Y12, Y14
+	VBLENDVPD Y13, Y14, Y0, Y0
 	VBROADCASTSD 8(AX), Y15
-	VMULPD Y15, Y12, Y15
-	VBLENDVPD Y13, Y15, Y11, Y15
-	VADDPD Y15, Y1, Y1
+	VFMADD213PD Y1, Y12, Y15
+	VBLENDVPD Y13, Y15, Y1, Y1
 	VBROADCASTSD 16(AX), Y14
-	VMULPD Y14, Y12, Y14
-	VBLENDVPD Y13, Y14, Y11, Y14
-	VADDPD Y14, Y2, Y2
+	VFMADD213PD Y2, Y12, Y14
+	VBLENDVPD Y13, Y14, Y2, Y2
 	VBROADCASTSD 24(AX), Y15
-	VMULPD Y15, Y12, Y15
-	VBLENDVPD Y13, Y15, Y11, Y15
-	VADDPD Y15, Y3, Y3
+	VFMADD213PD Y3, Y12, Y15
+	VBLENDVPD Y13, Y15, Y3, Y3
 	ADDQ $8, R13
 	ADDQ $8, R14
 	ADDQ $8, AX

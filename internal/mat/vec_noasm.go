@@ -14,13 +14,11 @@ func dotXT8x4(w []float64, in int, xt, acc []float64) { dotXT8x4Generic(w, in, x
 
 func sumsq8(g []float64, p *[8]float64) { sumsq8Generic(g, p) }
 
-func scal(dst []float64, s float64) { scalGeneric(dst, s) }
-
 func conv4(y, x, w, b []float64, ol int, pass uint64) { conv4Generic(y, x, w, b, ol, pass) }
 
 // conv4Grad takes no filters: the caller's scalar loop takes them all.
 func conv4Grad(gw, gb, dy, y, x []float64, ol int, pass uint64) int { return 0 }
 
-func rmspropVec(dst, params, grads, msq []float64, lr, decay, rem, eps float64) {
-	rmspropGeneric(dst, params, grads, msq, lr, decay, rem, eps)
+func rmspropVec(dst, params, grads, msq []float64, scale, lr, decay, rem, eps float64) {
+	rmspropGeneric(dst, params, grads, msq, scale, lr, decay, rem, eps)
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // TestAxpyBitwise pins axpy (whichever implementation the platform selects)
-// to the plain scalar statement across ragged lengths, including ones that
+// to the scalar fused statement across ragged lengths, including ones that
 // exercise the 8-wide, 4-wide and scalar-tail paths of the AVX kernel.
 func TestAxpyBitwise(t *testing.T) {
 	r := rng.New(21)
@@ -22,7 +23,7 @@ func TestAxpyBitwise(t *testing.T) {
 		alpha := r.NormalMS(0, 1)
 		want := append([]float64(nil), dst...)
 		for i := range want {
-			want[i] += alpha * x[i]
+			want[i] = math.FMA(alpha, x[i], want[i])
 		}
 		axpy(dst, x, alpha)
 		for i := range want {
@@ -47,7 +48,7 @@ func TestSumSquaresMatchesReferenceBitwise(t *testing.T) {
 		sumsq8Generic(g[:n&^7], &p)
 		want := ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
 		for _, v := range g[n&^7:] {
-			want += v * v
+			want += float64(v * v)
 		}
 		if got := SumSquares(g); got != want {
 			t.Fatalf("n=%d: SumSquares = %v, want %v (not bitwise equal)", n, got, want)
@@ -55,33 +56,25 @@ func TestSumSquaresMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
-// TestScaleVecBitwise pins the dispatched scale against the scalar loop,
-// including sub-vector and ragged-tail lengths.
-func TestScaleVecBitwise(t *testing.T) {
-	r := rng.New(6)
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 11, 100, 3206} {
-		got := make([]float64, n)
-		want := make([]float64, n)
-		for i := range got {
-			got[i] = r.Normal()
-			want[i] = got[i]
-		}
-		s := r.Normal()
-		ScaleVec(got, s)
-		scalGeneric(want, s)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: elem %d = %v, want %v (not bitwise equal)", n, i, got[i], want[i])
-			}
+// TestRMSPropStepBitwise pins RMSPropStep, at every kernel tier, to what the
+// step was before the clip scale moved into it: the gradient scaled in place
+// — one rounded product per element — then the scalar update expression,
+// every product rounded on its own. Sustained steps over ragged lengths, so
+// the vector body and the peeled tail both accumulate moments, at scale 1
+// (no clip) and below it, with an aliased-dst pass mirroring the in-place
+// optimizer use; grads must come out as they went in.
+func TestRMSPropStepBitwise(t *testing.T) {
+	for _, tier := range kernelTiers() {
+		for _, scale := range []float64{1, 0.37} {
+			t.Run(fmt.Sprintf("%s/scale=%v", tier, scale), func(t *testing.T) {
+				forceTier(t, tier)
+				testRMSPropStep(t, scale)
+			})
 		}
 	}
 }
 
-// TestRMSPropStepBitwise pins RMSPropStep to the scalar update expression:
-// sustained steps over ragged lengths so the vector body and the peeled tail
-// both accumulate moments, with an aliased-dst pass mirroring the in-place
-// optimizer use.
-func TestRMSPropStepBitwise(t *testing.T) {
+func testRMSPropStep(t *testing.T, scale float64) {
 	r := rng.New(22)
 	// float64 variables, not untyped constants: the reference below must
 	// compute 1-decay with the same float64 subtraction the kernel uses.
@@ -100,19 +93,27 @@ func TestRMSPropStepBitwise(t *testing.T) {
 			for i := range grads {
 				grads[i] = r.NormalMS(0, 1)
 			}
+			scaled := append([]float64(nil), grads...)
+			for i := range scaled {
+				scaled[i] *= scale
+			}
 			rem := 1 - decay
-			for i, g := range grads {
-				m := decay*wantM[i] + rem*g*g
+			for i, g := range scaled {
+				m := float64(decay*wantM[i]) + float64(rem*g*g)
 				wantM[i] = m
 				wantP[i] = wantP[i] - lr*g/(math.Sqrt(m)+eps)
 			}
+			in := append([]float64(nil), grads...)
 			if step%2 == 0 {
-				RMSPropStep(dst, params, grads, gotM, lr, decay, eps)
+				RMSPropStep(dst, params, grads, gotM, scale, lr, decay, eps)
 				copy(params, dst)
 			} else {
-				RMSPropStep(params, params, grads, gotM, lr, decay, eps)
+				RMSPropStep(params, params, grads, gotM, scale, lr, decay, eps)
 			}
 			for i := range wantP {
+				if math.Float64bits(grads[i]) != math.Float64bits(in[i]) {
+					t.Fatalf("len %d step %d: grad %d changed", n, step, i)
+				}
 				if params[i] != wantP[i] {
 					t.Fatalf("len %d step %d: param %d = %v, want %v (not bitwise equal)",
 						n, step, i, params[i], wantP[i])
@@ -132,5 +133,5 @@ func TestRMSPropStepLengthPanics(t *testing.T) {
 			t.Fatal("no panic on mismatched lengths")
 		}
 	}()
-	RMSPropStep(make([]float64, 4), make([]float64, 4), make([]float64, 3), make([]float64, 4), 1e-3, 0.99, 1e-8)
+	RMSPropStep(make([]float64, 4), make([]float64, 4), make([]float64, 3), make([]float64, 4), 1, 1e-3, 0.99, 1e-8)
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"minicost/internal/mat"
 	"minicost/internal/par"
@@ -15,8 +16,8 @@ import (
 //
 // Exactness: the scalar oracle (oracle_test.go) processes the batch row by
 // row, so every parameter-gradient element receives its per-row terms in
-// ascending row order, each added to the element's running value one at a
-// time. The batched kernels keep exactly that order — Dense's weight
+// ascending row order, each fused (math.FMA) or, for a bias, added onto the
+// element's running value one at a time. The batched kernels keep exactly that order — Dense's weight
 // gradient runs dW += dYᵀ·X through mat.MulTransAAccTo or mat.MulPackAccTo
 // (both row-sequential, seeded from the existing gradient), Conv1D rereads
 // the input windows from the retained batch with the oracle's zero-gradient
@@ -96,12 +97,12 @@ func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.
 		d.biasGradRows(0, d.Out)
 	}
 	// The two transposed packs take turns in one buffer — dX reads the
-	// weights' and is done with it before dW needs the input batch's — so a
-	// replica's backward scratch holds one of them, not both (at the
-	// paper's width each is ≈3 MB, allocated and zeroed per TrainFrom call).
-	// In a hidden layer at a training arena the weights' is the larger, so
-	// taking it first sizes the buffer once; in an output layer the input
-	// batch's is, and the first backward of a call grows the buffer once.
+	// weights' and is done with it before dW needs the input batch's — the
+	// forward's too (forwardRows), so writing them voids the forward's pack.
+	// The buffer holds the weights either way round, so a hidden layer's
+	// (≈3 MB at the paper's width) is allocated once per TrainFrom call; an
+	// output layer's input-batch pack is larger, and grows it once.
+	d.packed = false
 	if inputGrad {
 		d.tpack = mat.PackTransposeParTo(d.tpack, d.wView, workers)
 		d.bdx = mat.MulPackTransBBiasTo(d.bdx, dy, d.tpack, nil, workers)
@@ -233,7 +234,7 @@ func (c *Conv1D) filterGradSpan(dy *mat.Matrix, flo, fhi int) {
 // entry, is returned. Like convFilterRow it is a function of its own, with
 // the paper's kernel of four written out so that the four accumulators live
 // in registers across the positions (3.4 against 3.9 ms for a 112-row batch
-// at 128 filters); the additions and their order are the general loop's.
+// at 128 filters); the operations and their order are the general loop's.
 //
 //minicost:hotpath
 func filterGradRow(gw []float64, bg float64, drow, yrow, xrow []float64, stride int, pass uint64) float64 {
@@ -245,10 +246,10 @@ func filterGradRow(gw []float64, bg float64, drow, yrow, xrow []float64, stride 
 			if g != 0 {
 				win := xrow[off : off+4 : off+4]
 				bg += g
-				g0 += g * win[0]
-				g1 += g * win[1]
-				g2 += g * win[2]
-				g3 += g * win[3]
+				g0 = math.FMA(g, win[0], g0)
+				g1 = math.FMA(g, win[1], g1)
+				g2 = math.FMA(g, win[2], g2)
+				g3 = math.FMA(g, win[3], g3)
 			}
 			off += stride
 		}
@@ -261,7 +262,7 @@ func filterGradRow(gw []float64, bg float64, drow, yrow, xrow []float64, stride 
 			win := xrow[off:][:len(gw)]
 			bg += g
 			for k := range gw {
-				gw[k] += g * win[k]
+				gw[k] = math.FMA(g, win[k], gw[k])
 			}
 		}
 		off += stride
@@ -291,7 +292,7 @@ func (c *Conv1D) inputGradRows(dy *mat.Matrix, rlo, rhi int) {
 				}
 				win := dxrow[t*c.Stride : t*c.Stride+c.Kernel]
 				for k, wk := range w {
-					win[k] += g * wk
+					win[k] = math.FMA(g, wk, win[k])
 				}
 			}
 		}

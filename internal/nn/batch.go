@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"minicost/internal/mat"
 	"minicost/internal/par"
@@ -42,7 +43,8 @@ import (
 //
 // Exactness: every kernel accumulates each output element in the same
 // floating-point order as the scalar oracle (bias seed, then the shared
-// dimension in index order — see mat's GEMM contract), so each output row is
+// dimension in index order, one fused multiply-add per term — see mat's GEMM
+// contract), so each output row is
 // bitwise identical to the oracle's output for that sample, whatever the
 // batch length. Downstream argmax tier decisions therefore match exactly,
 // not just approximately.
@@ -125,7 +127,10 @@ func (d *Dense) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 		return d.by
 	}
 	if !d.packed {
-		d.wpack = mat.PackTransBParTo(d.wpack, d.wView, workers)
+		// A layer that is not frozen packs into its one buffer, which
+		// backwardBatch overwrites (and then unsets packed).
+		d.wpack = mat.PackTransBParTo(d.tpack, d.wView, workers)
+		d.tpack = d.wpack
 		d.packed = d.bound
 		d.packs++
 	}
@@ -167,15 +172,15 @@ func (c *Conv1D) forward(x *mat.Matrix, rectify bool, lo, hi, workers int) *mat.
 // convRows is the batched convolution, for sample rows [lo, hi): it
 // cross-correlates the window at the start of x's row with every filter and
 // writes the responses channel-major at the start of the output row — each
-// bias-seeded and accumulated over the kernel in index order, the scalar
-// oracle's bits — rectified in the same breath when rectify
-// is set (mat.Gate: `v > 0 ? v : 0` without the branch), then copies
-// what follows the window in x's row behind them. With rectify set and a
+// bias-seeded and fused over the kernel in index order, the scalar oracle's
+// bits — rectified in the same breath when rectify is set (mat.Gate:
+// `v > 0 ? v : 0` without the branch), then copies what follows the window
+// in x's row behind them. With rectify set and a
 // tail that is Split∘Conv1D∘ReLU∘concat in one pass over the batch; without
 // either it is a bare Conv1D. Rows write disjoint spans of the output. The
 // paper's shape — a kernel of four at stride one, every network the harness
 // builds — takes a row through mat.Conv4To, vectorized where the CPU allows;
-// anything else runs convFilterRow, the same additions in the same order.
+// anything else runs convFilterRow, the same operations in the same order.
 //
 //minicost:hotpath
 func (c *Conv1D) convRows(x *mat.Matrix, rectify bool, lo, hi int) {
@@ -208,7 +213,7 @@ func convFilterRow(out, xrow, w []float64, bias float64, stride int, pass uint64
 		win := xrow[off:][:len(w)]
 		s := bias
 		for k, wk := range w {
-			s += wk * win[k]
+			s = math.FMA(wk, win[k], s)
 		}
 		out[t] = mat.Gate(s, s, pass)
 		off += stride

@@ -49,7 +49,7 @@ func TestConvFilterGradMatchesScalarLoop(t *testing.T) {
 			c := NewConv1D(r, ol+3, filters, 4, 1)
 			x := mat.New(rows, ol+3+2) // two tail columns, as the front-end's Split passes them
 			for i := range x.Data {
-				x.Data[i] = float64((i*5)%13)*0.375 - 2
+				x.Data[i] = float64(float64((i*5)%13)*0.375) - 2
 			}
 			mask := mat.New(rows, filters*ol+2)
 			for i := range mask.Data {

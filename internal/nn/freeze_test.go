@@ -84,6 +84,32 @@ func TestForwardBatchSeesRebinds(t *testing.T) {
 	}
 }
 
+// TestBoundForwardAfterBackward pins the one pack buffer a Dense that is not
+// frozen keeps: a backward pass of packMinRows rows or more overwrites the
+// forward's pack with its transposed ones, so a forward after it, within the
+// same bind, packs again and answers bit for bit what a fresh replica
+// answers.
+func TestBoundForwardAfterBackward(t *testing.T) {
+	src := agentNet(rng.New(44), 14, 16, 32, 3, 6)
+	n, fresh := src.BoundClone(), src.BoundClone()
+	const rows = 2 * packMinRows
+	x := randomBatch(rng.New(45), rows, 20)
+	n.ForwardBatch(x, 1)
+	n.BackwardBatch(randomBatch(rng.New(46), rows, 3), 1)
+	got := n.ForwardBatch(x, 1)
+	if i, ok := sameBits(got.Data, fresh.ForwardBatch(x, 1).Data); !ok {
+		t.Fatalf("forward after a backward differs from a fresh replica's at %d", i)
+	}
+	if packs := n.WeightPacks(); packs != 2 {
+		t.Fatalf("%d packs for forward, backward, forward in one bind, want 2", packs)
+	}
+	for li, l := range n.layers {
+		if d, ok := l.(*Dense); ok && d.wpack != d.tpack {
+			t.Fatalf("Dense layer %d keeps its forward pack apart from its backward packs", li)
+		}
+	}
+}
+
 // TestFreezeSharesWeightsAndPacks pins what a frozen view is: the source's
 // parameter values and one pack per Dense block, shared by every view of the
 // freeze; outputs bitwise equal to the source's on both sides of packMinRows;

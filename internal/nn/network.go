@@ -96,8 +96,9 @@ func (n *Network) SetParamVector(v []float64) {
 // The network holds the caller to that: a Dense packs its weights into kernel
 // layout at the first forward window of packMinRows rows or more after this
 // call and multiplies against the pack until the next BindParamVector or
-// SetParamVector call. New values have to arrive through one of the two —
-// binding the same slice again counts, rewriting it in place does not.
+// SetParamVector call, or a backward pass of packMinRows rows or more, whose
+// packs overwrite it. New values have to arrive through one of the two calls
+// — binding the same slice again counts, rewriting it in place does not.
 func (n *Network) BindParamVector(v []float64) {
 	n.mustOwnParams("BindParamVector")
 	if len(v) != n.NumParams() {
@@ -128,7 +129,8 @@ func (n *Network) weightsChanged(bound bool) {
 // Dense weights into kernel layout first (a pass packs every block it needs,
 // so this counts passes, not blocks): one per ForwardBatch of packMinRows
 // rows or more on a network that owns its weights, one per bind on a bound
-// one, none on a frozen view.
+// one (and one more per forward that follows a backward of that size), none
+// on a frozen view.
 func (n *Network) WeightPacks() int {
 	packs := 0
 	for _, l := range n.layers {
@@ -293,26 +295,27 @@ func Entropy(p []float64) float64 {
 	h := 0.0
 	for _, v := range p {
 		if v > 0 {
-			h -= v * math.Log(v)
+			h -= float64(v * math.Log(v))
 		}
 	}
 	return h
 }
 
-// ClipGrads scales the flat gradient vector down to the given L2 norm if it
-// exceeds it, in place, and returns the norm it measured before clipping; a
-// non-positive maxNorm is a no-op that measures nothing and returns NaN. The
-// squared norm is accumulated in mat.SumSquares's eight fixed-order chains,
-// so the norm (and hence any training trajectory crossing a clip) is a
-// deterministic function of the gradient alone — every engine and platform
-// sees the same bits.
-func ClipGrads(grads []float64, maxNorm float64) float64 {
+// ClipScale measures the flat gradient vector's L2 norm and returns it with
+// the factor that clips the vector to maxNorm: maxNorm/norm where the norm
+// exceeds it, 1 otherwise. Optimizer.Step applies the factor as it reads the
+// gradient, so grads itself is left as it is. A non-positive maxNorm
+// measures nothing and returns NaN and 1. The squared norm is accumulated in
+// mat.SumSquares's eight fixed-order chains, so the norm (and hence any
+// training trajectory crossing a clip) is a deterministic function of the
+// gradient alone — every engine and platform sees the same bits.
+func ClipScale(grads []float64, maxNorm float64) (norm, scale float64) {
 	if maxNorm <= 0 {
-		return math.NaN()
+		return math.NaN(), 1
 	}
-	norm := math.Sqrt(mat.SumSquares(grads))
+	norm = math.Sqrt(mat.SumSquares(grads))
 	if norm > maxNorm {
-		mat.ScaleVec(grads, maxNorm/norm)
+		return norm, maxNorm / norm
 	}
-	return norm
+	return norm, 1
 }

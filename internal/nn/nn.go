@@ -59,8 +59,10 @@ type Param struct {
 //     BindParamVector or SetParamVector call; gradients and scratch are the
 //     layer's. The first forward window of at least packMinRows rows after
 //     such a call packs, and every later one multiplies against that pack —
-//     pack per bind. It is the call that invalidates, never the address: a
-//     trainer rewrites one vector in place between binds.
+//     pack per bind — until a backward pass of packMinRows rows or more,
+//     whose transposed packs reuse that pack's buffer. It is the call that
+//     invalidates, never the address: a trainer rewrites one vector in
+//     place between binds.
 //   - It is frozen (Network.Freeze): it owns only scratch; values and packs
 //     are shared, read-only, with every other view of the same freeze, and it
 //     has no gradients — pack per freeze.
@@ -92,7 +94,7 @@ type Dense struct {
 	bxt        *mat.Matrix       // reused lane-transposed scratch for short windows
 	xWin, yWin mat.Matrix        // reused views of a short window's input and output rows
 	wView      *mat.Matrix       // lazily built view of w.Value as an Out×In matrix
-	wpack      *mat.PackedTransB // kernel-layout copy of the weights (see Layer for how long it lives)
+	wpack      *mat.PackedTransB // kernel-layout copy of the weights (see Layer for how long it lives); tpack's buffer unless frozen
 	frozen     bool              // w, b and wpack are shared and read-only (see freeze)
 	bound      bool              // w and b are the caller's, immutable until the network is told otherwise
 	packed     bool              // wpack holds the current weights and may serve the next forward window
@@ -101,7 +103,7 @@ type Dense struct {
 	bx       *mat.Matrix       // input batch retained by ForwardBatch for BackwardBatch
 	dyT, bdx *mat.Matrix       // reused gradient-pass scratch/output buffers
 	gView    *mat.Matrix       // lazily built view of w.Grad as an Out×In matrix
-	tpack    *mat.PackedTransB // reused transposed pack: the weights' for the dX GEMM, then the input batch's for the dW GEMM
+	tpack    *mat.PackedTransB // reused pack buffer: the forward's weights (wpack), the transposed weights' for the dX GEMM, then the input batch's for the dW GEMM
 }
 
 // NewDense constructs a Dense layer with Xavier/Glorot uniform init.
@@ -114,7 +116,7 @@ func NewDense(r *rng.RNG, in, out int) *Dense {
 	d.b = Param{Value: make([]float64, out), Grad: make([]float64, out)}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range d.w.Value {
-		d.w.Value[i] = (2*r.Float64() - 1) * limit
+		d.w.Value[i] = (float64(2*r.Float64()) - 1) * limit
 	}
 	return d
 }
@@ -167,7 +169,7 @@ func NewConv1D(r *rng.RNG, inLen, filters, kernel, stride int) *Conv1D {
 	c.b = Param{Value: make([]float64, filters), Grad: make([]float64, filters)}
 	limit := math.Sqrt(6.0 / float64(kernel+filters))
 	for i := range c.w.Value {
-		c.w.Value[i] = (2*r.Float64() - 1) * limit
+		c.w.Value[i] = (float64(2*r.Float64()) - 1) * limit
 	}
 	return c
 }

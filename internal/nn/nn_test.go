@@ -15,7 +15,7 @@ func loss(n *Network, x, target []float64) float64 {
 	s := 0.0
 	for i := range y {
 		d := y[i] - target[i]
-		s += 0.5 * d * d
+		s += float64(0.5 * d * d)
 	}
 	return s
 }
@@ -238,7 +238,7 @@ func TestGradAccumulation(t *testing.T) {
 	n.BackwardBatch(dy, 1)
 	g2 := n.GradVector()
 	for i := range g1 {
-		if math.Abs(g2[i]-2*g1[i]) > 1e-12 {
+		if math.Abs(g2[i]-float64(2*g1[i])) > 1e-12 {
 			t.Fatal("gradients do not accumulate")
 		}
 	}
@@ -297,25 +297,23 @@ func TestEntropy(t *testing.T) {
 	}
 }
 
-func TestClipGrads(t *testing.T) {
+func TestClipScale(t *testing.T) {
 	g := []float64{3, 4} // norm 5
-	if norm := ClipGrads(g, 10); norm != 5 {
-		t.Fatalf("ClipGrads returned %v, want the norm 5", norm)
+	if norm, scale := ClipScale(g, 10); norm != 5 || scale != 1 {
+		t.Fatalf("ClipScale below the threshold returned %v, %v, want the norm 5 and 1", norm, scale)
+	}
+	norm, scale := ClipScale(g, 1)
+	if norm != 5 || scale != 0.2 {
+		t.Fatalf("ClipScale returned %v, %v, want the pre-clip norm 5 and 1/5", norm, scale)
+	}
+	if math.Abs(math.Hypot(g[0]*scale, g[1]*scale)-1) > 1e-12 {
+		t.Fatalf("clipped norm %v", math.Hypot(g[0]*scale, g[1]*scale))
 	}
 	if g[0] != 3 || g[1] != 4 {
-		t.Fatal("clip below threshold changed grads")
+		t.Fatal("ClipScale changed grads")
 	}
-	if norm := ClipGrads(g, 1); norm != 5 {
-		t.Fatalf("ClipGrads returned %v, want the pre-clip norm 5", norm)
-	}
-	if math.Abs(math.Hypot(g[0], g[1])-1) > 1e-12 {
-		t.Fatalf("clipped norm %v", math.Hypot(g[0], g[1]))
-	}
-	if norm := ClipGrads(g, 0); !math.IsNaN(norm) { // no-op
-		t.Fatalf("ClipGrads with maxNorm 0 returned %v, want NaN", norm)
-	}
-	if math.Abs(math.Hypot(g[0], g[1])-1) > 1e-12 {
-		t.Fatal("maxNorm=0 should be a no-op")
+	if norm, scale := ClipScale(g, 0); !math.IsNaN(norm) || scale != 1 { // no-op
+		t.Fatalf("ClipScale with maxNorm 0 returned %v, %v, want NaN and 1", norm, scale)
 	}
 }
 
@@ -332,7 +330,7 @@ func TestOptimizersReduceLoss(t *testing.T) {
 			for i := range data {
 				data[i] = [2]float64{r.NormalMS(0, 1), r.NormalMS(0, 1)}
 			}
-			target := func(x [2]float64) float64 { return 2*x[0] - 3*x[1] + 1 }
+			target := func(x [2]float64) float64 { return float64(2*x[0]) - float64(3*x[1]) + 1 }
 			evalLoss := func() float64 {
 				s := 0.0
 				for _, d := range data {
@@ -357,7 +355,7 @@ func TestOptimizersReduceLoss(t *testing.T) {
 				for i := range g {
 					g[i] /= float64(len(data))
 				}
-				opt.Step(params, g)
+				opt.Step(params, g, 1)
 				n.SetParamVector(params)
 			}
 			after := evalLoss()

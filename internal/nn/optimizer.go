@@ -12,8 +12,11 @@ import (
 // one implementation training uses; tests substitute others through the
 // interface.
 type Optimizer interface {
-	// Step updates params in place from grads (both flat, same length).
-	Step(params, grads []float64)
+	// Step updates params in place from scale·grads (both flat, same
+	// length; grads is only read, and each product scale·grads[i] is
+	// rounded before the step uses it). scale is ClipScale's factor, 1
+	// when nothing is clipped.
+	Step(params, grads []float64, scale float64)
 	// LearningRate reports the current base learning rate.
 	LearningRate() float64
 	// SetLearningRate changes the base learning rate (Fig. 9 sweeps it).
@@ -37,13 +40,14 @@ func NewRMSProp(lr float64) *RMSProp {
 // mat.RMSPropStep, whose vectorized kernel keeps each element's scalar
 // operation sequence (packed IEEE mul/add/sqrt/divide are correctly rounded),
 // so results stay bitwise identical to the plain loop — this optimizer is
-// where most non-GEMM update time goes on a 400k-parameter network.
-func (r *RMSProp) Step(params, grads []float64) {
+// where most non-GEMM update time goes on a 400k-parameter network. The clip
+// scale is applied in the same pass, so a clipped gradient is read once.
+func (r *RMSProp) Step(params, grads []float64, scale float64) {
 	checkLens(params, grads)
 	if r.msq == nil {
 		r.msq = make([]float64, len(params))
 	}
-	mat.RMSPropStep(params, params, grads, r.msq, r.LR, r.Decay, r.Epsilon)
+	mat.RMSPropStep(params, params, grads, r.msq, scale, r.LR, r.Decay, r.Epsilon)
 }
 
 // LearningRate implements Optimizer.

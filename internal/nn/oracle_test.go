@@ -1,12 +1,16 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The scalar oracle: every layer's forward and backward as the textbook loop
 // over one sample, the order of operations the batched kernels (batch.go,
 // backward.go) are held to bit for bit. Nothing outside the tests runs them.
 // They take their input explicitly instead of caching it, and they allocate
-// what they return.
+// what they return. Every product term is fused onto its running sum with
+// math.FMA, one rounding, the kernels' contract on every architecture.
 
 // refLayer is the oracle's view of a layer: every Layer, and a Network,
 // implements it in this file.
@@ -30,7 +34,7 @@ func (d *Dense) refForward(x []float64) []float64 {
 		row := d.w.Value[o*d.In : (o+1)*d.In]
 		s := d.b.Value[o]
 		for i, v := range x {
-			s += row[i] * v
+			s = math.FMA(row[i], v, s)
 		}
 		y[o] = s
 	}
@@ -47,8 +51,8 @@ func (d *Dense) refBackward(x, dy []float64) []float64 {
 		row := d.w.Value[o*d.In : (o+1)*d.In]
 		grow := d.w.Grad[o*d.In : (o+1)*d.In]
 		for i := range dx {
-			grow[i] += g * x[i]
-			dx[i] += g * row[i]
+			grow[i] = math.FMA(g, x[i], grow[i])
+			dx[i] = math.FMA(g, row[i], dx[i])
 		}
 	}
 	return dx
@@ -68,7 +72,7 @@ func (c *Conv1D) refForward(x []float64) []float64 {
 		for t := 0; t < ol; t++ {
 			s := c.b.Value[f]
 			for k, wk := range w {
-				s += wk * x[t*c.Stride+k]
+				s = math.FMA(wk, x[t*c.Stride+k], s)
 			}
 			y[f*ol+t] = s
 		}
@@ -93,8 +97,8 @@ func (c *Conv1D) refBackward(x, dy []float64) []float64 {
 			c.b.Grad[f] += g
 			base := t * c.Stride
 			for k := range w {
-				gw[k] += g * x[base+k]
-				dx[base+k] += g * w[k]
+				gw[k] = math.FMA(g, x[base+k], gw[k])
+				dx[base+k] = math.FMA(g, w[k], dx[base+k])
 			}
 		}
 	}

@@ -358,10 +358,12 @@ func (a *A3C) annealLocked(totalSteps int64) {
 }
 
 // stepLocked clips one worker's flat gradients and applies them to the
-// global vectors in place (Eq. 12). Called with a.mu held exclusively.
+// global vectors in place (Eq. 12): the optimizers take the clip scale as
+// they read the gradients, which stay as the worker left them. Called with
+// a.mu held exclusively.
 func (a *A3C) stepLocked(aGrad, cGrad []float64) {
-	norm := nn.ClipGrads(aGrad, a.cfg.GradClip)
-	nn.ClipGrads(cGrad, a.cfg.GradClip)
+	norm, aScale := nn.ClipScale(aGrad, a.cfg.GradClip)
+	_, cScale := nn.ClipScale(cGrad, a.cfg.GradClip)
 	if obs.Default().Enabled() {
 		// The post-clip norm is the clip's own measure, capped; only an
 		// unclipped trainer pays an O(params) pass for it, and only when
@@ -374,8 +376,8 @@ func (a *A3C) stepLocked(aGrad, cGrad []float64) {
 		trainMet.gradNorm.Set(norm)
 	}
 	sw := trainMet.updateLat.Start()
-	a.actorOpt.Step(a.actor, aGrad)
-	a.criticOpt.Step(a.critic, cGrad)
+	a.actorOpt.Step(a.actor, aGrad, aScale)
+	a.criticOpt.Step(a.critic, cGrad, cScale)
 	sw.Stop()
 	trainMet.updates.Inc()
 }

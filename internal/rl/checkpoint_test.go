@@ -12,9 +12,9 @@ import (
 // train with it because it keeps no state a checkpoint would have to carry.
 type sgd struct{ lr float64 }
 
-func (o *sgd) Step(params, grads []float64) {
+func (o *sgd) Step(params, grads []float64, scale float64) {
 	for i, g := range grads {
-		params[i] -= o.lr * g
+		params[i] -= o.lr * float64(g*scale)
 	}
 }
 

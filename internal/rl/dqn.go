@@ -275,9 +275,9 @@ func (d *DQN) update() {
 	d.online.ZeroGrad()
 	d.online.BackwardParams(d.dq, 1)
 	g := d.online.GradVector()
-	nn.ClipGrads(g, 5)
+	_, scale := nn.ClipScale(g, 5)
 	params := d.online.ParamVector()
-	d.opt.Step(params, g)
+	d.opt.Step(params, g, scale)
 	d.online.SetParamVector(params)
 }
 

@@ -228,9 +228,9 @@ func BenchmarkDQNTrainStep(b *testing.B) {
 
 // TestDQNGoldenHash pins a whole DQN run — ε-greedy action picks, replay
 // sampling, minibatch updates, target syncs — as the online network's
-// parameter hash (paramHash's FNV-1a), recorded when episodes stopped
-// deciding day 0 (mdp's decision rule). A change that moves it changed the
-// learner's arithmetic or its episodes. The constant is amd64's, like TestVecTrainGoldenHashes'.
+// parameter hash (paramHash's FNV-1a), recorded when mat's and nn's
+// multiply-accumulates became fused multiply-adds. A change that moves it
+// changed the learner's arithmetic or its episodes. The constant is amd64's, like TestVecTrainGoldenHashes'.
 func TestDQNGoldenHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden hash was recorded on amd64; fused multiply-adds round differently")
@@ -251,7 +251,7 @@ func TestDQNGoldenHash(t *testing.T) {
 	if _, err := d.Train(traceSource(t, tr, cfg.Net.HistLen), 6000); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := hashVectors(d.online.ParamVector()), uint64(0x900ade7b39f4f7a9); got != want {
+	if got, want := hashVectors(d.online.ParamVector()), uint64(0x739197ebac44045d); got != want {
 		t.Errorf("online parameter hash %#x, want %#x", got, want)
 	}
 }
