@@ -59,16 +59,17 @@ check-parallel:
 check-purego:
 	$(GO) test -tags purego -count=1 ./internal/mat ./internal/nn ./internal/rl
 
-# smoke-serve boots minicostd with a tiny bootstrap agent, exercises
-# observe -> plan, and asserts /healthz answers, /metrics exposes the
-# serving and training metric families, the bootstrap bill was logged, and
-# three days of curl traffic were accepted whole.
+# smoke-serve boots minicostd with no checkpoint, exercises observe -> plan,
+# and asserts the daemon serves policy.Greedy's tiers, /healthz answers,
+# /metrics exposes the serving and training metric families with no step
+# trained, and three days of curl traffic were accepted whole; then boots a
+# second daemon from a `minicost -save` checkpoint and plans through it.
 smoke-serve:
 	sh scripts/smoke_serve.sh
 
-# smoke-online boots minicostd with the continuous-learning loop enabled,
-# posts drifting curl traffic through it, and asserts at least one
-# fine-tune epoch ran, the drift score is exported on /metrics, and a
+# smoke-online boots minicostd with the continuous-learning loop enabled and
+# no checkpoint, posts drifting curl traffic through it, and asserts at least
+# one fine-tune epoch trained, the drift score is exported on /metrics, and a
 # candidate policy was hot-swapped into serving — then reboots from the
 # learner checkpoint via -checkpoint ... -online.
 smoke-online:

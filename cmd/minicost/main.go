@@ -2,12 +2,14 @@
 // generate) a trace, train the RL agent on the first portion, serve the
 // remainder, and report its bill next to the paper's baselines, all priced
 // by the same cost model. With -aggregate the row is labelled minicost-w/E
-// (Fig. 13's label): only MiniCost runs the enhancement.
+// (Fig. 13's label): only MiniCost runs the enhancement. With -save the
+// trained agent is written as the checkpoint minicostd -checkpoint serves.
 //
 // Usage:
 //
 //	minicost -files 500 -days 42 -train-steps 200000
 //	minicost -trace trace.csv -split 0.8 -aggregate
+//	minicost -trace hist.csv -save agent.ckpt
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"minicost"
+	"minicost/internal/online"
 )
 
 func main() {
@@ -31,6 +34,7 @@ func main() {
 		aggregateE = flag.Bool("aggregate", false, "enable the concurrent-request aggregation enhancement")
 		filters    = flag.Int("filters", 32, "conv filters (paper: 128)")
 		hidden     = flag.Int("hidden", 64, "hidden neurons (paper: 128)")
+		savePath   = flag.String("save", "", "write the trained agent's checkpoint here, atomically, for minicostd -checkpoint")
 	)
 	flag.Parse()
 
@@ -73,6 +77,12 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "trained: %d steps, %d episodes, mean reward %.3f (%s)\n",
 		stats.Steps, stats.Episodes, stats.MeanReward(), time.Since(start).Round(time.Millisecond))
+	if *savePath != "" {
+		if err := saveAgent(*savePath, sys); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "agent checkpoint written to %s\n", *savePath)
+	}
 
 	report, err := sys.Run(serve)
 	if err != nil {
@@ -103,6 +113,12 @@ func main() {
 	if *aggregateE {
 		fmt.Printf("aggregated groups active at end: %d\n", report.AggregatedGroups)
 	}
+}
+
+// saveAgent writes the system's trained agent to path through
+// online.WriteAtomic (temporary file, fsync, rename).
+func saveAgent(path string, sys *minicost.System) error {
+	return online.WriteAtomic(path, sys.Agent().Save)
 }
 
 func loadTrace(path string, files, days int, seed uint64) (*minicost.Trace, error) {

@@ -4,11 +4,12 @@
 // and fetches the tier assignment plan from /v1/plan.
 //
 // The agent comes from -checkpoint, which reads any checkpoint: the
-// actor-only file rl.Agent.Save writes (-save among others) or a learner
-// checkpoint the online subsystem writes, whose critic -online carries into
-// the fine-tune trainer. Without one, minicostd bootstraps by training on a
-// synthetic workload so the service is demonstrable out of the box, then
-// bills the bootstrapped policy on that workload and logs the bill.
+// actor-only file rl.Agent.Save writes (minicost -save among others) or a
+// learner checkpoint the online subsystem writes, whose critic -online
+// carries into the fine-tune trainer. Without one, minicostd starts at once
+// and serves policy.Greedy from the same store; with -online a fresh trainer
+// of shape freshNet fine-tunes on the observed history, and its candidate
+// replaces Greedy only when the holdout bills it no higher than Greedy.
 //
 // With -online the daemon closes the serve→train loop (DESIGN.md §16): the
 // serving store keeps each file's history over the learner's window, drift
@@ -27,7 +28,7 @@
 // Usage:
 //
 //	minicostd -checkpoint agent.ckpt -addr :8080
-//	minicostd -bootstrap-steps 200000 -save agent.ckpt
+//	minicostd -addr :8080
 //	minicostd -online -finetune-every 16 -checkpoint-dir /var/lib/minicost
 //	minicostd -checkpoint /var/lib/minicost/learner-0000000003.ckpt -online
 package main
@@ -46,7 +47,6 @@ import (
 	"time"
 
 	"minicost/internal/agentserver"
-	"minicost/internal/core"
 	"minicost/internal/costmodel"
 	"minicost/internal/mat"
 	"minicost/internal/mdp"
@@ -54,17 +54,17 @@ import (
 	"minicost/internal/online"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
-	"minicost/internal/trace"
 )
+
+// freshNet is the shape of the fine-tune trainer -online starts from when
+// there is no checkpoint: the paper's 14-day window under a 32-filter,
+// 64-unit network.
+var freshNet = rl.NetConfig{HistLen: 14, Filters: 32, Kernel: 4, Stride: 1, Hidden: 64}
 
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		checkpoint = flag.String("checkpoint", "", "checkpoint to boot from: an agent's actor, or a learner's actor and critic")
-		save       = flag.String("save", "", "write the (possibly bootstrapped) agent checkpoint here, atomically")
-		steps      = flag.Int64("bootstrap-steps", 200000, "training steps when bootstrapping without a checkpoint")
-		filters    = flag.Int("filters", 32, "conv filters when bootstrapping")
-		hidden     = flag.Int("hidden", 64, "hidden neurons when bootstrapping")
+		checkpoint = flag.String("checkpoint", "", "checkpoint to boot from: an agent's actor, or a learner's actor and critic (none: serve Greedy)")
 		metrics    = flag.Bool("metrics", true, "enable the obs registry and serve /metrics")
 		pprofOn    = flag.Bool("pprof", false, "mount /debug/pprof handlers")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
@@ -85,13 +85,13 @@ func main() {
 	flag.Parse()
 	ftCfg := finetuneA3C(*ftWorkers, *ftEnvs, *ftPar)
 	if *onlineOn {
-		// Refuse bad learner settings now, not after the bootstrap run.
+		// Refuse bad learner settings before reading the checkpoint.
 		if err := checkOnlineFlags(ftCfg, *ftSteps, *ckptKeep); err != nil {
 			fatal(err)
 		}
 	}
 
-	// Turn the default-off registry on before bootstrapping so the training
+	// Turn the default-off registry on before booting so the training
 	// instruments record from the first step.
 	obs.Default().SetEnabled(*metrics)
 
@@ -103,32 +103,14 @@ func main() {
 		"Kernel tier the packed GEMM runs on this CPU (avx512, avx or generic), chosen once at start-up; always 1.",
 		obs.L("isa", isa)).Set(1)
 
-	boot, err := loadOrBootstrap(bootOpts{
-		checkpoint:     *checkpoint,
-		steps:          *steps,
-		filters:        *filters,
-		hidden:         *hidden,
-		online:         *onlineOn,
-		finetuneConfig: ftCfg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	agent := boot.agent
-	if *save != "" {
-		if err := online.WriteAtomic(*save, agent.Save); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "minicostd: checkpoint written to %s\n", *save)
-	}
-
-	srv, err := agentserver.NewWithConfig(agent, pricing.Hot, agentserver.Config{
+	boot, err := load(*checkpoint, *onlineOn, ftCfg, agentserver.Config{
 		Shards:          *shards,
 		MaxObserveBytes: *maxBody,
 	})
 	if err != nil {
 		fatal(err)
 	}
+	srv := boot.server
 
 	var learner *online.Learner
 	if *onlineOn {
@@ -147,9 +129,6 @@ func main() {
 		})
 		if err != nil {
 			fatal(err)
-		}
-		if boot.baseline != nil {
-			learner.SetBaselineFromTrace(boot.baseline)
 		}
 		srv.SetTap(learner)
 		learner.Start()
@@ -183,7 +162,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "minicostd: serving on %s (hist window %d days, %d shards)\n",
-		*addr, agent.Net.HistLen, srv.Shards())
+		*addr, srv.Stats().HistLen, srv.Shards())
 	server := &http.Server{
 		Addr:              *addr,
 		Handler:           mux,
@@ -224,7 +203,7 @@ func main() {
 // EnvsPerWorker the lockstep width, Parallelism the intra-update GEMM
 // fan-out. Out-of-range values are left for A3CConfig.Validate to refuse.
 func finetuneA3C(workers, envs, parallelism int) rl.A3CConfig {
-	cfg := core.DefaultConfig().A3C
+	cfg := rl.DefaultA3CConfig()
 	cfg.Workers = workers
 	cfg.EnvsPerWorker = envs
 	cfg.Parallelism = parallelism
@@ -232,8 +211,8 @@ func finetuneA3C(workers, envs, parallelism int) rl.A3CConfig {
 }
 
 // checkOnlineFlags refuses the -online settings that would otherwise fail
-// only after the bootstrap run (an invalid fine-tune shape, a negative step
-// budget) or be silently replaced: online.Config reads an explicit zero as
+// only after the checkpoint was read (an invalid fine-tune shape, a negative
+// step budget) or be silently replaced: online.Config reads an explicit zero as
 // "unset", so -finetune-steps 0 would train 2048 steps and -checkpoint-keep 0
 // keep 5.
 func checkOnlineFlags(ft rl.A3CConfig, steps int64, keep int) error {
@@ -249,104 +228,62 @@ func checkOnlineFlags(ft rl.A3CConfig, steps int64, keep int) error {
 	return nil
 }
 
-// bootOpts selects minicostd's policy source.
-type bootOpts struct {
-	checkpoint     string
-	steps          int64
-	filters        int
-	hidden         int
-	online         bool
-	finetuneConfig rl.A3CConfig
-}
-
-// bootState is what serving and the online learner boot from: the serving
-// agent, the fine-tune trainer carrying the same actor weights (nil unless
-// -online), the cost model, and — on the bootstrap path — the synthetic
-// training trace that seeds the drift baseline.
+// bootState is what serving and the online learner boot from: the server,
+// the checkpoint's actor it serves (nil while it serves Greedy), the
+// fine-tune trainer (nil unless -online) and the cost model.
 type bootState struct {
-	agent    *rl.Agent
-	trainer  *rl.A3C
-	model    *costmodel.Model
-	baseline *trace.Trace
+	server  *agentserver.Server
+	agent   *rl.Agent
+	trainer *rl.A3C
+	model   *costmodel.Model
 }
 
-// loadOrBootstrap resolves the serving policy: a checkpoint, or a
-// synthetic bootstrap run; after bootstrapping it bills the policy on the
-// bootstrap workload and logs the bill. With opts.online the returned
-// trainer's global actor is bitwise the serving agent's, so the learner's
-// first rollback point and incumbent agree; its critic is the checkpoint's
-// when the file carries one, the bootstrap run's warm critic after a
-// bootstrap, and rl.NewA3C's fresh one otherwise.
-func loadOrBootstrap(opts bootOpts) (*bootState, error) {
-	model := costmodel.New(pricing.Azure())
-	if opts.checkpoint != "" {
-		// One read: the agent and the trainer decode the same bytes, so a
-		// file replaced on disk meanwhile cannot pair one checkpoint's actor
-		// with another's critic.
-		data, err := os.ReadFile(opts.checkpoint)
-		if err != nil {
+// load builds the serving stack from checkpoint, or from nothing. With a
+// checkpoint the server serves its actor, and with online the trainer's
+// global actor is bitwise that actor, so the learner's first rollback point
+// and incumbent agree; the trainer's critic is the checkpoint's when the file
+// carries one and rl.NewA3C's fresh one otherwise. Without a checkpoint the
+// server serves policy.Greedy over freshNet's window, and the trainer starts
+// fresh at freshNet.
+func load(checkpoint string, online bool, ft rl.A3CConfig, cfg agentserver.Config) (*bootState, error) {
+	st := &bootState{model: costmodel.New(pricing.Azure())}
+	var err error
+	if checkpoint == "" {
+		if st.server, err = agentserver.NewGreedy(st.model, freshNet.HistLen, pricing.Hot, cfg); err != nil {
 			return nil, err
 		}
-		agent, err := rl.LoadAgent(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		st := &bootState{agent: agent, model: model}
-		if opts.online {
-			cfg := opts.finetuneConfig
-			cfg.Net = agent.Net
-			if st.trainer, err = rl.NewA3C(cfg); err != nil {
-				return nil, err
-			}
-			if err := st.trainer.LoadCheckpoint(bytes.NewReader(data)); err != nil {
+		if online {
+			ft.Net = freshNet
+			if st.trainer, err = rl.NewA3C(ft); err != nil {
 				return nil, err
 			}
 		}
-		fmt.Fprintf(os.Stderr, "minicostd: loaded %s\n", opts.checkpoint)
+		fmt.Fprintln(os.Stderr, "minicostd: no checkpoint; serving policy.Greedy")
 		return st, nil
 	}
-	fmt.Fprintf(os.Stderr, "minicostd: no checkpoint; bootstrapping on a synthetic workload (%d steps)...\n", opts.steps)
-	gen := trace.DefaultGenConfig()
-	gen.NumFiles = 500
-	gen.Days = 42
-	tr, err := trace.Generate(gen)
+	// One read: the agent and the trainer decode the same bytes, so a file
+	// replaced on disk meanwhile cannot pair one checkpoint's actor with
+	// another's critic.
+	data, err := os.ReadFile(checkpoint)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig()
-	cfg.TrainSteps = opts.steps
-	cfg.A3C.Net.Filters = opts.filters
-	cfg.A3C.Net.Hidden = opts.hidden
-	sys, err := core.New(cfg)
-	if err != nil {
+	if st.agent, err = rl.LoadAgent(bytes.NewReader(data)); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if _, err := sys.Train(tr); err != nil {
+	if st.server, err = agentserver.NewWithConfig(st.agent, pricing.Hot, cfg); err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "minicostd: bootstrapped in %s\n", time.Since(start).Round(time.Second))
-	report, err := sys.Run(tr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "minicostd: bootstrap eval: bill $%.4f over %d days (%d tier changes)\n",
-		report.Total.Total(), tr.Days, report.TierChanges)
-	st := &bootState{agent: sys.Agent(), model: sys.Model(), baseline: tr}
-	if opts.online {
-		// Training selected the best evaluation snapshot as the serving
-		// agent, which can differ from the trainer's final weights; carry
-		// the bootstrap trainer's warm critic into the fine-tune trainer.
-		ftCfg := opts.finetuneConfig
-		ftCfg.Net = cfg.A3C.Net
-		if st.trainer, err = rl.NewA3C(ftCfg); err != nil {
+	if online {
+		ft.Net = st.agent.Net
+		if st.trainer, err = rl.NewA3C(ft); err != nil {
 			return nil, err
 		}
-		_, critic := sys.Trainer().ParamVectors()
-		if err := st.trainer.SetParamVectors(st.agent.ParamVector(), critic); err != nil {
+		if err := st.trainer.LoadCheckpoint(bytes.NewReader(data)); err != nil {
 			return nil, err
 		}
 	}
+	fmt.Fprintf(os.Stderr, "minicostd: loaded %s\n", checkpoint)
 	return st, nil
 }
 

@@ -1,15 +1,20 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"minicost/internal/agentserver"
 	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
+	"minicost/internal/obs"
 	"minicost/internal/online"
+	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 	"minicost/internal/rng"
@@ -43,7 +48,7 @@ var bootNet = rl.NetConfig{HistLen: 7, Filters: 4, Kernel: 4, Stride: 1, Hidden:
 // shape minicostd's defaults give.
 func bootOnline(t *testing.T, path string) (*bootState, error) {
 	t.Helper()
-	return loadOrBootstrap(bootOpts{checkpoint: path, online: true, finetuneConfig: finetuneA3C(1, 8, 0)})
+	return load(path, true, finetuneA3C(1, 8, 0), agentserver.Config{})
 }
 
 // writeFile writes a checkpoint through save to a fresh file.
@@ -178,5 +183,152 @@ func TestCheckOnlineFlagsRefusesZeros(t *testing.T) {
 	}
 	if err := checkOnlineFlags(finetuneA3C(0, 8, 0), 2048, 5); err == nil {
 		t.Error("checkOnlineFlags passed Workers 0")
+	}
+}
+
+// smokeProbe is the one-day observe scripts/smoke_serve.sh posts to a daemon
+// booted with no flags.
+var smokeProbe = []agentserver.FileObservation{
+	{ID: "a", SizeGB: 0.5, Reads: 100, Writes: 2},
+	{ID: "b", SizeGB: 1, Reads: 0.01, Writes: 0},
+}
+
+// greedyReference replays days of observations through srv, one observe
+// and one plan a day, and holds every served tier to policy.Greedy's plan
+// of the same trace; it returns the last plan.
+func greedyReference(t *testing.T, srv *agentserver.Server, tr *trace.Trace) *agentserver.PlanResponse {
+	t.Helper()
+	want, err := policy.Greedy{}.Assign(tr, costmodel.New(pricing.Azure()), pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan *agentserver.PlanResponse
+	for d := 0; d < tr.Days-1; d++ {
+		req := &agentserver.ObserveRequest{}
+		for i := range tr.Files {
+			req.Files = append(req.Files, agentserver.FileObservation{
+				ID: fmt.Sprintf("f%03d", i), SizeGB: tr.Files[i].SizeGB, Reads: tr.Reads[i][d], Writes: tr.Writes[i][d],
+			})
+		}
+		if _, err := srv.Observe(req); err != nil {
+			t.Fatal(err)
+		}
+		if plan, err = srv.BuildPlan(false); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range plan.Files {
+			var i int
+			if _, err := fmt.Sscanf(e.ID, "f%03d", &i); err != nil {
+				t.Fatal(err)
+			}
+			if e.Tier != want[i][d+1].String() {
+				t.Fatalf("day %d: %s served %s, Greedy plans %s", d+1, e.ID, e.Tier, want[i][d+1])
+			}
+		}
+	}
+	return plan
+}
+
+// TestBootWithoutCheckpointServesGreedy: with no checkpoint minicostd trains
+// nothing and serves policy.Greedy, tier for tier, from the first plan on —
+// including the two-file probe whose tiers scripts/smoke_serve.sh asserts.
+func TestBootWithoutCheckpointServesGreedy(t *testing.T) {
+	reg := obs.Default()
+	was := reg.Enabled()
+	reg.SetEnabled(true)
+	t.Cleanup(func() { reg.SetEnabled(was) })
+	before := reg.Snapshot().Counter("minicost_train_steps_total")
+
+	st, err := load("", false, finetuneA3C(1, 8, 0), agentserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.agent != nil || st.trainer != nil || st.server.AgentServing() {
+		t.Fatalf("boot without a checkpoint: agent %v, trainer %v, agent serving %v", st.agent, st.trainer, st.server.AgentServing())
+	}
+	if _, err := st.server.Observe(&agentserver.ObserveRequest{Files: smokeProbe}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := st.server.BuildPlan(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &trace.Trace{Days: 2}
+	for i, f := range smokeProbe {
+		probe.Files = append(probe.Files, trace.FileMeta{ID: i, SizeGB: f.SizeGB})
+		probe.Reads = append(probe.Reads, []float64{f.Reads, 0})
+		probe.Writes = append(probe.Writes, []float64{f.Writes, 0})
+	}
+	want, err := policy.Greedy{}.Assign(probe, st.model, pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile(filepath.Join("..", "..", "scripts", "smoke_serve.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range plan.Files {
+		if e.ID != smokeProbe[i].ID || e.Tier != want[i][1].String() {
+			t.Fatalf("probe plan entry %d = %+v, Greedy plans %s for %s", i, e, want[i][1], smokeProbe[i].ID)
+		}
+		if line := fmt.Sprintf(`"id":"%s","tier":"%s"`, e.ID, e.Tier); !strings.Contains(string(script), line) {
+			t.Errorf("scripts/smoke_serve.sh does not assert %s", line)
+		}
+	}
+	if after := reg.Snapshot().Counter("minicost_train_steps_total"); after != before {
+		t.Fatalf("booting without a checkpoint trained %v steps", after-before)
+	}
+
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles = 60
+	gen.Days = 20
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = load("", false, finetuneA3C(1, 8, 0), agentserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedyReference(t, st.server, tr)
+}
+
+// TestBootWithoutCheckpointOnline: -online with no checkpoint serves Greedy
+// and fine-tunes a fresh trainer of shape freshNet, which the learner
+// accepts over the Greedy server's window.
+func TestBootWithoutCheckpointOnline(t *testing.T) {
+	st, err := load("", true, finetuneA3C(1, 8, 0), agentserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := finetuneA3C(1, 8, 0)
+	cfg.Net = freshNet
+	fresh, err := rl.NewA3C(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.agent != nil || st.trainer == nil || st.trainer.Config().Net != freshNet {
+		t.Fatalf("boot: agent %v, trainer %v", st.agent, st.trainer)
+	}
+	wantA, wantC := fresh.ParamVectors()
+	gotA, gotC := st.trainer.ParamVectors()
+	bitwise(t, "trainer actor", gotA, wantA)
+	bitwise(t, "trainer critic", gotC, wantC)
+	if _, err := online.New(online.Config{
+		Trainer: st.trainer, Serving: st.server, Model: st.model,
+		Reward: mdp.DefaultReward(), Initial: pricing.Hot, SwapGate: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.DefaultGenConfig()
+	gen.NumFiles = 20
+	gen.Days = 6
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedyReference(t, st.server, tr)
+	if st.server.AgentServing() {
+		t.Fatal("an agent serves before any epoch")
 	}
 }

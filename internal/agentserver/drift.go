@@ -25,8 +25,7 @@ const DriftBuckets = 8
 // and the smoke scripts produce, so bucketing allocates nothing and a count
 // is a function of the observed values alone. Rows: operations per file per
 // day (reads, writes), size in GB (the smoke traffic spans 0.01–50), and
-// inter-access gap in per-file observed days — the trace-day unit a baseline
-// seeded from a training trace uses.
+// inter-access gap in per-file observed days.
 var driftEdges = [NumDriftDims][DriftBuckets - 1]float64{
 	DriftReads:  {0.5, 5, 50, 500, 5e3, 5e4, 5e5},
 	DriftWrites: {0.5, 5, 50, 500, 5e3, 5e4, 5e5},

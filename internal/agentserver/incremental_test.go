@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"minicost/internal/costmodel"
 	"minicost/internal/mdp"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
@@ -49,11 +50,19 @@ type planTwins struct {
 	unflagged            int                  // entries seen Changed in one plan and not in the next
 }
 
+// A nil agent builds Greedy servers (NewGreedy) over testAgent's window.
 func newPlanTwins(t *testing.T, shards int, agent func() *rl.Agent) *planTwins {
 	t.Helper()
 	tw := &planTwins{t: t, r: rng.New(uint64(9000 + shards)), prev: map[string]PlanEntry{}}
 	server := func() *Server {
-		s, err := NewWithConfig(agent(), pricing.Hot, Config{Shards: shards})
+		cfg := Config{Shards: shards}
+		var s *Server
+		var err error
+		if agent == nil {
+			s, err = NewGreedy(costmodel.New(pricing.Azure()), testAgent().Net.HistLen, pricing.Hot, cfg)
+		} else {
+			s, err = NewWithConfig(agent(), pricing.Hot, cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,6 +297,10 @@ func TestIncrementalPlanEqualsFull(t *testing.T) {
 			for _, pop := range []int{2*planBlockLen + 300, planBlockLen, 1} {
 				t.Run(fmt.Sprintf("files=%d", pop), func(t *testing.T) { blockPlans(newPlanTwins(t, shards, settlingAgent), pop) })
 			}
+			// Greedy servers (minicostd without a checkpoint), and in
+			// blockPlans the swap to their first agent.
+			t.Run("greedy/interleaved", func(t *testing.T) { interleavedPlans(newPlanTwins(t, shards, nil)) })
+			t.Run("greedy/blocks", func(t *testing.T) { blockPlans(newPlanTwins(t, shards, nil), 2*planBlockLen+300) })
 		})
 	}
 }
@@ -450,12 +463,22 @@ func TestConcurrentObserveAndPlanSharded(t *testing.T) {
 // policy swaps. Run under -race by `make check`. Every plan body must decode,
 // be strictly ID-sorted with valid tiers, and hold every file whose observe
 // had been answered before the plan was asked for; plans run one at a time,
-// so the replica pool never exceeds one plan's fan-out however many ask.
+// so the replica pool never exceeds one plan's fan-out however many ask. A
+// Greedy server runs the same load and takes its first agent mid-run.
 func TestConcurrentPlansObservesAndSwaps(t *testing.T) {
-	s, err := NewWithConfig(testAgent(), pricing.Hot, Config{Shards: 16})
+	agent, err := NewWithConfig(testAgent(), pricing.Hot, Config{Shards: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	greedy, err := NewGreedy(costmodel.New(pricing.Azure()), testAgent().Net.HistLen, pricing.Hot, Config{Shards: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	concurrentPlansObservesAndSwaps(t, agent)
+	concurrentPlansObservesAndSwaps(t, greedy)
+}
+
+func concurrentPlansObservesAndSwaps(t *testing.T, s *Server) {
 	const seeded = 1500 // more than one block
 	feedWeek(t, s, seeded)
 	h := s.Handler()

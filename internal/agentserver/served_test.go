@@ -45,7 +45,8 @@ const (
 // files that arrive then. With a hot swap (UpdateAgent) the reference is
 // simulate, the rule spelled out with mdp's window and encoder and the
 // agent's batched argmax; without a swap simulate must equal RL.Assign bit
-// for bit, so it is the same decider.
+// for bit, so it is the same decider. A server built by NewGreedy (minicostd
+// without a checkpoint) is held the same way to policy.Greedy.Assign.
 func TestServedEqualsSimulated(t *testing.T) {
 	gen := trace.DefaultGenConfig()
 	gen.NumFiles = servedEarly + servedLate
@@ -89,7 +90,12 @@ func TestServedEqualsSimulated(t *testing.T) {
 		return second
 	}
 	simNoSwap := simulate(tr, arrive, initial, withoutSwap)
-	served := replay(t, tr, arrive, first, nil)
+	served := replay(t, tr, arrive, newServer(t, first), nil)
+	greedy, err := agentserver.NewGreedy(m, net.HistLen, initial, agentserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedGreedy := replay(t, tr, arrive, greedy, nil)
 	for _, g := range groups {
 		gtr, err := tr.Subset(g.files).Window(g.from, servedDays)
 		if err != nil {
@@ -104,10 +110,19 @@ func TestServedEqualsSimulated(t *testing.T) {
 		assertSamePlans(t, "simulate without a swap vs RL.Assign, files "+g.name, sim, want)
 		assertSameBill(t, "files "+g.name, m, gtr, got, want, initial)
 		assertVaried(t, "files "+g.name, want)
+
+		want, err = policy.Greedy{Workers: 2}.Assign(gtr, m, initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = slicePlans(servedGreedy, g.files, g.from)
+		assertSamePlans(t, "served by Greedy vs Greedy.Assign, files "+g.name, got, want)
+		assertSameBill(t, "Greedy, files "+g.name, m, gtr, got, want, initial)
+		assertVaried(t, "Greedy, files "+g.name, want)
 	}
 
 	simSwap := simulate(tr, arrive, initial, withSwap)
-	swapped := replay(t, tr, arrive, first, second)
+	swapped := replay(t, tr, arrive, newServer(t, first), second)
 	for _, g := range groups {
 		gtr, err := tr.Subset(g.files).Window(g.from, servedDays)
 		if err != nil {
@@ -130,7 +145,16 @@ func TestServedEqualsSimulated(t *testing.T) {
 	}
 }
 
-// replay drives a fresh server through tr over its HTTP handler. Day k's
+func newServer(t *testing.T, agent *rl.Agent) *agentserver.Server {
+	t.Helper()
+	s, err := agentserver.New(agent, pricing.Hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// replay drives s, a fresh server, through tr over its HTTP handler. Day k's
 // observe carries every file that has arrived by day k (arrive[i] is file
 // i's first day), and the plan that follows decides day k+1. When swap is
 // set it replaces the serving agent (UpdateAgent) after the plan that
@@ -138,12 +162,8 @@ func TestServedEqualsSimulated(t *testing.T) {
 // file i holds the initial tier up to its arrival day and then each served
 // tier. Every plan's Changed flags must be exactly the files whose tier the
 // plan moved — the migration list an operator would execute.
-func replay(t *testing.T, tr *trace.Trace, arrive []int, agent, swap *rl.Agent) costmodel.Assignment {
+func replay(t *testing.T, tr *trace.Trace, arrive []int, s *agentserver.Server, swap *rl.Agent) costmodel.Assignment {
 	t.Helper()
-	s, err := agentserver.New(agent, pricing.Hot)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := s.Handler()
 	ids := make(map[string]int, tr.NumFiles())
 	for i := range tr.Files {

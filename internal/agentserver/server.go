@@ -8,7 +8,9 @@
 // The service ingests daily per-file observations (POST /v1/observe),
 // maintains each file's trailing frequency history in a sharded
 // struct-of-arrays store (store.go), and produces tier assignment plans
-// (GET /v1/plan) with the greedy policy of the loaded agent. Plans are
+// (GET /v1/plan) with the greedy policy of the loaded agent — or, on a
+// server built by NewGreedy, with policy.Greedy until an agent is swapped
+// in. Plans are
 // incremental by default: only files whose observed features changed since
 // the last plan are re-decided; the rest serve their cached assignment
 // (GET /v1/plan?full=1 forces a full re-decision — bitwise-identical, just
@@ -34,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"minicost/internal/costmodel"
 	"minicost/internal/obs"
 	"minicost/internal/par"
 	"minicost/internal/pricing"
@@ -110,6 +113,8 @@ type StatsResponse struct {
 	PlansServed  int64   `json:"plans_served"`
 	LastPlanMS   float64 `json:"last_plan_ms"`
 	HistLen      int     `json:"hist_len"`
+	// AgentServing is false while policy.Greedy decides the plans.
+	AgentServing bool `json:"agent_serving"`
 	// Replicas is how many network replicas the serving pool has built for
 	// the current agent snapshot — bounded by the plan's shard fan-out width,
 	// not by request volume or concurrency.
@@ -159,7 +164,8 @@ type Config struct {
 }
 
 // Server wraps an agent with sharded observation state. Create with New or
-// NewWithConfig, mount via Handler.
+// NewWithConfig, or with NewGreedy to serve policy.Greedy until an agent is
+// swapped in; mount via Handler.
 //
 // Serving uses a replica pool instead of one network per request: a plan
 // borrows a pooled replica per shard worker, computes decisions with
@@ -171,7 +177,8 @@ type Config struct {
 // new training snapshot lands and marks every file dirty so the next plan
 // re-decides the world under the new weights.
 type Server struct {
-	pool    *rl.ReplicaPool
+	pool    *rl.ReplicaPool  // no source while Greedy serves
+	model   *costmodel.Model // prices Greedy's decisions; nil on an agent-only server
 	histLen int
 	initial pricing.Tier
 	workers int
@@ -277,6 +284,27 @@ func NewWithConfig(agent *rl.Agent, initial pricing.Tier, cfg Config) (*Server, 
 	if agent == nil {
 		return nil, errors.New("agentserver: nil agent")
 	}
+	return newServer(rl.NewReplicaPool(agent.Clone()), nil, agent.Net.HistLen, initial, cfg)
+}
+
+// NewGreedy builds a server that serves policy.Greedy, priced by model,
+// until UpdateAgent installs an agent: each plan moves a decided file to the
+// tier policy.GreedyStep picks from its newest observed day, so a replayed
+// trace is served as Greedy.Assign plans it. histLen is the decision window
+// of the agents that may be swapped in later; Greedy reads one day of it.
+func NewGreedy(model *costmodel.Model, histLen int, initial pricing.Tier, cfg Config) (*Server, error) {
+	if model == nil {
+		return nil, errors.New("agentserver: nil cost model")
+	}
+	if histLen < 1 {
+		return nil, fmt.Errorf("agentserver: decision window %d", histLen)
+	}
+	return newServer(new(rl.ReplicaPool), model, histLen, initial, cfg)
+}
+
+// newServer builds the store around pool, the agent's replicas or an empty
+// pool for Greedy.
+func newServer(pool *rl.ReplicaPool, model *costmodel.Model, histLen int, initial pricing.Tier, cfg Config) (*Server, error) {
 	if !initial.Valid() {
 		return nil, errors.New("agentserver: invalid initial tier")
 	}
@@ -296,8 +324,9 @@ func NewWithConfig(agent *rl.Agent, initial pricing.Tier, cfg Config) (*Server, 
 		return nil, fmt.Errorf("agentserver: negative observe body cap %d", cfg.MaxObserveBytes)
 	}
 	s := &Server{
-		pool:            rl.NewReplicaPool(agent.Clone()),
-		histLen:         agent.Net.HistLen,
+		pool:            pool,
+		model:           model,
+		histLen:         histLen,
 		initial:         initial,
 		workers:         cfg.Workers,
 		shards:          make([]*shard, shards),
@@ -330,6 +359,14 @@ func NewWithConfig(agent *rl.Agent, initial pricing.Tier, cfg Config) (*Server, 
 			}
 			return float64(n)
 		})
+	reg.GaugeFunc("minicost_serve_agent_serving",
+		"1 while an agent decides the plans, 0 while policy.Greedy does (a server booted without a checkpoint, until a candidate is swapped in).",
+		func() float64 {
+			if s.AgentServing() {
+				return 1
+			}
+			return 0
+		})
 	return s, nil
 }
 
@@ -344,6 +381,10 @@ func ceilPow2(n int) int {
 
 // Shards returns the store's partition count.
 func (s *Server) Shards() int { return len(s.shards) }
+
+// AgentServing reports whether an agent decides the next plan: false until
+// the replica pool of a NewGreedy server has packed one.
+func (s *Server) AgentServing() bool { return s.pool.Packs() > 0 }
 
 // SetTap installs the observe tap (the online learner's feed; a server has
 // none until it is set), after construction — minicostd builds the
@@ -441,7 +482,8 @@ func (s *Server) SnapshotHistory(minDays, maxFiles int) *History {
 	return h
 }
 
-// UpdateAgent swaps in a fresh training snapshot. Pooled replicas of the
+// UpdateAgent swaps in a fresh training snapshot — on a Greedy server, the
+// first agent, which serves from the next plan on. Pooled replicas of the
 // previous snapshot are invalidated; in-flight plans finish on the weights
 // they started with. Every tracked file is marked dirty — cached plan
 // decisions were made by the previous weights — so the next incremental
@@ -633,8 +675,8 @@ func (s *Server) plan(full bool) (*PlanResponse, error) {
 		sh := s.shards[si]
 		m := sh.snapshotDecisions(full)
 		if m > 0 {
-			rep := s.pool.Get()
-			sh.decide(rep.Agent, m)
+			rep := s.pool.Get() // nil while Greedy serves
+			sh.decide(rep, s.model, m)
 			s.pool.Put(rep)
 		}
 		decided[si] = m
@@ -683,6 +725,7 @@ func (s *Server) Stats() *StatsResponse {
 		PlansServed:  s.plansServed.Load(),
 		LastPlanMS:   float64(s.lastPlanUS.Load()) / 1000,
 		HistLen:      s.histLen,
+		AgentServing: s.AgentServing(),
 		Replicas:     s.pool.Created(),
 		Shards:       len(s.shards),
 	}

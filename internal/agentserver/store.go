@@ -36,9 +36,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"minicost/internal/costmodel"
 	"minicost/internal/mat"
 	"minicost/internal/mdp"
 	"minicost/internal/par"
+	"minicost/internal/policy"
 	"minicost/internal/pricing"
 	"minicost/internal/rl"
 )
@@ -96,10 +98,9 @@ type shard struct {
 	// Learner state, nil unless attachLearner ran. drift counts the samples
 	// ingested since the last Server.DrainDrift. idle is each slot's observed
 	// days since its last day with any read or write, -1 before the first:
-	// a per-file day count, so inter-access gaps stay in the trace-day unit
-	// the drift baseline is seeded in however many observe batches a workload
-	// day is split into, and cannot go negative when concurrent requests
-	// land out of order.
+	// a per-file day count, so inter-access gaps stay in trace days however
+	// many observe batches a workload day is split into, and cannot go
+	// negative when concurrent requests land out of order.
 	drift *DriftCounts
 	idle  []int32
 
@@ -404,11 +405,12 @@ func (sh *shard) snapshotDecisions(full bool) int {
 	return m
 }
 
-// decide runs the batched policy over the snapshotted decision set in
-// planChunk-row chunks: features are packed under the shard lock (the rings
-// must not move), the forward pass runs with it released, so ingestion is
-// never blocked behind inference.
-func (sh *shard) decide(agent *rl.Agent, m int) {
+// decide runs the serving policy over the snapshotted decision set in
+// planChunk-row chunks. With a replica, features are packed under the shard
+// lock (the rings must not move) and the batched forward pass runs with it
+// released, so ingestion is never blocked behind inference. Without one
+// (Greedy serves) each chunk is decided under the lock by greedyInto.
+func (sh *shard) decide(agent *rl.Replica, model *costmodel.Model, m int) {
 	if m == 0 {
 		return
 	}
@@ -422,11 +424,31 @@ func (sh *shard) decide(agent *rl.Agent, m int) {
 		if hi > m {
 			hi = m
 		}
+		if agent == nil {
+			sh.mu.Lock()
+			sh.greedyInto(model, sh.decSlots[lo:hi], tiers[lo:hi])
+			sh.mu.Unlock()
+			continue
+		}
 		sh.feats = mat.EnsureShape(sh.feats, hi-lo, fd)
 		sh.mu.Lock()
 		sh.fillFeatures(sh.decSlots[lo:hi], sh.feats)
 		sh.mu.Unlock()
 		agent.DecideBatch(sh.feats, tiers[lo:hi], 1)
+	}
+}
+
+// greedyInto decides slots with policy.GreedyStep into dst: each file's
+// committed tier, last observed size and newest ring cell — the day before
+// the one the plan decides, the day Greedy.Assign prices it on. Caller holds
+// sh.mu.
+//
+//minicost:hotpath
+func (sh *shard) greedyInto(model *costmodel.Model, slots []int32, dst []pricing.Tier) {
+	for i, slot := range slots {
+		newest := int(slot)*sh.ringLen + (int(sh.head[slot])+sh.ringLen-1)%sh.ringLen
+		c := model.FileCoeffs(sh.size[slot])
+		dst[i] = policy.GreedyStep(&c, pricing.Tier(sh.tier[slot]), sh.reads[newest], sh.writes[newest])
 	}
 }
 

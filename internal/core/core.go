@@ -124,9 +124,6 @@ func (s *System) SetAgent(agent *rl.Agent) { s.agent = agent }
 // Agent returns the serving agent (nil before Train/SetAgent).
 func (s *System) Agent() *rl.Agent { return s.agent }
 
-// Trainer exposes the underlying A3C trainer (for convergence experiments).
-func (s *System) Trainer() *rl.A3C { return s.a3c }
-
 // RunReport is the outcome of serving a trace.
 type RunReport struct {
 	// Total is the bill for the whole run.

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // FMAPackages are the import paths whose multiply-adds the fmacontract
@@ -26,8 +27,10 @@ var FMAPackages = map[string]bool{
 //     the compiler to fuse — for arithmetic no kernel shares (the
 //     optimizer step, norms).
 //
-// Constant products are exact and exempt. The check is syntactic: a
-// product stored in a variable and added in a later statement is not seen.
+// Constant products are exact and exempt. The spec lets the compiler fuse
+// across statements too, so a product stored in a local (p := x*y or
+// p = x*y) is held to the same rule when p is later an operand of +, -, +=
+// or -= in the function.
 func newFMAContract() *Analyzer {
 	a := &Analyzer{
 		Name:  "fmacontract",
@@ -38,32 +41,73 @@ func newFMAContract() *Analyzer {
 		if !FMAPackages[pass.PkgPath] {
 			return
 		}
+		// Products stored in locals, and where each local is an addend.
+		type store struct {
+			v    types.Object
+			prod *ast.BinaryExpr
+		}
+		var stores []store
+		addends := map[types.Object][]token.Pos{}
+		local := func(e ast.Expr) types.Object {
+			if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+				if v, ok := pass.Info.ObjectOf(id).(*types.Var); ok && v.Parent() != pass.Pkg.Scope() {
+					return v
+				}
+			}
+			return nil
+		}
+		operand := func(e ast.Expr) {
+			if m := unroundedProduct(pass, e); m != nil {
+				pass.Reportf(m.OpPos,
+					"floating-point product added unrounded: the compiler may fuse it on some architectures; write math.FMA(x, y, z) to fuse or float64(x*y) to round first")
+			}
+			if v := local(e); v != nil {
+				addends[v] = append(addends[v], e.Pos())
+			}
+		}
 		for _, file := range pass.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.BinaryExpr:
 					if n.Op == token.ADD || n.Op == token.SUB {
-						checkFMAOperand(pass, n.X)
-						checkFMAOperand(pass, n.Y)
+						operand(n.X)
+						operand(n.Y)
 					}
 				case *ast.AssignStmt:
-					if n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN {
-						checkFMAOperand(pass, n.Rhs[0])
+					switch {
+					case n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN:
+						operand(n.Lhs[0])
+						operand(n.Rhs[0])
+					case len(n.Lhs) == len(n.Rhs): // = and :=
+						for i, rhs := range n.Rhs {
+							if m, v := unroundedProduct(pass, rhs), local(n.Lhs[i]); m != nil && v != nil {
+								stores = append(stores, store{v, m})
+							}
+						}
 					}
 				}
 				return true
 			})
 		}
+		for _, s := range stores {
+			for _, pos := range addends[s.v] {
+				if pos > s.prod.Pos() {
+					pass.Reportf(s.prod.OpPos,
+						"floating-point product stored in %s and added in a later statement: the compiler may fuse across statements; write math.FMA(x, y, z) to fuse or float64(x*y) to round first", s.v.Name())
+					break
+				}
+			}
+		}
 	}
 	return a
 }
 
-// checkFMAOperand reports e if it is a non-constant floating-point product.
-func checkFMAOperand(pass *Pass, e ast.Expr) {
+// unroundedProduct returns e if it is a non-constant floating-point product
+// (parentheses aside), nil otherwise.
+func unroundedProduct(pass *Pass, e ast.Expr) *ast.BinaryExpr {
 	m, ok := ast.Unparen(e).(*ast.BinaryExpr)
 	if !ok || m.Op != token.MUL || !isFloat(pass.Info.TypeOf(m)) || isConstExpr(pass, m) {
-		return
+		return nil
 	}
-	pass.Reportf(m.OpPos,
-		"floating-point product added unrounded: the compiler may fuse it on some architectures; write math.FMA(x, y, z) to fuse or float64(x*y) to round first")
+	return m
 }

@@ -180,7 +180,8 @@ func TestFMAContractScopedToListedPackages(t *testing.T) {
 }
 
 // RunTests is how minicost-vet reaches _test.go files: it reports the
-// findings there — the oracle's one — and none of the non-test files',
+// findings there — the oracle's two, the product added in place and the one
+// stored first — and none of the non-test files',
 // which RunPackage reports; a package the analyzer does not cover asks for
 // no tests at all.
 func TestFMAContractRunTests(t *testing.T) {
@@ -188,8 +189,13 @@ func TestFMAContractRunTests(t *testing.T) {
 	fset, pkg, info, files := loadTestdata(t, filepath.Join("testdata", "fmacontract"), pkgPath)
 	suite := lint.NewSuite()
 	diags := suite.RunTests(fset, pkgPath, pkg, info, files)
-	if len(diags) != 1 || !strings.HasSuffix(diags[0].Pos.Filename, "oracle_test.go") || diags[0].Analyzer != "fmacontract" {
-		t.Fatalf("RunTests found %v, want the one fmacontract finding in oracle_test.go", diags)
+	if len(diags) != 2 {
+		t.Fatalf("RunTests found %v, want the two fmacontract findings in oracle_test.go", diags)
+	}
+	for _, d := range diags {
+		if !strings.HasSuffix(d.Pos.Filename, "oracle_test.go") || d.Analyzer != "fmacontract" {
+			t.Fatalf("RunTests found %v, want the two fmacontract findings in oracle_test.go", diags)
+		}
 	}
 	if suite.WantsTests("minicost/internal/rl") {
 		t.Fatal("the suite asks for rl's test files")

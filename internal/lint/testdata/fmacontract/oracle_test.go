@@ -10,3 +10,12 @@ func oracle(a, b []float64) float64 {
 	}
 	return s
 }
+
+func storedOracle(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		p := a[i] * b[i] // want "product stored in p"
+		s += p
+	}
+	return s
+}

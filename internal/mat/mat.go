@@ -147,7 +147,7 @@ func LeastSquares(x *Matrix, y []float64) ([]float64, error) {
 			for i := 0; i < a.Rows; i++ {
 				trace += a.At(i, i)
 			}
-			lambda := ridge * (trace/float64(a.Rows) + 1)
+			lambda := float64(ridge * (trace/float64(a.Rows) + 1))
 			for i := 0; i < a.Rows; i++ {
 				a.Set(i, i, a.At(i, i)+lambda)
 			}

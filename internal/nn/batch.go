@@ -71,13 +71,13 @@ import (
 // 40 / 46 at 8 rows, 76 / 58 at 4; the 64×806 one: 6.9 / 5.3 and 14 / 5.7),
 // and the engine that produces short windows never has one to offer — a
 // vectorized worker's actor at E < 16 sees nothing but E-row windows and so
-// never packs, and its critic's one short forward, the bootstrap, precedes
-// the arena forward that does. From packMinRows rows up a Dense needs a pack
-// of its current weights, and how often it has to build one is the ownership
-// case (see Layer): a layer that owns its weights packs on every call — they
-// change between training updates, and nothing tells it when; a bound one
-// packs once per BindParamVector/SetParamVector call; a frozen one was packed
-// when it was frozen and never packs.
+// never packs, and its critic's one short forward, the value bootstrap,
+// precedes the arena forward that does. From packMinRows rows up a Dense
+// needs a pack of its current weights, and how often it has to build one is
+// the ownership case (see Layer): a layer that owns its weights packs on
+// every call — they change between training updates, and nothing tells it
+// when; a bound one packs once per BindParamVector/SetParamVector call; a
+// frozen one was packed when it was frozen and never packs.
 const packMinRows = 16
 
 // parMinFloats is the per-call element traffic below which the batched

@@ -7,12 +7,12 @@ import (
 )
 
 // Drift detection compares the live observation stream against the
-// distribution the serving policy was trained on, per ISSUE 10: a policy
-// trained offline keeps minimizing cost only while the workload still looks
-// like its training trace. Four streaming dimensions are tracked — daily
+// distribution of its first calibBatches tap batches, and after each
+// fine-tune epoch against everything seen so far: a policy keeps minimizing
+// cost only while the workload still looks like what it was trained on. Four streaming dimensions are tracked — daily
 // read rate, daily write rate, file size, and inter-access gap (a file's
-// observed days between its active days, the same unit the trace baseline
-// samples) — each as a fixed-edge histogram, and each
+// observed days between its active days) — each as a fixed-edge histogram,
+// and each
 // scored with the population stability index
 //
 //	PSI = Σ_buckets (curP − baseP) · ln(curP / baseP)
@@ -64,22 +64,14 @@ var driftDimNames = [agentserver.NumDriftDims]string{"reads", "writes", "size_gb
 
 // driftStats holds the four-dimensional baseline and current-window
 // histograms. Not internally locked: the learner mutates it only under its
-// tap mutex.
+// tap mutex. Build it calibrating.
 type driftStats struct {
 	base, cur agentserver.DriftCounts
 
 	// calibrating self-builds the baseline from the first calibBatches tap
-	// batches when no training trace was supplied.
-	calibrating  bool
-	calibBatches int
-	seenBatches  int
-}
-
-// newDriftStats builds an empty detector. calibBatches > 0 self-calibrates
-// the baseline from that many initial tap batches; with a training trace
-// available, call setBaselineFromSeries instead and pass 0.
-func newDriftStats(calibBatches int) *driftStats {
-	return &driftStats{calibrating: calibBatches > 0, calibBatches: calibBatches}
+	// batches.
+	calibrating bool
+	seenBatches int
 }
 
 // target returns the histogram set samples flow into: the baseline while
@@ -100,7 +92,7 @@ func (ds *driftStats) endBatch() {
 		return
 	}
 	ds.seenBatches++
-	if ds.seenBatches >= ds.calibBatches {
+	if ds.seenBatches >= calibBatches {
 		ds.calibrating = false
 	}
 }
@@ -137,27 +129,4 @@ func (ds *driftStats) score() float64 {
 func (ds *driftStats) rebaseline() {
 	ds.base.Add(&ds.cur)
 	ds.cur = agentserver.DriftCounts{}
-}
-
-// setBaselineFromSeries seeds the baseline from training-trace series: one
-// reads/writes/size sample per file-day (matching the ingest's weighting)
-// and a gap sample per pair of consecutive active days. Disables
-// self-calibration.
-func (ds *driftStats) setBaselineFromSeries(sizeGB []float64, reads, writes [][]float64) {
-	for i := range reads {
-		lastActive := -1
-		for d := range reads[i] {
-			ds.base.Observe(agentserver.DriftReads, reads[i][d])
-			ds.base.Observe(agentserver.DriftWrites, writes[i][d])
-			ds.base.Observe(agentserver.DriftSize, sizeGB[i])
-			if reads[i][d] > 0 || writes[i][d] > 0 {
-				if lastActive >= 0 {
-					ds.base.Observe(agentserver.DriftGap, float64(d-lastActive))
-				}
-				lastActive = d
-			}
-		}
-	}
-	ds.calibrating = false
-	ds.calibBatches = 0
 }

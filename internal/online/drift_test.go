@@ -22,6 +22,17 @@ func total(h [agentserver.DriftBuckets]uint64) (n uint64) {
 	return n
 }
 
+// calibrated returns a detector whose baseline holds n hot-regime samples,
+// fed in the first of its calibBatches calibration batches.
+func calibrated(n int, seed uint64) *driftStats {
+	ds := &driftStats{calibrating: true}
+	fillDist(ds, n, seed, false)
+	for b := 0; b < calibBatches; b++ {
+		ds.endBatch()
+	}
+	return ds
+}
+
 // fill streams n samples from a synthetic hot-ish distribution into the
 // detector's active target (baseline while calibrating, current after).
 func fillDist(ds *driftStats, n int, seed uint64, cold bool) {
@@ -43,11 +54,9 @@ func fillDist(ds *driftStats, n int, seed uint64, cold bool) {
 }
 
 func TestDriftStableDistributionScoresLow(t *testing.T) {
-	ds := newDriftStats(1)
-	fillDist(ds, 2000, 1, false)
-	ds.endBatch()
+	ds := calibrated(2000, 1)
 	if ds.calibrating {
-		t.Fatal("one batch should finish calibration")
+		t.Fatalf("%d batches should finish calibration", calibBatches)
 	}
 	fillDist(ds, 2000, 2, false) // same distribution, different draw
 	if s := ds.score(); s > 0.05 {
@@ -56,9 +65,7 @@ func TestDriftStableDistributionScoresLow(t *testing.T) {
 }
 
 func TestDriftShiftScoresHigh(t *testing.T) {
-	ds := newDriftStats(1)
-	fillDist(ds, 2000, 1, false)
-	ds.endBatch()
+	ds := calibrated(2000, 1)
 	fillDist(ds, 2000, 2, true) // cold+bulky regime
 	if s := ds.score(); s < 0.25 {
 		t.Fatalf("shifted-distribution PSI = %v, want >= 0.25", s)
@@ -70,9 +77,7 @@ func TestDriftShiftScoresHigh(t *testing.T) {
 }
 
 func TestDriftMinSamplesGate(t *testing.T) {
-	ds := newDriftStats(1)
-	fillDist(ds, 1000, 1, false)
-	ds.endBatch()
+	ds := calibrated(1000, 1)
 	fillDist(ds, minDriftSamples-1, 2, true)
 	if s := ds.score(); s != 0 {
 		t.Fatalf("score with %d samples = %v, want 0", minDriftSamples-1, s)
@@ -80,11 +85,13 @@ func TestDriftMinSamplesGate(t *testing.T) {
 }
 
 func TestDriftScoreZeroWhileCalibrating(t *testing.T) {
-	ds := newDriftStats(3)
+	ds := &driftStats{calibrating: true}
 	fillDist(ds, 1000, 1, false)
-	ds.endBatch()
+	for b := 1; b < calibBatches; b++ {
+		ds.endBatch()
+	}
 	if !ds.calibrating {
-		t.Fatal("should still be calibrating after 1 of 3 batches")
+		t.Fatalf("should still be calibrating after %d of %d batches", calibBatches-1, calibBatches)
 	}
 	if s := ds.score(); s != 0 {
 		t.Fatalf("score during calibration = %v, want 0", s)
@@ -92,9 +99,7 @@ func TestDriftScoreZeroWhileCalibrating(t *testing.T) {
 }
 
 func TestDriftRebaselineConsumesShift(t *testing.T) {
-	ds := newDriftStats(1)
-	fillDist(ds, 2000, 1, false)
-	ds.endBatch()
+	ds := calibrated(2000, 1)
 	fillDist(ds, 2000, 2, true)
 	before := ds.score()
 	if before < 0.25 {
@@ -109,24 +114,5 @@ func TestDriftRebaselineConsumesShift(t *testing.T) {
 	fillDist(ds, 2000, 3, true)
 	if s := ds.score(); s >= before {
 		t.Fatalf("post-rebaseline cold traffic PSI = %v, want < %v", s, before)
-	}
-}
-
-func TestDriftBaselineFromSeries(t *testing.T) {
-	ds := newDriftStats(5)
-	// Two files × 6 days, with gaps in activity.
-	sizes := []float64{1, 10}
-	reads := [][]float64{{100, 0, 0, 100, 0, 100}, {5, 5, 0, 0, 5, 5}}
-	writes := [][]float64{{1, 0, 0, 1, 0, 1}, {0, 0, 0, 0, 0, 0}}
-	ds.setBaselineFromSeries(sizes, reads, writes)
-	if ds.calibrating {
-		t.Fatal("trace baseline must disable self-calibration")
-	}
-	if got := total(ds.base[dimReads]); got != 12 {
-		t.Fatalf("baseline read samples = %v, want 12 (one per file-day)", got)
-	}
-	// File 0 active days: 0,3,5 → gaps 3,2. File 1: 0,1,4,5 → gaps 1,3,1.
-	if got := total(ds.base[dimGap]); got != 5 {
-		t.Fatalf("baseline gap samples = %v, want 5", got)
 	}
 }

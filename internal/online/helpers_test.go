@@ -97,6 +97,15 @@ func synthBatch(n, d int, seed uint64, drifted bool) []agentserver.FileObservati
 	return files
 }
 
+// calibrate observes the calibBatches batches of files hot-regime files that
+// become the drift baseline.
+func calibrate(t *testing.T, srv *agentserver.Server, files int) {
+	t.Helper()
+	for b := 0; b < calibBatches; b++ {
+		observe(t, srv, synthBatch(files, b, 7, false)...)
+	}
+}
+
 // bitwiseEq fails unless got and want are element-for-element bit-identical.
 func bitwiseEq(t *testing.T, name string, got, want []float64) {
 	t.Helper()

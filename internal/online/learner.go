@@ -6,7 +6,8 @@
 // policy on environments reconstructed from the stored windows, and
 // hot-swaps the result into serving through the ReplicaPool snapshot
 // machinery — behind a validation gate that rejects candidates regressing
-// simulated cost on a held-out slice of the tracked files.
+// simulated cost on a held-out slice of the tracked files, against the
+// serving agent or, while the server serves policy.Greedy, against Greedy.
 //
 // The package is on minicost-vet's deterministic list: given a seed and an
 // observation sequence, every decision the learner makes (train/holdout
@@ -32,6 +33,10 @@ import (
 	"minicost/internal/trace"
 )
 
+// calibBatches is how many initial tap batches self-calibrate the drift
+// baseline.
+const calibBatches = 4
+
 // Epoch trigger reasons, reported in Status.LastEpochReason.
 const (
 	reasonDrift   = "drift"
@@ -51,10 +56,11 @@ const maxTrainFiles = 65536
 // Config wires a Learner into a running daemon. Trainer, Serving, and Model
 // are required; zero values elsewhere select the documented defaults.
 type Config struct {
-	// Trainer is the A3C instance fine-tune epochs resume. Its published
-	// weights must match the serving policy at construction (minicostd
-	// installs the serving actor via SetParamVectors when they could
-	// differ); the Learner snapshots them as the initial incumbent.
+	// Trainer is the A3C instance fine-tune epochs resume. When an agent
+	// serves, the trainer's published weights must be its weights, which
+	// the Learner snapshots as the initial incumbent; when the server
+	// serves policy.Greedy (agentserver.NewGreedy), Greedy is the incumbent
+	// and the trainer may start anywhere.
 	Trainer *rl.A3C
 	// Serving is the hot-swap target: accepted candidates go through its
 	// UpdateAgent/ReplicaPool double-buffered snapshot machinery.
@@ -91,16 +97,18 @@ type Config struct {
 
 	// DriftThreshold triggers an epoch when the PSI drift score reaches it.
 	// 0 disables drift triggering (the score is still computed/exported).
+	// The drift baseline self-calibrates over the first calibBatches tap
+	// batches.
 	DriftThreshold float64
-	// BaselineBatches self-calibrates the drift baseline from that many
-	// initial tap batches when SetBaselineFromTrace was not called. 0
-	// selects 4.
-	BaselineBatches int
 
 	// SwapGate requires a candidate to not regress simulated cost on the
 	// held-out slice vs. the incumbent before swapping; rejected candidates
-	// roll the trainer back. Without a holdout (HoldoutEvery < 0, or no
-	// eligible holdout files yet) the gate has no evidence and admits.
+	// roll the trainer back to the serving weights. Without a holdout
+	// (HoldoutEvery < 0, or no eligible holdout files yet) the gate has no
+	// evidence: it admits against an agent incumbent and refuses against
+	// Greedy, which is also the one case a rejection leaves the trainer as
+	// the epoch left it — no agent serves, so there are no weights to
+	// return to.
 	SwapGate bool
 	// SwapMargin is the gate's relative slack: a candidate passes while
 	// candidateCost <= incumbentCost × (1+SwapMargin). 0 means equal cost
@@ -177,7 +185,7 @@ type Learner struct {
 
 	// stMu guards the status block and the incumbent policy.
 	stMu      sync.Mutex
-	incumbent *rl.Agent
+	incumbent *rl.Agent // nil while the server serves policy.Greedy
 	ckptSeq   int64
 	st        Status
 }
@@ -185,7 +193,8 @@ type Learner struct {
 // New validates cfg, applies defaults, attaches to cfg.Serving — which must
 // not be tracking any file yet: its rings are sized here, to max(2×histLen,
 // 16) observed days per file — and builds a Learner whose incumbent is the
-// trainer's current snapshot. Call Start to run the background loop, and
+// trainer's current snapshot, or Greedy when the server serves Greedy. Call
+// Start to run the background loop, and
 // install the Learner as the server's tap (or call TapObserve after each
 // Observe) to drive the epoch trigger.
 func New(cfg Config) (*Learner, error) {
@@ -225,9 +234,6 @@ func New(cfg Config) (*Learner, error) {
 	if cfg.HoldoutEvery == 0 {
 		cfg.HoldoutEvery = 5
 	}
-	if cfg.BaselineBatches == 0 {
-		cfg.BaselineBatches = 4
-	}
 	if cfg.CheckpointKeep == 0 {
 		cfg.CheckpointKeep = 5
 	}
@@ -245,6 +251,10 @@ func New(cfg Config) (*Learner, error) {
 	if err := cfg.Serving.AttachLearner(window); err != nil {
 		return nil, err
 	}
+	var incumbent *rl.Agent
+	if cfg.Serving.AgentServing() {
+		incumbent = cfg.Trainer.Snapshot()
+	}
 	return &Learner{
 		cfg:       cfg,
 		histLen:   histLen,
@@ -252,23 +262,10 @@ func New(cfg Config) (*Learner, error) {
 		kick:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
-		drift:     newDriftStats(cfg.BaselineBatches),
-		incumbent: cfg.Trainer.Snapshot(),
+		drift:     &driftStats{calibrating: true},
+		incumbent: incumbent,
 		ckptSeq:   ckptSeq,
 	}, nil
-}
-
-// SetBaselineFromTrace seeds the drift baseline from the training trace the
-// serving policy was trained on, replacing self-calibration — the intended
-// wiring when the historical trace is at hand (minicostd's bootstrap path).
-func (l *Learner) SetBaselineFromTrace(tr *trace.Trace) {
-	sizes := make([]float64, len(tr.Files))
-	for i := range tr.Files {
-		sizes[i] = tr.Files[i].SizeGB
-	}
-	l.tapMu.Lock()
-	l.drift.setBaselineFromSeries(sizes, tr.Reads, tr.Writes)
-	l.tapMu.Unlock()
 }
 
 // Start launches the background epoch loop. Pair with Stop. Idempotent:
@@ -419,7 +416,15 @@ func (l *Learner) RunEpoch() error {
 		l.setError(err.Error())
 		return err
 	}
-	rbActor, rbCritic := l.cfg.Trainer.ParamVectors()
+	// The rollback point: the serving weights, which the trainer holds
+	// between epochs while an agent serves; none while Greedy does.
+	var rbActor, rbCritic []float64
+	l.stMu.Lock()
+	agentServes := l.incumbent != nil
+	l.stMu.Unlock()
+	if agentServes {
+		rbActor, rbCritic = l.cfg.Trainer.ParamVectors()
+	}
 	stats, err := l.cfg.Trainer.FineTune(src, l.cfg.FinetuneSteps)
 	if err != nil {
 		sw.Stop()
@@ -457,16 +462,24 @@ func (l *Learner) RunEpoch() error {
 
 // offer runs the validation gate on a candidate and either hot-swaps it
 // into serving (checkpointing the trainer afterwards) or rolls the trainer
-// back to the pre-epoch weights. Returns whether the candidate was swapped
-// in.
+// back to the pre-epoch weights rbActor, rbCritic (nil while Greedy serves:
+// nothing to roll back to). Returns whether the candidate was swapped in.
 func (l *Learner) offer(cand *rl.Agent, holdout *trace.Trace, rbActor, rbCritic []float64) (bool, error) {
-	if l.cfg.SwapGate && holdout != nil && holdout.NumFiles() > 0 {
-		l.stMu.Lock()
-		inc := l.incumbent
-		l.stMu.Unlock()
+	l.stMu.Lock()
+	inc := l.incumbent
+	l.stMu.Unlock()
+	evidence := holdout != nil && holdout.NumFiles() > 0
+	if l.cfg.SwapGate && inc == nil && !evidence {
+		l.reject(rbActor, rbCritic)
+		return false, nil
+	}
+	if l.cfg.SwapGate && evidence {
+		var incumbent policy.Assigner = policy.Greedy{}
+		if inc != nil {
+			incumbent = policy.RL{Agent: inc, HistLen: l.histLen}
+		}
 		board, err := policy.Score(l.cfg.Model, holdout, l.cfg.Initial, 0,
-			policy.RL{Agent: cand, HistLen: l.histLen},
-			policy.RL{Agent: inc, HistLen: l.histLen})
+			policy.RL{Agent: cand, HistLen: l.histLen}, incumbent)
 		if err != nil {
 			l.rollback(rbActor, rbCritic)
 			l.setError("gate eval: " + err.Error())
@@ -484,12 +497,7 @@ func (l *Learner) offer(cand *rl.Agent, holdout *trace.Trace, rbActor, rbCritic 
 			// Candidate regresses the held-out cost: reject, keep the
 			// incumbent serving, and roll the trainer back so the failed
 			// update does not compound into the next epoch.
-			l.rollback(rbActor, rbCritic)
-			learnMet.swapsRejected.Inc()
-			l.stMu.Lock()
-			l.st.SwapsRejected++
-			l.st.LastError = ""
-			l.stMu.Unlock()
+			l.reject(rbActor, rbCritic)
 			return false, nil
 		}
 	}
@@ -521,8 +529,22 @@ func (l *Learner) offer(cand *rl.Agent, holdout *trace.Trace, rbActor, rbCritic 
 	return true, nil
 }
 
-// rollback restores the trainer's pre-epoch weights.
+// reject counts a candidate the gate refused and rolls the trainer back.
+func (l *Learner) reject(actor, critic []float64) {
+	l.rollback(actor, critic)
+	learnMet.swapsRejected.Inc()
+	l.stMu.Lock()
+	l.st.SwapsRejected++
+	l.st.LastError = ""
+	l.stMu.Unlock()
+}
+
+// rollback restores the trainer's pre-epoch weights; a no-op without them
+// (Greedy serves).
 func (l *Learner) rollback(actor, critic []float64) {
+	if actor == nil {
+		return
+	}
 	// The vectors came from ParamVectors on the same trainer, so the only
 	// failure mode is a concurrent architecture change, which cannot happen.
 	_ = l.cfg.Trainer.SetParamVectors(actor, critic)

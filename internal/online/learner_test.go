@@ -169,7 +169,7 @@ func TestLearnerEndToEndDriftSwap(t *testing.T) {
 		c.CheckpointDir = ckptDir
 		c.CheckpointKeep = 3
 	})
-	l.SetBaselineFromTrace(testTrace(t, 16, 8, 3, false))
+	calibrate(t, srv, 32)
 	l.Start()
 	defer l.Stop()
 
@@ -461,7 +461,7 @@ func TestLearnerDeterministicGivenSeed(t *testing.T) {
 			c.SwapGate = true
 			c.SwapMargin = 5
 		})
-		l.SetBaselineFromTrace(testTrace(t, 16, 8, 3, false))
+		calibrate(t, srv, 24)
 		for day := 1; day <= 4; day++ {
 			observe(t, srv, synthBatch(24, day, 7, false)...)
 		}
@@ -525,4 +525,97 @@ func TestStopWithoutStart(t *testing.T) {
 	l.Start() // second call must not launch a second loop
 	l.Stop()
 	l.Stop() // and repeated Stop after shutdown stays safe
+}
+
+// TestGreedyIncumbentGate: on a server that serves policy.Greedy
+// (agentserver.NewGreedy, minicostd without a checkpoint), Greedy is the
+// gate's incumbent row. An epoch whose candidate bills more than Greedy on
+// the holdout is rejected and leaves the trainer where the epoch took it —
+// no agent serves, so there are no weights to roll back to — while Greedy
+// keeps serving; an offer without a holdout is rejected too; a candidate
+// that bills no more than Greedy swaps in, the server reports the agent, and
+// the trainer is checkpointed.
+func TestGreedyIncumbentGate(t *testing.T) {
+	model := costmodel.New(pricing.Azure())
+	srv, err := agentserver.NewGreedy(model, testNet().HistLen, pricing.Hot, agentserver.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Start the trainer on always-Archive weights, which a short epoch on a
+	// hot workload does not repair.
+	tr := testTrainer(t, 17)
+	_, critic := tr.ParamVectors()
+	if err := tr.SetParamVectors(craftAgent(t, pricing.Archive, 5).ParamVector(), critic); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l, err := New(Config{
+		Trainer: tr, Serving: srv, Model: model,
+		Reward: mdp.DefaultReward(), Initial: pricing.Hot,
+		FinetuneSteps: 96, MinTrainDays: 2, HoldoutEvery: 4,
+		SwapGate: true, CheckpointDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetTap(l)
+	for day := 1; day <= 3; day++ {
+		observe(t, srv, synthBatch(24, day, 7, false)...)
+	}
+	before, _ := tr.ParamVectors()
+	if err := l.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Status()
+	if st.LastHoldoutFiles == 0 || st.LastCandidateCost <= st.LastIncumbentCost {
+		t.Fatalf("precondition: the epoch's candidate must bill more than Greedy on a holdout: %+v", st)
+	}
+	if st.Swaps != 0 || st.SwapsRejected != 1 || srv.AgentServing() {
+		t.Fatalf("a candidate dearer than Greedy was not rejected: %+v, agent serving %v", st, srv.AgentServing())
+	}
+	after, _ := tr.ParamVectors()
+	moved := false
+	for i := range after {
+		moved = moved || math.Float64bits(after[i]) != math.Float64bits(before[i])
+	}
+	if !moved {
+		t.Fatal("the rejected epoch rolled the trainer back, or never trained it")
+	}
+	if _, err := srv.BuildPlan(false); err != nil {
+		t.Fatal(err)
+	}
+
+	hot := craftAgent(t, pricing.Hot, 0)
+	if swapped, err := l.offer(hot, nil, nil, nil); err != nil || swapped {
+		t.Fatalf("offer without a holdout swapped %v (%v); want a rejection", swapped, err)
+	}
+	if st := l.Status(); st.SwapsRejected != 2 || srv.AgentServing() {
+		t.Fatalf("after the offer without a holdout: %+v, agent serving %v", st, srv.AgentServing())
+	}
+
+	// Busy files: Greedy keeps them Hot, so always-Hot bills exactly
+	// Greedy's bill.
+	busy := testTrace(t, 8, 10, 13, false)
+	for i := range busy.Reads {
+		for d := range busy.Reads[i] {
+			busy.Reads[i][d] = 1e5
+		}
+	}
+	board, err := policy.Score(model, busy, pricing.Hot, 0, policy.Greedy{}, policy.RL{Agent: hot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, h := board[0].Total.Total(), board[1].Total.Total(); h > g {
+		t.Fatalf("precondition: always-Hot bills %v, Greedy %v", h, g)
+	}
+	if swapped, err := l.offer(hot, busy, nil, nil); err != nil || !swapped {
+		t.Fatalf("a candidate no dearer than Greedy was not swapped in (%v): %+v", err, l.Status())
+	}
+	st = l.Status()
+	if st.Swaps != 1 || st.Checkpoints != 1 || !srv.AgentServing() || !srv.Stats().AgentServing {
+		t.Fatalf("after the swap: %+v, agent serving %v", st, srv.AgentServing())
+	}
+	if latest, err := LatestCheckpoint(dir); err != nil || latest != st.LastCheckpoint {
+		t.Fatalf("checkpoint after the swap: (%q, %v), status names %q", latest, err, st.LastCheckpoint)
+	}
 }

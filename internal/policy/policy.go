@@ -203,20 +203,30 @@ func greedyPlan(dst costmodel.Plan, c *costmodel.FileCoeffs, reads, writes []flo
 			}
 			obs = d - 1
 		}
-		r, w := reads[obs], writes[obs]
-		best := cur
-		bestCost := c.DayTotal(cur, cur, r, w)
-		for t := pricing.Tier(0); t < pricing.NumTiers; t++ {
-			if t == cur {
-				continue
-			}
-			if cost := c.DayTotal(cur, t, r, w); cost < bestCost {
-				best, bestCost = t, cost
-			}
-		}
-		dst[d] = best
-		cur = best
+		cur = GreedyStep(c, cur, reads[obs], writes[obs])
+		dst[d] = cur
 	}
+}
+
+// GreedyStep is Greedy's one-day decision for a file held in cur: the tier
+// whose day cost at reads and writes, the fee for leaving cur included, is
+// lowest; a tie keeps cur, then the lowest tier index. Greedy.Assign walks
+// it day by day, and the agent server's Greedy policy takes it once per
+// plan.
+//
+//minicost:hotpath
+func GreedyStep(c *costmodel.FileCoeffs, cur pricing.Tier, reads, writes float64) pricing.Tier {
+	best := cur
+	bestCost := c.DayTotal(cur, cur, reads, writes)
+	for t := pricing.Tier(0); t < pricing.NumTiers; t++ {
+		if t == cur {
+			continue
+		}
+		if cost := c.DayTotal(cur, t, reads, writes); cost < bestCost {
+			best, bestCost = t, cost
+		}
+	}
+	return best
 }
 
 // Optimal computes the exact offline minimum-cost assignment. Per-file costs

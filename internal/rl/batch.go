@@ -179,6 +179,10 @@ type Replica struct {
 // parameters must stay unmodified for as long as the pool or any replica of
 // it is in use — publish new weights through Swap.
 //
+// The zero ReplicaPool has no source: Get returns nil until the first Swap
+// installs one (a server that starts on another policy and takes an agent
+// later).
+//
 // The free list is an explicit mutex-guarded slice rather than a sync.Pool:
 // a sync.Pool may drop items at any GC (unbounding replica construction,
 // which the allocation tests pin down) and cannot invalidate stale replicas
@@ -201,10 +205,14 @@ func NewReplicaPool(src *Agent) *ReplicaPool {
 }
 
 // Get returns a replica of the current source, reusing a pooled one when
-// available. The replica is exclusively owned by the caller until Put.
+// available, or nil while the pool has no source. The replica is
+// exclusively owned by the caller until Put.
 func (p *ReplicaPool) Get() *Replica {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.shared == nil {
+		return nil
+	}
 	if n := len(p.free); n > 0 {
 		r := p.free[n-1]
 		p.free = p.free[:n-1]

@@ -93,7 +93,8 @@ func BenchmarkDecideBatch(b *testing.B) {
 //
 //	harness/7-16-32     the end-to-end harness's pricing network (the
 //	                    policy.rl_assign_us_per_file_day probe's shape)
-//	minicostd/14-32-64  the network minicostd bootstraps by default
+//	minicostd/14-32-64  the network minicostd -online trains from scratch
+//	                    when it boots without a checkpoint
 //
 // Both output layers are 3 wide, a ragged column tile, and every file-day
 // encodes a history window (mdp.State.FeaturesInto), so this is where the

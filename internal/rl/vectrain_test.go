@@ -251,8 +251,8 @@ func TestRebindRepacksUpdatedVectors(t *testing.T) {
 }
 
 // The three network sizes the end-to-end harness trains at, with the lockstep
-// width it (or minicostd -online, for boot64) pairs each with; boot64 at E=1
-// is also minicostd's bootstrap shape.
+// width it (or minicostd -online, for boot64) pairs each with; boot64 is
+// also the shape minicostd -online trains from scratch without a checkpoint.
 var (
 	netPaper128 = NetConfig{HistLen: 14, Filters: 128, Kernel: 4, Stride: 1, Hidden: 128}
 	netBoot64   = NetConfig{HistLen: 14, Filters: 32, Kernel: 4, Stride: 1, Hidden: 64}
@@ -380,7 +380,7 @@ func TestVecTrainGoldenHashes(t *testing.T) {
 //
 //	paper128/E=16  its timed train phase (file_days_per_s)
 //	boot64/E=8     minicostd -online's fine-tune epochs (rl.finetune_steps_per_s)
-//	boot64/E=1     minicostd's bootstrap (core.System.Train), every 7-row
+//	boot64/E=1     core.System.Train's width at boot64, every 7-row
 //	               window and arena below the packed kernels
 //	quick16/E=4    the experiments' Quick profile; a 28-row arena packs, its
 //	               4-row rollout windows do not

@@ -2,12 +2,13 @@
 # smoke_online.sh — end-to-end continuous-learning smoke test
 # (make smoke-online, CI).
 #
-# Boots minicostd with -online, posts drifting synthetic traffic
+# Boots minicostd with -online and no checkpoint (Greedy serves, a fresh
+# trainer fine-tunes), posts drifting synthetic traffic
 # (scripts/observe_body.awk) through /v1/observe with curl, and asserts the
-# full loop closed: at least one fine-tune epoch ran, the drift score is
-# exported on /metrics, and a candidate policy was hot-swapped into serving
-# (the gate is disabled so the swap is deterministic; gate rejection is
-# pinned by the Go tests). The learner checkpoint written by the swap then
+# full loop closed: at least one fine-tune epoch ran and trained, the drift
+# score is exported on /metrics, and a candidate policy was hot-swapped into
+# serving (the gate is disabled so the swap is deterministic; gate rejection,
+# against Greedy too, is pinned by the Go tests). The learner checkpoint written by the swap then
 # boots a second daemon via -checkpoint ... -online, which must serve an
 # observe -> plan round trip.
 set -eu
@@ -63,15 +64,15 @@ echo "smoke-online: building minicostd"
 go build -o "$BIN" ./cmd/minicostd
 
 echo "smoke-online: booting with -online on $ADDR"
-"$BIN" -addr "$ADDR" -bootstrap-steps 2000 -filters 8 -hidden 16 \
+"$BIN" -addr "$ADDR" \
     -online -finetune-every 4 -finetune-steps 512 -drift-threshold 0.25 \
     -swap-gate=false -checkpoint-dir "$CKPTDIR" 2>"$LOG" &
 PID=$!
 wait_up "$BASE" "$PID"
 
 # 18 days of 200 files, one POST a day, each of which must accept all 200,
-# and a plan every third day: the learner needs MinTrainDays (= the agent's
-# 14-day history window) of buffered history before an epoch can train, and
+# and a plan every third day: the learner needs MinTrainDays (= the fresh
+# trainer's 14-day history window) of buffered history before an epoch can train, and
 # the back half of the run (days 9-17) drifts to trip the PSI detector.
 echo "smoke-online: drifting observe traffic (200 files x 18 days)"
 day=0
@@ -108,6 +109,11 @@ while :; do
     sleep 1
 done
 echo "smoke-online: epochs=$epochs swaps=$swaps"
+
+if awk -v s="$(metric_value minicost_train_steps_total)" 'BEGIN { exit !(s <= 0) }'; then
+    echo "smoke-online: minicost_train_steps_total is not above 0 after an epoch" >&2
+    exit 1
+fi
 
 for family in \
     minicost_online_drift_score \
