@@ -24,13 +24,15 @@ loc:
 # decoder (minicostd -checkpoint) — and the plan encoder. The two
 # agentserver lanes are differential: the wire codec against encoding/json
 # on every input. One pattern per invocation (go test allows a single -fuzz
-# target at a time).
+# target at a time). Each new input is minimized for at most 200 runs: go
+# test's default, 60 s, let one 28 kB checkpoint mutation take the whole
+# FuzzLoadCheckpoint lane (its exec count froze a few seconds in).
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzObserveBody -fuzztime $(FUZZTIME) ./internal/agentserver
-	$(GO) test -run '^$$' -fuzz FuzzAppendPlan -fuzztime $(FUZZTIME) ./internal/agentserver
-	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME) ./internal/rl
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzObserveBody -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/agentserver
+	$(GO) test -run '^$$' -fuzz FuzzAppendPlan -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/agentserver
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/rl
 
 # check is the CI gate: formatting, vet, minicost-vet, and the race
 # detector across the short test suite (which includes the pooled-replica

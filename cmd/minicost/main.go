@@ -3,13 +3,14 @@
 // remainder, and report its bill next to the paper's baselines, all priced
 // by the same cost model. With -aggregate the row is labelled minicost-w/E
 // (Fig. 13's label): only MiniCost runs the enhancement. With -save the
-// trained agent is written as the checkpoint minicostd -checkpoint serves.
+// trained agent is written as the checkpoint minicostd -checkpoint serves;
+// -split 1 then trains it on every day and skips the held-out report.
 //
 // Usage:
 //
 //	minicost -files 500 -days 42 -train-steps 200000
 //	minicost -trace trace.csv -split 0.8 -aggregate
-//	minicost -trace hist.csv -save agent.ckpt
+//	minicost -trace hist.csv -split 1 -save agent.ckpt
 package main
 
 import (
@@ -30,7 +31,7 @@ func main() {
 		days       = flag.Int("days", 42, "days when generating")
 		seed       = flag.Uint64("seed", 1, "seed")
 		steps      = flag.Int64("train-steps", 200000, "A3C training steps")
-		split      = flag.Float64("split", 0.5, "fraction of days used for training history")
+		split      = flag.Float64("split", 0.5, "fraction of days used for training history (1, with -save: every day, no report)")
 		aggregateE = flag.Bool("aggregate", false, "enable the concurrent-request aggregation enhancement")
 		filters    = flag.Int("filters", 32, "conv filters (paper: 128)")
 		hidden     = flag.Int("hidden", 64, "hidden neurons (paper: 128)")
@@ -42,15 +43,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cut := int(float64(tr.Days) * *split)
-	if cut < 8 || tr.Days-cut < 7 {
-		fatal(fmt.Errorf("split %.2f leaves too little data (train %d days, serve %d)", *split, cut, tr.Days-cut))
-	}
-	hist, err := tr.Window(0, cut)
-	if err != nil {
-		fatal(err)
-	}
-	serve, err := tr.Window(cut, tr.Days)
+	hist, serve, err := splitTrace(tr, *split, *savePath != "")
 	if err != nil {
 		fatal(err)
 	}
@@ -83,6 +76,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "agent checkpoint written to %s\n", *savePath)
 	}
+	if serve == nil {
+		fmt.Fprintln(os.Stderr, "-split 1: trained on every day; no held-out days to report")
+		return
+	}
 
 	report, err := sys.Run(serve)
 	if err != nil {
@@ -113,6 +110,29 @@ func main() {
 	if *aggregateE {
 		fmt.Printf("aggregated groups active at end: %d\n", report.AggregatedGroups)
 	}
+}
+
+// splitTrace cuts tr at the first frac of its days into the training
+// history and the held-out days the report prices. frac 1 trains on every
+// day and holds none out (serve is nil): a run that saves its agent for
+// minicostd may ask for that, since the deployed agent should have seen the
+// newest history; a run without -save needs days to report on.
+func splitTrace(tr *minicost.Trace, frac float64, save bool) (hist, serve *minicost.Trace, err error) {
+	if frac == 1 && save {
+		if tr.Days < 8 {
+			return nil, nil, fmt.Errorf("split 1 leaves too little data (train %d days)", tr.Days)
+		}
+		return tr, nil, nil
+	}
+	cut := int(float64(tr.Days) * frac)
+	if cut < 8 || tr.Days-cut < 7 {
+		return nil, nil, fmt.Errorf("split %.2f leaves too little data (train %d days, serve %d)", frac, cut, tr.Days-cut)
+	}
+	if hist, err = tr.Window(0, cut); err != nil {
+		return nil, nil, err
+	}
+	serve, err = tr.Window(cut, tr.Days)
+	return hist, serve, err
 }
 
 // saveAgent writes the system's trained agent to path through

@@ -11,13 +11,26 @@ import (
 	"minicost/internal/rl"
 )
 
-// TestSaveRoundTrip: the checkpoint -save writes loads, through the reader
-// minicostd -checkpoint uses, into an agent that plans exactly like the
-// trained one.
+// TestSaveRoundTrip: with -save, -split 1 trains on the whole trace — every
+// file, every day, nothing held out — and the checkpoint -save writes loads,
+// through the reader minicostd -checkpoint uses, into an agent that plans
+// exactly like the trained one. Without -save the same split is refused: a
+// report needs held-out days.
 func TestSaveRoundTrip(t *testing.T) {
-	tr, err := loadTrace("", 24, 16, 3)
+	full, err := loadTrace("", 24, 16, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, err := splitTrace(full, 1, false); err == nil {
+		t.Fatal("-split 1 without -save accepted: nothing is left to report on")
+	}
+	tr, serve, err := splitTrace(full, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serve != nil || tr.Days != full.Days || tr.NumFiles() != full.NumFiles() {
+		t.Fatalf("-split 1 -save trains on %d files x %d days (held out: %v), want all %d x %d",
+			tr.NumFiles(), tr.Days, serve != nil, full.NumFiles(), full.Days)
 	}
 	cfg := minicost.DefaultConfig()
 	cfg.TrainSteps = 300

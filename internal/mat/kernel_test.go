@@ -162,14 +162,19 @@ func TestPackedKernelTiersAcc(t *testing.T) {
 	}
 }
 
-// TestConv4Tiers pins the front-end kernel's vector body to a textbook loop
-// at every output length around the four-wide groups — 1-3 (no full group),
-// 4-9 and 25 (full groups with every ragged tail) — rectified and bare, with
-// inputs arranged so that sums land on -0, +0, NaN, ±Inf and the smallest
-// subnormals: the values on which a compare-and-mask rectifier and `v > 0`
-// could disagree. Three filters share the window, so a tail that ran past
-// its own filter's outputs would show in the next one's, and the responses
-// sit inside a larger buffer whose other elements must survive.
+// TestConv4Tiers pins the front-end kernels to a textbook loop at every
+// output length around the vector groups — 1-3 (no vector), 4-9, 11 and 25
+// (full four- and eight-wide groups with every ragged tail) — and at 3, 4,
+// 7 and 16 filters: none, one and four whole passes of four filters, and
+// the filters past them left to the portable loop. Each runs rectified and
+// bare, on inputs whose products round (so a kernel that adds the taps in
+// another order shows) and on inputs arranged so that sums land on -0, +0,
+// NaN, ±Inf and the smallest subnormals: the values on which VMAXPD, a
+// compare-and-mask rectifier and `v > 0` could disagree. Every third filter is the first's
+// with its taps scaled, so such sums land in every lane of a pass; the
+// filters share the window, so a tail that ran past its own filter's
+// outputs would show in the next one's, and the responses sit inside a
+// larger buffer whose other elements must survive.
 func TestConv4Tiers(t *testing.T) {
 	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
 	mixed := func(i int) float64 { return float64(float64((i*7)%11)*0.375) - 1.75 }
@@ -182,6 +187,27 @@ func TestConv4Tiers(t *testing.T) {
 		}
 	}
 	all := func(v float64) func(i, n int) float64 { return func(i, n int) float64 { return v } }
+	// filters returns nf filters' taps and biases: filter 3m is the first
+	// filter, its positive taps scaled by 1+m/8, the others two fixed
+	// patterns with their own offsets.
+	filters := func(nf int, bias0 float64) (w, b []float64) {
+		for f := 0; f < nf; f++ {
+			m := float64(f / 3)
+			switch f % 3 {
+			case 0:
+				sc := 1 + m/8
+				w = append(w, 0.5*sc, 1.5*sc, 2*sc, 3*sc)
+				b = append(b, bias0)
+			case 1:
+				w = append(w, -1.25, 0.75+m/4, -0.5, 2.5)
+				b = append(b, -0.375-m/16)
+			default:
+				w = append(w, 1, -1-m/8, 1, -1)
+				b = append(b, 1.5+m/4)
+			}
+		}
+		return w, b
+	}
 	for _, sc := range []struct {
 		name string
 		bias float64 // the first filter's; its taps are positive
@@ -189,6 +215,9 @@ func TestConv4Tiers(t *testing.T) {
 		land float64 // a value the first filter's bare responses must contain, unless it is -7
 	}{
 		{"mixed signs", 0.25, func(i, n int) float64 { return mixed(i) }, -7},
+		// Products and sums that round, so that a kernel adding the taps
+		// in another order shows.
+		{"inexact", 0.1, func(i, n int) float64 { return 1/(float64(i)+1.7) - 0.3 }, -7},
 		{"-0", negZero, all(negZero), negZero},
 		{"+0", 0, all(0), 0},
 		{"-0 bias on +0", negZero, all(0), 0},
@@ -198,48 +227,117 @@ func TestConv4Tiers(t *testing.T) {
 		{"+Inf", 0.25, spike(math.Inf(1)), math.Inf(1)},
 		{"-Inf", 0.25, spike(math.Inf(-1)), math.Inf(-1)},
 	} {
-		w := []float64{0.5, 1.5, 2, 3, -1.25, 0.75, -0.5, 2.5, 1, -1, 1, -1}
-		b := []float64{sc.bias, -0.375, 1.5}
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 25} {
-			x := make([]float64, n+3)
-			for i := range x {
-				x[i] = sc.x(i, n)
-			}
-			for _, pass := range []uint64{0, ^uint64(0)} {
-				want := make([]float64, len(b)*n)
-				landed := sc.land == -7
-				for i := range want {
-					f, o := i/n, i%n
-					s := b[f]
-					for k, wk := range w[4*f : 4*f+4] {
-						s = math.FMA(wk, x[o+k], s)
-					}
-					landed = landed || f == 0 && (math.Float64bits(s) == math.Float64bits(sc.land) || math.IsNaN(s) && math.IsNaN(sc.land))
-					if pass == 0 && !(s > 0) {
-						s = 0
-					}
-					want[i] = s
+		for _, nf := range []int{3, 4, 7, 16} {
+			w, b := filters(nf, sc.bias)
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 25} {
+				x := make([]float64, n+3)
+				for i := range x {
+					x[i] = sc.x(i, n)
 				}
-				if !landed {
-					t.Fatalf("%s n=%d: no response lands on %v", sc.name, n, sc.land)
-				}
-				for _, tier := range kernelTiers() {
-					t.Run(fmt.Sprintf("%s/%s/n%d/pass%d", tier, sc.name, n, pass&1), func(t *testing.T) {
-						forceTier(t, tier)
-						buf := make([]float64, len(want)+8)
-						for i := range buf {
-							buf[i] = -7
+				for _, pass := range []uint64{0, ^uint64(0)} {
+					want := make([]float64, len(b)*n)
+					landed := sc.land == -7
+					for i := range want {
+						f, o := i/n, i%n
+						s := b[f]
+						for k, wk := range w[4*f : 4*f+4] {
+							s = math.FMA(wk, x[o+k], s)
 						}
-						Conv4To(buf[4:4+len(want)], x, w, b, pass)
-						sameBits(t, "Conv4To", buf[4:4+len(want)], want)
-						for i, v := range buf {
-							if (i < 4 || i >= 4+len(want)) && v != -7 {
-								t.Fatalf("wrote element %d outside y[0:%d]", i-4, len(want))
+						landed = landed || f == 0 && (math.Float64bits(s) == math.Float64bits(sc.land) || math.IsNaN(s) && math.IsNaN(sc.land))
+						if pass == 0 && !(s > 0) {
+							s = 0
+						}
+						want[i] = s
+					}
+					if !landed {
+						t.Fatalf("%s n=%d: no response lands on %v", sc.name, n, sc.land)
+					}
+					for _, tier := range kernelTiers() {
+						// Three filters, the base case, carries no filter count in its name.
+						name := fmt.Sprintf("%s/%s/n%d/pass%d", tier, sc.name, n, pass&1)
+						if nf != 3 {
+							name += fmt.Sprintf("/filters%d", nf)
+						}
+						t.Run(name, func(t *testing.T) {
+							forceTier(t, tier)
+							buf := make([]float64, len(want)+8)
+							for i := range buf {
+								buf[i] = -7
 							}
-						}
-					})
+							Conv4To(buf[4:4+len(want)], x, w, b, pass)
+							sameBits(t, "Conv4To", buf[4:4+len(want)], want)
+							for i, v := range buf {
+								if (i < 4 || i >= 4+len(want)) && v != -7 {
+									t.Fatalf("wrote element %d outside y[0:%d]", i-4, len(want))
+								}
+							}
+						})
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestReluTiers pins the rectifier's forward (ReluTo) and gradient mask
+// (ReluGradTo) to Gate, their definition, at every tier the CPU has: on
+// lengths around the four- and eight-wide vectors and ragged tails, over
+// inputs that cycle through ±0, ±the smallest subnormal, ±NaN, ±Inf and
+// ordinary values of both signs, in place and into a buffer whose elements
+// past the outputs must survive. A NaN gradient kept by the mask must keep
+// its payload: the mask passes bits, not values.
+func TestReluTiers(t *testing.T) {
+	negNaN := math.Float64frombits(0xFFF8000000000123)
+	edges := []float64{
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.NaN(), negNaN, math.Inf(1), math.Inf(-1), 1.5, -2.25, 0x1p-1030, -0x1p-1040, 3,
+	}
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 67} {
+		x, dy := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = edges[i%len(edges)]
+			// A different phase, so each gradient value meets every mask.
+			dy[i] = edges[(i*5+3)%len(edges)]
+		}
+		wantY, wantG := make([]float64, n), make([]float64, n)
+		for i := range x {
+			wantY[i] = Gate(x[i], x[i], 0)
+			wantG[i] = Gate(dy[i], x[i], 0)
+		}
+		for _, tier := range kernelTiers() {
+			t.Run(fmt.Sprintf("%s/n%d", tier, n), func(t *testing.T) {
+				forceTier(t, tier)
+				buf := make([]float64, n+4)
+				for i := range buf {
+					buf[i] = -7
+				}
+				ReluTo(buf[:n], x)
+				sameGate(t, "ReluTo", buf[:n], wantY)
+				ReluGradTo(buf[:n], dy, x)
+				sameGate(t, "ReluGradTo", buf[:n], wantG)
+				for i, v := range buf[n:] {
+					if v != -7 {
+						t.Fatalf("wrote element %d past the %d outputs", n+i, n)
+					}
+				}
+				inplace := append([]float64(nil), x...)
+				ReluTo(inplace, inplace)
+				sameGate(t, "ReluTo in place", inplace, wantY)
+				inplace = append(inplace[:0], dy...)
+				ReluGradTo(inplace, inplace, x)
+				sameGate(t, "ReluGradTo in place", inplace, wantG)
+			})
+		}
+	}
+}
+
+// sameGate compares by bit pattern with no NaN exemption: a gate moves bits
+// and computes nothing, so a NaN it keeps must come out as it went in.
+func sameGate(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %#x, want %#x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
 }

@@ -19,8 +19,9 @@ func kernelTiers() []string {
 // forceTier pins the package to one kernel tier until the test ends, and
 // skips the test on a CPU that lacks it. Nothing outside tests writes the two
 // flags, so tests that force a tier must not run in parallel. It reaches the
-// packed products and Conv4To, which read the flags per call; laneKernels
-// (smallbatch.go) copied haveAVX at init and keeps its value.
+// packed products, Conv4To, ReluTo and ReluGradTo, which read the flags per
+// call; laneKernels (smallbatch.go) copied haveAVX at init and keeps its
+// value.
 func forceTier(tb testing.TB, tier string) {
 	tb.Helper()
 	avx, avx512 := haveAVX, haveAVX512

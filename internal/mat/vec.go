@@ -74,13 +74,14 @@ func sumsq8Generic(g []float64, p *[8]float64) {
 }
 
 // Gate returns v where by > 0 and +0 elsewhere, without a branch: the
-// rectifier is Gate(v, v, 0) and its gradient Gate(dy, x, 0). The batched
-// loops use it because on activations of random sign the branch of
-// `v > 0 ? v : 0` mispredicts every other element (≈5 ns against <1). The
-// floats greater than zero are exactly the bit patterns from 1 (the smallest
-// subnormal) to +Inf's; ±0, every negative and every NaN — of either sign,
-// which a test of the sign bit alone would let through — fall outside, as
-// they fail `by > 0`. pass is ORed into the mask: all ones opens the gate
+// rectifier is Gate(v, v, 0) and its gradient Gate(dy, x, 0) — the portable
+// tier of ReluTo, ReluGradTo and Conv4To and the oracle their vector tiers
+// are held to. It is branch-free because on activations of random sign the
+// branch of `v > 0 ? v : 0` mispredicts every other element (≈5 ns against
+// <1). The floats greater than zero are exactly the bit patterns from 1 (the
+// smallest subnormal) to +Inf's; ±0, every negative and every NaN — of
+// either sign, which a test of the sign bit alone would let through — fall
+// outside, as they fail `by > 0`. pass is ORed into the mask: all ones opens the gate
 // whatever by is, for the conv loops, which run with and without a
 // rectifier behind them.
 func Gate(v, by float64, pass uint64) float64 {
@@ -89,14 +90,54 @@ func Gate(v, by float64, pass uint64) float64 {
 	return math.Float64frombits(math.Float64bits(v) & (-borrow | pass))
 }
 
+// ReluTo writes the rectifier of x into dst: dst[i] = Gate(x[i], x[i], 0),
+// x[i] where it is > 0 and +0 for ±0, negatives and NaN. dst may be x; its
+// length must be x's. The vector tiers take it with one VMAXPD per vector
+// (vec_amd64.s says why that is Gate bit for bit).
+func ReluTo(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("mat: ReluTo %d outputs of %d inputs", len(dst), len(x)))
+	}
+	relu(dst, x)
+}
+
+// ReluGradTo writes the rectifier's gradient mask into dst: dst[i] =
+// Gate(dy[i], x[i], 0), dy[i]'s bits where x[i] > 0 and +0 elsewhere. dst
+// may be dy; all three lengths must agree.
+func ReluGradTo(dst, dy, x []float64) {
+	if len(dst) != len(x) || len(dy) != len(x) {
+		panic(fmt.Sprintf("mat: ReluGradTo %d outputs of %d gradients and %d inputs", len(dst), len(dy), len(x)))
+	}
+	reluGrad(dst, dy, x)
+}
+
+// reluGeneric and reluGradGeneric are the portable tier of ReluTo and
+// ReluGradTo: Gate, element by element.
+func reluGeneric(dst, x []float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = Gate(v, v, 0)
+	}
+}
+
+func reluGradGeneric(dst, dy, x []float64) {
+	dst, dy = dst[:len(x)], dy[:len(x)]
+	for i, v := range x {
+		dst[i] = Gate(dy[i], v, 0)
+	}
+}
+
 // Conv4To is the conv front-end's inner loops at the paper's shape, one
 // sample's responses to every kernel-4, stride-1 filter: with ol = len(x)-3
 // outputs per filter, channel-major, y[f·ol+t] = b[f] + w[4f]·x[t] +
 // w[4f+1]·x[t+1] + w[4f+2]·x[t+2] + w[4f+3]·x[t+3], each term fused onto the
 // running sum in that order (nn's scalar test oracle's for a Conv1D), then
 // gated on its own sign — pass 0 rectifies, all ones lets every response
-// through (see Gate). Outputs are independent elements, so the AVX body
-// (vec_amd64.s), four of them to a vector, leaves the bits of conv4Generic.
+// through (see Gate). Outputs are independent elements, so the vector
+// kernels (vec_amd64.s) — four filters a pass sharing each group's four
+// shifted windows, eight outputs to a vector with AVX-512 and four with AVX
+// — leave the bits of conv4Generic, which takes the filters past the last
+// multiple of four and any ol too short for a vector.
 func Conv4To(y, x, w, b []float64, pass uint64) {
 	ol := len(x) - 3
 	if ol < 1 || len(w) != 4*len(b) || len(y) != ol*len(b) {

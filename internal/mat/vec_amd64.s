@@ -235,69 +235,310 @@ ssdone:
 	VZEROUPPER
 	RET
 
-// func conv4AVX(y, x, w, b []float64, ol int, pass uint64)
+// func conv4x4AVX(y, x, w, b []float64, ol int, pass uint64)
 //
-// One sample's responses to every kernel-4, stride-1 filter, four outputs
-// per lane group: y[f*ol+t] = b[f] + w[4f]·x[t] + w[4f+1]·x[t+1] +
-// w[4f+2]·x[t+2] + w[4f+3]·x[t+3], a filter's taps broadcast and its four
-// terms fused onto the bias in that order, one VFMADD231PD each — per output
-// conv4Generic's math.FMA chain. The rectifier is a mask: VCMPPD $0x1E
-// (greater-than, ordered, quiet) is all ones where the sum is > 0 and zero
-// for ±0, negatives and NaN — exactly where Gate's mask is — OR-ed with pass
-// and AND-ed into the sum. A filter's ragged tail re-runs its last full
-// group: the stores are idempotent and stay inside the filter's own ol
-// outputs. ol must be >= 4, len(x) ol+3, len(w) 4·len(b) and len(y)
-// ol·len(b); Conv4To guarantees all four.
-TEXT ·conv4AVX(SB), NOSPLIT, $0-112
+// One sample's responses to kernel-4, stride-1 filters, four filters per
+// pass and four outputs per lane group: y[f*ol+t] = b[f] + w[4f]·x[t] +
+// w[4f+1]·x[t+1] + w[4f+2]·x[t+2] + w[4f+3]·x[t+3], its four terms fused
+// onto the bias in that order, one VFMADD231PD each — per output
+// conv4Generic's math.FMA chain. A group loads the four shifted windows
+// x[t+k .. t+k+3] once and feeds them to the pass's four filters: sixteen
+// fused multiply-adds in four independent chains, on taps broadcast from
+// w. A pass walks its groups in ascending t, so its four filters' outputs
+// are written front to back before the next pass starts: at 1024 rows the
+// front-end's output streams to memory, and walking every filter inside
+// each group instead measured ≈40 % slower there. pass 0 rectifies with
+// VMAXPD acc, +0: Intel's maximum returns its second source unless the
+// first is greater, so ±0, negatives and NaN give +0 and every sum > 0 is
+// kept — Gate(s, s, 0) bit for bit; any other pass stores the sums as they
+// are. The ragged tail re-runs the last full group: the stores are
+// idempotent and stay inside each filter's own ol outputs. It takes the
+// leading 4·⌊len(b)/4⌋ filters and leaves the rest; ol must be >= 4,
+// len(x) ol+3, len(w) 4·len(b) and len(y) ol·len(b), as Conv4To
+// guarantees.
+TEXT ·conv4x4AVX(SB), NOSPLIT, $0-112
 	MOVQ y_base+0(FP), DI
 	MOVQ x_base+24(FP), SI
 	MOVQ w_base+48(FP), DX
 	MOVQ b_base+72(FP), R8
-	MOVQ b_len+80(FP), R9    // filters left
+	MOVQ b_len+80(FP), R9
+	ANDQ $-4, R9             // whole passes of four filters; conv4 runs the rest
+	JZ   cxdone
 	MOVQ ol+96(FP), CX
-	VBROADCASTSD pass+104(FP), Y5
-	VXORPD Y6, Y6, Y6
+	MOVQ pass+104(FP), R11
+	VXORPD Y8, Y8, Y8
 	LEAQ -4(CX), BX          // the last full group's t
-	LEAQ (CX*8), R10         // one filter's outputs, in bytes
+	LEAQ (CX*8), R10         // one filter's outputs, in bytes, and 3×
+	LEAQ (R10)(R10*2), R12
 
-cvfilter:
-	TESTQ R9, R9
-	JZ   cvdone
-	VBROADCASTSD (DX), Y0
-	VBROADCASTSD 8(DX), Y1
-	VBROADCASTSD 16(DX), Y2
-	VBROADCASTSD 24(DX), Y3
-	VBROADCASTSD (R8), Y4
+cxquad:
 	XORQ AX, AX              // t
 
-cvloop:
+cxloop:
 	CMPQ AX, BX
-	JLE  cvgroup
+	JLE  cxgroup
 	CMPQ AX, CX
-	JGE  cvnext
+	JGE  cxnext
 	MOVQ BX, AX              // 1-3 outputs left: back up over the last four
 
-cvgroup:
-	VMOVAPD Y4, Y8
-	VFMADD231PD (SI)(AX*8), Y0, Y8
-	VFMADD231PD 8(SI)(AX*8), Y1, Y8
-	VFMADD231PD 16(SI)(AX*8), Y2, Y8
-	VFMADD231PD 24(SI)(AX*8), Y3, Y8
-	VCMPPD $0x1E, Y6, Y8, Y9
-	VORPD  Y5, Y9, Y9
-	VANDPD Y9, Y8, Y8
-	VMOVUPD Y8, (DI)(AX*8)
+cxgroup:
+	VMOVUPD (SI)(AX*8), Y0   // Yk: x[t+k ..]
+	VMOVUPD 8(SI)(AX*8), Y1
+	VMOVUPD 16(SI)(AX*8), Y2
+	VMOVUPD 24(SI)(AX*8), Y3
+	VBROADCASTSD (R8), Y4
+	VBROADCASTSD 8(R8), Y5
+	VBROADCASTSD 16(R8), Y6
+	VBROADCASTSD 24(R8), Y7
+	VBROADCASTSD 0(DX), Y9
+	VBROADCASTSD 32(DX), Y10
+	VBROADCASTSD 64(DX), Y11
+	VBROADCASTSD 96(DX), Y12
+	VFMADD231PD Y9, Y0, Y4
+	VFMADD231PD Y10, Y0, Y5
+	VFMADD231PD Y11, Y0, Y6
+	VFMADD231PD Y12, Y0, Y7
+	VBROADCASTSD 8(DX), Y9
+	VBROADCASTSD 40(DX), Y10
+	VBROADCASTSD 72(DX), Y11
+	VBROADCASTSD 104(DX), Y12
+	VFMADD231PD Y9, Y1, Y4
+	VFMADD231PD Y10, Y1, Y5
+	VFMADD231PD Y11, Y1, Y6
+	VFMADD231PD Y12, Y1, Y7
+	VBROADCASTSD 16(DX), Y9
+	VBROADCASTSD 48(DX), Y10
+	VBROADCASTSD 80(DX), Y11
+	VBROADCASTSD 112(DX), Y12
+	VFMADD231PD Y9, Y2, Y4
+	VFMADD231PD Y10, Y2, Y5
+	VFMADD231PD Y11, Y2, Y6
+	VFMADD231PD Y12, Y2, Y7
+	VBROADCASTSD 24(DX), Y9
+	VBROADCASTSD 56(DX), Y10
+	VBROADCASTSD 88(DX), Y11
+	VBROADCASTSD 120(DX), Y12
+	VFMADD231PD Y9, Y3, Y4
+	VFMADD231PD Y10, Y3, Y5
+	VFMADD231PD Y11, Y3, Y6
+	VFMADD231PD Y12, Y3, Y7
+	TESTQ R11, R11
+	JNZ  cxstore
+	VMAXPD Y8, Y4, Y4
+	VMAXPD Y8, Y5, Y5
+	VMAXPD Y8, Y6, Y6
+	VMAXPD Y8, Y7, Y7
+
+cxstore:
+	LEAQ (DI)(AX*8), R13
+	VMOVUPD Y4, (R13)
+	VMOVUPD Y5, (R13)(R10*1)
+	VMOVUPD Y6, (R13)(R10*2)
+	VMOVUPD Y7, (R13)(R12*1)
 	ADDQ $4, AX
-	JMP  cvloop
+	JMP  cxloop
 
-cvnext:
+cxnext:
+	ADDQ $128, DX
+	ADDQ $32, R8
+	LEAQ (DI)(R10*4), DI
+	SUBQ $4, R9
+	JNZ  cxquad
+
+cxdone:
+	VZEROUPPER
+	RET
+
+// func conv4x4AVX512(y, x, w, b []float64, ol int, pass uint64)
+//
+// conv4x4AVX at eight outputs per ZMM group, each tap reaching its FMA as
+// an embedded broadcast (VFMADD231PD.BCST), one instruction where AVX
+// spends a broadcast and an FMA. Same contract, with ol >= 8.
+TEXT ·conv4x4AVX512(SB), NOSPLIT, $0-112
+	MOVQ y_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ w_base+48(FP), DX
+	MOVQ b_base+72(FP), R8
+	MOVQ b_len+80(FP), R9
+	ANDQ $-4, R9             // whole passes of four filters; conv4 runs the rest
+	JZ   czdone
+	MOVQ ol+96(FP), CX
+	MOVQ pass+104(FP), R11
+	VPXORQ Z8, Z8, Z8
+	LEAQ -8(CX), BX          // the last full group's t
+	LEAQ (CX*8), R10         // one filter's outputs, in bytes, and 3×
+	LEAQ (R10)(R10*2), R12
+
+czquad:
+	XORQ AX, AX              // t
+
+czloop:
+	CMPQ AX, BX
+	JLE  czgroup
+	CMPQ AX, CX
+	JGE  cznext
+	MOVQ BX, AX              // 1-7 outputs left: back up over the last eight
+
+czgroup:
+	VMOVUPD (SI)(AX*8), Z0   // Zk: x[t+k ..]
+	VMOVUPD 8(SI)(AX*8), Z1
+	VMOVUPD 16(SI)(AX*8), Z2
+	VMOVUPD 24(SI)(AX*8), Z3
+	VBROADCASTSD (R8), Z4
+	VBROADCASTSD 8(R8), Z5
+	VBROADCASTSD 16(R8), Z6
+	VBROADCASTSD 24(R8), Z7
+	VFMADD231PD.BCST 0(DX), Z0, Z4
+	VFMADD231PD.BCST 32(DX), Z0, Z5
+	VFMADD231PD.BCST 64(DX), Z0, Z6
+	VFMADD231PD.BCST 96(DX), Z0, Z7
+	VFMADD231PD.BCST 8(DX), Z1, Z4
+	VFMADD231PD.BCST 40(DX), Z1, Z5
+	VFMADD231PD.BCST 72(DX), Z1, Z6
+	VFMADD231PD.BCST 104(DX), Z1, Z7
+	VFMADD231PD.BCST 16(DX), Z2, Z4
+	VFMADD231PD.BCST 48(DX), Z2, Z5
+	VFMADD231PD.BCST 80(DX), Z2, Z6
+	VFMADD231PD.BCST 112(DX), Z2, Z7
+	VFMADD231PD.BCST 24(DX), Z3, Z4
+	VFMADD231PD.BCST 56(DX), Z3, Z5
+	VFMADD231PD.BCST 88(DX), Z3, Z6
+	VFMADD231PD.BCST 120(DX), Z3, Z7
+	TESTQ R11, R11
+	JNZ  czstore
+	VMAXPD Z8, Z4, Z4
+	VMAXPD Z8, Z5, Z5
+	VMAXPD Z8, Z6, Z6
+	VMAXPD Z8, Z7, Z7
+
+czstore:
+	LEAQ (DI)(AX*8), R13
+	VMOVUPD Z4, (R13)
+	VMOVUPD Z5, (R13)(R10*1)
+	VMOVUPD Z6, (R13)(R10*2)
+	VMOVUPD Z7, (R13)(R12*1)
+	ADDQ $8, AX
+	JMP  czloop
+
+cznext:
+	ADDQ $128, DX
+	ADDQ $32, R8
+	LEAQ (DI)(R10*4), DI
+	SUBQ $4, R9
+	JNZ  czquad
+
+czdone:
+	VZEROUPPER
+	RET
+
+// func reluAVX(dst, x []float64)
+//
+// dst[i] = VMAXPD(x[i], +0): x[i] where x[i] > 0, +0 for ±0, negatives and
+// NaN — Gate(x[i], x[i], 0) bit for bit (see conv4x4AVX) — over the
+// leading 4·⌊len(x)/4⌋ elements, which len(dst) must cover; dst may be x.
+TEXT ·reluAVX(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	VXORPD Y8, Y8, Y8
+	SHRQ $2, CX
+	JZ   rxdone
+
+rxloop:
+	VMOVUPD (SI), Y0
+	VMAXPD  Y8, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  rxloop
+
+rxdone:
+	VZEROUPPER
+	RET
+
+// func reluAVX512(dst, x []float64)
+//
+// reluAVX eight elements to a ZMM, over the leading 8·⌊len(x)/8⌋.
+TEXT ·reluAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	VPXORQ Z8, Z8, Z8
+	SHRQ $3, CX
+	JZ   rzdone
+
+rzloop:
+	VMOVUPD (SI), Z0
+	VMAXPD  Z8, Z0, Z0
+	VMOVUPD Z0, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  rzloop
+
+rzdone:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX(dst, dy, x []float64)
+//
+// dst[i] = dy[i] where x[i] > 0, +0 elsewhere: VCMPPD $0x1E (greater-than,
+// ordered, quiet) is all ones exactly where x[i] > 0 — zero for ±0,
+// negatives and NaN, as Gate's mask is — and AND-ed into dy[i], whose bits
+// it keeps whole: Gate(dy[i], x[i], 0). It runs over the leading
+// 4·⌊len(x)/4⌋ elements, which len(dst) and len(dy) must cover; dst may be
+// dy.
+TEXT ·reluGradAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dy_base+24(FP), DX
+	MOVQ x_base+48(FP), SI
+	MOVQ x_len+56(FP), CX
+	VXORPD Y8, Y8, Y8
+	SHRQ $2, CX
+	JZ   gxdone
+
+gxloop:
+	VMOVUPD (SI), Y0
+	VCMPPD  $0x1E, Y8, Y0, Y0
+	VANDPD  (DX), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
 	ADDQ $32, DX
-	ADDQ $8, R8
-	ADDQ R10, DI
-	DECQ R9
-	JMP  cvfilter
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  gxloop
 
-cvdone:
+gxdone:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX512(dst, dy, x []float64)
+//
+// reluGradAVX eight elements to a ZMM: the compare writes an opmask and a
+// zero-masked load takes dy where it is set, +0 (all bits clear) elsewhere;
+// over the leading 8·⌊len(x)/8⌋ elements.
+TEXT ·reluGradAVX512(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dy_base+24(FP), DX
+	MOVQ x_base+48(FP), SI
+	MOVQ x_len+56(FP), CX
+	VPXORQ Z8, Z8, Z8
+	SHRQ $3, CX
+	JZ   gzdone
+
+gzloop:
+	VMOVUPD (SI), Z0
+	VCMPPD  $0x1E, Z8, Z0, K1
+	VMOVUPD.Z (DX), K1, Z1
+	VMOVUPD Z1, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  gzloop
+
+gzdone:
 	VZEROUPPER
 	RET
 

@@ -326,14 +326,12 @@ func (r *ReLU) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.M
 }
 
 // backwardSpan masks the output gradient through the retained input for
-// elements [lo, hi), branch-free (see mat.Gate).
+// elements [lo, hi) (mat.ReluGradTo: a compare mask per vector, mat.Gate's
+// bits).
 //
 //minicost:hotpath
 func (r *ReLU) backwardSpan(dy *mat.Matrix, lo, hi int) {
-	x, g, dst := r.bx.Data[lo:hi], dy.Data[lo:hi], r.bdx.Data[lo:hi]
-	for i, v := range x {
-		dst[i] = mat.Gate(g[i], v, 0)
-	}
+	mat.ReluGradTo(r.bdx.Data[lo:hi], dy.Data[lo:hi], r.bx.Data[lo:hi])
 }
 
 // BackwardBatch implements the batched gradient pass for Split: the

@@ -238,15 +238,12 @@ func (r *ReLU) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 	return r.by
 }
 
-// forwardSpan applies the rectifier to elements [lo, hi), branch-free (see
-// mat.Gate).
+// forwardSpan applies the rectifier to elements [lo, hi) (mat.ReluTo: one
+// VMAXPD per vector, mat.Gate's bits).
 //
 //minicost:hotpath
 func (r *ReLU) forwardSpan(x *mat.Matrix, lo, hi int) {
-	src, dst := x.Data[lo:hi], r.by.Data[lo:hi]
-	for i, v := range src {
-		dst[i] = mat.Gate(v, v, 0)
-	}
+	mat.ReluTo(r.by.Data[lo:hi], x.Data[lo:hi])
 }
 
 // ForwardBatch implements the batched pass for Split: the conv front-end in

@@ -26,6 +26,10 @@ func benchMatrix(rows, cols int, seed uint64) *mat.Matrix {
 // 14/128/128 network to its layers, one thread, in µs per decided row:
 //
 //	front/m64      the fused Split∘Conv1D∘ReLU∘concat pass alone
+//	front/quick16/m64, front/boot64/m64
+//	               the same pass at the harness's pricing network (7/16/32)
+//	               and at BenchmarkPlanTrace's minicostd row (14/32/64),
+//	               where the front-end weighs most in a decided row
 //	hidden/m64     the hidden layer's packed GEMM alone, weights pre-packed
 //	replica/m64    DecideBatch on a pooled replica at the batch each of 16
 //	               shards hands it on a 1024-file all-dirty plan
@@ -52,12 +56,22 @@ func BenchmarkDecideBatch(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(rows), "us/row")
 	}
 
-	b.Run("front/m64", func(b *testing.B) {
-		conv := nn.NewConv1D(rng.New(1), head, cfg.Filters, cfg.Kernel, cfg.Stride)
-		front := nn.NewNetwork(nn.NewSplit(head, nn.NewNetwork(conv, nn.NewReLU())))
-		x := benchMatrix(64, fd, 2)
-		perRow(b, 64, func() { front.ForwardBatch(x, 1) })
-	})
+	for _, fc := range []struct {
+		name string
+		net  NetConfig
+	}{
+		{"front/m64", cfg},
+		{"front/quick16/m64", NetConfig{HistLen: 7, Filters: 16, Kernel: 4, Stride: 1, Hidden: 32}},
+		{"front/boot64/m64", NetConfig{HistLen: 14, Filters: 32, Kernel: 4, Stride: 1, Hidden: 64}},
+	} {
+		b.Run(fc.name, func(b *testing.B) {
+			head := mdp.HistoryFeatureDim(fc.net.HistLen)
+			conv := nn.NewConv1D(rng.New(1), head, fc.net.Filters, fc.net.Kernel, fc.net.Stride)
+			front := nn.NewNetwork(nn.NewSplit(head, nn.NewNetwork(conv, nn.NewReLU())))
+			x := benchMatrix(64, mdp.FeatureDim(fc.net.HistLen), 2)
+			perRow(b, 64, func() { front.ForwardBatch(x, 1) })
+		})
+	}
 	b.Run("hidden/m64", func(b *testing.B) {
 		k := cfg.Filters*((head-cfg.Kernel)/cfg.Stride+1) + fd - head
 		pack := mat.PackTransBTo(nil, benchMatrix(cfg.Hidden, k, 3))

@@ -124,7 +124,7 @@ wait "$PID"
 PID=""
 
 echo "smoke-serve: training a small agent with minicost -save"
-go run ./cmd/minicost -files 60 -days 28 -train-steps 3000 -save "$TMP/agent.ckpt" >/dev/null
+go run ./cmd/minicost -files 60 -days 28 -train-steps 3000 -split 1 -save "$TMP/agent.ckpt" >/dev/null
 echo "smoke-serve: booting from $TMP/agent.ckpt on $ADDR2"
 "$BIN" -addr "$ADDR2" -checkpoint "$TMP/agent.ckpt" 2>"$LOG2" &
 PID2=$!
