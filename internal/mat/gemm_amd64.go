@@ -8,10 +8,10 @@ package mat
 // in gemm.go.
 
 //go:noescape
-func dotPack16AVX(a, bp, acc []float64)
+func dotPack16AVX(a []float64, sa int, b []float64, sb int, acc []float64, k int, zero bool)
 
 //go:noescape
-func dotPack16x8AVX512(a []float64, lda int, bp []float64, c []float64, ldc int)
+func dotPack16x8AVX512(a []float64, lda, sa int, b []float64, sb int, c []float64, ldc, k int, zero bool)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -66,30 +66,34 @@ func KernelISA() string {
 	return "generic"
 }
 
-func dotPack16(a, bp, acc []float64) {
+func dotPack16(a []float64, sa int, b []float64, sb int, acc []float64, k int, zero bool) {
 	if haveAVX {
-		dotPack16AVX(a, bp, acc)
+		dotPack16AVX(a, sa, b, sb, acc, k, zero)
 		return
 	}
-	dotPack16Generic(a, bp, acc)
+	dotPack16Generic(a, sa, b, sb, acc, k, zero)
 }
 
-// dotPackRows takes rows [r0, r1) of a (row stride lda) through k-steps
-// [k0, k1) of one packed tile — seg is that tile's segment, 16·(k1-k0) long —
-// accumulating into columns [j, j+16) of the same rows of c (row stride
-// ldc). With AVX-512 the rows go eight at a time through the register-blocked
-// kernel; what is left over, and every row on any other CPU, goes through
-// dotPack16. Rows are independent output elements, so how they are grouped
-// changes no element's add sequence.
-func dotPackRows(c []float64, ldc, j int, a []float64, lda, k0, k1 int, seg []float64, r0, r1 int) {
+// dotPackRows takes rows [r0, r1) of a through k k-steps of one column tile
+// of b — a and b start at the block's first step, b at the tile's first
+// lane — accumulating into the tile's 16 columns of the same rows of c (c
+// starts at the tile's first column, row stride ldc; with zero set the sums
+// start at +0 instead). With AVX-512 the rows go eight at a time through the
+// register-blocked kernel; what is left over, and every row on any other
+// CPU, goes through dotPack16. Rows are independent output elements, so how
+// they are grouped changes no element's add sequence. Each kernel call gets
+// exactly the span it reads (k ≥ 1), so no read lands past an operand.
+func dotPackRows(c []float64, ldc int, a lhs, b rhs, k, r0, r1 int, zero bool) {
+	bk := b.data[:(k-1)*b.ks+packLanes]
+	span := (k-1)*a.ks + 1
 	r := r0
 	if haveAVX512 {
 		for ; r+8 <= r1; r += 8 {
-			dotPack16x8AVX512(a[r*lda+k0:(r+7)*lda+k1], lda, seg[:(k1-k0)*packLanes],
-				c[r*ldc+j:(r+7)*ldc+j+packLanes], ldc)
+			dotPack16x8AVX512(a.data[r*a.rs:r*a.rs+7*a.rs+span], a.rs, a.ks, bk, b.ks,
+				c[r*ldc:r*ldc+7*ldc+packLanes], ldc, k, zero)
 		}
 	}
 	for ; r < r1; r++ {
-		dotPack16(a[r*lda+k0:r*lda+k1], seg, c[r*ldc+j:r*ldc+j+packLanes])
+		dotPack16(a.data[r*a.rs:r*a.rs+span], a.ks, bk, b.ks, c[r*ldc:r*ldc+packLanes], k, zero)
 	}
 }

@@ -2,22 +2,42 @@
 
 #include "textflag.h"
 
-// func dotPack16AVX(a, bp, acc []float64)
+// func dotPack16AVX(a []float64, sa int, b []float64, sb int, acc []float64, k int, zero bool)
 //
-// acc[lane] += Σ_i a[i] · bp[i*16+lane] for lane in 0..15, with each lane's
-// accumulation strictly sequential in i — four 4-wide vector accumulators,
-// one output column per lane, each term one VFMADD231PD: acc + a·b rounded
-// once, the math.FMA of the scalar reference (gemm.go). len(bp) must be
-// 16*len(a) and len(acc) 16; the caller (mulPackBlock) guarantees both.
-TEXT ·dotPack16AVX(SB), NOSPLIT, $0-72
+// acc[lane] += Σ_i a[i·sa] · b[i·sb+lane] for lane in 0..15 and i in
+// 0..k-1, with each lane's accumulation strictly sequential in i — four
+// 4-wide vector accumulators, one output column per lane, each term one
+// VFMADD231PD: acc + a·b rounded once, the math.FMA of the scalar reference
+// (gemm.go). sa and sb are the operands' k-strides in elements: 1 and 16 for
+// a row of A against a packed tile, the matrices' widths where they are read
+// in place. With zero set the accumulators start at +0 instead of acc's
+// contents. a must span [0, (k-1)·sa], b [0, (k-1)·sb+16) and acc 16; the
+// caller (dotPackRows) slices exactly those spans.
+TEXT ·dotPack16AVX(SB), NOSPLIT, $0-97
 	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ bp_base+24(FP), DX
-	MOVQ acc_base+48(FP), DI
+	MOVQ sa+24(FP), R8
+	MOVQ b_base+32(FP), DX
+	MOVQ sb+56(FP), R9
+	MOVQ acc_base+64(FP), DI
+	MOVQ k+88(FP), CX
+	SHLQ $3, R8             // k-strides in bytes
+	SHLQ $3, R9
+	MOVBLZX zero+96(FP), AX
+	TESTQ AX, AX
+	JNZ  fresh
 	VMOVUPD (DI), Y0
 	VMOVUPD 32(DI), Y1
 	VMOVUPD 64(DI), Y2
 	VMOVUPD 96(DI), Y3
+	JMP  start
+
+fresh:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+start:
 	TESTQ CX, CX
 	JZ   done
 
@@ -27,8 +47,8 @@ loop:
 	VFMADD231PD 32(DX), Y4, Y1
 	VFMADD231PD 64(DX), Y4, Y2
 	VFMADD231PD 96(DX), Y4, Y3
-	ADDQ $8, SI
-	ADDQ $128, DX
+	ADDQ R8, SI
+	ADDQ R9, DX
 	DECQ CX
 	JNZ  loop
 
@@ -40,33 +60,36 @@ done:
 	VZEROUPPER
 	RET
 
-// func dotPack16x8AVX512(a []float64, lda int, bp []float64, c []float64, ldc int)
+// func dotPack16x8AVX512(a []float64, lda, sa int, b []float64, sb int, c []float64, ldc, k int, zero bool)
 //
-// dotPack16AVX for eight rows at once: c[r*ldc+lane] += Σ_i a[r*lda+i] ·
-// bp[i*16+lane] for r in 0..7, lane in 0..15. Each row owns two 8-wide
+// dotPack16AVX for eight rows at once: c[r·ldc+lane] += Σ_i a[r·lda+i·sa] ·
+// b[i·sb+lane] for r in 0..7, lane in 0..15. Each row owns two 8-wide
 // accumulators, so sixteen FMA chains are in flight where the one-row kernel
 // has four — that kernel retires one VFMADD231PD per FMA latency, this one
-// is bound by the two FP ports — and each k-step's two loads of bp serve
+// is bound by the two FP ports — and each k-step's two loads of b serve
 // eight rows. Rows are independent output elements: every element is still
-// seeded from c, sequential in i, one fused multiply-add per term, so it
-// leaves that kernel's bits.
-// len(bp) must be 16·k, a must span [0, 7·lda+k) and c [0, 7·ldc+16); the
-// caller (dotPackRows) slices exactly those spans, so the bounds are checked
-// before control arrives here.
-TEXT ·dotPack16x8AVX512(SB), NOSPLIT, $0-88
+// seeded from c (or +0 with zero set), sequential in i, one fused
+// multiply-add per term, so it leaves that kernel's bits. lda is A's row
+// stride in elements — 1 where A is a matrix read transposed.
+// a must span [0, 7·lda+(k-1)·sa], b [0, (k-1)·sb+16) and c [0, 7·ldc+16);
+// the caller (dotPackRows) slices exactly those spans, so the bounds are
+// checked before control arrives here.
+TEXT ·dotPack16x8AVX512(SB), NOSPLIT, $0-113
 	MOVQ a_base+0(FP), SI
 	MOVQ lda+24(FP), R8
-	MOVQ bp_base+32(FP), DX
-	MOVQ bp_len+40(FP), CX
-	MOVQ c_base+56(FP), DI
-	MOVQ ldc+80(FP), R12
-	SHRQ $4, CX             // k-steps
+	MOVQ b_base+40(FP), DX
+	MOVQ c_base+72(FP), DI
+	MOVQ ldc+96(FP), R12
+	MOVQ k+104(FP), CX
 	SHLQ $3, R8             // row strides in bytes, and their 3×, 5×, 7×
 	SHLQ $3, R12
 	LEAQ (R8)(R8*2), R9
 	LEAQ (R8)(R8*4), R10
 	LEAQ (R9)(R8*4), R11
 	LEAQ (R12)(R12*2), R13
+	MOVBLZX zero+112(FP), AX
+	TESTQ AX, AX
+	JNZ  fresh8
 	LEAQ (R12)(R12*4), AX
 	LEAQ (R13)(R12*4), BX
 	VMOVUPD (DI), Z0
@@ -85,6 +108,31 @@ TEXT ·dotPack16x8AVX512(SB), NOSPLIT, $0-88
 	VMOVUPD 64(DI)(R13*2), Z13
 	VMOVUPD (DI)(BX*1), Z14
 	VMOVUPD 64(DI)(BX*1), Z15
+	JMP  start8
+
+fresh8:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+
+start8:
+	MOVQ sa+32(FP), AX      // the k-strides in bytes: AX and BX hold c's 5× and 7× row strides only outside the loop
+	MOVQ sb+64(FP), BX
+	SHLQ $3, AX
+	SHLQ $3, BX
 	TESTQ CX, CX
 	JZ   done8
 
@@ -115,12 +163,14 @@ loop8:
 	VBROADCASTSD (SI)(R11*1), Z21
 	VFMADD231PD Z16, Z21, Z14
 	VFMADD231PD Z17, Z21, Z15
-	ADDQ $8, SI
-	ADDQ $128, DX
+	ADDQ AX, SI
+	ADDQ BX, DX
 	DECQ CX
 	JNZ  loop8
 
 done8:
+	LEAQ (R12)(R12*4), AX
+	LEAQ (R13)(R12*4), BX
 	VMOVUPD Z0, (DI)
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, (DI)(R12*1)

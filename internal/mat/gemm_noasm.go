@@ -10,11 +10,13 @@ package mat
 // "generic".
 func KernelISA() string { return "generic" }
 
-// dotPackRows takes rows [r0, r1) of a through k-steps [k0, k1) of one
-// packed tile into columns [j, j+16) of c, a row at a time (see
+// dotPackRows takes rows [r0, r1) of a through k k-steps of one column
+// tile of b into the tile's 16 columns of c, a row at a time (see
 // gemm_amd64.go).
-func dotPackRows(c []float64, ldc, j int, a []float64, lda, k0, k1 int, seg []float64, r0, r1 int) {
+func dotPackRows(c []float64, ldc int, a lhs, b rhs, k, r0, r1 int, zero bool) {
+	bk := b.data[:(k-1)*b.ks+packLanes]
+	span := (k-1)*a.ks + 1
 	for r := r0; r < r1; r++ {
-		dotPack16Generic(a[r*lda+k0:r*lda+k1], seg, c[r*ldc+j:r*ldc+j+packLanes])
+		dotPack16Generic(a.data[r*a.rs:r*a.rs+span], a.ks, bk, b.ks, c[r*ldc:r*ldc+packLanes], k, zero)
 	}
 }

@@ -21,7 +21,7 @@ func TestTransposeToMatchesT(t *testing.T) {
 	for _, sh := range []struct{ rows, cols int }{{1, 1}, {3, 7}, {16, 16}, {33, 5}} {
 		m := randMat(r, sh.rows, sh.cols)
 		want := transpose(m)
-		got := TransposeParTo(nil, m, 1)
+		got := TransposeTo(nil, m)
 		if got.Rows != want.Rows || got.Cols != want.Cols {
 			t.Fatalf("%dx%d: shape %dx%d", sh.rows, sh.cols, got.Rows, got.Cols)
 		}
@@ -32,7 +32,7 @@ func TestTransposeToMatchesT(t *testing.T) {
 		}
 		// Reuse with a different shape must still be exact.
 		m2 := randMat(r, sh.cols, sh.rows)
-		got = TransposeParTo(got, m2, 1)
+		got = TransposeTo(got, m2)
 		want = transpose(m2)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
@@ -115,7 +115,7 @@ func TestMulTransBAccBitwise(t *testing.T) {
 // TestMulTransAAccBitwise pins the transpose-free weight-gradient kernel to
 // the per-sample reference order: seed dst, then add Σ_k a[k][i]·b[k][j]
 // one sample at a time, ascending. It must also agree exactly with the
-// transposing route (TransposeParTo + the unpacked product, mulTransBAccRef),
+// transposing route (TransposeTo + the unpacked product, mulTransBAccRef),
 // the large-batch path's shape before it moved to the packed kernel.
 func TestMulTransAAccBitwise(t *testing.T) {
 	r := rng.New(15)
@@ -141,7 +141,7 @@ func TestMulTransAAccBitwise(t *testing.T) {
 					sh.k, sh.m, sh.k, sh.n, i, dst.Data[i], want.Data[i])
 			}
 		}
-		mulTransBAccRef(other, TransposeParTo(nil, a, 1), TransposeParTo(nil, b, 1))
+		mulTransBAccRef(other, TransposeTo(nil, a), TransposeTo(nil, b))
 		for i := range want.Data {
 			if other.Data[i] != want.Data[i] {
 				t.Fatalf("(%dx%d)ᵀ·%dx%d: transposing route elem %d diverges from reference",
@@ -253,18 +253,79 @@ func TestPackTransposeGEMM(t *testing.T) {
 	}
 }
 
-// TestMulPackAccBitwise pins the packed weight-gradient kernel to the
-// per-element reference: dst[m][j] += Σ_k a[m][k]·X[k][j] with each
-// element's k-chain ascending from the element's pre-seeded value, bit for
-// bit, at every kernel tier and at 1, 2 and 4 workers, and equal to the
-// unpacked MulTransAAccTo route (the kernel it replaces on large batches).
-// Besides small odd shapes, rows 1, 7, 9 and 128 sit on both sides of the
-// blocked walk's 8-row group; columns 15, 16, 17 and 3206 on both sides of a
-// tile and across many 128-column blocks; K 1, 112 and 200 on both sides of
-// packKBlock. Every third seed is -0.0 and every fourth row of a is zero, so
-// some elements take nothing but ±0 products and must come out signed as
-// the reference's adds leave them — a kernel that summed the products from
-// +0 and added the seed last would turn -0 + (-0) into +0.
+// guardLen is how many NaN sentinels follow a guarded operand.
+const guardLen = 24
+
+// guarded copies m to the front of a buffer whose last guardLen elements
+// are NaN sentinels. The copy's Data ends exactly at the end of its
+// capacity, so a Go read past it panics; a kernel's read past it would take
+// in a sentinel, and a write past it would overwrite one (sentinelsIntact).
+func guarded(m *Matrix) (*Matrix, []float64) {
+	n := len(m.Data)
+	buf := make([]float64, n+guardLen)
+	copy(buf, m.Data)
+	for i := n; i < len(buf); i++ {
+		buf[i] = math.NaN()
+	}
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: buf[:n:n]}, buf[n:]
+}
+
+func sentinelsIntact(t *testing.T, name string, sentinels []float64) {
+	t.Helper()
+	for i, v := range sentinels {
+		if math.Float64bits(v) != math.Float64bits(math.NaN()) {
+			t.Fatalf("%s: wrote %v over sentinel %d past the end", name, v, i)
+		}
+	}
+}
+
+// nonFiniteRowHeads puts ±Inf and NaN at the head of every third row from
+// the second on: the elements that follow the previous row's last — its
+// ragged tile's — lanes, where a tile read past its row would land.
+func nonFiniteRowHeads(m *Matrix) {
+	for r, v := 1, 0; r < m.Rows; r, v = r+3, v+1 {
+		m.Data[r*m.Cols] = []float64{math.Inf(1), math.NaN(), math.Inf(-1)}[v%3]
+	}
+}
+
+// backwardShapes are the Dense backward's products at every tile seam of
+// the input width (1, 15, 16, 17 columns; 182 and the paper network's 3206,
+// ragged, one k-block and several of the in-place walk) and batch rows on
+// both sides of the eight-row kernel (1, 7, 8, 9) up to a 112-row arena;
+// -short (the race-detector runs) leaves out the paper width.
+func backwardShapes(outs ...int) (shapes []struct{ rows, in, out int }) {
+	for _, in := range []int{1, 15, 16, 17, 182, 3206} {
+		for _, rows := range []int{1, 7, 8, 9, 112} {
+			if testing.Short() && in == 3206 {
+				continue
+			}
+			for _, out := range outs {
+				shapes = append(shapes, struct{ rows, in, out int }{rows, in, out})
+			}
+		}
+	}
+	return shapes
+}
+
+// TestMulPackAccBitwise pins the weight-gradient product dW += dYᵀ·X to the
+// per-element reference — each element's chain over the batch rows
+// ascending from its pre-seeded value, one math.FMA per term — bit for bit,
+// at every kernel tier and at 1, 2 and 4 workers, by every route:
+// AddMulTransATo on dY and X where they lie, AddMulTransAPackTo on dY where
+// it lies against X packed, and MulPackAccTo on dY transposed against X
+// packed; MulTransAAccTo, the short-batch route, is held to it once per
+// shape. A shape m×k·k×n has m outputs, k batch rows and n inputs. Besides
+// small odd shapes, m sits on both sides of the eight-row kernel; n at
+// every tile seam (1, 15, 16, 17), at the Quick network's 182 and the
+// paper's 3206, both ragged; k at 1, 7, 8 and 9, the 112-row arena and 200,
+// past packKBlock. Every third seed is -0.0 and every fourth gradient row
+// (a column of dY) is zero, so some elements take nothing but ±0 products
+// and must come out signed as the reference's adds leave them — a kernel
+// that summed the products from +0 and added the seed last would turn
+// -0 + (-0) into +0. dY, X and dW each end exactly at the end of their
+// buffers, NaN sentinels behind them, and X's rows start with ±Inf and NaN
+// (nonFiniteRowHeads), so a tile lane read from the next row, or past the
+// end, shows.
 func TestMulPackAccBitwise(t *testing.T) {
 	r := rng.New(21)
 	shapes := []struct{ m, k, n int }{{1, 1, 1}, {5, 7, 33}, {128, 448, 40}, {17, 16, 16}, {3, 28, 100}}
@@ -275,13 +336,24 @@ func TestMulPackAccBitwise(t *testing.T) {
 			}
 		}
 	}
+	seen := map[struct{ m, k, n int }]bool{}
+	for _, sh := range shapes {
+		seen[sh] = true
+	}
+	for _, sh := range backwardShapes(1, 9, 128) {
+		if s := (struct{ m, k, n int }{sh.out, sh.rows, sh.in}); !seen[s] {
+			seen[s] = true
+			shapes = append(shapes, s)
+		}
+	}
 	negZero := math.Copysign(0, -1)
 	for _, sh := range shapes {
 		a := randMat(r, sh.m, sh.k) // dYᵀ: dst rows × shared
 		for i := 3; i < sh.m; i += 4 {
 			clear(a.Data[i*sh.k : (i+1)*sh.k])
 		}
-		x := randMat(r, sh.k, sh.n)    // input batch: shared × dst cols
+		x := randMat(r, sh.k, sh.n) // input batch: shared × dst cols
+		nonFiniteRowHeads(x)
 		seed := randMat(r, sh.m, sh.n) // pre-seeded accumulator
 		for i := 0; i < len(seed.Data); i += 3 {
 			seed.Data[i] = negZero
@@ -297,18 +369,84 @@ func TestMulPackAccBitwise(t *testing.T) {
 			}
 		}
 		name := fmt.Sprintf("%dx%d·%dx%d", sh.m, sh.k, sh.k, sh.n)
+		dy := transpose(a)
 		other := seed.Clone()
-		MulTransAAccTo(other, TransposeParTo(nil, a, 1), x, 1)
+		MulTransAAccTo(other, dy, x, 1)
 		sameBits(t, name+" MulTransAAccTo", other.Data, want.Data)
+		dyG, dySent := guarded(dy)
+		xG, xSent := guarded(x)
 		pack := PackTransposeTo(nil, x)
 		for _, tier := range kernelTiers() {
 			t.Run(tier+"/"+name, func(t *testing.T) {
 				forceTier(t, tier)
 				for _, workers := range []int{1, 2, 4} {
-					got := seed.Clone()
+					got, sent := guarded(seed)
+					AddMulTransATo(got, dyG, xG, workers)
+					sameBits(t, fmt.Sprintf("AddMulTransATo workers=%d", workers), got.Data, want.Data)
+					sentinelsIntact(t, "AddMulTransATo dW", sent)
+					got = seed.Clone()
+					AddMulTransAPackTo(got, dyG, pack, workers)
+					sameBits(t, fmt.Sprintf("AddMulTransAPackTo workers=%d", workers), got.Data, want.Data)
+					got = seed.Clone()
 					MulPackAccTo(got, a, pack, workers)
 					sameBits(t, fmt.Sprintf("MulPackAccTo workers=%d", workers), got.Data, want.Data)
 				}
+				sentinelsIntact(t, "dY", dySent)
+				sentinelsIntact(t, "X", xSent)
+			})
+		}
+	}
+}
+
+// TestMulToTiers pins the input-gradient product dX = dY·W, W read where it
+// lies, to the per-element reference — each element's chain over the
+// outputs ascending from +0, one math.FMA per term — bit for bit at every
+// kernel tier and at 1 and 4 workers, at 3 outputs, 128 and 200 (past one
+// packKBlock). The destination starts out holding NaN, which the sums must
+// not take in; one gradient row is -0.0 and one +0, whose sums are +0 from
+// a +0 start and would keep -0 from a -0 one. dY, W and dX end exactly at
+// the end of their buffers, NaN sentinels behind them, and W's rows start
+// with ±Inf and NaN.
+func TestMulToTiers(t *testing.T) {
+	r := rng.New(23)
+	for _, sh := range backwardShapes(3, 128, 200) {
+		dy := randMat(r, sh.rows, sh.out)
+		for o := 0; o < sh.out; o++ {
+			dy.Data[(sh.rows/2)*sh.out+o] = math.Copysign(0, -1)
+			dy.Data[(sh.rows-1)*sh.out+o] = 0
+		}
+		w := randMat(r, sh.out, sh.in)
+		nonFiniteRowHeads(w)
+		want := New(sh.rows, sh.in)
+		for rr := 0; rr < sh.rows; rr++ {
+			for i := 0; i < sh.in; i++ {
+				s := 0.0
+				for o := 0; o < sh.out; o++ {
+					s = math.FMA(dy.Data[rr*sh.out+o], w.Data[o*sh.in+i], s)
+				}
+				want.Data[rr*sh.in+i] = s
+			}
+		}
+		dyG, dySent := guarded(dy)
+		wG, wSent := guarded(w)
+		name := fmt.Sprintf("rows%d/in%d/out%d", sh.rows, sh.in, sh.out)
+		for _, tier := range kernelTiers() {
+			t.Run(tier+"/"+name, func(t *testing.T) {
+				forceTier(t, tier)
+				for _, workers := range []int{1, 4} {
+					dst, sent := guarded(New(sh.rows, sh.in))
+					for i := range dst.Data {
+						dst.Data[i] = math.NaN()
+					}
+					got := MulTo(dst, dyG, wG, workers)
+					if &got.Data[0] != &dst.Data[0] {
+						t.Fatal("MulTo reallocated a destination of the right size")
+					}
+					sameBits(t, fmt.Sprintf("MulTo workers=%d", workers), got.Data, want.Data)
+					sentinelsIntact(t, "MulTo dX", sent)
+				}
+				sentinelsIntact(t, "dY", dySent)
+				sentinelsIntact(t, "W", wSent)
 			})
 		}
 	}
@@ -343,6 +481,11 @@ func TestMulPackAccShapePanics(t *testing.T) {
 		call func()
 	}{
 		{"shared mismatch", func() { MulPackAccTo(New(4, 5), a, PackTransposeTo(nil, New(9, 5)), 1) }},
+		{"transA shared mismatch", func() { AddMulTransATo(New(8, 5), a, New(3, 5), 1) }},
+		{"transA dst", func() { AddMulTransATo(New(8, 6), a, New(4, 5), 1) }},
+		{"transA pack shared mismatch", func() { AddMulTransAPackTo(New(8, 5), a, PackTransposeTo(nil, New(3, 5)), 1) }},
+		{"transA pack dst", func() { AddMulTransAPackTo(New(7, 5), a, PackTransposeTo(nil, New(4, 5)), 1) }},
+		{"mul shared mismatch", func() { MulTo(nil, a, New(7, 5), 1) }},
 		{"dst rows", func() { MulPackAccTo(New(3, 5), a, PackTransposeTo(nil, New(8, 5)), 1) }},
 		{"dst cols", func() { MulPackAccTo(New(4, 6), a, PackTransposeTo(nil, New(8, 5)), 1) }},
 	} {

@@ -102,6 +102,11 @@ func TestPackedKernelTiersForward(t *testing.T) {
 			}
 		}
 		pack := PackTransBTo(nil, b)
+		// The batch and the pack end at the end of their buffers, NaN
+		// sentinels behind them.
+		a, aSent := guarded(a)
+		pg, packSent := guarded(&Matrix{Rows: 1, Cols: len(pack.Data), Data: pack.Data})
+		pack.Data = pg.Data
 		// A window that starts off every 8-row boundary; the rows around it
 		// must keep what they held.
 		lo, hi := 3, s.rows-2
@@ -128,6 +133,8 @@ func TestPackedKernelTiersForward(t *testing.T) {
 						t.Fatalf("window [%d,%d) wrote element %d", lo, hi, i)
 					}
 				}
+				sentinelsIntact(t, "batch", aSent)
+				sentinelsIntact(t, "pack", packSent)
 			})
 		}
 	}
@@ -148,7 +155,7 @@ func TestPackedKernelTiersAcc(t *testing.T) {
 				want.Data[r*s.cols+c] = sum
 			}
 		}
-		pack := PackTransposeTo(nil, x)
+		pack, at := PackTransposeTo(nil, x), transpose(a)
 		for _, tier := range kernelTiers() {
 			t.Run(fmt.Sprintf("%s/%dx%dx%d", tier, s.rows, s.k, s.cols), func(t *testing.T) {
 				forceTier(t, tier)
@@ -156,6 +163,9 @@ func TestPackedKernelTiersAcc(t *testing.T) {
 					got := seed.Clone()
 					MulPackAccTo(got, a, pack, workers)
 					sameBits(t, "MulPackAccTo", got.Data, want.Data)
+					got = seed.Clone()
+					AddMulTransATo(got, at, x, workers)
+					sameBits(t, "AddMulTransATo", got.Data, want.Data)
 				}
 			})
 		}

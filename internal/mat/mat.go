@@ -135,7 +135,7 @@ func LeastSquares(x *Matrix, y []float64) ([]float64, error) {
 	if x.Rows < x.Cols {
 		return nil, fmt.Errorf("mat: underdetermined system %dx%d", x.Rows, x.Cols)
 	}
-	xt := TransposeParTo(nil, x, 1)
+	xt := TransposeTo(nil, x)
 	xtx := MulTransBBiasTo(nil, xt, xt, nil, 1)
 	xty := MulTransBBiasTo(nil, xt, &Matrix{Rows: 1, Cols: len(y), Data: y}, nil, 1).Data
 	for _, ridge := range []float64{0, 1e-10, 1e-7, 1e-4, 1e-1} {

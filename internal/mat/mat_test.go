@@ -18,7 +18,7 @@ func randomMatrix(r *rng.RNG, rows, cols int) *Matrix {
 	return m
 }
 
-// transpose returns mᵀ as a new matrix: the textbook oracle TransposeParTo
+// transpose returns mᵀ as a new matrix: the textbook oracle TransposeTo
 // and the packers are held to.
 func transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, m.Rows)
@@ -70,8 +70,8 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	r := rng.New(3)
 	a := randomMatrix(r, 7, 11)
-	at := TransposeParTo(nil, a, 1)
-	b := TransposeParTo(nil, at, 1)
+	at := TransposeTo(nil, a)
+	b := TransposeTo(nil, at)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("T∘T is not identity")

@@ -171,6 +171,51 @@ func packTransposeTiles(dst *PackedTransB, m *Matrix, t0, t1 int) {
 	}
 }
 
+// lhs is a left operand as the packed kernels read it, where it lies:
+// element (r, i) — output row r, shared step i — is data[r*rs + i*ks]. A
+// row-major matrix has rs = Cols and ks = 1; the same matrix read
+// transposed (the weight gradient's dYᵀ) has rs = 1 and ks = Cols.
+type lhs struct {
+	data   []float64
+	rs, ks int
+}
+
+// rowMajor is a read as the left operand of a·B.
+func rowMajor(a *Matrix) lhs { return lhs{a.Data, a.Cols, 1} }
+
+// transposed is a read as the left operand of aᵀ·B.
+func transposed(a *Matrix) lhs { return lhs{a.Data, 1, a.Cols} }
+
+// at is the operand from row r and step i on.
+func (a lhs) at(r, i int) lhs {
+	a.data = a.data[r*a.rs+i*a.ks:]
+	return a
+}
+
+// rhs is a right operand: at shared step i the 16 lanes of the column tile
+// that starts at output column j are data[j*tile + i*ks :][:16]. A
+// PackedTransB has tile = K and ks = 16, its ragged last tile zero-padded
+// (padded); a row-major K×N matrix read in place has tile = 1 and ks = N,
+// and its ragged last tile — whose 16 lanes would run into the next row,
+// and past the end on the last — reaches the kernel through a zero-padded
+// copy (packTail).
+type rhs struct {
+	data     []float64
+	tile, ks int
+	padded   bool
+}
+
+func (pb *PackedTransB) rhs() rhs { return rhs{pb.Data, pb.K, packLanes, true} }
+
+// inPlace is b, a row-major K×N matrix, as the right operand of a·b.
+func inPlace(b *Matrix) rhs { return rhs{b.Data, 1, b.Cols, false} }
+
+// at is the operand from column j's tile and step i on.
+func (b rhs) at(j, i int) rhs {
+	b.data = b.data[j*b.tile+i*b.ks:]
+	return b
+}
+
 // MulPackTransBBiasTo is the packed-operand version of MulTransBBiasTo:
 // dst[r][c] = bias[c] + Σ_k a[r][k]·B[c][k] with B pre-packed by
 // PackTransBTo. It is the hot path of the batched inference engine — on
@@ -200,16 +245,22 @@ func MulPackTransBBiasRowsTo(dst, a *Matrix, pb *PackedTransB, bias []float64, l
 		panic(fmt.Sprintf("mat: MulPackTransB rows [%d,%d) of %d", lo, hi, a.Rows))
 	}
 	dst = EnsureShape(dst, a.Rows, pb.Cols)
-	n := hi - lo
-	if workers == 1 || n*a.Cols*pb.Cols < gemmParallelFlops {
-		mulPackBlock(dst, a, pb, bias, lo, hi)
-		return dst
+	mulRows(dst, rowMajor(a), pb.rhs(), pb.Cols, pb.K, bias, true, lo, hi, workers)
+	return dst
+}
+
+// mulRows runs mulPackBlock over rows [lo, hi) of dst, sharded over workers
+// by row panels when the product is large enough.
+func mulRows(dst *Matrix, a lhs, b rhs, n, k int, bias []float64, zero bool, lo, hi, workers int) {
+	rows := hi - lo
+	if workers == 1 || rows*k*n < gemmParallelFlops {
+		mulPackBlock(dst.Data, a, b, n, k, bias, zero, lo, hi)
+		return
 	}
 	w := resolveWorkers(workers)
-	par.ForBatched(n, parPanel(n, w, gemmMinPanel), w, func(plo, phi int) {
-		mulPackBlock(dst, a, pb, bias, lo+plo, lo+phi)
+	par.ForBatched(rows, parPanel(rows, w, gemmMinPanel), w, func(plo, phi int) {
+		mulPackBlock(dst.Data, a, b, n, k, bias, zero, lo+plo, lo+phi)
 	})
-	return dst
 }
 
 // packKBlock is the shared-dimension block length of the packed kernels:
@@ -234,92 +285,106 @@ const packKBlock = 192
 // so no accumulation order changes.
 const packRowPanel = 64
 
-// mulPackBlock fills output rows [lo, hi) from the packed operand, one
-// packRowPanel of rows at a time. A panel's destination is first seeded with
-// the bias (or zero); then the shared dimension is blocked outermost (see
-// packKBlock), then the column tiles, then the rows (dotPackRows, eight to a
-// kernel call where the CPU has the registers): the tile segment the rows
-// revisit stays L1-hot and the panel's k-block stays L2-hot across the
-// tiles, with the running sums parked in dst between blocks. The ragged last
-// tile then runs through the same kernel from its seeded lanes (packTail),
-// so a 3-wide output layer costs one tile per row, not three scalar dots.
-// Every element stays k-sequential.
+// mulPackBlock computes rows [lo, hi) of dst (row stride n) as a·B over k
+// shared steps, one packRowPanel of rows at a time, seeded by the bias when
+// there is one, else from +0 with zero set, else from dst's own values. A
+// bias is copied into the panel's rows first; a +0 start is the first
+// k-block's sums starting at +0 in the kernel's registers, which is what
+// adding onto a zeroed destination would give, bit for bit. The shared
+// dimension is blocked outermost (see packKBlock), then the column tiles,
+// then the rows (dotPackRows, eight to a kernel call where the CPU has the
+// registers): the tile segment the rows revisit stays L1-hot and the
+// panel's k-block stays L2-hot across the tiles, with the running sums
+// parked in dst between blocks. The ragged last tile then runs through the
+// same kernel (packTail), so a 3-wide output layer costs one tile per row,
+// not three scalar dots. Every element stays k-sequential.
 //
 //minicost:hotpath
-func mulPackBlock(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) {
-	n, k := pb.Cols, pb.K
+func mulPackBlock(dst []float64, a lhs, b rhs, n, k int, bias []float64, zero bool, lo, hi int) {
+	zero = zero && bias == nil
 	full := n / packLanes * packLanes
 	for p0 := lo; p0 < hi; p0 += packRowPanel {
-		p1 := p0 + packRowPanel
-		if p1 > hi {
-			p1 = hi
-		}
-		for r := p0; r < p1; r++ {
-			acc := dst.Data[r*n : (r+1)*n]
-			if bias != nil {
-				copy(acc, bias)
-			} else {
-				for i := range acc {
-					acc[i] = 0
-				}
+		p1 := min(p0+packRowPanel, hi)
+		if bias != nil {
+			for r := p0; r < p1; r++ {
+				copy(dst[r*n:(r+1)*n], bias)
 			}
+		} else if zero && k == 0 {
+			clear(dst[p0*n : p1*n])
 		}
 		for k0 := 0; k0 < k; k0 += packKBlock {
-			k1 := k0 + packKBlock
-			if k1 > k {
-				k1 = k
-			}
+			k1 := min(k0+packKBlock, k)
+			ak := a.at(0, k0)
 			for j := 0; j < full; j += packLanes {
-				seg := pb.Data[j*k+k0*packLanes : j*k+k1*packLanes]
-				dotPackRows(dst.Data, n, j, a.Data, k, k0, k1, seg, p0, p1)
+				dotPackRows(dst[j:], n, ak, b.at(j, k0), k1-k0, p0, p1, zero && k0 == 0)
 			}
 		}
-		if full < n {
-			packTail(dst, a, pb, p0, p1)
+		if full < n && k > 0 {
+			packTail(dst[full:], n, n-full, a, b.at(full, 0), k, p0, p1, zero)
 		}
 	}
 }
 
-// packTail accumulates the ragged last column tile of pb — columns
-// [full, n), full the last multiple of 16 — into rows [r0, r1) of dst, at
-// most packRowPanel of them: dst[r][c] += Σ_k a[r][k]·B[c][k], k ascending
-// from the element's current value. Its accumulators are a 16-lane stack
-// panel with row stride 16, so dotPackRows takes the tile exactly as it
-// takes a full one, k-blocked the same way; the real lanes are loaded from
-// dst and copied back, and the lanes past n multiply the pack's zero
-// padding and are dropped. The kernels are go:noescape, so the panel stays
-// on the stack and the packed products stay allocation-free.
+// packTailSteps is how many k-steps of an in-place operand's ragged tile
+// packTail copies out at a time: 64 steps of 16 lanes are 8 KiB of stack.
+const packTailSteps = 64
+
+// packTail accumulates a ragged last column tile — the lanes columns of b's
+// tile, lanes < 16 — into rows [r0, r1) of c (c starts at the tile's first
+// column, row stride ldc), at most packRowPanel of them: c[r][l] +=
+// Σ_i a[r][i]·b[i][l], i ascending from the element's current value, or
+// from +0 with zero set. Its accumulators are a 16-lane stack panel with
+// row stride 16, so dotPackRows takes the tile exactly as it takes a full
+// one; the real lanes are loaded from c (unless zero) and copied back, and
+// the lanes past them multiply zero padding and are dropped. A packed
+// operand carries that padding; an operand read in place has its tile's
+// real lanes copied, packTailSteps steps at a time, into a zeroed stack
+// tile, so nothing reads past the lanes it owns. The kernels are
+// go:noescape, so both panels stay on the stack and the products stay
+// allocation-free.
 //
 //minicost:hotpath
-func packTail(dst, a *Matrix, pb *PackedTransB, r0, r1 int) {
+func packTail(c []float64, ldc, lanes int, a lhs, b rhs, k, r0, r1 int, zero bool) {
 	var acc [packRowPanel * packLanes]float64
-	n, k := pb.Cols, pb.K
-	full := n / packLanes * packLanes
-	for r := r0; r < r1; r++ {
-		copy(acc[(r-r0)*packLanes:], dst.Data[r*n+full:(r+1)*n])
-	}
-	tile := pb.Data[full*k:]
-	for k0 := 0; k0 < k; k0 += packKBlock {
-		k1 := k0 + packKBlock
-		if k1 > k {
-			k1 = k
+	var tile [packTailSteps * packLanes]float64
+	if !zero {
+		for r := r0; r < r1; r++ {
+			copy(acc[(r-r0)*packLanes:], c[r*ldc:r*ldc+lanes])
 		}
-		dotPackRows(acc[:], packLanes, 0, a.Data[r0*k:], k, k0, k1, tile[k0*packLanes:k1*packLanes], 0, r1-r0)
+	}
+	step := packKBlock
+	if !b.padded {
+		step = packTailSteps
+	}
+	for k0 := 0; k0 < k; k0 += step {
+		k1 := min(k0+step, k)
+		bk := b.at(0, k0)
+		if !b.padded {
+			for i := k0; i < k1; i++ {
+				copy(tile[(i-k0)*packLanes:], b.data[i*b.ks:i*b.ks+lanes])
+			}
+			bk = rhs{data: tile[:], ks: packLanes}
+		}
+		dotPackRows(acc[:], packLanes, a.at(r0, k0), bk, k1-k0, 0, r1-r0, zero && k0 == 0)
 	}
 	for r := r0; r < r1; r++ {
-		copy(dst.Data[r*n+full:(r+1)*n], acc[(r-r0)*packLanes:])
+		copy(c[r*ldc:r*ldc+lanes], acc[(r-r0)*packLanes:])
 	}
 }
 
-// dotPack16Generic is the portable kernel: acc[lane] += Σ_i a[i]·bp[i*16+lane],
-// each lane sequential in i, one fused multiply-add per term. It backs
+// dotPack16Generic is the portable kernel: acc[lane] += Σ_i a[i·sa]·
+// b[i·sb+lane] over k steps, from +0 instead of acc with zero set, each
+// lane sequential in i, one fused multiply-add per term. It backs
 // dotPackRows on builds without assembly and on amd64 CPUs without AVX and
 // FMA.
-func dotPack16Generic(a, bp, acc []float64) {
+func dotPack16Generic(a []float64, sa int, b []float64, sb int, acc []float64, k int, zero bool) {
 	var s [packLanes]float64
-	copy(s[:], acc)
-	for i, v := range a {
-		t := bp[i*packLanes : i*packLanes+packLanes]
+	if !zero {
+		copy(s[:], acc)
+	}
+	for i := 0; i < k; i++ {
+		v := a[i*sa]
+		t := b[i*sb : i*sb+packLanes]
 		for j := range s {
 			s[j] = math.FMA(v, t[j], s[j])
 		}

@@ -18,7 +18,7 @@ import (
 // row, so every parameter-gradient element receives its per-row terms in
 // ascending row order, each fused (math.FMA) or, for a bias, added onto the
 // element's running value one at a time. The batched kernels keep exactly that order — Dense's weight
-// gradient runs dW += dYᵀ·X through mat.MulTransAAccTo or mat.MulPackAccTo
+// gradient runs dW += dYᵀ·X through mat.MulTransAAccTo or mat.AddMulTransATo
 // (both row-sequential, seeded from the existing gradient), Conv1D rereads
 // the input windows from the retained batch with the oracle's zero-gradient
 // skip, and the input-gradient products seed at zero and walk the output
@@ -43,26 +43,38 @@ import (
 //	dW[o][i] += Σ_r dy[r][o]·x[r][i]  (r ascending, seeded from the live grad)
 //	dx[r][i] = Σ_o dy[r][o]·w[o][i]   (o ascending, seeded at zero)
 //
-// Short batches (under packMinRows — training rollouts) run transpose- and
-// pack-free: dW goes through mat.MulTransAAccTo directly on the row-major
-// batches and dx through mat.MulKOuterTo, each streaming the full-size
-// operand exactly once. Larger batches (vectorized rollouts' E·NSteps
-// arenas) amortize packing instead: both dW and dx run on the packed SIMD
-// kernel — dx against a transposed-weight pack (PackTransposeTo), dW
-// against a pack of the retained input batch with the transposed gradient
-// as the streaming operand (mat.MulPackAccTo), which keeps the per-k tile
-// loads contiguous and drops the full-width input-batch transpose. All
-// kernels share the accumulation-order contract, so both paths are bitwise
-// identical to the oracle.
+// The bias gradient is one loop over dy's columns; the two products take
+// one of three routes.
+//
+//   - Short batches (under packMinRows: the arenas of E ≤ 2 at seven steps)
+//     run dW through mat.MulTransAAccTo and dx through mat.MulKOuterTo, axpy
+//     loops that stream the full-size operand once, which the packed kernel
+//     does not beat on AVX2 or without SIMD at those lengths (ROADMAP
+//     item 9).
+//   - Larger batches run both on the packed SIMD kernel. Where the input
+//     rows are under a page apart (mat.InPlaceCols) every operand is read
+//     where it lies: dW against dy read transposed and the retained input
+//     batch (mat.AddMulTransATo), dx against the weights (mat.MulTo).
+//   - Wider inputs — the paper network's 3206 — read faster packed: the
+//     weights, then the input batch, are packed transposed into the
+//     forward pack's buffer, which voids it, and dy is still read
+//     transposed where it lies (mat.AddMulTransAPackTo).
+//
+// Nothing is transposed or zeroed first on any route, and all kernels share
+// the accumulation-order contract, so every route is bitwise identical to
+// the oracle.
 func (d *Dense) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
 	return d.backwardBatch(dy, workers, true)
 }
 
-// backwardBatch is BackwardBatch with the dx product — the weights'
-// transposed pack and a GEMM as large as the forward's — optional.
+// backwardBatch is BackwardBatch with the dx product — a GEMM as large as
+// the forward's — optional.
 func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.Matrix {
 	if d.bx == nil {
 		panic("nn: Dense BackwardBatch before ForwardBatch")
+	}
+	if d.frozen {
+		panic("nn: Dense BackwardBatch on a frozen layer")
 	}
 	if dy.Cols != d.Out || dy.Rows != d.bx.Rows {
 		panic(fmt.Sprintf("nn: Dense BackwardBatch %dx%d, want %dx%d", dy.Rows, dy.Cols, d.bx.Rows, d.Out))
@@ -75,58 +87,43 @@ func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.
 		d.wView = &mat.Matrix{Rows: d.Out, Cols: d.In}
 	}
 	d.wView.Data = d.w.Value
-	if dy.Rows < packMinRows {
-		for o := 0; o < d.Out; o++ {
-			s := d.b.Grad[o]
-			for r := 0; r < dy.Rows; r++ {
-				s += dy.Data[r*d.Out+o]
-			}
-			d.b.Grad[o] = s
+	for o := 0; o < d.Out; o++ {
+		s := d.b.Grad[o]
+		for r := 0; r < dy.Rows; r++ {
+			s += dy.Data[r*d.Out+o]
 		}
+		d.b.Grad[o] = s
+	}
+	switch {
+	case dy.Rows < packMinRows:
 		mat.MulTransAAccTo(d.gView, dy, d.bx, workers)
-		if !inputGrad {
-			return nil
+		if inputGrad {
+			d.bdx = mat.MulKOuterTo(d.bdx, dy, d.wView, workers)
 		}
-		d.bdx = mat.MulKOuterTo(d.bdx, dy, d.wView, workers)
-		return d.bdx
+	case mat.InPlaceCols(d.In):
+		mat.AddMulTransATo(d.gView, dy, d.bx, workers)
+		if inputGrad {
+			d.bdx = mat.MulTo(d.bdx, dy, d.wView, workers)
+		}
+	default:
+		// The two packs take turns in the forward pack's buffer — dx reads
+		// the weights' and is done with it before dW needs the input
+		// batch's — which holds the weights either way round, so a hidden
+		// layer's (≈3 MB at the paper's width) is allocated once per
+		// TrainFrom call; an output layer's input-batch pack is larger, and
+		// grows it once.
+		d.packed = false
+		if inputGrad {
+			d.wpack = mat.PackTransposeParTo(d.wpack, d.wView, workers)
+			d.bdx = mat.MulPackTransBBiasTo(d.bdx, dy, d.wpack, nil, workers)
+		}
+		d.wpack = mat.PackTransposeParTo(d.wpack, d.bx, workers)
+		mat.AddMulTransAPackTo(d.gView, dy, d.wpack, workers)
 	}
-	d.dyT = mat.TransposeParTo(d.dyT, dy, workers)
-	if parRows(d.Out, dy.Rows, workers) {
-		par.ForChunked(d.Out, workers, d.biasGradRows)
-	} else {
-		d.biasGradRows(0, d.Out)
-	}
-	// The two transposed packs take turns in one buffer — dX reads the
-	// weights' and is done with it before dW needs the input batch's — the
-	// forward's too (forwardRows), so writing them voids the forward's pack.
-	// The buffer holds the weights either way round, so a hidden layer's
-	// (≈3 MB at the paper's width) is allocated once per TrainFrom call; an
-	// output layer's input-batch pack is larger, and grows it once.
-	d.packed = false
-	if inputGrad {
-		d.tpack = mat.PackTransposeParTo(d.tpack, d.wView, workers)
-		d.bdx = mat.MulPackTransBBiasTo(d.bdx, dy, d.tpack, nil, workers)
-	}
-	d.tpack = mat.PackTransposeParTo(d.tpack, d.bx, workers)
-	mat.MulPackAccTo(d.gView, d.dyT, d.tpack, workers)
 	if !inputGrad {
 		return nil
 	}
 	return d.bdx
-}
-
-// biasGradRows accumulates bias gradients for output neurons [lo, hi) from
-// the transposed gradient batch; neurons touch disjoint accumulators.
-//
-//minicost:hotpath
-func (d *Dense) biasGradRows(lo, hi int) {
-	for o := lo; o < hi; o++ {
-		s := d.b.Grad[o]
-		for _, g := range d.dyT.Row(o) {
-			s += g
-		}
-		d.b.Grad[o] = s
-	}
 }
 
 // BackwardBatch implements the batched gradient pass for Conv1D — and for

@@ -127,10 +127,7 @@ func (d *Dense) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 		return d.by
 	}
 	if !d.packed {
-		// A layer that is not frozen packs into its one buffer, which
-		// backwardBatch overwrites (and then unsets packed).
-		d.wpack = mat.PackTransBParTo(d.tpack, d.wView, workers)
-		d.tpack = d.wpack
+		d.wpack = mat.PackTransBParTo(d.wpack, d.wView, workers)
 		d.packed = d.bound
 		d.packs++
 	}

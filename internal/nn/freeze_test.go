@@ -84,28 +84,28 @@ func TestForwardBatchSeesRebinds(t *testing.T) {
 	}
 }
 
-// TestBoundForwardAfterBackward pins the one pack buffer a Dense that is not
-// frozen keeps: a backward pass of packMinRows rows or more overwrites the
-// forward's pack with its transposed ones, so a forward after it, within the
-// same bind, packs again and answers bit for bit what a fresh replica
-// answers.
+// TestBoundForwardAfterBackward pins what a backward pass does to a bound
+// Dense's forward pack. Where the hidden layer's input is read in place
+// (182 columns) it leaves the pack alone, so a forward after it within the
+// same bind packs nothing; where it is too wide (534 columns) its transposed
+// packs overwrite the pack's buffer, and the forward packs again. Either
+// way the forward answers bit for bit what a fresh replica answers.
 func TestBoundForwardAfterBackward(t *testing.T) {
-	src := agentNet(rng.New(44), 14, 16, 32, 3, 6)
-	n, fresh := src.BoundClone(), src.BoundClone()
-	const rows = 2 * packMinRows
-	x := randomBatch(rng.New(45), rows, 20)
-	n.ForwardBatch(x, 1)
-	n.BackwardBatch(randomBatch(rng.New(46), rows, 3), 1)
-	got := n.ForwardBatch(x, 1)
-	if i, ok := sameBits(got.Data, fresh.ForwardBatch(x, 1).Data); !ok {
-		t.Fatalf("forward after a backward differs from a fresh replica's at %d", i)
-	}
-	if packs := n.WeightPacks(); packs != 2 {
-		t.Fatalf("%d packs for forward, backward, forward in one bind, want 2", packs)
-	}
-	for li, l := range n.layers {
-		if d, ok := l.(*Dense); ok && d.wpack != d.tpack {
-			t.Fatalf("Dense layer %d keeps its forward pack apart from its backward packs", li)
+	for _, c := range []struct {
+		filters, packs int
+	}{{16, 1}, {48, 2}} {
+		src := agentNet(rng.New(44), 14, c.filters, 32, 3, 6)
+		n, fresh := src.BoundClone(), src.BoundClone()
+		const rows = 2 * packMinRows
+		x := randomBatch(rng.New(45), rows, 20)
+		n.ForwardBatch(x, 1)
+		n.BackwardBatch(randomBatch(rng.New(46), rows, 3), 1)
+		got := n.ForwardBatch(x, 1)
+		if i, ok := sameBits(got.Data, fresh.ForwardBatch(x, 1).Data); !ok {
+			t.Fatalf("%d filters: forward after a backward differs from a fresh replica's at %d", c.filters, i)
+		}
+		if packs := n.WeightPacks(); packs != c.packs {
+			t.Fatalf("%d filters: %d packs for forward, backward, forward in one bind, want %d", c.filters, packs, c.packs)
 		}
 	}
 }

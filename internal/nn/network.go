@@ -96,9 +96,10 @@ func (n *Network) SetParamVector(v []float64) {
 // The network holds the caller to that: a Dense packs its weights into kernel
 // layout at the first forward window of packMinRows rows or more after this
 // call and multiplies against the pack until the next BindParamVector or
-// SetParamVector call, or a backward pass of packMinRows rows or more, whose
-// packs overwrite it. New values have to arrive through one of the two calls
-// — binding the same slice again counts, rewriting it in place does not.
+// SetParamVector call, or a backward pass of packMinRows rows or more whose
+// input is too wide to read in place, whose packs overwrite it. New values
+// have to arrive through one of the two calls — binding the same slice
+// again counts, rewriting it in place does not.
 func (n *Network) BindParamVector(v []float64) {
 	n.mustOwnParams("BindParamVector")
 	if len(v) != n.NumParams() {
@@ -129,8 +130,8 @@ func (n *Network) weightsChanged(bound bool) {
 // Dense weights into kernel layout first (a pass packs every block it needs,
 // so this counts passes, not blocks): one per ForwardBatch of packMinRows
 // rows or more on a network that owns its weights, one per bind on a bound
-// one (and one more per forward that follows a backward of that size), none
-// on a frozen view.
+// one (and one more per forward that follows a backward whose packs
+// overwrote it), none on a frozen view.
 func (n *Network) WeightPacks() int {
 	packs := 0
 	for _, l := range n.layers {

@@ -59,10 +59,10 @@ type Param struct {
 //     BindParamVector or SetParamVector call; gradients and scratch are the
 //     layer's. The first forward window of at least packMinRows rows after
 //     such a call packs, and every later one multiplies against that pack —
-//     pack per bind — until a backward pass of packMinRows rows or more,
-//     whose transposed packs reuse that pack's buffer. It is the call that
-//     invalidates, never the address: a trainer rewrites one vector in
-//     place between binds.
+//     pack per bind — until a backward pass of packMinRows rows or more
+//     whose input is too wide to read in place (mat.InPlaceCols) packs
+//     into that pack's buffer. It is the call that invalidates, never the
+//     address: a trainer rewrites one vector in place between binds.
 //   - It is frozen (Network.Freeze): it owns only scratch; values and packs
 //     are shared, read-only, with every other view of the same freeze, and it
 //     has no gradients — pack per freeze.
@@ -94,16 +94,15 @@ type Dense struct {
 	bxt        *mat.Matrix       // reused lane-transposed scratch for short windows
 	xWin, yWin mat.Matrix        // reused views of a short window's input and output rows
 	wView      *mat.Matrix       // lazily built view of w.Value as an Out×In matrix
-	wpack      *mat.PackedTransB // kernel-layout copy of the weights (see Layer for how long it lives); tpack's buffer unless frozen
+	wpack      *mat.PackedTransB // kernel-layout copy of the weights (see Layer for how long it lives); a wide backward's transposed packs use its buffer
 	frozen     bool              // w, b and wpack are shared and read-only (see freeze)
 	bound      bool              // w and b are the caller's, immutable until the network is told otherwise
 	packed     bool              // wpack holds the current weights and may serve the next forward window
 	packs      int               // forward windows that had to pack first (Network.WeightPacks)
 
-	bx       *mat.Matrix       // input batch retained by ForwardBatch for BackwardBatch
-	dyT, bdx *mat.Matrix       // reused gradient-pass scratch/output buffers
-	gView    *mat.Matrix       // lazily built view of w.Grad as an Out×In matrix
-	tpack    *mat.PackedTransB // reused pack buffer: the forward's weights (wpack), the transposed weights' for the dX GEMM, then the input batch's for the dW GEMM
+	bx    *mat.Matrix // input batch retained by ForwardBatch for BackwardBatch
+	bdx   *mat.Matrix // reused input-gradient output buffer
+	gView *mat.Matrix // lazily built view of w.Grad as an Out×In matrix
 }
 
 // NewDense constructs a Dense layer with Xavier/Glorot uniform init.

@@ -14,18 +14,24 @@ import (
 // actor to its parts, one thread, in µs per call, on the 112-row arena of a
 // lockstep width of 16 and 7 steps per rollout:
 //
-//	xpack     the hidden layer's input batch (112×3206) packed transposed,
-//	          the weight gradient's right operand
-//	wtpack    the hidden weights (128×3206) packed transposed, the input
-//	          gradient's right operand
-//	dW        the hidden weight gradient dW += dYᵀ·X on the packed kernel
-//	dX        the hidden input gradient dX = dY·W on the packed kernel
-//	convgrad  the conv front-end's filter and bias gradients
-//	total     the whole actor's BackwardParams
+//	wpack       the hidden weights (128×3206) packed for the forward GEMM,
+//	            once per bind; not part of total
+//	xpack       the hidden layer's input batch (112×3206) packed transposed,
+//	            the weight gradient's right operand
+//	wtpack      the hidden weights packed transposed, the input gradient's
+//	            right operand
+//	dW          the hidden weight gradient dW += dYᵀ·X against xpack, dY
+//	            read transposed where it lies
+//	dX          the hidden input gradient dX = dY·W against wtpack
+//	inplace-dW  dW with X read where it lies, no pack (mat.AddMulTransATo)
+//	inplace-dX  dX with W read where it lies (mat.MulTo)
+//	convgrad    the conv front-end's filter and bias gradients
+//	total       the whole actor's BackwardParams
 //
-// total should read close to the sum of the other five: what is left is
-// the output layer, the bias sums, the rectifier's mask and the dY
-// transpose.
+// At 3206 columns the backward packs (mat.InPlaceCols): total should read
+// close to xpack + wtpack + dW + dX + convgrad, what is left being the
+// output layer, the bias sums and the rectifier's mask; the inplace rows
+// are what it would pay instead of the packs and the packed products.
 func BenchmarkBackwardParams(b *testing.B) {
 	const rows = 112
 	cfg := DefaultNetConfig()
@@ -43,10 +49,13 @@ func BenchmarkBackwardParams(b *testing.B) {
 	x := benchMatrix(rows, k, 2)
 	w := benchMatrix(cfg.Hidden, k, 3)
 	dy := benchMatrix(rows, cfg.Hidden, 4)
-	dyT := mat.TransposeParTo(nil, dy, 1)
 	xpack := mat.PackTransposeTo(nil, x)
 	wtpack := mat.PackTransposeTo(nil, w)
 
+	b.Run("paper128/m112/wpack", func(b *testing.B) {
+		var p *mat.PackedTransB
+		perCall(b, func() { p = mat.PackTransBParTo(p, w, 1) })
+	})
 	b.Run("paper128/m112/xpack", func(b *testing.B) {
 		var p *mat.PackedTransB
 		perCall(b, func() { p = mat.PackTransposeParTo(p, x, 1) })
@@ -57,11 +66,19 @@ func BenchmarkBackwardParams(b *testing.B) {
 	})
 	b.Run("paper128/m112/dW", func(b *testing.B) {
 		g := mat.New(cfg.Hidden, k)
-		perCall(b, func() { mat.MulPackAccTo(g, dyT, xpack, 1) })
+		perCall(b, func() { mat.AddMulTransAPackTo(g, dy, xpack, 1) })
 	})
 	b.Run("paper128/m112/dX", func(b *testing.B) {
 		var dst *mat.Matrix
 		perCall(b, func() { dst = mat.MulPackTransBBiasTo(dst, dy, wtpack, nil, 1) })
+	})
+	b.Run("paper128/m112/inplace-dW", func(b *testing.B) {
+		g := mat.New(cfg.Hidden, k)
+		perCall(b, func() { mat.AddMulTransATo(g, dy, x, 1) })
+	})
+	b.Run("paper128/m112/inplace-dX", func(b *testing.B) {
+		var dst *mat.Matrix
+		perCall(b, func() { dst = mat.MulTo(dst, dy, w, 1) })
 	})
 	b.Run("paper128/m112/convgrad", func(b *testing.B) {
 		conv := nn.NewConv1D(rng.New(1), head, cfg.Filters, cfg.Kernel, cfg.Stride)

@@ -382,6 +382,7 @@ func TestVecTrainGoldenHashes(t *testing.T) {
 //	boot64/E=8     minicostd -online's fine-tune epochs (rl.finetune_steps_per_s)
 //	boot64/E=1     core.System.Train's width at boot64, every 7-row
 //	               window and arena below the packed kernels
+//	quick16/E=16   its set-up fit (setup_s): 112-row arenas, 16-row windows
 //	quick16/E=4    the experiments' Quick profile; a 28-row arena packs, its
 //	               4-row rollout windows do not
 func BenchmarkVecTrainUpdate(b *testing.B) {
@@ -394,6 +395,7 @@ func BenchmarkVecTrainUpdate(b *testing.B) {
 		{"paper128/E=16", netPaper128, 16},
 		{"boot64/E=8", netBoot64, 8},
 		{"boot64/E=1", netBoot64, 1},
+		{"quick16/E=16", netQuick16, 16},
 		{"quick16/E=4", netQuick16, 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
