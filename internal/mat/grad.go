@@ -12,7 +12,7 @@ import (
 // where they lie (AddMulTransATo, MulTo); for short training rollouts an
 // axpy-based weight-gradient product and a shared-dimension-outer
 // input-gradient product; a buffer-reusing transpose; and MulPackAccTo, the
-// weight-gradient product against a transposed pack.
+// weight-gradient product of a transposed dY against a transposed pack.
 //
 // The numerical contract matches gemm.go: every output element's shared-
 // dimension accumulation runs sequentially in index order, seeded — for the
@@ -146,16 +146,17 @@ func mulKOuterBlock(dst, a, b *Matrix, lo, hi int) {
 }
 
 // InPlaceCols reports whether the backward products read a row-major
-// operand of cols columns faster where it lies (MulTo, AddMulTransATo) than
+// operand of cols columns where it lies (MulTo, AddMulTransATo) rather than
 // through a transposed pack (PackTransposeParTo): whether its rows are
-// under a page apart. In place, a k-step is a row. At the paper network's
-// 3206 columns each step's tile row is then a page of its own, which no
-// hardware prefetcher follows, and three rows in four straddle an extra
-// cache line: both products ran ≈40 % slower in place than packed, the
-// packs included (DESIGN §10). At the Quick network's 182 columns reading
-// in place saves the packs and the dY transpose, and the harness's fit
-// runs ≈10 % faster.
-func InPlaceCols(cols int) bool { return cols*8 < 4096 }
+// under 512 columns. The cutoff sits between the widths it was measured at
+// (DESIGN §10). At the Quick network's 182 columns reading in place saves
+// the packs and the dY transpose, and the harness's fit runs ≈10 % faster.
+// At minicostd -online's 806 the in-place backward alone ran ≈10 % faster
+// on 56 rows and ≈4 % slower on 112, but its training slices (boot64, E = 8)
+// ran ≈2 % slower than packed, so that width packs. At the paper network's
+// 3206 both products ran ≈40 % slower in place than packed, the packs
+// included. Widths between 182 and 806 are not measured.
+func InPlaceCols(cols int) bool { return cols < 512 }
 
 // MulTo computes dst = a·b with b, a row-major K×N matrix, read where it
 // lies: the packed kernel takes each 16-column tile of b row by row at b's
@@ -193,26 +194,14 @@ func AddMulTransATo(dst, a, b *Matrix, workers int) {
 	mulRows(dst, transposed(a), inPlace(b), b.Cols, b.Rows, nil, false, 0, dst.Rows, workers)
 }
 
-// AddMulTransAPackTo is AddMulTransATo against b packed by PackTransposeTo:
-// dst += aᵀ·X, a read transposed where it lies, on MulPackAccTo's walk. It
-// is the weight gradient where InPlaceCols says no, bit for bit the
-// in-place product's.
-func AddMulTransAPackTo(dst, a *Matrix, pb *PackedTransB, workers int) {
-	if a.Rows != pb.K {
-		panic(fmt.Sprintf("mat: AddMulTransAPack shape mismatch (%dx%d)ᵀ · packed %dx%d", a.Rows, a.Cols, pb.K, pb.Cols))
-	}
-	if dst.Rows != a.Cols || dst.Cols != pb.Cols {
-		panic(fmt.Sprintf("mat: AddMulTransAPack dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, pb.Cols))
-	}
-	accRows(dst, transposed(a), pb.rhs(), pb.K, workers)
-}
-
 // MulPackAccTo accumulates dst += a·X from a packed right operand:
 // dst[m][j] += Σ_k a[m][k]·X[k][j], with X pre-packed by PackTransposeTo
 // (pb.Cols = X's columns, pb.K = X's rows = the shared dimension). Every
 // element accumulates its terms in ascending k order seeded from its
-// current value. It is AddMulTransAPackTo on a materialized transpose.
-// workers bounds the parallel fan-out over destination rows.
+// current value. It is Dense's weight gradient dW += dYᵀ·X where
+// InPlaceCols says no, a being dY transposed (TransposeTo), bit for bit
+// AddMulTransATo's. workers bounds the parallel fan-out over destination
+// rows.
 func MulPackAccTo(dst, a *Matrix, pb *PackedTransB, workers int) {
 	if a.Cols != pb.K {
 		panic(fmt.Sprintf("mat: MulPackAcc shape mismatch %dx%d · packed %dx%d", a.Rows, a.Cols, pb.K, pb.Cols))

@@ -311,10 +311,9 @@ func backwardShapes(outs ...int) (shapes []struct{ rows, in, out int }) {
 // per-element reference — each element's chain over the batch rows
 // ascending from its pre-seeded value, one math.FMA per term — bit for bit,
 // at every kernel tier and at 1, 2 and 4 workers, by every route:
-// AddMulTransATo on dY and X where they lie, AddMulTransAPackTo on dY where
-// it lies against X packed, and MulPackAccTo on dY transposed against X
-// packed; MulTransAAccTo, the short-batch route, is held to it once per
-// shape. A shape m×k·k×n has m outputs, k batch rows and n inputs. Besides
+// AddMulTransATo on dY and X where they lie and MulPackAccTo on dY
+// transposed against X packed; MulTransAAccTo, the short-batch route, is
+// held to it once per shape. A shape m×k·k×n has m outputs, k batch rows and n inputs. Besides
 // small odd shapes, m sits on both sides of the eight-row kernel; n at
 // every tile seam (1, 15, 16, 17), at the Quick network's 182 and the
 // paper's 3206, both ragged; k at 1, 7, 8 and 9, the 112-row arena and 200,
@@ -384,9 +383,6 @@ func TestMulPackAccBitwise(t *testing.T) {
 					AddMulTransATo(got, dyG, xG, workers)
 					sameBits(t, fmt.Sprintf("AddMulTransATo workers=%d", workers), got.Data, want.Data)
 					sentinelsIntact(t, "AddMulTransATo dW", sent)
-					got = seed.Clone()
-					AddMulTransAPackTo(got, dyG, pack, workers)
-					sameBits(t, fmt.Sprintf("AddMulTransAPackTo workers=%d", workers), got.Data, want.Data)
 					got = seed.Clone()
 					MulPackAccTo(got, a, pack, workers)
 					sameBits(t, fmt.Sprintf("MulPackAccTo workers=%d", workers), got.Data, want.Data)
@@ -483,8 +479,6 @@ func TestMulPackAccShapePanics(t *testing.T) {
 		{"shared mismatch", func() { MulPackAccTo(New(4, 5), a, PackTransposeTo(nil, New(9, 5)), 1) }},
 		{"transA shared mismatch", func() { AddMulTransATo(New(8, 5), a, New(3, 5), 1) }},
 		{"transA dst", func() { AddMulTransATo(New(8, 6), a, New(4, 5), 1) }},
-		{"transA pack shared mismatch", func() { AddMulTransAPackTo(New(8, 5), a, PackTransposeTo(nil, New(3, 5)), 1) }},
-		{"transA pack dst", func() { AddMulTransAPackTo(New(7, 5), a, PackTransposeTo(nil, New(4, 5)), 1) }},
 		{"mul shared mismatch", func() { MulTo(nil, a, New(7, 5), 1) }},
 		{"dst rows", func() { MulPackAccTo(New(3, 5), a, PackTransposeTo(nil, New(8, 5)), 1) }},
 		{"dst cols", func() { MulPackAccTo(New(4, 6), a, PackTransposeTo(nil, New(8, 5)), 1) }},

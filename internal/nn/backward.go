@@ -17,10 +17,11 @@ import (
 // Exactness: the scalar oracle (oracle_test.go) processes the batch row by
 // row, so every parameter-gradient element receives its per-row terms in
 // ascending row order, each fused (math.FMA) or, for a bias, added onto the
-// element's running value one at a time. The batched kernels keep exactly that order — Dense's weight
-// gradient runs dW += dYᵀ·X through mat.MulTransAAccTo or mat.AddMulTransATo
-// (both row-sequential, seeded from the existing gradient), Conv1D rereads
-// the input windows from the retained batch with the oracle's zero-gradient
+// element's running value one at a time. The batched kernels keep exactly
+// that order — Dense's weight gradient runs dW += dYᵀ·X through
+// mat.MulTransAAccTo, mat.AddMulTransATo or mat.MulPackAccTo (all
+// row-sequential, seeded from the existing gradient), Conv1D rereads the
+// input windows from the retained batch with the oracle's zero-gradient
 // skip, and the input-gradient products seed at zero and walk the output
 // dimension in index order, matching the per-sample loops term for term.
 // Batched training is therefore bitwise identical to the per-sample loop,
@@ -52,17 +53,18 @@ import (
 //     does not beat on AVX2 or without SIMD at those lengths (ROADMAP
 //     item 9).
 //   - Larger batches run both on the packed SIMD kernel. Where the input
-//     rows are under a page apart (mat.InPlaceCols) every operand is read
+//     is under 512 columns wide (mat.InPlaceCols) every operand is read
 //     where it lies: dW against dy read transposed and the retained input
 //     batch (mat.AddMulTransATo), dx against the weights (mat.MulTo).
-//   - Wider inputs — the paper network's 3206 — read faster packed: the
-//     weights, then the input batch, are packed transposed into the
-//     forward pack's buffer, which voids it, and dy is still read
-//     transposed where it lies (mat.AddMulTransAPackTo).
+//   - Wider inputs — boot64's 806, the paper network's 3206 — trained no
+//     slower packed (DESIGN §10): the weights, then the input batch, are
+//     packed transposed into the forward pack's buffer, which voids it, and
+//     dW multiplies dy transposed against the input batch's pack
+//     (mat.MulPackAccTo).
 //
-// Nothing is transposed or zeroed first on any route, and all kernels share
-// the accumulation-order contract, so every route is bitwise identical to
-// the oracle.
+// No route zeroes dx first, only the wide one transposes dy, and all
+// kernels share the accumulation-order contract, so every route is bitwise
+// identical to the oracle.
 func (d *Dense) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
 	return d.backwardBatch(dy, workers, true)
 }
@@ -118,7 +120,8 @@ func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.
 			d.bdx = mat.MulPackTransBBiasTo(d.bdx, dy, d.wpack, nil, workers)
 		}
 		d.wpack = mat.PackTransposeParTo(d.wpack, d.bx, workers)
-		mat.AddMulTransAPackTo(d.gView, dy, d.wpack, workers)
+		d.dyT = mat.TransposeTo(d.dyT, dy)
+		mat.MulPackAccTo(d.gView, d.dyT, d.wpack, workers)
 	}
 	if !inputGrad {
 		return nil

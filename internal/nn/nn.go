@@ -102,6 +102,7 @@ type Dense struct {
 
 	bx    *mat.Matrix // input batch retained by ForwardBatch for BackwardBatch
 	bdx   *mat.Matrix // reused input-gradient output buffer
+	dyT   *mat.Matrix // reused transpose of the output gradient, a wide backward's dW operand
 	gView *mat.Matrix // lazily built view of w.Grad as an Out×In matrix
 }
 

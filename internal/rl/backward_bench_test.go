@@ -10,34 +10,32 @@ import (
 )
 
 // BenchmarkBackwardParams attributes the parameter-only backward pass a
-// training update runs (nn.Network.BackwardParams) at the paper's 14/128/128
-// actor to its parts, one thread, in µs per call, on the 112-row arena of a
-// lockstep width of 16 and 7 steps per rollout:
+// training update runs (nn.Network.BackwardParams) to its parts, one thread,
+// in µs per call. paper128/m112 is the paper's 14/128/128 actor on the
+// 112-row arena of a lockstep width of 16 and 7 steps per rollout; boot64 is
+// minicostd -online's 14/32/64 actor (806 hidden inputs) on the 56-row arena
+// of its fine-tune width of 8, and on 112 rows. Per shape:
 //
-//	wpack       the hidden weights (128×3206) packed for the forward GEMM,
+//	wpack       the hidden weights (Hidden×In) packed for the forward GEMM,
 //	            once per bind; not part of total
-//	xpack       the hidden layer's input batch (112×3206) packed transposed,
-//	            the weight gradient's right operand
-//	wtpack      the hidden weights packed transposed, the input gradient's
-//	            right operand
-//	dW          the hidden weight gradient dW += dYᵀ·X against xpack, dY
-//	            read transposed where it lies
+//	xpack       the hidden layer's input batch (rows×In) packed transposed,
+//	            the packed weight gradient's right operand
+//	wtpack      the hidden weights packed transposed, the packed input
+//	            gradient's right operand
+//	dW          the hidden weight gradient dW += dYᵀ·X, dY transposed
+//	            against xpack (mat.MulPackAccTo); the wide route's
 //	dX          the hidden input gradient dX = dY·W against wtpack
 //	inplace-dW  dW with X read where it lies, no pack (mat.AddMulTransATo)
 //	inplace-dX  dX with W read where it lies (mat.MulTo)
 //	convgrad    the conv front-end's filter and bias gradients
 //	total       the whole actor's BackwardParams
 //
-// At 3206 columns the backward packs (mat.InPlaceCols): total should read
-// close to xpack + wtpack + dW + dX + convgrad, what is left being the
-// output layer, the bias sums and the rectifier's mask; the inplace rows
-// are what it would pay instead of the packs and the packed products.
+// Where the backward packs (mat.InPlaceCols says no) total should read close
+// to xpack + wtpack + dW + dX + convgrad, what is left being the output
+// layer, the bias sums and the rectifier's mask; the inplace rows are what
+// the other route pays instead of the packs and the packed products, and
+// the other way round where it reads in place.
 func BenchmarkBackwardParams(b *testing.B) {
-	const rows = 112
-	cfg := DefaultNetConfig()
-	fd := mdp.FeatureDim(cfg.HistLen)
-	head := mdp.HistoryFeatureDim(cfg.HistLen)
-	k := cfg.Filters*((head-cfg.Kernel)/cfg.Stride+1) + fd - head
 	perCall := func(b *testing.B, fn func()) {
 		fn() // warm the scratch buffers
 		b.ResetTimer()
@@ -46,51 +44,67 @@ func BenchmarkBackwardParams(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/call")
 	}
-	x := benchMatrix(rows, k, 2)
-	w := benchMatrix(cfg.Hidden, k, 3)
-	dy := benchMatrix(rows, cfg.Hidden, 4)
-	xpack := mat.PackTransposeTo(nil, x)
-	wtpack := mat.PackTransposeTo(nil, w)
+	for _, sc := range []struct {
+		name string
+		cfg  NetConfig
+		rows int
+	}{
+		{"paper128/m112", DefaultNetConfig(), 112},
+		{"boot64/m56", netBoot64, 56},
+		{"boot64/m112", netBoot64, 112},
+	} {
+		cfg, rows := sc.cfg, sc.rows
+		fd := mdp.FeatureDim(cfg.HistLen)
+		head := mdp.HistoryFeatureDim(cfg.HistLen)
+		k := cfg.Filters*((head-cfg.Kernel)/cfg.Stride+1) + fd - head
+		x := benchMatrix(rows, k, 2)
+		w := benchMatrix(cfg.Hidden, k, 3)
+		dy := benchMatrix(rows, cfg.Hidden, 4)
+		dyT := mat.TransposeTo(nil, dy)
+		xpack := mat.PackTransposeTo(nil, x)
+		wtpack := mat.PackTransposeTo(nil, w)
+		run := func(part string, fn func(b *testing.B)) { b.Run(sc.name+"/"+part, fn) }
 
-	b.Run("paper128/m112/wpack", func(b *testing.B) {
-		var p *mat.PackedTransB
-		perCall(b, func() { p = mat.PackTransBParTo(p, w, 1) })
-	})
-	b.Run("paper128/m112/xpack", func(b *testing.B) {
-		var p *mat.PackedTransB
-		perCall(b, func() { p = mat.PackTransposeParTo(p, x, 1) })
-	})
-	b.Run("paper128/m112/wtpack", func(b *testing.B) {
-		var p *mat.PackedTransB
-		perCall(b, func() { p = mat.PackTransposeParTo(p, w, 1) })
-	})
-	b.Run("paper128/m112/dW", func(b *testing.B) {
-		g := mat.New(cfg.Hidden, k)
-		perCall(b, func() { mat.AddMulTransAPackTo(g, dy, xpack, 1) })
-	})
-	b.Run("paper128/m112/dX", func(b *testing.B) {
-		var dst *mat.Matrix
-		perCall(b, func() { dst = mat.MulPackTransBBiasTo(dst, dy, wtpack, nil, 1) })
-	})
-	b.Run("paper128/m112/inplace-dW", func(b *testing.B) {
-		g := mat.New(cfg.Hidden, k)
-		perCall(b, func() { mat.AddMulTransATo(g, dy, x, 1) })
-	})
-	b.Run("paper128/m112/inplace-dX", func(b *testing.B) {
-		var dst *mat.Matrix
-		perCall(b, func() { dst = mat.MulTo(dst, dy, w, 1) })
-	})
-	b.Run("paper128/m112/convgrad", func(b *testing.B) {
-		conv := nn.NewConv1D(rng.New(1), head, cfg.Filters, cfg.Kernel, cfg.Stride)
-		front := nn.NewNetwork(nn.NewSplit(head, nn.NewNetwork(conv, nn.NewReLU())))
-		front.ForwardBatch(benchMatrix(rows, fd, 5), 1)
-		g := benchMatrix(rows, k, 6)
-		perCall(b, func() { front.BackwardParams(g, 1) })
-	})
-	b.Run("paper128/m112/total", func(b *testing.B) {
-		actor := cfg.BuildActor(rng.New(7))
-		actor.ForwardBatch(benchMatrix(rows, fd, 5), 1)
-		g := benchMatrix(rows, mdp.NumActions, 8)
-		perCall(b, func() { actor.BackwardParams(g, 1) })
-	})
+		run("wpack", func(b *testing.B) {
+			var p *mat.PackedTransB
+			perCall(b, func() { p = mat.PackTransBParTo(p, w, 1) })
+		})
+		run("xpack", func(b *testing.B) {
+			var p *mat.PackedTransB
+			perCall(b, func() { p = mat.PackTransposeParTo(p, x, 1) })
+		})
+		run("wtpack", func(b *testing.B) {
+			var p *mat.PackedTransB
+			perCall(b, func() { p = mat.PackTransposeParTo(p, w, 1) })
+		})
+		run("dW", func(b *testing.B) {
+			g := mat.New(cfg.Hidden, k)
+			perCall(b, func() { mat.MulPackAccTo(g, dyT, xpack, 1) })
+		})
+		run("dX", func(b *testing.B) {
+			var dst *mat.Matrix
+			perCall(b, func() { dst = mat.MulPackTransBBiasTo(dst, dy, wtpack, nil, 1) })
+		})
+		run("inplace-dW", func(b *testing.B) {
+			g := mat.New(cfg.Hidden, k)
+			perCall(b, func() { mat.AddMulTransATo(g, dy, x, 1) })
+		})
+		run("inplace-dX", func(b *testing.B) {
+			var dst *mat.Matrix
+			perCall(b, func() { dst = mat.MulTo(dst, dy, w, 1) })
+		})
+		run("convgrad", func(b *testing.B) {
+			conv := nn.NewConv1D(rng.New(1), head, cfg.Filters, cfg.Kernel, cfg.Stride)
+			front := nn.NewNetwork(nn.NewSplit(head, nn.NewNetwork(conv, nn.NewReLU())))
+			front.ForwardBatch(benchMatrix(rows, fd, 5), 1)
+			g := benchMatrix(rows, k, 6)
+			perCall(b, func() { front.BackwardParams(g, 1) })
+		})
+		run("total", func(b *testing.B) {
+			actor := cfg.BuildActor(rng.New(7))
+			actor.ForwardBatch(benchMatrix(rows, fd, 5), 1)
+			g := benchMatrix(rows, mdp.NumActions, 8)
+			perCall(b, func() { actor.BackwardParams(g, 1) })
+		})
+	}
 }
