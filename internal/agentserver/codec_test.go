@@ -48,8 +48,9 @@ func checkDecodeAgainstJSON(t *testing.T, body []byte) bool {
 }
 
 // observeBodySeeds are the bodies the differential checks start from: the
-// plain path, and every way off it the codec knows of.
-var observeBodySeeds = []string{
+// plain path, every way off it the codec knows of, and the entry path's
+// near misses.
+var observeBodySeeds = append([]string{
 	`{"files":[{"id":"a","size_gb":0.1,"reads":2,"writes":0.1}]}`,
 	`{"files":[]}`,
 	`{"files":[{"id":"","size_gb":1}]}`,
@@ -134,6 +135,97 @@ var observeBodySeeds = []string{
 	`"files"`,
 	`7`,
 	`true`,
+}, entryNearMisses()...)
+
+// The near-miss bodies put the entry under test between two canonical
+// entries, so that a decoder which goes wrong after a miss shows in the
+// entries around it as well as in the entry itself.
+const (
+	nearMissHead  = `{"files":[{"id":"f0","size_gb":1.25,"reads":3,"writes":0},`
+	nearMissEntry = `{"id":"f1","size_gb":0.5,"reads":120,"writes":2}`
+	nearMissTail  = `,{"id":"f2","size_gb":7,"reads":0,"writes":1}]}`
+)
+
+// entryNearMisses returns the bodies whose middle entry is off the
+// canonical shape: by one byte at every offset of each fixed literal
+// (replaced, dropped, doubled or preceded by a space), by a named variation
+// of keys, values, numbers or ID, and by a cut at every byte of the last
+// entry.
+func entryNearMisses() []string {
+	var out []string
+	body := func(entry string) string { return nearMissHead + entry + nearMissTail }
+	e := nearMissEntry
+	for _, lit := range []string{`{"id":"`, `","size_gb":`, `,"reads":`, `,"writes":`, `}`} {
+		at := strings.LastIndex(e, lit)
+		for k := at; k < at+len(lit); k++ {
+			pre, c, post := e[:k], e[k], e[k+1:]
+			for _, r := range []string{" ", "x", strings.ToUpper(string(c)), `"`, `\`, "\x00", "\xc3", "}"} {
+				if r != string(c) {
+					out = append(out, body(pre+r+post))
+				}
+			}
+			out = append(out,
+				body(pre+post),
+				body(pre+string(c)+string(c)+post),
+				body(pre+" "+string(c)+post))
+		}
+	}
+	for _, entry := range []string{
+		// Keys: case, order, duplicates, missing and extra members.
+		`{"ID":"f1","size_gb":0.5,"reads":120,"writes":2}`,
+		`{"id":"f1","Size_GB":0.5,"reads":120,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"WRITES":2}`,
+		`{"size_gb":0.5,"id":"f1","reads":120,"writes":2}`,
+		`{"id":"f1","reads":120,"size_gb":0.5,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"reads":7,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"writes":2,"reads":7}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"writes":2,"id":"f9"}`,
+		`{"id":"f1","size_gb":0.5,"reads":120}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"writes":2,"x":1}`,
+		`{"id":"f1"}`,
+		`{}`,
+		// Values: null, and whitespace around the colons.
+		`{"id":null,"size_gb":0.5,"reads":120,"writes":2}`,
+		`{"id":"f1","size_gb":null,"reads":120,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":null,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"writes":null}`,
+		`{"id": "f1","size_gb":0.5,"reads":120,"writes":2}`,
+		`{"id":"f1","size_gb" :0.5,"reads":120,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"writes":2 }`,
+		"{\"id\":\"f1\",\"size_gb\":0.5,\"reads\":120,\"writes\":\n2}",
+		// Numbers: the 15-digit limit, exponents, signs, bad forms.
+		`{"id":"f1","size_gb":123456789012345,"reads":12345678901234.5,"writes":0.00000000000001}`,
+		`{"id":"f1","size_gb":1234567890123456,"reads":120,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":1234567890.123456,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"writes":0.000000000000001}`,
+		`{"id":"f1","size_gb":9007199254740993,"reads":120,"writes":2}`,
+		`{"id":"f1","size_gb":5e-1,"reads":1.2E+2,"writes":2e0}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"writes":2e}`,
+		`{"id":"f1","size_gb":-0,"reads":-0.0,"writes":-0}`,
+		`{"id":"f1","size_gb":-0.5,"reads":-120,"writes":-2}`,
+		`{"id":"f1","size_gb":05,"reads":120,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":120.,"writes":2}`,
+		`{"id":"f1","size_gb":0.5,"reads":120,"writes":-}`,
+		`{"id":"f1","size_gb":"0.5","reads":120,"writes":2}`,
+		`{"id":"f1","size_gb":true,"reads":120,"writes":2}`,
+		// IDs: escapes, DEL, UTF-8 valid and not, control bytes, empty.
+		`{"id":"f\u0041","size_gb":0.5,"reads":120,"writes":2}`,
+		`{"id":"f\"1","size_gb":0.5,"reads":120,"writes":2}`,
+		"{\"id\":\"f\x7f\",\"size_gb\":0.5,\"reads\":120,\"writes\":2}",
+		"{\"id\":\"f\xc3\xa9\",\"size_gb\":0.5,\"reads\":120,\"writes\":2}",
+		"{\"id\":\"f\xc3\",\"size_gb\":0.5,\"reads\":120,\"writes\":2}",
+		"{\"id\":\"f\x01\",\"size_gb\":0.5,\"reads\":120,\"writes\":2}",
+		`{"id":"","size_gb":0.5,"reads":120,"writes":2}`,
+		`{"id":5,"size_gb":0.5,"reads":120,"writes":2}`,
+	} {
+		out = append(out, body(entry))
+	}
+	// The body cut at every byte of its last entry and after it.
+	whole := nearMissHead + e + "]}"
+	for k := len(nearMissHead); k < len(whole); k++ {
+		out = append(out, whole[:k])
+	}
+	return out
 }
 
 func TestDecodeObserveMatchesEncodingJSON(t *testing.T) {
@@ -162,6 +254,61 @@ func TestDecodeObserveMatchesEncodingJSON(t *testing.T) {
 			for _, sign := range []string{"", "-"} {
 				checkDecodeAgainstJSON(t, []byte(`{"files":[{"id":"n","size_gb":`+sign+num+`}]}`))
 			}
+		}
+	}
+}
+
+// TestDecodeObserveEntryNearMisses holds the entry path's fallback to the
+// member loop: every entry off the canonical shape, however little, decodes
+// as encoding/json decodes it, and so do the canonical entries around it.
+func TestDecodeObserveEntryNearMisses(t *testing.T) {
+	bodies := entryNearMisses()
+	accepted := 0
+	for _, body := range bodies {
+		if checkDecodeAgainstJSON(t, []byte(body)) {
+			accepted++
+		}
+	}
+	// Both verdicts must be exercised: the near misses that are still
+	// requests (whitespace, key case, escapes) and the ones that are not.
+	if accepted == 0 || accepted == len(bodies) {
+		t.Fatalf("%d of %d near-miss bodies accepted", accepted, len(bodies))
+	}
+}
+
+// TestDecodeObserveEntryPathTakesClientEntries pins who the entry path is
+// for: every entry of the benchmark's bodies, and every entry json.Marshal
+// writes for a FileObservation whose numbers print in at most 15 digits
+// without an exponent — the Client's bodies — is taken whole by entry.
+func TestDecodeObserveEntryPathTakesClientEntries(t *testing.T) {
+	var entries [][]byte
+	bench := benchObserveBody(8192)
+	inner := bench[len(`{"files":[`) : len(bench)-len("]}")]
+	entries = append(entries, bytes.Split(inner, []byte("},{"))...)
+	for k := range entries {
+		if k > 0 {
+			entries[k] = append([]byte("{"), entries[k]...)
+		}
+		if k < len(entries)-1 {
+			entries[k] = append(entries[k], '}')
+		}
+	}
+	for _, f := range []FileObservation{
+		{ID: "video.mp4", SizeGB: 2.5, Reads: 120, Writes: 1},
+		{ID: "backup.tar", SizeGB: 40},
+		{ID: "", SizeGB: 0.001, Reads: 1e-6, Writes: 123456789012345},
+		{ID: "a b/c~d", SizeGB: -0.5, Reads: 0.1, Writes: 99999.25},
+	} {
+		out, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, out)
+	}
+	for _, e := range entries {
+		d := observeDecoder{b: e}
+		if end, ok := d.entry(0); !ok || end != len(e) {
+			t.Fatalf("entry %q: taken %v up to %d of %d", e, ok, end, len(e))
 		}
 	}
 }
@@ -327,25 +474,32 @@ func FuzzAppendPlan(f *testing.F) {
 
 // BenchmarkDecodeObserve is the observe codec's attribution benchmark: the
 // handler's decode (pooled scratch, warm) and encoding/json on the same
-// 8192-file body. The end-to-end harness's codec.observe_* probes time
-// encoding/json from its own files, so this is where the layer's own
+// 8192-file body. codec is the body as the benchmark harness and Client
+// write it, every entry on the entry path; offpath is the same entries
+// with a space after each colon, every entry missing the entry path and
+// read by the member loop. The end-to-end harness's codec.observe_* probes
+// time encoding/json from its own files, so this is where the layer's own
 // before/after is read.
 func BenchmarkDecodeObserve(b *testing.B) {
 	body := benchObserveBody(8192)
-	b.Run("codec", func(b *testing.B) {
-		sc := new(wireScratch)
-		if err := sc.decode(body, &sc.req); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	decode := func(body []byte) func(b *testing.B) {
+		return func(b *testing.B) {
+			sc := new(wireScratch)
 			if err := sc.decode(body, &sc.req); err != nil {
 				b.Fatal(err)
 			}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sc.decode(body, &sc.req); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-	})
+	}
+	b.Run("codec", decode(body))
+	b.Run("offpath", decode(bytes.ReplaceAll(body, []byte(":"), []byte(": "))))
 	b.Run("encoding-json", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()

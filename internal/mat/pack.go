@@ -78,41 +78,25 @@ func PackTransBParTo(dst *PackedTransB, b *Matrix, workers int) *PackedTransB {
 	return dst
 }
 
-// packCopyBlock is how many k-steps of a tile packTransBTile fills from all
-// sixteen source rows before it moves along k: 64 steps are 8 KiB of
-// destination and as much source, so the destination lines — each written
-// eight times, once per lane that lands in it — are written in L1. Lane by
-// lane over the whole of k, as it was, every one of those writes went out to
-// L2: the paper network's 128×3206 hidden block packed in 0.77 ms against
-// 0.5 now (what is left is streaming 3.3 MB in and 3.3 MB out), which a
-// network that owns its weights pays on every ForwardBatch.
-const packCopyBlock = 64
-
-// packTransBTile fills tile t of the packed operand from b's rows.
+// packTransBTile fills tile t of the packed operand from b's rows: each
+// k-step's lanes are gathered from the tile's source rows and stored as one
+// contiguous 128-byte run, zero past the last row, so the destination is
+// written once, in order. Writing each source row's run of k-steps down its
+// lane instead, eight 8-byte stores to every destination line, took about
+// twice as long (BenchmarkBackwardParams' wpack: the paper network's
+// 128×3206 hidden block in ≈0.7–0.95 ms, against ≈0.4–0.6 so).
 func packTransBTile(dst *PackedTransB, b *Matrix, t int) {
 	k := b.Cols
 	seg := dst.Data[t*k*packLanes : (t+1)*k*packLanes]
-	lanes := b.Rows - t*packLanes // source rows in this tile; the rest is padding
-	if lanes > packLanes {
-		lanes = packLanes
-	}
-	for i0 := 0; i0 < k; i0 += packCopyBlock {
-		i1 := i0 + packCopyBlock
-		if i1 > k {
-			i1 = k
+	lanes := min(b.Rows-t*packLanes, packLanes) // source rows in this tile; the rest is padding
+	rows := b.Data[t*packLanes*k : (t*packLanes+lanes)*k]
+	for i := 0; i < k; i++ {
+		out := seg[i*packLanes : (i+1)*packLanes]
+		for lane, j := 0, i; lane < lanes; lane, j = lane+1, j+k {
+			out[lane] = rows[j]
 		}
-		for lane := 0; lane < lanes; lane++ {
-			out := seg[i0*packLanes+lane : i1*packLanes]
-			j := t*packLanes + lane
-			for i, v := range b.Data[j*k+i0 : j*k+i1] {
-				out[i*packLanes] = v
-			}
-		}
-	}
-	for i := 0; i < k && lanes < packLanes; i++ {
-		pad := seg[i*packLanes+lanes : (i+1)*packLanes]
-		for lane := range pad {
-			pad[lane] = 0
+		for lane := lanes; lane < packLanes; lane++ {
+			out[lane] = 0
 		}
 	}
 }

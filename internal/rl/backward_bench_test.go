@@ -30,6 +30,17 @@ import (
 //	convgrad    the conv front-end's filter and bias gradients
 //	total       the whole actor's BackwardParams
 //
+// Those rows run each call on operands the previous call left in cache. At
+// paper128/m112 and boot64/m56 the cold-* rows time the two routes' products
+// with L2 evicted before every call (outside the timer), as a training round
+// meets them after its rollout:
+//
+//	cold-packed-dW   xpack then dW
+//	cold-inplace-dW  inplace-dW
+//	cold-packed-dX   wtpack then dX
+//	cold-inplace-dX  inplace-dX
+//	cold-total       total
+//
 // Where the backward packs (mat.InPlaceCols says no) total should read close
 // to xpack + wtpack + dW + dX + convgrad, what is left being the output
 // layer, the bias sums and the rectifier's mask; the inplace rows are what
@@ -44,14 +55,37 @@ func BenchmarkBackwardParams(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/call")
 	}
+	// Reading a buffer twice the 2 MiB L2 of the development box's cores
+	// leaves none of the last call's operands in L1 or L2. It is written
+	// first: untouched pages would all read the kernel's one zero page.
+	evict := make([]float64, 4<<20/8)
+	for i := range evict {
+		evict[i] = float64(i)
+	}
+	coldPerCall := func(b *testing.B, fn func()) {
+		fn()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sum := 0.0
+			for _, v := range evict {
+				sum += v
+			}
+			evictSink += sum
+			b.StartTimer()
+			fn()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/call")
+	}
 	for _, sc := range []struct {
 		name string
 		cfg  NetConfig
 		rows int
+		cold bool
 	}{
-		{"paper128/m112", DefaultNetConfig(), 112},
-		{"boot64/m56", netBoot64, 56},
-		{"boot64/m112", netBoot64, 112},
+		{"paper128/m112", DefaultNetConfig(), 112, true},
+		{"boot64/m56", netBoot64, 56, true},
+		{"boot64/m112", netBoot64, 112, false},
 	} {
 		cfg, rows := sc.cfg, sc.rows
 		fd := mdp.FeatureDim(cfg.HistLen)
@@ -100,11 +134,45 @@ func BenchmarkBackwardParams(b *testing.B) {
 			g := benchMatrix(rows, k, 6)
 			perCall(b, func() { front.BackwardParams(g, 1) })
 		})
-		run("total", func(b *testing.B) {
-			actor := cfg.BuildActor(rng.New(7))
-			actor.ForwardBatch(benchMatrix(rows, fd, 5), 1)
-			g := benchMatrix(rows, mdp.NumActions, 8)
-			perCall(b, func() { actor.BackwardParams(g, 1) })
+		total := func(timed func(*testing.B, func())) func(*testing.B) {
+			return func(b *testing.B) {
+				actor := cfg.BuildActor(rng.New(7))
+				actor.ForwardBatch(benchMatrix(rows, fd, 5), 1)
+				g := benchMatrix(rows, mdp.NumActions, 8)
+				timed(b, func() { actor.BackwardParams(g, 1) })
+			}
+		}
+		run("total", total(perCall))
+		if !sc.cold {
+			continue
+		}
+		run("cold-packed-dW", func(b *testing.B) {
+			var p *mat.PackedTransB
+			g := mat.New(cfg.Hidden, k)
+			coldPerCall(b, func() {
+				p = mat.PackTransposeParTo(p, x, 1)
+				mat.MulPackAccTo(g, dyT, p, 1)
+			})
 		})
+		run("cold-inplace-dW", func(b *testing.B) {
+			g := mat.New(cfg.Hidden, k)
+			coldPerCall(b, func() { mat.AddMulTransATo(g, dy, x, 1) })
+		})
+		run("cold-packed-dX", func(b *testing.B) {
+			var p *mat.PackedTransB
+			var dst *mat.Matrix
+			coldPerCall(b, func() {
+				p = mat.PackTransposeParTo(p, w, 1)
+				dst = mat.MulPackTransBBiasTo(dst, dy, p, nil, 1)
+			})
+		})
+		run("cold-inplace-dX", func(b *testing.B) {
+			var dst *mat.Matrix
+			coldPerCall(b, func() { dst = mat.MulTo(dst, dy, w, 1) })
+		})
+		run("cold-total", total(coldPerCall))
 	}
 }
+
+// evictSink keeps BenchmarkBackwardParams' eviction reads live.
+var evictSink float64
