@@ -76,14 +76,13 @@ func main() {
 		ftSteps   = flag.Int64("finetune-steps", 2048, "environment steps per fine-tune epoch")
 		ftWorkers = flag.Int("finetune-workers", 1, "training workers for fine-tune epochs (each round applies their gradients in worker order)")
 		ftEnvs    = flag.Int("finetune-envs", 8, "environments each fine-tune worker drives in lockstep (0 or 1 = one)")
-		ftPar     = flag.Int("finetune-parallelism", 0, "intra-update GEMM fan-out during fine-tuning (0 = serial)")
 		driftThr  = flag.Float64("drift-threshold", 0.25, "PSI drift score that triggers a fine-tune epoch (0 disables drift triggering)")
 		swapGate  = flag.Bool("swap-gate", true, "require candidates to not regress held-out cost before hot-swapping")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for learner checkpoints (atomic rename + retention); empty disables")
 		ckptKeep  = flag.Int("checkpoint-keep", 5, "learner checkpoints to retain (-1 keeps all)")
 	)
 	flag.Parse()
-	ftCfg := finetuneA3C(*ftWorkers, *ftEnvs, *ftPar)
+	ftCfg := finetuneA3C(*ftWorkers, *ftEnvs)
 	if *onlineOn {
 		// Refuse bad learner settings before reading the checkpoint.
 		if err := checkOnlineFlags(ftCfg, *ftSteps, *ckptKeep); err != nil {
@@ -200,13 +199,12 @@ func main() {
 
 // finetuneA3C is the paper's training configuration with the daemon's
 // fine-tune knobs applied as given: Workers sets the round's worker count,
-// EnvsPerWorker the lockstep width, Parallelism the intra-update GEMM
-// fan-out. Out-of-range values are left for A3CConfig.Validate to refuse.
-func finetuneA3C(workers, envs, parallelism int) rl.A3CConfig {
+// EnvsPerWorker the lockstep width; updates run serially (Parallelism 0).
+// Out-of-range values are left for A3CConfig.Validate to refuse.
+func finetuneA3C(workers, envs int) rl.A3CConfig {
 	cfg := rl.DefaultA3CConfig()
 	cfg.Workers = workers
 	cfg.EnvsPerWorker = envs
-	cfg.Parallelism = parallelism
 	return cfg
 }
 

@@ -25,18 +25,18 @@ import (
 // A3CConfig as given, so a worker count below one is refused by Validate
 // instead of silently becoming the default's.
 func TestFinetuneA3CPassesWorkersThrough(t *testing.T) {
-	if err := finetuneA3C(0, 8, 0).Validate(); err == nil {
-		t.Error("finetuneA3C(0, 8, 0) passed validation; want Workers 0 refused")
+	if err := finetuneA3C(0, 8).Validate(); err == nil {
+		t.Error("finetuneA3C(0, 8) passed validation; want Workers 0 refused")
 	}
-	if err := finetuneA3C(-1, 8, 0).Validate(); err == nil {
-		t.Error("finetuneA3C(-1, 8, 0) passed validation; want Workers -1 refused")
+	if err := finetuneA3C(-1, 8).Validate(); err == nil {
+		t.Error("finetuneA3C(-1, 8) passed validation; want Workers -1 refused")
 	}
-	cfg := finetuneA3C(2, 8, 3)
+	cfg := finetuneA3C(2, 8)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 2 || cfg.EnvsPerWorker != 8 || cfg.Parallelism != 3 {
-		t.Errorf("finetuneA3C(2, 8, 3) = Workers %d, EnvsPerWorker %d, Parallelism %d",
+	if cfg.Workers != 2 || cfg.EnvsPerWorker != 8 || cfg.Parallelism != 0 {
+		t.Errorf("finetuneA3C(2, 8) = Workers %d, EnvsPerWorker %d, Parallelism %d",
 			cfg.Workers, cfg.EnvsPerWorker, cfg.Parallelism)
 	}
 }
@@ -48,7 +48,7 @@ var bootNet = rl.NetConfig{HistLen: 7, Filters: 4, Kernel: 4, Stride: 1, Hidden:
 // shape minicostd's defaults give.
 func bootOnline(t *testing.T, path string) (*bootState, error) {
 	t.Helper()
-	return load(path, true, finetuneA3C(1, 8, 0), agentserver.Config{})
+	return load(path, true, finetuneA3C(1, 8), agentserver.Config{})
 }
 
 // writeFile writes a checkpoint through save to a fresh file.
@@ -83,7 +83,7 @@ func TestBootActorOnlyCheckpointKeepsFreshCritic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := finetuneA3C(1, 8, 0)
+	cfg := finetuneA3C(1, 8)
 	cfg.Net = bootNet
 	fresh, err := rl.NewA3C(cfg)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestBootActorOnlyCheckpointKeepsFreshCritic(t *testing.T) {
 // TestBootLearnerCheckpointRestoresCritic: -checkpoint -online on a trainer
 // checkpoint restores its actor and its critic.
 func TestBootLearnerCheckpointRestoresCritic(t *testing.T) {
-	cfg := finetuneA3C(1, 2, 0)
+	cfg := finetuneA3C(1, 2)
 	cfg.Net = bootNet
 	cfg.Seed = 5
 	src, err := rl.NewA3C(cfg)
@@ -121,7 +121,7 @@ func TestBootLearnerCheckpointRestoresCritic(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantA, wantC := src.ParamVectors()
-	ft := finetuneA3C(1, 8, 0)
+	ft := finetuneA3C(1, 8)
 	ft.Net = bootNet
 	fresh, err := rl.NewA3C(ft)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestBootLearnerCheckpointRestoresCritic(t *testing.T) {
 // downstream would notice an Inf in it until every advantage it feeds is
 // non-finite; -checkpoint -online refuses the file at boot.
 func TestBootRefusesNonFiniteCritic(t *testing.T) {
-	cfg := finetuneA3C(1, 8, 0)
+	cfg := finetuneA3C(1, 8)
 	cfg.Net = bootNet
 	src, err := rl.NewA3C(cfg)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestBootRefusesNonFiniteCritic(t *testing.T) {
 // as "unset" are refused, not replaced by its defaults; -checkpoint-keep -1
 // (keep every checkpoint) stays valid.
 func TestCheckOnlineFlagsRefusesZeros(t *testing.T) {
-	ft := finetuneA3C(1, 8, 0)
+	ft := finetuneA3C(1, 8)
 	for _, c := range []struct {
 		steps int64
 		keep  int
@@ -181,7 +181,7 @@ func TestCheckOnlineFlagsRefusesZeros(t *testing.T) {
 			t.Errorf("checkOnlineFlags(steps %d, keep %d) = %v, want ok %v", c.steps, c.keep, err, c.ok)
 		}
 	}
-	if err := checkOnlineFlags(finetuneA3C(0, 8, 0), 2048, 5); err == nil {
+	if err := checkOnlineFlags(finetuneA3C(0, 8), 2048, 5); err == nil {
 		t.Error("checkOnlineFlags passed Workers 0")
 	}
 }
@@ -239,7 +239,7 @@ func TestBootWithoutCheckpointServesGreedy(t *testing.T) {
 	t.Cleanup(func() { reg.SetEnabled(was) })
 	before := reg.Snapshot().Counter("minicost_train_steps_total")
 
-	st, err := load("", false, finetuneA3C(1, 8, 0), agentserver.Config{})
+	st, err := load("", false, finetuneA3C(1, 8), agentserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestBootWithoutCheckpointServesGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = load("", false, finetuneA3C(1, 8, 0), agentserver.Config{})
+	st, err = load("", false, finetuneA3C(1, 8), agentserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +297,11 @@ func TestBootWithoutCheckpointServesGreedy(t *testing.T) {
 // and fine-tunes a fresh trainer of shape freshNet, which the learner
 // accepts over the Greedy server's window.
 func TestBootWithoutCheckpointOnline(t *testing.T) {
-	st, err := load("", true, finetuneA3C(1, 8, 0), agentserver.Config{})
+	st, err := load("", true, finetuneA3C(1, 8), agentserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := finetuneA3C(1, 8, 0)
+	cfg := finetuneA3C(1, 8)
 	cfg.Net = freshNet
 	fresh, err := rl.NewA3C(cfg)
 	if err != nil {

@@ -97,7 +97,7 @@ func (s *System) Model() *costmodel.Model { return s.model }
 
 // Train fits the agent on a historical trace (the paper trains on a random
 // 80 % of the collected trace). It can be called repeatedly; training
-// continues from the current parameters.
+// continues from the current parameters, TrainSteps more steps a call.
 func (s *System) Train(hist *trace.Trace) (rl.TrainStats, error) {
 	if err := hist.Validate(); err != nil {
 		return rl.TrainStats{}, err

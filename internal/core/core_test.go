@@ -129,6 +129,38 @@ func TestTrainAndRunEndToEnd(t *testing.T) {
 	t.Logf("minicost=%.4f hot=%.4f changes=%d", report.Total.Total(), hot.Total(), report.TierChanges)
 }
 
+// TestTrainTwiceContinues pins Train's "can be called repeatedly" promise:
+// a second call trains TrainSteps more steps from where the first stopped
+// and leaves an agent that Run serves, rather than finding every chunk
+// target already reached and leaving none.
+func TestTrainTwiceContinues(t *testing.T) {
+	cfg := testConfig()
+	cfg.A3C.Workers = 1
+	cfg.TrainSteps = 700
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := genTrace(t, 30, 21, 3)
+	for call := 1; call <= 2; call++ {
+		before := s.a3c.Steps()
+		stats, err := s.Train(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Steps < cfg.TrainSteps || s.a3c.Steps()-before < cfg.TrainSteps {
+			t.Fatalf("call %d trained %d steps (trainer %d → %d), want at least %d",
+				call, stats.Steps, before, s.a3c.Steps(), cfg.TrainSteps)
+		}
+		if s.Agent() == nil {
+			t.Fatalf("call %d left no agent", call)
+		}
+		if _, err := s.Run(tr); err != nil {
+			t.Fatalf("Run after Train call %d: %v", call, err)
+		}
+	}
+}
+
 func TestRunWithAggregation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")

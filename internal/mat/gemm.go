@@ -7,11 +7,12 @@ import (
 	"minicost/internal/par"
 )
 
-// This file is the GEMM kernel behind the batched inference engine
-// (nn.ForwardBatch): blocked, cache-tiled products with reusable output
-// buffers and a transposed-B variant matching how nn stores weights
-// (row o of the weight matrix holds output o's weights, i.e. B is already
-// transposed for Y = X·Wᵀ).
+// This file holds the unpacked GEMM — blocked, cache-tiled, with a reusable
+// output buffer and B transposed as nn stores weights (row o of the weight
+// matrix holds output o's weights, i.e. B is already transposed for
+// Y = X·Wᵀ) — which the packed kernel behind the batched engine
+// (nn.ForwardBatch, pack.go) is held to, and the numerical contract every
+// kernel in the package keeps.
 //
 // Numerical contract: for every output element the inner (k) accumulation
 // runs sequentially over the full shared dimension, in index order, seeded
@@ -54,13 +55,13 @@ func EnsureShape(m *Matrix, rows, cols int) *Matrix {
 }
 
 // MulTransBBiasTo computes dst[r][c] = bias[c] + Σ_k a[r][k]·b[c][k] (a nil
-// bias means zero), the fused GEMM+bias the Dense batched path uses, into a
-// reusable buffer: dst's backing array is reused when large enough, and the
-// returned matrix must be used in place of dst. workers bounds the parallel
-// fan-out (1 forces serial, <= 0 selects the default); small products always
-// run serially. It is MulTransBBiasXTTo's fallback without lane kernels and
-// the oracle the packed and lane kernels are held to. See the package
-// comment above for the exactness contract.
+// bias means zero), unpacked, into a reusable buffer: dst's backing array is
+// reused when large enough, and the returned matrix must be used in place of
+// dst. workers bounds the parallel fan-out (1 forces serial, <= 0 selects
+// the default); small products always run serially. It is LeastSquares'
+// GEMM and the oracle the packed kernels are held to; Dense runs on the
+// packed kernel (MulPackTransBBiasRowsTo) at every batch length. See the
+// package comment above for the exactness contract.
 func MulTransBBiasTo(dst, a, b *Matrix, bias []float64, workers int) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTransB shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))

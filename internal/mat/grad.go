@@ -7,12 +7,11 @@ import (
 )
 
 // This file holds the kernels behind the batched *gradient* pass
-// (nn.BackwardBatch): for large batches the weight-gradient and
-// input-gradient products on the packed SIMD kernel, their operands read
-// where they lie (AddMulTransATo, MulTo); for short training rollouts an
-// axpy-based weight-gradient product and a shared-dimension-outer
-// input-gradient product; a buffer-reusing transpose; and MulPackAccTo, the
-// weight-gradient product of a transposed dY against a transposed pack.
+// (nn.BackwardBatch), all on the packed SIMD kernel at every batch length:
+// the weight-gradient and input-gradient products with their operands read
+// where they lie (AddMulTransATo, MulTo); a buffer-reusing transpose; and
+// MulPackAccTo, the weight-gradient product of a transposed dY against a
+// transposed pack.
 //
 // The numerical contract matches gemm.go: every output element's shared-
 // dimension accumulation runs sequentially in index order, seeded — for the
@@ -31,118 +30,6 @@ func TransposeTo(dst, src *Matrix) *Matrix {
 		}
 	}
 	return dst
-}
-
-// MulTransAAccTo accumulates dst += aᵀ·b in place (a is K×M, b is K×N, dst
-// is M×N) without materializing the transpose — the weight-gradient product
-// dW += dYᵀ·X taken directly on the row-major batch matrices. For each dst
-// row the K samples stream past while the row accumulator stays
-// cache-resident, so for the short training batches this kernel serves
-// (K = NSteps) the only full-size memory traffic is dst itself. Each
-// element's K-chain runs in ascending sample order seeded with the
-// element's current value — the per-sample accumulation order — and
-// distinct dst rows are independent, so the parallel fan-out splits on
-// them.
-func MulTransAAccTo(dst, a, b *Matrix, workers int) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: MulTransAAcc shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulTransAAcc dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
-	}
-	if workers == 1 || a.Rows*a.Cols*b.Cols < gemmParallelFlops {
-		mulTransAAccBlock(dst, a, b, 0, dst.Rows)
-		return
-	}
-	w := resolveWorkers(workers)
-	par.ForBatched(dst.Rows, parPanel(dst.Rows, w, gemmMinPanel), w, func(lo, hi int) {
-		mulTransAAccBlock(dst, a, b, lo, hi)
-	})
-}
-
-// gradColTile is the column-stripe width for the short-batch gradient
-// kernels: 256 float64s keep one stripe of all NSteps sample rows (the
-// operand revisited across the long output dimension) resident in L1 instead
-// of re-streaming it from L2 on every pass. Striping only partitions
-// independent output elements, so accumulation order is untouched.
-const gradColTile = 256
-
-// mulTransAAccBlock fills dst rows [lo, hi); the sample loop is inside the
-// row loop so every element accumulates its samples in ascending order, and
-// the column stripes keep the revisited b stripe cache-resident while dst
-// streams through exactly once.
-//
-//minicost:hotpath
-func mulTransAAccBlock(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for c0 := 0; c0 < n; c0 += gradColTile {
-		c1 := c0 + gradColTile
-		if c1 > n {
-			c1 = n
-		}
-		for m := lo; m < hi; m++ {
-			drow := dst.Data[m*n+c0 : m*n+c1]
-			for k := 0; k < a.Rows; k++ {
-				g := a.Data[k*a.Cols+m]
-				axpy(drow, b.Data[k*n+c0:k*n+c1], g)
-			}
-		}
-	}
-}
-
-// MulKOuterTo computes dst = a·b with the shared dimension as the outermost
-// loop: each b row streams through the cache exactly once while the whole
-// dst block stays resident — the right trade for short-batch products where
-// dst has only NSteps rows but b is a full weight matrix (Dense's training
-// input gradient dX = dY·W). Every element's k-chain is ascending and
-// seeded at zero, matching the per-sample input-gradient loops. The
-// parallel fan-out splits b's columns, which preserves the k-outer order
-// inside each stripe.
-func MulKOuterTo(dst, a, b *Matrix, workers int) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulKOuter shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	dst = EnsureShape(dst, a.Rows, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	if workers == 1 || a.Rows*a.Cols*b.Cols < gemmParallelFlops {
-		mulKOuterBlock(dst, a, b, 0, b.Cols)
-		return dst
-	}
-	// Column stripes stay at least gradColTile wide so the cache tiling
-	// inside each stripe is unchanged; more workers just get more stripes.
-	w := resolveWorkers(workers)
-	stripe := (b.Cols + 2*w - 1) / (2 * w)
-	if stripe < gradColTile {
-		stripe = gradColTile
-	}
-	par.ForBatched(b.Cols, stripe, w, func(lo, hi int) {
-		mulKOuterBlock(dst, a, b, lo, hi)
-	})
-	return dst
-}
-
-// mulKOuterBlock accumulates dst columns [lo, hi) with the shared dimension
-// outermost inside each column stripe: the dst stripe stays cache-resident
-// across the whole k sweep while b's stripe streams through once, instead of
-// every k pass resweeping the full dst width out of L2.
-//
-//minicost:hotpath
-func mulKOuterBlock(dst, a, b *Matrix, lo, hi int) {
-	for c0 := lo; c0 < hi; c0 += gradColTile {
-		c1 := c0 + gradColTile
-		if c1 > hi {
-			c1 = hi
-		}
-		for k := 0; k < b.Rows; k++ {
-			brow := b.Data[k*b.Cols+c0 : k*b.Cols+c1]
-			for r := 0; r < a.Rows; r++ {
-				v := a.Data[r*a.Cols+k]
-				axpy(dst.Data[r*dst.Cols+c0:r*dst.Cols+c1], brow, v)
-			}
-		}
-	}
 }
 
 // InPlaceCols reports whether the backward products read a row-major

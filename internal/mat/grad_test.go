@@ -42,154 +42,17 @@ func TestTransposeToMatchesT(t *testing.T) {
 	}
 }
 
-// mulTransBAccRef accumulates dst += a·bᵀ in place, each element's k-chain
-// sequential and seeded with the element's current value: the unpacked tiled
-// weight-gradient loop that MulPackAccTo replaced in production, kept as the
-// oracle of the transposing route. Four independent output columns run
-// together; every element's own k-accumulation stays sequential.
-func mulTransBAccRef(dst, a, b *Matrix) {
-	n, k := b.Rows, a.Cols
-	for j0 := 0; j0 < n; j0 += gemmColTile {
-		j1 := j0 + gemmColTile
-		if j1 > n {
-			j1 = n
-		}
-		for r := 0; r < a.Rows; r++ {
-			arow := a.Data[r*k : (r+1)*k]
-			drow := dst.Data[r*n : (r+1)*n]
-			j := j0
-			for ; j+4 <= j1; j += 4 {
-				b0 := b.Data[j*k : j*k+k]
-				b1 := b.Data[(j+1)*k : (j+1)*k+k]
-				b2 := b.Data[(j+2)*k : (j+2)*k+k]
-				b3 := b.Data[(j+3)*k : (j+3)*k+k]
-				s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-				for i, v := range arow {
-					s0 = math.FMA(v, b0[i], s0)
-					s1 = math.FMA(v, b1[i], s1)
-					s2 = math.FMA(v, b2[i], s2)
-					s3 = math.FMA(v, b3[i], s3)
-				}
-				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < j1; j++ {
-				brow := b.Data[j*k : j*k+k]
-				s := drow[j]
-				for i, v := range arow {
-					s = math.FMA(v, brow[i], s)
-				}
-				drow[j] = s
-			}
-		}
-	}
-}
-
-// TestMulTransBAccBitwise pins that oracle to the per-sample reference
-// order: seed dst, then add Σ_k a[r][k]·b[c][k] one k at a time.
-func TestMulTransBAccBitwise(t *testing.T) {
-	r := rng.New(12)
-	for _, sh := range []struct{ m, n, k int }{{1, 1, 1}, {3, 5, 7}, {17, 33, 7}, {64, 40, 9}} {
-		a := randMat(r, sh.m, sh.k)
-		b := randMat(r, sh.n, sh.k)
-		dst := randMat(r, sh.m, sh.n) // pre-seeded accumulator
-		want := dst.Clone()
-		for i := 0; i < sh.m; i++ {
-			for j := 0; j < sh.n; j++ {
-				s := want.At(i, j)
-				for k := 0; k < sh.k; k++ {
-					s = math.FMA(a.At(i, k), b.At(j, k), s)
-				}
-				want.Set(i, j, s)
-			}
-		}
-		mulTransBAccRef(dst, a, b)
-		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%d·(%dx%d)ᵀ: elem %d = %v, want %v (not bitwise equal)",
-					sh.m, sh.k, sh.n, sh.k, i, dst.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// TestMulTransAAccBitwise pins the transpose-free weight-gradient kernel to
-// the per-sample reference order: seed dst, then add Σ_k a[k][i]·b[k][j]
-// one sample at a time, ascending. It must also agree exactly with the
-// transposing route (TransposeTo + the unpacked product, mulTransBAccRef),
-// the large-batch path's shape before it moved to the packed kernel.
-func TestMulTransAAccBitwise(t *testing.T) {
-	r := rng.New(15)
-	for _, sh := range []struct{ k, m, n int }{{1, 1, 1}, {7, 5, 33}, {5, 128, 40}, {16, 17, 9}} {
-		a := randMat(r, sh.k, sh.m)
-		b := randMat(r, sh.k, sh.n)
-		dst := randMat(r, sh.m, sh.n) // pre-seeded accumulator
-		want := dst.Clone()
-		for i := 0; i < sh.m; i++ {
-			for j := 0; j < sh.n; j++ {
-				s := want.At(i, j)
-				for k := 0; k < sh.k; k++ {
-					s = math.FMA(a.At(k, i), b.At(k, j), s)
-				}
-				want.Set(i, j, s)
-			}
-		}
-		other := dst.Clone()
-		MulTransAAccTo(dst, a, b, 1)
-		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("(%dx%d)ᵀ·%dx%d: elem %d = %v, want %v (not bitwise equal)",
-					sh.k, sh.m, sh.k, sh.n, i, dst.Data[i], want.Data[i])
-			}
-		}
-		mulTransBAccRef(other, TransposeTo(nil, a), TransposeTo(nil, b))
-		for i := range want.Data {
-			if other.Data[i] != want.Data[i] {
-				t.Fatalf("(%dx%d)ᵀ·%dx%d: transposing route elem %d diverges from reference",
-					sh.k, sh.m, sh.k, sh.n, i)
-			}
-		}
-	}
-}
-
-// TestMulKOuterBitwise pins the shared-dimension-outer product to the
-// per-element reference: each dst element sums its k-terms ascending from a
-// zero seed, exactly like the per-sample input-gradient loops.
-func TestMulKOuterBitwise(t *testing.T) {
-	r := rng.New(16)
-	for _, sh := range []struct{ m, k, n int }{{1, 1, 1}, {7, 128, 33}, {5, 17, 600}, {16, 9, 40}} {
-		a := randMat(r, sh.m, sh.k)
-		b := randMat(r, sh.k, sh.n)
-		want := New(sh.m, sh.n)
-		for i := 0; i < sh.m; i++ {
-			for j := 0; j < sh.n; j++ {
-				s := 0.0
-				for k := 0; k < sh.k; k++ {
-					s = math.FMA(a.At(i, k), b.At(k, j), s)
-				}
-				want.Set(i, j, s)
-			}
-		}
-		// Dirty reused buffer: MulKOuterTo must fully overwrite it.
-		dst := randMat(r, sh.m, sh.n)
-		dst = MulKOuterTo(dst, a, b, 1)
-		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%d·%dx%d: elem %d = %v, want %v (not bitwise equal)",
-					sh.m, sh.k, sh.k, sh.n, i, dst.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
 func TestGradKernelShapePanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		call func()
 	}{
-		{"transA wrong rows", func() { MulTransAAccTo(New(4, 4), New(2, 3), New(2, 4), 1) }},
-		{"transA wrong cols", func() { MulTransAAccTo(New(3, 5), New(2, 3), New(2, 4), 1) }},
-		{"transA sample mismatch", func() { MulTransAAccTo(New(3, 4), New(2, 3), New(5, 4), 1) }},
-		{"kouter shared mismatch", func() { MulKOuterTo(nil, New(2, 3), New(4, 5), 1) }},
+		{"transA wrong rows", func() { AddMulTransATo(New(4, 4), New(2, 3), New(2, 4), 1) }},
+		{"transA wrong cols", func() { AddMulTransATo(New(3, 5), New(2, 3), New(2, 4), 1) }},
+		{"transA sample mismatch", func() { AddMulTransATo(New(3, 4), New(2, 3), New(5, 4), 1) }},
+		{"mul shared mismatch", func() { MulTo(nil, New(2, 3), New(4, 5), 1) }},
+		{"packacc shared mismatch", func() { MulPackAccTo(New(2, 4), New(2, 3), PackTransposeTo(nil, New(5, 4)), 1) }},
+		{"packacc wrong dst", func() { MulPackAccTo(New(3, 4), New(2, 3), PackTransposeTo(nil, New(3, 4)), 1) }},
 	} {
 		func() {
 			defer func() {
@@ -312,8 +175,8 @@ func backwardShapes(outs ...int) (shapes []struct{ rows, in, out int }) {
 // ascending from its pre-seeded value, one math.FMA per term — bit for bit,
 // at every kernel tier and at 1, 2 and 4 workers, by every route:
 // AddMulTransATo on dY and X where they lie and MulPackAccTo on dY
-// transposed against X packed; MulTransAAccTo, the short-batch route, is
-// held to it once per shape. A shape m×k·k×n has m outputs, k batch rows and n inputs. Besides
+// transposed against X packed. A shape m×k·k×n has m outputs, k batch rows
+// and n inputs. Besides
 // small odd shapes, m sits on both sides of the eight-row kernel; n at
 // every tile seam (1, 15, 16, 17), at the Quick network's 182 and the
 // paper's 3206, both ragged; k at 1, 7, 8 and 9, the 112-row arena and 200,
@@ -369,9 +232,6 @@ func TestMulPackAccBitwise(t *testing.T) {
 		}
 		name := fmt.Sprintf("%dx%d·%dx%d", sh.m, sh.k, sh.k, sh.n)
 		dy := transpose(a)
-		other := seed.Clone()
-		MulTransAAccTo(other, dy, x, 1)
-		sameBits(t, name+" MulTransAAccTo", other.Data, want.Data)
 		dyG, dySent := guarded(dy)
 		xG, xSent := guarded(x)
 		pack := PackTransposeTo(nil, x)

@@ -7,11 +7,11 @@ import "minicost/internal/par"
 // packer.
 //
 // Parallel decomposition never touches the numerical contract (gemm.go):
-// panels shard *independent output elements* (rows of the destination, tiles
-// of a packed operand, column stripes of a k-outer product), so every
-// element's shared-dimension accumulation stays sequential and bitwise
-// identical at any worker count — not just at workers=1. The equivalence
-// tests in parallel_test.go pin this across odd shapes.
+// panels shard *independent output elements* (rows of the destination,
+// tiles of a packed operand), so every element's shared-dimension
+// accumulation stays sequential and bitwise identical at any worker count —
+// not just at workers=1. The equivalence tests in parallel_test.go pin this
+// across odd shapes.
 
 // gemmMinPanel is the smallest row panel handed to one worker: below this
 // the per-chunk dispatch (one atomic increment plus cache handoff of the

@@ -119,29 +119,30 @@ func TestPackParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGradKernelsParallelBitwise pins the backward-pass products: the
-// accumulating weight-gradient kernels (pre-seeded destinations) and the
-// k-outer input-gradient kernel at every worker count.
+// TestGradKernelsParallelBitwise pins the backward-pass products with
+// their operands read in place at every worker count: the accumulating
+// weight-gradient kernel (pre-seeded destinations) and the input-gradient
+// product.
 func TestGradKernelsParallelBitwise(t *testing.T) {
 	for _, s := range parallelShapes {
-		// dst += aᵀ·b, the transpose-free short-batch weight gradient.
+		// dst += aᵀ·b, the weight gradient dW += dYᵀ·X.
 		at := detMatrix(s.k, s.rows, 1.25)
 		bt := detMatrix(s.k, s.cols, -0.5)
 		wantA := detMatrix(s.rows, s.cols, -2.5)
-		MulTransAAccTo(wantA, at, bt, 1)
+		AddMulTransATo(wantA, at, bt, 1)
 		for _, w := range testWorkerCounts {
 			got := detMatrix(s.rows, s.cols, -2.5)
-			MulTransAAccTo(got, at, bt, w)
-			equalBits(t, "MulTransAAccTo", got.Data, wantA.Data)
+			AddMulTransATo(got, at, bt, w)
+			equalBits(t, "AddMulTransATo", got.Data, wantA.Data)
 		}
 
-		// dst = a·b with the shared dimension outermost.
+		// dst = a·b, the input gradient dX = dY·W.
 		ka := detMatrix(s.rows, s.k, 0.875)
 		kb := detMatrix(s.k, s.cols, -3.25)
-		wantK := MulKOuterTo(nil, ka, kb, 1)
+		wantK := MulTo(nil, ka, kb, 1)
 		for _, w := range testWorkerCounts {
-			got := MulKOuterTo(nil, ka, kb, w)
-			equalBits(t, "MulKOuterTo", got.Data, wantK.Data)
+			got := MulTo(nil, ka, kb, w)
+			equalBits(t, "MulTo", got.Data, wantK.Data)
 		}
 	}
 }

@@ -18,10 +18,8 @@ func kernelTiers() []string {
 
 // forceTier pins the package to one kernel tier until the test ends, and
 // skips the test on a CPU that lacks it. Nothing outside tests writes the two
-// flags, so tests that force a tier must not run in parallel. It reaches the
-// packed products, Conv4To, ReluTo and ReluGradTo, which read the flags per
-// call; laneKernels (smallbatch.go) copied haveAVX at init and keeps its
-// value.
+// flags, so tests that force a tier must not run in parallel. Every kernel
+// reads the flags per call, so a forced tier reaches all of them.
 func forceTier(tb testing.TB, tier string) {
 	tb.Helper()
 	avx, avx512 := haveAVX, haveAVX512

@@ -6,44 +6,14 @@ import (
 	"math/bits"
 )
 
-// This file holds flat-vector kernels shared by the training hot path: an
-// accumulating axpy used by the short-batch gradient products in grad.go and
-// the RMSProp parameter step applied on every update. Both are elementwise —
-// distinct indices never interact — so the AVX implementations (vec_amd64.s)
-// vectorize across elements while each element keeps exactly the scalar
-// operation sequence and roundings — fused where the loop calls math.FMA,
-// separate where it rounds with float64() — preserving the bitwise contract
-// the training-engine equivalence tests pin.
-
-// axpyGeneric accumulates dst[i] = fma(alpha, x[i], dst[i]): one rounding
-// per element, which the vectorized implementation matches bit for bit.
-// len(x) must be >= len(dst).
-func axpyGeneric(dst, x []float64, alpha float64) {
-	_ = x[len(dst)-1]
-	for i := range dst {
-		dst[i] = math.FMA(alpha, x[i], dst[i])
-	}
-}
-
-// dotXT8Generic is the scalar reference for the 8-lane column kernel:
-// acc[r] += Σ_i w[i] · xt[i*8+r], every lane's accumulation sequential in i,
-// one fused multiply-add per term.
-func dotXT8Generic(w, xt, acc []float64) {
-	for i, wv := range w {
-		lrow := xt[i*laneWidth : i*laneWidth+laneWidth]
-		for r, xv := range lrow {
-			acc[r] = math.FMA(wv, xv, acc[r])
-		}
-	}
-}
-
-// dotXT8x4Generic runs dotXT8Generic for four consecutive length-in rows of
-// w into four lane groups of acc.
-func dotXT8x4Generic(w []float64, in int, xt, acc []float64) {
-	for j := 0; j < 4; j++ {
-		dotXT8Generic(w[j*in:(j+1)*in], xt, acc[j*laneWidth:(j+1)*laneWidth])
-	}
-}
+// This file holds flat-vector kernels shared by the training hot path and
+// the conv front-end: the gradient norm, the rectifier and its gradient, the
+// paper-shape convolution and the RMSProp parameter step applied on every
+// update. Each is elementwise or a fixed set of independent chains, so the
+// AVX implementations (vec_amd64.s) vectorize across elements while each
+// element keeps exactly the scalar operation sequence and roundings — fused
+// where the loop calls math.FMA, separate where it rounds with float64() —
+// preserving the bitwise contract the training-engine equivalence tests pin.
 
 // SumSquares returns Σ g[i]² accumulated in eight independent chains (lane l
 // sums g[i*8+l]²), reduced in a fixed order, with a sequential scalar tail.

@@ -8,16 +8,7 @@ package mat
 // bitwise-identical to them; see vec.go.
 
 //go:noescape
-func axpyAVX(dst, x []float64, alpha float64)
-
-//go:noescape
 func rmspropAVX(dst, params, grads, msq []float64, scale, lr, decay, rem, eps float64)
-
-//go:noescape
-func dotXT8AVX(w, xt, acc []float64)
-
-//go:noescape
-func dotXT8x4AVX(w []float64, in int, xt, acc []float64)
 
 //go:noescape
 func sumsq8AVX(g []float64, p *[8]float64)
@@ -42,34 +33,6 @@ func reluGradAVX512(dst, dy, x []float64)
 
 //go:noescape
 func conv4GradAVX(gw, gb, dy, y, x []float64, ol int, pass uint64)
-
-// laneKernels reports whether the 8-lane short-batch forward kernel is
-// worth taking: without SIMD its transposed gather only adds overhead.
-var laneKernels = haveAVX
-
-func axpy(dst, x []float64, alpha float64) {
-	if haveAVX && len(dst) >= 4 {
-		axpyAVX(dst, x, alpha)
-		return
-	}
-	axpyGeneric(dst, x, alpha)
-}
-
-func dotXT8(w, xt, acc []float64) {
-	if haveAVX {
-		dotXT8AVX(w, xt, acc)
-		return
-	}
-	dotXT8Generic(w, xt, acc)
-}
-
-func dotXT8x4(w []float64, in int, xt, acc []float64) {
-	if haveAVX {
-		dotXT8x4AVX(w, in, xt, acc)
-		return
-	}
-	dotXT8x4Generic(w, in, xt, acc)
-}
 
 func sumsq8(g []float64, p *[8]float64) {
 	if haveAVX {

@@ -2,57 +2,6 @@
 
 #include "textflag.h"
 
-// func axpyAVX(dst, x []float64, alpha float64)
-//
-// dst[i] = dst[i] + alpha·x[i], rounded once: one VFMADD231PD per element,
-// the math.FMA of axpyGeneric. Lanes are independent elements. Two 4-wide
-// groups per iteration, then a 4-wide step, then a VEX-scalar tail (staying
-// VEX avoids SSE/AVX transition stalls before VZEROUPPER).
-TEXT ·axpyAVX(SB), NOSPLIT, $0-56
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ x_base+24(FP), SI
-	VBROADCASTSD alpha+48(FP), Y0
-
-loop8:
-	CMPQ CX, $8
-	JL   loop4
-	VMOVUPD (DI), Y1
-	VFMADD231PD (SI), Y0, Y1
-	VMOVUPD Y1, (DI)
-	VMOVUPD 32(DI), Y2
-	VFMADD231PD 32(SI), Y0, Y2
-	VMOVUPD Y2, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	SUBQ $8, CX
-	JMP  loop8
-
-loop4:
-	CMPQ CX, $4
-	JL   tail
-	VMOVUPD (DI), Y1
-	VFMADD231PD (SI), Y0, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-
-tail:
-	TESTQ CX, CX
-	JZ    done
-	VMOVSD (DI), X1
-	VFMADD231SD (SI), X0, X1
-	VMOVSD X1, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  tail
-
-done:
-	VZEROUPPER
-	RET
-
 // func rmspropAVX(dst, params, grads, msq []float64, scale, lr, decay, rem, eps float64)
 //
 // One RMSProp update over whole 4-lane groups (the Go wrapper peels the
@@ -103,101 +52,6 @@ loop:
 	JNZ  loop
 
 done:
-	VZEROUPPER
-	RET
-
-// func dotXT8AVX(w, xt, acc []float64)
-//
-// acc[r] += Σ_i w[i] · xt[i*8+r] for the 8 lanes r. Each lane is an
-// independent batch row whose accumulation runs sequentially in i with one
-// VFMADD231PD, one rounding, per term — the math.FMA chain of
-// dotXT8Generic. Used for the remainder outputs of the short-batch forward;
-// the 4-output variant below is the main kernel.
-TEXT ·dotXT8AVX(SB), NOSPLIT, $0-72
-	MOVQ w_base+0(FP), SI
-	MOVQ w_len+8(FP), CX
-	MOVQ xt_base+24(FP), DX
-	MOVQ acc_base+48(FP), DI
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	TESTQ CX, CX
-	JZ    store1
-
-dot1:
-	VBROADCASTSD (SI), Y4
-	VFMADD231PD (DX), Y4, Y0
-	VFMADD231PD 32(DX), Y4, Y1
-	ADDQ $8, SI
-	ADDQ $64, DX
-	DECQ CX
-	JNZ  dot1
-
-store1:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VZEROUPPER
-	RET
-
-// func dotXT8x4AVX(w []float64, in int, xt, acc []float64)
-//
-// Four consecutive length-in rows of w against the shared 8-lane transposed
-// batch: acc[j*8+r] += Σ_i w[j*in+i] · xt[i*8+r]. Interleaving four outputs
-// keeps eight independent accumulator chains in flight so the broadcast/FMA
-// latency of any single chain is hidden; each (j, r) element still
-// accumulates sequentially in i, one fused multiply-add per term.
-TEXT ·dotXT8x4AVX(SB), NOSPLIT, $0-80
-	MOVQ w_base+0(FP), SI
-	MOVQ in+24(FP), CX
-	MOVQ xt_base+32(FP), DX
-	MOVQ acc_base+56(FP), DI
-	MOVQ CX, AX
-	SHLQ $3, AX              // w row stride in bytes
-	LEAQ (SI)(AX*1), R8
-	LEAQ (R8)(AX*1), R9
-	LEAQ (R9)(AX*1), R10
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	VMOVUPD 128(DI), Y4
-	VMOVUPD 160(DI), Y5
-	VMOVUPD 192(DI), Y6
-	VMOVUPD 224(DI), Y7
-	TESTQ CX, CX
-	JZ    store4
-
-dot4:
-	VMOVUPD (DX), Y8
-	VMOVUPD 32(DX), Y9
-	VBROADCASTSD (SI), Y10
-	VFMADD231PD Y8, Y10, Y0
-	VFMADD231PD Y9, Y10, Y1
-	VBROADCASTSD (R8), Y10
-	VFMADD231PD Y8, Y10, Y2
-	VFMADD231PD Y9, Y10, Y3
-	VBROADCASTSD (R9), Y10
-	VFMADD231PD Y8, Y10, Y4
-	VFMADD231PD Y9, Y10, Y5
-	VBROADCASTSD (R10), Y10
-	VFMADD231PD Y8, Y10, Y6
-	VFMADD231PD Y9, Y10, Y7
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $64, DX
-	DECQ CX
-	JNZ  dot4
-
-store4:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
 	VZEROUPPER
 	RET
 

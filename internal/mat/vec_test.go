@@ -8,32 +8,6 @@ import (
 	"minicost/internal/rng"
 )
 
-// TestAxpyBitwise pins axpy (whichever implementation the platform selects)
-// to the scalar fused statement across ragged lengths, including ones that
-// exercise the 8-wide, 4-wide and scalar-tail paths of the AVX kernel.
-func TestAxpyBitwise(t *testing.T) {
-	r := rng.New(21)
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 127, 1024, 3206} {
-		dst := make([]float64, n)
-		x := make([]float64, n)
-		for i := range dst {
-			dst[i] = r.NormalMS(0, 1)
-			x[i] = r.NormalMS(0, 1)
-		}
-		alpha := r.NormalMS(0, 1)
-		want := append([]float64(nil), dst...)
-		for i := range want {
-			want[i] = math.FMA(alpha, x[i], want[i])
-		}
-		axpy(dst, x, alpha)
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("len %d: elem %d = %v, want %v (not bitwise equal)", n, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
 // TestSumSquaresMatchesReferenceBitwise pins the dispatched 8-chain norm
 // against a scalar recomputation of the same chain structure across tail
 // lengths.

@@ -19,11 +19,11 @@ import (
 // ascending row order, each fused (math.FMA) or, for a bias, added onto the
 // element's running value one at a time. The batched kernels keep exactly
 // that order — Dense's weight gradient runs dW += dYᵀ·X through
-// mat.MulTransAAccTo, mat.AddMulTransATo or mat.MulPackAccTo (all
-// row-sequential, seeded from the existing gradient), Conv1D rereads the
-// input windows from the retained batch with the oracle's zero-gradient
-// skip, and the input-gradient products seed at zero and walk the output
-// dimension in index order, matching the per-sample loops term for term.
+// mat.AddMulTransATo or mat.MulPackAccTo (both row-sequential, seeded from
+// the existing gradient), Conv1D rereads the input windows from the
+// retained batch with the oracle's zero-gradient skip, and the
+// input-gradient products seed at zero and walk the output dimension in
+// index order, matching the per-sample loops term for term.
 // Batched training is therefore bitwise identical to the per-sample loop,
 // which this package's bitwise tests and rl's per-row oracle test pin down.
 //
@@ -44,27 +44,23 @@ import (
 //	dW[o][i] += Σ_r dy[r][o]·x[r][i]  (r ascending, seeded from the live grad)
 //	dx[r][i] = Σ_o dy[r][o]·w[o][i]   (o ascending, seeded at zero)
 //
-// The bias gradient is one loop over dy's columns; the two products take
-// one of three routes.
+// The bias gradient is one loop over dy's columns; the two products run on
+// the packed SIMD kernel at every batch length, by one of two routes chosen
+// by the input width alone.
 //
-//   - Short batches (under packMinRows: the arenas of E ≤ 2 at seven steps)
-//     run dW through mat.MulTransAAccTo and dx through mat.MulKOuterTo, axpy
-//     loops that stream the full-size operand once, which the packed kernel
-//     does not beat on AVX2 or without SIMD at those lengths (ROADMAP
-//     item 9).
-//   - Larger batches run both on the packed SIMD kernel. Where the input
-//     is under 512 columns wide (mat.InPlaceCols) every operand is read
-//     where it lies: dW against dy read transposed and the retained input
-//     batch (mat.AddMulTransATo), dx against the weights (mat.MulTo).
+//   - Where the input is under 512 columns wide (mat.InPlaceCols) every
+//     operand is read where it lies: dW against dy read transposed and the
+//     retained input batch (mat.AddMulTransATo), dx against the weights
+//     (mat.MulTo).
 //   - Wider inputs — boot64's 806, the paper network's 3206 — trained no
 //     slower packed (DESIGN §10): the weights, then the input batch, are
 //     packed transposed into the forward pack's buffer, which voids it, and
 //     dW multiplies dy transposed against the input batch's pack
 //     (mat.MulPackAccTo).
 //
-// No route zeroes dx first, only the wide one transposes dy, and all
-// kernels share the accumulation-order contract, so every route is bitwise
-// identical to the oracle.
+// Neither route zeroes dx first, only the wide one transposes dy, and both
+// share the accumulation-order contract, so each is bitwise identical to
+// the oracle.
 func (d *Dense) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
 	return d.backwardBatch(dy, workers, true)
 }
@@ -96,18 +92,12 @@ func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.
 		}
 		d.b.Grad[o] = s
 	}
-	switch {
-	case dy.Rows < packMinRows:
-		mat.MulTransAAccTo(d.gView, dy, d.bx, workers)
-		if inputGrad {
-			d.bdx = mat.MulKOuterTo(d.bdx, dy, d.wView, workers)
-		}
-	case mat.InPlaceCols(d.In):
+	if mat.InPlaceCols(d.In) {
 		mat.AddMulTransATo(d.gView, dy, d.bx, workers)
 		if inputGrad {
 			d.bdx = mat.MulTo(d.bdx, dy, d.wView, workers)
 		}
-	default:
+	} else {
 		// The two packs take turns in the forward pack's buffer — dx reads
 		// the weights' and is done with it before dW needs the input
 		// batch's — which holds the weights either way round, so a hidden

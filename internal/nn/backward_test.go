@@ -15,10 +15,20 @@ func refGrads(net *Network, x, dy *mat.Matrix) ([]float64, *mat.Matrix) {
 	for r := 0; r < x.Rows; r++ {
 		copy(dx.Row(r), net.refBackward(x.Row(r), dy.Row(r)))
 	}
-	return net.GradVector(), dx
+	return gradVector(net), dx
 }
 
-// setGrads overwrites n's gradient accumulators with flat (GradVector's
+// gradVector copies n's gradient accumulators into one flat vector, in
+// ParamVector's layout.
+func gradVector(n *Network) []float64 {
+	var flat []float64
+	for _, p := range n.Params() {
+		flat = append(flat, p.Grad...)
+	}
+	return flat
+}
+
+// setGrads overwrites n's gradient accumulators with flat (gradVector's
 // layout).
 func setGrads(n *Network, flat []float64) {
 	off := 0
@@ -48,7 +58,7 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 
 	batched.ForwardBatch(x, workers)
 	gotDx := batched.BackwardBatch(dy, workers)
-	gotGrad := batched.GradVector()
+	gotGrad := gradVector(batched)
 
 	if i, ok := sameBits(gotGrad, wantGrad); !ok {
 		t.Fatalf("%s: grad elem %d = %v, oracle = %v (not bitwise equal)",
@@ -63,7 +73,7 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 	// second one needs no second forward.
 	setGrads(batched, start)
 	batched.BackwardParams(dy, workers)
-	if i, ok := sameBits(batched.GradVector(), wantGrad); !ok {
+	if i, ok := sameBits(gradVector(batched), wantGrad); !ok {
 		t.Fatalf("%s: BackwardParams grad elem %d differs from the scalar oracle", name, i)
 	}
 }
@@ -213,7 +223,7 @@ func TestBackwardBatchAccumulatesAcrossBatches(t *testing.T) {
 	batched.BackwardBatch(dy1, 1)
 	batched.ForwardBatch(x2, 1)
 	batched.BackwardBatch(dy2, 1)
-	gotGrad := batched.GradVector()
+	gotGrad := gradVector(batched)
 
 	for i := range wantGrad {
 		if gotGrad[i] != wantGrad[i] {

@@ -59,27 +59,6 @@ import (
 // policy.RL — and <= 0 for the default when a single large batch should use
 // every core, e.g. the agent server planning all tracked files at once.
 
-// packMinRows is the window length below which Dense runs on the unpacked
-// kernels. Packing copies the full O(Out·In) block and only amortizes once
-// enough rows reuse the packed tiles; a short window (a rollout step of
-// E < 16 environments, the NSteps-row arena at E=1) streams the weights once
-// through the lane-transposed kernel instead, which is bitwise identical by
-// the same accumulation-order contract. The choice is made by the window's
-// row count alone, not by whether a pack happens to be there: against a pack
-// that already exists the packed kernel wins some short windows and loses
-// others (µs/row, lane against packed — the paper's 128×3206 hidden block:
-// 40 / 46 at 8 rows, 76 / 58 at 4; the 64×806 one: 6.9 / 5.3 and 14 / 5.7),
-// and the engine that produces short windows never has one to offer — a
-// vectorized worker's actor at E < 16 sees nothing but E-row windows and so
-// never packs, and its critic's one short forward, the value bootstrap,
-// precedes the arena forward that does. From packMinRows rows up a Dense
-// needs a pack of its current weights, and how often it has to build one is
-// the ownership case (see Layer): a layer that owns its weights packs on
-// every call — they change between training updates, and nothing tells it
-// when; a bound one packs once per BindParamVector/SetParamVector call; a
-// frozen one was packed when it was frozen and never packs.
-const packMinRows = 16
-
 // parMinFloats is the per-call element traffic below which the batched
 // layers' data-movement loops (elementwise activation, bias reduction, the
 // conv front-end) stay serial even when workers > 1: under ~16k floats the
@@ -104,12 +83,12 @@ func (d *Dense) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
 	return d.forwardRows(x, 0, x.Rows, workers)
 }
 
-// forwardRows computes rows [lo, hi) of Y = X·Wᵀ + b. A window of at least
-// packMinRows rows runs on the SIMD kernel's tile layout, against the pack
-// the layer holds if that still stands for its weights (packed) and against
-// one built here, first, if not — which is every time for a layer that owns
-// its weights, once per bind for a bound one and never for a frozen one (see
-// packMinRows). Shorter windows use the unpacked kernel on views of the rows.
+// forwardRows computes rows [lo, hi) of Y = X·Wᵀ + b on the SIMD kernel's
+// tile layout, whatever the window's length, against the pack the layer
+// holds if that still stands for its weights (packed) and against one built
+// here, first, if not — which is every time for a layer that owns its
+// weights, once per bind for a bound one and never for a frozen one (see
+// Layer).
 func (d *Dense) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense batch input %d, want %d", x.Cols, d.In))
@@ -119,13 +98,6 @@ func (d *Dense) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 		d.wView = &mat.Matrix{Rows: d.Out, Cols: d.In}
 	}
 	d.wView.Data = d.w.Value
-	if hi-lo < packMinRows {
-		d.by = mat.EnsureShape(d.by, x.Rows, d.Out)
-		x.SliceRows(&d.xWin, lo, hi)
-		d.by.SliceRows(&d.yWin, lo, hi)
-		_, d.bxt = mat.MulTransBBiasXTTo(&d.yWin, d.bxt, &d.xWin, d.wView, d.b.Value, workers)
-		return d.by
-	}
 	if !d.packed {
 		d.wpack = mat.PackTransBParTo(d.wpack, d.wView, workers)
 		d.packed = d.bound

@@ -13,9 +13,9 @@ import (
 // package cannot import): filters = hidden = width.
 var paperWidths = []int{4, 16, 32, 64, 128}
 
-// seamBatches are batch lengths on both sides of packMinRows and of the
-// packed GEMM's 64-row panel, plus one with several panels and a ragged
-// last one.
+// seamBatches are batch lengths on both sides of the AVX-512 kernel's
+// eight-row groups (15, 16, 17) and of the packed GEMM's 64-row panel, plus
+// one with several panels and a ragged last one.
 var seamBatches = []int{1, 15, 16, 17, 63, 64, 65, 513}
 
 // frontShapes are the (kernel, stride) pairs the front-end tests run: the

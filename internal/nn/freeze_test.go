@@ -31,18 +31,18 @@ func assertNetMatchesSingle(t *testing.T, name string, batched, ref *Network, ro
 }
 
 // TestForwardBatchSeesRebinds pins when a pack of the weights may outlive the
-// ForwardBatch that built it. A network that owns its weights packs on every
-// call. One bound to a caller's vector packs once per BindParamVector or
-// SetParamVector call — the caller keeps the vector immutable in between —
-// so new values show exactly when they arrive through one of the two, the
-// same slice bound again included, and no pack built under one call serves a
-// batch after the next.
+// ForwardBatch that built it, at any batch length. A network that owns its
+// weights packs on every call. One bound to a caller's vector packs once per
+// BindParamVector or SetParamVector call — the caller keeps the vector
+// immutable in between — so new values show exactly when they arrive through
+// one of the two, the same slice bound again included, and no pack built
+// under one call serves a batch after the next.
 func TestForwardBatchSeesRebinds(t *testing.T) {
 	r := rng.New(40)
 	n := agentNet(r, 14, 16, 32, 3, 6)
 	n.FlattenGrads() // training-style: flat gradients, bound parameters
 	ref := n.Clone()
-	const rows = 2 * packMinRows // the packed path
+	const rows = 32
 	assertNetMatchesSingle(t, "initial weights", n, ref, rows, 1)
 	assertNetMatchesSingle(t, "initial weights, again", n, ref, rows, 5)
 	if got := n.WeightPacks(); got != 2 {
@@ -57,7 +57,7 @@ func TestForwardBatchSeesRebinds(t *testing.T) {
 	ref.SetParamVector(bound)
 	assertNetMatchesSingle(t, "after BindParamVector", n, ref, rows, 2)
 	assertNetMatchesSingle(t, "after BindParamVector, again", n, ref, rows, 6)
-	assertNetMatchesSingle(t, "after BindParamVector, a short batch", n, ref, packMinRows-1, 7)
+	assertNetMatchesSingle(t, "after BindParamVector, a short batch", n, ref, 15, 7)
 	if got := n.WeightPacks(); got != 3 {
 		t.Fatalf("%d packs after one bind and three batches, want 3 (2 before the bind, 1 for it)", got)
 	}
@@ -82,37 +82,50 @@ func TestForwardBatchSeesRebinds(t *testing.T) {
 	if got := n.WeightPacks(); got != 5 {
 		t.Fatalf("%d packs, want 5: one more per BindParamVector and SetParamVector call", got)
 	}
+
+	// One-row windows, as a replay learner's action picks run them: the
+	// first after a bind packs, the next reuses that pack.
+	n.BindParamVector(bound)
+	ref.SetParamVector(bound)
+	assertNetMatchesSingle(t, "after a bind, a 1-row batch", n, ref, 1, 8)
+	if got := n.WeightPacks(); got != 6 {
+		t.Fatalf("%d packs after a bind and a 1-row batch, want 6", got)
+	}
+	assertNetMatchesSingle(t, "after a bind, another 1-row batch", n, ref, 1, 9)
+	if got := n.WeightPacks(); got != 6 {
+		t.Fatalf("the second 1-row batch after a bind packed again (%d packs, want 6)", got)
+	}
 }
 
 // TestBoundForwardAfterBackward pins what a backward pass does to a bound
-// Dense's forward pack. Where the hidden layer's input is read in place
+// Dense's forward pack, at a 7-row batch and a 32-row one: the route is the
+// input width's alone. Where the hidden layer's input is read in place
 // (182 columns) it leaves the pack alone, so a forward after it within the
 // same bind packs nothing; where it is too wide (534 columns) its transposed
 // packs overwrite the pack's buffer, and the forward packs again. Either
 // way the forward answers bit for bit what a fresh replica answers.
 func TestBoundForwardAfterBackward(t *testing.T) {
 	for _, c := range []struct {
-		filters, packs int
-	}{{16, 1}, {48, 2}} {
+		filters, rows, packs int
+	}{{16, 7, 1}, {16, 32, 1}, {48, 7, 2}, {48, 32, 2}} {
 		src := agentNet(rng.New(44), 14, c.filters, 32, 3, 6)
 		n, fresh := src.BoundClone(), src.BoundClone()
-		const rows = 2 * packMinRows
-		x := randomBatch(rng.New(45), rows, 20)
+		x := randomBatch(rng.New(45), c.rows, 20)
 		n.ForwardBatch(x, 1)
-		n.BackwardBatch(randomBatch(rng.New(46), rows, 3), 1)
+		n.BackwardBatch(randomBatch(rng.New(46), c.rows, 3), 1)
 		got := n.ForwardBatch(x, 1)
 		if i, ok := sameBits(got.Data, fresh.ForwardBatch(x, 1).Data); !ok {
-			t.Fatalf("%d filters: forward after a backward differs from a fresh replica's at %d", c.filters, i)
+			t.Fatalf("%d filters, %d rows: forward after a backward differs from a fresh replica's at %d", c.filters, c.rows, i)
 		}
 		if packs := n.WeightPacks(); packs != c.packs {
-			t.Fatalf("%d filters: %d packs for forward, backward, forward in one bind, want %d", c.filters, packs, c.packs)
+			t.Fatalf("%d filters, %d rows: %d packs for forward, backward, forward in one bind, want %d", c.filters, c.rows, packs, c.packs)
 		}
 	}
 }
 
 // TestFreezeSharesWeightsAndPacks pins what a frozen view is: the source's
 // parameter values and one pack per Dense block, shared by every view of the
-// freeze; outputs bitwise equal to the source's on both sides of packMinRows;
+// freeze; outputs bitwise equal to the source's at 1, 15, 16 and 65 rows;
 // no gradients and no way to rewrite parameters.
 func TestFreezeSharesWeightsAndPacks(t *testing.T) {
 	src := agentNet(rng.New(41), 14, 16, 32, 3, 6)
@@ -120,7 +133,7 @@ func TestFreezeSharesWeightsAndPacks(t *testing.T) {
 	views := []*Network{frozen, frozen.Freeze(), frozen.Clone()}
 
 	for vi, v := range views {
-		for _, rows := range []int{1, packMinRows - 1, packMinRows, 65} {
+		for _, rows := range []int{1, 15, 16, 65} {
 			assertNetMatchesSingle(t, "frozen view", v, src, rows, uint64(rows))
 		}
 		sp, vp := src.Params(), v.Params()

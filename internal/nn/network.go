@@ -94,12 +94,12 @@ func (n *Network) SetParamVector(v []float64) {
 // at the start of every round, replacing a full-vector copy per update.
 //
 // The network holds the caller to that: a Dense packs its weights into kernel
-// layout at the first forward window of packMinRows rows or more after this
-// call and multiplies against the pack until the next BindParamVector or
-// SetParamVector call, or a backward pass of packMinRows rows or more whose
-// input is too wide to read in place, whose packs overwrite it. New values
-// have to arrive through one of the two calls — binding the same slice
-// again counts, rewriting it in place does not.
+// layout at the first forward window after this call, one row or many, and
+// multiplies against the pack until the next BindParamVector or
+// SetParamVector call, or a backward pass whose input is too wide to read in
+// place, whose packs overwrite it. New values have to arrive through one of
+// the two calls — binding the same slice again counts, rewriting it in place
+// does not.
 func (n *Network) BindParamVector(v []float64) {
 	n.mustOwnParams("BindParamVector")
 	if len(v) != n.NumParams() {
@@ -128,10 +128,10 @@ func (n *Network) weightsChanged(bound bool) {
 
 // WeightPacks returns how many forward passes have had to pack the network's
 // Dense weights into kernel layout first (a pass packs every block it needs,
-// so this counts passes, not blocks): one per ForwardBatch of packMinRows
-// rows or more on a network that owns its weights, one per bind on a bound
-// one (and one more per forward that follows a backward whose packs
-// overwrote it), none on a frozen view.
+// so this counts passes, not blocks): one per forward window on a network
+// that owns its weights, one per bind on a bound one (and one more per
+// forward that follows a backward whose packs overwrote it), none on a
+// frozen view.
 func (n *Network) WeightPacks() int {
 	packs := 0
 	for _, l := range n.layers {
@@ -145,9 +145,9 @@ func (n *Network) WeightPacks() int {
 // FlattenGrads rebacks every gradient accumulator with one contiguous vector
 // in ParamVector layout and returns it: after a backward pass the returned
 // slice IS the flat gradient vector, so training loops can clip and apply
-// without a GradVectorInto copy. Accumulated values are carried over on the
-// first call; the vector is owned by the network and stays valid across
-// backward passes and ZeroGrad.
+// it without a copy. Accumulated values are carried over on the first call;
+// the vector is owned by the network and stays valid across backward passes
+// and ZeroGrad.
 func (n *Network) FlattenGrads() []float64 {
 	n.mustOwnParams("FlattenGrads")
 	if n.flatGrads == nil {
@@ -162,28 +162,6 @@ func (n *Network) FlattenGrads() []float64 {
 		n.flatGrads = flat
 	}
 	return n.flatGrads
-}
-
-// GradVector copies all accumulated gradients into one flat vector.
-func (n *Network) GradVector() []float64 {
-	return n.GradVectorInto(nil)
-}
-
-// GradVectorInto copies gradients into dst (reallocating if it is too
-// small) and returns it; pass a reused buffer to avoid per-update
-// allocation in training loops.
-func (n *Network) GradVectorInto(dst []float64) []float64 {
-	total := n.NumParams()
-	if cap(dst) < total {
-		dst = make([]float64, total)
-	}
-	dst = dst[:total]
-	off := 0
-	for _, p := range n.Params() {
-		copy(dst[off:], p.Grad)
-		off += len(p.Grad)
-	}
-	return dst
 }
 
 // Clone deep-copies the network (parameters and gradients; activation caches
@@ -248,7 +226,7 @@ func (n *Network) shell() *Network {
 //
 // Freeze only reads n. The caller must leave n's parameter values unmodified
 // for as long as any view is in use: a view would compute from the new
-// values in its unpacked kernels and from the old ones in its packs.
+// values in its conv front-end and from the old ones in its Dense packs.
 func (n *Network) Freeze() *Network {
 	out := &Network{layers: make([]Layer, len(n.layers)), frozen: true}
 	for i, l := range n.layers {

@@ -48,21 +48,22 @@ type Param struct {
 // that order.
 //
 // What a layer owns, and how long a kernel-layout pack of a Dense weight
-// block may live, depends on how its parameters came to be — three cases:
+// block may live, depends on how its parameters came to be — three cases.
+// Every Dense forward window, one row or many, runs against a pack:
 //
 //   - It owns them (a constructed or cloned layer): values, gradients and
 //     scratch are its own, and the values may change between any two calls
 //     without the layer being told (an optimizer step through Params), so a
-//     pack serves the one ForwardBatch that built it — pack per call.
+//     pack serves the one forward window that built it — pack per call.
 //   - They are bound (Network.BindParamVector, Network.BoundClone): the
 //     values belong to the caller, who keeps them immutable until the next
 //     BindParamVector or SetParamVector call; gradients and scratch are the
-//     layer's. The first forward window of at least packMinRows rows after
-//     such a call packs, and every later one multiplies against that pack —
-//     pack per bind — until a backward pass of packMinRows rows or more
-//     whose input is too wide to read in place (mat.InPlaceCols) packs
-//     into that pack's buffer. It is the call that invalidates, never the
-//     address: a trainer rewrites one vector in place between binds.
+//     layer's. The first forward window after such a call packs, and every
+//     later one multiplies against that pack — pack per bind — until a
+//     backward pass whose input is too wide to read in place
+//     (mat.InPlaceCols) packs into that pack's buffer. It is the call that
+//     invalidates, never the address: a trainer rewrites one vector in
+//     place between binds.
 //   - It is frozen (Network.Freeze): it owns only scratch; values and packs
 //     are shared, read-only, with every other view of the same freeze, and it
 //     has no gradients — pack per freeze.
@@ -90,15 +91,13 @@ type Dense struct {
 	In, Out int
 	w, b    Param
 
-	by         *mat.Matrix       // reused batched output
-	bxt        *mat.Matrix       // reused lane-transposed scratch for short windows
-	xWin, yWin mat.Matrix        // reused views of a short window's input and output rows
-	wView      *mat.Matrix       // lazily built view of w.Value as an Out×In matrix
-	wpack      *mat.PackedTransB // kernel-layout copy of the weights (see Layer for how long it lives); a wide backward's transposed packs use its buffer
-	frozen     bool              // w, b and wpack are shared and read-only (see freeze)
-	bound      bool              // w and b are the caller's, immutable until the network is told otherwise
-	packed     bool              // wpack holds the current weights and may serve the next forward window
-	packs      int               // forward windows that had to pack first (Network.WeightPacks)
+	by     *mat.Matrix       // reused batched output
+	wView  *mat.Matrix       // lazily built view of w.Value as an Out×In matrix
+	wpack  *mat.PackedTransB // kernel-layout copy of the weights (see Layer for how long it lives); a wide backward's transposed packs use its buffer
+	frozen bool              // w, b and wpack are shared and read-only (see freeze)
+	bound  bool              // w and b are the caller's, immutable until the network is told otherwise
+	packed bool              // wpack holds the current weights and may serve the next forward window
+	packs  int               // forward windows that had to pack first (Network.WeightPacks)
 
 	bx    *mat.Matrix // input batch retained by ForwardBatch for BackwardBatch
 	bdx   *mat.Matrix // reused input-gradient output buffer

@@ -30,7 +30,7 @@ func analyticGrads(n *Network, x, target []float64) (pg, xg []float64) {
 		dy[i] = y[i] - target[i]
 	}
 	xg = n.refBackward(x, dy)
-	return n.GradVector(), xg
+	return gradVector(n), xg
 }
 
 // rowBatch wraps one sample as a one-row batch.
@@ -208,7 +208,7 @@ func TestZeroGrad(t *testing.T) {
 	n := NewNetwork(NewDense(r, 3, 2))
 	analyticGrads(n, []float64{1, 2, 3}, []float64{0, 0})
 	nonzero := false
-	for _, g := range n.GradVector() {
+	for _, g := range gradVector(n) {
 		if g != 0 {
 			nonzero = true
 		}
@@ -217,7 +217,7 @@ func TestZeroGrad(t *testing.T) {
 		t.Fatal("expected nonzero grads")
 	}
 	n.ZeroGrad()
-	for _, g := range n.GradVector() {
+	for _, g := range gradVector(n) {
 		if g != 0 {
 			t.Fatal("ZeroGrad left residue")
 		}
@@ -233,10 +233,10 @@ func TestGradAccumulation(t *testing.T) {
 	dy := mat.New(1, 2)
 	copy(dy.Data, n.ForwardBatch(x, 1).Data)
 	n.BackwardBatch(dy, 1)
-	g1 := n.GradVector()
+	g1 := gradVector(n)
 	n.ForwardBatch(x, 1)
 	n.BackwardBatch(dy, 1)
-	g2 := n.GradVector()
+	g2 := gradVector(n)
 	for i := range g1 {
 		if math.Abs(g2[i]-float64(2*g1[i])) > 1e-12 {
 			t.Fatal("gradients do not accumulate")
@@ -351,7 +351,7 @@ func TestOptimizersReduceLoss(t *testing.T) {
 					dy.Data[i] = y.Data[i] - target(d)
 				}
 				n.BackwardParams(dy, 1)
-				g := n.GradVector()
+				g := gradVector(n)
 				for i := range g {
 					g[i] /= float64(len(data))
 				}

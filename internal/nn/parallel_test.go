@@ -29,8 +29,8 @@ var parallelNetShapes = []struct{ head, filters, hidden, batch int }{
 	{28, 128, 128, 256}, // paper128 at a serving-size batch
 	{28, 33, 65, 97},    // ragged everywhere
 	{14, 5, 17, 65},     // tiny widths, odd batch
-	{14, 16, 32, 17},    // just past the pack threshold
-	{14, 16, 32, 7},     // short-rollout path (under packMinRows)
+	{14, 16, 32, 17},    // one row past a 16-row window
+	{14, 16, 32, 7},     // a 7-row rollout arena (E = 1)
 }
 
 // TestForwardBackwardBatchParallelBitwise pins the whole batched engine at

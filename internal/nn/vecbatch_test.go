@@ -62,8 +62,9 @@ func TestForwardBatchOnArenaViewBitwise(t *testing.T) {
 }
 
 // rowWindows are partitions of a 77-row batch, each in the order its windows
-// run: lengths on both sides of packMinRows and of nothing in particular,
-// front to back, back to front and scrambled, and the whole range.
+// run: lengths from one row to all 77, on both sides of 16 and of nothing in
+// particular, front to back, back to front and scrambled, and the whole
+// range.
 var rowWindows = [][][2]int{
 	{{0, 77}},
 	{{0, 16}, {16, 32}, {32, 48}, {48, 64}, {64, 77}},
@@ -77,8 +78,9 @@ var rowWindows = [][][2]int{
 // owns its weights or is bound to them, whether the batch is its own matrix
 // or a view into an arena, serially and fanned out, the outputs, the
 // parameter gradients and the input gradient a BackwardBatch then computes
-// are bit for bit those of one ForwardBatch + BackwardBatch — and a bound
-// network packs its weights once for all the windows.
+// are bit for bit those of one ForwardBatch + BackwardBatch — and a network
+// that owns its weights packs once per window, a bound one once for all the
+// windows.
 func TestForwardRowsPartitionsBitwise(t *testing.T) {
 	r := rng.New(12)
 	const head, rows = 14, 77
@@ -113,17 +115,13 @@ func TestForwardRowsPartitionsBitwise(t *testing.T) {
 					}
 					packs := n.WeightPacks()
 					var y *mat.Matrix
-					long := 0
 					for _, w := range windows {
 						y = n.ForwardRows(x, w[0], w[1], workers)
-						if w[1]-w[0] >= packMinRows {
-							long++
-						}
 					}
 					if i, ok := sameBits(y.Data, wantY); !ok {
 						t.Fatalf("%s: output elem %d differs from ForwardBatch", name, i)
 					}
-					wantPacks := long // owned weights: every long window packs
+					wantPacks := len(windows) // owned weights: every window packs
 					if bound {
 						wantPacks = 1 // one bind, one pack
 					}
@@ -194,10 +192,10 @@ func TestBoundCloneSharesValuesOwnsGrads(t *testing.T) {
 // window forwards over the arena and a params-only backward; the critic's
 // E-row bootstrap batch alternating with the E·NSteps-row arena, and a
 // params-only backward; a new bind before each round, as a worker's is — and
-// requires the steady state to allocate nothing: layer scratch, the views of
-// short windows and the bound pack grow once and then serve every shape.
+// requires the steady state to allocate nothing: layer scratch and the bound
+// pack grow once and then serve every shape.
 func TestForwardBatchAlternatingShapesAllocFree(t *testing.T) {
-	for _, envs := range []int{4, packMinRows} { // unpacked and packed windows
+	for _, envs := range []int{4, 16} {
 		r := rng.New(10)
 		const head, steps = 14, 7
 		proto := vecTestNet(r, head)

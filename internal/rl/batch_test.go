@@ -167,8 +167,8 @@ func TestReplicaPoolReuseAndSwap(t *testing.T) {
 	}
 
 	// Every replica handed out after the swap decides with the new source's
-	// weights, not the old one's — one sample at a time (the unpacked
-	// kernels) and by the batch (the pack built by Swap).
+	// weights, not the old one's — one sample at a time and by the batch,
+	// both against the pack built by Swap.
 	want := decideRows(next, x)
 	if slices.Equal(want, decideRows(agent, x)) {
 		t.Fatal("old and new source agree on the whole batch: the comparisons below pin nothing")

@@ -37,6 +37,9 @@ func benchMatrix(rows, cols int, seed uint64) *mat.Matrix {
 //	               a multiple of the AVX-512 kernel's eight rows: seven
 //	               groups of eight and five rows on the one-row kernel
 //	replica/m1024  the same at 1024 rows: flat in the batch length
+//	replica/m1, replica/m4, replica/m8
+//	               the same at the short batches of a one-off decision and
+//	               of replan-sparse's shards (≈4 dirty files each)
 //	bare/m64       an agent outside any pool, which packs its weights on
 //	               every call (the shape the end-to-end harness's
 //	               rl.decide_us_per_row_m* probe times)
@@ -84,7 +87,7 @@ func BenchmarkDecideBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		rows int
-	}{{"replica/m61", 61}, {"replica/m64", 64}, {"replica/m1024", 1024}} {
+	}{{"replica/m1", 1}, {"replica/m4", 4}, {"replica/m8", 8}, {"replica/m61", 61}, {"replica/m64", 64}, {"replica/m1024", 1024}} {
 		b.Run(bc.name, func(b *testing.B) {
 			pool := NewReplicaPool(agent)
 			rep := pool.Get()

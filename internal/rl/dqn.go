@@ -98,11 +98,16 @@ type transition struct {
 
 // DQN is a deep Q-learner over the MiniCost MDP. It runs on nn's batched
 // passes: an action pick is a one-row forward, an update one forward of the
-// minibatch through each network and one params-only backward.
+// minibatch through each network and one params-only backward. The online
+// network is bound to params, which the optimizer steps in place and which
+// is bound again after every step, as the A3C workers bind theirs: so the
+// action picks between two updates share one weight pack.
 type DQN struct {
 	cfg    DQNConfig
 	online *nn.Network
 	target *nn.Network
+	params []float64 // the online network's parameters, bound to it
+	grads  []float64 // its flat gradient vector (FlattenGrads)
 	opt    nn.Optimizer
 	buffer []transition
 	filled int
@@ -123,11 +128,15 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 	}
 	r := rng.New(cfg.Seed)
 	online := cfg.Net.BuildActor(r.Split(1)) // 3 outputs = Q-values per tier
+	params := online.ParamVector()
+	online.BindParamVector(params)
 	fd := cfg.Net.featureDim()
 	return &DQN{
 		cfg:    cfg,
 		online: online,
 		target: online.Clone(),
+		params: params,
+		grads:  online.FlattenGrads(),
 		opt:    nn.NewRMSProp(cfg.LearningRate),
 		buffer: make([]transition, cfg.BufferSize),
 		rng:    r.Split(2),
@@ -237,7 +246,7 @@ func (d *DQN) Train(src EnvSource, totalSteps int64) (TrainStats, error) {
 			st.Updates++
 			updates++
 			if updates%d.cfg.TargetSync == 0 {
-				d.target.SetParamVector(d.online.ParamVector())
+				d.target.SetParamVector(d.params)
 			}
 		}
 	}
@@ -274,11 +283,9 @@ func (d *DQN) update() {
 	}
 	d.online.ZeroGrad()
 	d.online.BackwardParams(d.dq, 1)
-	g := d.online.GradVector()
-	_, scale := nn.ClipScale(g, 5)
-	params := d.online.ParamVector()
-	d.opt.Step(params, g, scale)
-	d.online.SetParamVector(params)
+	_, scale := nn.ClipScale(d.grads, 5)
+	d.opt.Step(d.params, d.grads, scale)
+	d.online.BindParamVector(d.params)
 }
 
 // argmax returns the index of the first largest element of xs.

@@ -154,13 +154,11 @@ func TestVecTrainingMetricsAdvance(t *testing.T) {
 }
 
 // TestWeightPacksMetric counts the weight packs a worker's replicas make,
-// exactly: both are bound once per round, so each packs at most once per
-// update however many forwards it runs — the actor at its first E-row
-// rollout window if that reaches the packed kernels (E ≥ 16), never
-// otherwise (it runs nothing but E-row windows), the critic at its arena
-// forward (or its bootstrap batch, at E ≥ 16) if the arena does. Before the
-// pack outlived the forward that built it, the first case read ten per
-// update.
+// exactly: both are bound once per round, so each packs once per update
+// however many forwards it runs and at any lockstep width — the actor at its
+// first E-row rollout window, the critic at its E-row bootstrap batch, whose
+// pack its arena forward reuses. Before the pack outlived the forward that
+// built it, the first case read ten per update.
 func TestWeightPacksMetric(t *testing.T) {
 	reg := obs.Default()
 	was := reg.Enabled()
@@ -173,8 +171,9 @@ func TestWeightPacksMetric(t *testing.T) {
 		perUpdate float64
 	}{
 		{16, 2}, // 16-row windows, 112-row arena: one per network per round
-		{4, 1},  // 4-row windows stay unpacked; the 28-row arena packs the critic
-		{2, 0},  // a 14-row arena never reaches the packed kernels
+		{4, 2},  // 4-row windows, 28-row arena: the same
+		{2, 2},  // 2-row windows, 14-row arena: the same
+		{1, 2},  // 1-row windows, 7-row arena: the same
 	} {
 		a3c, src := harnessTrainer(t, smallA3CConfig().Net, 1, c.envs)
 		before := reg.Snapshot().Counter(packs)

@@ -42,10 +42,10 @@ func TestBatchedTrainerParallelismBitwise(t *testing.T) {
 // TestDecideTraceSteadyStateAllocFree gates the serving hot path end to end:
 // once an agent has served a chunk (history window and log series built,
 // plans sized, network scratch warm), re-serving the same-shaped chunk
-// allocates nothing. Six files stay under nn's packMinRows, on the unpacked
-// products; 67 run the packed ones over two row panels, where every layer's
-// last column tile — all of the 3-wide output layer — is ragged and runs on
-// a stack panel.
+// allocates nothing. Six files run the packed products under one eight-row
+// group; 67 run them over two row panels, where every layer's last column
+// tile — all of the 3-wide output layer — is ragged and runs on a stack
+// panel.
 func TestDecideTraceSteadyStateAllocFree(t *testing.T) {
 	cfg := smallA3CConfig()
 	for _, files := range []int{6, 67} {

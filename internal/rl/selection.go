@@ -23,6 +23,10 @@ import (
 //
 // The validation slice is up to valFiles random files over the trailing
 // valDays days of tr, chosen deterministically from the A3C seed.
+//
+// totalSteps counts from wherever a already is: a trainer that has trained
+// before trains totalSteps more, and its chunk targets sit past its own
+// step count.
 func TrainWithSelection(a *A3C, model *costmodel.Model, tr *trace.Trace, reward mdp.RewardConfig, totalSteps int64, chunks int, initial pricing.Tier) (*Agent, TrainStats, error) {
 	const (
 		valFiles = 100
@@ -56,8 +60,9 @@ func TrainWithSelection(a *A3C, model *costmodel.Model, tr *trace.Trace, reward 
 	var best *Agent
 	bestCost := 0.0
 	var total TrainStats
+	base := a.Steps()
 	for k := 1; k <= chunks; k++ {
-		target := totalSteps * int64(k) / int64(chunks)
+		target := base + totalSteps*int64(k)/int64(chunks)
 		if target <= a.Steps() {
 			continue
 		}

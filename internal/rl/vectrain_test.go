@@ -218,7 +218,7 @@ func TestRebindRepacksUpdatedVectors(t *testing.T) {
 	}
 	w := a3c.newWorker(0, traceSource(t, polarTrace(t, 6, 12), cfg.Net.HistLen))
 	r := rng.New(12)
-	x := mat.New(32, cfg.Net.featureDim()) // twice nn's packMinRows
+	x := mat.New(32, cfg.Net.featureDim())
 	for i := range x.Data {
 		x.Data[i] = r.Float64()
 	}
@@ -314,10 +314,10 @@ func hashVectors(vs ...[]float64) uint64 {
 // sampling, episode turnover, the rounds' applies — as parameter hashes. The
 // one-worker E ≥ 4 constants were recorded at the commit before the update
 // stopped packing per forward, re-running the actor's forward and computing
-// the feature gradient, on both sides of packMinRows: 4-row windows and a
-// 28-row arena, 8-row windows and a 56-row arena, 16-row windows and a
-// 112-row arena at the paper's network. The E=1 rows (7-row arenas, never
-// packed) were recorded when E=1 became every default caller's shape.
+// the feature gradient: 4-row windows and a 28-row arena, 8-row windows and
+// a 56-row arena, 16-row windows and a 112-row arena at the paper's network.
+// The E=1 rows (7-row arenas) were recorded when E=1 became every default
+// caller's shape.
 // The W = 2 and W = 4 rows were recorded when training moved to synchronous
 // rounds; they run at GOMAXPROCS 1, 2 and 4, since a round's result must not
 // depend on how its workers were scheduled. Every row was re-recorded when
@@ -376,15 +376,22 @@ func TestVecTrainGoldenHashes(t *testing.T) {
 // BenchmarkVecTrainUpdate times the engine the way the end-to-end
 // harness's train-offline workload does — one worker, TrainFrom in 512-step
 // slices, replicas rebuilt per slice — and reports training steps per second
-// at the three sizes the harness trains at:
+// at the three sizes the harness trains at, and at the short lockstep
+// widths the A3C's n-step rollouts run at:
 //
 //	paper128/E=16  its timed train phase (file_days_per_s)
+//	paper128/E=1   the paper's network one environment at a time: 1-row
+//	               windows, 7-row arenas
 //	boot64/E=8     minicostd -online's fine-tune epochs (rl.finetune_steps_per_s)
-//	boot64/E=1     core.System.Train's width at boot64, every 7-row
-//	               window and arena below the packed kernels
+//	boot64/E=2     2-row windows, 14-row arenas
+//	boot64/E=1     core.System.Train's width at boot64: 1-row windows,
+//	               7-row arenas
 //	quick16/E=16   its set-up fit (setup_s): 112-row arenas, 16-row windows
-//	quick16/E=4    the experiments' Quick profile; a 28-row arena packs, its
-//	               4-row rollout windows do not
+//	quick16/E=4    the experiments' Quick profile: 4-row windows, 28-row
+//	               arenas
+//	quick16/E=1    1-row windows, 7-row arenas
+//
+// Every Dense product runs on the packed kernel, whatever its row count.
 func BenchmarkVecTrainUpdate(b *testing.B) {
 	const slice = 512
 	for _, bc := range []struct {
@@ -393,10 +400,13 @@ func BenchmarkVecTrainUpdate(b *testing.B) {
 		envs int
 	}{
 		{"paper128/E=16", netPaper128, 16},
+		{"paper128/E=1", netPaper128, 1},
 		{"boot64/E=8", netBoot64, 8},
+		{"boot64/E=2", netBoot64, 2},
 		{"boot64/E=1", netBoot64, 1},
 		{"quick16/E=16", netQuick16, 16},
 		{"quick16/E=4", netQuick16, 4},
+		{"quick16/E=1", netQuick16, 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			a3c, src := harnessTrainer(b, bc.net, 1, bc.envs)
