@@ -22,8 +22,7 @@ type trainMetrics struct {
 	// currently driven in lockstep across all workers; vecForward times the
 	// batched action-selection forward (one E-row GEMM per lockstep step);
 	// weightPacks counts the times a worker's replica packed its weights
-	// into GEMM kernel layout — once per network per round when the arena
-	// reaches the packed kernels, never when it does not.
+	// into GEMM kernel layout — once per network per round.
 	envs        *obs.Gauge
 	vecForward  *obs.Timer
 	weightPacks *obs.Counter
