@@ -125,8 +125,9 @@ type StatsResponse struct {
 	MaxShardFiles int `json:"max_shard_files"`
 	MinShardFiles int `json:"min_shard_files"`
 	DirtyFiles    int `json:"dirty_files"`
-	// MaxShardDay/MinShardDay are the per-shard observe-batch counters;
-	// they diverge when observe batches only touch a subset of shards.
+	// MaxShardDay/MinShardDay are the per-shard counts of observe batches
+	// that carried an entry for the shard; they diverge when observe batches
+	// only touch a subset of shards.
 	MaxShardDay int64 `json:"max_shard_day"`
 	MinShardDay int64 `json:"min_shard_day"`
 }
@@ -503,42 +504,52 @@ func (s *Server) UpdateAgent(agent *rl.Agent) error {
 	return nil
 }
 
-// Observe ingests one day's batch. The batch is validated up front and
-// rejected without mutation on any bad entry; ingestion then fans out
-// across the shards (par.ForShards), each shard applying its own entries
-// under its own lock — no global lock on the hot path. Duplicate IDs
-// within the batch are last-wins and counted in the response.
+// Observe ingests one day's batch. One pass validates, hashes and counts
+// every entry first, and the batch is rejected without mutation on any bad
+// entry; ingestion then fans out across the shards the batch touches
+// (par.ForShards), each shard applying its own entries under its own lock —
+// no global lock on the hot path. Duplicate IDs within the batch are
+// last-wins and counted in the response.
 func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
-	n := len(req.Files)
-	if err := validateBatch(req.Files); err != nil {
+	files := req.Files
+	n := len(files)
+	var b *shardBuckets
+	if len(s.shards) > 1 {
+		b = bucketPool.Get().(*shardBuckets)
+		defer b.release()
+	}
+	if err := s.bucketByShard(files, b); err != nil {
 		s.met.rejectedInvalid.Inc()
 		return nil, err
 	}
 	seq := s.batchSeq.Add(1)
 	dups := 0
-	if len(s.shards) == 1 {
-		dups = s.shards[0].ingestBatch(req.Files, nil, seq, s.initial)
-	} else {
-		offsets, order := s.bucketByShard(req.Files)
-		if n < ingestFanoutThreshold {
-			for si := range s.shards {
-				dups += s.shards[si].ingestBatch(req.Files, order[offsets[si]:offsets[si+1]], seq, s.initial)
+	switch {
+	case b == nil:
+		dups = s.shards[0].ingestBatch(files, nil, seq, s.initial)
+	case n < ingestFanoutThreshold:
+		for si, sh := range s.shards {
+			if idxs := b.of(si); len(idxs) > 0 {
+				dups += sh.ingestBatch(files, idxs, seq, s.initial)
 			}
-		} else {
-			perShard := make([]int, len(s.shards))
-			par.ForShards(len(s.shards), s.workers, func(si int) {
-				perShard[si] = s.shards[si].ingestBatch(req.Files, order[offsets[si]:offsets[si+1]], seq, s.initial)
-			})
-			for _, d := range perShard {
-				dups += d
+		}
+	default:
+		perShard := b.dups
+		par.ForShards(len(s.shards), s.workers, func(si int) {
+			perShard[si] = 0
+			if idxs := b.of(si); len(idxs) > 0 {
+				perShard[si] = s.shards[si].ingestBatch(files, idxs, seq, s.initial)
 			}
+		})
+		for _, d := range perShard {
+			dups += d
 		}
 	}
 	day := s.day.Add(1)
 	if s.tap != nil {
 		// The tap runs inline after ingestion, so what it drains or reads
 		// from the store already includes this batch.
-		s.tap.TapObserve(day, req.Files)
+		s.tap.TapObserve(day, files)
 	}
 	s.observations.Add(int64(n))
 	tracked := s.TrackedFiles()
@@ -548,59 +559,104 @@ func (s *Server) Observe(req *ObserveRequest) (*ObserveResponse, error) {
 	return &ObserveResponse{Accepted: n, Tracked: tracked, Duplicates: dups}, nil
 }
 
-// validateBatch is Observe's validate-before-mutate pass: the first bad
-// entry rejects the whole batch.
-func validateBatch(files []FileObservation) error {
+// shardBuckets is one observe batch laid out by owning shard: shard si's
+// batch positions are order[offsets[si]:offsets[si+1]], in batch order.
+// home and pos are the counting sort's scratch and dups the fan-out's
+// per-shard duplicate counts. Taken from bucketPool per batch, so a
+// steady-state Observe reuses the previous batch's arrays.
+type shardBuckets struct {
+	home    []int32 // batch position → owning shard
+	offsets []int32
+	pos     []int32
+	order   []int32
+	dups    []int
+}
+
+var bucketPool = sync.Pool{New: func() any { return new(shardBuckets) }}
+
+// reset sizes the buckets for n entries over p shards, every count zero.
+func (b *shardBuckets) reset(n, p int) {
+	b.home = slices.Grow(b.home[:0], n)[:n]
+	b.order = slices.Grow(b.order[:0], n)[:n]
+	b.offsets = slices.Grow(b.offsets[:0], p+1)[:p+1]
+	clear(b.offsets)
+	b.pos = slices.Grow(b.pos[:0], p)[:p]
+	b.dups = slices.Grow(b.dups[:0], p)[:p]
+}
+
+// of returns shard si's batch positions.
+func (b *shardBuckets) of(si int) []int32 {
+	return b.order[b.offsets[si]:b.offsets[si+1]]
+}
+
+// release returns the buckets to the pool, or drops them when a batch larger
+// than a default-cap body can carry grew them (the wire scratch's bound).
+func (b *shardBuckets) release() {
+	if cap(b.home) <= maxPooledFiles {
+		bucketPool.Put(b)
+	}
+}
+
+// bucketByShard is Observe's one pass before any mutation. It validates
+// each entry — the first bad one rejects the whole batch — and, given b,
+// hashes the entry to its shard and counts it; a stable counting sort then
+// lays the batch positions out by shard in b, so each shard sees its
+// entries in batch order (the last-wins duplicate contract depends on
+// that). With one shard b is nil and the pass only validates.
+func (s *Server) bucketByShard(files []FileObservation, b *shardBuckets) error {
 	if len(files) == 0 {
 		return errors.New("agentserver: empty observation batch")
 	}
+	if b == nil {
+		for i := range files {
+			if err := checkObservation(&files[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	p := len(s.shards)
+	b.reset(len(files), p)
+	counts := b.offsets
 	for i := range files {
 		f := &files[i]
-		if f.ID == "" {
-			return errors.New("agentserver: observation without id")
+		if err := checkObservation(f); err != nil {
+			return err
 		}
-		if len(f.ID) > maxIDBytes {
-			return fmt.Errorf("agentserver: observation id of %d bytes, limit %d", len(f.ID), maxIDBytes)
-		}
-		// finiteNonNeg is false for NaN and ±Inf as well as negatives: the
-		// rings feed training traces and the holdout gate, not only plans.
-		if !(f.SizeGB > 0 && finiteNonNeg(f.SizeGB) && finiteNonNeg(f.Reads) && finiteNonNeg(f.Writes)) {
-			return fmt.Errorf("agentserver: invalid observation for %q", f.ID)
-		}
+		si := int32(shardOf(f.ID, s.shardMask))
+		b.home[i] = si
+		counts[si+1]++
+	}
+	for i := 1; i <= p; i++ {
+		counts[i] += counts[i-1]
+	}
+	copy(b.pos, counts[:p])
+	for i, si := range b.home {
+		b.order[b.pos[si]] = int32(i)
+		b.pos[si]++
+	}
+	return nil
+}
+
+// checkObservation refuses an entry that may not be ingested: one without
+// an ID or with an ID over maxIDBytes, a size that is not positive and
+// finite, or counts that are not finite and non-negative. finiteNonNeg is
+// false for NaN and ±Inf as well as negatives: the rings feed training
+// traces and the holdout gate, not only plans.
+func checkObservation(f *FileObservation) error {
+	switch {
+	case f.ID == "":
+		return errors.New("agentserver: observation without id")
+	case len(f.ID) > maxIDBytes:
+		return fmt.Errorf("agentserver: observation id of %d bytes, limit %d", len(f.ID), maxIDBytes)
+	case !(f.SizeGB > 0 && finiteNonNeg(f.SizeGB) && finiteNonNeg(f.Reads) && finiteNonNeg(f.Writes)):
+		return fmt.Errorf("agentserver: invalid observation for %q", f.ID)
 	}
 	return nil
 }
 
 // finiteNonNeg reports 0 <= v < +Inf.
 func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
-
-// bucketByShard partitions batch positions by owning shard with a stable
-// counting sort, so each shard sees its entries in batch order (the
-// last-wins duplicate contract depends on that).
-func (s *Server) bucketByShard(files []FileObservation) (offsets []int32, order []int32) {
-	p := len(s.shards)
-	n := len(files)
-	home := make([]int32, n)
-	counts := make([]int32, p+1)
-	for i := range files {
-		si := int32(shardOf(files[i].ID, s.shardMask))
-		home[i] = si
-		counts[si+1]++
-	}
-	for i := 1; i <= p; i++ {
-		counts[i] += counts[i-1]
-	}
-	pos := make([]int32, p)
-	for i := 1; i < p; i++ {
-		pos[i] = counts[i]
-	}
-	order = make([]int32, n)
-	for i := range home {
-		order[pos[home[i]]] = int32(i)
-		pos[home[i]]++
-	}
-	return counts, order
-}
 
 // TrackedFiles sums the shard populations without taking any lock.
 func (s *Server) TrackedFiles() int {
