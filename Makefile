@@ -47,10 +47,12 @@ check:
 	$(GO) test -race -short ./...
 
 # check-parallel runs the kernel-level packages with the race detector and a
-# fixed multi-core GOMAXPROCS so the parallel GEMM/backward fan-outs, the
-# Parallelism training knob, and the par helpers actually execute their
-# multi-goroutine branches (on a single-core runner they would silently
-# degrade to the serial paths).
+# fixed multi-core GOMAXPROCS. What runs concurrently there is the par
+# helpers (For, ForShards, ForChunked, ForBatched) and the A3C rounds at W > 1,
+# whose workers roll out at once over shared read-only vectors; every mat
+# and nn product runs on its caller's goroutine, so the kernel suites run
+# serially beside them. On a single-core runner the par helpers would not
+# interleave their goroutines.
 check-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/par ./internal/mat ./internal/nn ./internal/rl
 

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -85,7 +86,7 @@ func main() {
 	ftCfg := finetuneA3C(*ftWorkers, *ftEnvs)
 	if *onlineOn {
 		// Refuse bad learner settings before reading the checkpoint.
-		if err := checkOnlineFlags(ftCfg, *ftSteps, *ckptKeep); err != nil {
+		if err := checkOnlineFlags(ftCfg, *ftSteps, *ftEvery, *driftThr, *ckptKeep); err != nil {
 			fatal(err)
 		}
 	}
@@ -199,7 +200,7 @@ func main() {
 
 // finetuneA3C is the paper's training configuration with the daemon's
 // fine-tune knobs applied as given: Workers sets the round's worker count,
-// EnvsPerWorker the lockstep width; updates run serially (Parallelism 0).
+// EnvsPerWorker the lockstep width; each update runs on its worker.
 // Out-of-range values are left for A3CConfig.Validate to refuse.
 func finetuneA3C(workers, envs int) rl.A3CConfig {
 	cfg := rl.DefaultA3CConfig()
@@ -210,15 +211,22 @@ func finetuneA3C(workers, envs int) rl.A3CConfig {
 
 // checkOnlineFlags refuses the -online settings that would otherwise fail
 // only after the checkpoint was read (an invalid fine-tune shape, a negative
-// step budget) or be silently replaced: online.Config reads an explicit zero as
-// "unset", so -finetune-steps 0 would train 2048 steps and -checkpoint-keep 0
-// keep 5.
-func checkOnlineFlags(ft rl.A3CConfig, steps int64, keep int) error {
+// step budget, cadence or drift threshold), never trigger (a NaN drift
+// threshold: no score reaches it) or be silently replaced: online.Config
+// reads an explicit zero as "unset", so -finetune-steps 0 would train 2048
+// steps and -checkpoint-keep 0 keep 5.
+func checkOnlineFlags(ft rl.A3CConfig, steps int64, every int, drift float64, keep int) error {
 	if err := ft.Validate(); err != nil {
 		return fmt.Errorf("fine-tune config: %w", err)
 	}
 	if steps < 1 {
 		return fmt.Errorf("-finetune-steps %d: want at least 1", steps)
+	}
+	if every < 0 {
+		return fmt.Errorf("-finetune-every %d: want 0 (no cadence epochs) or more", every)
+	}
+	if drift < 0 || math.IsNaN(drift) {
+		return fmt.Errorf("-drift-threshold %v: want 0 (no drift epochs) or more", drift)
 	}
 	if keep == 0 {
 		return errors.New("-checkpoint-keep 0: want at least 1, or -1 to keep every checkpoint")

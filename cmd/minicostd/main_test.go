@@ -162,26 +162,36 @@ func TestBootRefusesNonFiniteCritic(t *testing.T) {
 
 // TestCheckOnlineFlagsRefusesZeros: explicit zeros online.Config would read
 // as "unset" are refused, not replaced by its defaults; -checkpoint-keep -1
-// (keep every checkpoint) stays valid.
+// (keep every checkpoint) stays valid. A negative cadence or drift threshold,
+// which online.New would refuse only after the checkpoint was read, and a
+// NaN threshold, which no drift score reaches, are refused up front; zero
+// (that trigger off) stays valid.
 func TestCheckOnlineFlagsRefusesZeros(t *testing.T) {
 	ft := finetuneA3C(1, 8)
 	for _, c := range []struct {
 		steps int64
+		every int
+		drift float64
 		keep  int
 		ok    bool
 	}{
-		{2048, 5, true},
-		{1, -1, true},
-		{0, 5, false},
-		{-1, 5, false},
-		{2048, 0, false},
+		{2048, 16, 0.25, 5, true},
+		{1, 16, 0.25, -1, true},
+		{2048, 0, 0, 5, true},
+		{0, 16, 0.25, 5, false},
+		{-1, 16, 0.25, 5, false},
+		{2048, 16, 0.25, 0, false},
+		{2048, -1, 0.25, 5, false},
+		{2048, 16, -0.25, 5, false},
+		{2048, 16, math.NaN(), 5, false},
 	} {
-		err := checkOnlineFlags(ft, c.steps, c.keep)
+		err := checkOnlineFlags(ft, c.steps, c.every, c.drift, c.keep)
 		if (err == nil) != c.ok {
-			t.Errorf("checkOnlineFlags(steps %d, keep %d) = %v, want ok %v", c.steps, c.keep, err, c.ok)
+			t.Errorf("checkOnlineFlags(steps %d, every %d, drift %v, keep %d) = %v, want ok %v",
+				c.steps, c.every, c.drift, c.keep, err, c.ok)
 		}
 	}
-	if err := checkOnlineFlags(finetuneA3C(0, 8), 2048, 5); err == nil {
+	if err := checkOnlineFlags(finetuneA3C(0, 8), 2048, 16, 0.25, 5); err == nil {
 		t.Error("checkOnlineFlags passed Workers 0")
 	}
 }

@@ -33,10 +33,6 @@ type Config struct {
 	// TrainWorkers is the number of A3C workers; 0 keeps
 	// rl.DefaultA3CConfig's.
 	TrainWorkers int
-	// TrainParallelism bounds the intra-update GEMM fan-out of each worker
-	// (rl.A3CConfig.Parallelism). The knob is bitwise-neutral, so a
-	// one-worker profile can still use several cores per update.
-	TrainParallelism int
 	// Workers bounds evaluation parallelism.
 	Workers int
 }
@@ -54,19 +50,17 @@ func Full() Config {
 }
 
 // Quick returns a profile that keeps every experiment under a few seconds.
-// It trains with one worker and leans on TrainParallelism for multi-core
-// speed instead, which is bitwise-neutral. Full keeps the paper's 4 workers.
-// Training is a pure function of (config, seed) at every worker count, so
-// both profiles reproduce bit for bit.
+// It trains with one worker; Full keeps the paper's 4. Training is a pure
+// function of (config, seed) at every worker count, so both profiles
+// reproduce bit for bit.
 func Quick() Config {
 	return Config{
-		Files:            300,
-		Days:             42,
-		Seed:             1,
-		TrainSteps:       120000,
-		Net:              rl.NetConfig{HistLen: 7, Filters: 16, Kernel: 4, Stride: 1, Hidden: 32},
-		TrainWorkers:     1,
-		TrainParallelism: 4,
+		Files:        300,
+		Days:         42,
+		Seed:         1,
+		TrainSteps:   120000,
+		Net:          rl.NetConfig{HistLen: 7, Filters: 16, Kernel: 4, Stride: 1, Hidden: 32},
+		TrainWorkers: 1,
 	}
 }
 
@@ -119,7 +113,6 @@ func (l *Lab) TrainAgent() (*rl.Agent, error) {
 	if l.Cfg.TrainWorkers > 0 {
 		cfg.Workers = l.Cfg.TrainWorkers
 	}
-	cfg.Parallelism = l.Cfg.TrainParallelism
 	cfg.Seed = l.Cfg.Seed
 	a3c, err := rl.NewA3C(cfg)
 	if err != nil {

@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// newShardContract builds the shardcontract analyzer. The PR-5 parallel
-// kernels are bitwise-identical to their serial counterparts at any worker
-// count only because every par worker body follows the shard-outputs-only
+// newShardContract builds the shardcontract analyzer. Work split across
+// files, shards and A3C workers gives the same result at any worker count
+// only because every par worker body follows the shard-outputs-only
 // contract (DESIGN.md §13): a worker may write exclusively through indexed
 // elements of captured output slices (out[i] = v, outs[i][d] = v,
 // e.dps[i] = v), never to a captured scalar, struct field, or pointee —

@@ -3,8 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-
-	"minicost/internal/par"
 )
 
 // This file holds the unpacked GEMM — blocked, cache-tiled, with a reusable
@@ -26,17 +24,10 @@ import (
 // reorders independent elements, never an accumulation) and k-splitting
 // into partial sums is deliberately avoided.
 
-// Tile sizes: a colTile of B rows is kept hot in cache while a rowTile of A
-// rows streams over it. With float64 data a 8×k B tile stays L2-resident up
-// to k ≈ 16k; rowTile bounds the chunk size handed to one worker.
-const (
-	gemmRowTile = 64
-	gemmColTile = 8
-)
-
-// gemmParallelFlops is the approximate flop count above which the kernels
-// fan out across workers; below it goroutine overhead dominates.
-const gemmParallelFlops = 1 << 17
+// gemmColTile is the tile of B rows kept hot in cache while the rows of A
+// stream over it. With float64 data an 8×k B tile stays L2-resident up to
+// k ≈ 16k.
+const gemmColTile = 8
 
 // EnsureShape returns a rows×cols matrix, reusing m's backing storage when
 // it has sufficient capacity (contents are then unspecified, not zeroed);
@@ -57,12 +48,10 @@ func EnsureShape(m *Matrix, rows, cols int) *Matrix {
 // MulTransBBiasTo computes dst[r][c] = bias[c] + Σ_k a[r][k]·b[c][k] (a nil
 // bias means zero), unpacked, into a reusable buffer: dst's backing array is
 // reused when large enough, and the returned matrix must be used in place of
-// dst. workers bounds the parallel fan-out (1 forces serial, <= 0 selects
-// the default); small products always run serially. It is LeastSquares'
-// GEMM and the oracle the packed kernels are held to; Dense runs on the
-// packed kernel (MulPackTransBBiasRowsTo) at every batch length. See the
-// package comment above for the exactness contract.
-func MulTransBBiasTo(dst, a, b *Matrix, bias []float64, workers int) *Matrix {
+// dst. It is LeastSquares' GEMM and the oracle the packed kernels are held
+// to; Dense runs on the packed kernel (MulPackTransBBiasRowsTo) at every
+// batch length. See the package comment above for the exactness contract.
+func MulTransBBiasTo(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTransB shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -70,18 +59,11 @@ func MulTransBBiasTo(dst, a, b *Matrix, bias []float64, workers int) *Matrix {
 		panic(fmt.Sprintf("mat: MulTransB bias len %d, want %d", len(bias), b.Rows))
 	}
 	dst = EnsureShape(dst, a.Rows, b.Rows)
-	if workers == 1 || a.Rows*a.Cols*b.Rows < gemmParallelFlops {
-		mulTransBBlock(dst, a, b, bias, 0, a.Rows)
-		return dst
-	}
-	w := resolveWorkers(workers)
-	par.ForBatched(a.Rows, parPanel(a.Rows, w, gemmMinPanel), w, func(lo, hi int) {
-		mulTransBBlock(dst, a, b, bias, lo, hi)
-	})
+	mulTransBBlock(dst, a, b, bias)
 	return dst
 }
 
-// mulTransBBlock fills output rows [lo, hi), tiling the B rows so each tile
+// mulTransBBlock fills every output row, tiling the B rows so each tile
 // stays cache-resident while the A rows stream past. Within a tile, four
 // output columns are computed together with four independent accumulators:
 // each element's own accumulation is still bias-seeded and k-sequential
@@ -90,14 +72,14 @@ func MulTransBBiasTo(dst, a, b *Matrix, bias []float64, workers int) *Matrix {
 // where the batched engine's throughput over a row-by-row matvec comes from.
 //
 //minicost:hotpath
-func mulTransBBlock(dst, a, b *Matrix, bias []float64, lo, hi int) {
+func mulTransBBlock(dst, a, b *Matrix, bias []float64) {
 	n, k := b.Rows, a.Cols
 	for j0 := 0; j0 < n; j0 += gemmColTile {
 		j1 := j0 + gemmColTile
 		if j1 > n {
 			j1 = n
 		}
-		for r := lo; r < hi; r++ {
+		for r := 0; r < a.Rows; r++ {
 			arow := a.Data[r*k : (r+1)*k]
 			drow := dst.Data[r*n : (r+1)*n]
 			j := j0

@@ -38,17 +38,15 @@ func TestMulTransBMatchesNaiveBitwise(t *testing.T) {
 			bias[i] = float64(2*r.Float64()) - 1
 		}
 		want := naiveMulTransB(a, b, nil)
-		for _, workers := range []int{1, 0, 4} {
-			got := MulTransBBiasTo(nil, a, b, nil, workers)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("MulTransB %dx%d·(%dx%d)ᵀ workers=%d: element %d = %v, want %v",
-						sh.m, sh.k, sh.n, sh.k, workers, i, got.Data[i], want.Data[i])
-				}
+		got := MulTransBBiasTo(nil, a, b, nil)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("MulTransB %dx%d·(%dx%d)ᵀ: element %d = %v, want %v",
+					sh.m, sh.k, sh.n, sh.k, i, got.Data[i], want.Data[i])
 			}
 		}
 		wantB := naiveMulTransB(a, b, bias)
-		gotB := MulTransBBiasTo(nil, a, b, bias, 0)
+		gotB := MulTransBBiasTo(nil, a, b, bias)
 		for i := range wantB.Data {
 			if gotB.Data[i] != wantB.Data[i] {
 				t.Fatalf("MulTransBBias: element %d = %v, want %v", i, gotB.Data[i], wantB.Data[i])
@@ -61,9 +59,9 @@ func TestMulTransBToReusesBuffer(t *testing.T) {
 	r := rng.New(4)
 	a := randomMatrix(r, 16, 12)
 	b := randomMatrix(r, 8, 12)
-	dst := MulTransBBiasTo(nil, a, b, nil, 1)
+	dst := MulTransBBiasTo(nil, a, b, nil)
 	backing := &dst.Data[0]
-	dst2 := MulTransBBiasTo(dst, a, b, nil, 1)
+	dst2 := MulTransBBiasTo(dst, a, b, nil)
 	if &dst2.Data[0] != backing {
 		t.Fatal("MulTransBBiasTo did not reuse the output buffer")
 	}
@@ -90,7 +88,7 @@ func TestMulMatchesMulTransBOfTranspose(t *testing.T) {
 	r := rng.New(9)
 	a := randomMatrix(r, 33, 21)
 	b := randomMatrix(r, 21, 18)
-	viaT := MulTransBBiasTo(nil, a, transpose(b), nil, 0)
+	viaT := MulTransBBiasTo(nil, a, transpose(b), nil)
 	direct := naiveMul(a, b)
 	for i := range direct.Data {
 		d := direct.Data[i] - viaT.Data[i]

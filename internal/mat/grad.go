@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"fmt"
-
-	"minicost/internal/par"
-)
+import "fmt"
 
 // This file holds the kernels behind the batched *gradient* pass
 // (nn.BackwardBatch), all on the packed SIMD kernel at every batch length:
@@ -34,7 +30,7 @@ func TransposeTo(dst, src *Matrix) *Matrix {
 
 // InPlaceCols reports whether the backward products read a row-major
 // operand of cols columns where it lies (MulTo, AddMulTransATo) rather than
-// through a transposed pack (PackTransposeParTo): whether its rows are
+// through a transposed pack (PackTransposeTo): whether its rows are
 // under 512 columns. The cutoff sits between the widths it was measured at
 // (DESIGN §10). At the Quick network's 182 columns reading in place saves
 // the packs and the dY transpose, and the harness's fit runs ≈10 % faster.
@@ -53,13 +49,13 @@ func InPlaceCols(cols int) bool { return cols < 512 }
 // input-gradient loops' order — and the arithmetic is MulPackTransBBiasTo's
 // with a nil bias against PackTransposeTo(b), bit for bit: a pack is only
 // a copy. dst's storage is reused when large enough; the returned matrix
-// must be used in place of dst. workers bounds the fan-out over row panels.
-func MulTo(dst, a, b *Matrix, workers int) *Matrix {
+// must be used in place of dst.
+func MulTo(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst = EnsureShape(dst, a.Rows, b.Cols)
-	mulRows(dst, rowMajor(a), inPlace(b), b.Cols, b.Rows, nil, true, 0, a.Rows, workers)
+	mulPackBlock(dst.Data, rowMajor(a), inPlace(b), b.Cols, b.Rows, nil, true, 0, a.Rows)
 	return dst
 }
 
@@ -69,16 +65,15 @@ func MulTo(dst, a, b *Matrix, workers int) *Matrix {
 // Dense's weight gradient dW += dYᵀ·X on the row-major batches: every
 // gradient element accumulates its per-sample terms in ascending row order
 // seeded from its current value — the per-sample reference order — with no
-// transpose of dY and no pack of X. workers bounds the fan-out over
-// destination rows.
-func AddMulTransATo(dst, a, b *Matrix, workers int) {
+// transpose of dY and no pack of X.
+func AddMulTransATo(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: AddMulTransA shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: AddMulTransA dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	mulRows(dst, transposed(a), inPlace(b), b.Cols, b.Rows, nil, false, 0, dst.Rows, workers)
+	mulPackBlock(dst.Data, transposed(a), inPlace(b), b.Cols, b.Rows, nil, false, 0, dst.Rows)
 }
 
 // MulPackAccTo accumulates dst += a·X from a packed right operand:
@@ -87,30 +82,16 @@ func AddMulTransATo(dst, a, b *Matrix, workers int) {
 // element accumulates its terms in ascending k order seeded from its
 // current value. It is Dense's weight gradient dW += dYᵀ·X where
 // InPlaceCols says no, a being dY transposed (TransposeTo), bit for bit
-// AddMulTransATo's. workers bounds the parallel fan-out over destination
-// rows.
+// AddMulTransATo's. workers must be 0 or 1 (see checkSerial).
 func MulPackAccTo(dst, a *Matrix, pb *PackedTransB, workers int) {
+	checkSerial("MulPackAccTo", workers)
 	if a.Cols != pb.K {
 		panic(fmt.Sprintf("mat: MulPackAcc shape mismatch %dx%d · packed %dx%d", a.Rows, a.Cols, pb.K, pb.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != pb.Cols {
 		panic(fmt.Sprintf("mat: MulPackAcc dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, pb.Cols))
 	}
-	accRows(dst, rowMajor(a), pb.rhs(), pb.K, workers)
-}
-
-// accRows runs mulPackAccBlock over all of dst's rows, sharded over workers
-// when the product is large enough.
-func accRows(dst *Matrix, a lhs, b rhs, k, workers int) {
-	m, n := dst.Rows, dst.Cols
-	if workers == 1 || m*k*n < gemmParallelFlops {
-		mulPackAccBlock(dst.Data, a, b, n, k, 0, m)
-		return
-	}
-	w := resolveWorkers(workers)
-	par.ForBatched(m, parPanel(m, w, gemmMinPanel), w, func(lo, hi int) {
-		mulPackAccBlock(dst.Data, a, b, n, k, lo, hi)
-	})
+	mulPackAccBlock(dst.Data, rowMajor(a), pb.rhs(), dst.Cols, pb.K, dst.Rows)
 }
 
 // packAccCols is the width, in columns, of the destination blocks
@@ -124,8 +105,8 @@ const packAccCols = 8 * packLanes
 // shared-dimension stripe of a stays in L1 across the block's tiles.
 const packAccRows = 8
 
-// mulPackAccBlock accumulates a·B over k shared steps into dst rows
-// [lo, hi) (row stride n). Blocks of packAccCols destination columns are
+// mulPackAccBlock accumulates a·B over k shared steps into dst's m rows
+// (row stride n). Blocks of packAccCols destination columns are
 // the outer loop, the shared dimension blocked inside them (packKBlock,
 // mulPackBlock's block length), then groups of packAccRows rows, then the
 // block's tiles: each row group walks its destination rows contiguously, a
@@ -137,15 +118,15 @@ const packAccRows = 8
 // each element's current value.
 //
 //minicost:hotpath
-func mulPackAccBlock(dst []float64, a lhs, b rhs, n, k, lo, hi int) {
+func mulPackAccBlock(dst []float64, a lhs, b rhs, n, k, m int) {
 	full := n / packLanes * packLanes
 	for c0 := 0; c0 < full; c0 += packAccCols {
 		c1 := min(c0+packAccCols, full)
 		for k0 := 0; k0 < k; k0 += packKBlock {
 			k1 := min(k0+packKBlock, k)
 			ak := a.at(0, k0)
-			for r0 := lo; r0 < hi; r0 += packAccRows {
-				r1 := min(r0+packAccRows, hi)
+			for r0 := 0; r0 < m; r0 += packAccRows {
+				r1 := min(r0+packAccRows, m)
 				for j := c0; j < c1; j += packLanes {
 					dotPackRows(dst[j:], n, ak, b.at(j, k0), k1-k0, r0, r1, false)
 				}
@@ -153,8 +134,8 @@ func mulPackAccBlock(dst []float64, a lhs, b rhs, n, k, lo, hi int) {
 		}
 	}
 	if full < n && k > 0 {
-		for p0 := lo; p0 < hi; p0 += packRowPanel {
-			packTail(dst[full:], n, n-full, a, b.at(full, 0), k, p0, min(p0+packRowPanel, hi), false)
+		for p0 := 0; p0 < m; p0 += packRowPanel {
+			packTail(dst[full:], n, n-full, a, b.at(full, 0), k, p0, min(p0+packRowPanel, m), false)
 		}
 	}
 }

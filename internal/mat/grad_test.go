@@ -47,10 +47,10 @@ func TestGradKernelShapePanics(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"transA wrong rows", func() { AddMulTransATo(New(4, 4), New(2, 3), New(2, 4), 1) }},
-		{"transA wrong cols", func() { AddMulTransATo(New(3, 5), New(2, 3), New(2, 4), 1) }},
-		{"transA sample mismatch", func() { AddMulTransATo(New(3, 4), New(2, 3), New(5, 4), 1) }},
-		{"mul shared mismatch", func() { MulTo(nil, New(2, 3), New(4, 5), 1) }},
+		{"transA wrong rows", func() { AddMulTransATo(New(4, 4), New(2, 3), New(2, 4)) }},
+		{"transA wrong cols", func() { AddMulTransATo(New(3, 5), New(2, 3), New(2, 4)) }},
+		{"transA sample mismatch", func() { AddMulTransATo(New(3, 4), New(2, 3), New(5, 4)) }},
+		{"mul shared mismatch", func() { MulTo(nil, New(2, 3), New(4, 5)) }},
 		{"packacc shared mismatch", func() { MulPackAccTo(New(2, 4), New(2, 3), PackTransposeTo(nil, New(5, 4)), 1) }},
 		{"packacc wrong dst", func() { MulPackAccTo(New(3, 4), New(2, 3), PackTransposeTo(nil, New(3, 4)), 1) }},
 	} {
@@ -67,9 +67,8 @@ func TestGradKernelShapePanics(t *testing.T) {
 
 // TestPackTransposeMatchesPackOfT verifies PackTransposeTo(m) produces the
 // identical packed layout as PackTransBTo(mᵀ), including padding, across
-// ragged and exact tile widths — and PackTransposeParTo at 2 and 4 workers
-// too, into a buffer left dirty by a previous pack so that a padding lane
-// the walk missed would show. {112, 3206} and {128, 806} are the paper
+// ragged and exact tile widths, into a buffer left dirty by a previous pack
+// so that a padding lane the walk missed would show. {112, 3206} and {128, 806} are the paper
 // network's input batch and a weight block, row counts a multiple of the
 // walk's row block, and {13, 3206} ends on a ragged one; 3206 columns end on
 // a ragged tile.
@@ -78,20 +77,18 @@ func TestPackTransposeMatchesPackOfT(t *testing.T) {
 	for _, sh := range []struct{ rows, cols int }{{4, 3}, {7, 16}, {128, 33}, {5, 40}, {112, 3206}, {13, 3206}, {128, 806}} {
 		m := randMat(r, sh.rows, sh.cols)
 		want := PackTransBTo(nil, transpose(m))
-		for _, workers := range []int{1, 2, 4} {
-			dirty := &PackedTransB{Data: make([]float64, len(want.Data))}
-			for i := range dirty.Data {
-				dirty.Data[i] = math.NaN()
-			}
-			got := PackTransposeParTo(dirty, m, workers)
-			if got.Cols != want.Cols || got.K != want.K || len(got.Data) != len(want.Data) {
-				t.Fatalf("%dx%d: packed shape (%d,%d,%d) want (%d,%d,%d)",
-					sh.rows, sh.cols, got.Cols, got.K, len(got.Data), want.Cols, want.K, len(want.Data))
-			}
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%dx%d workers=%d: packed elem %d = %v, want %v", sh.rows, sh.cols, workers, i, got.Data[i], want.Data[i])
-				}
+		dirty := &PackedTransB{Data: make([]float64, len(want.Data))}
+		for i := range dirty.Data {
+			dirty.Data[i] = math.NaN()
+		}
+		got := PackTransposeTo(dirty, m)
+		if got.Cols != want.Cols || got.K != want.K || len(got.Data) != len(want.Data) {
+			t.Fatalf("%dx%d: packed shape (%d,%d,%d) want (%d,%d,%d)",
+				sh.rows, sh.cols, got.Cols, got.K, len(got.Data), want.Cols, want.K, len(want.Data))
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%dx%d: packed elem %d = %v, want %v", sh.rows, sh.cols, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -106,7 +103,7 @@ func TestPackTransposeGEMM(t *testing.T) {
 		a := randMat(r, sh.batch, sh.rows)
 		pb := PackTransposeTo(nil, m)
 		got := MulPackTransBBiasTo(nil, a, pb, nil, 1)
-		want := MulTransBBiasTo(nil, a, transpose(m), nil, 1)
+		want := MulTransBBiasTo(nil, a, transpose(m), nil)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("batch %d %dx%d: elem %d = %v, want %v",
@@ -173,7 +170,7 @@ func backwardShapes(outs ...int) (shapes []struct{ rows, in, out int }) {
 // TestMulPackAccBitwise pins the weight-gradient product dW += dYᵀ·X to the
 // per-element reference — each element's chain over the batch rows
 // ascending from its pre-seeded value, one math.FMA per term — bit for bit,
-// at every kernel tier and at 1, 2 and 4 workers, by every route:
+// at every kernel tier, by every route:
 // AddMulTransATo on dY and X where they lie and MulPackAccTo on dY
 // transposed against X packed. A shape m×k·k×n has m outputs, k batch rows
 // and n inputs. Besides
@@ -238,15 +235,13 @@ func TestMulPackAccBitwise(t *testing.T) {
 		for _, tier := range kernelTiers() {
 			t.Run(tier+"/"+name, func(t *testing.T) {
 				forceTier(t, tier)
-				for _, workers := range []int{1, 2, 4} {
-					got, sent := guarded(seed)
-					AddMulTransATo(got, dyG, xG, workers)
-					sameBits(t, fmt.Sprintf("AddMulTransATo workers=%d", workers), got.Data, want.Data)
-					sentinelsIntact(t, "AddMulTransATo dW", sent)
-					got = seed.Clone()
-					MulPackAccTo(got, a, pack, workers)
-					sameBits(t, fmt.Sprintf("MulPackAccTo workers=%d", workers), got.Data, want.Data)
-				}
+				got, sent := guarded(seed)
+				AddMulTransATo(got, dyG, xG)
+				sameBits(t, "AddMulTransATo", got.Data, want.Data)
+				sentinelsIntact(t, "AddMulTransATo dW", sent)
+				got = seed.Clone()
+				MulPackAccTo(got, a, pack, 1)
+				sameBits(t, "MulPackAccTo", got.Data, want.Data)
 				sentinelsIntact(t, "dY", dySent)
 				sentinelsIntact(t, "X", xSent)
 			})
@@ -257,7 +252,7 @@ func TestMulPackAccBitwise(t *testing.T) {
 // TestMulToTiers pins the input-gradient product dX = dY·W, W read where it
 // lies, to the per-element reference — each element's chain over the
 // outputs ascending from +0, one math.FMA per term — bit for bit at every
-// kernel tier and at 1 and 4 workers, at 3 outputs, 128 and 200 (past one
+// kernel tier, at 3 outputs, 128 and 200 (past one
 // packKBlock). The destination starts out holding NaN, which the sums must
 // not take in; one gradient row is -0.0 and one +0, whose sums are +0 from
 // a +0 start and would keep -0 from a -0 one. dY, W and dX end exactly at
@@ -289,43 +284,19 @@ func TestMulToTiers(t *testing.T) {
 		for _, tier := range kernelTiers() {
 			t.Run(tier+"/"+name, func(t *testing.T) {
 				forceTier(t, tier)
-				for _, workers := range []int{1, 4} {
-					dst, sent := guarded(New(sh.rows, sh.in))
-					for i := range dst.Data {
-						dst.Data[i] = math.NaN()
-					}
-					got := MulTo(dst, dyG, wG, workers)
-					if &got.Data[0] != &dst.Data[0] {
-						t.Fatal("MulTo reallocated a destination of the right size")
-					}
-					sameBits(t, fmt.Sprintf("MulTo workers=%d", workers), got.Data, want.Data)
-					sentinelsIntact(t, "MulTo dX", sent)
+				dst, sent := guarded(New(sh.rows, sh.in))
+				for i := range dst.Data {
+					dst.Data[i] = math.NaN()
 				}
+				got := MulTo(dst, dyG, wG)
+				if &got.Data[0] != &dst.Data[0] {
+					t.Fatal("MulTo reallocated a destination of the right size")
+				}
+				sameBits(t, "MulTo", got.Data, want.Data)
+				sentinelsIntact(t, "MulTo dX", sent)
 				sentinelsIntact(t, "dY", dySent)
 				sentinelsIntact(t, "W", wSent)
 			})
-		}
-	}
-}
-
-// TestMulPackAccParallelIdentical pins worker-count independence: the
-// parallel fan-out splits destination rows, which are independent, so any
-// worker count must produce bitwise-identical output.
-func TestMulPackAccParallelIdentical(t *testing.T) {
-	r := rng.New(22)
-	a := randMat(r, 64, 448)
-	x := randMat(r, 448, 300)
-	px := PackTransposeTo(nil, x)
-	ref := randMat(r, 64, 300)
-	seed := ref.Clone()
-	MulPackAccTo(ref, a, px, 1)
-	for _, w := range []int{2, 4, 8} {
-		dst := seed.Clone()
-		MulPackAccTo(dst, a, px, w)
-		for i := range ref.Data {
-			if dst.Data[i] != ref.Data[i] {
-				t.Fatalf("workers=%d: elem %d diverges from serial", w, i)
-			}
 		}
 	}
 }
@@ -337,9 +308,9 @@ func TestMulPackAccShapePanics(t *testing.T) {
 		call func()
 	}{
 		{"shared mismatch", func() { MulPackAccTo(New(4, 5), a, PackTransposeTo(nil, New(9, 5)), 1) }},
-		{"transA shared mismatch", func() { AddMulTransATo(New(8, 5), a, New(3, 5), 1) }},
-		{"transA dst", func() { AddMulTransATo(New(8, 6), a, New(4, 5), 1) }},
-		{"mul shared mismatch", func() { MulTo(nil, a, New(7, 5), 1) }},
+		{"transA shared mismatch", func() { AddMulTransATo(New(8, 5), a, New(3, 5)) }},
+		{"transA dst", func() { AddMulTransATo(New(8, 6), a, New(4, 5)) }},
+		{"mul shared mismatch", func() { MulTo(nil, a, New(7, 5)) }},
 		{"dst rows", func() { MulPackAccTo(New(3, 5), a, PackTransposeTo(nil, New(8, 5)), 1) }},
 		{"dst cols", func() { MulPackAccTo(New(4, 6), a, PackTransposeTo(nil, New(8, 5)), 1) }},
 	} {

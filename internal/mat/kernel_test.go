@@ -117,16 +117,14 @@ func TestPackedKernelTiersForward(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%dx%dx%d", tier, s.rows, s.k, s.cols), func(t *testing.T) {
 				forceTier(t, tier)
 				var got *Matrix
-				for _, workers := range []int{1, 4} {
-					for wi, bs := range [][]float64{nil, bias} {
-						got = MulPackTransBBiasRowsTo(got, a, pack, bs, 0, s.rows, workers)
-						sameBits(t, "whole batch", got.Data, want[wi].Data)
-					}
+				for wi, bs := range [][]float64{nil, bias} {
+					got = MulPackTransBBiasRowsTo(got, a, pack, bs, 0, s.rows)
+					sameBits(t, "whole batch", got.Data, want[wi].Data)
 				}
 				for i := range got.Data {
 					got.Data[i] = -7
 				}
-				got = MulPackTransBBiasRowsTo(got, a, pack, bias, lo, hi, 4)
+				got = MulPackTransBBiasRowsTo(got, a, pack, bias, lo, hi)
 				sameBits(t, "window", got.Data[lo*s.cols:hi*s.cols], want[1].Data[lo*s.cols:hi*s.cols])
 				for i, v := range got.Data {
 					if (i < lo*s.cols || i >= hi*s.cols) && v != -7 {
@@ -159,14 +157,12 @@ func TestPackedKernelTiersAcc(t *testing.T) {
 		for _, tier := range kernelTiers() {
 			t.Run(fmt.Sprintf("%s/%dx%dx%d", tier, s.rows, s.k, s.cols), func(t *testing.T) {
 				forceTier(t, tier)
-				for _, workers := range []int{1, 4} {
-					got := seed.Clone()
-					MulPackAccTo(got, a, pack, workers)
-					sameBits(t, "MulPackAccTo", got.Data, want.Data)
-					got = seed.Clone()
-					AddMulTransATo(got, at, x, workers)
-					sameBits(t, "AddMulTransATo", got.Data, want.Data)
-				}
+				got := seed.Clone()
+				MulPackAccTo(got, a, pack, 1)
+				sameBits(t, "MulPackAccTo", got.Data, want.Data)
+				got = seed.Clone()
+				AddMulTransATo(got, at, x)
+				sameBits(t, "AddMulTransATo", got.Data, want.Data)
 			})
 		}
 	}

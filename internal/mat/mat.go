@@ -1,5 +1,5 @@
 // Package mat implements the dense linear algebra MiniCost needs: row-major
-// float64 matrices, the (optionally parallel, SIMD-packed) GEMM kernels the
+// float64 matrices, the SIMD-packed GEMM kernels the
 // network runs on, and ordinary least squares via normal equations on those
 // kernels, solved by Cholesky factorization with Tikhonov fallback.
 //
@@ -136,8 +136,8 @@ func LeastSquares(x *Matrix, y []float64) ([]float64, error) {
 		return nil, fmt.Errorf("mat: underdetermined system %dx%d", x.Rows, x.Cols)
 	}
 	xt := TransposeTo(nil, x)
-	xtx := MulTransBBiasTo(nil, xt, xt, nil, 1)
-	xty := MulTransBBiasTo(nil, xt, &Matrix{Rows: 1, Cols: len(y), Data: y}, nil, 1).Data
+	xtx := MulTransBBiasTo(nil, xt, xt, nil)
+	xty := MulTransBBiasTo(nil, xt, &Matrix{Rows: 1, Cols: len(y), Data: y}, nil).Data
 	for _, ridge := range []float64{0, 1e-10, 1e-7, 1e-4, 1e-1} {
 		a := xtx
 		if ridge > 0 {

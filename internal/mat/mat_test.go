@@ -53,8 +53,8 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"shared dimension", func() { MulTransBBiasTo(nil, New(2, 3), New(4, 2), nil, 1) }},
-		{"bias length", func() { MulTransBBiasTo(nil, New(2, 3), New(4, 3), make([]float64, 3), 1) }},
+		{"shared dimension", func() { MulTransBBiasTo(nil, New(2, 3), New(4, 2), nil) }},
+		{"bias length", func() { MulTransBBiasTo(nil, New(2, 3), New(4, 3), make([]float64, 3)) }},
 	} {
 		func() {
 			defer func() {
@@ -236,7 +236,7 @@ func TestLeastSquaresUnderdetermined(t *testing.T) {
 func TestMulAssociativityProperty(t *testing.T) {
 	// (A·B)·C == A·(B·C) within float tolerance, for random small matrices,
 	// on the engine's GEMM.
-	mul := func(a, b *Matrix) *Matrix { return MulTransBBiasTo(nil, a, transpose(b), nil, 1) }
+	mul := func(a, b *Matrix) *Matrix { return MulTransBBiasTo(nil, a, transpose(b), nil) }
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		a := randomMatrix(r, 4, 3)

@@ -3,8 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-
-	"minicost/internal/par"
 )
 
 // packLanes is the column-tile width of the packed GEMM kernels: one output
@@ -53,28 +51,11 @@ func ensurePacked(dst *PackedTransB, tiles, k, cols int) *PackedTransB {
 // enough (pass nil to allocate). The returned value must be used in place of
 // dst.
 func PackTransBTo(dst *PackedTransB, b *Matrix) *PackedTransB {
-	return PackTransBParTo(dst, b, 1)
-}
-
-// PackTransBParTo is PackTransBTo with the packing tiles sharded over
-// workers: every tile is a disjoint segment of dst's backing array, so
-// workers write without contention and the layout (hence every downstream
-// accumulation) is identical at any worker count. Small operands pack
-// serially regardless of workers.
-func PackTransBParTo(dst *PackedTransB, b *Matrix, workers int) *PackedTransB {
 	tiles := (b.Rows + packLanes - 1) / packLanes
 	dst = ensurePacked(dst, tiles, b.Cols, b.Rows)
-	if workers == 1 || len(dst.Data) < packParMin {
-		for t := 0; t < tiles; t++ {
-			packTransBTile(dst, b, t)
-		}
-		return dst
+	for t := 0; t < tiles; t++ {
+		packTransBTile(dst, b, t)
 	}
-	par.ForBatched(tiles, 1, workers, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			packTransBTile(dst, b, t)
-		}
-	})
 	return dst
 }
 
@@ -109,22 +90,9 @@ func packTransBTile(dst *PackedTransB, b *Matrix, t int) {
 // In×Out orientation. The inner copy walks m row-major, so packing stays
 // cache-friendly; the layout and zero-padding match PackTransBTo exactly.
 func PackTransposeTo(dst *PackedTransB, m *Matrix) *PackedTransB {
-	return PackTransposeParTo(dst, m, 1)
-}
-
-// PackTransposeParTo is PackTransposeTo with the packing tiles sharded over
-// workers, under the same disjoint-tile contract as PackTransBParTo: each
-// shard runs the serial walk (packTransposeTiles) over its own tiles.
-func PackTransposeParTo(dst *PackedTransB, m *Matrix, workers int) *PackedTransB {
 	tiles := (m.Cols + packLanes - 1) / packLanes
 	dst = ensurePacked(dst, tiles, m.Rows, m.Cols)
-	if workers == 1 || len(dst.Data) < packParMin {
-		packTransposeTiles(dst, m, 0, tiles)
-		return dst
-	}
-	par.ForBatched(tiles, 1, workers, func(lo, hi int) {
-		packTransposeTiles(dst, m, lo, hi)
-	})
+	packTransposeTiles(dst, m, tiles)
 	return dst
 }
 
@@ -136,15 +104,15 @@ func PackTransposeParTo(dst *PackedTransB, m *Matrix, workers int) *PackedTransB
 // PackTransBTo's layout of mᵀ.
 const packTransposeRows = 16
 
-// packTransposeTiles fills tiles [t0, t1) of the packed operand from m's
-// columns, packTransposeRows rows of m at a time.
+// packTransposeTiles fills the packed operand's tiles from m's columns,
+// packTransposeRows rows of m at a time.
 //
 //minicost:hotpath
-func packTransposeTiles(dst *PackedTransB, m *Matrix, t0, t1 int) {
+func packTransposeTiles(dst *PackedTransB, m *Matrix, tiles int) {
 	k, n := m.Rows, m.Cols
 	for i0 := 0; i0 < k; i0 += packTransposeRows {
 		i1 := min(i0+packTransposeRows, k)
-		for t := t0; t < t1; t++ {
+		for t := 0; t < tiles; t++ {
 			j0 := t * packLanes
 			seg := dst.Data[t*k*packLanes : (t+1)*k*packLanes]
 			for i := i0; i < i1; i++ {
@@ -206,9 +174,22 @@ func (b rhs) at(j, i int) rhs {
 // amd64 with AVX the inner kernel runs one output column per vector lane —
 // and is bitwise identical to MulTransBBiasTo and to nn's scalar test
 // oracle (each element's accumulation is still bias-seeded and k-sequential;
-// see gemm.go).
+// see gemm.go). workers must be 0 or 1 (see checkSerial).
 func MulPackTransBBiasTo(dst, a *Matrix, pb *PackedTransB, bias []float64, workers int) *Matrix {
-	return MulPackTransBBiasRowsTo(dst, a, pb, bias, 0, a.Rows, workers)
+	checkSerial("MulPackTransBBiasTo", workers)
+	return MulPackTransBBiasRowsTo(dst, a, pb, bias, 0, a.Rows)
+}
+
+// checkSerial panics unless workers is 0 or 1. Every product runs on the
+// calling goroutine — callers split cores across files, shards and
+// training workers, never inside one product — and the two exported
+// products that still take a workers argument keep it only because the
+// end-to-end benchmark's probes pass it; the argument goes when the
+// benchmark next changes.
+func checkSerial(fn string, workers int) {
+	if workers != 0 && workers != 1 {
+		panic(fmt.Sprintf("mat: %s workers %d: products run serially, pass 0 or 1", fn, workers))
+	}
 }
 
 // MulPackTransBBiasRowsTo is MulPackTransBBiasTo for the row window [lo, hi)
@@ -218,7 +199,7 @@ func MulPackTransBBiasTo(dst, a *Matrix, pb *PackedTransB, bias []float64, worke
 // windows that cover [0, a.Rows), in any order, leave what one whole-range
 // call leaves, bit for bit — the vectorized trainer's rollouts fill the
 // update's activations one lockstep block at a time this way.
-func MulPackTransBBiasRowsTo(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi, workers int) *Matrix {
+func MulPackTransBBiasRowsTo(dst, a *Matrix, pb *PackedTransB, bias []float64, lo, hi int) *Matrix {
 	if a.Cols != pb.K {
 		panic(fmt.Sprintf("mat: MulPackTransB shape mismatch %dx%d · packed(%dx%d)ᵀ", a.Rows, a.Cols, pb.Cols, pb.K))
 	}
@@ -229,22 +210,8 @@ func MulPackTransBBiasRowsTo(dst, a *Matrix, pb *PackedTransB, bias []float64, l
 		panic(fmt.Sprintf("mat: MulPackTransB rows [%d,%d) of %d", lo, hi, a.Rows))
 	}
 	dst = EnsureShape(dst, a.Rows, pb.Cols)
-	mulRows(dst, rowMajor(a), pb.rhs(), pb.Cols, pb.K, bias, true, lo, hi, workers)
+	mulPackBlock(dst.Data, rowMajor(a), pb.rhs(), pb.Cols, pb.K, bias, true, lo, hi)
 	return dst
-}
-
-// mulRows runs mulPackBlock over rows [lo, hi) of dst, sharded over workers
-// by row panels when the product is large enough.
-func mulRows(dst *Matrix, a lhs, b rhs, n, k int, bias []float64, zero bool, lo, hi, workers int) {
-	rows := hi - lo
-	if workers == 1 || rows*k*n < gemmParallelFlops {
-		mulPackBlock(dst.Data, a, b, n, k, bias, zero, lo, hi)
-		return
-	}
-	w := resolveWorkers(workers)
-	par.ForBatched(rows, parPanel(rows, w, gemmMinPanel), w, func(plo, phi int) {
-		mulPackBlock(dst.Data, a, b, n, k, bias, zero, lo+plo, lo+phi)
-	})
 }
 
 // packKBlock is the shared-dimension block length of the packed kernels:

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"minicost/internal/mat"
-	"minicost/internal/par"
 )
 
 // Batched backward: BackwardBatch back-propagates a whole batch of output
@@ -30,8 +29,7 @@ import (
 // Buffer ownership matches ForwardBatch: returned matrices are owned by the
 // layer and overwritten by its next BackwardBatch call; scratch grows to the
 // largest batch seen, so steady-state batched training performs no
-// allocations. workers bounds the intra-GEMM fan-out exactly as in
-// ForwardBatch — A3C workers pass 1 because they already run in parallel.
+// allocations. Like ForwardBatch, every pass runs on the calling goroutine.
 //
 // Each layer has one implementation, backwardBatch, which can leave the input
 // gradient out: a network's first layer differentiates with respect to the
@@ -61,13 +59,13 @@ import (
 // Neither route zeroes dx first, only the wide one transposes dy, and both
 // share the accumulation-order contract, so each is bitwise identical to
 // the oracle.
-func (d *Dense) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	return d.backwardBatch(dy, workers, true)
+func (d *Dense) BackwardBatch(dy *mat.Matrix) *mat.Matrix {
+	return d.backwardBatch(dy, true)
 }
 
 // backwardBatch is BackwardBatch with the dx product — a GEMM as large as
 // the forward's — optional.
-func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.Matrix {
+func (d *Dense) backwardBatch(dy *mat.Matrix, inputGrad bool) *mat.Matrix {
 	if d.bx == nil {
 		panic("nn: Dense BackwardBatch before ForwardBatch")
 	}
@@ -93,9 +91,9 @@ func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.
 		d.b.Grad[o] = s
 	}
 	if mat.InPlaceCols(d.In) {
-		mat.AddMulTransATo(d.gView, dy, d.bx, workers)
+		mat.AddMulTransATo(d.gView, dy, d.bx)
 		if inputGrad {
-			d.bdx = mat.MulTo(d.bdx, dy, d.wView, workers)
+			d.bdx = mat.MulTo(d.bdx, dy, d.wView)
 		}
 	} else {
 		// The two packs take turns in the forward pack's buffer — dx reads
@@ -106,12 +104,12 @@ func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.
 		// grows it once.
 		d.packed = false
 		if inputGrad {
-			d.wpack = mat.PackTransposeParTo(d.wpack, d.wView, workers)
-			d.bdx = mat.MulPackTransBBiasTo(d.bdx, dy, d.wpack, nil, workers)
+			d.wpack = mat.PackTransposeTo(d.wpack, d.wView)
+			d.bdx = mat.MulPackTransBBiasRowsTo(d.bdx, dy, d.wpack, nil, 0, dy.Rows)
 		}
-		d.wpack = mat.PackTransposeParTo(d.wpack, d.bx, workers)
+		d.wpack = mat.PackTransposeTo(d.wpack, d.bx)
 		d.dyT = mat.TransposeTo(d.dyT, dy)
-		mat.MulPackAccTo(d.gView, d.dyT, d.wpack, workers)
+		mat.MulPackAccTo(d.gView, d.dyT, d.wpack, 1)
 	}
 	if !inputGrad {
 		return nil
@@ -139,42 +137,27 @@ func (d *Dense) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.
 //     (row, position) ascending order — the order the oracle's per-sample
 //     f-loop contributes them to that filter — and distinct filters touch
 //     disjoint gradient elements, so the element-wise accumulation order is
-//     the oracle's however the filters are interleaved (filterGradSpan);
+//     the oracle's however the filters are interleaved (filterGrads);
 //   - input gradients: row-major with the oracle's f-outer/t-inner walk,
 //     each output row scattered back through its filter taps.
-func (c *Conv1D) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	return c.backwardBatch(dy, workers, true)
+func (c *Conv1D) BackwardBatch(dy *mat.Matrix) *mat.Matrix {
+	return c.backwardBatch(dy, true)
 }
 
 // backwardBatch is BackwardBatch with the second pass optional.
-func (c *Conv1D) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.Matrix {
+func (c *Conv1D) backwardBatch(dy *mat.Matrix, inputGrad bool) *mat.Matrix {
 	if c.bx == nil {
 		panic("nn: Conv1D BackwardBatch before ForwardBatch")
 	}
 	if dy.Rows != c.bx.Rows || dy.Cols != c.by.Cols {
 		panic(fmt.Sprintf("nn: Conv1D BackwardBatch %dx%d, want %dx%d", dy.Rows, dy.Cols, c.bx.Rows, c.by.Cols))
 	}
-	ol := c.outLen()
-	// Distinct filters own disjoint gradient elements, so the filter loop is
-	// the parallel axis; within one span of filters the walk is sequential
-	// over the batch.
-	if parRows(c.Filters, dy.Rows*ol, workers) {
-		par.ForChunked(c.Filters, workers, func(flo, fhi int) { c.filterGradSpan(dy, flo, fhi) })
-	} else {
-		c.filterGradSpan(dy, 0, c.Filters)
-	}
+	c.filterGrads(dy)
 	if !inputGrad {
 		return nil
 	}
 	c.bdx = mat.EnsureShape(c.bdx, dy.Rows, c.bx.Cols)
-	// Sample rows own disjoint input-gradient rows; each shard zeroes and
-	// then accumulates its own rows with the oracle's f-outer/t-inner
-	// walk.
-	if parRows(dy.Rows, c.Filters*ol*c.Kernel, workers) {
-		par.ForChunked(dy.Rows, workers, func(rlo, rhi int) { c.inputGradRows(dy, rlo, rhi) })
-	} else {
-		c.inputGradRows(dy, 0, dy.Rows)
-	}
+	c.inputGrads(dy)
 	return c.bdx
 }
 
@@ -189,37 +172,36 @@ func (c *Conv1D) rectMask(dy *mat.Matrix) (*mat.Matrix, uint64) {
 	return dy, ^uint64(0)
 }
 
-// filterGradSpan accumulates weight and bias gradients for filters
-// [flo, fhi); distinct filters touch disjoint gradient elements. Rows are the
-// outer loop and the span's filters the inner one, so the three batches it
+// filterGrads accumulates every filter's weight and bias gradients;
+// distinct filters touch disjoint gradient elements. Rows are the outer loop
+// and the filters the inner one, so the three batches it
 // reads — gradient, mask and input, megabytes each at the paper's width — are
 // walked once, front to back, instead of once per filter in stripes of one
 // filter's responses; a filter's accumulators still see their terms in
 // (row, position) ascending order. At the paper's shape — a kernel of four
-// at stride one — mat.Conv4GradTo takes the span's filters four to a vector
+// at stride one — mat.Conv4GradTo takes the filters four to a vector
 // where the CPU allows, the same terms in the same order without the skip's
 // branch (DESIGN §10); filterGradRow takes the rest.
 //
 //minicost:hotpath
-func (c *Conv1D) filterGradSpan(dy *mat.Matrix, flo, fhi int) {
+func (c *Conv1D) filterGrads(dy *mat.Matrix) {
 	ol, kernel := c.outLen(), c.Kernel
 	rect, pass := c.rectMask(dy)
 	paper := kernel == 4 && c.Stride == 1
 	for r := 0; r < dy.Rows; r++ {
 		drow, yrow, xrow := dy.Row(r), rect.Row(r), c.bx.Row(r)
-		f := flo
+		f := 0
 		if paper {
-			f += mat.Conv4GradTo(c.w.Grad[flo*4:fhi*4], c.b.Grad[flo:fhi],
-				drow[flo*ol:fhi*ol], yrow[flo*ol:fhi*ol], xrow[:c.InLen], pass)
+			f = mat.Conv4GradTo(c.w.Grad, c.b.Grad, drow[:c.Filters*ol], yrow[:c.Filters*ol], xrow[:c.InLen], pass)
 		}
-		for ; f < fhi; f++ {
+		for ; f < c.Filters; f++ {
 			c.b.Grad[f] = filterGradRow(c.w.Grad[f*kernel:(f+1)*kernel], c.b.Grad[f],
 				drow[f*ol:(f+1)*ol], yrow[f*ol:(f+1)*ol], xrow, c.Stride, pass)
 		}
 	}
 }
 
-// filterGradRow is filterGradSpan's inner loop, one sample's terms of one
+// filterGradRow is filterGrads' inner loop, one sample's terms of one
 // filter's gradients: gw accumulates in place and the bias gradient, bg on
 // entry, is returned. Like convFilterRow it is a function of its own, with
 // the paper's kernel of four written out so that the four accumulators live
@@ -260,15 +242,15 @@ func filterGradRow(gw []float64, bg float64, drow, yrow, xrow []float64, stride 
 	return bg
 }
 
-// inputGradRows zeroes and accumulates the window gradients of rows
-// [rlo, rhi) with the oracle's f-outer/t-inner walk, then copies the
-// tail's gradient behind them; rows are disjoint.
+// inputGrads zeroes and accumulates every row's window gradients with the
+// oracle's f-outer/t-inner walk, then copies the tail's gradient behind
+// them.
 //
 //minicost:hotpath
-func (c *Conv1D) inputGradRows(dy *mat.Matrix, rlo, rhi int) {
+func (c *Conv1D) inputGrads(dy *mat.Matrix) {
 	ol := c.outLen()
 	rect, pass := c.rectMask(dy)
-	for r := rlo; r < rhi; r++ {
+	for r := 0; r < dy.Rows; r++ {
 		drow, yrow, dxrow := dy.Row(r), rect.Row(r), c.bdx.Row(r)
 		for i := range dxrow[:c.InLen] {
 			dxrow[i] = 0
@@ -292,11 +274,13 @@ func (c *Conv1D) inputGradRows(dy *mat.Matrix, rlo, rhi int) {
 
 // BackwardBatch implements the batched gradient pass for ReLU: the retained
 // input batch is the mask (dy passes where the input was positive).
-func (r *ReLU) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	return r.backwardBatch(dy, workers, true)
+func (r *ReLU) BackwardBatch(dy *mat.Matrix) *mat.Matrix {
+	return r.backwardBatch(dy, true)
 }
 
-func (r *ReLU) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.Matrix {
+// backwardBatch masks the output gradient through the retained input
+// (mat.ReluGradTo: a compare mask per vector, mat.Gate's bits).
+func (r *ReLU) backwardBatch(dy *mat.Matrix, inputGrad bool) *mat.Matrix {
 	if !inputGrad {
 		return nil // no parameters: the input gradient is all there is
 	}
@@ -307,40 +291,30 @@ func (r *ReLU) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.M
 		panic(fmt.Sprintf("nn: ReLU BackwardBatch %dx%d, want %dx%d", dy.Rows, dy.Cols, r.bx.Rows, r.bx.Cols))
 	}
 	r.bdx = mat.EnsureShape(r.bdx, dy.Rows, dy.Cols)
-	if parRows(len(dy.Data), 1, workers) {
-		par.ForChunked(len(dy.Data), workers, func(lo, hi int) { r.backwardSpan(dy, lo, hi) })
-	} else {
-		r.backwardSpan(dy, 0, len(dy.Data))
-	}
+	n := len(dy.Data)
+	mat.ReluGradTo(r.bdx.Data[:n], dy.Data, r.bx.Data[:n])
 	return r.bdx
-}
-
-// backwardSpan masks the output gradient through the retained input for
-// elements [lo, hi) (mat.ReluGradTo: a compare mask per vector, mat.Gate's
-// bits).
-//
-//minicost:hotpath
-func (r *ReLU) backwardSpan(dy *mat.Matrix, lo, hi int) {
-	mat.ReluGradTo(r.bdx.Data[lo:hi], dy.Data[lo:hi], r.bx.Data[lo:hi])
 }
 
 // BackwardBatch implements the batched gradient pass for Split: the
 // front-end's, which reads the response gradients where they lie in dy and
 // writes window and tail gradients side by side.
-func (s *Split) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	return s.backwardBatch(dy, workers, true)
+func (s *Split) BackwardBatch(dy *mat.Matrix) *mat.Matrix {
+	return s.backwardBatch(dy, true)
 }
 
-func (s *Split) backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.Matrix {
-	return s.conv.backwardBatch(dy, workers, inputGrad)
+func (s *Split) backwardBatch(dy *mat.Matrix, inputGrad bool) *mat.Matrix {
+	return s.conv.backwardBatch(dy, inputGrad)
 }
 
 // BackwardBatch back-propagates a batch of output gradients through the
 // stack (after a ForwardBatch), accumulating parameter gradients and
 // returning the batched input gradient. The result is owned by the first
-// layer and overwritten by the next call.
+// layer and overwritten by the next call. workers must be 0 or 1 (see
+// checkSerial).
 func (n *Network) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
-	return n.backward(dy, workers, true)
+	checkSerial("BackwardBatch", workers)
+	return n.backward(dy, true)
 }
 
 // BackwardParams is BackwardBatch for a caller that wants the parameter
@@ -349,13 +323,13 @@ func (n *Network) BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix {
 // every filter tap for the conv front-end and a GEMM as large as the forward
 // one for a Dense — is not computed. The parameter gradients are
 // BackwardBatch's bit for bit; they never depended on it.
-func (n *Network) BackwardParams(dy *mat.Matrix, workers int) {
-	n.backward(dy, workers, false)
+func (n *Network) BackwardParams(dy *mat.Matrix) {
+	n.backward(dy, false)
 }
 
-func (n *Network) backward(dy *mat.Matrix, workers int, inputGrad bool) *mat.Matrix {
+func (n *Network) backward(dy *mat.Matrix, inputGrad bool) *mat.Matrix {
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		dy = n.layers[i].backwardBatch(dy, workers, inputGrad || i > 0)
+		dy = n.layers[i].backwardBatch(dy, inputGrad || i > 0)
 	}
 	return dy
 }

@@ -42,7 +42,7 @@ func setGrads(n *Network, flat []float64) {
 // the scalar oracle, including on top of pre-existing gradients, and
 // that BackwardParams — the same pass without the first layer's input
 // gradient — accumulates the same parameter gradients.
-func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*Network, *Network), x, dy *mat.Matrix, workers int) {
+func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*Network, *Network), x, dy *mat.Matrix) {
 	t.Helper()
 	batched, single := build()
 	// Seed both gradient accumulators with a shared nonzero state so the
@@ -56,8 +56,8 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 	setGrads(batched, start)
 	wantGrad, wantDx := refGrads(single, x, dy)
 
-	batched.ForwardBatch(x, workers)
-	gotDx := batched.BackwardBatch(dy, workers)
+	batched.ForwardBatch(x, 1)
+	gotDx := batched.BackwardBatch(dy, 1)
 	gotGrad := gradVector(batched)
 
 	if i, ok := sameBits(gotGrad, wantGrad); !ok {
@@ -72,7 +72,7 @@ func assertBackwardBatchMatchesSingle(t *testing.T, name string, build func() (*
 	// The forward pass's retained state outlives a backward pass, so the
 	// second one needs no second forward.
 	setGrads(batched, start)
-	batched.BackwardParams(dy, workers)
+	batched.BackwardParams(dy)
 	if i, ok := sameBits(gradVector(batched), wantGrad); !ok {
 		t.Fatalf("%s: BackwardParams grad elem %d differs from the scalar oracle", name, i)
 	}
@@ -94,14 +94,12 @@ func sparseGrad(r *rng.RNG, rows, cols int) *mat.Matrix {
 func TestDenseBackwardBatchBitwise(t *testing.T) {
 	r := rng.New(21)
 	for _, sh := range []struct{ in, out, batch int }{{3, 2, 1}, {33, 17, 5}, {159, 128, 64}} {
-		for _, workers := range []int{1, 0} {
-			x := randomBatch(r, sh.batch, sh.in)
-			dy := randomBatch(r, sh.batch, sh.out)
-			assertBackwardBatchMatchesSingle(t, "Dense", func() (*Network, *Network) {
-				seed := rng.New(31)
-				return NewNetwork(NewDense(seed, sh.in, sh.out)), NewNetwork(NewDense(rng.New(31), sh.in, sh.out))
-			}, x, dy, workers)
-		}
+		x := randomBatch(r, sh.batch, sh.in)
+		dy := randomBatch(r, sh.batch, sh.out)
+		assertBackwardBatchMatchesSingle(t, "Dense", func() (*Network, *Network) {
+			seed := rng.New(31)
+			return NewNetwork(NewDense(seed, sh.in, sh.out)), NewNetwork(NewDense(rng.New(31), sh.in, sh.out))
+		}, x, dy)
 	}
 }
 
@@ -114,14 +112,10 @@ func TestConv1DBackwardBatchBitwise(t *testing.T) {
 		outDim := c.OutDim(sh.inLen)
 		x := randomBatch(r, sh.batch, sh.inLen)
 		dy := sparseGrad(r, sh.batch, outDim)
-		// workers 4 shards the two wide shapes' filters; within a shard the
-		// walk is rows outermost either way.
-		for _, workers := range []int{1, 4} {
-			assertBackwardBatchMatchesSingle(t, "Conv1D", func() (*Network, *Network) {
-				return NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride)),
-					NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride))
-			}, x, dy, workers)
-		}
+		assertBackwardBatchMatchesSingle(t, "Conv1D", func() (*Network, *Network) {
+			return NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride)),
+				NewNetwork(NewConv1D(rng.New(32), sh.inLen, sh.filters, sh.kernel, sh.stride))
+		}, x, dy)
 	}
 }
 
@@ -130,7 +124,7 @@ func TestReLUAndSplitBackwardBatchBitwise(t *testing.T) {
 	for _, batch := range seamBatches {
 		assertBackwardBatchMatchesSingle(t, "ReLU", func() (*Network, *Network) {
 			return NewNetwork(NewReLU()), NewNetwork(NewReLU())
-		}, randomBatch(r, batch, 21), randomBatch(r, batch, 21), 1)
+		}, randomBatch(r, batch, 21), randomBatch(r, batch, 21))
 	}
 	const head, static = 14, 6
 	for _, width := range paperWidths {
@@ -145,12 +139,8 @@ func TestReLUAndSplitBackwardBatchBitwise(t *testing.T) {
 				name := fmt.Sprintf("Split width=%d kernel=%d stride=%d batch=%d", width, sh.kernel, sh.stride, batch)
 				x, dy := randomBatch(r, batch, head+static), sparseGrad(r, batch, outDim)
 				// The rectifier zeroes about half the responses' gradients on
-				// top of sparseGrad's exact zeros. workers 4 runs where it
-				// shards the filters, the wide, long batches.
-				assertBackwardBatchMatchesSingle(t, name, build, x, dy, 1)
-				if parRows(width, batch*n.layers[0].(*Split).conv.outLen(), 4) {
-					assertBackwardBatchMatchesSingle(t, name+" workers=4", build, x, dy, 4)
-				}
+				// top of sparseGrad's exact zeros.
+				assertBackwardBatchMatchesSingle(t, name, build, x, dy)
 			}
 		}
 	}
@@ -193,9 +183,7 @@ func TestNetworkBackwardBatchBitwise(t *testing.T) {
 				name := fmt.Sprintf("Network width=%d kernel=%d stride=%d batch=%d", width, sh.kernel, sh.stride, batch)
 				x := randomBatch(r, batch, head+static)
 				dy := sparseGrad(r, batch, 3)
-				for _, workers := range []int{1, 0} {
-					assertBackwardBatchMatchesSingle(t, name, pair, x, dy, workers)
-				}
+				assertBackwardBatchMatchesSingle(t, name, pair, x, dy)
 			}
 		}
 	}

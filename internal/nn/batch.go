@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"minicost/internal/mat"
-	"minicost/internal/par"
 )
 
 // Batched forward: ForwardBatch runs a whole batch of samples (one per
@@ -54,33 +53,24 @@ import (
 // largest batch seen and are reused, so steady-state batched inference
 // performs no allocations.
 //
-// workers bounds the intra-GEMM parallel fan-out: pass 1 (serial) when the
-// caller already parallelizes across batches — e.g. the chunked stepper in
-// policy.RL — and <= 0 for the default when a single large batch should use
-// every core, e.g. the agent server planning all tracked files at once.
+// Every pass runs on the calling goroutine. Callers split cores across
+// batches, never inside one: policy.RL and rl.PlanTrace across chunks of
+// files, the agent server across shards, training across A3C workers.
 
-// parMinFloats is the per-call element traffic below which the batched
-// layers' data-movement loops (elementwise activation, bias reduction, the
-// conv front-end) stay serial even when workers > 1: under ~16k floats the
-// goroutine fan-out costs more than the work it shards.
-const parMinFloats = 1 << 14
-
-// parRows reports whether n independent work items (sample rows, filters,
-// output neurons) carrying floatsPerItem floats each are worth sharding over
-// workers. Call sites branch on it and build the par.ForChunked closure only
-// on the parallel side, so the serial (workers=1) hot path stays literally
-// allocation-free — a func literal handed to ForChunked escapes to the heap
-// even when the branch is never taken. Sharded items must write disjoint
-// outputs, and each item's own accumulation order is untouched, so results
-// are bitwise identical at any worker count.
-func parRows(n, floatsPerItem, workers int) bool {
-	return workers != 1 && n*floatsPerItem >= parMinFloats
+// checkSerial panics unless workers is 0 or 1. Network.ForwardBatch and
+// Network.BackwardBatch keep their workers argument only because the
+// end-to-end benchmark's probes pass it; the argument goes when the
+// benchmark next changes.
+func checkSerial(fn string, workers int) {
+	if workers != 0 && workers != 1 {
+		panic(fmt.Sprintf("nn: %s workers %d: passes run serially, pass 0 or 1", fn, workers))
+	}
 }
 
 // ForwardBatch implements the batched pass for Dense: Y = X·Wᵀ + b, one
 // fused GEMM over the whole batch.
-func (d *Dense) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
-	return d.forwardRows(x, 0, x.Rows, workers)
+func (d *Dense) ForwardBatch(x *mat.Matrix) *mat.Matrix {
+	return d.forwardRows(x, 0, x.Rows)
 }
 
 // forwardRows computes rows [lo, hi) of Y = X·Wᵀ + b on the SIMD kernel's
@@ -89,7 +79,7 @@ func (d *Dense) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
 // here, first, if not — which is every time for a layer that owns its
 // weights, once per bind for a bound one and never for a frozen one (see
 // Layer).
-func (d *Dense) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
+func (d *Dense) forwardRows(x *mat.Matrix, lo, hi int) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense batch input %d, want %d", x.Cols, d.In))
 	}
@@ -99,42 +89,38 @@ func (d *Dense) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
 	}
 	d.wView.Data = d.w.Value
 	if !d.packed {
-		d.wpack = mat.PackTransBParTo(d.wpack, d.wView, workers)
+		d.wpack = mat.PackTransBTo(d.wpack, d.wView)
 		d.packed = d.bound
 		d.packs++
 	}
-	d.by = mat.MulPackTransBBiasRowsTo(d.by, x, d.wpack, d.b.Value, lo, hi, workers)
+	d.by = mat.MulPackTransBBiasRowsTo(d.by, x, d.wpack, d.b.Value, lo, hi)
 	return d.by
 }
 
 // ForwardBatch implements the batched pass for a Conv1D on its own: the
 // responses of every (sample, filter, position), channel-major, unrectified.
-func (c *Conv1D) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
-	return c.forwardRows(x, 0, x.Rows, workers)
+func (c *Conv1D) ForwardBatch(x *mat.Matrix) *mat.Matrix {
+	return c.forwardRows(x, 0, x.Rows)
 }
 
-func (c *Conv1D) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
+func (c *Conv1D) forwardRows(x *mat.Matrix, lo, hi int) *mat.Matrix {
 	if x.Cols != c.InLen {
 		panic(fmt.Sprintf("nn: Conv1D batch input %d, want %d", x.Cols, c.InLen))
 	}
-	return c.forward(x, false, lo, hi, workers)
+	return c.forward(x, false, lo, hi)
 }
 
 // forward runs the batched convolution over the leading InLen columns of x's
 // rows [lo, hi) — rectified or not — with whatever columns follow them passed
 // through behind the responses (see convRows), and retains x for
 // BackwardBatch.
-func (c *Conv1D) forward(x *mat.Matrix, rectify bool, lo, hi, workers int) *mat.Matrix {
+func (c *Conv1D) forward(x *mat.Matrix, rectify bool, lo, hi int) *mat.Matrix {
 	if lo < 0 || hi < lo || hi > x.Rows {
 		panic(fmt.Sprintf("nn: Conv1D rows [%d,%d) of %d", lo, hi, x.Rows))
 	}
 	c.bx, c.rectified = x, rectify
 	c.by = mat.EnsureShape(c.by, x.Rows, c.Filters*c.outLen()+x.Cols-c.InLen)
-	if parRows(hi-lo, c.by.Cols, workers) {
-		par.ForChunked(hi-lo, workers, func(clo, chi int) { c.convRows(x, rectify, lo+clo, lo+chi) })
-	} else {
-		c.convRows(x, rectify, lo, hi)
-	}
+	c.convRows(x, rectify, lo, hi)
 	return c.by
 }
 
@@ -191,50 +177,41 @@ func convFilterRow(out, xrow, w []float64, bias float64, stride int, pass uint64
 
 // ForwardBatch implements the batched pass for ReLU (elementwise; the
 // retained input batch doubles as the mask for BackwardBatch).
-func (r *ReLU) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
-	return r.forwardRows(x, 0, x.Rows, workers)
+func (r *ReLU) ForwardBatch(x *mat.Matrix) *mat.Matrix {
+	return r.forwardRows(x, 0, x.Rows)
 }
 
-func (r *ReLU) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
+// forwardRows rectifies rows [lo, hi) (mat.ReluTo: one VMAXPD per vector,
+// mat.Gate's bits).
+func (r *ReLU) forwardRows(x *mat.Matrix, lo, hi int) *mat.Matrix {
 	r.bx = x
 	r.by = mat.EnsureShape(r.by, x.Rows, x.Cols)
 	lo, hi = lo*x.Cols, hi*x.Cols
-	if parRows(hi-lo, 1, workers) {
-		par.ForChunked(hi-lo, workers, func(clo, chi int) { r.forwardSpan(x, lo+clo, lo+chi) })
-	} else {
-		r.forwardSpan(x, lo, hi)
-	}
-	return r.by
-}
-
-// forwardSpan applies the rectifier to elements [lo, hi) (mat.ReluTo: one
-// VMAXPD per vector, mat.Gate's bits).
-//
-//minicost:hotpath
-func (r *ReLU) forwardSpan(x *mat.Matrix, lo, hi int) {
 	mat.ReluTo(r.by.Data[lo:hi], x.Data[lo:hi])
+	return r.by
 }
 
 // ForwardBatch implements the batched pass for Split: the conv front-end in
 // one loop over the rows, reading the head columns where they lie in x and
 // writing rectified responses and tail columns where the next layer reads
 // them.
-func (s *Split) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
-	return s.forwardRows(x, 0, x.Rows, workers)
+func (s *Split) ForwardBatch(x *mat.Matrix) *mat.Matrix {
+	return s.forwardRows(x, 0, x.Rows)
 }
 
-func (s *Split) forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
+func (s *Split) forwardRows(x *mat.Matrix, lo, hi int) *mat.Matrix {
 	if x.Cols < s.Head {
 		panic("nn: Split batch input shorter than head")
 	}
-	return s.conv.forward(x, true, lo, hi, workers)
+	return s.conv.forward(x, true, lo, hi)
 }
 
 // ForwardBatch runs the stack on a batch of samples (one per row). The
 // result is owned by the network's last layer and overwritten by the next
-// call; see the file comment for the workers convention.
+// call. workers must be 0 or 1 (see checkSerial).
 func (n *Network) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
-	return n.ForwardRows(x, 0, x.Rows, workers)
+	checkSerial("ForwardBatch", workers)
+	return n.ForwardRows(x, 0, x.Rows)
 }
 
 // ForwardRows runs the stack on the row window [lo, hi) of x and returns the
@@ -248,9 +225,9 @@ func (n *Network) ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix {
 // itself is retained, whole, as by ForwardBatch. rl's vectorized worker
 // selects lockstep step t's actions from window [t·E, (t+1)·E) of its rollout
 // arena, so that the last step's forward completes the update's.
-func (n *Network) ForwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix {
+func (n *Network) ForwardRows(x *mat.Matrix, lo, hi int) *mat.Matrix {
 	for _, l := range n.layers {
-		x = l.forwardRows(x, lo, hi, workers)
+		x = l.forwardRows(x, lo, hi)
 	}
 	return x
 }

@@ -55,9 +55,9 @@ func randomBatch(r *rng.RNG, rows, cols int) *mat.Matrix {
 
 // assertBatchMatchesSingle checks that ForwardBatch on x is bitwise
 // identical to the scalar oracle row by row.
-func assertBatchMatchesSingle(t *testing.T, name string, l Layer, x *mat.Matrix, workers int) {
+func assertBatchMatchesSingle(t *testing.T, name string, l Layer, x *mat.Matrix) {
 	t.Helper()
-	y := l.ForwardBatch(x, workers)
+	y := l.ForwardBatch(x)
 	for r := 0; r < x.Rows; r++ {
 		want := l.(refLayer).refForward(x.Row(r))
 		got := y.Row(r)
@@ -75,9 +75,7 @@ func TestDenseForwardBatchBitwise(t *testing.T) {
 	r := rng.New(1)
 	for _, sh := range []struct{ in, out, batch int }{{3, 2, 1}, {33, 17, 5}, {159, 128, 64}} {
 		d := NewDense(r, sh.in, sh.out)
-		for _, workers := range []int{1, 0} {
-			assertBatchMatchesSingle(t, "Dense", d, randomBatch(r, sh.batch, sh.in), workers)
-		}
+		assertBatchMatchesSingle(t, "Dense", d, randomBatch(r, sh.batch, sh.in))
 	}
 }
 
@@ -94,14 +92,14 @@ func TestConv1DForwardBatchBitwise(t *testing.T) {
 		{14, 16, 4, 2, 7}, {14, 16, 3, 1, 7}, {14, 16, 5, 1, 7},
 	} {
 		c := NewConv1D(r, sh.inLen, sh.filters, sh.kernel, sh.stride)
-		assertBatchMatchesSingle(t, "Conv1D", c, randomBatch(r, sh.batch, sh.inLen), 1)
+		assertBatchMatchesSingle(t, "Conv1D", c, randomBatch(r, sh.batch, sh.inLen))
 	}
 }
 
 func TestReLUAndSplitForwardBatchBitwise(t *testing.T) {
 	r := rng.New(3)
 	for _, batch := range seamBatches {
-		assertBatchMatchesSingle(t, "ReLU", NewReLU(), randomBatch(r, batch, 21), 1)
+		assertBatchMatchesSingle(t, "ReLU", NewReLU(), randomBatch(r, batch, 21))
 	}
 	const head, static = 14, 6
 	for _, width := range paperWidths {
@@ -109,7 +107,7 @@ func TestReLUAndSplitForwardBatchBitwise(t *testing.T) {
 			s := newFront(r, head, width, sh.kernel, sh.stride)
 			for _, batch := range seamBatches {
 				name := fmt.Sprintf("Split width=%d kernel=%d stride=%d batch=%d", width, sh.kernel, sh.stride, batch)
-				assertBatchMatchesSingle(t, name, s, randomBatch(r, batch, head+static), 1)
+				assertBatchMatchesSingle(t, name, s, randomBatch(r, batch, head+static))
 			}
 		}
 	}
@@ -211,8 +209,8 @@ func TestRectifierSpecialValues(t *testing.T) {
 
 	relu := NewReLU()
 	check("ReLU oracle", relu.refForward(x.Row(0)), relu.refBackward(x.Row(0), g.Row(0)))
-	by := relu.ForwardBatch(x, 1)
-	bdx := relu.BackwardBatch(g, 1)
+	by := relu.ForwardBatch(x)
+	bdx := relu.BackwardBatch(g)
 	for r := 0; r < rows; r++ {
 		check("ReLU batched", by.Row(r), bdx.Row(r))
 	}
@@ -224,9 +222,49 @@ func TestRectifierSpecialValues(t *testing.T) {
 	conv.w.Value[0], conv.b.Value[0] = 1, negZero
 	front := NewSplit(n, NewNetwork(conv, NewReLU()))
 	check("front-end oracle", front.refForward(x.Row(0)), front.refBackward(x.Row(0), g.Row(0)))
-	by = front.ForwardBatch(x, 1)
-	bdx = front.BackwardBatch(g, 1)
+	by = front.ForwardBatch(x)
+	bdx = front.BackwardBatch(g)
 	for r := 0; r < rows; r++ {
 		check("front-end batched", by.Row(r), bdx.Row(r))
+	}
+}
+
+// TestWorkersArgumentSerialOnly pins the two passes that still take a
+// workers argument: 0 and 1 run on the calling goroutine, bit for bit the
+// argument-free ForwardRows and BackwardParams, and anything else panics.
+func TestWorkersArgumentSerialOnly(t *testing.T) {
+	r := rng.New(14)
+	n := agentNet(r, 14, 16, 32, 3, 6)
+	grads := n.FlattenGrads()
+	x := randomBatch(r, 19, 20)
+	dy := randomBatch(r, 19, 3)
+	wantY := append([]float64(nil), n.ForwardRows(x, 0, x.Rows).Data...)
+	n.BackwardParams(dy)
+	wantG := append([]float64(nil), grads...)
+	for _, workers := range []int{0, 1} {
+		n.ZeroGrad()
+		if i, ok := sameBits(n.ForwardBatch(x, workers).Data, wantY); !ok {
+			t.Fatalf("ForwardBatch workers %d: elem %d differs from ForwardRows", workers, i)
+		}
+		n.BackwardBatch(dy, workers)
+		if i, ok := sameBits(grads, wantG); !ok {
+			t.Fatalf("BackwardBatch workers %d: grad elem %d differs from BackwardParams", workers, i)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"ForwardBatch", func() { n.ForwardBatch(x, 2) }},
+		{"BackwardBatch", func() { n.BackwardBatch(dy, 2) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with workers 2 did not panic", tc.name)
+				}
+			}()
+			tc.call()
+		}()
 	}
 }

@@ -33,8 +33,7 @@ func sameFloats(t *testing.T, name string, got, want []float64) {
 // masks ±0 and NaN, both with the rectifier's gate shut (pass 0) and open
 // (all ones, the mask then being the gradient itself), and the gradients
 // are seeded with -0.0: a kernel that added the skipped terms as +0 would
-// turn a seed whose filter sees only zero gradients into +0. Spans that
-// start and end off a group of four are the parallel fan-out's shards.
+// turn a seed whose filter sees only zero gradients into +0.
 func TestConvFilterGradMatchesScalarLoop(t *testing.T) {
 	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
 	gradVals := []float64{0.75, negZero, -1.5, 0, math.NaN(), 2.25, math.Inf(1), tiny, -0.5, math.Inf(-1), -tiny, 0x1p-1030, 1.25}
@@ -66,35 +65,30 @@ func TestConvFilterGradMatchesScalarLoop(t *testing.T) {
 				}
 				for _, rectified := range []bool{true, false} {
 					c.bx, c.by, c.rectified = x, mask, rectified
-					for _, span := range [][2]int{{0, filters}, {1, filters}, {0, filters - 1}, {filters / 2, filters}} {
-						if span[0] >= span[1] {
-							continue
-						}
-						name := fmt.Sprintf("F=%d ol=%d %s rectified=%v span=%v", filters, ol, pattern, rectified, span)
-						seedW, seedB := make([]float64, 4*filters), make([]float64, filters)
-						for i := range seedW {
-							seedW[i] = []float64{negZero, negZero, 0.5, negZero}[i%4]
-						}
-						for i := range seedB {
-							seedB[i] = []float64{negZero, 1, negZero}[i%3]
-						}
-						copy(c.w.Grad, seedW)
-						copy(c.b.Grad, seedB)
-						_, pass := c.rectMask(dy)
-						rect := mask
-						if !rectified {
-							rect = dy
-						}
-						for row := 0; row < rows; row++ {
-							for f := span[0]; f < span[1]; f++ {
-								seedB[f] = filterGradRow(seedW[4*f:4*f+4], seedB[f], dy.Row(row)[f*ol:(f+1)*ol],
-									rect.Row(row)[f*ol:(f+1)*ol], x.Row(row), 1, pass)
-							}
-						}
-						c.filterGradSpan(dy, span[0], span[1])
-						sameFloats(t, name+" weights", c.w.Grad, seedW)
-						sameFloats(t, name+" biases", c.b.Grad, seedB)
+					name := fmt.Sprintf("F=%d ol=%d %s rectified=%v", filters, ol, pattern, rectified)
+					seedW, seedB := make([]float64, 4*filters), make([]float64, filters)
+					for i := range seedW {
+						seedW[i] = []float64{negZero, negZero, 0.5, negZero}[i%4]
 					}
+					for i := range seedB {
+						seedB[i] = []float64{negZero, 1, negZero}[i%3]
+					}
+					copy(c.w.Grad, seedW)
+					copy(c.b.Grad, seedB)
+					_, pass := c.rectMask(dy)
+					rect := mask
+					if !rectified {
+						rect = dy
+					}
+					for row := 0; row < rows; row++ {
+						for f := 0; f < filters; f++ {
+							seedB[f] = filterGradRow(seedW[4*f:4*f+4], seedB[f], dy.Row(row)[f*ol:(f+1)*ol],
+								rect.Row(row)[f*ol:(f+1)*ol], x.Row(row), 1, pass)
+						}
+					}
+					c.filterGrads(dy)
+					sameFloats(t, name+" weights", c.w.Grad, seedW)
+					sameFloats(t, name+" biases", c.b.Grad, seedB)
 				}
 			}
 		}

@@ -68,18 +68,18 @@ type Param struct {
 //     are shared, read-only, with every other view of the same freeze, and it
 //     has no gradients — pack per freeze.
 type Layer interface {
-	ForwardBatch(x *mat.Matrix, workers int) *mat.Matrix
-	BackwardBatch(dy *mat.Matrix, workers int) *mat.Matrix
+	ForwardBatch(x *mat.Matrix) *mat.Matrix
+	BackwardBatch(dy *mat.Matrix) *mat.Matrix
 	Params() []*Param
 	OutDim(inDim int) int
 	// forwardRows is ForwardBatch for the row window [lo, hi) of x: it writes
 	// those rows of the layer's output batch — sized for all of x, the other
 	// rows left as they are — and retains x (see Network.ForwardRows).
-	forwardRows(x *mat.Matrix, lo, hi, workers int) *mat.Matrix
+	forwardRows(x *mat.Matrix, lo, hi int) *mat.Matrix
 	// backwardBatch is BackwardBatch, except that with inputGrad unset it
 	// accumulates the parameter gradients only and returns nil (see
 	// Network.BackwardParams).
-	backwardBatch(dy *mat.Matrix, workers int, inputGrad bool) *mat.Matrix
+	backwardBatch(dy *mat.Matrix, inputGrad bool) *mat.Matrix
 	// shell returns a layer of the same architecture with no parameter
 	// storage at all; Network.Clone and Network.BoundClone fill it in.
 	shell() Layer

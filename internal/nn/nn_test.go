@@ -137,7 +137,7 @@ func TestConv1DOutputShape(t *testing.T) {
 	if got := c.OutDim(14); got != 128*11 {
 		t.Fatalf("OutDim = %d, want %d", got, 128*11)
 	}
-	y := c.ForwardBatch(mat.New(1, 14), 1)
+	y := c.ForwardBatch(mat.New(1, 14))
 	if y.Rows != 1 || y.Cols != 128*11 {
 		t.Fatalf("forward shape %dx%d", y.Rows, y.Cols)
 	}
@@ -148,7 +148,7 @@ func TestConv1DKnownValues(t *testing.T) {
 	c := NewConv1D(r, 4, 1, 2, 1)
 	copy(c.w.Value, []float64{1, -1})
 	c.b.Value[0] = 0.5
-	y := c.ForwardBatch(rowBatch([]float64{3, 1, 4, 1}), 1).Row(0)
+	y := c.ForwardBatch(rowBatch([]float64{3, 1, 4, 1})).Row(0)
 	want := []float64{3 - 1 + 0.5, 1 - 4 + 0.5, 4 - 1 + 0.5}
 	for i := range want {
 		if math.Abs(y[i]-want[i]) > 1e-12 {
@@ -350,7 +350,7 @@ func TestOptimizersReduceLoss(t *testing.T) {
 				for i, d := range data {
 					dy.Data[i] = y.Data[i] - target(d)
 				}
-				n.BackwardParams(dy, 1)
+				n.BackwardParams(dy)
 				g := gradVector(n)
 				for i := range g {
 					g[i] /= float64(len(data))
@@ -386,5 +386,37 @@ func TestDensePanicsOnBadInput(t *testing.T) {
 			t.Fatal("wrong input size accepted")
 		}
 	}()
-	d.ForwardBatch(rowBatch([]float64{1, 2}), 1)
+	d.ForwardBatch(rowBatch([]float64{1, 2}))
+}
+
+// TestSoftmaxInto pins the softmax's arithmetic — shift by the maximum,
+// exponentiate, divide by the sum accumulated in index order — and that it
+// does not allocate.
+func TestSoftmaxInto(t *testing.T) {
+	logits := []float64{0.3, -2.5, 11.0, 0.0, 3.25}
+	want := make([]float64, len(logits))
+	sum := 0.0
+	for i, v := range logits {
+		want[i] = math.Exp(v - 11.0)
+		sum += want[i]
+	}
+	for i := range want {
+		want[i] /= sum
+	}
+	out := make([]float64, len(logits))
+	allocs := testing.AllocsPerRun(10, func() { SoftmaxInto(out, logits) })
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("SoftmaxInto[%d] = %v, want %v", i, out[i], want[i])
+		}
+	}
+	if allocs != 0 {
+		t.Fatalf("SoftmaxInto allocates %.0f/op, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SoftmaxInto with mismatched lengths did not panic")
+		}
+	}()
+	SoftmaxInto(out[:2], logits)
 }

@@ -61,6 +61,19 @@ func TestForwardBatchOnArenaViewBitwise(t *testing.T) {
 	}
 }
 
+// agentNet builds the agent-shaped stack (conv front-end behind a Split,
+// hidden Dense, output Dense) at the given widths.
+func agentNet(r *rng.RNG, head, filters, hidden, out, static int) *Network {
+	front := NewNetwork(NewConv1D(r, head, filters, 4, 1), NewReLU())
+	concat := front.OutDim(head) + static
+	return NewNetwork(
+		NewSplit(head, front),
+		NewDense(r, concat, hidden),
+		NewReLU(),
+		NewDense(r, hidden, out),
+	)
+}
+
 // rowWindows are partitions of a 77-row batch, each in the order its windows
 // run: lengths from one row to all 77, on both sides of 16 and of nothing in
 // particular, front to back, back to front and scrambled, and the whole
@@ -76,7 +89,7 @@ var rowWindows = [][][2]int{
 // TestForwardRowsPartitionsBitwise pins ForwardRows' contract: whatever the
 // partition of [0, Rows) and the order of its windows, whether the network
 // owns its weights or is bound to them, whether the batch is its own matrix
-// or a view into an arena, serially and fanned out, the outputs, the
+// or a view into an arena, the outputs, the
 // parameter gradients and the input gradient a BackwardBatch then computes
 // are bit for bit those of one ForwardBatch + BackwardBatch — and a network
 // that owns its weights packs once per window, a bound one once for all the
@@ -91,8 +104,6 @@ func TestForwardRowsPartitionsBitwise(t *testing.T) {
 	owned := view.Clone()
 	dy := sparseGrad(r, rows, 3)
 
-	// Wide enough that the 16-row windows cross the kernels' parallel
-	// thresholds at workers 4.
 	ref := agentNet(r, head, 64, 128, 3, 6)
 	refGrad := ref.FlattenGrads()
 	wantY := append([]float64(nil), ref.ForwardBatch(owned, 1).Data...)
@@ -107,34 +118,32 @@ func TestForwardRowsPartitionsBitwise(t *testing.T) {
 		grad := n.FlattenGrads()
 		for _, x := range []*mat.Matrix{owned, view} {
 			for wi, windows := range rowWindows {
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("bound=%v view=%v partition %d workers %d", bound, x == view, wi, workers)
-					n.ZeroGrad()
-					if bound {
-						n.BindParamVector(ref.ParamVector())
-					}
-					packs := n.WeightPacks()
-					var y *mat.Matrix
-					for _, w := range windows {
-						y = n.ForwardRows(x, w[0], w[1], workers)
-					}
-					if i, ok := sameBits(y.Data, wantY); !ok {
-						t.Fatalf("%s: output elem %d differs from ForwardBatch", name, i)
-					}
-					wantPacks := len(windows) // owned weights: every window packs
-					if bound {
-						wantPacks = 1 // one bind, one pack
-					}
-					if got := n.WeightPacks() - packs; got != wantPacks {
-						t.Fatalf("%s: %d packs, want %d", name, got, wantPacks)
-					}
-					dx := n.BackwardBatch(dy, workers)
-					if i, ok := sameBits(dx.Data, wantDx); !ok {
-						t.Fatalf("%s: input-grad elem %d differs from ForwardBatch + BackwardBatch", name, i)
-					}
-					if i, ok := sameBits(grad, wantGrad); !ok {
-						t.Fatalf("%s: param-grad elem %d differs from ForwardBatch + BackwardBatch", name, i)
-					}
+				name := fmt.Sprintf("bound=%v view=%v partition %d", bound, x == view, wi)
+				n.ZeroGrad()
+				if bound {
+					n.BindParamVector(ref.ParamVector())
+				}
+				packs := n.WeightPacks()
+				var y *mat.Matrix
+				for _, w := range windows {
+					y = n.ForwardRows(x, w[0], w[1])
+				}
+				if i, ok := sameBits(y.Data, wantY); !ok {
+					t.Fatalf("%s: output elem %d differs from ForwardBatch", name, i)
+				}
+				wantPacks := len(windows) // owned weights: every window packs
+				if bound {
+					wantPacks = 1 // one bind, one pack
+				}
+				if got := n.WeightPacks() - packs; got != wantPacks {
+					t.Fatalf("%s: %d packs, want %d", name, got, wantPacks)
+				}
+				dx := n.BackwardBatch(dy, 1)
+				if i, ok := sameBits(dx.Data, wantDx); !ok {
+					t.Fatalf("%s: input-grad elem %d differs from ForwardBatch + BackwardBatch", name, i)
+				}
+				if i, ok := sameBits(grad, wantGrad); !ok {
+					t.Fatalf("%s: param-grad elem %d differs from ForwardBatch + BackwardBatch", name, i)
 				}
 			}
 		}
@@ -176,7 +185,7 @@ func TestBoundCloneSharesValuesOwnsGrads(t *testing.T) {
 	}
 	x, dy := randomBatch(r, 20, 20), randomBatch(r, 20, 3)
 	rep.ForwardBatch(x, 1)
-	rep.BackwardParams(dy, 1)
+	rep.BackwardParams(dy)
 	for _, p := range sp {
 		for i, g := range p.Grad {
 			if g != 1 {
@@ -213,12 +222,12 @@ func TestForwardBatchAlternatingShapesAllocFree(t *testing.T) {
 				n.ZeroGrad()
 			}
 			for s := 0; s < steps; s++ {
-				actor.ForwardRows(arena, s*envs, (s+1)*envs, 1)
+				actor.ForwardRows(arena, s*envs, (s+1)*envs)
 			}
 			critic.ForwardBatch(boot, 1)
 			critic.ForwardBatch(arena, 1)
-			critic.BackwardParams(dy, 1)
-			actor.BackwardParams(dy, 1)
+			critic.BackwardParams(dy)
+			actor.BackwardParams(dy)
 		}
 		rollout() // warm the scratch for both shapes
 		rollout()

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -102,18 +103,15 @@ type Config struct {
 	DriftThreshold float64
 
 	// SwapGate requires a candidate to not regress simulated cost on the
-	// held-out slice vs. the incumbent before swapping; rejected candidates
-	// roll the trainer back to the serving weights. Without a holdout
+	// held-out slice vs. the incumbent before swapping: it passes when its
+	// held-out bill is at most the incumbent's, a tie included. Rejected
+	// candidates roll the trainer back to the serving weights. Without a holdout
 	// (HoldoutEvery < 0, or no eligible holdout files yet) the gate has no
 	// evidence: it admits against an agent incumbent and refuses against
 	// Greedy, which is also the one case a rejection leaves the trainer as
 	// the epoch left it — no agent serves, so there are no weights to
 	// return to.
 	SwapGate bool
-	// SwapMargin is the gate's relative slack: a candidate passes while
-	// candidateCost <= incumbentCost × (1+SwapMargin). 0 means equal cost
-	// still passes.
-	SwapMargin float64
 
 	// CheckpointDir, when set, persists the trainer after every accepted
 	// swap (atomic rename; see checkpoint.go).
@@ -215,8 +213,8 @@ func New(cfg Config) (*Learner, error) {
 		return nil, fmt.Errorf("online: trainer hist window %d, serving tracks %d", histLen, got)
 	}
 	window := max(2*histLen, 16)
-	if cfg.FinetuneEvery < 0 || cfg.DriftThreshold < 0 {
-		return nil, errors.New("online: negative cadence or drift threshold")
+	if cfg.FinetuneEvery < 0 || cfg.DriftThreshold < 0 || math.IsNaN(cfg.DriftThreshold) {
+		return nil, errors.New("online: negative cadence, or negative or NaN drift threshold")
 	}
 	if cfg.FinetuneSteps == 0 {
 		cfg.FinetuneSteps = 2048
@@ -493,7 +491,7 @@ func (l *Learner) offer(cand *rl.Agent, holdout *trace.Trace, rbActor, rbCritic 
 		l.st.LastIncumbentCost = incRow.Total.Total()
 		l.st.LastDisagreement = dis
 		l.stMu.Unlock()
-		if candRow.Total.Total() > incRow.Total.Total()*(1+l.cfg.SwapMargin) {
+		if candRow.Total.Total() > incRow.Total.Total() {
 			// Candidate regresses the held-out cost: reject, keep the
 			// incumbent serving, and roll the trainer back so the failed
 			// update does not compound into the next epoch.

@@ -165,7 +165,6 @@ func TestLearnerEndToEndDriftSwap(t *testing.T) {
 	srv, l, _ := newTestStack(t, 19, func(c *Config) {
 		c.DriftThreshold = 0.25
 		c.SwapGate = true
-		c.SwapMargin = 5 // generous: the e2e pins the loop, not the gate's strictness
 		c.CheckpointDir = ckptDir
 		c.CheckpointKeep = 3
 	})
@@ -450,6 +449,29 @@ func TestNewSizesTheServingStore(t *testing.T) {
 	}
 }
 
+// TestNewRefusesBadTriggers: a negative cadence and a negative or NaN drift
+// threshold are refused — a NaN threshold would never trigger an epoch.
+func TestNewRefusesBadTriggers(t *testing.T) {
+	for _, c := range []struct {
+		every int
+		drift float64
+	}{{-1, 0.25}, {16, -0.25}, {16, math.NaN()}} {
+		tr := testTrainer(t, 38)
+		srv, err := agentserver.NewWithConfig(tr.Snapshot(), pricing.Hot, agentserver.Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(Config{
+			Trainer: tr, Serving: srv, Model: costmodel.New(pricing.Azure()),
+			Reward: mdp.DefaultReward(), Initial: pricing.Hot,
+			FinetuneEvery: c.every, DriftThreshold: c.drift,
+		})
+		if err == nil {
+			t.Errorf("New accepted FinetuneEvery %d, DriftThreshold %v", c.every, c.drift)
+		}
+	}
+}
+
 // TestLearnerDeterministicGivenSeed runs two identical stacks through the
 // same observe sequence and a fine-tune epoch each: trainer parameters and the
 // drift score must come out bitwise identical (the determinism invariant the
@@ -459,7 +481,6 @@ func TestLearnerDeterministicGivenSeed(t *testing.T) {
 		srv, l, tr := newTestStack(t, 42, func(c *Config) {
 			c.FinetuneEvery = 4
 			c.SwapGate = true
-			c.SwapMargin = 5
 		})
 		calibrate(t, srv, 24)
 		for day := 1; day <= 4; day++ {

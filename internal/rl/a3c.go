@@ -59,13 +59,11 @@ type A3CConfig struct {
 	// samples episodes and actions from its own RNG substream split from the
 	// worker seed.
 	EnvsPerWorker int
-	// Parallelism bounds the intra-update GEMM fan-out: it is the workers
-	// argument handed to every batched forward and backward pass inside one
-	// update. The default 0 (like 1) runs updates serially —
-	// a round's workers already roll out concurrently — but a
-	// single-worker trainer on a big machine can parallelize inside each
-	// update instead. Any value leaves training bitwise unchanged: the
-	// parallel kernels shard only independent output elements (see mat).
+	// Parallelism must be 0 or 1; Validate refuses anything else. Every
+	// update runs on its worker's goroutine — a round's workers already
+	// roll out concurrently, and that is where training's cores go. The
+	// field stays only because the end-to-end benchmark sets it, and goes
+	// when the benchmark next changes.
 	Parallelism int
 	// GradClip bounds the global-update L2 norm; 0 disables.
 	GradClip float64
@@ -130,8 +128,8 @@ func (c A3CConfig) Validate() error {
 		return fmt.Errorf("rl: Workers %d", c.Workers)
 	case c.EnvsPerWorker < 0:
 		return fmt.Errorf("rl: EnvsPerWorker %d", c.EnvsPerWorker)
-	case c.Parallelism < 0:
-		return fmt.Errorf("rl: Parallelism %d", c.Parallelism)
+	case c.Parallelism < 0 || c.Parallelism > 1:
+		return fmt.Errorf("rl: Parallelism %d: updates run serially, set 0 or 1", c.Parallelism)
 	case c.EntropyBeta < 0:
 		return fmt.Errorf("rl: EntropyBeta %v", c.EntropyBeta)
 	case c.LogitDecay < 0:
@@ -154,14 +152,6 @@ func (c A3CConfig) envsPerWorker() int {
 		return 1
 	}
 	return c.EnvsPerWorker
-}
-
-// parallelism resolves the intra-update fan-out (0 means serial).
-func (c A3CConfig) parallelism() int {
-	if c.Parallelism <= 0 {
-		return 1
-	}
-	return c.Parallelism
 }
 
 // A3C is the advantage actor–critic trainer of Fig. 6: the global actor and

@@ -101,15 +101,15 @@ func BenchmarkBackwardParams(b *testing.B) {
 
 		run("wpack", func(b *testing.B) {
 			var p *mat.PackedTransB
-			perCall(b, func() { p = mat.PackTransBParTo(p, w, 1) })
+			perCall(b, func() { p = mat.PackTransBTo(p, w) })
 		})
 		run("xpack", func(b *testing.B) {
 			var p *mat.PackedTransB
-			perCall(b, func() { p = mat.PackTransposeParTo(p, x, 1) })
+			perCall(b, func() { p = mat.PackTransposeTo(p, x) })
 		})
 		run("wtpack", func(b *testing.B) {
 			var p *mat.PackedTransB
-			perCall(b, func() { p = mat.PackTransposeParTo(p, w, 1) })
+			perCall(b, func() { p = mat.PackTransposeTo(p, w) })
 		})
 		run("dW", func(b *testing.B) {
 			g := mat.New(cfg.Hidden, k)
@@ -121,25 +121,25 @@ func BenchmarkBackwardParams(b *testing.B) {
 		})
 		run("inplace-dW", func(b *testing.B) {
 			g := mat.New(cfg.Hidden, k)
-			perCall(b, func() { mat.AddMulTransATo(g, dy, x, 1) })
+			perCall(b, func() { mat.AddMulTransATo(g, dy, x) })
 		})
 		run("inplace-dX", func(b *testing.B) {
 			var dst *mat.Matrix
-			perCall(b, func() { dst = mat.MulTo(dst, dy, w, 1) })
+			perCall(b, func() { dst = mat.MulTo(dst, dy, w) })
 		})
 		run("convgrad", func(b *testing.B) {
 			conv := nn.NewConv1D(rng.New(1), head, cfg.Filters, cfg.Kernel, cfg.Stride)
 			front := nn.NewNetwork(nn.NewSplit(head, nn.NewNetwork(conv, nn.NewReLU())))
 			front.ForwardBatch(benchMatrix(rows, fd, 5), 1)
 			g := benchMatrix(rows, k, 6)
-			perCall(b, func() { front.BackwardParams(g, 1) })
+			perCall(b, func() { front.BackwardParams(g) })
 		})
 		total := func(timed func(*testing.B, func())) func(*testing.B) {
 			return func(b *testing.B) {
 				actor := cfg.BuildActor(rng.New(7))
 				actor.ForwardBatch(benchMatrix(rows, fd, 5), 1)
 				g := benchMatrix(rows, mdp.NumActions, 8)
-				timed(b, func() { actor.BackwardParams(g, 1) })
+				timed(b, func() { actor.BackwardParams(g) })
 			}
 		}
 		run("total", total(perCall))
@@ -150,25 +150,25 @@ func BenchmarkBackwardParams(b *testing.B) {
 			var p *mat.PackedTransB
 			g := mat.New(cfg.Hidden, k)
 			coldPerCall(b, func() {
-				p = mat.PackTransposeParTo(p, x, 1)
+				p = mat.PackTransposeTo(p, x)
 				mat.MulPackAccTo(g, dyT, p, 1)
 			})
 		})
 		run("cold-inplace-dW", func(b *testing.B) {
 			g := mat.New(cfg.Hidden, k)
-			coldPerCall(b, func() { mat.AddMulTransATo(g, dy, x, 1) })
+			coldPerCall(b, func() { mat.AddMulTransATo(g, dy, x) })
 		})
 		run("cold-packed-dX", func(b *testing.B) {
 			var p *mat.PackedTransB
 			var dst *mat.Matrix
 			coldPerCall(b, func() {
-				p = mat.PackTransposeParTo(p, w, 1)
+				p = mat.PackTransposeTo(p, w)
 				dst = mat.MulPackTransBBiasTo(dst, dy, p, nil, 1)
 			})
 		})
 		run("cold-inplace-dX", func(b *testing.B) {
 			var dst *mat.Matrix
-			coldPerCall(b, func() { dst = mat.MulTo(dst, dy, w, 1) })
+			coldPerCall(b, func() { dst = mat.MulTo(dst, dy, w) })
 		})
 		run("cold-total", total(coldPerCall))
 	}

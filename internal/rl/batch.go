@@ -29,9 +29,11 @@ const DefaultBatchRows = 256
 
 // DecideBatch writes the greedy (argmax-logit) tier of every feature row
 // into out[0:x.Rows]. Feature rows are built with mdp.State.FeaturesInto.
-// workers bounds the intra-GEMM fan-out — pass 1 when the caller already
-// runs one DecideBatch per goroutine. Like Decide, it is not safe for
-// concurrent use on one Agent; use a ReplicaPool for that.
+// It runs on the calling goroutine: callers that want more cores decide
+// several batches at once, one per replica. workers must be 0 or 1 (see
+// nn.Network.ForwardBatch); it stays only because the end-to-end benchmark
+// passes it, and goes when the benchmark next changes. Like Decide, it is
+// not safe for concurrent use on one Agent; use a ReplicaPool for that.
 //
 //minicost:hotpath
 func (a *Agent) DecideBatch(x *mat.Matrix, out []pricing.Tier, workers int) {
@@ -67,7 +69,7 @@ func (a *Agent) DecideBatch(x *mat.Matrix, out []pricing.Tier, workers int) {
 // reused across calls, so a replica that serves many chunks reaches a fully
 // allocation-free steady state, which the rl allocation tests pin down. The
 // history window is the network's own, a.Net.HistLen.
-func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, out costmodel.Assignment, workers int) error {
+func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, out costmodel.Assignment) error {
 	b := hi - lo
 	if b <= 0 {
 		return nil
@@ -120,7 +122,7 @@ func (a *Agent) DecideTrace(tr *trace.Trace, lo, hi int, initial pricing.Tier, o
 			st.Tier = out[f][d-1]
 			st.FeaturesInto(a.feats.Row(i))
 		}
-		a.DecideBatch(a.feats, tiers, workers)
+		a.DecideBatch(a.feats, tiers, 1)
 		for i, t := range tiers {
 			out[lo+i][d] = t
 		}
@@ -141,7 +143,7 @@ func PlanTrace(pool *ReplicaPool, tr *trace.Trace, initial pricing.Tier, batch, 
 	par.ForBatched(n, batch, workers, func(lo, hi int) {
 		rep := pool.Get()
 		defer pool.Put(rep)
-		if err := rep.DecideTrace(tr, lo, hi, initial, asg, 1); err != nil {
+		if err := rep.DecideTrace(tr, lo, hi, initial, asg); err != nil {
 			chunkErrs[lo/batch] = err
 		}
 	})

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -85,7 +86,7 @@ func TestDecideTraceMatchesPerFileLoop(t *testing.T) {
 	reward := mdp.DefaultReward()
 
 	asg := make(costmodel.Assignment, tr.NumFiles())
-	if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, asg, 1); err != nil {
+	if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, asg); err != nil {
 		t.Fatal(err)
 	}
 	// Reference: the single-sample per-file loop, stepping each file through
@@ -310,4 +311,94 @@ func TestReplicaPoolBoundedByConcurrency(t *testing.T) {
 	if c := pool.Created(); c > workers {
 		t.Fatalf("pool created %d replicas for %d concurrent workers", c, workers)
 	}
+}
+
+// TestDecideTraceSteadyStateAllocFree gates the serving hot path end to end:
+// once an agent has served a chunk (history window and log series built,
+// plans sized, network scratch warm), re-serving the same-shaped chunk
+// allocates nothing. Six files run the packed products under one eight-row
+// group; 67 run them over two row panels, where every layer's last column
+// tile — all of the 3-wide output layer — is ragged and runs on a stack
+// panel.
+func TestDecideTraceSteadyStateAllocFree(t *testing.T) {
+	cfg := smallA3CConfig()
+	for _, files := range []int{6, 67} {
+		t.Run(fmt.Sprintf("files=%d", files), func(t *testing.T) {
+			agent := NewAgent(cfg.Net, cfg.Net.BuildActor(rng.New(9)))
+			tr := polarTrace(t, files, 20)
+			out := make(costmodel.Assignment, tr.NumFiles())
+
+			serve := func() {
+				if err := agent.DecideTrace(tr, 0, tr.NumFiles(), pricing.Hot, out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			serve()
+			allocs := testing.AllocsPerRun(5, serve)
+			if allocs != 0 {
+				t.Fatalf("steady-state DecideTrace allocates %.0f/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestDecideTraceReusedEnvsMatchFresh pins the scratch-recycling path: a
+// second DecideTrace call over a different file range (through the reused
+// feature matrix, tier buffer and history window) must produce exactly the
+// plans a fresh agent computes.
+func TestDecideTraceReusedEnvsMatchFresh(t *testing.T) {
+	cfg := smallA3CConfig()
+	r := rng.New(11)
+	actor := cfg.Net.BuildActor(r)
+	tr := polarTrace(t, 8, 15)
+
+	reused := NewAgent(cfg.Net, actor)
+	warm := make(costmodel.Assignment, tr.NumFiles())
+	if err := reused.DecideTrace(tr, 0, 5, pricing.Hot, warm); err != nil {
+		t.Fatal(err)
+	}
+	got := make(costmodel.Assignment, tr.NumFiles())
+	if err := reused.DecideTrace(tr, 2, 8, pricing.Cool, got); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := NewAgent(cfg.Net, actor.Clone())
+	want := make(costmodel.Assignment, tr.NumFiles())
+	if err := fresh.DecideTrace(tr, 2, 8, pricing.Cool, want); err != nil {
+		t.Fatal(err)
+	}
+	for f := 2; f < 8; f++ {
+		for d := 0; d < tr.Days; d++ {
+			if got[f][d] != want[f][d] {
+				t.Fatalf("file %d day %d: reused-env plan %v, fresh plan %v", f, d, got[f][d], want[f][d])
+			}
+		}
+	}
+}
+
+// TestDecideBatchWorkersArgumentSerialOnly pins DecideBatch's workers
+// argument: 0 and 1 decide on the calling goroutine, alike, and anything
+// else panics.
+func TestDecideBatchWorkersArgumentSerialOnly(t *testing.T) {
+	cfg := testNetConfig()
+	r := rng.New(13)
+	agent := NewAgent(cfg, cfg.BuildActor(r))
+	x := mat.New(23, mdp.FeatureDim(cfg.HistLen))
+	for i := 0; i < x.Rows; i++ {
+		s := randomState(r, cfg.HistLen)
+		s.FeaturesInto(x.Row(i))
+	}
+	want := make([]pricing.Tier, x.Rows)
+	agent.DecideBatch(x, want, 1)
+	got := make([]pricing.Tier, x.Rows)
+	agent.DecideBatch(x, got, 0)
+	if !slices.Equal(got, want) {
+		t.Fatalf("DecideBatch workers 0 = %v, workers 1 = %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DecideBatch with workers 2 did not panic")
+		}
+	}()
+	agent.DecideBatch(x, got, 2)
 }

@@ -282,7 +282,7 @@ func (d *DQN) update() {
 		d.dq.Row(b)[t.action] = (q.Row(b)[t.action] - targetQ) / float64(len(d.drawn))
 	}
 	d.online.ZeroGrad()
-	d.online.BackwardParams(d.dq, 1)
+	d.online.BackwardParams(d.dq)
 	_, scale := nn.ClipScale(d.grads, 5)
 	d.opt.Step(d.params, d.grads, scale)
 	d.online.BindParamVector(d.params)

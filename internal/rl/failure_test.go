@@ -118,7 +118,7 @@ func TestDecideTraceRejectsBadFiles(t *testing.T) {
 		cfg.HistLen = c.histLen
 		agent := NewAgent(cfg, actor)
 		out := make(costmodel.Assignment, tr.NumFiles())
-		if err := agent.DecideTrace(tr, 0, tr.NumFiles(), c.initial, out, 1); err == nil {
+		if err := agent.DecideTrace(tr, 0, tr.NumFiles(), c.initial, out); err == nil {
 			t.Errorf("%s: DecideTrace accepted the input", c.name)
 		}
 		if _, err := PlanTrace(NewReplicaPool(agent), tr, c.initial, 2, 1); err == nil {

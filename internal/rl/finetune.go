@@ -6,7 +6,7 @@ import "fmt"
 // from src — the online learner's incremental-epoch entry point. TrainFrom's
 // workers run until the global step counter reaches the given total, so
 // passing the current count plus the increment turns the same training
-// engine (EnvsPerWorker/Parallelism knobs included) into a resumable
+// engine (the Workers and EnvsPerWorker knobs included) into a resumable
 // fine-tuner: each call picks up exactly where the last one stopped, with
 // the learning-rate anneal continuing along the trainer's TotalSteps
 // schedule (fine-tune epochs past the horizon run at the annealed floor,

@@ -398,7 +398,7 @@ func checkOracle(t *testing.T, cfg A3CConfig, updates int) {
 		critic.ZeroGrad()
 		var logits *mat.Matrix
 		for s := 0; s < nSteps; s++ {
-			logits = actor.ForwardRows(feats, s*nEnvs, (s+1)*nEnvs, 1)
+			logits = actor.ForwardRows(feats, s*nEnvs, (s+1)*nEnvs)
 		}
 		a3c.accumulateVec(actor, critic, feats, logits, rewards, actions, dones, boot, &vb)
 

@@ -93,6 +93,11 @@ func TestA3CConfigValidate(t *testing.T) {
 	if err := DefaultA3CConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	serial := DefaultA3CConfig()
+	serial.Parallelism = 1
+	if err := serial.Validate(); err != nil {
+		t.Fatalf("Parallelism 1 refused: %v", err)
+	}
 	mut := func(f func(*A3CConfig)) A3CConfig {
 		c := DefaultA3CConfig()
 		f(&c)
@@ -105,6 +110,8 @@ func TestA3CConfigValidate(t *testing.T) {
 		mut(func(c *A3CConfig) { c.NSteps = 0 }),
 		mut(func(c *A3CConfig) { c.Workers = 0 }),
 		mut(func(c *A3CConfig) { c.EnvsPerWorker = -1 }),
+		mut(func(c *A3CConfig) { c.Parallelism = -1 }),
+		mut(func(c *A3CConfig) { c.Parallelism = 2 }), // updates run serially
 		mut(func(c *A3CConfig) { c.EntropyBeta = -1 }),
 		mut(func(c *A3CConfig) { c.ExploreHold = -1 }),
 		mut(func(c *A3CConfig) { c.GradClip = -1 }),
@@ -291,7 +298,7 @@ func TestTraceSourceValidation(t *testing.T) {
 	// tier.
 	asg := make(costmodel.Assignment, oneDay.NumFiles())
 	agent := NewAgent(testNetConfig(), testNetConfig().BuildActor(rng.New(3)))
-	if err := agent.DecideTrace(oneDay, 0, oneDay.NumFiles(), pricing.Cool, asg, 1); err != nil {
+	if err := agent.DecideTrace(oneDay, 0, oneDay.NumFiles(), pricing.Cool, asg); err != nil {
 		t.Fatal(err)
 	}
 	for i := range asg {

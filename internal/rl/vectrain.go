@@ -135,7 +135,6 @@ func (w *worker) rollout() {
 	a := w.a
 	nEnvs := len(w.boot)
 	nSteps := a.cfg.NSteps
-	par := a.cfg.parallelism()
 	featDim := a.cfg.Net.featureDim()
 	actor, critic, bank := w.actor, w.critic, w.bank
 
@@ -152,7 +151,7 @@ func (w *worker) rollout() {
 		base := t * nEnvs
 		bank.FillFeatures(w.feats.Data[base*featDim:(base+nEnvs)*featDim], featDim)
 		sw := trainMet.vecForward.Start()
-		logits = actor.ForwardRows(w.feats, base, base+nEnvs, par)
+		logits = actor.ForwardRows(w.feats, base, base+nEnvs)
 		sw.Stop()
 		for e := 0; e < nEnvs; e++ {
 			r := w.envRNG[e]
@@ -212,7 +211,7 @@ func (w *worker) rollout() {
 	// transition was terminal bootstrap from 0 (their bank state is already
 	// the next episode's reset observation).
 	bank.FillFeatures(w.bootFeats.Data, featDim)
-	values := critic.ForwardBatch(w.bootFeats, par)
+	values := critic.ForwardBatch(w.bootFeats, 1)
 	lastBase := (nSteps - 1) * nEnvs
 	for e := 0; e < nEnvs; e++ {
 		if w.dones[lastBase+e] {
@@ -240,11 +239,10 @@ func (w *worker) rollout() {
 //
 //minicost:hotpath
 func (a *A3C) accumulateVec(actor, critic *nn.Network, feats, logits *mat.Matrix, rewards []float64, actions []int, dones []bool, boot []float64, vb *vecBuf) {
-	w := a.cfg.parallelism()
 	rows := feats.Rows
 	nEnvs := len(boot)
 	nSteps := rows / nEnvs
-	values := critic.ForwardBatch(feats, w)
+	values := critic.ForwardBatch(feats, 1)
 	vb.dV = mat.EnsureShape(vb.dV, rows, 1)
 	vb.dL = mat.EnsureShape(vb.dL, rows, mdp.NumActions)
 	if cap(vb.probs) < mdp.NumActions {
@@ -292,6 +290,6 @@ func (a *A3C) accumulateVec(actor, critic *nn.Network, feats, logits *mat.Matrix
 			}
 		}
 	}
-	critic.BackwardParams(vb.dV, w)
-	actor.BackwardParams(vb.dL, w)
+	critic.BackwardParams(vb.dV)
+	actor.BackwardParams(vb.dL)
 }

@@ -190,7 +190,7 @@ func TestAccumulateVecSteadyStateAllocFree(t *testing.T) {
 		critic.ZeroGrad()
 		var logits *mat.Matrix
 		for s := 0; s < cfg.NSteps; s++ {
-			logits = actor.ForwardRows(feats, s*nEnvs, (s+1)*nEnvs, 1)
+			logits = actor.ForwardRows(feats, s*nEnvs, (s+1)*nEnvs)
 		}
 		a3c.accumulateVec(actor, critic, feats, logits, rewards, actions, dones, boot, &vb)
 	}
